@@ -2,8 +2,8 @@
 
 The package computes spectra of Schrodinger operators with attractive
 singular interactions supported on compact surfaces, via the principal
-matrix of the interaction: ground states by bisection on its lowest
-eigenvalue, closed-form threshold and spectral bounds, a weighted
+matrix of the interaction: ground states by bracket expansion plus
+Brent's method on its lowest eigenvalue, closed-form threshold and spectral bounds, a weighted
 variational reformulation, and hybrid systems with point sources.
 """
 

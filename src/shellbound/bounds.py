@@ -1,7 +1,7 @@
 """Closed-form coupling thresholds, spectral floors, and finiteness caps.
 
 Everything in this module is an explicit scalar formula except the
-Gersgorin bisection, which reuses the quadrature-backed pair integrals to
+Gersgorin root search (bracket expansion plus Brent's method), which reuses the quadrature-backed pair integrals to
 work with actual matrix entries. The closed-form envelope evaluators are
 kept alongside it so the two routes can be compared; they must never be
 merged into one code path.
@@ -21,9 +21,13 @@ from .errors import (
 )
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .kernels import KernelBoundConstants
-from .principal import CouplingSpec, pair_integral
-
-_NU_CEIL = 1e4
+from .principal import (
+    _NU_CEIL,
+    CouplingSpec,
+    _monotone_root,
+    _validate_system,
+    pair_integral,
+)
 
 
 class AmbientCurvature:
@@ -294,8 +298,8 @@ def diagonal_lower_envelope(
 
     H_signed is the surface sectional curvature (sign included); rho_star
     the geodesic radius of the volume-comparison step. Increasing in nu on
-    [nu_star, inf) in every regime, which is what makes the bisection in
-    gersgorin_energy_bound legitimate against this envelope.
+    [nu_star, inf) in every regime, which is what makes the monotone root
+    search in gersgorin_energy_bound legitimate against this envelope.
     """
     if not rho_star > 0.0:
         raise InvalidArgumentError(f"rho_star must be positive, got {rho_star}")
@@ -379,19 +383,14 @@ def gersgorin_energy_bound(
 ) -> float:
     """Certified floor E_* <= E_gr from disk separation of the matrix entries.
 
-    Bisections on nu for min_i diag = (N-1) max_ij offdiag, where each
+    Finds the nu where min_i diag = (N-1) max_ij offdiag, where each
     off-diagonal radius is the smaller of the direct quadrature entry and
     its Cauchy-Schwarz cap sqrt(P_ii P_jj); the cap keeps the radius finite
     and accurate even when surfaces touch. Diagonals increase and radii
     decrease in nu, so the crossing is unique.
     """
+    _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    if len(surfaces) == 0:
-        raise InvalidArgumentError("need at least one surface")
-    if len(couplings) != len(surfaces):
-        raise InvalidArgumentError(
-            f"{len(surfaces)} surfaces but {len(couplings)} couplings"
-        )
     stars = []
     for cp in couplings.items:
         if cp.nu_star is None:
@@ -421,23 +420,13 @@ def gersgorin_energy_bound(
             radius = max(radius, min(direct, cs))
         return diag_min - (n - 1) * radius
 
-    lo = max(stars)  # gap(lo) <= 0: the coupling attaining max nu* has zero diagonal
-    hi = max(2.0 * lo, 1.0)
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _NU_CEIL:
-            raise NoConvergenceError(
-                f"no disk separation found with nu up to {_NU_CEIL}"
-            )
-    for _ in range(200):
-        if hi - lo <= tol * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu_g = 0.5 * (lo + hi)
+    # gap(max nu*) <= 0: the coupling attaining max nu* has zero diagonal.
+    lo = max(stars)
+    nu_g, _ = _monotone_root(
+        gap, lo, gap(lo), max(2.0 * lo, 1.0), _NU_CEIL,
+        NoConvergenceError(f"no disk separation found with nu up to {_NU_CEIL}"),
+        tol,
+    )
     return -(nu_g * nu_g)
 
 

@@ -60,6 +60,7 @@ from .hybrid import HybridSystem, PointSource, perturbative_shift, solve_hybrid_
 from .principal import (
     Coupling,
     CouplingSpec,
+    _monotone_root,
     assemble_phi,
     energy_from_coupling,
     solve_ground_state,
@@ -103,7 +104,11 @@ class SurfaceSpec:
 class SolverSettings:
     tol: float = 1e-10
     nu_min: float = 1e-4
-    nu_max: float = 1e4
+
+    @property
+    def nu_floor(self) -> float:
+        """Stand-in for nu -> 0 in the exact critical coupling, in [1e-6, 1e-2]."""
+        return min(max(self.nu_min, 1e-6), 1e-2)
 
 
 @dataclass(frozen=True)
@@ -264,16 +269,13 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("config needs at least one surface or point")
 
     sobj = _expect_dict(data.get("solver", {}), "solver")
-    _check_keys(sobj, {"tol", "nu_min", "nu_max"}, "solver")
+    _check_keys(sobj, {"tol", "nu_min"}, "solver")
     solver = SolverSettings(
         tol=_number(sobj, "tol", "solver", 1e-10),
         nu_min=_number(sobj, "nu_min", "solver", 1e-4),
-        nu_max=_number(sobj, "nu_max", "solver", 1e4),
     )
-    if not (solver.tol > 0.0 and 0.0 < solver.nu_min < solver.nu_max):
-        raise ConfigError(
-            f"solver needs tol > 0 and 0 < nu_min < nu_max, got {solver}"
-        )
+    if not (solver.tol > 0.0 and solver.nu_min > 0.0):
+        raise ConfigError(f"solver needs tol > 0 and nu_min > 0, got {solver}")
 
     oobj = _expect_dict(data.get("output", {}), "output")
     _check_keys(oobj, {"path", "format"}, "output")
@@ -303,7 +305,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -396,7 +398,6 @@ def _nu_star_spec(cfg: ExperimentConfig):
 
 def cmd_bounds(cfg: ExperimentConfig, out_path: str) -> int:
     _require_surfaces(cfg, "bounds")
-    nu_floor = min(max(cfg.solver.nu_min, 1e-6), 1e-2)
     w = _CsvOut(
         out_path,
         cfg.config_sha256,
@@ -414,7 +415,7 @@ def cmd_bounds(cfg: ExperimentConfig, out_path: str) -> int:
     for idx, mesh in enumerate(cfg.surfaces):
         exact = None
         if cfg.space.is_flat:
-            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, nu_floor)
+            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor)
         ambient, cases = _model_cases(cfg.space, mesh.meta)
         for case_name, sub in cases:
             try:
@@ -477,19 +478,16 @@ def _fixed_area_ellipsoid(spec: SurfaceSpec, c: float, target_area: float) -> Su
             Ellipsoid(center=center, a=a, b=a, c=c), order=spec.order
         ).area
 
+    # Search in units of the area-equivalent sphere radius, so the
+    # tolerance is relative.
     scale = math.sqrt(target_area / (4.0 * math.pi))
-    lo, hi = 1e-3 * scale, 20.0 * scale
-    if area_of(lo) > target_area or area_of(hi) < target_area:
-        raise ConfigError(f"cannot match area {target_area} at deformation c={c}")
-    for _ in range(200):
-        if hi - lo <= 1e-14 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if area_of(mid) < target_area:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
+    f = lambda t: area_of(t * scale) - target_area
+    error = ConfigError(f"cannot match area {target_area} at deformation c={c}")
+    f_lo = f(1e-3)
+    if f_lo > 0.0:
+        raise error
+    t, _ = _monotone_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
+    a = t * scale
     return build_surface(Ellipsoid(center=center, a=a, b=a, c=c), order=spec.order)
 
 
@@ -556,7 +554,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
         _require_surfaces(cfg, "sweep radius", 1)
         if cfg.surface_specs[0].kind != "sphere":
             raise ConfigError("sweep radius needs a sphere surface")
-        nu_floor = min(max(cfg.solver.nu_min, 1e-6), 1e-2)
         for r in grid:
             mesh = cfg.surface_specs[0].build(radius=r)
             e, ns = _solve_metrics((mesh,), cfg.couplings, cfg)
@@ -564,7 +561,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
             put(r, "E_gr", e, status)
             put(r, "nu_star", ns, status)
             if cfg.space.is_flat:
-                put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, nu_floor))
+                put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
     else:
         _require_surfaces(cfg, "sweep deformation_c", 1)
         if cfg.surface_specs[0].kind != "sphere":
@@ -572,10 +569,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
         if not cfg.space.is_flat:
             raise ConfigError("sweep deformation_c needs a flat ambient space")
         target = cfg.surfaces[0].area
-        nu_floor = min(max(cfg.solver.nu_min, 1e-6), 1e-2)
         for c in grid:
             mesh = _fixed_area_ellipsoid(cfg.surface_specs[0], c, target)
-            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, nu_floor))
+            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
             put(c, "area", mesh.area)
 
     w.comment(f"diagnostic: {diagnostic}")

@@ -3,8 +3,9 @@
 Point interactions carry no finite coupling constant; each point channel
 enters through a subtracted diagonal pinned to its standalone level -mu^2,
 and couples to the shells through the static kernel. The combined matrix
-has the same monotone lowest-eigenvalue flow as the pure-shell one, so the
-ground state falls out of the identical bisection.
+extends the pure-shell one by the point rows and has the same monotone
+lowest-eigenvalue flow, so the ground state falls out of the identical
+bracket expansion plus Brent's method.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     DegeneratePerturbationError,
     GeometryViolationError,
     InvalidArgumentError,
-    NoBoundStateError,
 )
 from .geometry import (
     AmbientSpace,
@@ -29,12 +29,14 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
-from .jacobi import jacobi_eigh
 from .kernels import StaticKernelQuery, static_kernel
 from .principal import (
+    _NU_FLOOR,
     BoundStateResult,
     CouplingSpec,
     PrincipalMatrix,
+    _ground_state,
+    assemble_phi,
     pair_integral,
     surface_potential,
 )
@@ -47,10 +49,6 @@ __all__ = [
     "solve_hybrid_ground_state",
     "perturbative_shift",
 ]
-
-_NU_FLOOR = 1e-8
-_NU_CEIL = 1e4
-
 
 @dataclass(frozen=True)
 class PointSource:
@@ -156,15 +154,6 @@ def _point_level_slope(
     return pref / mu_eff
 
 
-def _surface_diag(
-    mesh: SurfaceMesh, cp, space: AmbientSpace, constants: PhysicalConstants, nu: float
-) -> float:
-    p_nu = pair_integral(mesh, mesh, space, constants, nu)
-    if cp.lam is not None:
-        return 1.0 / cp.lam - p_nu
-    return pair_integral(mesh, mesh, space, constants, cp.nu_star) - p_nu
-
-
 def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     """Principal matrix of the combined system, shells first, points after."""
     if not nu > 0.0:
@@ -172,13 +161,10 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     n, m_pts = len(sys.surfaces), len(sys.points)
     size = n + m_pts
     A = np.zeros((size, size))
-    for i, (mesh, cp) in enumerate(zip(sys.surfaces, sys.couplings.items)):
-        A[i, i] = _surface_diag(mesh, cp, sys.space, sys.constants, nu)
-    for i in range(n):
-        for j in range(i + 1, n):
-            A[i, j] = A[j, i] = -pair_integral(
-                sys.surfaces[i], sys.surfaces[j], sys.space, sys.constants, nu
-            )
+    if n:
+        A[:n, :n] = assemble_phi(
+            sys.surfaces, sys.couplings, sys.space, sys.constants, nu
+        ).entries
     for p_idx, p in enumerate(sys.points):
         k = n + p_idx
         A[k, k] = point_krein(sys.constants, p.mu, nu, sys.space)
@@ -204,51 +190,14 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
 def solve_hybrid_ground_state(
     sys: HybridSystem, tol: float = 1e-10
 ) -> BoundStateResult:
-    """Ground state of the combined system by bisection on omega_min."""
-
-    def omega(nu: float) -> float:
-        return assemble_hybrid_phi(sys, nu).omega_min()
-
+    """Ground state of the combined system: the zero of omega_min, found by
+    bracket expansion plus Brent's method as for pure shells."""
     stars = [cp.nu_star for cp in sys.couplings.items if cp.nu_star is not None]
     stars.extend(p.mu for p in sys.points)
-    lo = max(stars) if stars else _NU_FLOOR
-    f_lo = omega(lo)
-    if f_lo > 0.0:
-        raise NoBoundStateError(
-            f"omega_min({lo}) = {f_lo} > 0: no bound state at or below the bracket start"
-        )
-    iterations = 0
-    hi = max(2.0 * lo, 1.0)
-    while omega(hi) <= 0.0:
-        iterations += 1
-        hi *= 2.0
-        if hi > _NU_CEIL:
-            raise NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]")
-    while hi - lo > 0.5e-12 * max(1.0, hi) and iterations < 200:
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if omega(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu_sol = 0.5 * (lo + hi)
-    pm = assemble_hybrid_phi(sys, nu_sol)
-    if pm.n == 1:
-        vec = np.array([1.0])
-        residual = abs(float(pm.entries[0, 0]))
-    else:
-        w, V = jacobi_eigh(pm.entries)
-        vec = V[:, 0]
-        if float(np.sum(vec)) < 0.0:
-            vec = -vec
-        residual = abs(float(w[0]))
-    return BoundStateResult(
-        energy=-nu_sol * nu_sol,
-        nu_star=nu_sol,
-        weights=vec,
-        converged=bool(residual < tol),
-        iterations=iterations,
-        residual=residual,
+    return _ground_state(
+        lambda nu: assemble_hybrid_phi(sys, nu),
+        max(stars) if stars else _NU_FLOOR,
+        tol,
     )
 
 
@@ -267,7 +216,8 @@ def perturbative_shift(sys: HybridSystem) -> float:
     mesh, cp, point = sys.surfaces[0], sys.couplings.items[0], sys.points[0]
     mu = point.mu
     p_mu = pair_integral(mesh, mesh, sys.space, sys.constants, mu)
-    diag = _surface_diag(mesh, cp, sys.space, sys.constants, mu)
+    shell = assemble_phi((mesh,), CouplingSpec((cp,)), sys.space, sys.constants, mu)
+    diag = float(shell.entries[0, 0])
     if abs(diag) <= 1e-10 * max(p_mu, abs(diag + p_mu)):
         raise DegeneratePerturbationError(
             f"shell channel is resonant at mu={mu}: diagonal {diag}"

@@ -10,7 +10,9 @@ the zeros of the lowest eigenvalue of the symmetric matrix
 
 with P_ij the kernel pair integral (V_i V_j)^{-1/2} int int G_nu.  Every
 P_ij decreases strictly in nu and the off-diagonals are nonpositive, so the
-lowest eigenvalue increases in nu and bisection is unconditionally safe.
+lowest eigenvalue increases in nu and its zero is found by bracket expansion
+plus Brent's method.  The same monotone root finder serves every crossing
+search in the package.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import _quadrature as quad
 from .errors import (
@@ -159,6 +162,38 @@ def pair_integral(
     return raw / math.sqrt(mesh_i.area * mesh_j.area)
 
 
+def _monotone_root(f, lo, f_lo, hi, ceil, error, tol):
+    """Crossing of a nondecreasing f above lo, given f_lo = f(lo) <= 0.
+
+    Doubles hi until f(hi) > 0, moving lo up to the last nonpositive point,
+    and raises error once hi passes ceil.  Brent's method (Brent 1973, ch. 4)
+    then refines the bracket to about tol * max(1, root), reusing the end
+    values already computed.  Returns (root, number of evaluations of f,
+    the caller's f(lo) included).
+    """
+    f_hi = f(hi)
+    evals = 2
+    while f_hi <= 0.0:
+        lo, f_lo = hi, f_hi
+        hi *= 2.0
+        if hi > ceil:
+            raise error
+        f_hi = f(hi)
+        evals += 1
+    known = {lo: f_lo, hi: f_hi}
+
+    def g(x: float) -> float:
+        nonlocal evals
+        if x in known:
+            return known.pop(x)
+        evals += 1
+        return f(x)
+
+    # brentq rejects a relative tolerance below four machine epsilons.
+    rtol = max(tol, 4.0 * np.finfo(float).eps)
+    return brentq(g, lo, hi, xtol=tol, rtol=rtol), evals
+
+
 def _validate_system(surfaces, couplings: CouplingSpec) -> None:
     if len(surfaces) == 0:
         raise InvalidArgumentError("need at least one surface")
@@ -220,25 +255,15 @@ def energy_from_coupling(
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
     target = 1.0 / lam
     f = lambda nu: target - pair_integral(mesh, mesh, space, constants, nu)
-    lo = _NU_FLOOR
-    if f(lo) >= 0.0:
+    f_lo = f(_NU_FLOOR)
+    if f_lo >= 0.0:
         return None
-    hi = 1.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > _NU_CEIL:
-            raise NoConvergenceError(
-                f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"
-            )
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, lo):
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    nu, _ = _monotone_root(
+        f, _NU_FLOOR, f_lo, 1.0, _NU_CEIL,
+        NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
+        1e-13,
+    )
+    return nu
 
 
 def lowest_eigenvalue_flow(
@@ -259,48 +284,26 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def solve_ground_state(
-    surfaces,
-    couplings: CouplingSpec,
-    space: AmbientSpace,
-    constants: PhysicalConstants,
-    tol: float = 1e-10,
-) -> BoundStateResult:
-    """Ground state by bisection on the lowest-eigenvalue flow.
+def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
+    """Zero of the lowest-eigenvalue flow of phi(nu), searched above lo.
 
-    The returned weights are the unit null eigenvector at the crossing,
-    sign-fixed to be componentwise nonnegative (ground-state positivity).
+    phi maps nu to the principal matrix; the returned weights are its unit
+    null eigenvector at the crossing, sign-fixed to a nonnegative sum
+    (ground-state positivity).  iterations counts the evaluations of
+    omega_min made by the root finder.
     """
-    _validate_system(surfaces, couplings)
-    surfaces = tuple(surfaces)
-
-    def omega(nu: float) -> float:
-        return assemble_phi(surfaces, couplings, space, constants, nu).omega_min()
-
-    stars = [cp.nu_star for cp in couplings.items if cp.nu_star is not None]
-    lo = max(stars) if stars else _NU_FLOOR
+    omega = lambda nu: phi(nu).omega_min()
     f_lo = omega(lo)
     if f_lo > 0.0:
         raise NoBoundStateError(
             f"omega_min({lo}) = {f_lo} > 0: no bound state at or below the bracket start"
         )
-    iterations = 0
-    hi = max(2.0 * lo, 1.0)
-    while omega(hi) <= 0.0:
-        iterations += 1
-        hi *= 2.0
-        if hi > _NU_CEIL:
-            raise NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]")
-    while hi - lo > 0.5e-12 * max(1.0, hi) and iterations < 200:
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if omega(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    nu_sol = 0.5 * (lo + hi)
-    pm = assemble_phi(surfaces, couplings, space, constants, nu_sol)
-    w, V = jacobi_eigh(pm.entries)
+    nu_sol, evals = _monotone_root(
+        omega, lo, f_lo, max(2.0 * lo, 1.0), _NU_CEIL,
+        NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]"),
+        0.5e-12,
+    )
+    w, V = jacobi_eigh(phi(nu_sol).entries)
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
         vec = -vec
@@ -310,8 +313,31 @@ def solve_ground_state(
         nu_star=nu_sol,
         weights=vec,
         converged=bool(residual < tol),
-        iterations=iterations,
+        iterations=evals,
         residual=residual,
+    )
+
+
+def solve_ground_state(
+    surfaces,
+    couplings: CouplingSpec,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    tol: float = 1e-10,
+) -> BoundStateResult:
+    """Ground state: the zero of the lowest-eigenvalue flow, found by
+    bracket expansion plus Brent's method.
+
+    The returned weights are the unit null eigenvector at the crossing,
+    sign-fixed to be componentwise nonnegative (ground-state positivity).
+    """
+    _validate_system(surfaces, couplings)
+    surfaces = tuple(surfaces)
+    stars = [cp.nu_star for cp in couplings.items if cp.nu_star is not None]
+    return _ground_state(
+        lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
+        max(stars) if stars else _NU_FLOOR,
+        tol,
     )
 
 

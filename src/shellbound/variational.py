@@ -28,7 +28,13 @@ from .kernels import (
     static_kernel_d2alpha_array,
     static_kernel_dalpha_array,
 )
-from .principal import CouplingSpec, _check_flat, assemble_phi
+from .principal import (
+    CouplingSpec,
+    _check_flat,
+    _monotone_root,
+    _validate_system,
+    assemble_phi,
+)
 
 __all__ = [
     "VariationalMatrices",
@@ -73,19 +79,11 @@ class VariationalMatrices:
         return self.K.shape[0]
 
 
-def _self_weighted(mesh: SurfaceMesh, kernel) -> float:
-    """Unnormalized double integral of kernel(distance) over mesh x mesh."""
-    return quad.diag_weighted_sum(mesh, kernel)
-
-
-def _cross_weighted(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel) -> float:
-    return quad.offdiag_weighted_sum(mesh_i, mesh_j, kernel)
-
-
 def _entry(mesh_i, mesh_j, kernel) -> float:
+    """Unnormalized double integral of kernel(distance) over mesh_i x mesh_j."""
     if mesh_i is mesh_j:
-        return _self_weighted(mesh_i, kernel)
-    return _cross_weighted(mesh_i, mesh_j, kernel)
+        return quad.diag_weighted_sum(mesh_i, kernel)
+    return quad.offdiag_weighted_sum(mesh_i, mesh_j, kernel)
 
 
 def normalization_Z(
@@ -103,7 +101,7 @@ def normalization_Z(
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     nu = math.sqrt(alpha)
     kernel = lambda d: -static_kernel_dalpha_array(space, constants, nu, d)
-    return _self_weighted(mesh, kernel)
+    return quad.diag_weighted_sum(mesh, kernel)
 
 
 def energy_functional(
@@ -120,7 +118,7 @@ def energy_functional(
     if not lam > 0.0:
         raise InvalidArgumentError(f"lambda must be positive, got {lam}")
     nu = math.sqrt(alpha)
-    W = _self_weighted(mesh, lambda d: static_kernel_array(space, constants, nu, d))
+    W = quad.diag_weighted_sum(mesh, lambda d: static_kernel_array(space, constants, nu, d))
     Z = normalization_Z(mesh, space, constants, alpha)
     return W / Z - alpha - (lam / mesh.area) * W * W / Z
 
@@ -187,13 +185,8 @@ def assemble_variational(
     _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
+    _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    if len(surfaces) == 0:
-        raise InvalidArgumentError("need at least one surface")
-    if len(couplings) != len(surfaces):
-        raise InvalidArgumentError(
-            f"{len(surfaces)} surfaces but {len(couplings)} couplings"
-        )
     lams = _require_lambda_form(couplings)
     nu = math.sqrt(alpha)
     n = len(surfaces)
@@ -249,17 +242,13 @@ def solve_variational(
     """Trial parameter alpha* where I - K(alpha) develops a zero mode.
 
     K's entries shrink as alpha grows, so the smallest eigenvalue of
-    I - K(alpha) increases; bisection on its sign is exact. Returns
-    (alpha*, A) with A the unit zero mode, sign-fixed to nonnegative sum.
+    I - K(alpha) increases and bracket expansion plus Brent's method finds
+    its zero. Returns (alpha*, A) with A the unit zero mode, sign-fixed to
+    nonnegative sum.
     """
     _check_flat(space)
+    _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    if len(surfaces) == 0:
-        raise InvalidArgumentError("need at least one surface")
-    if len(couplings) != len(surfaces):
-        raise InvalidArgumentError(
-            f"{len(surfaces)} surfaces but {len(couplings)} couplings"
-        )
     lams = _require_lambda_form(couplings)
 
     def gap(alpha: float) -> float:
@@ -269,25 +258,16 @@ def solve_variational(
         w, _ = jacobi_eigh(K)
         return 1.0 - float(w[-1])
 
-    lo = _ALPHA_FLOOR
-    if gap(lo) >= 0.0:
+    g_lo = gap(_ALPHA_FLOOR)
+    if g_lo >= 0.0:
         raise NoBoundStateError(
             "I - K has no zero mode: couplings are at or below critical"
         )
-    hi = 1.0
-    while gap(hi) <= 0.0:
-        hi *= 4.0
-        if hi > _ALPHA_CEIL:
-            raise NoBoundStateError(f"no zero mode with alpha up to {_ALPHA_CEIL}")
-    for _ in range(200):
-        if hi - lo <= 0.5e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha_star = 0.5 * (lo + hi)
+    alpha_star, _ = _monotone_root(
+        gap, _ALPHA_FLOOR, g_lo, 1.0, _ALPHA_CEIL,
+        NoBoundStateError(f"no zero mode with alpha up to {_ALPHA_CEIL}"),
+        0.5e-12,
+    )
     K = _k_matrix(surfaces, lams, space, constants, alpha_star)
     if K.shape[0] == 1:
         A = np.array([1.0])

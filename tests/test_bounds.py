@@ -232,6 +232,9 @@ def test_gersgorin_bounds_ground_state(constants, flat, sphere16):
     assert e_star <= e_gr + 1e-10
     # for an identical pair the 2x2 disk bound is tight
     assert e_star == pytest.approx(e_gr, abs=1e-8)
+    # a tolerance below machine precision runs to full precision, not an error
+    tight = gersgorin_energy_bound([sphere16, other], spec, flat, constants, tol=1e-16)
+    assert tight == pytest.approx(e_star, abs=1e-9)
 
 
 def test_gersgorin_touching_spheres(constants, flat):

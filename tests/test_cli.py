@@ -6,9 +6,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from shellbound.cli import load_config, main
+from shellbound.cli import _fmt, load_config, main
 from shellbound.errors import ConfigError
 
 SPHERE_NU = {
@@ -73,7 +74,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": 3}]},
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": 1}]},
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "params": {"radius": -1.0}}]},
-        lambda d: {**d, "solver": {"nu_min": 2.0, "nu_max": 1.0}},
+        lambda d: {**d, "solver": {"nu_min": 0.0}},
+        lambda d: {**d, "solver": {"nu_max": 1e4}},
         lambda d: {**d, "output": {"format": "json"}},
         lambda d: {**d, "ambient": {"kind": "spherical"}},
         lambda d: {**d, "points": [{"position": [5.0, 0.0, 0.0], "mu": 0.5}]},
@@ -165,6 +167,8 @@ def test_solve_csv_structure(tmp_path, capsys):
     assert row["converged"] == "true"
     assert float(row["residual"]) < 1e-10
     assert int(row["iterations"]) > 0
+    # numpy scalars are written as plain floats (numpy 2 reprs them as np.float64(...)).
+    assert _fmt(np.float64(0.5)) == "0.5"
 
 
 def test_output_path_from_config(tmp_path, capsys):

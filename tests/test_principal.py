@@ -13,6 +13,7 @@ from shellbound import (
     InvalidArgumentError,
     InvalidStateError,
     NoBoundStateError,
+    NoConvergenceError,
     Sphere,
     assemble_phi,
     build_surface,
@@ -28,7 +29,8 @@ from shellbound.oracles import (
     sphere_pair_integral_exact,
     sphere_point_potential_exact,
 )
-from shellbound.principal import pair_integral, surface_potential
+from shellbound.cli import load_config
+from shellbound.principal import _monotone_root, pair_integral, surface_potential
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0, 2.0, 5.0])
@@ -184,3 +186,43 @@ def test_wavefunction_requires_convergence(constants, flat, sphere16):
     )
     with pytest.raises(InvalidArgumentError):
         wavefunction(good, [sphere16], flat, constants, flat_point(0, 0, 0))
+
+
+def test_monotone_root_cube_root():
+    root, evals = _monotone_root(
+        lambda x: x**3 - 2.0, 0.0, -2.0, 1.0, 1e4, NoConvergenceError("unused"), 1e-15
+    )
+    assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-12
+    assert evals < 15
+
+
+def test_monotone_root_raises_callers_error_past_ceiling():
+    calls = []
+
+    def never_positive(x):
+        calls.append(x)
+        return -1.0
+
+    error = NoBoundStateError("no crossing below the ceiling")
+    with pytest.raises(NoBoundStateError) as info:
+        _monotone_root(never_positive, 1e-8, -1.0, 1.0, 1e4, error, 1e-12)
+    assert info.value is error
+    # Doubling from 1 stops at 2**13 = 8192, the last end below the ceiling.
+    assert max(calls) == 8192.0
+
+
+def test_lone_nu_star_channel_returns_nu_star_exactly(constants, flat, sphere16):
+    result = solve_ground_state([sphere16], CouplingSpec.from_nu_stars(0.7), flat, constants)
+    assert result.nu_star == 0.7
+    assert result.energy == -0.7 * 0.7
+    # omega(nu*) is exactly zero, so only the two bracket ends are evaluated.
+    assert result.iterations == 2
+
+
+def test_two_spheres_solve_takes_few_evaluations(config_dir):
+    cfg = load_config(str(config_dir / "two_spheres.json"))
+    result = solve_ground_state(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants)
+    assert result.converged
+    # Brent's method converges superlinearly; bisection to this tolerance
+    # needs about 40 evaluations.
+    assert result.iterations <= 15
