@@ -14,6 +14,13 @@ Two rules cooperate here:
   the coordinate axis least aligned with the node, so the parametrization is
   uniformly regular around the singularity.
 
+  Ring rule: a surface of revolution about its chart axis (every sphere and
+  torus, and an ellipsoid with a == b) gives every node of one u-ring the
+  same exact inner integral.  There only the ring's v = 0 node gets a
+  singular patch, weighted by the ring's total outer weight, so a mesh of
+  order n builds n patch rows instead of 2 n^2.  A general ellipsoid keeps
+  one row per node.
+
 All reductions run over fixed 4096-sample blocks whose partial sums are
 combined with math.fsum in index order, so results are bitwise reproducible
 for any SHELLBOUND_THREADS setting.
@@ -83,8 +90,11 @@ def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> fl
     return math.fsum(parts)
 
 
-def _patch_chart_groups(mesh: SurfaceMesh):
-    """Group node indices by the patch chart used for their singular patch."""
+def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):
+    """Group the outer rows by the patch chart used for their singular patch.
+
+    Returns (positions into rows, chart) pairs covering every row once.
+    """
     shape = mesh.shape
     if isinstance(shape, (Sphere, Ellipsoid)):
         if isinstance(shape, Sphere):
@@ -92,17 +102,44 @@ def _patch_chart_groups(mesh: SurfaceMesh):
         else:
             axes = np.array([shape.a, shape.b, shape.c])
         center = np.asarray(shape.center, dtype=float)
-        q = (mesh.nodes - center) / axes
+        q = (mesh.nodes[rows] - center) / axes
         pole = np.argmin(np.abs(q), axis=1)
         groups = []
         for k in range(3):
-            idx = np.nonzero(pole == k)[0]
-            if idx.size:
-                groups.append((idx, _ScaledSphereChart(center, axes, k)))
+            pos = np.nonzero(pole == k)[0]
+            if pos.size:
+                groups.append((pos, _ScaledSphereChart(center, axes, k)))
         return groups
     if isinstance(shape, Torus):
-        return [(np.arange(mesh.n_nodes), mesh.chart)]
+        return [(np.arange(rows.size), mesh.chart)]
     raise GeometryViolationError(f"no singular patch rule for {type(shape).__name__}")
+
+
+def _ring_rows(mesh: SurfaceMesh):
+    """Outer rows of the self-integral rule and the outer weight of each.
+
+    On a surface of revolution about its chart axis these are the v = 0
+    node of each u-ring, carrying the ring's summed weight; otherwise every
+    node with its own weight.  Rings are read from the mesh parameters:
+    contiguous blocks of equal u, each starting at v = 0.
+    """
+    shape = mesh.shape
+    revolution = isinstance(shape, (Sphere, Torus)) or (
+        isinstance(shape, Ellipsoid) and shape.a == shape.b
+    )
+    n = mesh.n_nodes
+    ring = 1
+    if revolution:
+        u, v = mesh.params[:, 0], mesh.params[:, 1]
+        starts = np.flatnonzero(v == 0.0)
+        ring = n // max(starts.size, 1)
+        if not (
+            starts.size * ring == n
+            and np.array_equal(starts, np.arange(0, n, ring))
+            and np.all(u.reshape(-1, ring) == u[starts, None])
+        ):
+            raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
+    return np.arange(0, n, ring), mesh.weights.reshape(-1, ring).sum(axis=1)
 
 
 def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
@@ -189,21 +226,24 @@ def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
     return d.reshape(B, -1), jw.reshape(B, -1)
 
 
-@lru_cache(maxsize=None)
-def _diag_geometry(mesh: SurfaceMesh):
-    """Flattened (distances, outer-weight * patch-weight) for one surface.
+def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
+    """Self-integral geometry (d, tw, jw) for the given outer rows.
 
-    weighted_kernel_sum over these arrays yields the full double surface
-    integral of a radial kernel (no 1/V normalization applied).
+    d holds the distances from each row's node to its patch points, jw the
+    (rows, samples) patch weights and tw those weights times the row's outer
+    weight, flattened.  weighted_kernel_sum(tw, d, kernel) is the double
+    surface integral of a radial kernel (no 1/V normalization applied)
+    whenever the rows carry the whole outer rule: every node with its own
+    weight (the per-node rule) or the rows of _ring_rows.
     """
     M = 4 * _N_PSI * _N_S
-    d_all = np.empty((mesh.n_nodes, M))
-    jw_all = np.empty((mesh.n_nodes, M))
-    for idx, chart in _patch_chart_groups(mesh):
-        d, jw = _build_patch_group(mesh, idx, chart)
-        d_all[idx] = d
-        jw_all[idx] = jw
-    tw = mesh.weights[:, None] * jw_all
+    d_all = np.empty((rows.size, M))
+    jw_all = np.empty((rows.size, M))
+    for pos, chart in _patch_chart_groups(mesh, rows):
+        d, jw = _build_patch_group(mesh, rows[pos], chart)
+        d_all[pos] = d
+        jw_all[pos] = jw
+    tw = row_weights[:, None] * jw_all
     return (
         np.ascontiguousarray(d_all.reshape(-1)),
         np.ascontiguousarray(tw.reshape(-1)),
@@ -211,8 +251,14 @@ def _diag_geometry(mesh: SurfaceMesh):
     )
 
 
+@lru_cache(maxsize=None)
+def _diag_geometry(mesh: SurfaceMesh):
+    """Self-integral geometry of one surface under the ring rule."""
+    return _patch_rows(mesh, *_ring_rows(mesh))
+
+
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
-    """Max relative defect of per-node patch weights against the area."""
+    """Max relative defect of per-row patch weights against the area."""
     _, _, jw = _diag_geometry(mesh)
     sums = jw.sum(axis=1)
     return float(np.max(np.abs(sums - mesh.area)) / mesh.area)

@@ -12,7 +12,12 @@ For a sphere of radius R and kappa = sqrt(2m) nu / hbar:
   Z               minus the alpha-derivative (alpha = nu^2) of V * pair;
   point potential V^{-1/2} int_Sigma G_nu(d(x, a)) = shell-theorem integral
                   (m / sqrt(pi) hbar^2) sinh(kappa R) e^{-kappa s} / (kappa s)
-                  for an external point at distance s from the center.
+                  for an external point at distance s from the center;
+  two spheres     the shell theorem applied once per sphere, for centers D
+                  apart with D >= R_i + R_j:
+                  P_ij = sqrt(V_i V_j) (m / 2 pi hbar^2) sinhc(kappa R_i)
+                         sinhc(kappa R_j) e^{-kappa D} / D,
+                  with sinhc(x) = sinh(x) / x.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "sphere_pair_integral_exact",
     "sphere_Z_exact",
     "sphere_point_potential_exact",
+    "two_sphere_pair_integral_exact",
 ]
 
 
@@ -85,3 +91,31 @@ def sphere_point_potential_exact(inp: SphereOracleInput) -> float:
         * math.exp(-kappa * inp.s)
         / (kappa * inp.s)
     )
+
+
+def _log_sinhc(x: float) -> float:
+    """log(sinh(x) / x) for x >= 0, without overflow at large x."""
+    if x < 1e-4:
+        return x * x / 6.0
+    return x + math.log(-math.expm1(-2.0 * x) / (2.0 * x))
+
+
+def two_sphere_pair_integral_exact(
+    R_i: float,
+    R_j: float,
+    D: float,
+    nu: float,
+    constants: PhysicalConstants = PhysicalConstants(),
+) -> float:
+    """(V_i V_j)^{-1/2} kernel integral over two spheres with centers D apart."""
+    if not (R_i > 0.0 and R_j > 0.0):
+        raise InvalidArgumentError(f"radii must be positive, got {R_i}, {R_j}")
+    if not D >= R_i + R_j:
+        raise InvalidArgumentError(f"spheres overlap: D={D} < {R_i} + {R_j}")
+    if not nu >= 0.0:
+        raise InvalidArgumentError(f"nu must be >= 0, got {nu}")
+    m, hbar = constants.mass, constants.hbar
+    kappa = constants.kappa_factor * nu
+    root_VV = 4.0 * math.pi * R_i * R_j
+    shells = _log_sinhc(kappa * R_i) + _log_sinhc(kappa * R_j) - kappa * D
+    return root_VV * m / (2.0 * math.pi * hbar * hbar) * math.exp(shells) / D

@@ -290,9 +290,15 @@ def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
     phi maps nu to the principal matrix; the returned weights are its unit
     null eigenvector at the crossing, sign-fixed to a nonnegative sum
     (ground-state positivity).  iterations counts the evaluations of
-    omega_min made by the root finder.
+    omega_min made by the root finder.  The matrices it evaluates are kept,
+    so the null vector at the root needs no further assembly.
     """
-    omega = lambda nu: phi(nu).omega_min()
+    seen = {}
+
+    def omega(nu: float) -> float:
+        seen[nu] = phi(nu)
+        return seen[nu].omega_min()
+
     f_lo = omega(lo)
     if f_lo > 0.0:
         raise NoBoundStateError(
@@ -303,7 +309,8 @@ def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
         NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]"),
         0.5e-12,
     )
-    w, V = jacobi_eigh(phi(nu_sol).entries)
+    at_root = seen[nu_sol] if nu_sol in seen else phi(nu_sol)
+    w, V = jacobi_eigh(at_root.entries)
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
         vec = -vec

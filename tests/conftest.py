@@ -1,5 +1,7 @@
-"""Shared fixtures: meshes are session-scoped so the cached patch geometry
-behind the pair integrals is built once per surface."""
+"""Shared fixtures: session-scoped meshes, so each surface's cached patch
+geometry is built once per run.  Under the ring rule that build takes
+milliseconds for a sphere or torus; the per-node rule of a general
+ellipsoid still takes about a second at order 24."""
 
 import pathlib
 

@@ -14,6 +14,7 @@ from shellbound.oracles import (
     sphere_Z_exact,
     sphere_pair_integral_exact,
     sphere_point_potential_exact,
+    two_sphere_pair_integral_exact,
 )
 
 
@@ -86,6 +87,33 @@ def test_point_potential_matches_direct_quadrature():
     direct /= math.sqrt(4.0 * math.pi * R * R)
     got = sphere_point_potential_exact(SphereOracleInput(R=R, nu=nu, s=s))
     assert got == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("R_i, R_j, D, nu", [(1.0, 1.0, 2.5, 1.0), (1.0, 0.5, 4.0, 0.3)])
+def test_two_sphere_matches_integrated_point_potential(R_i, R_j, D, nu):
+    # average the one-sphere point potential of sphere j over sphere i
+    def integrand(theta):
+        s = math.sqrt(R_i * R_i + D * D - 2.0 * R_i * D * math.cos(theta))
+        pot = sphere_point_potential_exact(SphereOracleInput(R=R_j, nu=nu, s=s))
+        return pot * 2.0 * math.pi * R_i * R_i * math.sin(theta)
+
+    direct, _ = integrate.quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
+    direct /= math.sqrt(4.0 * math.pi * R_i * R_i)
+    got = two_sphere_pair_integral_exact(R_i, R_j, D, nu)
+    assert got == pytest.approx(direct, rel=1e-10)
+
+
+def test_two_sphere_limits():
+    # kappa -> 0: sqrt(V_i V_j) m / (2 pi hbar^2 D); large kappa stays finite
+    assert two_sphere_pair_integral_exact(1.0, 2.0, 4.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+    far = two_sphere_pair_integral_exact(1.0, 1.0, 2.0, 500.0)
+    assert far == pytest.approx(5e-7, rel=1e-12)
+    with pytest.raises(InvalidArgumentError):
+        two_sphere_pair_integral_exact(1.0, 1.0, 1.9, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        two_sphere_pair_integral_exact(0.0, 1.0, 4.0, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        two_sphere_pair_integral_exact(1.0, 1.0, 4.0, -1.0)
 
 
 def test_input_validation():

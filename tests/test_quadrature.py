@@ -1,18 +1,37 @@
 """Singular-patch quadrature engine: convergence, geometry checks, and
 thread-count-independent reductions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from shellbound import GeometryViolationError, Sphere, build_surface, flat_space
+from shellbound import Ellipsoid, GeometryViolationError, Sphere, build_surface
 from shellbound import _quadrature as quad
-from shellbound.oracles import SphereOracleInput, sphere_pair_integral_exact
+from shellbound.kernels import static_kernel_array
+from shellbound.oracles import (
+    SphereOracleInput,
+    sphere_pair_integral_exact,
+    two_sphere_pair_integral_exact,
+)
 from shellbound.principal import pair_integral
+
+PATCH_SAMPLES = 4 * quad._N_PSI * quad._N_S
+
+
+def _full_rule(mesh):
+    """One singular-patch row per node, each with its own outer weight."""
+    return quad._patch_rows(mesh, np.arange(mesh.n_nodes), mesh.weights)
+
+
+def _self_integral(geometry, constants, flat, nu):
+    d, tw, _ = geometry
+    return quad.weighted_kernel_sum(tw, d, lambda x: static_kernel_array(flat, constants, nu, x))
 
 
 def test_diag_quadrature_convergence(constants, flat):
+    # the ring rule's sphere error is set by the patch rule, flat in order
     exact = sphere_pair_integral_exact(SphereOracleInput(R=1.0, nu=1.0))
     errs = []
     for order in (8, 16, 32):
@@ -22,7 +41,77 @@ def test_diag_quadrature_convergence(constants, flat):
     assert errs[0] < 1e-3
     assert errs[1] < 1e-5
     assert errs[2] < 1e-7
+    assert max(errs) < 1e-10
+
+
+def test_full_rule_convergence(constants, flat):
+    # the per-node rule, which a general ellipsoid uses, still converges
+    exact = sphere_pair_integral_exact(SphereOracleInput(R=1.0, nu=1.0))
+    errs = []
+    for order in (8, 16, 32):
+        mesh = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=order)
+        got = _self_integral(_full_rule(mesh), constants, flat, 1.0) / mesh.area
+        errs.append(abs(got - exact) / exact)
+    assert errs[0] < 1e-3
+    assert errs[1] < 1e-5
+    assert errs[2] < 1e-7
     assert errs[2] < errs[0]
+
+
+@pytest.mark.parametrize("nu", [0.1, 1.0, 3.0])
+def test_ring_rule_matches_full_rule_on_torus(constants, flat, torus16, nu):
+    # every node of a torus ring has the rotated copy of one patch
+    ring = _self_integral(quad._diag_geometry(torus16), constants, flat, nu)
+    full = _self_integral(_full_rule(torus16), constants, flat, nu)
+    assert ring == pytest.approx(full, rel=1e-14)
+
+
+def test_ring_rule_matches_full_rule_on_spheroid(constants, flat):
+    # The full rule re-seats the patch pole per node, so on a spheroid its
+    # nodes of one ring are not rotated copies and the two rules differ by
+    # the patch rule's own error (about 1e-9 against doubled patch orders).
+    spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=24)
+    ring_geometry = quad._diag_geometry(spheroid)
+    full_geometry = _full_rule(spheroid)
+    for nu in (0.1, 1.0, 3.0):
+        ring = _self_integral(ring_geometry, constants, flat, nu)
+        full = _self_integral(full_geometry, constants, flat, nu)
+        assert ring == pytest.approx(full, rel=1e-9)
+
+
+def test_ring_rule_is_exact_reduction_on_spheroid(monkeypatch, constants, flat):
+    # with the patch rule resolved, ring and full rule agree to round-off
+    spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=12)
+    monkeypatch.setattr(quad, "_N_PSI", 32)
+    monkeypatch.setattr(quad, "_N_S", 48)
+    ring_geometry = quad._patch_rows(spheroid, *quad._ring_rows(spheroid))
+    full_geometry = _full_rule(spheroid)
+    for nu in (0.1, 1.0, 3.0):
+        ring = _self_integral(ring_geometry, constants, flat, nu)
+        full = _self_integral(full_geometry, constants, flat, nu)
+        assert ring == pytest.approx(full, rel=1e-14)
+
+
+def test_diag_geometry_rows(sphere16, torus16):
+    spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=8)
+    general = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.3, 1.5), order=8)
+    for mesh in (sphere16, torus16, spheroid):
+        d, tw, jw = quad._diag_geometry(mesh)
+        assert d.size == tw.size == mesh.order * PATCH_SAMPLES
+        assert jw.shape == (mesh.order, PATCH_SAMPLES)
+    d, tw, jw = quad._diag_geometry(general)
+    assert d.size == tw.size == general.n_nodes * PATCH_SAMPLES
+    assert jw.shape == (general.n_nodes, PATCH_SAMPLES)
+
+
+def test_ring_rows_reject_reordered_mesh():
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    perm = np.roll(np.arange(mesh.n_nodes), 1)
+    shuffled = dataclasses.replace(
+        mesh, nodes=mesh.nodes[perm], weights=mesh.weights[perm], params=mesh.params[perm]
+    )
+    with pytest.raises(GeometryViolationError):
+        quad._ring_rows(shuffled)
 
 
 def test_patch_weight_residual(sphere16, torus16):
@@ -68,11 +157,22 @@ def test_thread_count_parsing(monkeypatch):
 
 
 def test_reduction_bitwise_identical_across_threads(monkeypatch, constants, flat, sphere24):
+    # the sum is long enough to take the threaded branch
+    assert quad._diag_geometry(sphere24)[0].size > 8 * quad._BLOCK
     monkeypatch.delenv("SHELLBOUND_THREADS", raising=False)
     serial = pair_integral(sphere24, sphere24, flat, constants, 0.9)
     monkeypatch.setenv("SHELLBOUND_THREADS", "4")
     threaded = pair_integral(sphere24, sphere24, flat, constants, 0.9)
     assert serial == threaded  # bitwise, not approx
+
+
+@pytest.mark.parametrize("D", [2.5, 4.0])
+def test_offdiag_against_two_sphere_closed_form(constants, flat, sphere24, D):
+    other = build_surface(Sphere((D, 0.0, 0.0), 1.0), order=24)
+    for nu in (0.5, 1.0, 2.0):
+        got = pair_integral(sphere24, other, flat, constants, nu)
+        exact = two_sphere_pair_integral_exact(1.0, 1.0, D, nu, constants)
+        assert got == pytest.approx(exact, rel=1e-10)
 
 
 def test_offdiag_value_against_direct_product_sum(constants, flat):

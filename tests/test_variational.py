@@ -28,8 +28,9 @@ LAM_STAR = 2.313035285680343
 
 
 def test_matrix_entries_at_unit_alpha(constants, flat, sphere32):
+    lam = coupling_from_energy(sphere32, flat, constants, 1.0)
     vm = assemble_variational(
-        [sphere32], CouplingSpec.from_lambdas(LAM_STAR), flat, constants, 1.0
+        [sphere32], CouplingSpec.from_lambdas(lam), flat, constants, 1.0
     )
     # at lambda = 1/P(1) the weight-1 entry is exactly critical
     assert vm.K[0, 0] == pytest.approx(1.0, abs=1e-12)
