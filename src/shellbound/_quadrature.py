@@ -46,6 +46,7 @@ from .geometry import (
 )
 
 _BLOCK = 4096
+_PATCH_CHUNK = 64  # patch rows built per batch, which caps the scratch arrays
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 
@@ -234,15 +235,17 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
     weight, flattened.  weighted_kernel_sum(tw, d, kernel) is the double
     surface integral of a radial kernel (no 1/V normalization applied)
     whenever the rows carry the whole outer rule: every node with its own
-    weight (the per-node rule) or the rows of _ring_rows.
+    weight (the per-node rule) or the rows of _ring_rows.  Rows are built
+    _PATCH_CHUNK at a time; each row is independent of the others, so the
+    chunking changes no bit of the result.
     """
     M = 4 * _N_PSI * _N_S
     d_all = np.empty((rows.size, M))
     jw_all = np.empty((rows.size, M))
     for pos, chart in _patch_chart_groups(mesh, rows):
-        d, jw = _build_patch_group(mesh, rows[pos], chart)
-        d_all[pos] = d
-        jw_all[pos] = jw
+        for k in range(0, pos.size, _PATCH_CHUNK):
+            chunk = pos[k : k + _PATCH_CHUNK]
+            d_all[chunk], jw_all[chunk] = _build_patch_group(mesh, rows[chunk], chart)
     tw = row_weights[:, None] * jw_all
     return (
         np.ascontiguousarray(d_all.reshape(-1)),

@@ -9,6 +9,9 @@ which in flat space is the Yukawa kernel (m/2*pi*hbar^2) e^{-kappa d}/d with
 kappa = sqrt(2m) nu / hbar, and in hyperbolic space of curvature -K picks up
 the factor sqrt(K) d / sinh(sqrt(K) d) and the shifted decay rate
 sqrt(K + 2 m nu^2/hbar^2).
+
+scipy is imported inside bessel_k1 and static_kernel_numeric, its only
+users here, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DivergentInputError, InvalidArgumentError
 from .geometry import AmbientSpace, PhysicalConstants
@@ -180,6 +182,8 @@ def static_kernel_numeric(q: StaticKernelQuery) -> float:
     Truncates at t_max = 40 hbar / nu^2 (hyperbolic decay only tightens
     this); the discarded tail is below e^{-40} of the total.
     """
+    from scipy import integrate
+
     if q.nu <= 0.0:
         raise InvalidArgumentError("numeric static kernel needs nu > 0")
     if q.distance <= 0.0:
@@ -246,6 +250,8 @@ def heat_kernel_upper_bound(
 
 def bessel_k1(z: float) -> float:
     """Modified Bessel function of the second kind, order one."""
+    from scipy import special
+
     if not z > 0.0:
         raise InvalidArgumentError(f"bessel_k1 requires z > 0, got {z}")
     return float(special.k1(z))

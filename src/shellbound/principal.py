@@ -12,7 +12,9 @@ with P_ij the kernel pair integral (V_i V_j)^{-1/2} int int G_nu.  Every
 P_ij decreases strictly in nu and the off-diagonals are nonpositive, so the
 lowest eigenvalue increases in nu and its zero is found by bracket expansion
 plus Brent's method.  The same monotone root finder serves every crossing
-search in the package.
+search in the package; its Brent step, _brent, is an in-repo port of SciPy's
+Zeros/brentq.c that makes the same evaluations and returns the same roots,
+so importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _quadrature as quad
 from .errors import (
@@ -162,14 +163,72 @@ def pair_integral(
     return raw / math.sqrt(mesh_i.area * mesh_j.area)
 
 
+def _brent(f, a, f_a, b, f_b, xtol, rtol, error):
+    """Root of f in [a, b], given f_a = f(a) and f_b = f(b) of opposite signs.
+
+    A line-for-line port of SciPy's Zeros/brentq.c (Brent 1973, ch. 4):
+    the same contrapoint swap, inverse quadratic or secant step and
+    bisection fallback, stopping once the bracket half-width is below
+    (xtol + rtol * |x|) / 2, so it evaluates f at the same points and
+    returns the same root bitwise.  Raises error when f is NaN or after
+    100 iterations without convergence.
+    """
+    xpre, fpre, xcur, fcur = a, f_a, b, f_b
+    xblk = fblk = spre = scur = 0.0
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise error
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            # An underflowed den gives C an infinite or NaN step, which bisects.
+            stry = num / den if den != 0.0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise error
+    raise error
+
+
 def _monotone_root(f, lo, f_lo, hi, ceil, error, tol):
     """Crossing of a nondecreasing f above lo, given f_lo = f(lo) <= 0.
 
     Doubles hi until f(hi) > 0, moving lo up to the last nonpositive point,
-    and raises error once hi passes ceil.  Brent's method (Brent 1973, ch. 4)
-    then refines the bracket to about tol * max(1, root), reusing the end
-    values already computed.  Returns (root, number of evaluations of f,
-    the caller's f(lo) included).
+    and raises error once hi passes ceil.  Brent's method (Brent 1973, ch. 4;
+    _brent, the in-repo port of SciPy's brentq) then refines the bracket to
+    about tol * max(1, root), reusing the end values already computed.
+    Returns (root, number of evaluations of f, the caller's f(lo) included).
     """
     f_hi = f(hi)
     evals = 2
@@ -180,18 +239,16 @@ def _monotone_root(f, lo, f_lo, hi, ceil, error, tol):
             raise error
         f_hi = f(hi)
         evals += 1
-    known = {lo: f_lo, hi: f_hi}
 
-    def g(x: float) -> float:
+    def counted(x: float) -> float:
         nonlocal evals
-        if x in known:
-            return known.pop(x)
         evals += 1
         return f(x)
 
-    # brentq rejects a relative tolerance below four machine epsilons.
+    # brentq's floor of four machine epsilons: the bracket cannot shrink
+    # much below one ulp of the root.
     rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return brentq(g, lo, hi, xtol=tol, rtol=rtol), evals
+    return _brent(counted, lo, f_lo, hi, f_hi, tol, rtol, error), evals
 
 
 def _validate_system(surfaces, couplings: CouplingSpec) -> None:

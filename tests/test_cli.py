@@ -5,6 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +50,21 @@ def read_rows(path):
     assert lines[0].startswith("# config_sha256=")
     body = [ln for ln in lines[1:] if not ln.startswith("#")]
     return lines, list(csv.DictReader(io.StringIO("\n".join(body))))
+
+
+def test_import_loads_no_scipy():
+    # scipy.optimize, .special and .integrate cost most of a CLI job's start
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, shellbound.cli, shellbound; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_help_exits_zero():

@@ -2,6 +2,7 @@
 bound-state solver."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from shellbound.oracles import (
     sphere_point_potential_exact,
 )
 from shellbound.cli import load_config
-from shellbound.principal import _monotone_root, pair_integral, surface_potential
+from shellbound.principal import _brent, _monotone_root, pair_integral, surface_potential
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0, 2.0, 5.0])
@@ -209,6 +210,80 @@ def test_monotone_root_raises_callers_error_past_ceiling():
     assert info.value is error
     # Doubling from 1 stops at 2**13 = 8192, the last end below the ceiling.
     assert max(calls) == 8192.0
+
+
+def _monotone_family(rng: random.Random, kind: int):
+    """(f, lo, hi): an increasing function and a bracket of its root."""
+    if kind == 0:
+        p, a = rng.choice([0.5, 1.0, 2.0, 3.0, 5.0]), rng.uniform(0.1, 50.0)
+        root = a ** (1.0 / p)
+        f = lambda x: x**p - a
+        return f, root * rng.uniform(0.0, 0.9), root * rng.uniform(1.1, 20.0)
+    if kind == 1:
+        c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+        f = lambda x: math.tanh(s * (x - c))
+        return f, c - rng.uniform(0.1, 5.0), c + rng.uniform(0.1, 5.0)
+    if kind == 2:
+        a = rng.uniform(0.01, 20.0)
+        f = lambda x: math.exp(x) - 1.0 - a
+        return f, 0.0, math.log1p(a) + rng.uniform(0.1, 4.0)
+    if kind == 3:
+        a = rng.uniform(0.01, 100.0)
+        f = lambda x: math.log(x) - math.log(a)
+        return f, a * rng.uniform(0.01, 0.9), a * rng.uniform(1.1, 30.0)
+    # near-flat cubic: the interpolation steps stall and Brent falls back;
+    # scaled by 1e-160, the extrapolation denominator underflows to zero
+    c, e = rng.uniform(-2.0, 2.0), rng.uniform(1e-6, 1e-1)
+    scale = 1.0 if kind == 4 else 1e-160
+    f = lambda x: scale * ((x - c) ** 3 + e * (x - c))
+    return f, c - rng.uniform(0.1, 3.0), c + rng.uniform(0.1, 3.0)
+
+
+def _recorded(f, points):
+    def g(x):
+        points.append(x)
+        return f(x)
+
+    return g
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-13, 0.5e-12, 1e-10])
+def test_brent_matches_scipy_brentq_bitwise(tol):
+    from scipy.optimize import brentq
+
+    rtol = max(tol, 4.0 * np.finfo(float).eps)
+    for seed in range(60):
+        for kind in range(6):
+            f, lo, hi = _monotone_family(random.Random(f"{seed}|{kind}"), kind)
+            ref_points = []
+            ref = brentq(_recorded(f, ref_points), lo, hi, xtol=tol, rtol=rtol)
+            points = [lo, hi]
+            got = _brent(_recorded(f, points), lo, f(lo), hi, f(hi), tol, rtol, RuntimeError())
+            assert got == ref, (seed, kind)
+            assert points == ref_points, (seed, kind)
+
+
+def test_brent_raises_callers_error_at_iteration_cap():
+    from scipy.optimize import brentq
+
+    # A step at 1e-250 with xtol 1e-300 needs far more than 100 halvings.
+    step = lambda x: -1.0 if x < 1e-250 else 1.0
+    ref_points = []
+    with pytest.raises(RuntimeError):
+        brentq(_recorded(step, ref_points), -1.0, 1.0, xtol=1e-300)
+    points = [-1.0, 1.0]
+    rtol = 4.0 * np.finfo(float).eps
+    error = NoConvergenceError("no convergence in 100 iterations")
+    with pytest.raises(NoConvergenceError) as info:
+        _brent(_recorded(step, points), -1.0, -1.0, 1.0, 1.0, 1e-300, rtol, error)
+    assert info.value is error
+    assert points == ref_points
+    assert len(points) == 102
+    # brentq raises a bare ValueError on NaN; the port raises the caller's error
+    with pytest.raises(NoConvergenceError):
+        _brent(lambda x: math.nan, -1.0, -1.0, 1.0, 1.0, 1e-12, 1e-12, error)
+    with pytest.raises(NoConvergenceError):
+        _brent(lambda x: math.nan, -1.0, math.nan, 1.0, 1.0, 1e-12, 1e-12, error)
 
 
 def test_lone_nu_star_channel_returns_nu_star_exactly(constants, flat, sphere16):
