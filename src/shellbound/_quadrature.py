@@ -23,14 +23,12 @@ Two rules cooperate here:
 
 All reductions run over fixed 4096-sample blocks whose partial sums are
 combined with math.fsum in index order, so results are bitwise reproducible
-for any SHELLBOUND_THREADS setting.
+and the kernel's scratch memory stays one block long.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -58,37 +56,17 @@ def _gl01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def thread_count() -> int:
-    try:
-        n = int(os.environ.get("SHELLBOUND_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> float:
     """sum(weights * kernel_fn(dists)) with a deterministic reduction.
 
     The array is cut into fixed-size blocks; each block contributes one
     dot-product partial, and the partials are combined with math.fsum in
-    block order.  Block size never depends on the thread count, so the
-    result is identical for any parallelism level.
+    block order.
     """
-    n = weights.shape[0]
-    offsets = range(0, n, _BLOCK)
-
-    def partial(o: int) -> float:
-        w = weights[o : o + _BLOCK]
-        d = dists[o : o + _BLOCK]
-        return float(np.dot(w, kernel_fn(d)))
-
-    workers = thread_count()
-    if workers > 1 and n > 8 * _BLOCK:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial, offsets))
-    else:
-        parts = [partial(o) for o in offsets]
-    return math.fsum(parts)
+    return math.fsum(
+        float(np.dot(weights[o : o + _BLOCK], kernel_fn(dists[o : o + _BLOCK])))
+        for o in range(0, weights.shape[0], _BLOCK)
+    )
 
 
 def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):

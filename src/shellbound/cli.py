@@ -8,7 +8,9 @@ its consistency diagnostics), and ``hybrid`` (shells plus point sources with
 perturbative far-point shifts).
 
 Exit codes: 0 success, 1 config or usage error, 2 domain error raised by the
-compute modules. Output is deterministic; wall time goes to stderr only.
+compute modules. Each command returns its rows and ``main`` writes the CSV
+only after the command has returned, so no output file exists unless the
+exit code is 0. Output is deterministic; wall time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .bounds import (
     BoundCase,
@@ -52,9 +54,7 @@ from .geometry import (
     Torus,
     build_surface,
     flat_point,
-    flat_space,
     hyperbolic_point,
-    hyperbolic_space,
 )
 from .hybrid import HybridSystem, PointSource, perturbative_shift, solve_hybrid_ground_state
 from .principal import (
@@ -69,13 +69,13 @@ from .variational import assemble_variational, schur_gap, solve_variational
 
 __all__ = ["ExperimentConfig", "load_config", "main"]
 
-_COMMANDS = ("solve", "bounds", "sweep", "variational", "hybrid")
 _SWEEP_PARAMS = ("nu", "separation", "lambda", "radius", "deformation_c")
 
 _TOP_KEYS = {"constants", "ambient", "surfaces", "points", "solver", "output"}
 _SURFACE_KEYS = {"shape", "params", "order", "coupling", "curvature_meta"}
 _POINT_KEYS = {"position", "mu"}
 _META_KEYS = {"H_upper", "H_lower", "rho_min", "rho_max", "chord_arc_delta", "chord_arc_kappa"}
+_SHAPES = {"sphere": Sphere, "torus": Torus, "ellipsoid": Ellipsoid}
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,12 @@ class SurfaceSpec:
     coupling: Coupling
     meta: SurfaceCurvatureMeta | None
 
+    @property
+    def center(self) -> tuple[float, float, float]:
+        return tuple(self.params.get("center", (0.0, 0.0, 0.0)))
+
     def build(self, **overrides) -> SurfaceMesh:
-        p = {**self.params, **overrides}
-        center = tuple(p.get("center", (0.0, 0.0, 0.0)))
-        if self.kind == "sphere":
-            shape = Sphere(center=center, radius=p["radius"])
-        elif self.kind == "torus":
-            shape = Torus(center=center, R_major=p["R_major"], r_minor=p["r_minor"])
-        else:
-            shape = Ellipsoid(center=center, a=p["a"], b=p["b"], c=p["c"])
+        shape = _SHAPES[self.kind](**{"center": self.center, **self.params, **overrides})
         return build_surface(shape, order=self.order, meta=self.meta)
 
 
@@ -176,16 +173,11 @@ def _parse_surface(obj, idx: int) -> SurfaceSpec:
             raise ConfigError(f"{name} is missing required field {req!r}")
     kind = obj["shape"]
     params = dict(_expect_dict(obj["params"], f"{name}.params"))
-    if kind == "sphere":
-        wanted = {"radius"}
-    elif kind == "torus":
-        wanted = {"R_major", "r_minor"}
-    elif kind == "ellipsoid":
-        wanted = {"a", "b", "c"}
-    else:
-        raise ConfigError(f"{name}.shape must be sphere, torus or ellipsoid, got {kind!r}")
-    _check_keys(params, wanted | {"center"}, f"{name}.params")
-    for key in wanted:
+    if not isinstance(kind, str) or kind not in _SHAPES:
+        raise ConfigError(f"{name}.shape must be one of {list(_SHAPES)}, got {kind!r}")
+    allowed = {f.name for f in fields(_SHAPES[kind])}
+    _check_keys(params, allowed, f"{name}.params")
+    for key in allowed - {"center"}:
         params[key] = _number(params, key, f"{name}.params")
     if "center" in params:
         params["center"] = _triple(params["center"], f"{name}.params.center")
@@ -224,26 +216,17 @@ def load_config(path: str) -> ExperimentConfig:
     data = _expect_dict(data, "config")
     _check_keys(data, _TOP_KEYS, "config")
 
-    cobj = _expect_dict(data.get("constants", {}), "constants")
-    _check_keys(cobj, {"hbar", "mass"}, "constants")
-    constants = PhysicalConstants(
-        hbar=_number(cobj, "hbar", "constants", 1.0),
-        mass=_number(cobj, "mass", "constants", 0.5),
-    )
-
-    aobj = _expect_dict(data.get("ambient", {"kind": "flat"}), "ambient")
-    _check_keys(aobj, {"kind", "K", "volume"}, "ambient")
-    kind = aobj.get("kind", "flat")
-    volume = _number(aobj, "volume", "ambient", math.inf)
-    volume = None if volume == math.inf else volume
-    if kind == "flat":
-        space = flat_space(volume)
-    elif kind == "hyperbolic":
-        space = hyperbolic_space(_number(aobj, "K", "ambient"), volume)
-    else:
-        raise ConfigError(f"ambient.kind must be 'flat' or 'hyperbolic', got {kind!r}")
-
+    # The constructors validate values; their errors are config errors too.
     try:
+        cobj = _expect_dict(data.get("constants", {}), "constants")
+        _check_keys(cobj, {"hbar", "mass"}, "constants")
+        constants = PhysicalConstants(
+            hbar=_number(cobj, "hbar", "constants", 1.0),
+            mass=_number(cobj, "mass", "constants", 0.5),
+        )
+        aobj = _expect_dict(data.get("ambient", {}), "ambient")
+        _check_keys(aobj, {"kind", "K"}, "ambient")
+        space = AmbientSpace(aobj.get("kind", "flat"), _number(aobj, "K", "ambient", 0.0))
         specs = tuple(
             _parse_surface(s, i) for i, s in enumerate(data.get("surfaces", []))
         )
@@ -313,32 +296,18 @@ def _fmt_weights(weights) -> str:
     return ";".join(repr(float(w)) for w in weights)
 
 
-class _CsvOut:
-    """RFC-4180 writer with a leading hash comment and LF line endings."""
-
-    def __init__(self, path: str, config_sha: str, header: list[str]):
-        self.path = path
-        self._f = open(path, "w", newline="", encoding="utf-8")
-        self._f.write(f"# config_sha256={config_sha}\n")
-        self._w = csv.writer(self._f, lineterminator="\n")
-        self._w.writerow(header)
-
-    def row(self, values) -> None:
-        self._w.writerow([_fmt(v) for v in values])
-
-    def comment(self, text: str) -> None:
-        self._f.write(f"# {text}\n")
-
-    def close(self) -> None:
-        self._f.close()
-
-
-def _run_id(cfg: ExperimentConfig, command: str, extra: str = "") -> str:
-    h = hashlib.sha256()
-    h.update(cfg.config_sha256.encode())
-    h.update(command.encode())
-    h.update(extra.encode())
-    return h.hexdigest()[:12]
+def _write_csv(path: str, config_sha: str, header, rows, comment) -> None:
+    """RFC-4180 rows after a hash comment, then an optional trailing comment, LF line ends."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            f.write(f"# config_sha256={config_sha}\n")
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([_fmt(v) for v in row] for row in rows)
+            if comment:
+                f.write(f"# {comment}\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write output {path}: {e}") from e
 
 
 def _require_surfaces(cfg: ExperimentConfig, command: str, n: int | None = None) -> None:
@@ -348,24 +317,16 @@ def _require_surfaces(cfg: ExperimentConfig, command: str, n: int | None = None)
         raise ConfigError(f"{command} needs exactly {n} surface(s), got {len(cfg.surfaces)}")
 
 
-def cmd_solve(cfg: ExperimentConfig, out_path: str) -> int:
+def cmd_solve(cfg: ExperimentConfig, args):
     _require_surfaces(cfg, "solve")
-    if cfg.points:
-        raise ConfigError("config has point sources: use the hybrid command")
     result = solve_ground_state(
         cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, tol=cfg.solver.tol
     )
-    w = _CsvOut(
-        out_path,
-        cfg.config_sha256,
-        ["run_id", "command", "E_gr", "nu_star", "weights", "residual", "converged", "iterations"],
-    )
-    w.row([
-        _run_id(cfg, "solve"), "solve", result.energy, result.nu_star,
-        _fmt_weights(result.weights), result.residual, result.converged, result.iterations,
-    ])
-    w.close()
-    return 0
+    columns = ["E_gr", "nu_star", "weights", "residual", "converged", "iterations"]
+    return columns, [[
+        result.energy, result.nu_star, _fmt_weights(result.weights),
+        result.residual, result.converged, result.iterations,
+    ]], None
 
 
 def _model_cases(space: AmbientSpace, meta: SurfaceCurvatureMeta):
@@ -396,21 +357,16 @@ def _nu_star_spec(cfg: ExperimentConfig):
     return CouplingSpec(tuple(Coupling(nu_star=s) for s in stars))
 
 
-def cmd_bounds(cfg: ExperimentConfig, out_path: str) -> int:
+def cmd_bounds(cfg: ExperimentConfig, args):
     _require_surfaces(cfg, "bounds")
-    w = _CsvOut(
-        out_path,
-        cfg.config_sha256,
-        ["run_id", "command", "row_kind", "case", "surface_index", "value", "exact", "status", "validation"],
-    )
-    rid = _run_id(cfg, "bounds")
+    rows = []
 
     def put(kind, case, idx, value, exact, status=""):
         validation = ""
         if status == "" and value is not None and exact is not None and kind != "exact":
             slack = 1e-9 * abs(exact) + 1e-15
             validation = "ok" if value <= exact + slack else "FAIL"
-        w.row([rid, "bounds", kind, case, idx, value, exact, status, validation])
+        rows.append([kind, case, idx, value, exact, status, validation])
 
     for idx, mesh in enumerate(cfg.surfaces):
         exact = None
@@ -443,8 +399,8 @@ def cmd_bounds(cfg: ExperimentConfig, out_path: str) -> int:
                 cfg.surfaces, star_spec, cfg.space, cfg.constants, tol=cfg.solver.tol
             ).energy
             put("gersgorin", "", "all", e_star, e_gr)
-    w.close()
-    return 0
+    columns = ["row_kind", "case", "surface_index", "value", "exact", "status", "validation"]
+    return columns, rows, None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -461,21 +417,12 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _solve_metrics(surfaces, couplings, cfg) -> tuple[float | None, float | None]:
-    try:
-        r = solve_ground_state(surfaces, couplings, cfg.space, cfg.constants, tol=cfg.solver.tol)
-        return r.energy, r.nu_star
-    except NoBoundStateError:
-        return None, None
-
-
 def _fixed_area_ellipsoid(spec: SurfaceSpec, c: float, target_area: float) -> SurfaceMesh:
     """Prolate/oblate mesh with polar semi-axis c and quadrature area matched."""
-    center = tuple(spec.params.get("center", (0.0, 0.0, 0.0)))
 
     def area_of(a: float) -> float:
         return build_surface(
-            Ellipsoid(center=center, a=a, b=a, c=c), order=spec.order
+            Ellipsoid(center=spec.center, a=a, b=a, c=c), order=spec.order
         ).area
 
     # Search in units of the area-equivalent sphere radius, so the
@@ -488,23 +435,31 @@ def _fixed_area_ellipsoid(spec: SurfaceSpec, c: float, target_area: float) -> Su
         raise error
     t, _ = _monotone_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
     a = t * scale
-    return build_surface(Ellipsoid(center=center, a=a, b=a, c=c), order=spec.order)
+    return build_surface(Ellipsoid(center=spec.center, a=a, b=a, c=c), order=spec.order)
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, args):
+    param = args.param
     if param not in _SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; choose from {_SWEEP_PARAMS}")
-    grid = _parse_grid(grid_text)
+    grid = _parse_grid(args.grid)
     _require_surfaces(cfg, "sweep")
-    rid = _run_id(cfg, "sweep", f"{param}|{grid_text}")
-    w = _CsvOut(
-        out_path,
-        cfg.config_sha256,
-        ["run_id", "command", "param", "param_value", "metric", "metric_value", "status"],
-    )
+    rows = []
 
     def put(value, metric, mvalue, status=""):
-        w.row([rid, "sweep", param, value, metric, mvalue, status])
+        rows.append([param, value, metric, mvalue, status])
+
+    def put_solve(value, surfaces, couplings):
+        """E_gr and nu_star rows at one grid value; returns E_gr or None."""
+        try:
+            r = solve_ground_state(surfaces, couplings, cfg.space, cfg.constants, tol=cfg.solver.tol)
+        except NoBoundStateError:
+            put(value, "E_gr", None, "no-bound-state")
+            put(value, "nu_star", None, "no-bound-state")
+            return None
+        put(value, "E_gr", r.energy)
+        put(value, "nu_star", r.nu_star)
+        return r.energy
 
     diagnostic = "none"
     if param == "nu":
@@ -518,8 +473,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
         diagnostic = f"omega_min_nondecreasing={'pass' if ok else 'fail'}"
     elif param == "separation":
         _require_surfaces(cfg, "sweep separation", 2)
-        c0 = tuple(cfg.surface_specs[0].params.get("center", (0.0, 0.0, 0.0)))
-        c1 = tuple(cfg.surface_specs[1].params.get("center", (0.0, 0.0, 0.0)))
+        c0, c1 = cfg.surface_specs[0].center, cfg.surface_specs[1].center
         direction = [b - a for a, b in zip(c0, c1)]
         norm = math.sqrt(sum(d * d for d in direction))
         if norm == 0.0:
@@ -529,25 +483,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
         for s in grid:
             center = tuple(a + s * u for a, u in zip(c0, unit))
             meshes = (cfg.surfaces[0], cfg.surface_specs[1].build(center=center))
-            e, ns = _solve_metrics(meshes, cfg.couplings, cfg)
-            status = "" if e is not None else "no-bound-state"
-            put(s, "E_gr", e, status)
-            put(s, "nu_star", ns, status)
-            if e is not None:
-                energies.append(e)
+            energies.append(put_solve(s, meshes, cfg.couplings))
+        energies = [e for e in energies if e is not None]
         ok = all(b >= a for a, b in zip(energies, energies[1:]))
         diagnostic = f"E_gr_nondecreasing={'pass' if ok else 'fail'}"
     elif param == "lambda":
         _require_surfaces(cfg, "sweep lambda", 1)
-        energies = []
-        for lam in grid:
-            couplings = CouplingSpec((Coupling(lam=lam),))
-            e, ns = _solve_metrics(cfg.surfaces, couplings, cfg)
-            status = "" if e is not None else "no-bound-state"
-            put(lam, "E_gr", e, status)
-            put(lam, "nu_star", ns, status)
-            if e is not None:
-                energies.append(e)
+        energies = [put_solve(lam, cfg.surfaces, CouplingSpec((Coupling(lam=lam),)))
+                    for lam in grid]
+        energies = [e for e in energies if e is not None]
         ok = all(b <= a for a, b in zip(energies, energies[1:]))
         diagnostic = f"E_gr_nonincreasing={'pass' if ok else 'fail'}"
     elif param == "radius":
@@ -556,10 +500,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
             raise ConfigError("sweep radius needs a sphere surface")
         for r in grid:
             mesh = cfg.surface_specs[0].build(radius=r)
-            e, ns = _solve_metrics((mesh,), cfg.couplings, cfg)
-            status = "" if e is not None else "no-bound-state"
-            put(r, "E_gr", e, status)
-            put(r, "nu_star", ns, status)
+            put_solve(r, (mesh,), cfg.couplings)
             if cfg.space.is_flat:
                 put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
     else:
@@ -574,12 +515,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_path: str, param: str, grid_text: str) 
             put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
             put(c, "area", mesh.area)
 
-    w.comment(f"diagnostic: {diagnostic}")
-    w.close()
-    return 0
+    columns = ["param", "param_value", "metric", "metric_value", "status"]
+    return columns, rows, f"diagnostic: {diagnostic}"
 
 
-def cmd_variational(cfg: ExperimentConfig, out_path: str) -> int:
+def cmd_variational(cfg: ExperimentConfig, args):
     _require_surfaces(cfg, "variational")
     alpha_star, weights = solve_variational(
         cfg.surfaces, cfg.couplings, cfg.space, cfg.constants
@@ -587,27 +527,13 @@ def cmd_variational(cfg: ExperimentConfig, out_path: str) -> int:
     vm = assemble_variational(
         cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, alpha_star
     )
-    gap = schur_gap(vm)
-    phi = assemble_phi(
-        cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, math.sqrt(alpha_star)
-    )
-    resid = float(abs(vm.Phi_tilde - vm.D @ phi.entries @ vm.D).max())
-    w = _CsvOut(
-        out_path,
-        cfg.config_sha256,
-        ["run_id", "command", "alpha_star", "E_gr", "weights", "schur_gap", "phi_tilde_residual"],
-    )
-    w.row([
-        _run_id(cfg, "variational"), "variational", alpha_star, -alpha_star,
-        _fmt_weights(weights), gap, resid,
-    ])
-    w.close()
-    return 0
+    columns = ["alpha_star", "E_gr", "weights", "schur_gap", "phi_tilde_residual"]
+    return columns, [[
+        alpha_star, -alpha_star, _fmt_weights(weights), schur_gap(vm), vm.phi_residual,
+    ]], None
 
 
-def cmd_hybrid(cfg: ExperimentConfig, out_path: str) -> int:
-    if not cfg.points:
-        raise ConfigError("hybrid needs at least one point source")
+def cmd_hybrid(cfg: ExperimentConfig, args):
     system = HybridSystem(
         surfaces=cfg.surfaces,
         couplings=cfg.couplings,
@@ -616,14 +542,12 @@ def cmd_hybrid(cfg: ExperimentConfig, out_path: str) -> int:
         constants=cfg.constants,
     )
     result = solve_hybrid_ground_state(system, tol=cfg.solver.tol)
-    rows = [{
-        "row_kind": "system", "point_index": None, "separation": None, "mu": None,
-        "E_gr": result.energy, "nu_star": result.nu_star,
-        "weights": _fmt_weights(result.weights), "residual": result.residual,
-        "delta_mu2": None, "exact_shift": None, "ratio": None,
-    }]
+    rows = [[
+        "system", None, None, None, result.energy, result.nu_star,
+        _fmt_weights(result.weights), result.residual, None, None, None,
+    ]]
     if len(cfg.surfaces) == 1:
-        center = tuple(cfg.surface_specs[0].params.get("center", (0.0, 0.0, 0.0)))
+        center = cfg.surface_specs[0].center
         for i, point in enumerate(cfg.points):
             sub = HybridSystem(
                 surfaces=cfg.surfaces,
@@ -637,23 +561,26 @@ def cmd_hybrid(cfg: ExperimentConfig, out_path: str) -> int:
             exact_shift = exact.nu_star**2 - point.mu**2
             coords = point.position.as_array()[-3:]
             sep = math.sqrt(sum((a - b) ** 2 for a, b in zip(coords, center)))
-            rows.append({
-                "row_kind": "perturbation", "point_index": i, "separation": sep,
-                "mu": point.mu, "E_gr": exact.energy, "nu_star": exact.nu_star,
-                "weights": None, "residual": exact.residual,
-                "delta_mu2": shift, "exact_shift": exact_shift,
-                "ratio": shift / exact_shift if exact_shift != 0.0 else None,
-            })
-    header = [
-        "run_id", "command", "row_kind", "point_index", "separation", "mu",
-        "E_gr", "nu_star", "weights", "residual", "delta_mu2", "exact_shift", "ratio",
+            rows.append([
+                "perturbation", i, sep, point.mu, exact.energy, exact.nu_star,
+                None, exact.residual, shift, exact_shift,
+                shift / exact_shift if exact_shift != 0.0 else None,
+            ])
+    columns = [
+        "row_kind", "point_index", "separation", "mu", "E_gr", "nu_star",
+        "weights", "residual", "delta_mu2", "exact_shift", "ratio",
     ]
-    w = _CsvOut(out_path, cfg.config_sha256, header)
-    rid = _run_id(cfg, "hybrid")
-    for row in rows:
-        w.row([rid, "hybrid"] + [row[k] for k in header[2:]])
-    w.close()
-    return 0
+    return columns, rows, None
+
+
+# Each command computes (columns, rows, trailing comment); main writes them.
+_COMMANDS = {
+    "solve": cmd_solve,
+    "bounds": cmd_bounds,
+    "sweep": cmd_sweep,
+    "variational": cmd_variational,
+    "hybrid": cmd_hybrid,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -679,18 +606,22 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
+        if args.command == "hybrid" and not cfg.points:
+            raise ConfigError("hybrid needs at least one point source")
+        if args.command != "hybrid" and cfg.points:
+            raise ConfigError("config has point sources: use the hybrid command")
+        columns, rows, comment = _COMMANDS[args.command](cfg, args)
+        # run_id digests the config, the command and the sweep's arguments
+        extra = f"{args.param}|{args.grid}" if args.command == "sweep" else ""
+        digest = hashlib.sha256((cfg.config_sha256 + args.command + extra).encode())
+        prefix = [digest.hexdigest()[:12], args.command]
         out_path = args.out or cfg.output_path or f"shellbound_{args.command}.csv"
-        if args.command == "solve":
-            code = cmd_solve(cfg, out_path)
-        elif args.command == "bounds":
-            code = cmd_bounds(cfg, out_path)
-        elif args.command == "sweep":
-            code = cmd_sweep(cfg, out_path, args.param, args.grid)
-        elif args.command == "variational":
-            code = cmd_variational(cfg, out_path)
-        else:
-            code = cmd_hybrid(cfg, out_path)
+        _write_csv(
+            out_path, cfg.config_sha256, ["run_id", "command", *columns],
+            [prefix + row for row in rows], comment,
+        )
         print(f"wrote {out_path}")
+        code = 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         code = 1

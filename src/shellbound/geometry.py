@@ -49,7 +49,6 @@ class AmbientSpace:
 
     kind: str
     curvature_K: float = 0.0
-    volume: float | None = None
 
     def __post_init__(self):
         if self.kind not in (FLAT, HYPERBOLIC):
@@ -58,20 +57,18 @@ class AmbientSpace:
             raise InvalidArgumentError("flat space requires curvature_K = 0")
         if self.kind == HYPERBOLIC and not self.curvature_K > 0.0:
             raise InvalidArgumentError("hyperbolic space requires curvature_K > 0")
-        if self.volume is not None and not self.volume > 0.0:
-            raise InvalidArgumentError("ambient volume must be positive when given")
 
     @property
     def is_flat(self) -> bool:
         return self.kind == FLAT
 
 
-def flat_space(volume: float | None = None) -> AmbientSpace:
-    return AmbientSpace(kind=FLAT, curvature_K=0.0, volume=volume)
+def flat_space() -> AmbientSpace:
+    return AmbientSpace(kind=FLAT, curvature_K=0.0)
 
 
-def hyperbolic_space(curvature_K: float, volume: float | None = None) -> AmbientSpace:
-    return AmbientSpace(kind=HYPERBOLIC, curvature_K=curvature_K, volume=volume)
+def hyperbolic_space(curvature_K: float) -> AmbientSpace:
+    return AmbientSpace(kind=HYPERBOLIC, curvature_K=curvature_K)
 
 
 @dataclass(frozen=True)

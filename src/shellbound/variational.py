@@ -56,6 +56,8 @@ class VariationalMatrices:
 
     K, L, S carry the time weights 1, t, t^2 and absorb sqrt(lambda_i /
     V_i) into each index; Phi_tilde = I - K and D = diag(sqrt(lambda_i)).
+    phi_residual is max |Phi_tilde - D Phi D| against the principal matrix
+    Phi at nu = sqrt(alpha), the consistency check made at assembly.
     """
 
     alpha: float
@@ -64,6 +66,7 @@ class VariationalMatrices:
     K: np.ndarray
     Phi_tilde: np.ndarray
     D: np.ndarray
+    phi_residual: float
 
     def __post_init__(self):
         for name in ("S", "L", "K", "Phi_tilde"):
@@ -213,7 +216,7 @@ def assemble_variational(
             f"scaled principal matrix deviates from I - K by {drift}"
         )
     return VariationalMatrices(
-        alpha=alpha, S=S, L=L, K=K, Phi_tilde=phi_tilde, D=D
+        alpha=alpha, S=S, L=L, K=K, Phi_tilde=phi_tilde, D=D, phi_residual=drift
     )
 
 
@@ -244,15 +247,17 @@ def solve_variational(
     K's entries shrink as alpha grows, so the smallest eigenvalue of
     I - K(alpha) increases and bracket expansion plus Brent's method finds
     its zero. Returns (alpha*, A) with A the unit zero mode, sign-fixed to
-    nonnegative sum.
+    nonnegative sum. The K matrices the root finder evaluates are kept, so
+    the zero mode at alpha* needs no further assembly.
     """
     _check_flat(space)
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
     lams = _require_lambda_form(couplings)
+    seen = {}
 
     def gap(alpha: float) -> float:
-        K = _k_matrix(surfaces, lams, space, constants, alpha)
+        K = seen[alpha] = _k_matrix(surfaces, lams, space, constants, alpha)
         if K.shape[0] == 1:
             return 1.0 - float(K[0, 0])
         w, _ = jacobi_eigh(K)
@@ -268,7 +273,9 @@ def solve_variational(
         NoBoundStateError(f"no zero mode with alpha up to {_ALPHA_CEIL}"),
         0.5e-12,
     )
-    K = _k_matrix(surfaces, lams, space, constants, alpha_star)
+    K = seen[alpha_star] if alpha_star in seen else _k_matrix(
+        surfaces, lams, space, constants, alpha_star
+    )
     if K.shape[0] == 1:
         A = np.array([1.0])
     else:

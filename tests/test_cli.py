@@ -79,6 +79,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate", "--config", "x.json"]) == 1
     cfg = write_cfg(tmp_path, SPHERE_NU)
     assert main(["sweep", "--config", str(cfg)]) == 1
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "no_dir" / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -110,12 +111,43 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                 }
             ],
         },
+        lambda d: {**d, "ambient": {"kind": "hyperbolic", "K": -0.5}},
+        lambda d: {**d, "ambient": {"kind": "flat", "volume": 7.0}},
+        lambda d: {**d, "ambient": {"kind": "flat", "K": 0.5}},
+        lambda d: {**d, "constants": {"hbar": -1.0}},
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
     cfg = write_cfg(tmp_path, mangle(SPHERE_NU))
     out = tmp_path / "never.csv"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve"], ["bounds"], ["variational"], ["sweep", "--param", "nu", "--grid", "1.0"]],
+    ids=lambda command: command[0],
+)
+def test_points_need_the_hybrid_command(tmp_path, command):
+    data = {**SPHERE_LAM, "points": [{"position": [5.0, 0.0, 0.0], "mu": 0.5}]}
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config,param,grid,code",
+    [
+        ("two_spheres.json", "separation", "1.0", 2),  # the spheres would overlap
+        ("single_sphere.json", "deformation_c", "1.0,5000", 1),  # no area match at c = 5000
+    ],
+)
+def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, code):
+    out = tmp_path / "never.csv"
+    args = ["sweep", "--config", str(config_dir / config), "--param", param, "--grid", grid]
+    assert main(args + ["--out", str(out)]) == code
     assert not out.exists()
 
 

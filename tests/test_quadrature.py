@@ -180,27 +180,6 @@ def test_weighted_kernel_sum_matches_dot():
     assert got == pytest.approx(float(np.dot(w, 1.0 / d)), rel=1e-12)
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("SHELLBOUND_THREADS", raising=False)
-    assert quad.thread_count() == 1
-    monkeypatch.setenv("SHELLBOUND_THREADS", "7")
-    assert quad.thread_count() == 7
-    monkeypatch.setenv("SHELLBOUND_THREADS", "abc")
-    assert quad.thread_count() == 1
-    monkeypatch.setenv("SHELLBOUND_THREADS", "-3")
-    assert quad.thread_count() == 1
-
-
-def test_reduction_bitwise_identical_across_threads(monkeypatch, constants, flat, sphere24):
-    # the sum is long enough to take the threaded branch
-    assert quad._diag_geometry(sphere24)[0].size > 8 * quad._BLOCK
-    monkeypatch.delenv("SHELLBOUND_THREADS", raising=False)
-    serial = pair_integral(sphere24, sphere24, flat, constants, 0.9)
-    monkeypatch.setenv("SHELLBOUND_THREADS", "4")
-    threaded = pair_integral(sphere24, sphere24, flat, constants, 0.9)
-    assert serial == threaded  # bitwise, not approx
-
-
 @pytest.mark.parametrize("D", [2.5, 4.0])
 def test_offdiag_against_two_sphere_closed_form(constants, flat, sphere24, D):
     other = build_surface(Sphere((D, 0.0, 0.0), 1.0), order=24)

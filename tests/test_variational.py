@@ -141,6 +141,18 @@ def test_matrices_positive_definite_pair(constants, flat):
     assert schur_gap(vm) >= -1e-10
 
 
+def test_phi_residual_is_the_drift_against_assemble_phi(constants, flat):
+    # the CLI writes vm.phi_residual as its phi_tilde_residual column
+    small = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    big = build_surface(Sphere((4.0, 0.0, 0.0), 1.3), order=16)
+    spec = CouplingSpec.from_lambdas(2.0, 2.0)
+    vm = assemble_variational([small, big], spec, flat, constants, 1.3)
+    phi = assemble_phi([small, big], spec, flat, constants, math.sqrt(1.3))
+    resid = float(abs(vm.Phi_tilde - vm.D @ phi.entries @ vm.D).max())
+    assert vm.phi_residual == resid  # bitwise: the same expression on the same arrays
+    assert resid <= 1e-10
+
+
 def test_subcritical_raises_and_functional_positive(constants, flat, sphere32):
     with pytest.raises(NoBoundStateError):
         solve_variational([sphere32], CouplingSpec.from_lambdas(0.999), flat, constants)
