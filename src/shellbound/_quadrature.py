@@ -14,12 +14,16 @@ Two rules cooperate here:
   the coordinate axis least aligned with the node, so the parametrization is
   uniformly regular around the singularity.
 
-  Ring rule: a surface of revolution about its chart axis (every sphere and
-  torus, and an ellipsoid with a == b) gives every node of one u-ring the
-  same exact inner integral.  There only the ring's v = 0 node gets a
-  singular patch, weighted by the ring's total outer weight, so a mesh of
-  order n builds n patch rows instead of 2 n^2.  A general ellipsoid keeps
-  one row per node.
+  Orbit rule: a symmetry of the surface that maps the node grid onto
+  itself gives every node of one orbit the same exact inner integral.
+  There only the orbit's first node gets a singular patch, weighted by the
+  orbit's total outer weight.  On a surface of revolution about its chart
+  axis (every sphere and torus, and an ellipsoid with a == b) the orbits
+  are the u-rings, so a mesh of order n builds n patch rows instead of
+  2 n^2.  A general ellipsoid has the orbits of the three reflections about
+  its centre, (n / 2) (n / 2 + 1) rows for even n (156 instead of 1152 at
+  n = 24).  Every mesh gets one of the two; no shape falls back to one row
+  per node.
 
 All reductions run over fixed 4096-sample blocks whose partial sums are
 combined with math.fsum in index order, so results are bitwise reproducible
@@ -94,31 +98,54 @@ def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):
     raise GeometryViolationError(f"no singular patch rule for {type(shape).__name__}")
 
 
-def _ring_rows(mesh: SurfaceMesh):
+def _orbit_rows(mesh: SurfaceMesh):
     """Outer rows of the self-integral rule and the outer weight of each.
 
-    On a surface of revolution about its chart axis these are the v = 0
-    node of each u-ring, carrying the ring's summed weight; otherwise every
-    node with its own weight.  Rings are read from the mesh parameters:
-    contiguous blocks of equal u, each starting at v = 0.
+    The nodes form an order x 2*order grid: contiguous blocks of equal u,
+    each starting at v = 0.  A symmetry of the surface that maps this grid
+    onto itself gives every node of one orbit the same exact inner
+    integral, so the orbit's first node stands for it, carrying the orbit's
+    summed weight.  On a surface of revolution about its chart axis the
+    orbits are the u-rings.  A general ellipsoid has the three reflections
+    about its centre: z -> -z is u -> pi - u on the symmetric Gauss-Legendre
+    nodes in cos u, and x -> -x, y -> -y are v -> pi - v, v -> -v on the
+    uniform v nodes.
     """
     shape = mesh.shape
-    revolution = isinstance(shape, (Sphere, Torus)) or (
-        isinstance(shape, Ellipsoid) and shape.a == shape.b
-    )
-    n = mesh.n_nodes
-    ring = 1
+    n, n_u = mesh.n_nodes, mesh.order
+    n_v = n // n_u
+    u, v = mesh.params[:, 0], mesh.params[:, 1]
+    if not (
+        n_u * n_v == n
+        and np.array_equal(np.flatnonzero(v == 0.0), np.arange(0, n, n_v))
+        and np.all(u.reshape(n_u, n_v) == u[::n_v, None])
+    ):
+        raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
+    revolution = isinstance(shape, (Sphere, Torus)) or shape.a == shape.b
     if revolution:
-        u, v = mesh.params[:, 0], mesh.params[:, 1]
-        starts = np.flatnonzero(v == 0.0)
-        ring = n // max(starts.size, 1)
-        if not (
-            starts.size * ring == n
-            and np.array_equal(starts, np.arange(0, n, ring))
-            and np.all(u.reshape(-1, ring) == u[starts, None])
-        ):
-            raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
-    return np.arange(0, n, ring), mesh.weights.reshape(-1, ring).sum(axis=1)
+        u_orbits = np.arange(n_u)[:, None]
+        v_orbits = np.arange(n_v)[None, :]
+    else:
+        h = n_v // 2  # v = pi
+        u_orbits = _pad_orbits((i, n_u - 1 - i) for i in range((n_u + 1) // 2))
+        v_orbits = _pad_orbits((k, -k % n_v, h - k, h + k) for k in range(h // 2 + 1))
+    # members[r] lists the nodes of orbit r, representative first; n marks a gap
+    uo, vo = u_orbits[:, None, :, None], v_orbits[None, :, None, :]
+    members = np.where((uo < 0) | (vo < 0), n, uo * n_v + vo)
+    members = members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
+    rows = members[:, 0]
+    if not revolution:
+        rel = np.abs(np.append(mesh.nodes - shape.center, np.full((1, 3), np.nan), axis=0))
+        if np.nanmax(np.abs(rel[members] - rel[rows, None])) > 1e-12 * _shape_scale(shape):
+            raise GeometryViolationError("mesh nodes are not mirror images within their orbits")
+    return rows, np.append(mesh.weights, 0.0)[members].sum(axis=1)
+
+
+def _pad_orbits(orbits) -> np.ndarray:
+    """Index orbits as matrix rows, repeats dropped and gaps filled with -1."""
+    orbits = [list(dict.fromkeys(o)) for o in orbits]
+    width = max(len(o) for o in orbits)
+    return np.array([o + [-1] * (width - len(o)) for o in orbits])
 
 
 def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
@@ -212,10 +239,11 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
     (rows, samples) patch weights and tw those weights times the row's outer
     weight, flattened.  weighted_kernel_sum(tw, d, kernel) is the double
     surface integral of a radial kernel (no 1/V normalization applied)
-    whenever the rows carry the whole outer rule: every node with its own
-    weight (the per-node rule) or the rows of _ring_rows.  Rows are built
-    _PATCH_CHUNK at a time; each row is independent of the others, so the
-    chunking changes no bit of the result.
+    whenever the rows carry the whole outer rule: the rows of _orbit_rows,
+    which the cached _diag_geometry uses, or every node with its own weight,
+    which the tests use as the reference rule.  Rows are built _PATCH_CHUNK
+    at a time; each row is independent of the others, so the chunking
+    changes no bit of the result.
     """
     M = 4 * _N_PSI * _N_S
     d_all = np.empty((rows.size, M))
@@ -234,8 +262,8 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _diag_geometry(mesh: SurfaceMesh):
-    """Self-integral geometry of one surface under the ring rule."""
-    return _patch_rows(mesh, *_ring_rows(mesh))
+    """Self-integral geometry of one surface under the orbit rule."""
+    return _patch_rows(mesh, *_orbit_rows(mesh))
 
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
@@ -258,11 +286,10 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
 def _disjoint_ok(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh) -> bool:
     scale = max(_shape_scale(mesh_i.shape), _shape_scale(mesh_j.shape))
     tol = -1e-9 * scale
-    for mesh, other in ((mesh_i, mesh_j), (mesh_j, mesh_i)):
-        for x in other.nodes:
-            if implicit_value(mesh.shape, x) < tol:
-                return False
-    return True
+    return not (
+        np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol)
+        or np.any(implicit_value(mesh_j.shape, mesh_i.nodes) < tol)
+    )
 
 
 def _shape_scale(shape) -> float:

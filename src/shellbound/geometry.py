@@ -559,38 +559,23 @@ def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | N
     raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
 
 
-def surface_geodesic_distance(mesh: SurfaceMesh, i: int, j: int) -> float:
-    """Intrinsic distance between two mesh nodes; spheres only.
+def implicit_value(shape: object, x: np.ndarray):
+    """Signed implicit function of a shape: ~0 on the surface, <0 inside.
 
-    On a sphere the geodesic is a great-circle arc, R times the central
-    angle, which always dominates the ambient chord.
+    x is one point, giving a float, or an (N, 3) array of points, giving an
+    (N,) array.
     """
-    if not isinstance(mesh.shape, Sphere):
-        raise UnsupportedShapeError(
-            f"geodesic distance implemented for spheres only, got {type(mesh.shape).__name__}"
-        )
-    n = mesh.n_nodes
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidArgumentError(f"node indices ({i}, {j}) out of range for {n} nodes")
-    center = np.asarray(mesh.shape.center, dtype=float)
-    R = mesh.shape.radius
-    a = (mesh.nodes[i] - center) / R
-    b = (mesh.nodes[j] - center) / R
-    cosang = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    return R * math.acos(cosang)
-
-
-def implicit_value(shape: object, x: np.ndarray) -> float:
-    """Signed implicit function of a shape: ~0 on the surface, <0 inside."""
     x = np.asarray(x, dtype=float)
     if isinstance(shape, Sphere):
-        return float(np.linalg.norm(x - np.asarray(shape.center)) - shape.radius)
-    if isinstance(shape, Torus):
+        val = np.linalg.norm(x - np.asarray(shape.center), axis=-1) - shape.radius
+    elif isinstance(shape, Torus):
         rel = x - np.asarray(shape.center)
-        ring = math.hypot(rel[0], rel[1]) - shape.R_major
-        return float(math.hypot(ring, rel[2]) - shape.r_minor)
-    if isinstance(shape, Ellipsoid):
+        ring = np.hypot(rel[..., 0], rel[..., 1]) - shape.R_major
+        val = np.hypot(ring, rel[..., 2]) - shape.r_minor
+    elif isinstance(shape, Ellipsoid):
         rel = x - np.asarray(shape.center)
-        q = (rel[0] / shape.a) ** 2 + (rel[1] / shape.b) ** 2 + (rel[2] / shape.c) ** 2
-        return float(math.sqrt(max(q, 0.0)) - 1.0)
-    raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
+        q = np.sum((rel / (shape.a, shape.b, shape.c)) ** 2, axis=-1)
+        val = np.sqrt(q) - 1.0
+    else:
+        raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
+    return float(val) if np.ndim(val) == 0 else val

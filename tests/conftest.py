@@ -1,7 +1,7 @@
 """Shared fixtures: session-scoped meshes, so each surface's cached patch
-geometry is built once per run.  Under the ring rule that build takes
-milliseconds for a sphere or torus; the per-node rule of a general
-ellipsoid still takes about a second at order 24."""
+geometry is built once per run.  Under the orbit rule that build takes
+milliseconds for a sphere or torus and about 0.15 s for a general
+ellipsoid at order 24."""
 
 import pathlib
 

@@ -21,7 +21,6 @@ from shellbound import (
     hyperbolic_point,
     implicit_value,
 )
-from shellbound.geometry import surface_geodesic_distance
 
 
 def test_sphere_mesh_area_and_diameter(sphere24):
@@ -165,15 +164,19 @@ def test_implicit_value_signs():
         implicit_value(object(), np.zeros(3))
 
 
-def test_surface_geodesic_distance(sphere16, torus16):
-    # the great-circle arc dominates the chord but never exceeds pi R
-    n = sphere16.n_nodes
-    i, j = 0, n // 2
-    geo = surface_geodesic_distance(sphere16, i, j)
-    chord = float(np.linalg.norm(sphere16.nodes[i] - sphere16.nodes[j]))
-    assert chord <= geo <= math.pi * 1.0 + 1e-12
-    assert surface_geodesic_distance(sphere16, i, i) == 0.0
-    with pytest.raises(UnsupportedShapeError):
-        surface_geodesic_distance(torus16, 0, 1)
-    with pytest.raises(InvalidArgumentError):
-        surface_geodesic_distance(sphere16, 0, n)
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Sphere((0.5, 0.0, 0.0), 1.0),
+        Torus((0.0, 0.0, 0.3), 2.0, 0.5),
+        Ellipsoid((0.0, -0.2, 0.0), 1.2, 1.0, 0.8),
+    ],
+)
+def test_implicit_value_of_point_array_matches_single_points(shape):
+    mesh = build_surface(shape, order=16)
+    points = np.concatenate([mesh.nodes, 1.3 * mesh.nodes, 0.7 * mesh.nodes])
+    values = implicit_value(shape, points)
+    assert values.shape == (points.shape[0],)
+    single = [implicit_value(shape, x) for x in points]
+    assert all(type(v) is float for v in single)
+    assert np.max(np.abs(values - np.array(single))) <= 1e-15

@@ -1,5 +1,5 @@
-"""Singular-patch quadrature engine: convergence, geometry checks, and
-thread-count-independent reductions."""
+"""Singular-patch quadrature engine: convergence, the orbit rule, geometry
+checks, and deterministic reductions."""
 
 import dataclasses
 import math
@@ -18,6 +18,7 @@ from shellbound.oracles import (
 from shellbound.principal import pair_integral
 
 PATCH_SAMPLES = 4 * quad._N_PSI * quad._N_S
+GENERAL = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
 
 
 def _full_rule(mesh):
@@ -45,7 +46,7 @@ def test_diag_quadrature_convergence(constants, flat):
 
 
 def test_full_rule_convergence(constants, flat):
-    # the per-node rule, which a general ellipsoid uses, still converges
+    # the per-node reference rule converges in the mesh order
     exact = sphere_pair_integral_exact(SphereOracleInput(R=1.0, nu=1.0))
     errs = []
     for order in (8, 16, 32):
@@ -84,12 +85,60 @@ def test_ring_rule_is_exact_reduction_on_spheroid(monkeypatch, constants, flat):
     spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=12)
     monkeypatch.setattr(quad, "_N_PSI", 32)
     monkeypatch.setattr(quad, "_N_S", 48)
-    ring_geometry = quad._patch_rows(spheroid, *quad._ring_rows(spheroid))
+    ring_geometry = quad._patch_rows(spheroid, *quad._orbit_rows(spheroid))
     full_geometry = _full_rule(spheroid)
     for nu in (0.1, 1.0, 3.0):
         ring = _self_integral(ring_geometry, constants, flat, nu)
         full = _self_integral(full_geometry, constants, flat, nu)
         assert ring == pytest.approx(full, rel=1e-14)
+
+
+def test_orbit_rule_is_exact_reduction_on_general_ellipsoid(monkeypatch, constants, flat):
+    # with the patch rule resolved, the reflection orbits and the full rule
+    # agree to round-off (measured 0.0 at nu = 0.1 / 1 / 3)
+    mesh = build_surface(GENERAL, order=12)
+    monkeypatch.setattr(quad, "_N_PSI", 2 * quad._N_PSI)
+    monkeypatch.setattr(quad, "_N_S", 2 * quad._N_S)
+    orbit_geometry = quad._patch_rows(mesh, *quad._orbit_rows(mesh))
+    full_geometry = _full_rule(mesh)
+    for nu in (0.1, 1.0, 3.0):
+        orbit = _self_integral(orbit_geometry, constants, flat, nu)
+        full = _self_integral(full_geometry, constants, flat, nu)
+        assert orbit == pytest.approx(full, rel=1e-14)
+
+
+def test_orbit_rule_matches_full_rule_on_general_ellipsoid(constants, flat):
+    # at the shipped patch orders the two rules differ by the patch rule's
+    # own error (measured 1.0e-11 / 1.5e-11 / 8.9e-12 at nu = 0.1 / 1 / 3)
+    mesh = build_surface(GENERAL, order=24)
+    orbit_geometry = quad._diag_geometry(mesh)
+    full_geometry = _full_rule(mesh)
+    for nu in (0.1, 1.0, 3.0):
+        orbit = _self_integral(orbit_geometry, constants, flat, nu)
+        full = _self_integral(full_geometry, constants, flat, nu)
+        assert orbit == pytest.approx(full, rel=1e-10)
+
+
+def test_orbit_rows_of_general_ellipsoid():
+    # 12 u-orbits (u, pi - u) times 13 v-orbits (v, -v, pi - v, pi + v),
+    # wherever the ellipsoid sits; the orbit weights carry the whole area
+    for center in ((0.0, 0.0, 0.0), (0.3, -1.7, 2.2)):
+        mesh = build_surface(dataclasses.replace(GENERAL, center=center), order=24)
+        rows, row_weights = quad._orbit_rows(mesh)
+        assert rows.size == row_weights.size == 156
+        assert np.unique(rows).size == 156
+        assert float(np.sum(row_weights)) == pytest.approx(mesh.area, rel=1e-14)
+
+
+def test_orbit_rows_of_revolution_meshes_are_the_rings(sphere16, torus16):
+    # the v = 0 node of each u-ring with the ring's summed weight, bitwise
+    spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=24)
+    for mesh in (sphere16, torus16, spheroid):
+        ring = 2 * mesh.order
+        rows, row_weights = quad._orbit_rows(mesh)
+        assert np.array_equal(rows, np.arange(0, mesh.n_nodes, ring))
+        assert np.array_equal(row_weights, mesh.weights.reshape(-1, ring).sum(axis=1))
+        assert float(np.sum(row_weights)) == pytest.approx(mesh.area, rel=1e-14)
 
 
 def test_diag_geometry_rows(sphere16, torus16):
@@ -99,32 +148,45 @@ def test_diag_geometry_rows(sphere16, torus16):
         d, tw, jw = quad._diag_geometry(mesh)
         assert d.size == tw.size == mesh.order * PATCH_SAMPLES
         assert jw.shape == (mesh.order, PATCH_SAMPLES)
+    # 4 u-orbits times 5 v-orbits of the three reflections
     d, tw, jw = quad._diag_geometry(general)
-    assert d.size == tw.size == general.n_nodes * PATCH_SAMPLES
-    assert jw.shape == (general.n_nodes, PATCH_SAMPLES)
+    assert d.size == tw.size == 20 * PATCH_SAMPLES
+    assert jw.shape == (20, PATCH_SAMPLES)
 
 
 def test_ring_rows_reject_reordered_mesh():
-    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
-    perm = np.roll(np.arange(mesh.n_nodes), 1)
-    shuffled = dataclasses.replace(
-        mesh, nodes=mesh.nodes[perm], weights=mesh.weights[perm], params=mesh.params[perm]
-    )
+    for shape in (Sphere((0.0, 0.0, 0.0), 1.0), GENERAL):
+        mesh = build_surface(shape, order=8)
+        perm = np.roll(np.arange(mesh.n_nodes), 1)
+        shuffled = dataclasses.replace(
+            mesh, nodes=mesh.nodes[perm], weights=mesh.weights[perm], params=mesh.params[perm]
+        )
+        with pytest.raises(GeometryViolationError):
+            quad._orbit_rows(shuffled)
+
+
+def test_orbit_rows_reject_nodes_off_the_reflection_grid():
+    # the layout holds, but nodes turned by 0.1 in v are no mirror images
+    mesh = build_surface(GENERAL, order=8)
+    u, v = mesh.params[:, 0], mesh.params[:, 1]
+    turned = dataclasses.replace(mesh, nodes=mesh.chart.embed(u, v + 0.1))
     with pytest.raises(GeometryViolationError):
-        quad._ring_rows(shuffled)
+        quad._orbit_rows(turned)
 
 
 def test_chunked_patch_rows_match_one_batch():
-    # rows are independent, so building them in chunks changes no bit
+    # rows are independent, so building them in chunks changes no bit; the
+    # per-node rows (288) keep a chart group above one chunk, which the 42
+    # orbit rows of this mesh would not
     mesh = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8), order=12)
-    rows, row_weights = quad._ring_rows(mesh)
+    rows, row_weights = np.arange(mesh.n_nodes), mesh.weights
     groups = quad._patch_chart_groups(mesh, rows)
     assert max(pos.size for pos, _ in groups) > quad._PATCH_CHUNK
     d = np.empty((rows.size, PATCH_SAMPLES))
     jw = np.empty((rows.size, PATCH_SAMPLES))
     for pos, chart in groups:
         d[pos], jw[pos] = quad._build_patch_group(mesh, rows[pos], chart)
-    got_d, got_tw, got_jw = quad._diag_geometry(mesh)
+    got_d, got_tw, got_jw = quad._patch_rows(mesh, rows, row_weights)
     assert np.array_equal(got_d, d.reshape(-1))
     assert np.array_equal(got_jw, jw)
     assert np.array_equal(got_tw, (row_weights[:, None] * jw).reshape(-1))
@@ -133,7 +195,7 @@ def test_chunked_patch_rows_match_one_batch():
 def test_general_ellipsoid_self_integral_against_doubled_patch_orders(
     monkeypatch, constants, flat
 ):
-    # the per-node rule of a general ellipsoid is limited by the patch rule;
+    # the orbit rule of a general ellipsoid is limited by the patch rule;
     # measured 8.4e-10 / 8.7e-10 / 2.8e-10 at nu = 0.1 / 1 / 3
     mesh = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8), order=12)
     nus = (0.1, 1.0, 3.0)
@@ -154,6 +216,8 @@ def test_patch_weight_residual(sphere16, torus16):
     # chart's curved metric leaves a larger but still harmless defect
     assert quad.patch_weight_residual(sphere16) < 1e-9
     assert quad.patch_weight_residual(torus16) < 1e-5
+    general = build_surface(GENERAL, order=12)
+    assert quad.patch_weight_residual(general) < 1e-8
 
 
 def test_check_disjoint(sphere16):
@@ -164,6 +228,14 @@ def test_check_disjoint(sphere16):
     quad.check_disjoint(sphere16, touching)
     apart = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
     quad.check_disjoint(sphere16, apart)
+
+
+def test_check_disjoint_catches_nested_surfaces(sphere16):
+    # only the inner surface's nodes lie inside the other one
+    inner = build_surface(Sphere((0.1, 0.0, 0.0), 0.5), order=8)
+    for a, b in ((sphere16, inner), (inner, sphere16)):
+        with pytest.raises(GeometryViolationError):
+            quad.check_disjoint(a, b)
 
 
 def test_offdiag_respects_disjointness(constants, flat, sphere16):
