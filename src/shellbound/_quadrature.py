@@ -38,14 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GeometryViolationError
-from .geometry import (
-    Ellipsoid,
-    Sphere,
-    SurfaceMesh,
-    Torus,
-    _ScaledSphereChart,
-    implicit_value,
-)
+from .geometry import SurfaceMesh, _ScaledSphereChart, implicit_value
 
 _BLOCK = 4096
 _PATCH_CHUNK = 64  # patch rows built per batch, which caps the scratch arrays
@@ -76,26 +69,21 @@ def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> fl
 def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):
     """Group the outer rows by the patch chart used for their singular patch.
 
-    Returns (positions into rows, chart) pairs covering every row once.
+    Returns (positions into rows, chart) pairs covering every row once.  A
+    torus keeps its mesh chart; a sphere or ellipsoid row gets the mesh
+    chart with its pole on the axis least aligned with the row's node.
     """
-    shape = mesh.shape
-    if isinstance(shape, (Sphere, Ellipsoid)):
-        if isinstance(shape, Sphere):
-            axes = np.array([shape.radius] * 3)
-        else:
-            axes = np.array([shape.a, shape.b, shape.c])
-        center = np.asarray(shape.center, dtype=float)
-        q = (mesh.nodes[rows] - center) / axes
-        pole = np.argmin(np.abs(q), axis=1)
-        groups = []
-        for k in range(3):
-            pos = np.nonzero(pole == k)[0]
-            if pos.size:
-                groups.append((pos, _ScaledSphereChart(center, axes, k)))
-        return groups
-    if isinstance(shape, Torus):
-        return [(np.arange(rows.size), mesh.chart)]
-    raise GeometryViolationError(f"no singular patch rule for {type(shape).__name__}")
+    chart = mesh.chart
+    if not isinstance(chart, _ScaledSphereChart):
+        return [(np.arange(rows.size), chart)]
+    q = (mesh.nodes[rows] - chart.center) / chart.axes
+    pole = np.argmin(np.abs(q), axis=1)
+    groups = []
+    for k in range(3):
+        pos = np.nonzero(pole == k)[0]
+        if pos.size:
+            groups.append((pos, _ScaledSphereChart(chart.center, chart.axes, k)))
+    return groups
 
 
 def _orbit_rows(mesh: SurfaceMesh):
@@ -111,7 +99,6 @@ def _orbit_rows(mesh: SurfaceMesh):
     nodes in cos u, and x -> -x, y -> -y are v -> pi - v, v -> -v on the
     uniform v nodes.
     """
-    shape = mesh.shape
     n, n_u = mesh.n_nodes, mesh.order
     n_v = n // n_u
     u, v = mesh.params[:, 0], mesh.params[:, 1]
@@ -121,7 +108,7 @@ def _orbit_rows(mesh: SurfaceMesh):
         and np.all(u.reshape(n_u, n_v) == u[::n_v, None])
     ):
         raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
-    revolution = isinstance(shape, (Sphere, Torus)) or shape.a == shape.b
+    revolution = mesh.chart.revolution
     if revolution:
         u_orbits = np.arange(n_u)[:, None]
         v_orbits = np.arange(n_v)[None, :]
@@ -135,8 +122,8 @@ def _orbit_rows(mesh: SurfaceMesh):
     members = members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
     rows = members[:, 0]
     if not revolution:
-        rel = np.abs(np.append(mesh.nodes - shape.center, np.full((1, 3), np.nan), axis=0))
-        if np.nanmax(np.abs(rel[members] - rel[rows, None])) > 1e-12 * _shape_scale(shape):
+        rel = np.abs(np.append(mesh.nodes - mesh.chart.center, np.full((1, 3), np.nan), axis=0))
+        if np.nanmax(np.abs(rel[members] - rel[rows, None])) > 0.5e-12 * mesh.diameter_ambient:
             raise GeometryViolationError("mesh nodes are not mirror images within their orbits")
     return rows, np.append(mesh.weights, 0.0)[members].sum(axis=1)
 
@@ -284,22 +271,11 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
 
 @lru_cache(maxsize=None)
 def _disjoint_ok(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh) -> bool:
-    scale = max(_shape_scale(mesh_i.shape), _shape_scale(mesh_j.shape))
-    tol = -1e-9 * scale
+    tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
     return not (
         np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol)
         or np.any(implicit_value(mesh_j.shape, mesh_i.nodes) < tol)
     )
-
-
-def _shape_scale(shape) -> float:
-    if isinstance(shape, Sphere):
-        return shape.radius
-    if isinstance(shape, Torus):
-        return shape.R_major + shape.r_minor
-    if isinstance(shape, Ellipsoid):
-        return max(shape.a, shape.b, shape.c)
-    return 1.0
 
 
 def check_disjoint(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh) -> None:

@@ -61,8 +61,8 @@ from .principal import (
     Coupling,
     CouplingSpec,
     _monotone_root,
-    assemble_phi,
     energy_from_coupling,
+    lowest_eigenvalue_flow,
     solve_ground_state,
 )
 from .variational import assemble_variational, schur_gap, solve_variational
@@ -463,13 +463,10 @@ def cmd_sweep(cfg: ExperimentConfig, args):
 
     diagnostic = "none"
     if param == "nu":
-        omegas = []
-        for nu in grid:
-            pm = assemble_phi(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, nu)
-            om = pm.omega_min()
-            omegas.append(om)
+        flow = lowest_eigenvalue_flow(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, grid)
+        for nu, om in flow:
             put(nu, "omega_min", om)
-        ok = all(b >= a for a, b in zip(omegas, omegas[1:]))
+        ok = all(b >= a for (_, a), (_, b) in zip(flow, flow[1:]))
         diagnostic = f"omega_min_nondecreasing={'pass' if ok else 'fail'}"
     elif param == "separation":
         _require_surfaces(cfg, "sweep separation", 2)

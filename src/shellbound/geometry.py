@@ -200,51 +200,20 @@ class Ellipsoid:
     c: float
 
 
-class _Chart:
-    """Smooth parametrization (u, v) -> R^3 of one closed surface.
-
-    u is the polar-type parameter (interval [u_lo, u_hi], possibly periodic),
-    v is always 2*pi-periodic.  embed/jacobian/tangents accept broadcasting
-    arrays.
-    """
-
-    u_lo: float
-    u_hi: float
-    u_periodic: bool
-
-    def embed(self, u, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, u, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def tangents(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate tangent vectors (d embed/du, d embed/dv)."""
-        raise NotImplementedError
+# A chart maps (u, v) -> R^3 onto one closed surface.  u is the polar-type
+# parameter on [u_lo, u_hi] (periodic when u_periodic), v is 2*pi-periodic,
+# and embed / jacobian / tangents take broadcasting arrays.  revolution says
+# whether rotation about the chart axis maps the surface onto itself.
 
 
-class _SphereChart(_Chart):
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.R = float(radius)
-        self.u_lo, self.u_hi, self.u_periodic = 0.0, math.pi, False
+class _TorusChart:
+    u_lo, u_hi, u_periodic = 0.0, 2.0 * math.pi, True
+    revolution = True
 
-    def embed(self, u, v):
-        su = np.sin(u)
-        return self.center + self.R * np.stack(
-            [su * np.cos(v), su * np.sin(v), np.cos(u) * np.ones_like(v)], axis=-1
-        )
-
-    def jacobian(self, u, v):
-        return self.R * self.R * np.sin(u) * np.ones_like(v)
-
-
-class _TorusChart(_Chart):
     def __init__(self, center, R_major, r_minor):
         self.center = np.asarray(center, dtype=float)
         self.Rmaj = float(R_major)
         self.rmin = float(r_minor)
-        self.u_lo, self.u_hi, self.u_periodic = 0.0, 2.0 * math.pi, True
 
     def embed(self, u, v):
         ring = self.Rmaj + self.rmin * np.cos(u)
@@ -266,35 +235,16 @@ class _TorusChart(_Chart):
         return xu, xv
 
 
-class _EllipsoidChart(_Chart):
-    def __init__(self, center, a, b, c):
-        self.center = np.asarray(center, dtype=float)
-        self.a, self.b, self.c = float(a), float(b), float(c)
-        self.u_lo, self.u_hi, self.u_periodic = 0.0, math.pi, False
-
-    def embed(self, u, v):
-        su = np.sin(u)
-        return self.center + np.stack(
-            [self.a * su * np.cos(v), self.b * su * np.sin(v), self.c * np.cos(u) * np.ones_like(v)],
-            axis=-1,
-        )
-
-    def jacobian(self, u, v):
-        a, b, c = self.a, self.b, self.c
-        su, cu = np.sin(u), np.cos(u)
-        cv, sv = np.cos(v), np.sin(v)
-        return su * np.sqrt(
-            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
-        )
-
-
-class _ScaledSphereChart(_Chart):
+class _ScaledSphereChart:
     """Unit sphere scaled by per-axis semi-axes, pole along a chosen axis.
 
-    Used by the singular-patch quadrature, which re-seats the chart pole away
-    from the node under integration so the parametrization stays uniformly
-    regular there.  Covers spheres (equal axes) and axis-aligned ellipsoids.
+    The one chart of spheres (equal axes) and axis-aligned ellipsoids.
+    Meshes put the pole on axis 2.  The singular-patch quadrature re-seats
+    it onto the axis least aligned with the node under integration, so the
+    parametrization stays uniformly regular around the singularity.
     """
+
+    u_lo, u_hi, u_periodic = 0.0, math.pi, False
 
     def __init__(self, center, semi_axes, pole_axis: int):
         self.center = np.asarray(center, dtype=float)
@@ -302,19 +252,18 @@ class _ScaledSphereChart(_Chart):
         self.k = int(pole_axis)
         self.i = (self.k + 1) % 3
         self.j = (self.k + 2) % 3
-        self.u_lo, self.u_hi, self.u_periodic = 0.0, math.pi, False
-
-    def _unit(self, u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        q = np.empty(u.shape + (3,), dtype=float)
-        su = np.sin(u)
-        q[..., self.k] = np.cos(u)
-        q[..., self.i] = su * np.cos(v)
-        q[..., self.j] = su * np.sin(v)
-        return q
+        self.revolution = bool(self.axes[self.i] == self.axes[self.j])
 
     def embed(self, u, v):
-        return self.center + self.axes * self._unit(u, v)
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        x = np.empty(u.shape + (3,), dtype=float)
+        su = np.sin(u)
+        # (axis * su) * cos v, in this order: the patch-pole choice on nodes
+        # where two coordinates tie (v = pi/4) depends on these bits
+        x[..., self.k] = self.axes[self.k] * np.cos(u)
+        x[..., self.i] = self.axes[self.i] * su * np.cos(v)
+        x[..., self.j] = self.axes[self.j] * su * np.sin(v)
+        return self.center + x
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -331,8 +280,13 @@ class _ScaledSphereChart(_Chart):
         return xu, xv
 
     def jacobian(self, u, v):
-        xu, xv = self.tangents(u, v)
-        return np.linalg.norm(np.cross(xu, xv), axis=-1)
+        """|x_u x x_v| in closed form, (a, b, c) the semi-axes along (i, j, k)."""
+        a, b, c = (float(self.axes[n]) for n in (self.i, self.j, self.k))
+        su, cu = np.sin(u), np.cos(u)
+        cv, sv = np.cos(v), np.sin(v)
+        return su * np.sqrt(
+            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
+        )
 
     def params_of_point(self, x) -> tuple[float, float]:
         """Chart coordinates of an on-surface point."""
@@ -347,9 +301,11 @@ class SurfaceMesh:
     """Product quadrature mesh on one closed surface (flat embedding).
 
     nodes[k] lies on the surface, weights[k] > 0, sum(weights) == area.
-    params[k] are the (u, v) chart coordinates of node k; chart is the smooth
-    parametrization used for the per-node singular patch quadrature.  Treat
-    instances as immutable; arrays must not be modified after construction.
+    params[k] are the (u, v) coordinates of node k in chart, the smooth
+    parametrization the mesh is built on.  The self-integral's singular
+    patches use that chart, or for spheres and ellipsoids the same chart
+    with its pole re-seated.  Treat instances as immutable; arrays must not
+    be modified after construction.
     """
 
     shape: object
@@ -360,7 +316,7 @@ class SurfaceMesh:
     area: float
     diameter_ambient: float
     meta: SurfaceCurvatureMeta
-    chart: _Chart = field(repr=False)
+    chart: _ScaledSphereChart | _TorusChart = field(repr=False)
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -386,7 +342,7 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _node_grid_gl(chart: _Chart, order: int):
+def _node_grid_gl(chart, order: int):
     """Gauss-Legendre in cos(u) times uniform v for polar-type charts."""
     x, w = np.polynomial.legendre.leggauss(order)
     u = np.arccos(x[::-1])  # ascending u
@@ -401,7 +357,7 @@ def _node_grid_gl(chart: _Chart, order: int):
     return U.ravel(), V.ravel(), W.ravel()
 
 
-def _node_grid_periodic(chart: _Chart, order: int):
+def _node_grid_periodic(chart, order: int):
     """Uniform trapezoid in both angles for doubly periodic charts."""
     nu_, nv = order, 2 * order
     u = 2.0 * math.pi * np.arange(nu_) / nu_
@@ -413,9 +369,10 @@ def _node_grid_periodic(chart: _Chart, order: int):
     return U.ravel(), V.ravel(), W.ravel()
 
 
-def _assemble_mesh(shape, order, chart, area, diameter, meta, periodic_u):
-    grid = _node_grid_periodic(chart, order) if periodic_u else _node_grid_gl(chart, order)
-    U, V, W = grid
+def _assemble_mesh(shape, order, chart, diameter, meta, area=None):
+    """Mesh on chart's node grid; area defaults to the sum of the weights."""
+    grid = _node_grid_periodic if chart.u_periodic else _node_grid_gl
+    U, V, W = grid(chart, order)
     nodes = chart.embed(U, V)
     return SurfaceMesh(
         shape=shape,
@@ -423,7 +380,7 @@ def _assemble_mesh(shape, order, chart, area, diameter, meta, periodic_u):
         nodes=np.ascontiguousarray(nodes),
         weights=np.ascontiguousarray(W),
         params=np.ascontiguousarray(np.stack([U, V], axis=-1)),
-        area=float(area),
+        area=float(np.sum(W) if area is None else area),
         diameter_ambient=float(diameter),
         meta=meta,
         chart=chart,
@@ -451,15 +408,13 @@ def build_sphere(
             chord_arc_delta=0.75 * R,
             chord_arc_kappa=1.0 / R,
         )
-    chart = _SphereChart(center, R)
     return _assemble_mesh(
         Sphere(tuple(float(c) for c in center), R),
         order,
-        chart,
-        area=4.0 * math.pi * R * R,
+        _ScaledSphereChart(center, (R, R, R), 2),
         diameter=2.0 * R,
         meta=meta,
-        periodic_u=False,
+        area=4.0 * math.pi * R * R,
     )
 
 
@@ -495,15 +450,13 @@ def build_torus(
             chord_arc_delta=0.75 / kap,
             chord_arc_kappa=kap,
         )
-    chart = _TorusChart(center, R, r)
     return _assemble_mesh(
         Torus(tuple(float(c) for c in center), R, r),
         order,
-        chart,
-        area=4.0 * math.pi * math.pi * R * r,
+        _TorusChart(center, R, r),
         diameter=2.0 * (R + r),
         meta=meta,
-        periodic_u=True,
+        area=4.0 * math.pi * math.pi * R * r,
     )
 
 
@@ -538,14 +491,13 @@ def build_ellipsoid(
             chord_arc_delta=0.75 / kap,
             chord_arc_kappa=kap,
         )
-    chart = _EllipsoidChart(center, *axes)
-    grid = _node_grid_gl(chart, order)
-    area = float(np.sum(grid[2]))
-    shape = Ellipsoid(tuple(float(x) for x in center), *axes)
-    mesh = _assemble_mesh(
-        shape, order, chart, area=area, diameter=2.0 * max(axes), meta=meta, periodic_u=False
+    return _assemble_mesh(
+        Ellipsoid(tuple(float(x) for x in center), *axes),
+        order,
+        _ScaledSphereChart(center, axes, 2),
+        diameter=2.0 * max(axes),
+        meta=meta,
     )
-    return mesh
 
 
 def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | None = None) -> SurfaceMesh:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quadrature as quad
 from .errors import (
     DegeneratePerturbationError,
     GeometryViolationError,
@@ -89,7 +88,7 @@ class HybridSystem:
         for mesh in self.surfaces:
             for p in self.points:
                 val = implicit_value(mesh.shape, p.position.as_array())
-                if abs(val) <= 1e-9 * quad._shape_scale(mesh.shape):
+                if abs(val) <= 0.5e-9 * mesh.diameter_ambient:
                     raise GeometryViolationError(
                         f"point source at {p.position.coords} lies on a surface"
                     )

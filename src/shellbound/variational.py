@@ -161,20 +161,26 @@ def _require_lambda_form(couplings: CouplingSpec) -> list[float]:
     return lams
 
 
-def _k_matrix(surfaces, lams, space, constants, alpha: float) -> np.ndarray:
-    """Weight-1 matrix: K_ij = sqrt(lam_i lam_j / V_i V_j) * double integral."""
-    nu = math.sqrt(alpha)
-    kernel = lambda d: static_kernel_array(space, constants, nu, d)
+def _scaled_matrix(surfaces, lams, kernel) -> np.ndarray:
+    """M_ij = sqrt(lam_i lam_j / V_i V_j) * double integral of kernel."""
     n = len(surfaces)
-    K = np.zeros((n, n))
+    M = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
             raw = _entry(surfaces[i], surfaces[j], kernel)
             norm = math.sqrt(
                 lams[i] * lams[j] / (surfaces[i].area * surfaces[j].area)
             )
-            K[i, j] = K[j, i] = norm * raw
-    return K
+            M[i, j] = M[j, i] = norm * raw
+    return M
+
+
+def _k_matrix(surfaces, lams, space, constants, alpha: float) -> np.ndarray:
+    """Weight-1 matrix K at trial parameter alpha."""
+    nu = math.sqrt(alpha)
+    return _scaled_matrix(
+        surfaces, lams, lambda d: static_kernel_array(space, constants, nu, d)
+    )
 
 
 def assemble_variational(
@@ -194,18 +200,13 @@ def assemble_variational(
     nu = math.sqrt(alpha)
     n = len(surfaces)
 
-    k_first = lambda d: -static_kernel_dalpha_array(space, constants, nu, d)
-    k_second = lambda d: static_kernel_d2alpha_array(space, constants, nu, d)
     K = _k_matrix(surfaces, lams, space, constants, alpha)
-    L = np.zeros((n, n))
-    S = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            norm = math.sqrt(
-                lams[i] * lams[j] / (surfaces[i].area * surfaces[j].area)
-            )
-            L[i, j] = L[j, i] = norm * _entry(surfaces[i], surfaces[j], k_first)
-            S[i, j] = S[j, i] = norm * _entry(surfaces[i], surfaces[j], k_second)
+    L = _scaled_matrix(
+        surfaces, lams, lambda d: -static_kernel_dalpha_array(space, constants, nu, d)
+    )
+    S = _scaled_matrix(
+        surfaces, lams, lambda d: static_kernel_d2alpha_array(space, constants, nu, d)
+    )
 
     phi_tilde = np.eye(n) - K
     D = np.diag([math.sqrt(x) for x in lams])

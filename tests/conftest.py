@@ -1,6 +1,6 @@
 """Shared fixtures: session-scoped meshes, so each surface's cached patch
 geometry is built once per run.  Under the orbit rule that build takes
-milliseconds for a sphere or torus and about 0.15 s for a general
+milliseconds for a sphere or torus and about 0.07 s for a general
 ellipsoid at order 24."""
 
 import pathlib

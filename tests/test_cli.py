@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from shellbound.bounds import critical_coupling_exact
 from shellbound.cli import _fmt, load_config, main
 from shellbound.errors import ConfigError
 
@@ -317,6 +318,29 @@ def test_sweep_lambda_subcritical_rows(tmp_path):
     bound = [float(r["metric_value"]) for r in rows
              if r["metric"] == "E_gr" and r["metric_value"]]
     assert bound == sorted(bound, reverse=True)
+
+
+def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere32):
+    out = tmp_path / "sweepc.csv"
+    code = main(
+        ["sweep", "--config", str(config_dir / "single_sphere.json"),
+         "--param", "deformation_c", "--grid", "0.8,1.0,1.25", "--out", str(out)]
+    )
+    assert code == 0
+    _, rows = read_rows(out)
+    assert [(r["param_value"], r["metric"]) for r in rows] == [
+        (c, m) for c in ("0.8", "1.0", "1.25") for m in ("lambda_critical", "area")
+    ]
+    for r in rows:
+        assert r["status"] == ""
+        if r["metric"] == "area":
+            assert abs(float(r["metric_value"]) - 4.0 * math.pi) <= 1e-12
+    # at c = 1 the fixed-area ellipsoid is the unit sphere of the config
+    nu_floor = load_config(config_dir / "single_sphere.json").solver.nu_floor
+    sphere = critical_coupling_exact(sphere32, flat, constants, nu_floor)
+    (at_one,) = [float(r["metric_value"]) for r in rows
+                 if r["param_value"] == "1.0" and r["metric"] == "lambda_critical"]
+    assert abs(at_one - sphere) <= 1e-12
 
 
 def test_variational_csv(tmp_path):

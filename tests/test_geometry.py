@@ -180,3 +180,15 @@ def test_implicit_value_of_point_array_matches_single_points(shape):
     single = [implicit_value(shape, x) for x in points]
     assert all(type(v) is float for v in single)
     assert np.max(np.abs(values - np.array(single))) <= 1e-15
+
+
+@pytest.mark.parametrize("pole", [0, 1, 2])
+def test_chart_jacobian_is_the_tangent_cross_product(pole):
+    chart = build_surface(Ellipsoid((0.3, -0.2, 0.1), 1.2, 1.0, 0.8), order=8).chart
+    chart = type(chart)(chart.center, chart.axes, pole)
+    rng = np.random.default_rng(7)
+    u = np.concatenate([[1e-6, 0.3, math.pi / 2, math.pi - 1e-6], rng.uniform(0.0, math.pi, 60)])
+    v = np.concatenate([[0.0, -2.0, math.pi / 4, 3.0], rng.uniform(-math.pi, math.pi, 60)])
+    xu, xv = chart.tangents(u, v)
+    cross = np.linalg.norm(np.cross(xu, xv), axis=-1)
+    assert np.max(np.abs(chart.jacobian(u, v) - cross) / cross) <= 1e-13

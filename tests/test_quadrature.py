@@ -154,6 +154,18 @@ def test_diag_geometry_rows(sphere16, torus16):
     assert jw.shape == (20, PATCH_SAMPLES)
 
 
+def test_equal_axis_ellipsoid_is_the_sphere_bitwise():
+    # spheres and ellipsoids share one chart, so a sphere given as an
+    # ellipsoid gets the same mesh and the same patch geometry
+    center, R = (0.3, -0.2, 0.5), 1.3
+    sphere = build_surface(Sphere(center, R), order=16)
+    ellipsoid = build_surface(Ellipsoid(center, R, R, R), order=16)
+    for name in ("nodes", "weights", "params"):
+        assert np.array_equal(getattr(sphere, name), getattr(ellipsoid, name))
+    for a, b in zip(quad._diag_geometry(sphere), quad._diag_geometry(ellipsoid)):
+        assert np.array_equal(a, b)
+
+
 def test_ring_rows_reject_reordered_mesh():
     for shape in (Sphere((0.0, 0.0, 0.0), 1.0), GENERAL):
         mesh = build_surface(shape, order=8)
