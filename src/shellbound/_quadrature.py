@@ -2,7 +2,7 @@
 
 Two rules cooperate here:
 
-* Distinct surfaces: plain product rule over both node sets (the kernel is
+* Distinct surfaces: product rule over both node sets (the kernel is
   smooth between disjoint surfaces).
 
 * Same surface: for each outer node, the inner integral is evaluated in
@@ -14,16 +14,23 @@ Two rules cooperate here:
   the coordinate axis least aligned with the node, so the parametrization is
   uniformly regular around the singularity.
 
-  Orbit rule: a symmetry of the surface that maps the node grid onto
-  itself gives every node of one orbit the same exact inner integral.
-  There only the orbit's first node gets a singular patch, weighted by the
-  orbit's total outer weight.  On a surface of revolution about its chart
-  axis (every sphere and torus, and an ellipsoid with a == b) the orbits
-  are the u-rings, so a mesh of order n builds n patch rows instead of
-  2 n^2.  A general ellipsoid has the orbits of the three reflections about
-  its centre, (n / 2) (n / 2 + 1) rows for even n (156 instead of 1152 at
-  n = 24).  Every mesh gets one of the two; no shape falls back to one row
-  per node.
+Orbit rule, for both: a symmetry that maps the node grid onto itself, and
+the inner integral's domain onto itself, gives every outer node of one
+orbit the same inner integral.  There only the orbit's first node gets an
+outer row, weighted by the orbit's total outer weight.
+
+* Self-integrals: on a surface of revolution about its chart axis (every
+  sphere and torus, and an ellipsoid with a == b) the orbits are the
+  u-rings, so a mesh of order n builds n patch rows instead of 2 n^2.  A
+  general ellipsoid has the orbits of the three reflections about its
+  centre, (n / 2) (n / 2 + 1) rows for even n (156 instead of 1152 at
+  n = 24).  Every mesh gets one of the two.
+
+* Pairs: every mesh is mirror-symmetric in the coordinate planes through
+  its centre, so a plane through both centres mirrors the inner mesh onto
+  itself.  The outer rows are the orbits of the reflections in the shared
+  planes: 300 rows instead of 1152 for two collinear spheres at order 24,
+  every node for a pair in general position.
 
 All reductions run over fixed 4096-sample blocks whose partial sums are
 combined with math.fsum in index order, so results are bitwise reproducible
@@ -86,18 +93,22 @@ def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):
     return groups
 
 
-def _orbit_rows(mesh: SurfaceMesh):
-    """Outer rows of the self-integral rule and the outer weight of each.
+def _orbit_rows(mesh: SurfaceMesh, mirrors=None):
+    """Outer rows of an orbit rule and the outer weight of each.
 
     The nodes form an order x 2*order grid: contiguous blocks of equal u,
-    each starting at v = 0.  A symmetry of the surface that maps this grid
-    onto itself gives every node of one orbit the same exact inner
-    integral, so the orbit's first node stands for it, carrying the orbit's
-    summed weight.  On a surface of revolution about its chart axis the
-    orbits are the u-rings.  A general ellipsoid has the three reflections
-    about its centre: z -> -z is u -> pi - u on the symmetric Gauss-Legendre
-    nodes in cos u, and x -> -x, y -> -y are v -> pi - v, v -> -v on the
-    uniform v nodes.
+    each starting at v = 0.  A symmetry that maps this grid onto itself
+    gives every node of one orbit the same inner integral, so the orbit's
+    first node stands for it, carrying the orbit's summed weight.
+
+    mirrors lists the coordinate axes a whose reflection x_a -> -x_a about
+    the mesh centre to use: x -> -x is v -> pi - v and y -> -y is v -> -v on
+    the uniform v nodes; z -> -z is u -> pi - u on the symmetric
+    Gauss-Legendre nodes in cos u, and u -> -u (mod 2 pi) on the periodic
+    u nodes of a torus.  Reflections are checked: the nodes of each orbit
+    must be mirror images with equal weights, else GeometryViolationError.
+    None asks for the self-integral's group: the u-rings on a surface of
+    revolution about its chart axis, all three reflections otherwise.
     """
     n, n_u = mesh.n_nodes, mesh.order
     n_v = n // n_u
@@ -108,29 +119,44 @@ def _orbit_rows(mesh: SurfaceMesh):
         and np.all(u.reshape(n_u, n_v) == u[::n_v, None])
     ):
         raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
-    revolution = mesh.chart.revolution
-    if revolution:
-        u_orbits = np.arange(n_u)[:, None]
-        v_orbits = np.arange(n_v)[None, :]
+    i, k = np.arange(n_u), np.arange(n_v)
+    rings = mirrors is None and mesh.chart.revolution
+    if rings:
+        u_orbits = _orbits([i])
+        v_orbits = _orbits([(k + s) % n_v for s in range(n_v)])
     else:
+        mirrors = (0, 1, 2) if mirrors is None else mirrors
         h = n_v // 2  # v = pi
-        u_orbits = _pad_orbits((i, n_u - 1 - i) for i in range((n_u + 1) // 2))
-        v_orbits = _pad_orbits((k, -k % n_v, h - k, h + k) for k in range(h // 2 + 1))
+        x, y, z = (a in mirrors for a in range(3))
+        u_maps = [i, -i % n_u if mesh.chart.u_periodic else n_u - 1 - i]
+        # identity, y -> -y, x -> -x, and both: v, -v, pi - v, pi + v
+        v_maps = [k, -k % n_v, (h - k) % n_v, (h + k) % n_v]
+        u_orbits = _orbits(u_maps[: 1 + z])
+        v_orbits = _orbits([m for m, use in zip(v_maps, (True, y, x, x and y)) if use])
     # members[r] lists the nodes of orbit r, representative first; n marks a gap
     uo, vo = u_orbits[:, None, :, None], v_orbits[None, :, None, :]
     members = np.where((uo < 0) | (vo < 0), n, uo * n_v + vo)
     members = members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
     rows = members[:, 0]
-    if not revolution:
+    if not rings:
         rel = np.abs(np.append(mesh.nodes - mesh.chart.center, np.full((1, 3), np.nan), axis=0))
-        if np.nanmax(np.abs(rel[members] - rel[rows, None])) > 0.5e-12 * mesh.diameter_ambient:
+        w = np.append(mesh.weights, np.nan)
+        if np.any(np.abs(rel[members] - rel[rows, None]) > 0.5e-12 * mesh.diameter_ambient) or (
+            np.any(np.abs(w[members] - w[rows, None]) > 1e-12 * w[rows, None])
+        ):
             raise GeometryViolationError("mesh nodes are not mirror images within their orbits")
     return rows, np.append(mesh.weights, 0.0)[members].sum(axis=1)
 
 
-def _pad_orbits(orbits) -> np.ndarray:
-    """Index orbits as matrix rows, repeats dropped and gaps filled with -1."""
-    orbits = [list(dict.fromkeys(o)) for o in orbits]
+def _orbits(images) -> np.ndarray:
+    """Orbits of range(m) under a group of index maps, as matrix rows.
+
+    images[g][x] is the image of x under the group's element g, identity
+    first.  Each orbit is listed once, from its least index, its members in
+    the order of images; repeats are dropped and gaps filled with -1.
+    """
+    img = np.stack(images, axis=1)
+    orbits = [list(dict.fromkeys(o)) for o in img[img.min(axis=1) == img[:, 0]].tolist()]
     width = max(len(o) for o in orbits)
     return np.array([o + [-1] * (width - len(o)) for o in orbits])
 
@@ -262,10 +288,21 @@ def patch_weight_residual(mesh: SurfaceMesh) -> float:
 
 @lru_cache(maxsize=None)
 def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
-    """Flattened (distances, weight products) between two distinct surfaces."""
-    diff = mesh_i.nodes[:, None, :] - mesh_j.nodes[None, :, :]
+    """Flattened (distances, weight products) between two distinct surfaces.
+
+    The product rule with mesh_i's nodes reduced by the orbit rule: a
+    coordinate plane through both centres mirrors each mesh onto itself, so
+    mirror images in mesh_i have the same inner sum over mesh_j.  One row
+    per orbit of the shared reflections carries the orbit's summed weight
+    and its distances to every node of mesh_j; a pair sharing no plane
+    keeps every node.  Both meshes must pass the mirror-image check.
+    """
+    shared = tuple(a for a in range(3) if mesh_i.chart.center[a] == mesh_j.chart.center[a])
+    rows, row_weights = _orbit_rows(mesh_i, shared)
+    _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
+    diff = mesh_i.nodes[rows, None, :] - mesh_j.nodes[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    w = mesh_i.weights[:, None] * mesh_j.weights[None, :]
+    w = row_weights[:, None] * mesh_j.weights[None, :]
     return np.ascontiguousarray(d.reshape(-1)), np.ascontiguousarray(w.reshape(-1))
 
 

@@ -518,6 +518,8 @@ def cmd_sweep(cfg: ExperimentConfig, args):
 
 def cmd_variational(cfg: ExperimentConfig, args):
     _require_surfaces(cfg, "variational")
+    if any(cp.lam is None for cp in cfg.couplings.items):
+        raise ConfigError("variational needs every coupling in lambda form")
     alpha_star, weights = solve_variational(
         cfg.surfaces, cfg.couplings, cfg.space, cfg.constants
     )

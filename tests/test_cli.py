@@ -138,6 +138,20 @@ def test_points_need_the_hybrid_command(tmp_path, command):
     assert not out.exists()
 
 
+def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, capsys):
+    # nu*-form couplings are a config fault under variational: exit 1, no
+    # file, and no solve started
+    def unreachable(*args, **kwargs):
+        raise AssertionError("variational solve started")
+
+    monkeypatch.setattr("shellbound.cli.solve_variational", unreachable)
+    for cfg in (config_dir / "two_spheres.json", write_cfg(tmp_path, SPHERE_NU)):
+        out = tmp_path / "never.csv"
+        assert main(["variational", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "lambda form" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config,param,grid,code",
     [

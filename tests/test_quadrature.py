@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from shellbound import Ellipsoid, GeometryViolationError, Sphere, build_surface
+from shellbound import Ellipsoid, GeometryViolationError, Sphere, Torus, build_surface
 from shellbound import _quadrature as quad
 from shellbound.kernels import static_kernel_array
 from shellbound.oracles import (
@@ -177,13 +177,16 @@ def test_ring_rows_reject_reordered_mesh():
             quad._orbit_rows(shuffled)
 
 
-def test_orbit_rows_reject_nodes_off_the_reflection_grid():
-    # the layout holds, but nodes turned by 0.1 in v are no mirror images
-    mesh = build_surface(GENERAL, order=8)
+def _turned(mesh):
+    """The mesh with its nodes turned by 0.1 in v: the layout holds, but
+    the nodes are no mirror images."""
     u, v = mesh.params[:, 0], mesh.params[:, 1]
-    turned = dataclasses.replace(mesh, nodes=mesh.chart.embed(u, v + 0.1))
+    return dataclasses.replace(mesh, nodes=mesh.chart.embed(u, v + 0.1))
+
+
+def test_orbit_rows_reject_nodes_off_the_reflection_grid():
     with pytest.raises(GeometryViolationError):
-        quad._orbit_rows(turned)
+        quad._orbit_rows(_turned(build_surface(GENERAL, order=8)))
 
 
 def test_chunked_patch_rows_match_one_batch():
@@ -273,14 +276,76 @@ def test_offdiag_against_two_sphere_closed_form(constants, flat, sphere24, D):
         assert got == pytest.approx(exact, rel=1e-10)
 
 
+def _direct_pair_integral(a, b, constants, nu):
+    """The product rule summed over every pair of nodes, in one einsum."""
+    pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
+    diff = a.nodes[:, None, :] - b.nodes[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    direct = float(np.einsum("i,ij,j->", a.weights, pref * np.exp(-nu * d) / d, b.weights))
+    return direct / math.sqrt(a.area * b.area)
+
+
 def test_offdiag_value_against_direct_product_sum(constants, flat):
     # the off-diagonal rule is a plain product sum over both node sets
     a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
     b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
     nu = 1.0
-    pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
-    diff = a.nodes[:, None, :] - b.nodes[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    direct = float(np.einsum("i,ij,j->", a.weights, pref * np.exp(-nu * d) / d, b.weights))
-    direct /= math.sqrt(a.area * b.area)
+    direct = _direct_pair_integral(a, b, constants, nu)
     assert pair_integral(a, b, flat, constants, nu) == pytest.approx(direct, rel=1e-13)
+
+
+# A pair shares the reflections in the coordinate planes through both
+# centres, and the pair rule keeps one outer row per orbit of them: three
+# planes for the sphere in the torus hole, two for collinear centres (the
+# torus-sphere pairs among them), one for the right angle, none in general
+# position.  The torus pairs with z shared use its periodic u mirror.
+PAIRS = {
+    "sphere_in_torus_hole": (Sphere((0.0, 0.0, 0.0), 1.0), Torus((0.0, 0.0, 0.0), 2.0, 0.5)),
+    "collinear_spheres": (Sphere((0.0, 0.0, 0.0), 1.0), Sphere((4.0, 0.0, 0.0), 1.0)),
+    "right_angle_spheres": (Sphere((4.0, 0.0, 0.0), 1.0), Sphere((0.0, 4.0, 0.0), 1.0)),
+    "general_position": (
+        Sphere((0.1, 0.2, 0.3), 1.0),
+        Ellipsoid((3.1, 1.7, -2.2), 1.2, 1.0, 0.8),
+    ),
+    "coaxial_torus_sphere": (Torus((0.0, 0.0, 0.0), 2.0, 0.5), Sphere((0.0, 0.0, 2.5), 1.0)),
+    "torus_beside_sphere": (Torus((0.0, 0.0, 0.0), 2.0, 0.5), Sphere((4.0, 0.0, 0.0), 1.0)),
+    "collinear_ellipsoids": (GENERAL, dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("shapes", PAIRS.values(), ids=PAIRS.keys())
+def test_pair_rule_against_direct_product_sum(constants, flat, shapes):
+    # mirror images of an outer node have the same inner sum, so the orbit
+    # rows give the full product sum up to rounding, in either order
+    a, b = (build_surface(shape, order=12) for shape in shapes)
+    for outer, inner in ((a, b), (b, a)):
+        for nu in (0.1, 1.0, 3.0):
+            direct = _direct_pair_integral(outer, inner, constants, nu)
+            got = pair_integral(outer, inner, flat, constants, nu)
+            assert got == pytest.approx(direct, rel=1e-13)
+
+
+def test_pair_geometry_rows(sphere24):
+    # collinear spheres share the y and z planes: 12 u-orbits (u, pi - u)
+    # times 25 v-orbits (v, -v); a pair in general position keeps every node
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=24)
+    d, w = quad._pair_geometry(sphere24, other)
+    assert d.size == w.size == 300 * 1152
+    assert float(np.sum(w)) == pytest.approx(sphere24.area * other.area, rel=1e-14)
+    apart = build_surface(Sphere((3.0, 2.5, -1.5), 1.0), order=24)
+    d, w = quad._pair_geometry(sphere24, apart)
+    diff = sphere24.nodes[:, None, :] - apart.nodes[None, :, :]
+    assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1))
+    assert np.array_equal(w, (sphere24.weights[:, None] * apart.weights).reshape(-1))
+
+
+def test_pair_geometry_rejects_meshes_that_are_no_mirror_images():
+    # the shared y and z planes must mirror both meshes, the outer and the
+    # inner one, in nodes and in weights
+    mesh = build_surface(GENERAL, order=8)
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
+    lopsided = dataclasses.replace(mesh, weights=mesh.weights * (1.0 + 1e-6 * mesh.nodes[:, 1]))
+    for bad in (_turned(mesh), lopsided):
+        for pair in ((bad, other), (other, bad)):
+            with pytest.raises(GeometryViolationError):
+                quad._pair_geometry(*pair)
