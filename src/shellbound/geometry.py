@@ -202,8 +202,10 @@ class Ellipsoid:
 
 # A chart maps (u, v) -> R^3 onto one closed surface.  u is the polar-type
 # parameter on [u_lo, u_hi] (periodic when u_periodic), v is 2*pi-periodic,
-# and embed / jacobian / tangents take broadcasting arrays.  revolution says
-# whether rotation about the chart axis maps the surface onto itself.
+# and every method takes broadcasting arrays.  evaluate gives the points and
+# the area element |x_u x x_v| from one pass of sin and cos; embed and
+# jacobian are its two halves.  revolution says whether rotation about the
+# chart axis maps the surface onto itself.
 
 
 class _TorusChart:
@@ -215,15 +217,17 @@ class _TorusChart:
         self.Rmaj = float(R_major)
         self.rmin = float(r_minor)
 
-    def embed(self, u, v):
+    def evaluate(self, u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         ring = self.Rmaj + self.rmin * np.cos(u)
-        return self.center + np.stack(
-            [ring * np.cos(v), ring * np.sin(v), self.rmin * np.sin(u) * np.ones_like(v)],
-            axis=-1,
-        )
+        x = np.stack([ring * np.cos(v), ring * np.sin(v), self.rmin * np.sin(u)], axis=-1)
+        return self.center + x, self.rmin * ring
+
+    def embed(self, u, v):
+        return self.evaluate(u, v)[0]
 
     def jacobian(self, u, v):
-        return self.rmin * (self.Rmaj + self.rmin * np.cos(u)) * np.ones_like(v)
+        return self.evaluate(u, v)[1]
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -254,16 +258,32 @@ class _ScaledSphereChart:
         self.j = (self.k + 2) % 3
         self.revolution = bool(self.axes[self.i] == self.axes[self.j])
 
-    def embed(self, u, v):
+    def evaluate(self, u, v):
+        """Points and |x_u x x_v| from one pass of sin and cos.
+
+        The area element is the closed form, (a, b, c) the semi-axes along
+        (i, j, k).
+        """
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        su, cu = np.sin(u), np.cos(u)
+        sv, cv = np.sin(v), np.cos(v)
         x = np.empty(u.shape + (3,), dtype=float)
-        su = np.sin(u)
-        # (axis * su) * cos v, in this order: the patch-pole choice on nodes
-        # where two coordinates tie (v = pi/4) depends on these bits
-        x[..., self.k] = self.axes[self.k] * np.cos(u)
-        x[..., self.i] = self.axes[self.i] * su * np.cos(v)
-        x[..., self.j] = self.axes[self.j] * su * np.sin(v)
-        return self.center + x
+        # (axis * su) * cos v, in this order, which every mesh node and CSV
+        # value was built with
+        x[..., self.k] = self.axes[self.k] * cu
+        x[..., self.i] = self.axes[self.i] * su * cv
+        x[..., self.j] = self.axes[self.j] * su * sv
+        a, b, c = (float(self.axes[n]) for n in (self.i, self.j, self.k))
+        J = su * np.sqrt(
+            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
+        )
+        return self.center + x, J
+
+    def embed(self, u, v):
+        return self.evaluate(u, v)[0]
+
+    def jacobian(self, u, v):
+        return self.evaluate(u, v)[1]
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -278,15 +298,6 @@ class _ScaledSphereChart:
         xv[..., self.i] = -self.axes[self.i] * su * sv
         xv[..., self.j] = self.axes[self.j] * su * cv
         return xu, xv
-
-    def jacobian(self, u, v):
-        """|x_u x x_v| in closed form, (a, b, c) the semi-axes along (i, j, k)."""
-        a, b, c = (float(self.axes[n]) for n in (self.i, self.j, self.k))
-        su, cu = np.sin(u), np.cos(u)
-        cv, sv = np.cos(v), np.sin(v)
-        return su * np.sqrt(
-            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
-        )
 
     def params_of_point(self, x) -> tuple[float, float]:
         """Chart coordinates of an on-surface point."""
@@ -304,8 +315,10 @@ class SurfaceMesh:
     params[k] are the (u, v) coordinates of node k in chart, the smooth
     parametrization the mesh is built on.  The self-integral's singular
     patches use that chart, or for spheres and ellipsoids the same chart
-    with its pole re-seated.  Treat instances as immutable; arrays must not
-    be modified after construction.
+    with its pole re-seated.  Treat instances as immutable: the quadrature
+    caches geometry derived from these arrays for the mesh's lifetime, so
+    they must never be modified after construction.  Instances hash by
+    identity (eq=False), which those caches key on.
     """
 
     shape: object
@@ -343,7 +356,10 @@ def _check_order(order: int) -> int:
 
 
 def _node_grid_gl(chart, order: int):
-    """Gauss-Legendre in cos(u) times uniform v for polar-type charts."""
+    """Gauss-Legendre in cos(u) times uniform v for polar-type charts.
+
+    Returns the (order, 2 order) grids of u, v, nodes and weights.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
     u = np.arccos(x[::-1])  # ascending u
     wu = w[::-1]
@@ -351,29 +367,31 @@ def _node_grid_gl(chart, order: int):
     v = 2.0 * math.pi * np.arange(nv) / nv
     dv = 2.0 * math.pi / nv
     U, V = np.meshgrid(u, v, indexing="ij")
+    nodes, J = chart.evaluate(U, V)
     # dA = jacobian(u,v) du dv and du = dw/sin(u) under w = cos(u).
     su = np.sin(U)
-    W = (chart.jacobian(U, V) / su) * wu[:, None] * dv
-    return U.ravel(), V.ravel(), W.ravel()
+    W = (J / su) * wu[:, None] * dv
+    return U, V, nodes, W
 
 
 def _node_grid_periodic(chart, order: int):
-    """Uniform trapezoid in both angles for doubly periodic charts."""
+    """Uniform trapezoid in both angles for doubly periodic charts, on the
+    same grids as _node_grid_gl."""
     nu_, nv = order, 2 * order
     u = 2.0 * math.pi * np.arange(nu_) / nu_
     v = 2.0 * math.pi * np.arange(nv) / nv
     du = 2.0 * math.pi / nu_
     dv = 2.0 * math.pi / nv
     U, V = np.meshgrid(u, v, indexing="ij")
-    W = chart.jacobian(U, V) * du * dv
-    return U.ravel(), V.ravel(), W.ravel()
+    nodes, J = chart.evaluate(U, V)
+    W = J * du * dv
+    return U, V, nodes, W
 
 
 def _assemble_mesh(shape, order, chart, diameter, meta, area=None):
     """Mesh on chart's node grid; area defaults to the sum of the weights."""
     grid = _node_grid_periodic if chart.u_periodic else _node_grid_gl
-    U, V, W = grid(chart, order)
-    nodes = chart.embed(U, V)
+    U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(chart, order))
     return SurfaceMesh(
         shape=shape,
         order=order,

@@ -1,14 +1,21 @@
 """Singular-patch quadrature engine: convergence, the orbit rule, geometry
-checks, and deterministic reductions."""
+checks, deterministic reductions, and how long cached geometry lives."""
 
 import dataclasses
+import gc
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from shellbound import Ellipsoid, GeometryViolationError, Sphere, Torus, build_surface
 from shellbound import _quadrature as quad
+from shellbound.geometry import _ScaledSphereChart
 from shellbound.kernels import static_kernel_array
 from shellbound.oracles import (
     SphereOracleInput,
@@ -189,22 +196,97 @@ def test_orbit_rows_reject_nodes_off_the_reflection_grid():
         quad._orbit_rows(_turned(build_surface(GENERAL, order=8)))
 
 
-def test_chunked_patch_rows_match_one_batch():
-    # rows are independent, so building them in chunks changes no bit; the
-    # per-node rows (288) keep a chart group above one chunk, which the 42
-    # orbit rows of this mesh would not
-    mesh = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8), order=12)
-    rows, row_weights = np.arange(mesh.n_nodes), mesh.weights
-    groups = quad._patch_chart_groups(mesh, rows)
-    assert max(pos.size for pos, _ in groups) > quad._PATCH_CHUNK
+def _one_batch_per_group(mesh, rows, row_weights):
+    """_patch_rows with each chart group built in a single batch."""
     d = np.empty((rows.size, PATCH_SAMPLES))
     jw = np.empty((rows.size, PATCH_SAMPLES))
-    for pos, chart in groups:
+    for pos, chart in quad._patch_chart_groups(mesh, rows):
         d[pos], jw[pos] = quad._build_patch_group(mesh, rows[pos], chart)
-    got_d, got_tw, got_jw = quad._patch_rows(mesh, rows, row_weights)
-    assert np.array_equal(got_d, d.reshape(-1))
-    assert np.array_equal(got_jw, jw)
-    assert np.array_equal(got_tw, (row_weights[:, None] * jw).reshape(-1))
+    return d.reshape(-1), (row_weights[:, None] * jw).reshape(-1), jw
+
+
+def test_chunked_patch_rows_match_one_batch():
+    # rows are independent, so building them _PATCH_CHUNK at a time changes
+    # no bit; on this mesh a chart group spans several chunks both for the
+    # per-node rows (288) and for the orbit rows (42) of _diag_geometry
+    mesh = build_surface(GENERAL, order=12)
+    for rows, row_weights in ((np.arange(mesh.n_nodes), mesh.weights), quad._orbit_rows(mesh)):
+        groups = quad._patch_chart_groups(mesh, rows)
+        assert max(pos.size for pos, _ in groups) > quad._PATCH_CHUNK
+        want = _one_batch_per_group(mesh, rows, row_weights)
+        for got, ref in zip(quad._patch_rows(mesh, rows, row_weights), want):
+            assert np.array_equal(got, ref)
+    for got, ref in zip(quad._diag_geometry(mesh), want):
+        assert np.array_equal(got, ref)
+
+
+def _pole_groups(mesh, rows):
+    return [(pos.tolist(), chart.k) for pos, chart in quad._patch_chart_groups(mesh, rows)]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_patch_poles_survive_a_last_bit_change(constants, flat, axis):
+    # the v = pi/4 orbit rows of this mesh have |x / a| and |y / b| equal up
+    # to the last bit, so a one-ulp move of a node coordinate must not
+    # switch their patch chart: that would move the self-integral by the
+    # patch rule's error (about 2e-11), not by round-off
+    mesh = build_surface(GENERAL, order=24)
+    rows, _ = quad._orbit_rows(mesh)
+    groups = _pole_groups(mesh, rows)
+    assert [k for _, k in groups] == [0, 1, 2]
+    want = _self_integral(quad._diag_geometry(mesh), constants, flat, 1.0)
+    for direction in (-np.inf, np.inf):
+        nodes = mesh.nodes.copy()
+        nodes[:, axis] = np.nextafter(nodes[:, axis], direction)
+        bumped = dataclasses.replace(mesh, nodes=nodes)
+        assert _pole_groups(bumped, rows) == groups
+        got = _self_integral(quad._diag_geometry(bumped), constants, flat, 1.0)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def _reference_evaluate(chart, u, v):
+    """Chart points and area element from separate sin / cos passes, in the
+    expression order the meshes and CSVs were built with."""
+    if isinstance(chart, _ScaledSphereChart):
+        x = np.empty(u.shape + (3,))
+        x[..., chart.k] = chart.axes[chart.k] * np.cos(u)
+        x[..., chart.i] = chart.axes[chart.i] * np.sin(u) * np.cos(v)
+        x[..., chart.j] = chart.axes[chart.j] * np.sin(u) * np.sin(v)
+        a, b, c = (float(chart.axes[n]) for n in (chart.i, chart.j, chart.k))
+        su, cu, cv, sv = np.sin(u), np.cos(u), np.cos(v), np.sin(v)
+        J = su * np.sqrt(
+            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
+        )
+        return chart.center + x, J
+    ring = chart.Rmaj + chart.rmin * np.cos(u)
+    x = np.stack([ring * np.cos(v), ring * np.sin(v), chart.rmin * np.sin(u)], axis=-1)
+    return chart.center + x, chart.rmin * (chart.Rmaj + chart.rmin * np.cos(u))
+
+
+def _charts():
+    ellipsoid = build_surface(dataclasses.replace(GENERAL, center=(0.3, -0.2, 0.1)), order=8)
+    yield "sphere", build_surface(Sphere((0.3, -0.2, 0.1), 1.3), order=8).chart
+    for pole in (0, 1, 2):
+        chart = ellipsoid.chart
+        yield f"ellipsoid_pole{pole}", _ScaledSphereChart(chart.center, chart.axes, pole)
+    yield "torus", build_surface(Torus((0.3, -0.2, 0.1), 2.0, 0.5), order=8).chart
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _charts()])
+def test_chart_evaluate_is_bitwise_embed_and_jacobian(name):
+    # one sin / cos pass gives the same bits as separate ones, on a patch
+    # batch's (B, 4, n_psi, n_s) shape
+    chart = dict(_charts())[name]
+    rng = np.random.default_rng(11)
+    shape = (3, 4, quad._N_PSI, quad._N_S)
+    u = rng.uniform(chart.u_lo, chart.u_hi, shape)
+    v = rng.uniform(-math.pi, math.pi, shape)
+    x, J = chart.evaluate(u, v)
+    ref_x, ref_J = _reference_evaluate(chart, u, v)
+    assert x.shape == shape + (3,) and J.shape == shape
+    assert np.array_equal(x, ref_x) and np.array_equal(J, ref_J)
+    assert np.array_equal(chart.embed(u, v), x)
+    assert np.array_equal(chart.jacobian(u, v), J)
 
 
 def test_general_ellipsoid_self_integral_against_doubled_patch_orders(
@@ -349,3 +431,109 @@ def test_pair_geometry_rejects_meshes_that_are_no_mirror_images():
         for pair in ((bad, other), (other, bad)):
             with pytest.raises(GeometryViolationError):
                 quad._pair_geometry(*pair)
+
+
+# How long cached geometry lives: exactly as long as its meshes.
+
+CACHES = ("_diag_geometry", "_pair_geometry", "_disjoint_ok")
+
+
+def _sizes():
+    gc.collect()
+    return [getattr(quad, name).cache_info().currsize for name in CACHES]
+
+
+def _pair(order=8):
+    return [build_surface(Sphere((4.0 * k, 0.0, 0.0), 1.0), order=order) for k in (0, 1)]
+
+
+def test_geometry_does_not_keep_its_mesh_alive():
+    a, b = _pair()
+    quad._diag_geometry(a)
+    quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+def test_diag_cache_stays_bounded_over_a_sweep():
+    before = _sizes()[0]
+    for radius in np.linspace(0.5, 2.0, 10):
+        mesh = build_surface(Sphere((0.0, 0.0, 0.0), float(radius)), order=8)
+        quad._diag_geometry(mesh)
+        assert quad._diag_geometry.cache_info().currsize <= before + 1
+    del mesh
+    assert _sizes()[0] == before
+
+
+@pytest.mark.parametrize("dies", [0, 1])
+def test_pair_entries_go_with_either_mesh(dies):
+    meshes = _pair()
+    before = _sizes()
+    quad.check_disjoint(*meshes)
+    quad._pair_geometry(*meshes)
+    assert _sizes() == [before[0], before[1] + 1, before[2] + 1]
+    del meshes[dies]
+    assert _sizes() == before
+
+
+def test_clear_caches_empties_all_three():
+    a, b = _pair()
+    quad._diag_geometry(a)
+    quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
+    assert all(n > 0 for n in _sizes())
+    quad.clear_caches()
+    for name in CACHES:
+        assert getattr(quad, name).cache_info() == (0, 0, None, 0)
+
+
+def test_live_mesh_hits_its_cached_geometry():
+    a, b = _pair()
+    diag, pair = quad._diag_geometry(a), quad._pair_geometry(a, b)
+    infos = [getattr(quad, name).cache_info() for name in CACHES[:2]]
+    assert quad._diag_geometry(a) is diag
+    assert quad._pair_geometry(a, b) is pair
+    for name, info in zip(CACHES[:2], infos):
+        now = getattr(quad, name).cache_info()
+        assert (now.hits, now.misses, now.currsize) == (info.hits + 1, info.misses, info.currsize)
+
+
+_PEAK_CHILD = """
+import sys
+from shellbound.cli import main
+code = main(sys.argv[1:])
+status = open("/proc/self/status").read().splitlines()
+print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _sweep_peak_kb(tmp_path, grid):
+    """VmHWM of a fresh process that runs one separation sweep.
+
+    The child reads its own high-water mark: ru_maxrss of a child can
+    inherit the parent's across exec.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argv = [
+        "sweep", "--config", str(root / "configs" / "two_spheres.json"),
+        "--param", "separation", "--grid", grid, "--out", str(tmp_path / "sweep.csv"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    code, kb = out.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return int(kb)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_separation_sweep_memory_does_not_grow_with_its_length(tmp_path):
+    # each sweep point's pair geometry goes with its mesh (before the weak
+    # caches: 57 MB over 2 points, 120 MB over 12)
+    grid = [f"{2.5 + 0.5 * k:.1f}" for k in range(12)]
+    short = _sweep_peak_kb(tmp_path, ",".join(grid[:2]))
+    long = _sweep_peak_kb(tmp_path, ",".join(grid))
+    assert long <= 1.1 * short
