@@ -36,13 +36,17 @@ All reductions run over fixed 4096-sample blocks whose partial sums are
 combined with math.fsum in index order, so results are bitwise reproducible
 and the kernel's scratch memory stays one block long.
 
-Geometry is cached per mesh, and a pair's per mesh pair, for exactly as long
-as its meshes live: the caches hold their meshes by weak reference, so a
-sweep that builds a new mesh per point frees each point's geometry with it,
-while a mesh a caller keeps gets its geometry back from the cache.  Patch
-rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays take
-about 1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows on
-spheres, tori and general ellipsoids.
+Every double sum takes one path: double_sum picks the self-integral or the
+pair rule, whose cached (distances, weights) arrays go to
+weighted_kernel_sum.  _diag_geometry caches per mesh and _pair_geometry per
+mesh pair, for exactly as long as the meshes live: they hold them by weak
+reference, so a sweep that builds a new mesh per point frees each point's
+geometry with it, while a mesh a caller keeps gets its geometry back.  A
+pair build first checks that neither surface's nodes lie inside the other;
+an overlap raises GeometryViolationError and caches nothing.  Patch rows
+are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays take about
+1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows on spheres,
+tori and general ellipsoids.
 """
 
 from __future__ import annotations
@@ -309,31 +313,27 @@ def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
 
 
 def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
-    """Self-integral geometry (d, tw, jw) for the given outer rows.
+    """Self-integral geometry (d, w) for the given outer rows.
 
-    d holds the distances from each row's node to its patch points, jw the
-    (rows, samples) patch weights and tw those weights times the row's outer
-    weight, flattened.  weighted_kernel_sum(tw, d, kernel) is the double
-    surface integral of a radial kernel (no 1/V normalization applied)
-    whenever the rows carry the whole outer rule: the rows of _orbit_rows,
-    which the cached _diag_geometry uses, or every node with its own weight,
-    which the tests use as the reference rule.  Rows are built _PATCH_CHUNK
-    at a time; each row is independent of the others, so the chunking
-    changes no bit of the result.
+    d holds the distances from each row's node to its patch points and w
+    the matching patch weights times the row's outer weight, both flattened
+    row by row.  weighted_kernel_sum(w, d, kernel) is the double surface
+    integral of a radial kernel (no 1/V normalization applied) whenever the
+    rows carry the whole outer rule: the rows of _orbit_rows, which the
+    cached _diag_geometry uses, or every node with its own weight, which
+    the tests use as the reference rule.  Rows are built _PATCH_CHUNK at a
+    time; each row is independent of the others, so the chunking changes no
+    bit of the result.
     """
     M = 4 * _N_PSI * _N_S
-    d_all = np.empty((rows.size, M))
-    jw_all = np.empty((rows.size, M))
+    d = np.empty((rows.size, M))
+    w = np.empty((rows.size, M))
     for pos, chart in _patch_chart_groups(mesh, rows):
         for k in range(0, pos.size, _PATCH_CHUNK):
             chunk = pos[k : k + _PATCH_CHUNK]
-            d_all[chunk], jw_all[chunk] = _build_patch_group(mesh, rows[chunk], chart)
-    tw = row_weights[:, None] * jw_all
-    return (
-        np.ascontiguousarray(d_all.reshape(-1)),
-        np.ascontiguousarray(tw.reshape(-1)),
-        jw_all,
-    )
+            d[chunk], w[chunk] = _build_patch_group(mesh, rows[chunk], chart)
+    w *= row_weights[:, None]
+    return d.reshape(-1), w.reshape(-1)
 
 
 @_mesh_cache
@@ -344,15 +344,18 @@ def _diag_geometry(mesh: SurfaceMesh):
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
-    _, _, jw = _diag_geometry(mesh)
-    sums = jw.sum(axis=1)
+    rows, row_weights = _orbit_rows(mesh)
+    _, w = _diag_geometry(mesh)
+    sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
     return float(np.max(np.abs(sums - mesh.area)) / mesh.area)
 
 
 @_mesh_cache
 def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
-    """Flattened (distances, weight products) between two distinct surfaces.
+    """Flattened (distances, weight products) between two disjoint surfaces.
 
+    Raises GeometryViolationError, caching nothing, when either surface's
+    nodes lie inside the other beyond a 0.5e-9 share of the larger diameter.
     The product rule with mesh_i's nodes reduced by the orbit rule: a
     coordinate plane through both centres mirrors each mesh onto itself, so
     mirror images in mesh_i have the same inner sum over mesh_j.  One row
@@ -360,46 +363,42 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     and its distances to every node of mesh_j; a pair sharing no plane
     keeps every node.  Both meshes must pass the mirror-image check.
     """
+    tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
+    if np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol) or np.any(
+        implicit_value(mesh_j.shape, mesh_i.nodes) < tol
+    ):
+        raise GeometryViolationError(
+            f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} overlap"
+        )
     shared = tuple(a for a in range(3) if mesh_i.chart.center[a] == mesh_j.chart.center[a])
     rows, row_weights = _orbit_rows(mesh_i, shared)
     _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
     diff = mesh_i.nodes[rows, None, :] - mesh_j.nodes[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     w = row_weights[:, None] * mesh_j.weights[None, :]
-    return np.ascontiguousarray(d.reshape(-1)), np.ascontiguousarray(w.reshape(-1))
-
-
-@_mesh_cache
-def _disjoint_ok(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh) -> bool:
-    tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
-    return not (
-        np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol)
-        or np.any(implicit_value(mesh_j.shape, mesh_i.nodes) < tol)
-    )
-
-
-def check_disjoint(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh) -> None:
-    """Raise when one surface's nodes penetrate the other surface."""
-    if not _disjoint_ok(mesh_i, mesh_j):
-        raise GeometryViolationError(
-            f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} overlap"
-        )
+    return d.reshape(-1), w.reshape(-1)
 
 
 def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> float:
     """Double integral of kernel(d) over mesh x mesh (singularity-safe)."""
-    d, tw, _ = _diag_geometry(mesh)
-    return weighted_kernel_sum(tw, d, kernel_fn)
+    d, w = _diag_geometry(mesh)
+    return weighted_kernel_sum(w, d, kernel_fn)
 
 
 def offdiag_weighted_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> float:
     """Double integral of kernel(d) over two disjoint surfaces."""
-    check_disjoint(mesh_i, mesh_j)
     d, w = _pair_geometry(mesh_i, mesh_j)
     return weighted_kernel_sum(w, d, kernel_fn)
+
+
+def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> float:
+    """Double integral of kernel(d) over mesh_i x mesh_j: the self-integral
+    when both are the same mesh, the pair rule otherwise."""
+    if mesh_i is mesh_j:
+        return diag_weighted_sum(mesh_i, kernel_fn)
+    return offdiag_weighted_sum(mesh_i, mesh_j, kernel_fn)
 
 
 def clear_caches() -> None:
     _diag_geometry.cache_clear()
     _pair_geometry.cache_clear()
-    _disjoint_ok.cache_clear()

@@ -100,12 +100,7 @@ class SurfaceSpec:
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-10
-    nu_min: float = 1e-4
-
-    @property
-    def nu_floor(self) -> float:
-        """Stand-in for nu -> 0 in the exact critical coupling, in [1e-6, 1e-2]."""
-        return min(max(self.nu_min, 1e-6), 1e-2)
+    nu_min: float = 1e-4  # stand-in for nu -> 0 in the exact critical coupling
 
 
 @dataclass(frozen=True)
@@ -257,8 +252,8 @@ def load_config(path: str) -> ExperimentConfig:
         tol=_number(sobj, "tol", "solver", 1e-10),
         nu_min=_number(sobj, "nu_min", "solver", 1e-4),
     )
-    if not (solver.tol > 0.0 and solver.nu_min > 0.0):
-        raise ConfigError(f"solver needs tol > 0 and nu_min > 0, got {solver}")
+    if not (solver.tol > 0.0 and 1e-6 <= solver.nu_min <= 1e-2):
+        raise ConfigError(f"solver needs tol > 0 and nu_min in [1e-6, 1e-2], got {solver}")
 
     oobj = _expect_dict(data.get("output", {}), "output")
     _check_keys(oobj, {"path", "format"}, "output")
@@ -371,7 +366,7 @@ def cmd_bounds(cfg: ExperimentConfig, args):
     for idx, mesh in enumerate(cfg.surfaces):
         exact = None
         if cfg.space.is_flat:
-            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor)
+            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min)
         ambient, cases = _model_cases(cfg.space, mesh.meta)
         for case_name, sub in cases:
             try:
@@ -499,7 +494,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
             mesh = cfg.surface_specs[0].build(radius=r)
             put_solve(r, (mesh,), cfg.couplings)
             if cfg.space.is_flat:
-                put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
+                put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
     else:
         _require_surfaces(cfg, "sweep deformation_c", 1)
         if cfg.surface_specs[0].kind != "sphere":
@@ -509,7 +504,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         target = cfg.surfaces[0].area
         for c in grid:
             mesh = _fixed_area_ellipsoid(cfg.surface_specs[0], c, target)
-            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_floor))
+            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
             put(c, "area", mesh.area)
 
     columns = ["param", "param_value", "metric", "metric_value", "status"]

@@ -203,9 +203,8 @@ class Ellipsoid:
 # A chart maps (u, v) -> R^3 onto one closed surface.  u is the polar-type
 # parameter on [u_lo, u_hi] (periodic when u_periodic), v is 2*pi-periodic,
 # and every method takes broadcasting arrays.  evaluate gives the points and
-# the area element |x_u x x_v| from one pass of sin and cos; embed and
-# jacobian are its two halves.  revolution says whether rotation about the
-# chart axis maps the surface onto itself.
+# the area element |x_u x x_v| from one pass of sin and cos.  revolution
+# says whether rotation about the chart axis maps the surface onto itself.
 
 
 class _TorusChart:
@@ -222,12 +221,6 @@ class _TorusChart:
         ring = self.Rmaj + self.rmin * np.cos(u)
         x = np.stack([ring * np.cos(v), ring * np.sin(v), self.rmin * np.sin(u)], axis=-1)
         return self.center + x, self.rmin * ring
-
-    def embed(self, u, v):
-        return self.evaluate(u, v)[0]
-
-    def jacobian(self, u, v):
-        return self.evaluate(u, v)[1]
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -278,12 +271,6 @@ class _ScaledSphereChart:
             c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
         )
         return self.center + x, J
-
-    def embed(self, u, v):
-        return self.evaluate(u, v)[0]
-
-    def jacobian(self, u, v):
-        return self.evaluate(u, v)[1]
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -368,7 +355,7 @@ def _node_grid_gl(chart, order: int):
     dv = 2.0 * math.pi / nv
     U, V = np.meshgrid(u, v, indexing="ij")
     nodes, J = chart.evaluate(U, V)
-    # dA = jacobian(u,v) du dv and du = dw/sin(u) under w = cos(u).
+    # dA = J(u, v) du dv and du = dw/sin(u) under w = cos(u).
     su = np.sin(U)
     W = (J / su) * wu[:, None] * dv
     return U, V, nodes, W

@@ -157,10 +157,8 @@ def pair_integral(
     if not nu > 0.0:
         raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
     kernel = lambda d: static_kernel_array(space, constants, nu, d)
-    if mesh_i is mesh_j:
-        return quad.diag_weighted_sum(mesh_i, kernel) / mesh_i.area
-    raw = quad.offdiag_weighted_sum(mesh_i, mesh_j, kernel)
-    return raw / math.sqrt(mesh_i.area * mesh_j.area)
+    # on the diagonal sqrt(V * V) is V exactly
+    return quad.double_sum(mesh_i, mesh_j, kernel) / math.sqrt(mesh_i.area * mesh_j.area)
 
 
 def _brent(f, a, f_a, b, f_b, xtol, rtol, error):
@@ -341,14 +339,16 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
-    """Zero of the lowest-eigenvalue flow of phi(nu), searched above lo.
+def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundStateResult:
+    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo, ceil].
 
-    phi maps nu to the principal matrix; the returned weights are its unit
-    null eigenvector at the crossing, sign-fixed to a nonnegative sum
-    (ground-state positivity).  iterations counts the evaluations of
-    omega_min made by the root finder.  The matrices it evaluates are kept,
-    so the null vector at the root needs no further assembly.
+    phi maps nu to the principal matrix, or to any symmetric matrix family
+    whose lowest eigenvalue rises in its parameter (the variational I - K);
+    the returned weights are its unit null eigenvector at the crossing,
+    sign-fixed to a nonnegative sum (ground-state positivity).  iterations
+    counts the evaluations of omega_min made by the root finder.  The
+    matrices it evaluates are kept, so the null vector at the root needs no
+    further assembly.
     """
     seen = {}
 
@@ -362,8 +362,8 @@ def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
             f"omega_min({lo}) = {f_lo} > 0: no bound state at or below the bracket start"
         )
     nu_sol, evals = _monotone_root(
-        omega, lo, f_lo, max(2.0 * lo, 1.0), _NU_CEIL,
-        NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]"),
+        omega, lo, f_lo, max(2.0 * lo, 1.0), ceil,
+        NoBoundStateError(f"no bound state in bracket [{lo}, {ceil}]"),
         0.5e-12,
     )
     at_root = seen[nu_sol] if nu_sol in seen else phi(nu_sol)

@@ -4,7 +4,9 @@ The single-surface functional E(alpha) and the multi-surface matrices K, L,
 S share one ingredient: double surface integrals of the static kernel and
 its first two derivatives with respect to the trial parameter alpha (the
 time weights 1, t, t^2 under the integral). The derivative kernels are
-closed forms, so no time quadrature happens here.
+closed forms, so no time quadrature happens here. The matrices take their
+integrals from _quadrature.double_sum, and the zero mode of I - K is found
+by principal._ground_state, the search the principal matrices use.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quadrature as quad
-from .errors import (
-    IllConditionedError,
-    InvalidArgumentError,
-    InvalidStateError,
-    NoBoundStateError,
-)
+from .errors import IllConditionedError, InvalidArgumentError, InvalidStateError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import jacobi_eigh
 from .kernels import (
@@ -30,8 +27,9 @@ from .kernels import (
 )
 from .principal import (
     CouplingSpec,
+    PrincipalMatrix,
     _check_flat,
-    _monotone_root,
+    _ground_state,
     _validate_system,
     assemble_phi,
 )
@@ -80,13 +78,6 @@ class VariationalMatrices:
     @property
     def n(self) -> int:
         return self.K.shape[0]
-
-
-def _entry(mesh_i, mesh_j, kernel) -> float:
-    """Unnormalized double integral of kernel(distance) over mesh_i x mesh_j."""
-    if mesh_i is mesh_j:
-        return quad.diag_weighted_sum(mesh_i, kernel)
-    return quad.offdiag_weighted_sum(mesh_i, mesh_j, kernel)
 
 
 def normalization_Z(
@@ -167,7 +158,7 @@ def _scaled_matrix(surfaces, lams, kernel) -> np.ndarray:
     M = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            raw = _entry(surfaces[i], surfaces[j], kernel)
+            raw = quad.double_sum(surfaces[i], surfaces[j], kernel)
             norm = math.sqrt(
                 lams[i] * lams[j] / (surfaces[i].area * surfaces[j].area)
             )
@@ -246,42 +237,21 @@ def solve_variational(
     """Trial parameter alpha* where I - K(alpha) develops a zero mode.
 
     K's entries shrink as alpha grows, so the smallest eigenvalue of
-    I - K(alpha) increases and bracket expansion plus Brent's method finds
-    its zero. Returns (alpha*, A) with A the unit zero mode, sign-fixed to
-    nonnegative sum. The K matrices the root finder evaluates are kept, so
-    the zero mode at alpha* needs no further assembly.
+    I - K(alpha) increases, and principal._ground_state finds its zero by
+    bracket expansion plus Brent's method in [_ALPHA_FLOOR, _ALPHA_CEIL].
+    Returns (alpha*, A) with A the unit zero mode, sign-fixed to
+    nonnegative sum.
     """
     _check_flat(space)
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
     lams = _require_lambda_form(couplings)
-    seen = {}
+    eye = np.eye(len(surfaces))
 
-    def gap(alpha: float) -> float:
-        K = seen[alpha] = _k_matrix(surfaces, lams, space, constants, alpha)
-        if K.shape[0] == 1:
-            return 1.0 - float(K[0, 0])
-        w, _ = jacobi_eigh(K)
-        return 1.0 - float(w[-1])
+    def phi(alpha: float) -> PrincipalMatrix:
+        K = _k_matrix(surfaces, lams, space, constants, alpha)
+        return PrincipalMatrix(alpha, eye - K, surfaces, couplings)
 
-    g_lo = gap(_ALPHA_FLOOR)
-    if g_lo >= 0.0:
-        raise NoBoundStateError(
-            "I - K has no zero mode: couplings are at or below critical"
-        )
-    alpha_star, _ = _monotone_root(
-        gap, _ALPHA_FLOOR, g_lo, 1.0, _ALPHA_CEIL,
-        NoBoundStateError(f"no zero mode with alpha up to {_ALPHA_CEIL}"),
-        0.5e-12,
-    )
-    K = seen[alpha_star] if alpha_star in seen else _k_matrix(
-        surfaces, lams, space, constants, alpha_star
-    )
-    if K.shape[0] == 1:
-        A = np.array([1.0])
-    else:
-        _, V = jacobi_eigh(np.eye(K.shape[0]) - K)
-        A = V[:, 0]
-        if float(np.sum(A)) < 0.0:
-            A = -A
-    return alpha_star, A
+    # the tolerance only sets the result's converged flag, which is dropped
+    result = _ground_state(phi, _ALPHA_FLOOR, 1e-10, _ALPHA_CEIL)
+    return result.nu_star, result.weights

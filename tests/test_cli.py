@@ -116,6 +116,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         lambda d: {**d, "ambient": {"kind": "flat", "volume": 7.0}},
         lambda d: {**d, "ambient": {"kind": "flat", "K": 0.5}},
         lambda d: {**d, "constants": {"hbar": -1.0}},
+        lambda d: {**d, "solver": {"nu_min": 0.5}},
+        lambda d: {**d, "solver": {"nu_min": 1e-7}},
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -350,8 +352,8 @@ def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere3
         if r["metric"] == "area":
             assert abs(float(r["metric_value"]) - 4.0 * math.pi) <= 1e-12
     # at c = 1 the fixed-area ellipsoid is the unit sphere of the config
-    nu_floor = load_config(config_dir / "single_sphere.json").solver.nu_floor
-    sphere = critical_coupling_exact(sphere32, flat, constants, nu_floor)
+    nu_min = load_config(config_dir / "single_sphere.json").solver.nu_min
+    sphere = critical_coupling_exact(sphere32, flat, constants, nu_min)
     (at_one,) = [float(r["metric_value"]) for r in rows
                  if r["param_value"] == "1.0" and r["metric"] == "lambda_critical"]
     assert abs(at_one - sphere) <= 1e-12

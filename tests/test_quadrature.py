@@ -34,8 +34,8 @@ def _full_rule(mesh):
 
 
 def _self_integral(geometry, constants, flat, nu):
-    d, tw, _ = geometry
-    return quad.weighted_kernel_sum(tw, d, lambda x: static_kernel_array(flat, constants, nu, x))
+    d, w = geometry
+    return quad.weighted_kernel_sum(w, d, lambda x: static_kernel_array(flat, constants, nu, x))
 
 
 def test_diag_quadrature_convergence(constants, flat):
@@ -152,13 +152,11 @@ def test_diag_geometry_rows(sphere16, torus16):
     spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=8)
     general = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.3, 1.5), order=8)
     for mesh in (sphere16, torus16, spheroid):
-        d, tw, jw = quad._diag_geometry(mesh)
-        assert d.size == tw.size == mesh.order * PATCH_SAMPLES
-        assert jw.shape == (mesh.order, PATCH_SAMPLES)
+        d, w = quad._diag_geometry(mesh)
+        assert d.shape == w.shape == (mesh.order * PATCH_SAMPLES,)
     # 4 u-orbits times 5 v-orbits of the three reflections
-    d, tw, jw = quad._diag_geometry(general)
-    assert d.size == tw.size == 20 * PATCH_SAMPLES
-    assert jw.shape == (20, PATCH_SAMPLES)
+    d, w = quad._diag_geometry(general)
+    assert d.shape == w.shape == (20 * PATCH_SAMPLES,)
 
 
 def test_equal_axis_ellipsoid_is_the_sphere_bitwise():
@@ -188,7 +186,7 @@ def _turned(mesh):
     """The mesh with its nodes turned by 0.1 in v: the layout holds, but
     the nodes are no mirror images."""
     u, v = mesh.params[:, 0], mesh.params[:, 1]
-    return dataclasses.replace(mesh, nodes=mesh.chart.embed(u, v + 0.1))
+    return dataclasses.replace(mesh, nodes=mesh.chart.evaluate(u, v + 0.1)[0])
 
 
 def test_orbit_rows_reject_nodes_off_the_reflection_grid():
@@ -202,7 +200,7 @@ def _one_batch_per_group(mesh, rows, row_weights):
     jw = np.empty((rows.size, PATCH_SAMPLES))
     for pos, chart in quad._patch_chart_groups(mesh, rows):
         d[pos], jw[pos] = quad._build_patch_group(mesh, rows[pos], chart)
-    return d.reshape(-1), (row_weights[:, None] * jw).reshape(-1), jw
+    return d.reshape(-1), (row_weights[:, None] * jw).reshape(-1)
 
 
 def test_chunked_patch_rows_match_one_batch():
@@ -285,8 +283,6 @@ def test_chart_evaluate_is_bitwise_embed_and_jacobian(name):
     ref_x, ref_J = _reference_evaluate(chart, u, v)
     assert x.shape == shape + (3,) and J.shape == shape
     assert np.array_equal(x, ref_x) and np.array_equal(J, ref_J)
-    assert np.array_equal(chart.embed(u, v), x)
-    assert np.array_equal(chart.jacobian(u, v), J)
 
 
 def test_general_ellipsoid_self_integral_against_doubled_patch_orders(
@@ -318,13 +314,16 @@ def test_patch_weight_residual(sphere16, torus16):
 
 
 def test_check_disjoint(sphere16):
+    # a pair's geometry is built only for disjoint surfaces, in either order
     near = build_surface(Sphere((1.5, 0.0, 0.0), 1.0), order=8)
-    with pytest.raises(GeometryViolationError):
-        quad.check_disjoint(sphere16, near)
+    for pair in ((sphere16, near), (near, sphere16)):
+        with pytest.raises(GeometryViolationError):
+            quad._pair_geometry(*pair)
     touching = build_surface(Sphere((2.0, 0.0, 0.0), 1.0), order=8)
-    quad.check_disjoint(sphere16, touching)
     apart = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
-    quad.check_disjoint(sphere16, apart)
+    for other in (touching, apart):
+        quad._pair_geometry(sphere16, other)
+        quad._pair_geometry(other, sphere16)
 
 
 def test_check_disjoint_catches_nested_surfaces(sphere16):
@@ -332,7 +331,17 @@ def test_check_disjoint_catches_nested_surfaces(sphere16):
     inner = build_surface(Sphere((0.1, 0.0, 0.0), 0.5), order=8)
     for a, b in ((sphere16, inner), (inner, sphere16)):
         with pytest.raises(GeometryViolationError):
-            quad.check_disjoint(a, b)
+            quad._pair_geometry(a, b)
+
+
+def test_rejected_pair_caches_nothing(sphere16):
+    # an overlapping pair raises on every call and leaves no cache entry
+    near = build_surface(Sphere((1.5, 0.0, 0.0), 1.0), order=8)
+    before = quad._pair_geometry.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(GeometryViolationError):
+            quad._pair_geometry(sphere16, near)
+        assert quad._pair_geometry.cache_info().currsize == before
 
 
 def test_offdiag_respects_disjointness(constants, flat, sphere16):
@@ -435,7 +444,7 @@ def test_pair_geometry_rejects_meshes_that_are_no_mirror_images():
 
 # How long cached geometry lives: exactly as long as its meshes.
 
-CACHES = ("_diag_geometry", "_pair_geometry", "_disjoint_ok")
+CACHES = ("_diag_geometry", "_pair_geometry")
 
 
 def _sizes():
@@ -471,14 +480,13 @@ def test_diag_cache_stays_bounded_over_a_sweep():
 def test_pair_entries_go_with_either_mesh(dies):
     meshes = _pair()
     before = _sizes()
-    quad.check_disjoint(*meshes)
     quad._pair_geometry(*meshes)
-    assert _sizes() == [before[0], before[1] + 1, before[2] + 1]
+    assert _sizes() == [before[0], before[1] + 1]
     del meshes[dies]
     assert _sizes() == before
 
 
-def test_clear_caches_empties_all_three():
+def test_clear_caches_empties_both():
     a, b = _pair()
     quad._diag_geometry(a)
     quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
@@ -491,10 +499,10 @@ def test_clear_caches_empties_all_three():
 def test_live_mesh_hits_its_cached_geometry():
     a, b = _pair()
     diag, pair = quad._diag_geometry(a), quad._pair_geometry(a, b)
-    infos = [getattr(quad, name).cache_info() for name in CACHES[:2]]
+    infos = [getattr(quad, name).cache_info() for name in CACHES]
     assert quad._diag_geometry(a) is diag
     assert quad._pair_geometry(a, b) is pair
-    for name, info in zip(CACHES[:2], infos):
+    for name, info in zip(CACHES, infos):
         now = getattr(quad, name).cache_info()
         assert (now.hits, now.misses, now.currsize) == (info.hits + 1, info.misses, info.currsize)
 
