@@ -71,7 +71,6 @@ from .hybrid import (
 from .kernels import (
     KernelBoundConstants,
     StaticKernelQuery,
-    bessel_k1,
     heat_kernel,
     heat_kernel_lower_bound,
     heat_kernel_upper_bound,

@@ -42,11 +42,26 @@ weighted_kernel_sum.  _diag_geometry caches per mesh and _pair_geometry per
 mesh pair, for exactly as long as the meshes live: they hold them by weak
 reference, so a sweep that builds a new mesh per point frees each point's
 geometry with it, while a mesh a caller keeps gets its geometry back.  A
-pair build first checks that neither surface's nodes lie inside the other;
-an overlap raises GeometryViolationError and caches nothing.  Patch rows
-are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays take about
-1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows on spheres,
-tori and general ellipsoids.
+pair build first checks that neither surface's nodes lie inside the other
+and that no two nodes coincide; else it raises GeometryViolationError and
+caches nothing.
+
+Forms: the self-integral geometry depends on a surface's shape only up to
+translation and scale.  Every mesh carries its form (geometry.SurfaceForm:
+the shape at the origin divided by its scale s, and the order), and equal
+shapes share one interned form.  _form_geometry builds the patch rows once
+per form, from the form's own canonical mesh at the origin with s = 1, so
+the bits do not depend on which mesh asked first.  _diag_geometry checks
+that the mesh is that canonical mesh scaled by s and moved, and returns
+the form's arrays at s = 1, else a copy with distances times s and weights
+times s^4.  The form geometry lives as long as any mesh of its form: the
+meshes hold the form, the cache holds it weakly.  So equal spheres share
+one patch build, and a radius sweep builds one while the config's own
+mesh, of the same form, lives.
+
+Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
+take about 1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows
+on spheres, tori and general ellipsoids.
 """
 
 from __future__ import annotations
@@ -59,7 +74,14 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import GeometryViolationError
-from .geometry import SurfaceMesh, _ScaledSphereChart, implicit_value
+from .geometry import (
+    SurfaceForm,
+    SurfaceMesh,
+    _gauss_legendre,
+    _ScaledSphereChart,
+    build_surface,
+    implicit_value,
+)
 
 _BLOCK = 4096
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
@@ -68,10 +90,9 @@ _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
 
 
-@functools.lru_cache(maxsize=64)
 def _gl01(n: int):
     """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -83,8 +104,8 @@ def _mesh_cache(fn):
 
     Results sit in nested weakref.WeakKeyDictionary tables, [mesh_i][mesh_j]
     for a pair, so an entry goes when any of its meshes is collected.
-    SurfaceMesh (eq=False) hashes by identity.  The wrapper keeps
-    lru_cache's cache_info() and cache_clear().
+    SurfaceMesh and SurfaceForm (eq=False) hash by identity.  The wrapper
+    keeps lru_cache's cache_info() and cache_clear().
     """
     depth = fn.__code__.co_argcount
     table = weakref.WeakKeyDictionary()
@@ -337,9 +358,37 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
 
 
 @_mesh_cache
+def _form_geometry(form: SurfaceForm):
+    """Nodes, weights and orbit-rule (d, w) of a form's canonical mesh.
+
+    The canonical mesh is built here, at the origin with scale 1, and never
+    taken from whichever mesh asked first, so the result does not depend
+    on the order in which meshes of the form ask for it.
+    """
+    mesh = build_surface(form.shape, form.order)
+    return (mesh.nodes, mesh.weights, *_patch_rows(mesh, *_orbit_rows(mesh)))
+
+
+@_mesh_cache
 def _diag_geometry(mesh: SurfaceMesh):
-    """Self-integral geometry of one surface under the orbit rule."""
-    return _patch_rows(mesh, *_orbit_rows(mesh))
+    """Self-integral geometry of one surface under the orbit rule: its
+    form's, with distances times s and weights times s^4 for scale s.
+
+    Raises GeometryViolationError unless the mesh is its form's canonical
+    mesh scaled by s and moved to its centre: nodes within 0.5e-12 times
+    the diameter, weights within 1e-12 relative.
+    """
+    nodes, weights, d, w = _form_geometry(mesh.form)
+    s = mesh.scale
+    moved = mesh.chart.center + s * nodes
+    if mesh.nodes.shape != moved.shape or not (
+        np.all(np.abs(mesh.nodes - moved) <= 0.5e-12 * mesh.diameter_ambient)
+        and np.all(np.abs(mesh.weights - s * s * weights) <= 1e-12 * s * s * weights)
+    ):
+        raise GeometryViolationError("mesh is not its form's mesh moved and scaled")
+    if s == 1.0:
+        return d, w
+    return s * d, s**4 * w
 
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
@@ -355,7 +404,8 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     """Flattened (distances, weight products) between two disjoint surfaces.
 
     Raises GeometryViolationError, caching nothing, when either surface's
-    nodes lie inside the other beyond a 0.5e-9 share of the larger diameter.
+    nodes lie inside the other beyond a 0.5e-9 share of the larger diameter,
+    or when a node of one is a node of the other (zero distance).
     The product rule with mesh_i's nodes reduced by the orbit rule: a
     coordinate plane through both centres mirrors each mesh onto itself, so
     mirror images in mesh_i have the same inner sum over mesh_j.  One row
@@ -375,6 +425,10 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
     diff = mesh_i.nodes[rows, None, :] - mesh_j.nodes[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if not d.min() > 0.0:  # also catches NaN
+        raise GeometryViolationError(
+            f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} share a node"
+        )
     w = row_weights[:, None] * mesh_j.weights[None, :]
     return d.reshape(-1), w.reshape(-1)
 
@@ -400,5 +454,6 @@ def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> float:
 
 
 def clear_caches() -> None:
+    _form_geometry.cache_clear()
     _diag_geometry.cache_clear()
     _pair_geometry.cache_clear()

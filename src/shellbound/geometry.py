@@ -9,7 +9,10 @@ Minkowski R^{1,3}.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,12 @@ FLAT = "flat"
 HYPERBOLIC = "hyperbolic"
 
 
+def _is_normal(x: float) -> bool:
+    """Whether x is a finite float no smaller in magnitude than the least
+    normal one (False for 0, subnormals, inf and NaN)."""
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Particle constants. Defaults make kappa = nu and E = -nu^2."""
@@ -32,8 +41,11 @@ class PhysicalConstants:
     mass: float = 0.5
 
     def __post_init__(self):
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise InvalidArgumentError(f"hbar must be positive, got {self.hbar}")
+        # the kernels divide by hbar**2
+        if not (self.hbar > 0.0 and _is_normal(self.hbar * self.hbar)):
+            raise InvalidArgumentError(
+                f"hbar must be positive with a normal float square, got {self.hbar}"
+            )
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise InvalidArgumentError(f"mass must be positive, got {self.mass}")
 
@@ -295,6 +307,23 @@ class _ScaledSphereChart:
 
 
 @dataclass(frozen=True, eq=False)
+class SurfaceForm:
+    """A mesh's shape up to translation and scale, with its order.
+
+    shape is the surface moved to the origin and divided by its scale (the
+    sphere radius, the torus R_major or the ellipsoid a), so that scale is
+    1.  Equal forms are one instance, interned in _FORMS, which hashes by
+    identity (eq=False) and lives as long as some mesh of that form.
+    """
+
+    shape: object
+    order: int
+
+
+_FORMS = weakref.WeakValueDictionary()  # (canonical shape, order) -> its SurfaceForm
+
+
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Product quadrature mesh on one closed surface (flat embedding).
 
@@ -302,10 +331,12 @@ class SurfaceMesh:
     params[k] are the (u, v) coordinates of node k in chart, the smooth
     parametrization the mesh is built on.  The self-integral's singular
     patches use that chart, or for spheres and ellipsoids the same chart
-    with its pole re-seated.  Treat instances as immutable: the quadrature
-    caches geometry derived from these arrays for the mesh's lifetime, so
-    they must never be modified after construction.  Instances hash by
-    identity (eq=False), which those caches key on.
+    with its pole re-seated.  The mesh is its form's mesh (the same builder
+    on form.shape at form.order) scaled by scale and moved to its centre.
+    Treat instances as immutable: the quadrature caches geometry derived
+    from these arrays for the mesh's lifetime, so they must never be
+    modified after construction.  Instances hash by identity (eq=False),
+    which those caches key on.
     """
 
     shape: object
@@ -317,6 +348,8 @@ class SurfaceMesh:
     diameter_ambient: float
     meta: SurfaceCurvatureMeta
     chart: _ScaledSphereChart | _TorusChart = field(repr=False)
+    form: SurfaceForm = field(repr=False)
+    scale: float
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -342,12 +375,20 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _node_grid_gl(chart, order: int):
     """Gauss-Legendre in cos(u) times uniform v for polar-type charts.
 
     Returns the (order, 2 order) grids of u, v, nodes and weights.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     u = np.arccos(x[::-1])  # ascending u
     wu = w[::-1]
     nv = 2 * order
@@ -375,8 +416,28 @@ def _node_grid_periodic(chart, order: int):
     return U, V, nodes, W
 
 
-def _assemble_mesh(shape, order, chart, diameter, meta, area=None):
-    """Mesh on chart's node grid; area defaults to the sum of the weights."""
+def _check_center(center) -> tuple[float, float, float]:
+    center = tuple(float(c) for c in center)
+    if not all(math.isfinite(c) for c in center):
+        raise InvalidArgumentError(f"surface center must be finite, got {center}")
+    return center
+
+
+def _check_sizes(what: str, *sizes: float) -> None:
+    # weights scale with a size to the fourth power (the self-integral's
+    # form geometry), so that power must neither underflow nor overflow;
+    # a form's own sizes, divided by the scale, are checked the same way
+    for s in map(float, sizes):
+        if not (s > 0.0 and _is_normal(s * s * s * s)):
+            raise InvalidArgumentError(
+                f"{what} must be positive with a normal float fourth power, got {sizes}"
+            )
+
+
+def _assemble_mesh(shape, order, chart, diameter, meta, form_shape, scale, area=None):
+    """Mesh on chart's node grid; area defaults to the sum of the weights.
+
+    form_shape is shape moved to the origin and divided by scale."""
     grid = _node_grid_periodic if chart.u_periodic else _node_grid_gl
     U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(chart, order))
     return SurfaceMesh(
@@ -389,7 +450,12 @@ def _assemble_mesh(shape, order, chart, diameter, meta, area=None):
         diameter_ambient=float(diameter),
         meta=meta,
         chart=chart,
+        form=_FORMS.setdefault((form_shape, order), SurfaceForm(form_shape, order)),
+        scale=scale,
     )
+
+
+_ORIGIN = (0.0, 0.0, 0.0)
 
 
 def build_sphere(
@@ -400,8 +466,8 @@ def build_sphere(
 ) -> SurfaceMesh:
     """Sphere of the given radius, Gauss-Legendre x uniform-azimuth mesh."""
     order = _check_order(order)
-    if not radius > 0.0:
-        raise InvalidArgumentError(f"sphere radius must be positive, got {radius}")
+    center = _check_center(center)
+    _check_sizes("sphere radius", radius)
     R = float(radius)
     if meta is None:
         H = 1.0 / (R * R)
@@ -414,11 +480,13 @@ def build_sphere(
             chord_arc_kappa=1.0 / R,
         )
     return _assemble_mesh(
-        Sphere(tuple(float(c) for c in center), R),
+        Sphere(center, R),
         order,
         _ScaledSphereChart(center, (R, R, R), 2),
         diameter=2.0 * R,
         meta=meta,
+        form_shape=Sphere(_ORIGIN, 1.0),
+        scale=R,
         area=4.0 * math.pi * R * R,
     )
 
@@ -438,13 +506,15 @@ def build_torus(
     worst arc/chord ratio ~ pi/2 attained on equatorial half-loops).
     """
     order = _check_order(order)
-    if not (R_major > 0.0 and r_minor > 0.0):
-        raise InvalidArgumentError("torus radii must be positive")
+    center = _check_center(center)
+    _check_sizes("torus radii", R_major, r_minor)
     if r_minor >= R_major:
         raise GeometryViolationError(
             f"torus needs r_minor < R_major, got r={r_minor}, R={R_major}"
         )
     R, r = float(R_major), float(r_minor)
+    form_shape = Torus(_ORIGIN, 1.0, r / R)
+    _check_sizes("torus r_minor / R_major", form_shape.r_minor)
     if meta is None:
         kap = max(1.0 / r, 1.0 / (R - r))
         meta = SurfaceCurvatureMeta(
@@ -456,11 +526,13 @@ def build_torus(
             chord_arc_kappa=kap,
         )
     return _assemble_mesh(
-        Torus(tuple(float(c) for c in center), R, r),
+        Torus(center, R, r),
         order,
         _TorusChart(center, R, r),
         diameter=2.0 * (R + r),
         meta=meta,
+        form_shape=form_shape,
+        scale=R,
         area=4.0 * math.pi * math.pi * R * r,
     )
 
@@ -480,9 +552,11 @@ def build_ellipsoid(
     fills H_upper/H_lower in closed form.
     """
     order = _check_order(order)
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise InvalidArgumentError("ellipsoid semi-axes must be positive")
+    center = _check_center(center)
+    _check_sizes("ellipsoid semi-axes", a, b, c)
     axes = (float(a), float(b), float(c))
+    form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
+    _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
     if meta is None:
         prod2 = (axes[0] * axes[1] * axes[2]) ** 2
         curv = [p * p * p * p / prod2 for p in axes]  # p^2/(q^2 s^2) == p^4/(abc)^2
@@ -497,11 +571,13 @@ def build_ellipsoid(
             chord_arc_kappa=kap,
         )
     return _assemble_mesh(
-        Ellipsoid(tuple(float(x) for x in center), *axes),
+        Ellipsoid(center, *axes),
         order,
         _ScaledSphereChart(center, axes, 2),
         diameter=2.0 * max(axes),
         meta=meta,
+        form_shape=form_shape,
+        scale=axes[0],
     )
 
 

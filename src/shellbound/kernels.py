@@ -1,5 +1,5 @@
 """Heat kernels of the model spaces, their static (Laplace-in-time) kernels,
-two-sided heat-kernel bounds, and the modified Bessel function K1.
+and two-sided heat-kernel bounds.
 
 The static kernel is the free resolvent at energy E = -nu**2,
 
@@ -9,9 +9,6 @@ which in flat space is the Yukawa kernel (m/2*pi*hbar^2) e^{-kappa d}/d with
 kappa = sqrt(2m) nu / hbar, and in hyperbolic space of curvature -K picks up
 the factor sqrt(K) d / sinh(sqrt(K) d) and the shifted decay rate
 sqrt(K + 2 m nu^2/hbar^2).
-
-scipy is imported inside bessel_k1 and static_kernel_numeric, its only
-users here, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -29,13 +26,11 @@ __all__ = [
     "KernelBoundConstants",
     "heat_kernel",
     "static_kernel",
-    "static_kernel_numeric",
     "static_kernel_array",
     "static_kernel_dalpha_array",
     "static_kernel_d2alpha_array",
     "heat_kernel_lower_bound",
     "heat_kernel_upper_bound",
-    "bessel_k1",
 ]
 
 
@@ -176,35 +171,6 @@ def static_kernel_d2alpha_array(
     return mh * mh * (1.0 / gamma**3 + d / gamma**2) * dG
 
 
-def static_kernel_numeric(q: StaticKernelQuery) -> float:
-    """Adaptive time-quadrature of e^{-nu^2 t/hbar} K_t(d) / hbar.
-
-    Truncates at t_max = 40 hbar / nu^2 (hyperbolic decay only tightens
-    this); the discarded tail is below e^{-40} of the total.
-    """
-    from scipy import integrate
-
-    if q.nu <= 0.0:
-        raise InvalidArgumentError("numeric static kernel needs nu > 0")
-    if q.distance <= 0.0:
-        raise DivergentInputError("numeric static kernel needs distance > 0")
-    m, hbar = q.constants.mass, q.constants.hbar
-    rate = q.nu * q.nu / hbar
-    t_max = 40.0 / rate
-
-    def integrand(t):
-        return math.exp(-rate * t) * heat_kernel(q.space, q.constants, t, q.distance) / hbar
-
-    # Hint the peak of t^{-3/2} e^{-a/t - b t} to the subdivision.
-    a = m * q.distance * q.distance / (2.0 * hbar)
-    t_peak = math.sqrt(a / rate) if a > 0 else None
-    pts = [t_peak] if (t_peak is not None and 0.0 < t_peak < t_max) else None
-    val, _err = integrate.quad(
-        integrand, 0.0, t_max, points=pts, epsabs=0.0, epsrel=1e-12, limit=200
-    )
-    return val
-
-
 def heat_kernel_lower_bound(constants: PhysicalConstants, t, d):
     """Gaussian comparison lower bound; exact for flat space."""
     t_arr = np.asarray(t, dtype=float)
@@ -246,12 +212,3 @@ def heat_kernel_upper_bound(
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def bessel_k1(z: float) -> float:
-    """Modified Bessel function of the second kind, order one."""
-    from scipy import special
-
-    if not z > 0.0:
-        raise InvalidArgumentError(f"bessel_k1 requires z > 0, got {z}")
-    return float(special.k1(z))

@@ -111,7 +111,10 @@ class PrincipalMatrix:
         A = self.entries
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InvalidArgumentError("entries must be square")
-        scale = max(float(np.max(np.abs(A))), 1e-300)
+        scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
+        if not math.isfinite(scale):  # the symmetry test below passes NaN
+            raise InvalidArgumentError("principal matrix entries must be finite")
+        scale = max(scale, 1e-300)
         if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
             raise InvalidArgumentError("principal matrix must be symmetric")
 

@@ -71,7 +71,10 @@ class VariationalMatrices:
             A = getattr(self, name)
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
                 raise InvalidArgumentError(f"{name} must be square")
-            scale = max(float(np.max(np.abs(A))), 1e-300)
+            scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
+            if not math.isfinite(scale):
+                raise InvalidArgumentError(f"{name} entries must be finite")
+            scale = max(scale, 1e-300)
             if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
                 raise InvalidArgumentError(f"{name} must be symmetric")
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import k1 as bessel_k1
 
 from shellbound import (
     BoundCase,
@@ -21,7 +22,6 @@ from shellbound import (
     Sphere,
     assemble_phi,
     assemble_variational,
-    bessel_k1,
     build_surface,
     coupling_bound_diameter,
     coupling_bound_model,

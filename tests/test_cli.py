@@ -118,6 +118,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         lambda d: {**d, "constants": {"hbar": -1.0}},
         lambda d: {**d, "solver": {"nu_min": 0.5}},
         lambda d: {**d, "solver": {"nu_min": 1e-7}},
+        # sizes and hbar whose powers leave the normal floats, NaN centres
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "params": {"radius": 1e-200}}]},
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "params": {"radius": 1e100}}]},
+        lambda d: {**d, "constants": {"hbar": 1e-300}},
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "params": {"radius": math.nan}}]},
+        lambda d: {
+            **d,
+            "surfaces": [
+                {**d["surfaces"][0], "params": {"radius": 1.0, "center": [math.nan, 0.0, 0.0]}}
+            ],
+        },
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -166,6 +177,18 @@ def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, 
     args = ["sweep", "--config", str(config_dir / config), "--param", param, "--grid", grid]
     assert main(args + ["--out", str(out)]) == code
     assert not out.exists()
+
+
+def test_coincident_surfaces_exit_two(tmp_path, config_dir, capsys):
+    # the second sphere moved onto the first: no node lies inside the other
+    # surface, but nodes coincide, which is a domain error and writes nothing
+    data = json.loads((config_dir / "two_spheres.json").read_text())
+    data["surfaces"][1]["params"]["center"] = [0.0, 0.0, 0.0]
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "share a node" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_config(tmp_path, capsys):

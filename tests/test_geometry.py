@@ -9,6 +9,7 @@ from shellbound import (
     Ellipsoid,
     GeometryViolationError,
     InvalidArgumentError,
+    PhysicalConstants,
     Point3,
     Sphere,
     SurfaceCurvatureMeta,
@@ -105,6 +106,34 @@ def test_build_surface_validation():
         build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 0.0, 1.0), order=8)
     with pytest.raises(UnsupportedShapeError):
         build_surface(object(), order=8)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Sphere((0.0, 0.0, 0.0), 1e-80),
+        Sphere((0.0, 0.0, 0.0), 1e80),
+        Sphere((0.0, math.nan, 0.0), 1.0),
+        Torus((0.0, 0.0, 0.0), 1.0, 1e-80),
+        Torus((math.inf, 0.0, 0.0), 2.0, 0.5),
+        Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1e-80),
+        Ellipsoid((0.0, 0.0, 0.0), math.nan, 1.0, 1.0),
+        # every size is fine, but the form divides them by the scale
+        Torus((0.0, 0.0, 0.0), 1e70, 1e-70),
+        Ellipsoid((0.0, 0.0, 0.0), 1e-70, 1e70, 1.0),
+    ],
+)
+def test_builders_reject_unscalable_sizes_and_non_finite_centres(shape):
+    # weights scale with a size to the fourth power, which must stay normal
+    with pytest.raises(InvalidArgumentError):
+        build_surface(shape, order=8)
+
+
+def test_hbar_square_must_be_normal():
+    for hbar in (1e-160, 1e160):
+        with pytest.raises(InvalidArgumentError):
+            PhysicalConstants(hbar=hbar)
+    PhysicalConstants(hbar=1e-150)
 
 
 def test_point3_validation():

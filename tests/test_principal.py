@@ -1,6 +1,7 @@
 """Principal-matrix assembly, the monotone eigenvalue flow, and the
 bound-state solver."""
 
+import dataclasses
 import math
 import random
 
@@ -96,6 +97,20 @@ def test_assemble_phi_structure(constants, flat, sphere16):
         assemble_phi([sphere16], CouplingSpec.from_nu_stars(1.0, 2.0), flat, constants, 1.0)
     with pytest.raises(InvalidArgumentError):
         assemble_phi([], CouplingSpec(()), flat, constants, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_principal_matrix_rejects_non_finite_entries(constants, flat, sphere16, bad):
+    # a NaN or infinite entry passes the symmetry test, so it is checked
+    # on its own
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=16)
+    pm = assemble_phi(
+        [sphere16, other], CouplingSpec.from_nu_stars(1.0, 1.0), flat, constants, 1.2
+    )
+    entries = pm.entries.copy()
+    entries[0, 1] = entries[1, 0] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        dataclasses.replace(pm, entries=entries)
 
 
 def test_coupling_validation():

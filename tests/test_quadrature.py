@@ -203,7 +203,7 @@ def _one_batch_per_group(mesh, rows, row_weights):
     return d.reshape(-1), (row_weights[:, None] * jw).reshape(-1)
 
 
-def test_chunked_patch_rows_match_one_batch():
+def test_chunked_patch_rows_match_one_batch(constants, flat):
     # rows are independent, so building them _PATCH_CHUNK at a time changes
     # no bit; on this mesh a chart group spans several chunks both for the
     # per-node rows (288) and for the orbit rows (42) of _diag_geometry
@@ -214,8 +214,16 @@ def test_chunked_patch_rows_match_one_batch():
         want = _one_batch_per_group(mesh, rows, row_weights)
         for got, ref in zip(quad._patch_rows(mesh, rows, row_weights), want):
             assert np.array_equal(got, ref)
-    for got, ref in zip(quad._diag_geometry(mesh), want):
-        assert np.array_equal(got, ref)
+    # _diag_geometry is the canonical mesh's orbit rule scaled by (s, s^4),
+    # bitwise, and the direct build's self-integral to rounding
+    canonical = build_surface(mesh.form.shape, mesh.order)
+    d, w = _one_batch_per_group(canonical, *quad._orbit_rows(canonical))
+    s = mesh.scale
+    got = quad._diag_geometry(mesh)
+    assert np.array_equal(got[0], s * d) and np.array_equal(got[1], s**4 * w)
+    for nu in (0.1, 1.0, 3.0):
+        direct = _self_integral(want, constants, flat, nu)
+        assert _self_integral(got, constants, flat, nu) == pytest.approx(direct, rel=1e-14)
 
 
 def _pole_groups(mesh, rows):
@@ -324,6 +332,11 @@ def test_check_disjoint(sphere16):
     for other in (touching, apart):
         quad._pair_geometry(sphere16, other)
         quad._pair_geometry(other, sphere16)
+    # coincident surfaces: no node lies inside the other, but nodes coincide
+    coincident = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    for pair in ((sphere16, coincident), (coincident, sphere16)):
+        with pytest.raises(GeometryViolationError, match="share a node"):
+            quad._pair_geometry(*pair)
 
 
 def test_check_disjoint_catches_nested_surfaces(sphere16):
@@ -442,6 +455,70 @@ def test_pair_geometry_rejects_meshes_that_are_no_mirror_images():
                 quad._pair_geometry(*pair)
 
 
+# Forms: a self-integral's geometry depends on the shape only up to
+# translation and scale, so meshes of one form share one patch build.
+
+
+@pytest.mark.parametrize("R", [0.6, 1.3])
+def test_self_integral_scales_with_the_sphere(constants, flat, sphere32, R):
+    # G_nu(s d) = G_{s nu}(d) / s for the flat kernel, so
+    # P(sS, sS, nu) = s P(S, S, s nu)
+    scaled = build_surface(Sphere((0.0, 0.0, 0.0), R), order=32)
+    assert scaled.form is sphere32.form
+    for nu in (0.1, 3.0):
+        got = pair_integral(scaled, scaled, flat, constants, nu)
+        want = R * pair_integral(sphere32, sphere32, flat, constants, R * nu)
+        assert got == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Sphere((0.0, 0.0, 0.0), 1.0), GENERAL, Torus((0.0, 0.0, 0.0), 2.0, 0.5)],
+    ids=["sphere", "ellipsoid", "torus"],
+)
+def test_self_integral_is_translation_invariant(constants, flat, shape):
+    home = build_surface(shape, order=12)
+    moved = build_surface(dataclasses.replace(shape, center=(0.3, -1.7, 2.9)), order=12)
+    assert moved.form is home.form and moved.scale == home.scale
+    for nu in (0.1, 1.0, 3.0):
+        want = pair_integral(home, home, flat, constants, nu)
+        assert pair_integral(moved, moved, flat, constants, nu) == pytest.approx(want, rel=1e-15)
+
+
+def _radius_sweep(radii, constants, flat):
+    """Self-integrals at each radius, one fresh mesh per point as in
+    `sweep --param radius`, and a weak reference to the sweep's form."""
+    values = []
+    for R in radii:
+        mesh = build_surface(Sphere((0.0, 0.0, 0.0), R), order=14)
+        values.append([pair_integral(mesh, mesh, flat, constants, nu) for nu in (0.5, 2.0)])
+    return values, weakref.ref(mesh.form)
+
+
+def test_radius_sweep_does_not_depend_on_grid_order(constants, flat):
+    # the form dies between the two sweeps, so each builds its form
+    # geometry anew when its first radius asks: no row may depend on which
+    # radius that was
+    radii = [0.55, 0.8, 1.3, 1.95]
+    forward, form = _radius_sweep(radii, constants, flat)
+    gc.collect()
+    assert form() is None
+    backward, form = _radius_sweep(radii[::-1], constants, flat)
+    assert np.array(forward).tobytes() == np.array(backward[::-1]).tobytes()
+
+
+def test_diag_geometry_rejects_a_mesh_that_is_not_its_form():
+    # a replaced mesh keeps its form, so its nodes and weights are checked
+    # against the form's before it can get the form's geometry
+    for shape in (Sphere((0.3, 0.0, 0.0), 1.3), GENERAL, Torus((0.0, 0.0, 0.0), 2.0, 0.5)):
+        mesh = build_surface(shape, order=8)
+        heavier = dataclasses.replace(mesh, weights=mesh.weights * (1.0 + 1e-9))
+        for bad in (_turned(mesh), heavier):
+            assert bad.form is mesh.form
+            with pytest.raises(GeometryViolationError):
+                quad._diag_geometry(bad)
+
+
 # How long cached geometry lives: exactly as long as its meshes.
 
 CACHES = ("_diag_geometry", "_pair_geometry")
@@ -486,13 +563,36 @@ def test_pair_entries_go_with_either_mesh(dies):
     assert _sizes() == before
 
 
+def test_form_geometry_lives_as_long_as_a_mesh_of_its_form():
+    # equal shapes at other centres and scales share one form and one build
+    forms = quad._form_geometry
+    gc.collect()
+    before = forms.cache_info()
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 0.7), order=10)
+    b = build_surface(Sphere((3.0, 0.0, 0.0), 1.9), order=10)
+    assert a.form is b.form
+    quad._diag_geometry(a)
+    quad._diag_geometry(b)
+    assert forms.cache_info().misses == before.misses + 1
+    form = weakref.ref(a.form)
+    del a
+    gc.collect()
+    assert form() is not None and forms.cache_info().currsize == before.currsize + 1
+    c = build_surface(Sphere((0.0, 5.0, 0.0), 1.1), order=10)
+    quad._diag_geometry(c)
+    assert forms.cache_info().misses == before.misses + 1
+    del b, c
+    gc.collect()
+    assert form() is None and forms.cache_info().currsize == before.currsize
+
+
 def test_clear_caches_empties_both():
     a, b = _pair()
     quad._diag_geometry(a)
     quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
     assert all(n > 0 for n in _sizes())
     quad.clear_caches()
-    for name in CACHES:
+    for name in (*CACHES, "_form_geometry"):
         assert getattr(quad, name).cache_info() == (0, 0, None, 0)
 
 

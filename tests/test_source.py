@@ -1,8 +1,9 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+no module imports scipy, which is a test dependency only.
 
 No linter ships with the package's dependencies, so this parses each module
-with the standard library's ast.  __init__.py is left out: it imports names
-to re-export them.
+with the standard library's ast.  __init__.py is left out of the unused
+import check: it imports names to re-export them.
 """
 
 import ast
@@ -41,3 +42,28 @@ def test_the_check_finds_an_unused_import():
 def test_module_imports_are_used(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _unused_imports(tree) == []
+
+
+def _scipy_imports(tree: ast.Module) -> list[str]:
+    """Every import of scipy or a scipy submodule, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_check_finds_a_lazy_scipy_import():
+    tree = ast.parse("import os\ndef f():\n    from scipy import special\n    import scipy.linalg\n")
+    assert _scipy_imports(tree) == ["line 3: scipy", "line 4: scipy.linalg"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_does_not_import_scipy(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _scipy_imports(tree) == []
