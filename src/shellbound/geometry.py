@@ -369,9 +369,18 @@ class SurfaceMesh:
         return self.nodes.shape[0]
 
 
+# Highest quadrature order.  Pair geometry grows as order^4: measured peak
+# RSS of `bounds` on two unit spheres (README) is 78 / 245 MB at orders 32 / 48
+# for collinear centres and 196 / 848 MB for centres on no shared plane, and
+# order 64 would extrapolate to about 0.7 / 2.6 GB.
+MAX_ORDER = 48
+
+
 def _check_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or order < 4:
-        raise InvalidArgumentError(f"quadrature order must be an integer >= 4, got {order}")
+    if not isinstance(order, (int, np.integer)) or not 4 <= order <= MAX_ORDER:
+        raise InvalidArgumentError(
+            f"quadrature order must be an integer in [4, {MAX_ORDER}], got {order}"
+        )
     return int(order)
 
 
@@ -558,8 +567,10 @@ def build_ellipsoid(
     form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
     _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
     if meta is None:
-        prod2 = (axes[0] * axes[1] * axes[2]) ** 2
-        curv = [p * p * p * p / prod2 for p in axes]  # p^2/(q^2 s^2) == p^4/(abc)^2
+        # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
+        # underflows for axes that pass _check_sizes (1e-76 each)
+        x, y, z = axes
+        curv = [k * k for k in (x / (y * z), y / (z * x), z / (x * y))]
         H_up, H_lo = max(curv), min(curv)
         kap = max(axes) / min(axes) ** 2
         meta = SurfaceCurvatureMeta(

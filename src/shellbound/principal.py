@@ -19,6 +19,7 @@ so importing the package does not load scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,12 +123,16 @@ class PrincipalMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) of jacobi_eigh(entries), solved once per matrix."""
+        return jacobi_eigh(self.entries)
+
     def omega_min(self) -> float:
         """Lowest eigenvalue (cyclic Jacobi)."""
         if self.n == 1:
             return float(self.entries[0, 0])
-        w, _ = jacobi_eigh(self.entries)
-        return float(w[0])
+        return float(self.eigh[0][0])
 
 
 @dataclass(frozen=True)
@@ -268,17 +273,34 @@ def assemble_phi(
     constants: PhysicalConstants,
     nu: float,
 ) -> PrincipalMatrix:
-    """Principal matrix at spectral parameter nu (energy -nu**2)."""
+    """Principal matrix at spectral parameter nu (energy -nu**2).
+
+    Each distinct self-integral P_ii is summed once per call.  Surfaces of
+    one form at one scale share their cached self-integral geometry (see
+    _quadrature), so with equal areas their P_ii at one nu are bitwise
+    equal, and the first one's value serves the others.  Each sharing mesh
+    is still checked against its form.
+    """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
     n = len(surfaces)
     A = np.zeros((n, n))
+    selves = {}
+
+    def self_integral(mesh: SurfaceMesh, at: float) -> float:
+        key = (mesh.form, mesh.scale, mesh.area, at)
+        if key in selves:
+            quad._diag_geometry(mesh)  # raises unless mesh is its form's mesh
+        else:
+            selves[key] = pair_integral(mesh, mesh, space, constants, at)
+        return selves[key]
+
     for i, (mesh, cp) in enumerate(zip(surfaces, couplings.items)):
-        p_nu = pair_integral(mesh, mesh, space, constants, nu)
+        p_nu = self_integral(mesh, nu)
         if cp.lam is not None:
             A[i, i] = 1.0 / cp.lam - p_nu
         else:
-            A[i, i] = pair_integral(mesh, mesh, space, constants, cp.nu_star) - p_nu
+            A[i, i] = self_integral(mesh, cp.nu_star) - p_nu
     for i in range(n):
         for j in range(i + 1, n):
             val = -pair_integral(surfaces[i], surfaces[j], space, constants, nu)
@@ -351,7 +373,7 @@ def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundSt
     sign-fixed to a nonnegative sum (ground-state positivity).  iterations
     counts the evaluations of omega_min made by the root finder.  The
     matrices it evaluates are kept, so the null vector at the root needs no
-    further assembly.
+    further assembly, and its eigenpairs, solved for omega_min, are reused.
     """
     seen = {}
 
@@ -370,7 +392,7 @@ def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundSt
         0.5e-12,
     )
     at_root = seen[nu_sol] if nu_sol in seen else phi(nu_sol)
-    w, V = jacobi_eigh(at_root.entries)
+    w, V = at_root.eigh
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
         vec = -vec

@@ -13,9 +13,11 @@ import sys
 import numpy as np
 import pytest
 
+from shellbound import geometry
 from shellbound.bounds import critical_coupling_exact
 from shellbound.cli import _fmt, load_config, main
 from shellbound.errors import ConfigError
+from shellbound.geometry import MAX_ORDER
 
 SPHERE_NU = {
     "surfaces": [
@@ -189,6 +191,55 @@ def test_coincident_surfaces_exit_two(tmp_path, config_dir, capsys):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert "share a node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**5])
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_order_above_the_cap_exits_one(tmp_path, monkeypatch, capsys, command, order):
+    # rejected before any node grid of that order is built: a Gauss-Legendre
+    # rule above the cap fails the test instead of allocating
+    rule = geometry._gauss_legendre
+
+    def capped(n):
+        assert n <= MAX_ORDER, f"built a Gauss-Legendre rule of order {n}"
+        return rule(n)
+
+    monkeypatch.setattr(geometry, "_gauss_legendre", capped)
+    data = json.loads(json.dumps(SPHERE_NU))
+    data["surfaces"][0]["order"] = order
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"[4, {MAX_ORDER}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_tiny_ellipsoid_keeps_the_exit_contract(tmp_path, command):
+    # each semi-axis 1e-76 passes the size check (its fourth power is normal)
+    # while (abc)^2 underflows; the curvature metadata must not divide by it
+    data = {
+        "surfaces": [
+            {
+                "shape": "ellipsoid",
+                "params": {"a": 1e-76, "b": 1e-76, "c": 1e-76},
+                "order": 8,
+                "coupling": {"nu_star": 1.0},
+            }
+        ]
+    }
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "tiny.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert out.exists() == (code == 0)
+    if code == 0:
+        _, rows = read_rows(out)
+        assert rows
+        for row in rows:
+            for key in ("value", "exact", "E_gr", "nu_star"):
+                if row.get(key):
+                    assert math.isfinite(float(row[key])), (key, row[key])
 
 
 def test_missing_and_malformed_config(tmp_path, capsys):

@@ -22,6 +22,7 @@ from shellbound import (
     hyperbolic_point,
     implicit_value,
 )
+from shellbound.geometry import MAX_ORDER
 
 
 def test_sphere_mesh_area_and_diameter(sphere24):
@@ -106,6 +107,25 @@ def test_build_surface_validation():
         build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 0.0, 1.0), order=8)
     with pytest.raises(UnsupportedShapeError):
         build_surface(object(), order=8)
+    # the order cap is checked before any node grid is built
+    assert build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=MAX_ORDER).order == MAX_ORDER
+    for shape in (
+        Sphere((0.0, 0.0, 0.0), 1.0),
+        Torus((0.0, 0.0, 0.0), 2.0, 0.5),
+        Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8),
+    ):
+        with pytest.raises(InvalidArgumentError, match="integer in"):
+            build_surface(shape, order=MAX_ORDER + 1)
+
+
+def test_ellipsoid_curvature_of_tiny_axes():
+    # (abc)^2 underflows at 1e-76 per axis; (p / (q s))^2 does not
+    for axes in ((1e-76, 1e-76, 1e-76), (1e-76, 2e-76, 3e-76)):
+        meta = build_surface(Ellipsoid((0.0, 0.0, 0.0), *axes), order=8).meta
+        a, b, c = axes
+        assert meta.H_upper == pytest.approx(max(a / (b * c), b / (a * c), c / (a * b)) ** 2, rel=1e-15)
+        assert meta.H_lower == pytest.approx(min(a / (b * c), b / (a * c), c / (a * b)) ** 2, rel=1e-15)
+        assert all(math.isfinite(x) for x in (meta.rho_min, meta.rho_max))
 
 
 @pytest.mark.parametrize(

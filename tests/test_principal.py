@@ -31,7 +31,10 @@ from shellbound.oracles import (
     sphere_pair_integral_exact,
     sphere_point_potential_exact,
 )
+from shellbound import _quadrature as quad
+from shellbound import principal
 from shellbound.cli import load_config
+from shellbound.errors import GeometryViolationError
 from shellbound.principal import _brent, _monotone_root, pair_integral, surface_potential
 
 
@@ -97,6 +100,91 @@ def test_assemble_phi_structure(constants, flat, sphere16):
         assemble_phi([sphere16], CouplingSpec.from_nu_stars(1.0, 2.0), flat, constants, 1.0)
     with pytest.raises(InvalidArgumentError):
         assemble_phi([], CouplingSpec(()), flat, constants, 1.0)
+
+
+def _counting(monkeypatch, name):
+    """Replace principal.<name> by a wrapper that records its calls."""
+    calls = []
+    inner = getattr(principal, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(principal, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+def test_assemble_phi_equal_spheres_bitwise(constants, flat, radius):
+    # equal spheres share one self-integral per nu: the entries are bitwise
+    # those of separate pair_integral calls on each mesh
+    a = build_surface(Sphere((0.0, 0.0, 0.0), radius), order=16)
+    b = build_surface(Sphere((0.0, 0.0, 5.0), radius), order=16)
+    c = build_surface(Sphere((5.0, 0.0, 0.0), radius), order=16)
+    nu = 1.2
+    couplings = CouplingSpec((Coupling(nu_star=0.9), Coupling(lam=3.0), Coupling(nu_star=0.9)))
+    meshes = (a, b, c)
+    A = assemble_phi(meshes, couplings, flat, constants, nu).entries
+    for i, (mesh, cp) in enumerate(zip(meshes, couplings.items)):
+        p_nu = pair_integral(mesh, mesh, flat, constants, nu)
+        if cp.lam is not None:
+            assert A[i, i] == 1.0 / cp.lam - p_nu
+        else:
+            assert A[i, i] == pair_integral(mesh, mesh, flat, constants, cp.nu_star) - p_nu
+        for j in range(i + 1, 3):
+            assert A[i, j] == A[j, i] == -pair_integral(mesh, meshes[j], flat, constants, nu)
+    assert A[0, 0] == A[2, 2]
+
+
+def test_assemble_phi_sums_each_distinct_self_integral_once(constants, flat, monkeypatch):
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
+    calls = _counting(monkeypatch, "pair_integral")
+    assemble_phi((a, b), CouplingSpec.from_nu_stars(0.7, 1.1), flat, constants, 1.3)
+    # P(nu) once for both, P_aa(0.7), P_bb(1.1) and the pair
+    assert len(calls) == 4
+    calls.clear()
+    assemble_phi((a, b), CouplingSpec.from_nu_stars(0.7, 0.7), flat, constants, 1.3)
+    assert len(calls) == 3
+    calls.clear()
+    smaller = build_surface(Sphere((4.0, 0.0, 0.0), 0.9), order=8)
+    assemble_phi((a, smaller), CouplingSpec.from_nu_stars(0.7, 0.7), flat, constants, 1.3)
+    assert len(calls) == 5
+
+
+def test_assemble_phi_still_checks_a_sharing_mesh(constants, flat):
+    # a mesh of the same form, scale and area whose nodes are not its form's
+    # mesh moved gets no shared self-integral: it raises as it would alone.
+    # The centres share no coordinate plane, so the pair rule checks no
+    # mirror images and only the self-integral's check sees the turn.
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    b = build_surface(Sphere((3.0, 2.5, 1.5), 1.0), order=8)
+    u, v = b.params[:, 0], b.params[:, 1]
+    turned = dataclasses.replace(b, nodes=b.chart.evaluate(u, v + 0.1)[0])
+    with pytest.raises(GeometryViolationError):
+        assemble_phi((a, turned), CouplingSpec.from_nu_stars(1.0, 1.0), flat, constants, 1.2)
+
+
+def test_pair_integral_kernel_calls_per_block(constants, flat, sphere24, monkeypatch):
+    # an order-24 collinear pair sums 300 outer rows x 1152 nodes; the block
+    # loop makes one kernel call per _BLOCK samples, and every sample once
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=24)
+    calls = _counting(monkeypatch, "static_kernel_array")
+    pair_integral(sphere24, other, flat, constants, 1.0)
+    assert sum(args[3].size for args in calls) == 345_600
+    assert len(calls) <= -(-345_600 // quad._BLOCK)
+    assert len(calls) <= 22
+
+
+def test_ground_state_reuses_the_root_eigenpairs(constants, flat, sphere16, monkeypatch):
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=16)
+    calls = _counting(monkeypatch, "jacobi_eigh")
+    result = solve_ground_state(
+        [sphere16, other], CouplingSpec.from_nu_stars(0.8, 1.1), flat, constants
+    )
+    # one eigen solve per evaluation of omega_min, none more at the root
+    assert len(calls) == result.iterations
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
