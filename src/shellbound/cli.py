@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .bounds import (
     BoundCase,
@@ -94,7 +94,10 @@ class SurfaceSpec:
 
     def build(self, **overrides) -> SurfaceMesh:
         shape = _SHAPES[self.kind](**{"center": self.center, **self.params, **overrides})
-        return build_surface(shape, order=self.order, meta=self.meta)
+        # the config's curvature_meta fits its size: a moved copy keeps it,
+        # a resized one gets the builder's
+        meta = None if set(overrides) - {"center"} else self.meta
+        return build_surface(shape, order=self.order, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -176,9 +179,6 @@ def _parse_surface(obj, idx: int) -> SurfaceSpec:
         params[key] = _number(params, key, f"{name}.params")
     if "center" in params:
         params["center"] = _triple(params["center"], f"{name}.params.center")
-    order = obj.get("order", 16)
-    if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-        raise ConfigError(f"{name}.order must be an integer >= 2, got {order!r}")
     meta = None
     if "curvature_meta" in obj:
         mobj = _expect_dict(obj["curvature_meta"], f"{name}.curvature_meta")
@@ -189,7 +189,7 @@ def _parse_surface(obj, idx: int) -> SurfaceSpec:
     return SurfaceSpec(
         kind=kind,
         params=params,
-        order=order,
+        order=obj.get("order", 16),
         coupling=_parse_coupling(obj["coupling"], f"{name}.coupling"),
         meta=meta,
     )
@@ -543,18 +543,12 @@ def cmd_hybrid(cfg: ExperimentConfig, args):
     if len(cfg.surfaces) == 1:
         center = cfg.surface_specs[0].center
         for i, point in enumerate(cfg.points):
-            sub = HybridSystem(
-                surfaces=cfg.surfaces,
-                couplings=cfg.couplings,
-                points=(point,),
-                space=cfg.space,
-                constants=cfg.constants,
-            )
+            sub = replace(system, points=(point,))
             shift = perturbative_shift(sub)
             exact = solve_hybrid_ground_state(sub, tol=cfg.solver.tol)
             exact_shift = exact.nu_star**2 - point.mu**2
             coords = point.position.as_array()[-3:]
-            sep = math.sqrt(sum((a - b) ** 2 for a, b in zip(coords, center)))
+            sep = math.dist(coords, center)
             rows.append([
                 "perturbation", i, sep, point.mu, exact.energy, exact.nu_star,
                 None, exact.residual, shift, exact_shift,

@@ -25,6 +25,7 @@ from .geometry import (
     PhysicalConstants,
     Point3,
     SurfaceMesh,
+    _is_normal,
     ambient_distance,
     implicit_value,
 )
@@ -57,8 +58,10 @@ class PointSource:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise InvalidArgumentError(f"mu must be positive, got {self.mu}")
+        if not (self.mu > 0.0 and _is_normal(self.mu * self.mu)):  # energy -mu**2
+            raise InvalidArgumentError(
+                f"mu must be positive with a normal float square, got {self.mu}"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,7 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
                 )
             )
             A[k, n + q_idx] = A[n + q_idx, k] = val
-    return PrincipalMatrix(
-        nu=nu, entries=A, surfaces=sys.surfaces, couplings=sys.couplings
-    )
+    return PrincipalMatrix(nu=nu, entries=A)
 
 
 def solve_hybrid_ground_state(

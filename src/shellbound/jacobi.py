@@ -7,12 +7,13 @@ deterministic, and free of backend-dependent reduction orders.
 The sweeps run on rows of Python floats: for a 2 x 2 or 3 x 3 matrix
 numpy's per-call overhead dwarfs the arithmetic.  Every rotation makes the
 same floating-point operations in the same order as the column and row
-updates of the numpy implementation kept in tests/test_jacobi.py, the
+updates of the numpy implementation kept in tests/test_jacobi.py, and the
 symmetry check accepts exactly what np.allclose(A, A.T, rtol=0, atol)
-accepts, and the convergence test sums the squared off-diagonal entries in
-numpy's pairwise order (_pairwise_sum), so (w, V) are bitwise those of the
-numpy rotations.  numpy converts the input and sorts and sign-fixes the
-result.
+accepts.  The convergence test sums the squared off-diagonal entries left
+to right, which is numpy's pairwise order below 8 terms, so for n <= 3 (at
+most 6 such terms) (w, V) are bitwise those of the numpy rotations by
+construction; the tests check the match up to n = 6.  numpy converts the
+input and sorts and sign-fixes the result.
 """
 
 from __future__ import annotations
@@ -25,33 +26,8 @@ from .errors import InvalidArgumentError, NoConvergenceError
 
 __all__ = ["jacobi_eigh"]
 
-
-def _pairwise_sum(x: list, lo: int = 0, n: int | None = None) -> float:
-    """sum(x[lo:lo + n]) in the order of numpy's pairwise summation.
-
-    Below 8 terms a left-to-right sum; up to 128, eight interleaved partial
-    sums combined as a tree, then the remainder; above that, halves split at
-    a multiple of 8.  Matches np.sum on a contiguous float64 array (within
-    one buffer of 8192 elements).
-    """
-    n = len(x) if n is None else n
-    if n < 8:
-        res = 0.0
-        for i in range(lo, lo + n):
-            res += x[i]
-        return res
-    if n <= 128:
-        r = x[lo : lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r = [a + b for a, b in zip(r, x[i : i + 8])]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            res += x[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
+_TOL = 1e-14  # off-diagonal norm, relative to max|A| * n, that ends the sweeps
+_MAX_SWEEPS = 60
 
 
 def _rotate_columns(rows: list, p: int, q: int, c: float, s: float) -> None:
@@ -61,7 +37,7 @@ def _rotate_columns(rows: list, p: int, q: int, c: float, s: float) -> None:
         row[q] = s * x + c * y
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(A: np.ndarray):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (w, V) with eigenvalues ascending and V[:, k] the unit
@@ -86,9 +62,12 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
 
     v = np.eye(n).tolist()
     scale = max(max(abs(x) for row in a for x in row), 1e-300)
-    for _sweep in range(max_sweeps):
-        off2 = [x * x for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
-        if math.sqrt(_pairwise_sum(off2)) <= tol * scale * n:
+    for _sweep in range(_MAX_SWEEPS):
+        off2 = 0.0  # left to right, not sum(), which compensates from Python 3.12
+        for i, row in enumerate(a):
+            for x in row[:i] + row[i + 1 :]:
+                off2 += x * x
+        if math.sqrt(off2) <= _TOL * scale * n:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -107,7 +86,7 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
                 a[p][q] = a[q][p] = 0.0
                 _rotate_columns(v, p, q, c, s)
     else:
-        raise NoConvergenceError(f"Jacobi sweeps did not converge in {max_sweeps} passes")
+        raise NoConvergenceError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} passes")
 
     w = np.array([a[k][k] for k in range(n)])
     order = np.argsort(w, kind="stable")

@@ -101,23 +101,25 @@ class CouplingSpec:
         return len(self.items)
 
 
+def _check_symmetric(name: str, A: np.ndarray) -> None:
+    """Raise unless A is square, finite and symmetric to 1e-12 * max|A|."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidArgumentError(f"{name} must be square")
+    scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
+    if not math.isfinite(scale):  # the symmetry test below passes NaN
+        raise InvalidArgumentError(f"{name} entries must be finite")
+    scale = max(scale, 1e-300)
+    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
+        raise InvalidArgumentError(f"{name} must be symmetric")
+
+
 @dataclass(frozen=True, eq=False)
 class PrincipalMatrix:
     nu: float
     entries: np.ndarray
-    surfaces: tuple[SurfaceMesh, ...]
-    couplings: CouplingSpec
 
     def __post_init__(self):
-        A = self.entries
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InvalidArgumentError("entries must be square")
-        scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
-        if not math.isfinite(scale):  # the symmetry test below passes NaN
-            raise InvalidArgumentError("principal matrix entries must be finite")
-        scale = max(scale, 1e-300)
-        if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-            raise InvalidArgumentError("principal matrix must be symmetric")
+        _check_symmetric("principal matrix", self.entries)
 
     @property
     def n(self) -> int:
@@ -305,7 +307,7 @@ def assemble_phi(
         for j in range(i + 1, n):
             val = -pair_integral(surfaces[i], surfaces[j], space, constants, nu)
             A[i, j] = A[j, i] = val
-    return PrincipalMatrix(nu=nu, entries=A, surfaces=surfaces, couplings=couplings)
+    return PrincipalMatrix(nu=nu, entries=A)
 
 
 def coupling_from_energy(
@@ -391,8 +393,7 @@ def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundSt
         NoBoundStateError(f"no bound state in bracket [{lo}, {ceil}]"),
         0.5e-12,
     )
-    at_root = seen[nu_sol] if nu_sol in seen else phi(nu_sol)
-    w, V = at_root.eigh
+    w, V = seen[nu_sol].eigh
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
         vec = -vec

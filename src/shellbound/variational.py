@@ -29,6 +29,7 @@ from .principal import (
     CouplingSpec,
     PrincipalMatrix,
     _check_flat,
+    _check_symmetric,
     _ground_state,
     _validate_system,
     assemble_phi,
@@ -68,15 +69,7 @@ class VariationalMatrices:
 
     def __post_init__(self):
         for name in ("S", "L", "K", "Phi_tilde"):
-            A = getattr(self, name)
-            if A.ndim != 2 or A.shape[0] != A.shape[1]:
-                raise InvalidArgumentError(f"{name} must be square")
-            scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
-            if not math.isfinite(scale):
-                raise InvalidArgumentError(f"{name} entries must be finite")
-            scale = max(scale, 1e-300)
-            if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-                raise InvalidArgumentError(f"{name} must be symmetric")
+            _check_symmetric(name, getattr(self, name))
 
     @property
     def n(self) -> int:
@@ -225,8 +218,6 @@ def schur_gap(vm: VariationalMatrices) -> float:
     B = Q.T @ vm.L
     M = vm.S - 2.0 * B.T @ (B / w[:, None])
     M = 0.5 * (M + M.T)
-    if M.shape[0] == 1:
-        return float(M[0, 0])
     gap, _ = jacobi_eigh(M)
     return float(gap[0])
 
@@ -253,7 +244,7 @@ def solve_variational(
 
     def phi(alpha: float) -> PrincipalMatrix:
         K = _k_matrix(surfaces, lams, space, constants, alpha)
-        return PrincipalMatrix(alpha, eye - K, surfaces, couplings)
+        return PrincipalMatrix(alpha, eye - K)
 
     # the tolerance only sets the result's converged flag, which is dropped
     result = _ground_state(phi, _ALPHA_FLOOR, 1e-10, _ALPHA_CEIL)

@@ -131,6 +131,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                 {**d["surfaces"][0], "params": {"radius": 1.0, "center": [math.nan, 0.0, 0.0]}}
             ],
         },
+        # an order that is not an integer, checked by the mesh builder
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": True}]},
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": 16.0}]},
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": "16"}]},
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -408,6 +412,29 @@ def test_sweep_lambda_subcritical_rows(tmp_path):
     bound = [float(r["metric_value"]) for r in rows
              if r["metric"] == "E_gr" and r["metric_value"]]
     assert bound == sorted(bound, reverse=True)
+
+
+def test_sweep_radius_with_curvature_meta(tmp_path, config_dir):
+    # the config's metadata describes the unit sphere: resized meshes get
+    # the builder's own, a moved copy keeps the config's
+    data = json.loads((config_dir / "single_sphere.json").read_text())
+    cfg_plain = write_cfg(tmp_path, data, "plain.json")
+    data["surfaces"][0]["curvature_meta"] = {
+        "H_upper": 1.0, "H_lower": 1.0, "rho_min": math.pi / 2, "rho_max": math.pi / 2,
+        "chord_arc_delta": 0.75, "chord_arc_kappa": 1.0,
+    }
+    cfg_meta = write_cfg(tmp_path, data, "meta.json")
+    tables = []
+    for cfg in (cfg_plain, cfg_meta):
+        out = tmp_path / f"{cfg.stem}.csv"
+        args = ["sweep", "--config", str(cfg), "--param", "radius", "--grid", "0.9,1.5,2.0"]
+        assert main([*args, "--out", str(out)]) == 0
+        lines, rows = read_rows(out)
+        tables.append(([{k: v for k, v in r.items() if k != "run_id"} for r in rows], lines[-1]))
+    assert tables[0] == tables[1]
+    spec = load_config(str(cfg_meta)).surface_specs[0]
+    assert spec.build(center=(3.0, 0.0, 0.0)).meta == spec.meta
+    assert spec.build(radius=2.0).meta.H_lower == 0.25
 
 
 def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere32):

@@ -7,7 +7,7 @@ import pytest
 
 from shellbound import InvalidArgumentError
 from shellbound.errors import NoConvergenceError
-from shellbound.jacobi import _pairwise_sum, jacobi_eigh
+from shellbound.jacobi import jacobi_eigh
 
 
 def jacobi_eigh_numpy(A, tol=1e-14, max_sweeps=60):
@@ -78,12 +78,6 @@ def test_bitwise_equal_to_numpy_rotations(n):
         assert np.array_equal(w, w_ref)
         assert np.array_equal(V, V_ref)
         assert w.dtype == V.dtype == np.float64 and V.shape == (n, n)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 30, 128, 129, 200, 1000])
-def test_pairwise_sum_matches_numpy(n):
-    x = np.random.default_rng(n).standard_normal(n) ** 2
-    assert _pairwise_sum(x.tolist()) == float(np.sum(x))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -16,7 +16,9 @@ from shellbound import (
     InvalidStateError,
     NoBoundStateError,
     NoConvergenceError,
+    PrincipalMatrix,
     Sphere,
+    VariationalMatrices,
     assemble_phi,
     build_surface,
     coupling_from_energy,
@@ -199,6 +201,32 @@ def test_principal_matrix_rejects_non_finite_entries(constants, flat, sphere16, 
     entries[0, 1] = entries[1, 0] = bad
     with pytest.raises(InvalidArgumentError, match="finite"):
         dataclasses.replace(pm, entries=entries)
+
+
+def _with_matrix(kind: str, A: np.ndarray):
+    """A PrincipalMatrix with entries A, or VariationalMatrices with A as
+    one of its four symmetric matrices and the identity as the others."""
+    if kind == "principal":
+        return PrincipalMatrix(nu=1.0, entries=A)
+    eye = np.eye(2)
+    mats = {"S": eye, "L": eye, "K": eye, "Phi_tilde": eye, kind: A}
+    return VariationalMatrices(alpha=1.0, D=eye, phi_residual=0.0, **mats)
+
+
+@pytest.mark.parametrize("kind", ["principal", "S", "L", "K", "Phi_tilde"])
+def test_matrix_classes_check_square_finite_symmetric(kind):
+    # max|A| = 2e6, so the symmetry tolerance is 2e-6
+    A = 1e6 * np.array([[2.0, 1.0], [1.0, 1.0]])
+    for bad, match in (
+        (np.zeros((2, 3)), "square"),
+        (np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
+        (np.array([[math.inf, 0.0], [0.0, 1.0]]), "finite"),
+        (np.array([[1.0, -math.inf], [-math.inf, 1.0]]), "finite"),
+        (A + np.array([[0.0, 0.0], [3e-6, 0.0]]), "symmetric"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=match):
+            _with_matrix(kind, bad)
+    _with_matrix(kind, A + np.array([[0.0, 0.0], [1e-6, 0.0]]))
 
 
 def test_coupling_validation():

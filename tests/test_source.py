@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and
-no module imports scipy, which is a test dependency only.
+"""Source hygiene: every module-level import in the package is used, every
+module-level private name is read somewhere, and no module imports scipy,
+which is a test dependency only.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -7,6 +8,7 @@ import check: it imports names to re-export them.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -67,3 +69,61 @@ def test_the_check_finds_a_lazy_scipy_import():
 def test_module_does_not_import_scipy(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _scipy_imports(tree) == []
+
+
+def _loads(node: ast.AST):
+    """Every name read under node: plain names and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """Module-level private names a statement defines (dunders excluded)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _dead_private_names(trees: dict) -> list[str]:
+    """Private module-level names read nowhere outside their own definition.
+
+    Names are matched across all modules by spelling, so a name defined in
+    two modules counts as used if either module reads it.
+    """
+    uses = collections.Counter(name for tree in trees.values() for name in _loads(tree))
+    dead = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            for name in _private_names(node):
+                if uses[name] == sum(n == name for n in _loads(node)):
+                    dead.append(f"{module} line {node.lineno}: {name}")
+    return dead
+
+
+def test_the_check_finds_a_dead_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_K = 1\n_L: int = 2\n__version__ = '1'\n"
+            "def _recurse(n):\n    return _recurse(n - 1)\n"
+            "class _Unused:\n    pass\n"
+            "def _used():\n    return _K\n"
+        ),
+        "b.py": ast.parse("from . import a\nx = a._used() + a._L\n"),
+    }
+    assert _dead_private_names(trees) == [
+        "a.py line 4: _recurse", "a.py line 6: _Unused",
+    ]
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
+    assert _dead_private_names(trees) == []
