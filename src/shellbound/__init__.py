@@ -50,10 +50,7 @@ from .geometry import (
     SurfaceMesh,
     Torus,
     ambient_distance,
-    build_ellipsoid,
-    build_sphere,
     build_surface,
-    build_torus,
     flat_point,
     flat_space,
     hyperbolic_point,

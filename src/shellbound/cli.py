@@ -79,28 +79,6 @@ _SHAPES = {"sphere": Sphere, "torus": Torus, "ellipsoid": Ellipsoid}
 
 
 @dataclass(frozen=True)
-class SurfaceSpec:
-    """Parsed surface block, kept so sweeps can rebuild meshes."""
-
-    kind: str
-    params: dict
-    order: int
-    coupling: Coupling
-    meta: SurfaceCurvatureMeta | None
-
-    @property
-    def center(self) -> tuple[float, float, float]:
-        return tuple(self.params.get("center", (0.0, 0.0, 0.0)))
-
-    def build(self, **overrides) -> SurfaceMesh:
-        shape = _SHAPES[self.kind](**{"center": self.center, **self.params, **overrides})
-        # the config's curvature_meta fits its size: a moved copy keeps it,
-        # a resized one gets the builder's
-        meta = None if set(overrides) - {"center"} else self.meta
-        return build_surface(shape, order=self.order, meta=meta)
-
-
-@dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-10
     nu_min: float = 1e-4  # stand-in for nu -> 0 in the exact critical coupling
@@ -110,7 +88,6 @@ class SolverSettings:
 class ExperimentConfig:
     constants: PhysicalConstants
     space: AmbientSpace
-    surface_specs: tuple[SurfaceSpec, ...]
     surfaces: tuple[SurfaceMesh, ...]
     couplings: CouplingSpec
     points: tuple[PointSource, ...]
@@ -162,7 +139,10 @@ def _parse_coupling(obj, name: str) -> Coupling:
     raise ConfigError(f"{name} must have exactly one of 'lambda', 'nu_star', got {sorted(keys)}")
 
 
-def _parse_surface(obj, idx: int) -> SurfaceSpec:
+def _parse_surface(obj, idx: int) -> tuple[SurfaceMesh, Coupling]:
+    """The mesh of one surface block and its coupling.
+
+    The mesh keeps its shape and order, from which sweeps rebuild it."""
     name = f"surfaces[{idx}]"
     obj = _expect_dict(obj, name)
     _check_keys(obj, _SURFACE_KEYS, name)
@@ -177,8 +157,7 @@ def _parse_surface(obj, idx: int) -> SurfaceSpec:
     _check_keys(params, allowed, f"{name}.params")
     for key in allowed - {"center"}:
         params[key] = _number(params, key, f"{name}.params")
-    if "center" in params:
-        params["center"] = _triple(params["center"], f"{name}.params.center")
+    params["center"] = _triple(params.get("center", [0.0, 0.0, 0.0]), f"{name}.params.center")
     meta = None
     if "curvature_meta" in obj:
         mobj = _expect_dict(obj["curvature_meta"], f"{name}.curvature_meta")
@@ -186,13 +165,8 @@ def _parse_surface(obj, idx: int) -> SurfaceSpec:
         meta = SurfaceCurvatureMeta(
             **{k: _number(mobj, k, f"{name}.curvature_meta") for k in _META_KEYS}
         )
-    return SurfaceSpec(
-        kind=kind,
-        params=params,
-        order=obj.get("order", 16),
-        coupling=_parse_coupling(obj["coupling"], f"{name}.coupling"),
-        meta=meta,
-    )
+    coupling = _parse_coupling(obj["coupling"], f"{name}.coupling")
+    return build_surface(_SHAPES[kind](**params), obj.get("order", 16), meta), coupling
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -222,11 +196,9 @@ def load_config(path: str) -> ExperimentConfig:
         aobj = _expect_dict(data.get("ambient", {}), "ambient")
         _check_keys(aobj, {"kind", "K"}, "ambient")
         space = AmbientSpace(aobj.get("kind", "flat"), _number(aobj, "K", "ambient", 0.0))
-        specs = tuple(
-            _parse_surface(s, i) for i, s in enumerate(data.get("surfaces", []))
-        )
-        surfaces = tuple(spec.build() for spec in specs)
-        couplings = CouplingSpec(tuple(spec.coupling for spec in specs))
+        parsed = [_parse_surface(s, i) for i, s in enumerate(data.get("surfaces", []))]
+        surfaces = tuple(mesh for mesh, _ in parsed)
+        couplings = CouplingSpec(tuple(coupling for _, coupling in parsed))
         points = []
         for i, pobj in enumerate(data.get("points", [])):
             name = f"points[{i}]"
@@ -256,10 +228,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"solver needs tol > 0 and nu_min in [1e-6, 1e-2], got {solver}")
 
     oobj = _expect_dict(data.get("output", {}), "output")
-    _check_keys(oobj, {"path", "format"}, "output")
-    fmt = oobj.get("format", "csv")
-    if fmt != "csv":
-        raise ConfigError(f"output.format must be 'csv', got {fmt!r}")
+    _check_keys(oobj, {"path"}, "output")
     out_path = oobj.get("path", "")
     if out_path and not isinstance(out_path, str):
         raise ConfigError("output.path must be a string")
@@ -267,7 +236,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         constants=constants,
         space=space,
-        surface_specs=specs,
         surfaces=surfaces,
         couplings=couplings,
         points=tuple(points),
@@ -412,25 +380,24 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _fixed_area_ellipsoid(spec: SurfaceSpec, c: float, target_area: float) -> SurfaceMesh:
-    """Prolate/oblate mesh with polar semi-axis c and quadrature area matched."""
+def _fixed_area_ellipsoid(sphere: SurfaceMesh, c: float) -> SurfaceMesh:
+    """Prolate/oblate mesh with polar semi-axis c, the sphere's centre and
+    order, and the sphere's quadrature area."""
+    target_area = sphere.area
 
-    def area_of(a: float) -> float:
-        return build_surface(
-            Ellipsoid(center=spec.center, a=a, b=a, c=c), order=spec.order
-        ).area
+    def spheroid(a: float) -> SurfaceMesh:
+        return build_surface(Ellipsoid(sphere.shape.center, a, a, c), sphere.order)
 
     # Search in units of the area-equivalent sphere radius, so the
     # tolerance is relative.
     scale = math.sqrt(target_area / (4.0 * math.pi))
-    f = lambda t: area_of(t * scale) - target_area
+    f = lambda t: spheroid(t * scale).area - target_area
     error = ConfigError(f"cannot match area {target_area} at deformation c={c}")
     f_lo = f(1e-3)
     if f_lo > 0.0:
         raise error
     t, _ = _monotone_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
-    a = t * scale
-    return build_surface(Ellipsoid(center=spec.center, a=a, b=a, c=c), order=spec.order)
+    return spheroid(t * scale)
 
 
 def cmd_sweep(cfg: ExperimentConfig, args):
@@ -465,7 +432,8 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         diagnostic = f"omega_min_nondecreasing={'pass' if ok else 'fail'}"
     elif param == "separation":
         _require_surfaces(cfg, "sweep separation", 2)
-        c0, c1 = cfg.surface_specs[0].center, cfg.surface_specs[1].center
+        fixed, mover = cfg.surfaces
+        c0, c1 = fixed.shape.center, mover.shape.center
         direction = [b - a for a, b in zip(c0, c1)]
         norm = math.sqrt(sum(d * d for d in direction))
         if norm == 0.0:
@@ -474,8 +442,8 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         energies = []
         for s in grid:
             center = tuple(a + s * u for a, u in zip(c0, unit))
-            meshes = (cfg.surfaces[0], cfg.surface_specs[1].build(center=center))
-            energies.append(put_solve(s, meshes, cfg.couplings))
+            moved = build_surface(replace(mover.shape, center=center), mover.order)
+            energies.append(put_solve(s, (fixed, moved), cfg.couplings))
         energies = [e for e in energies if e is not None]
         ok = all(b >= a for a, b in zip(energies, energies[1:]))
         diagnostic = f"E_gr_nondecreasing={'pass' if ok else 'fail'}"
@@ -488,22 +456,22 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         diagnostic = f"E_gr_nonincreasing={'pass' if ok else 'fail'}"
     elif param == "radius":
         _require_surfaces(cfg, "sweep radius", 1)
-        if cfg.surface_specs[0].kind != "sphere":
+        sphere = cfg.surfaces[0]
+        if not isinstance(sphere.shape, Sphere):
             raise ConfigError("sweep radius needs a sphere surface")
         for r in grid:
-            mesh = cfg.surface_specs[0].build(radius=r)
+            mesh = build_surface(replace(sphere.shape, radius=r), sphere.order)
             put_solve(r, (mesh,), cfg.couplings)
             if cfg.space.is_flat:
                 put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
     else:
         _require_surfaces(cfg, "sweep deformation_c", 1)
-        if cfg.surface_specs[0].kind != "sphere":
+        if not isinstance(cfg.surfaces[0].shape, Sphere):
             raise ConfigError("sweep deformation_c needs a sphere surface")
         if not cfg.space.is_flat:
             raise ConfigError("sweep deformation_c needs a flat ambient space")
-        target = cfg.surfaces[0].area
         for c in grid:
-            mesh = _fixed_area_ellipsoid(cfg.surface_specs[0], c, target)
+            mesh = _fixed_area_ellipsoid(cfg.surfaces[0], c)
             put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
             put(c, "area", mesh.area)
 
@@ -541,7 +509,7 @@ def cmd_hybrid(cfg: ExperimentConfig, args):
         _fmt_weights(result.weights), result.residual, None, None, None,
     ]]
     if len(cfg.surfaces) == 1:
-        center = cfg.surface_specs[0].center
+        center = cfg.surfaces[0].shape.center
         for i, point in enumerate(cfg.points):
             sub = replace(system, points=(point,))
             shift = perturbative_shift(sub)

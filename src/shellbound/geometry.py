@@ -98,8 +98,10 @@ class Point3:
             raise InvalidArgumentError(
                 f"Point3 needs 3 (flat) or 4 (hyperbolic) coordinates, got {len(self.coords)}"
             )
-        if not all(math.isfinite(c) for c in self.coords):
-            raise InvalidArgumentError("point coordinates must be finite")
+        # a finite fourth power, as for surface centres, keeps every
+        # distance and its square finite
+        if not all(math.isfinite(c * c * c * c) for c in self.coords):
+            raise InvalidArgumentError("point coordinates must have a finite fourth power")
 
     @property
     def is_flat(self) -> bool:
@@ -426,9 +428,13 @@ def _node_grid_periodic(chart, order: int):
 
 
 def _check_center(center) -> tuple[float, float, float]:
+    # a finite fourth power, the bound _check_sizes puts on sizes, keeps
+    # every node distance and its square finite
     center = tuple(float(c) for c in center)
-    if not all(math.isfinite(c) for c in center):
-        raise InvalidArgumentError(f"surface center must be finite, got {center}")
+    if not all(math.isfinite(c * c * c * c) for c in center):
+        raise InvalidArgumentError(
+            f"surface center coordinates must have a finite fourth power, got {center}"
+        )
     return center
 
 
@@ -443,10 +449,98 @@ def _check_sizes(what: str, *sizes: float) -> None:
             )
 
 
-def _assemble_mesh(shape, order, chart, diameter, meta, form_shape, scale, area=None):
-    """Mesh on chart's node grid; area defaults to the sum of the weights.
+_ORIGIN = (0.0, 0.0, 0.0)
 
-    form_shape is shape moved to the origin and divided by scale."""
+
+def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | None = None) -> SurfaceMesh:
+    """Quadrature mesh of a Sphere, Torus or Ellipsoid at the given order.
+
+    Spheres and ellipsoids get Gauss-Legendre in cos(u) times uniform
+    azimuth, tori the uniform product rule in both angles.  meta defaults
+    to the shape's own curvature data:
+    - sphere: H = 1/R^2, rho_min = rho_max = pi*R/2;
+    - torus: the Gaussian curvature range of the torus of revolution,
+      rho_max = pi*(R + 2r) (a covering-radius bound), rho_min = pi*r/2,
+      and chord-arc constants with delta*kappa = 0.75 (safe for the worst
+      arc/chord ratio ~ pi/2 attained on equatorial half-loops);
+    - ellipsoid: Gaussian curvature attains its extrema at the axis
+      endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes,
+      which fills H_upper/H_lower in closed form.
+    The mesh's area is closed-form for spheres and tori and the sum of the
+    weights for ellipsoids.
+    """
+    if not isinstance(shape, (Sphere, Torus, Ellipsoid)):
+        raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
+    order = _check_order(order)
+    center = _check_center(shape.center)
+    area = None
+    if isinstance(shape, Sphere):
+        _check_sizes("sphere radius", shape.radius)
+        R = float(shape.radius)
+        shape = Sphere(center, R)
+        form_shape = Sphere(_ORIGIN, 1.0)
+        scale = R
+        chart = _ScaledSphereChart(center, (R, R, R), 2)
+        diameter = 2.0 * R
+        area = 4.0 * math.pi * R * R
+        if meta is None:
+            H = 1.0 / (R * R)
+            meta = SurfaceCurvatureMeta(
+                H_upper=H,
+                H_lower=H,
+                rho_min=math.pi * R / 2.0,
+                rho_max=math.pi * R / 2.0,
+                chord_arc_delta=0.75 * R,
+                chord_arc_kappa=1.0 / R,
+            )
+    elif isinstance(shape, Torus):
+        _check_sizes("torus radii", shape.R_major, shape.r_minor)
+        if shape.r_minor >= shape.R_major:
+            raise GeometryViolationError(
+                f"torus needs r_minor < R_major, got r={shape.r_minor}, R={shape.R_major}"
+            )
+        R, r = float(shape.R_major), float(shape.r_minor)
+        shape = Torus(center, R, r)
+        form_shape = Torus(_ORIGIN, 1.0, r / R)
+        scale = R
+        _check_sizes("torus r_minor / R_major", form_shape.r_minor)
+        chart = _TorusChart(center, R, r)
+        diameter = 2.0 * (R + r)
+        area = 4.0 * math.pi * math.pi * R * r
+        if meta is None:
+            kap = max(1.0 / r, 1.0 / (R - r))
+            meta = SurfaceCurvatureMeta(
+                H_upper=1.0 / (r * (R + r)),
+                H_lower=-1.0 / (r * (R - r)),
+                rho_min=math.pi * r / 2.0,
+                rho_max=math.pi * (R + 2.0 * r),
+                chord_arc_delta=0.75 / kap,
+                chord_arc_kappa=kap,
+            )
+    else:
+        _check_sizes("ellipsoid semi-axes", shape.a, shape.b, shape.c)
+        axes = (float(shape.a), float(shape.b), float(shape.c))
+        shape = Ellipsoid(center, *axes)
+        form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
+        scale = axes[0]
+        _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
+        chart = _ScaledSphereChart(center, axes, 2)
+        diameter = 2.0 * max(axes)
+        if meta is None:
+            # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
+            # underflows for axes that pass _check_sizes (1e-76 each)
+            x, y, z = axes
+            curv = [k * k for k in (x / (y * z), y / (z * x), z / (x * y))]
+            H_up, H_lo = max(curv), min(curv)
+            kap = max(axes) / min(axes) ** 2
+            meta = SurfaceCurvatureMeta(
+                H_upper=H_up,
+                H_lower=H_lo,
+                rho_min=(math.pi / 2.0) / math.sqrt(H_up),
+                rho_max=(math.pi / 2.0) / math.sqrt(H_lo),
+                chord_arc_delta=0.75 / kap,
+                chord_arc_kappa=kap,
+            )
     grid = _node_grid_periodic if chart.u_periodic else _node_grid_gl
     U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(chart, order))
     return SurfaceMesh(
@@ -462,145 +556,6 @@ def _assemble_mesh(shape, order, chart, diameter, meta, form_shape, scale, area=
         form=_FORMS.setdefault((form_shape, order), SurfaceForm(form_shape, order)),
         scale=scale,
     )
-
-
-_ORIGIN = (0.0, 0.0, 0.0)
-
-
-def build_sphere(
-    radius: float,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    order: int = 16,
-    meta: SurfaceCurvatureMeta | None = None,
-) -> SurfaceMesh:
-    """Sphere of the given radius, Gauss-Legendre x uniform-azimuth mesh."""
-    order = _check_order(order)
-    center = _check_center(center)
-    _check_sizes("sphere radius", radius)
-    R = float(radius)
-    if meta is None:
-        H = 1.0 / (R * R)
-        meta = SurfaceCurvatureMeta(
-            H_upper=H,
-            H_lower=H,
-            rho_min=math.pi * R / 2.0,
-            rho_max=math.pi * R / 2.0,
-            chord_arc_delta=0.75 * R,
-            chord_arc_kappa=1.0 / R,
-        )
-    return _assemble_mesh(
-        Sphere(center, R),
-        order,
-        _ScaledSphereChart(center, (R, R, R), 2),
-        diameter=2.0 * R,
-        meta=meta,
-        form_shape=Sphere(_ORIGIN, 1.0),
-        scale=R,
-        area=4.0 * math.pi * R * R,
-    )
-
-
-def build_torus(
-    R_major: float,
-    r_minor: float,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    order: int = 16,
-    meta: SurfaceCurvatureMeta | None = None,
-) -> SurfaceMesh:
-    """Torus of revolution (axis z), uniform product mesh in both angles.
-
-    Auto-filled meta uses the Gaussian curvature range of the torus of
-    revolution, rho_max = pi*(R + 2r) (a covering-radius bound), rho_min =
-    pi*r/2, and chord-arc constants with delta*kappa = 0.75 (safe for the
-    worst arc/chord ratio ~ pi/2 attained on equatorial half-loops).
-    """
-    order = _check_order(order)
-    center = _check_center(center)
-    _check_sizes("torus radii", R_major, r_minor)
-    if r_minor >= R_major:
-        raise GeometryViolationError(
-            f"torus needs r_minor < R_major, got r={r_minor}, R={R_major}"
-        )
-    R, r = float(R_major), float(r_minor)
-    form_shape = Torus(_ORIGIN, 1.0, r / R)
-    _check_sizes("torus r_minor / R_major", form_shape.r_minor)
-    if meta is None:
-        kap = max(1.0 / r, 1.0 / (R - r))
-        meta = SurfaceCurvatureMeta(
-            H_upper=1.0 / (r * (R + r)),
-            H_lower=-1.0 / (r * (R - r)),
-            rho_min=math.pi * r / 2.0,
-            rho_max=math.pi * (R + 2.0 * r),
-            chord_arc_delta=0.75 / kap,
-            chord_arc_kappa=kap,
-        )
-    return _assemble_mesh(
-        Torus(center, R, r),
-        order,
-        _TorusChart(center, R, r),
-        diameter=2.0 * (R + r),
-        meta=meta,
-        form_shape=form_shape,
-        scale=R,
-        area=4.0 * math.pi * math.pi * R * r,
-    )
-
-
-def build_ellipsoid(
-    a: float,
-    b: float,
-    c: float,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    order: int = 16,
-    meta: SurfaceCurvatureMeta | None = None,
-) -> SurfaceMesh:
-    """Axis-aligned ellipsoid; area is accumulated numerically.
-
-    Gaussian curvature of an ellipsoid attains its extrema at the axis
-    endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes, which
-    fills H_upper/H_lower in closed form.
-    """
-    order = _check_order(order)
-    center = _check_center(center)
-    _check_sizes("ellipsoid semi-axes", a, b, c)
-    axes = (float(a), float(b), float(c))
-    form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
-    _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
-    if meta is None:
-        # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
-        # underflows for axes that pass _check_sizes (1e-76 each)
-        x, y, z = axes
-        curv = [k * k for k in (x / (y * z), y / (z * x), z / (x * y))]
-        H_up, H_lo = max(curv), min(curv)
-        kap = max(axes) / min(axes) ** 2
-        meta = SurfaceCurvatureMeta(
-            H_upper=H_up,
-            H_lower=H_lo,
-            rho_min=(math.pi / 2.0) / math.sqrt(H_up),
-            rho_max=(math.pi / 2.0) / math.sqrt(H_lo),
-            chord_arc_delta=0.75 / kap,
-            chord_arc_kappa=kap,
-        )
-    return _assemble_mesh(
-        Ellipsoid(center, *axes),
-        order,
-        _ScaledSphereChart(center, axes, 2),
-        diameter=2.0 * max(axes),
-        meta=meta,
-        form_shape=form_shape,
-        scale=axes[0],
-    )
-
-
-def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | None = None) -> SurfaceMesh:
-    """Dispatch a shape tag to its mesh builder."""
-    if isinstance(shape, Sphere):
-        return build_sphere(shape.radius, shape.center, order, meta)
-    if isinstance(shape, Torus):
-        return build_torus(shape.R_major, shape.r_minor, shape.center, order, meta)
-    if isinstance(shape, Ellipsoid):
-        return build_ellipsoid(shape.a, shape.b, shape.c, shape.center, order, meta)
-    raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
 
 
 def implicit_value(shape: object, x: np.ndarray):
@@ -619,7 +574,10 @@ def implicit_value(shape: object, x: np.ndarray):
     elif isinstance(shape, Ellipsoid):
         rel = x - np.asarray(shape.center)
         q = np.sum((rel / (shape.a, shape.b, shape.c)) ** 2, axis=-1)
-        val = np.sqrt(q) - 1.0
+        # scaled by the least semi-axis, so the value is a length like the
+        # other shapes' (|x - center| - R when a = b = c = R), which the
+        # on-surface tolerances, shares of a diameter, assume
+        val = (np.sqrt(q) - 1.0) * min(shape.a, shape.b, shape.c)
     else:
         raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
     return float(val) if np.ndim(val) == 0 else val

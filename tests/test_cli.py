@@ -135,6 +135,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": True}]},
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": 16.0}]},
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": "16"}]},
+        # output takes only a path: "format" is an unknown key, as "json" was
+        lambda d: {**d, "output": {"format": "csv"}},
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -415,14 +417,15 @@ def test_sweep_lambda_subcritical_rows(tmp_path):
 
 
 def test_sweep_radius_with_curvature_meta(tmp_path, config_dir):
-    # the config's metadata describes the unit sphere: resized meshes get
-    # the builder's own, a moved copy keeps the config's
-    data = json.loads((config_dir / "single_sphere.json").read_text())
-    cfg_plain = write_cfg(tmp_path, data, "plain.json")
-    data["surfaces"][0]["curvature_meta"] = {
+    # the config's metadata describes the unit sphere; sweeps rebuild
+    # meshes with the builder's own, and no sweep row reads metadata
+    meta = {
         "H_upper": 1.0, "H_lower": 1.0, "rho_min": math.pi / 2, "rho_max": math.pi / 2,
         "chord_arc_delta": 0.75, "chord_arc_kappa": 1.0,
     }
+    data = json.loads((config_dir / "single_sphere.json").read_text())
+    cfg_plain = write_cfg(tmp_path, data, "plain.json")
+    data["surfaces"][0]["curvature_meta"] = meta
     cfg_meta = write_cfg(tmp_path, data, "meta.json")
     tables = []
     for cfg in (cfg_plain, cfg_meta):
@@ -432,9 +435,20 @@ def test_sweep_radius_with_curvature_meta(tmp_path, config_dir):
         lines, rows = read_rows(out)
         tables.append(([{k: v for k, v in r.items() if k != "run_id"} for r in rows], lines[-1]))
     assert tables[0] == tables[1]
-    spec = load_config(str(cfg_meta)).surface_specs[0]
-    assert spec.build(center=(3.0, 0.0, 0.0)).meta == spec.meta
-    assert spec.build(radius=2.0).meta.H_lower == 0.25
+    # moved copies likewise, with the metadata on both spheres
+    data = json.loads((config_dir / "two_spheres.json").read_text())
+    tables = []
+    for with_meta in (False, True):
+        if with_meta:
+            for surface in data["surfaces"]:
+                surface["curvature_meta"] = meta
+        cfg = write_cfg(tmp_path, data, f"pair_{with_meta}.json")
+        out = tmp_path / f"pair_{with_meta}.csv"
+        args = ["sweep", "--config", str(cfg), "--param", "separation", "--grid", "3.0,5.0"]
+        assert main([*args, "--out", str(out)]) == 0
+        lines, rows = read_rows(out)
+        tables.append(([{k: v for k, v in r.items() if k != "run_id"} for r in rows], lines[-1]))
+    assert tables[0] == tables[1]
 
 
 def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere32):

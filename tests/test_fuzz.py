@@ -110,6 +110,7 @@ def _check_run(tmp_path, command, data, label):
                         continue
                     assert math.isfinite(value), (label, row)
         out.unlink()
+    return code
 
 
 @pytest.mark.parametrize("name", sorted(NATURAL_COMMANDS))
@@ -125,16 +126,39 @@ def test_mutated_config_keeps_the_exit_contract(tmp_path, config_dir, monkeypatc
 
 
 # Cases the fuzz found: an OverflowError escaped from mu**2 (mu is now
-# rejected unless its square is a normal float), and a far surface gave an
-# infinite point separation (now math.dist).
+# rejected unless its square is a normal float), a far surface gave an
+# infinite point separation (now math.dist), and a point or a centre at
+# 1e300 overflowed a squared distance (coordinates now need a finite
+# fourth power).
 @pytest.mark.parametrize(
     "name,path,value",
     [
         ("hybrid_resonant.json", ("points", 0, "mu"), 1e300),
         ("hybrid_far_point.json", ("surfaces", 0, "params", "center", 1), 1e300),
+        ("hybrid_far_point.json", ("points", 0, "position", 2), 1e300),
+        ("three_spheres_lambda.json", ("surfaces", 1, "params", "center", 0), -1e300),
     ],
 )
 def test_fuzz_findings_keep_the_exit_contract(tmp_path, config_dir, capsys, name, path, value):
     data = json.loads((config_dir / name).read_text())
     _set(data, path, value)
     _check_run(tmp_path, NATURAL_COMMANDS[name], data, f"{path} {value}")
+
+
+@pytest.mark.parametrize(
+    "name,path,value",
+    [
+        ("hybrid_far_point.json", ("points", 0, "position", 2), 1e300),
+        ("hybrid_far_point.json", ("points", 0, "position", 2), math.inf),
+        ("three_spheres_lambda.json", ("surfaces", 1, "params", "center", 0), -1e300),
+    ],
+)
+def test_coordinates_without_a_finite_fourth_power_exit_one(
+    tmp_path, config_dir, capsys, name, path, value
+):
+    # an overflowing coordinate is a config error like an infinite one,
+    # not a domain error found later in a distance or a kernel
+    data = json.loads((config_dir / name).read_text())
+    _set(data, path, value)
+    assert _check_run(tmp_path, NATURAL_COMMANDS[name], data, f"{path} {value}") == 1
+    assert "fourth power" in capsys.readouterr().err

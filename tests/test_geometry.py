@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from shellbound import (
+    CouplingSpec,
     Ellipsoid,
     GeometryViolationError,
+    HybridSystem,
     InvalidArgumentError,
     PhysicalConstants,
     Point3,
+    PointSource,
     Sphere,
     SurfaceCurvatureMeta,
     Torus,
@@ -22,6 +25,7 @@ from shellbound import (
     hyperbolic_point,
     implicit_value,
 )
+from shellbound._quadrature import _pair_geometry
 from shellbound.geometry import MAX_ORDER
 
 
@@ -211,6 +215,42 @@ def test_implicit_value_signs():
     assert implicit_value(e, np.array([1.1, 0.0, 0.0])) > 0.0
     with pytest.raises(UnsupportedShapeError):
         implicit_value(object(), np.zeros(3))
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e6])
+def test_round_ellipsoid_gets_the_sphere_verdicts(constants, flat, R):
+    # implicit_value is a length for every shape, and the on-surface
+    # tolerances are shares of a diameter, so Sphere(R) and
+    # Ellipsoid(R, R, R) accept and reject the same neighbours
+    origin = (0.0, 0.0, 0.0)
+    meshes = [build_surface(s, order=8) for s in (Sphere(origin, R), Ellipsoid(origin, R, R, R))]
+
+    def verdicts(build):
+        out = []
+        for mesh in meshes:
+            try:
+                build(mesh)
+                out.append("accepted")
+            except GeometryViolationError:
+                out.append("rejected")
+        return out
+
+    # a point source within 0.5e-9 of the diameter lies on the surface
+    for share in (-2e-9, -0.5e-9, 0.5e-9, 2e-9, 5e-4):
+        point = PointSource(flat_point(R * (1.0 + share), 0.0, 0.0), 0.5)
+        found = verdicts(
+            lambda mesh: HybridSystem(
+                (mesh,), CouplingSpec.from_lambdas(1.5), (point,), flat, constants
+            )
+        )
+        assert found[0] == found[1], (share, found)
+    # a small sphere outside whose innermost node lies depth * R inside
+    # the wall: overlapping surfaces are rejected beyond the same tolerance
+    rho = 1e-6 * R
+    reach = build_surface(Sphere(origin, 1.0), order=8).nodes[:, 0].max()
+    for depth, expected in ((1e-10, "accepted"), (1e-6, "rejected")):
+        small = build_surface(Sphere((R * (1.0 - depth) + rho * reach, 0.0, 0.0), rho), order=8)
+        assert verdicts(lambda mesh: _pair_geometry(mesh, small)) == [expected] * 2, depth
 
 
 @pytest.mark.parametrize(
