@@ -8,13 +8,7 @@ variational reformulation, and hybrid systems with point sources.
 """
 
 from .bounds import (
-    BoundCase,
     FinitenessCertificate,
-    NegativeRicci,
-    NegativeSectional,
-    NonnegativeRicci,
-    PositiveSectional,
-    ZeroSectional,
     coupling_bound_diameter,
     coupling_bound_model,
     critical_coupling_exact,

@@ -30,91 +30,6 @@ from .principal import (
 )
 
 
-class AmbientCurvature:
-    """Marker base for the ambient-curvature regime of a bound case."""
-
-
-@dataclass(frozen=True)
-class NonnegativeRicci(AmbientCurvature):
-    """Ambient manifold whose Ricci curvature is bounded below by zero."""
-
-
-@dataclass(frozen=True)
-class NegativeRicci(AmbientCurvature):
-    """Ambient curvature modeled on a space form of curvature -K, K > 0."""
-
-    K: float
-
-    def __post_init__(self):
-        if not self.K > 0.0:
-            raise InvalidArgumentError(f"K must be positive, got {self.K}")
-
-
-class SubmanifoldCurvature:
-    """Marker base for the sectional-curvature regime of the surface."""
-
-
-@dataclass(frozen=True)
-class ZeroSectional(SubmanifoldCurvature):
-    """Flat surface (sectional curvature zero)."""
-
-
-@dataclass(frozen=True)
-class PositiveSectional(SubmanifoldCurvature):
-    """Surface sectional curvature +H, H > 0."""
-
-    H: float
-
-    def __post_init__(self):
-        if not self.H > 0.0:
-            raise InvalidArgumentError(f"H must be positive, got {self.H}")
-
-
-@dataclass(frozen=True)
-class NegativeSectional(SubmanifoldCurvature):
-    """Surface sectional curvature -H, H > 0."""
-
-    H: float
-
-    def __post_init__(self):
-        if not self.H > 0.0:
-            raise InvalidArgumentError(f"H must be positive, got {self.H}")
-
-
-@dataclass(frozen=True)
-class BoundCase:
-    """One curvature regime for the model coupling-threshold bounds.
-
-    rho_star is the geodesic radius entering the volume-comparison step and
-    nu the spectral parameter; nu = 0 selects the zero-energy limit.
-    """
-
-    ambient: AmbientCurvature
-    submanifold_H: SubmanifoldCurvature
-    rho_star: float
-    nu: float
-
-    def __post_init__(self):
-        if not isinstance(self.ambient, (NonnegativeRicci, NegativeRicci)):
-            raise InvalidArgumentError(
-                "ambient must be NonnegativeRicci or NegativeRicci"
-            )
-        if not isinstance(
-            self.submanifold_H,
-            (ZeroSectional, PositiveSectional, NegativeSectional),
-        ):
-            raise InvalidArgumentError(
-                "submanifold_H must be ZeroSectional, PositiveSectional or "
-                "NegativeSectional"
-            )
-        if not self.rho_star > 0.0:
-            raise InvalidArgumentError(
-                f"rho_star must be positive, got {self.rho_star}"
-            )
-        if self.nu < 0.0:
-            raise InvalidArgumentError(f"nu must be nonnegative, got {self.nu}")
-
-
 @dataclass(frozen=True)
 class FinitenessCertificate:
     """Split upper cap I + II on a diagonal principal-matrix entry."""
@@ -202,38 +117,55 @@ def coupling_bound_diameter(
     return m * mesh.area * damp / (2.0 * math.pi * hbar * hbar * d)
 
 
-def coupling_bound_model(case: BoundCase, constants: PhysicalConstants) -> float:
+def coupling_bound_model(
+    space: AmbientSpace,
+    H: float,
+    rho_star: float,
+    nu: float,
+    constants: PhysicalConstants,
+) -> float:
     """Closed-form floor on the coupling threshold for one curvature regime.
 
-    Evaluates the comparison-geometry bound for the given case at its nu;
-    nu = 0 returns the zero-energy value of the bound.
+    Flat space stands for ambient Ricci curvature bounded below by zero,
+    hyperbolic space for a space form of curvature -K. H is the surface
+    sectional curvature, sign included; its sign selects the zero, positive
+    or negative surface regime. rho_star is the geodesic radius entering
+    the volume-comparison step and nu the spectral parameter; nu = 0
+    returns the zero-energy value of the bound.
     """
+    if not math.isfinite(H):
+        raise InvalidArgumentError(f"H must be finite, got {H}")
+    if not 0.0 < rho_star < math.inf:
+        raise InvalidArgumentError(
+            f"rho_star must be positive and finite, got {rho_star}"
+        )
+    if not nu >= 0.0:
+        raise InvalidArgumentError(f"nu must be nonnegative, got {nu}")
     m, hbar = constants.mass, constants.hbar
-    rho, nu = case.rho_star, case.nu
+    rho = rho_star
     kappa = constants.kappa_factor * nu
     mh2 = m / (hbar * hbar)
-    sub = case.submanifold_H
 
-    if isinstance(case.ambient, NonnegativeRicci):
-        if isinstance(sub, ZeroSectional):
+    if space.is_flat:
+        if H == 0.0:
             return mh2 * _one_minus_exp_over(rho, kappa)
-        if isinstance(sub, PositiveSectional):
-            root_H = math.sqrt(sub.H)
+        if H > 0.0:
+            root_H = math.sqrt(H)
             _check_conjugate(root_H, rho)
             shape = _one_minus_exp_over(rho, kappa) / rho
             return (
                 mh2 / (2.0 * root_H) * shape * (root_H * rho + math.sin(root_H * rho))
             )
-        b = 0.5 * math.sqrt(sub.H)
+        b = 0.5 * math.sqrt(-H)
         return 0.5 * mh2 * (
             _expm1_over(b - kappa, rho) + _expm1_over(-(b + kappa), rho)
         )
 
-    K = case.ambient.K
+    K = space.curvature_K
     root_K = math.sqrt(K)
     root_pi = math.sqrt(math.pi)
     q = math.sqrt(2.0 * m * nu * nu + K * hbar * hbar) / (hbar * root_pi)
-    if isinstance(sub, ZeroSectional):
+    if H == 0.0:
         if nu == 0.0:
             # Zero-energy value of this regime; note it is not the nu -> 0
             # limit of the branch below, which keeps a 1 - exp factor.
@@ -241,8 +173,8 @@ def coupling_bound_model(case: BoundCase, constants: PhysicalConstants) -> float
                 -root_K * (1.0 + root_pi) * rho / root_pi
             )
         return mh2 * root_pi * root_K * _one_minus_exp_over(rho, root_K + q)
-    if isinstance(sub, PositiveSectional):
-        root_H = math.sqrt(sub.H)
+    if H > 0.0:
+        root_H = math.sqrt(H)
         _check_conjugate(root_H, rho)
         return (
             mh2
@@ -250,12 +182,12 @@ def coupling_bound_model(case: BoundCase, constants: PhysicalConstants) -> float
             * _one_minus_exp_over(rho, root_K + q)
             * (rho + math.sin(root_H * rho) / root_H)
         )
-    if sub.H >= K:
+    if -H >= K:
         raise UnsupportedRegimeError(
-            f"negative surface curvature H={sub.H} must stay below the "
-            f"ambient magnitude K={K}"
+            f"negative surface curvature H={H} must stay above the "
+            f"ambient curvature -K={-K}"
         )
-    root_H = math.sqrt(sub.H)
+    root_H = math.sqrt(-H)
     return mh2 * root_pi * _one_minus_exp_over(rho, root_H + root_K + q)
 
 

@@ -25,12 +25,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .bounds import (
-    BoundCase,
-    NegativeRicci,
-    NegativeSectional,
-    NonnegativeRicci,
-    PositiveSectional,
-    ZeroSectional,
     coupling_bound_diameter,
     coupling_bound_model,
     critical_coupling_exact,
@@ -39,6 +33,7 @@ from .bounds import (
 from .errors import (
     ConfigError,
     DegeneratePerturbationError,
+    InvalidArgumentError,
     NoBoundStateError,
     OutOfChartError,
     ShellboundError,
@@ -293,17 +288,17 @@ def cmd_solve(cfg: ExperimentConfig, args):
 
 
 def _model_cases(space: AmbientSpace, meta: SurfaceCurvatureMeta):
-    """Applicable closed-form threshold cases for one surface's curvature data."""
-    ambient = NonnegativeRicci() if space.is_flat else NegativeRicci(space.curvature_K)
+    """(name, signed H) of each closed-form threshold case that applies to
+    one surface's curvature data."""
     tag = "flat" if space.is_flat else "hyperbolic"
     cases = []
     if meta.H_upper == 0.0 and meta.H_lower == 0.0:
-        cases.append((f"model_{tag}_H0", ZeroSectional()))
+        cases.append((f"model_{tag}_H0", 0.0))
     if meta.H_upper > 0.0:
-        cases.append((f"model_{tag}_Hpos", PositiveSectional(meta.H_upper)))
+        cases.append((f"model_{tag}_Hpos", meta.H_upper))
     if meta.H_lower < 0.0:
-        cases.append((f"model_{tag}_Hneg", NegativeSectional(-meta.H_lower)))
-    return ambient, cases
+        cases.append((f"model_{tag}_Hneg", meta.H_lower))
+    return cases
 
 
 def _nu_star_spec(cfg: ExperimentConfig):
@@ -335,11 +330,10 @@ def cmd_bounds(cfg: ExperimentConfig, args):
         exact = None
         if cfg.space.is_flat:
             exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min)
-        ambient, cases = _model_cases(cfg.space, mesh.meta)
-        for case_name, sub in cases:
+        for case_name, H in _model_cases(cfg.space, mesh.meta):
             try:
                 val = coupling_bound_model(
-                    BoundCase(ambient, sub, mesh.meta.rho_min, 0.0), cfg.constants
+                    cfg.space, H, mesh.meta.rho_min, 0.0, cfg.constants
                 )
                 put("model", case_name, idx, val, exact)
             except UnsupportedRegimeError:
@@ -380,13 +374,24 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+def _grid_mesh(shape, order: int) -> SurfaceMesh:
+    """The mesh of one sweep point.
+
+    A grid value that the builder rejects is a usage error, exit 1, as the
+    same value written in the config is."""
+    try:
+        return build_surface(shape, order)
+    except InvalidArgumentError as e:
+        raise ConfigError(f"--grid value gives an invalid surface: {e}") from e
+
+
 def _fixed_area_ellipsoid(sphere: SurfaceMesh, c: float) -> SurfaceMesh:
     """Prolate/oblate mesh with polar semi-axis c, the sphere's centre and
     order, and the sphere's quadrature area."""
     target_area = sphere.area
 
     def spheroid(a: float) -> SurfaceMesh:
-        return build_surface(Ellipsoid(sphere.shape.center, a, a, c), sphere.order)
+        return _grid_mesh(Ellipsoid(sphere.shape.center, a, a, c), sphere.order)
 
     # Search in units of the area-equivalent sphere radius, so the
     # tolerance is relative.
@@ -442,7 +447,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         energies = []
         for s in grid:
             center = tuple(a + s * u for a, u in zip(c0, unit))
-            moved = build_surface(replace(mover.shape, center=center), mover.order)
+            moved = _grid_mesh(replace(mover.shape, center=center), mover.order)
             energies.append(put_solve(s, (fixed, moved), cfg.couplings))
         energies = [e for e in energies if e is not None]
         ok = all(b >= a for a, b in zip(energies, energies[1:]))
@@ -460,16 +465,13 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         if not isinstance(sphere.shape, Sphere):
             raise ConfigError("sweep radius needs a sphere surface")
         for r in grid:
-            mesh = build_surface(replace(sphere.shape, radius=r), sphere.order)
+            mesh = _grid_mesh(replace(sphere.shape, radius=r), sphere.order)
             put_solve(r, (mesh,), cfg.couplings)
-            if cfg.space.is_flat:
-                put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
+            put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
     else:
         _require_surfaces(cfg, "sweep deformation_c", 1)
         if not isinstance(cfg.surfaces[0].shape, Sphere):
             raise ConfigError("sweep deformation_c needs a sphere surface")
-        if not cfg.space.is_flat:
-            raise ConfigError("sweep deformation_c needs a flat ambient space")
         for c in grid:
             mesh = _fixed_area_ellipsoid(cfg.surfaces[0], c)
             put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
@@ -566,6 +568,13 @@ def main(argv=None) -> int:
             raise ConfigError("hybrid needs at least one point source")
         if args.command != "hybrid" and cfg.points:
             raise ConfigError("config has point sources: use the hybrid command")
+        # Surface meshes live in flat space; in hyperbolic space only the
+        # closed-form bounds and point-only hybrid systems apply.
+        if cfg.surfaces and not cfg.space.is_flat and args.command != "bounds":
+            raise ConfigError(
+                f"{args.command} needs a flat ambient space for surfaces; "
+                "hyperbolic configs with surfaces run under bounds only"
+            )
         columns, rows, comment = _COMMANDS[args.command](cfg, args)
         # run_id digests the config, the command and the sweep's arguments
         extra = f"{args.param}|{args.grid}" if args.command == "sweep" else ""

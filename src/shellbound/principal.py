@@ -70,14 +70,6 @@ class Coupling:
         if self.nu_star is not None and not self.nu_star > 0.0:
             raise InvalidArgumentError(f"nu_star must be positive, got {self.nu_star}")
 
-    @staticmethod
-    def from_lambda(lam: float) -> "Coupling":
-        return Coupling(lam=float(lam))
-
-    @staticmethod
-    def from_nu_star(nu_star: float) -> "Coupling":
-        return Coupling(nu_star=float(nu_star))
-
 
 @dataclass(frozen=True)
 class CouplingSpec:
@@ -91,11 +83,11 @@ class CouplingSpec:
 
     @staticmethod
     def from_lambdas(*lams: float) -> "CouplingSpec":
-        return CouplingSpec(tuple(Coupling.from_lambda(x) for x in lams))
+        return CouplingSpec(tuple(Coupling(lam=float(x)) for x in lams))
 
     @staticmethod
     def from_nu_stars(*stars: float) -> "CouplingSpec":
-        return CouplingSpec(tuple(Coupling.from_nu_star(x) for x in stars))
+        return CouplingSpec(tuple(Coupling(nu_star=float(x)) for x in stars))
 
     def __len__(self) -> int:
         return len(self.items)

@@ -12,12 +12,9 @@ import pytest
 from scipy.special import k1 as bessel_k1
 
 from shellbound import (
-    BoundCase,
     CouplingSpec,
     HybridSystem,
     KernelBoundConstants,
-    NegativeRicci,
-    NonnegativeRicci,
     PointSource,
     Sphere,
     assemble_phi,
@@ -31,6 +28,7 @@ from shellbound import (
     finiteness_certificate,
     flat_point,
     gersgorin_energy_bound,
+    hyperbolic_space,
     pair_integral,
     point_krein,
     schur_gap,
@@ -38,7 +36,6 @@ from shellbound import (
     solve_hybrid_ground_state,
     solve_variational,
 )
-from shellbound.bounds import NegativeSectional, PositiveSectional, ZeroSectional
 from shellbound.cli import load_config, main
 from shellbound.hybrid import assemble_hybrid_phi, perturbative_shift
 from shellbound.jacobi import jacobi_eigh
@@ -107,12 +104,7 @@ def test_criterion_03_critical_coupling_limit(
 def test_criterion_04_bound_hierarchy_and_model_limits(capsys, constants, flat, sphere32):
     diam = coupling_bound_diameter(sphere32, constants, 0.0)
     meta = sphere32.meta
-    model = coupling_bound_model(
-        BoundCase(
-            NonnegativeRicci(), PositiveSectional(meta.H_upper), meta.rho_min, 0.0
-        ),
-        constants,
-    )
+    model = coupling_bound_model(flat, meta.H_upper, meta.rho_min, 0.0, constants)
     exact = critical_coupling_exact(sphere32, flat, constants, 1e-4)
     chain = diam <= model <= exact
 
@@ -120,38 +112,39 @@ def test_criterion_04_bound_hierarchy_and_model_limits(capsys, constants, flat, 
     rK, rH = math.sqrt(K), math.sqrt(H)
     rate = rK * (1.0 + 1.0 / ROOT_PI)
     rHn = math.sqrt(H / 2.0)
+    hyp = hyperbolic_space(K)
     closed = {
-        "NN/zero": (ZeroSectional(), NonnegativeRicci(), MH2 * rho),
+        "NN/zero": (0.0, flat, MH2 * rho),
         "NN/pos": (
-            PositiveSectional(H),
-            NonnegativeRicci(),
+            H,
+            flat,
             MH2 / (2.0 * rH) * (rH * rho + math.sin(rH * rho)),
         ),
         "NN/neg": (
-            NegativeSectional(H),
-            NonnegativeRicci(),
+            -H,
+            flat,
             2.0 * MH2 / rH * math.sinh(rH * rho / 2.0),
         ),
         "NR/zero": (
-            ZeroSectional(),
-            NegativeRicci(K),
+            0.0,
+            hyp,
             MH2 * math.pi / (1.0 + ROOT_PI) * math.exp(-rK * (1.0 + ROOT_PI) * rho / ROOT_PI),
         ),
         "NR/pos": (
-            PositiveSectional(H),
-            NegativeRicci(K),
+            H,
+            hyp,
             MH2 * (ROOT_PI / 2.0) * (1.0 - math.exp(-rate * rho)) / rate
             * (rho + math.sin(rH * rho) / rH),
         ),
         "NR/neg": (
-            NegativeSectional(H / 2.0),
-            NegativeRicci(K),
+            -H / 2.0,
+            hyp,
             MH2 * ROOT_PI * (1.0 - math.exp(-(rHn + rate) * rho)) / (rHn + rate),
         ),
     }
     worst = 0.0
-    for sub, ambient, want in closed.values():
-        got = coupling_bound_model(BoundCase(ambient, sub, rho, 0.0), constants)
+    for H_signed, space, want in closed.values():
+        got = coupling_bound_model(space, H_signed, rho, 0.0, constants)
         worst = max(worst, abs(got - want) / want)
     ok = chain and worst < 1e-8
     report(

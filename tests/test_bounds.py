@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from shellbound import (
-    BoundCase,
     InvalidArgumentError,
     KernelBoundConstants,
-    NegativeRicci,
     NoConvergenceError,
-    NonnegativeRicci,
     OutOfChartError,
     Sphere,
     UnsupportedRegimeError,
@@ -24,12 +21,13 @@ from shellbound import (
     deformation_lower_bound,
     diagonal_lower_envelope,
     finiteness_certificate,
+    flat_space,
     gersgorin_energy_bound,
+    hyperbolic_space,
     offdiagonal_upper_envelope,
     solve_ground_state,
     space_form_jacobian,
 )
-from shellbound.bounds import NegativeSectional, PositiveSectional, ZeroSectional
 from shellbound.principal import CouplingSpec, pair_integral
 from shellbound.oracles import SphereOracleInput, sphere_pair_integral_exact
 
@@ -53,13 +51,15 @@ def _closed_forms(H, K, rho):
 
 
 def _cases(H, K, rho, nu=0.0):
+    """(space, signed H, rho_star, nu) of each regime."""
+    flat, hyp = flat_space(), hyperbolic_space(K)
     return {
-        "NN/zero": BoundCase(NonnegativeRicci(), ZeroSectional(), rho, nu),
-        "NN/pos": BoundCase(NonnegativeRicci(), PositiveSectional(H), rho, nu),
-        "NN/neg": BoundCase(NonnegativeRicci(), NegativeSectional(H), rho, nu),
-        "NR/zero": BoundCase(NegativeRicci(K), ZeroSectional(), rho, nu),
-        "NR/pos": BoundCase(NegativeRicci(K), PositiveSectional(H), rho, nu),
-        "NR/neg": BoundCase(NegativeRicci(K), NegativeSectional(H / 2.0), rho, nu),
+        "NN/zero": (flat, 0.0, rho, nu),
+        "NN/pos": (flat, H, rho, nu),
+        "NN/neg": (flat, -H, rho, nu),
+        "NR/zero": (hyp, 0.0, rho, nu),
+        "NR/pos": (hyp, H, rho, nu),
+        "NR/neg": (hyp, -H / 2.0, rho, nu),
     }
 
 
@@ -72,7 +72,7 @@ def test_model_bounds_zero_energy_closed_forms(constants):
         / (math.sqrt(H / 2.0) + math.sqrt(K) * (1.0 + 1.0 / ROOT_PI))
     )
     for name, case in _cases(H, K, rho).items():
-        got = coupling_bound_model(case, constants)
+        got = coupling_bound_model(*case, constants)
         assert got == pytest.approx(forms[name], rel=1e-12), name
 
 
@@ -83,48 +83,40 @@ def test_model_bounds_continuous_at_zero_except_volume_case(constants):
     at0 = _cases(H, K, rho, 0.0)
     tiny = _cases(H, K, rho, 1e-7)
     for name in ("NN/zero", "NN/pos", "NN/neg", "NR/pos", "NR/neg"):
-        a = coupling_bound_model(at0[name], constants)
-        b = coupling_bound_model(tiny[name], constants)
+        a = coupling_bound_model(*at0[name], constants)
+        b = coupling_bound_model(*tiny[name], constants)
         assert abs(a - b) / a < 1e-6, name
-    jump0 = coupling_bound_model(at0["NR/zero"], constants)
-    jump1 = coupling_bound_model(tiny["NR/zero"], constants)
+    jump0 = coupling_bound_model(*at0["NR/zero"], constants)
+    jump1 = coupling_bound_model(*tiny["NR/zero"], constants)
     assert abs(jump0 - jump1) / jump0 > 0.5
 
 
-def test_model_bound_unit_sphere_value(constants):
+def test_model_bound_unit_sphere_value(constants, flat):
     # H = 1, rho = pi/2: (m/2 hbar^2)(pi/2 + 1) = 0.642699...
-    case = BoundCase(NonnegativeRicci(), PositiveSectional(1.0), math.pi / 2.0, 0.0)
-    assert coupling_bound_model(case, constants) == pytest.approx(
+    case = (flat, 1.0, math.pi / 2.0, 0.0)
+    assert coupling_bound_model(*case, constants) == pytest.approx(
         0.25 * (math.pi / 2.0 + 1.0), rel=1e-14
     )
 
 
-def test_model_bound_domain_errors(constants):
+def test_model_bound_domain_errors(constants, flat):
     with pytest.raises(OutOfChartError):
-        coupling_bound_model(
-            BoundCase(NonnegativeRicci(), PositiveSectional(1.0), math.pi, 0.0), constants
-        )
+        coupling_bound_model(flat, 1.0, math.pi, 0.0, constants)
     with pytest.raises(UnsupportedRegimeError):
-        coupling_bound_model(
-            BoundCase(NegativeRicci(1.0), NegativeSectional(1.5), 0.5, 0.0), constants
-        )
+        coupling_bound_model(hyperbolic_space(1.0), -1.5, 0.5, 0.0, constants)
 
 
-def test_bound_case_validation():
+def test_model_bound_validation(constants, flat, hyp):
+    for space in (flat, hyp):
+        for rho_star, nu in ((0.0, 0.0), (1.0, -1.0), (math.inf, 0.0), (1.0, math.nan)):
+            with pytest.raises(InvalidArgumentError):
+                coupling_bound_model(space, 0.0, rho_star, nu, constants)
+        for H in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError):
+                coupling_bound_model(space, H, 1.0, 0.0, constants)
+    # the space carries K, and a space-form regime needs K > 0
     with pytest.raises(InvalidArgumentError):
-        BoundCase("flat", ZeroSectional(), 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        BoundCase(NonnegativeRicci(), "zero", 1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        BoundCase(NonnegativeRicci(), ZeroSectional(), 0.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        BoundCase(NonnegativeRicci(), ZeroSectional(), 1.0, -1.0)
-    with pytest.raises(InvalidArgumentError):
-        PositiveSectional(0.0)
-    with pytest.raises(InvalidArgumentError):
-        NegativeSectional(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        NegativeRicci(0.0)
+        hyperbolic_space(0.0)
 
 
 def test_critical_coupling_richardson(constants, flat, sphere32):

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from shellbound import geometry
-from shellbound.bounds import critical_coupling_exact
+from shellbound.bounds import coupling_bound_model, critical_coupling_exact
 from shellbound.cli import _fmt, load_config, main
-from shellbound.errors import ConfigError
+from shellbound.errors import ConfigError, UnsupportedRegimeError
 from shellbound.geometry import MAX_ORDER
 
 SPHERE_NU = {
@@ -178,6 +178,10 @@ def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, c
     [
         ("two_spheres.json", "separation", "1.0", 2),  # the spheres would overlap
         ("single_sphere.json", "deformation_c", "1.0,5000", 1),  # no area match at c = 5000
+        # grid values the mesh builder rejects, as it does in the config
+        ("single_sphere.json", "radius", "1e80", 1),
+        ("single_sphere.json", "deformation_c", "1e80", 1),
+        ("two_spheres.json", "separation", "1e300", 1),
     ],
 )
 def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, code):
@@ -185,6 +189,42 @@ def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, 
     args = ["sweep", "--config", str(config_dir / config), "--param", param, "--grid", grid]
     assert main(args + ["--out", str(out)]) == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve"],
+        ["variational"],
+        ["sweep", "--param", "nu", "--grid", "1.0"],
+        ["sweep", "--param", "radius", "--grid", "1.0"],
+        ["sweep", "--param", "deformation_c", "--grid", "1.0"],
+        ["hybrid"],
+    ],
+    ids=lambda command: "_".join(command[:1] + command[2:3]),
+)
+def test_hyperbolic_surfaces_run_under_bounds_only(tmp_path, config_dir, command):
+    # surface meshes live in flat space: every command but bounds is a
+    # config error for a hyperbolic config with surfaces
+    data = json.loads((config_dir / "single_sphere_lambda.json").read_text())
+    data["ambient"] = {"kind": "hyperbolic", "K": 0.5}
+    if command[0] == "hybrid":
+        data["points"] = [{"position": [5.0, 0.0, 0.0], "mu": 0.5}]
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
+    assert not out.exists()
+
+
+def test_hyperbolic_point_only_hybrid_runs(tmp_path):
+    data = {
+        "ambient": {"kind": "hyperbolic", "K": 0.5},
+        "points": [{"position": [0.3, 0.0, 0.0], "mu": 0.5}],
+    }
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "hybrid.csv"
+    assert main(["hybrid", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_coincident_surfaces_exit_two(tmp_path, config_dir, capsys):
@@ -347,6 +387,55 @@ def test_bounds_rows(tmp_path):
     for r in rows:
         if r["validation"]:
             assert r["validation"] == "ok"
+
+
+SPHERE_FLAT_META = {
+    "surfaces": [
+        {
+            **SPHERE_NU["surfaces"][0],
+            "curvature_meta": {
+                "H_upper": 0.0,
+                "H_lower": 0.0,
+                "rho_min": 0.5,
+                "rho_max": 1.0,
+                "chord_arc_delta": 0.5,
+                "chord_arc_kappa": 1.0,
+            },
+        }
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "config,statuses",
+    [
+        ("torus.json", {"model_flat_Hpos": "", "model_flat_Hneg": ""}),
+        (
+            "hyperbolic_case.json",
+            {"model_hyperbolic_Hpos": "", "model_hyperbolic_Hneg": "unsupported-regime"},
+        ),
+        (None, {"model_flat_H0": ""}),
+    ],
+    ids=["torus", "hyperbolic_case", "flat_meta_sphere"],
+)
+def test_bounds_model_rows_match_the_library(tmp_path, config_dir, config, statuses):
+    # each model row is the library bound at the mesh's signed curvature
+    path = config_dir / config if config else write_cfg(tmp_path, SPHERE_FLAT_META)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    model = {r["case"]: r for r in rows if r["row_kind"] == "model"}
+    assert {case: r["status"] for case, r in model.items()} == statuses
+    cfg = load_config(str(path))
+    meta = cfg.surfaces[0].meta
+    signed = {"H0": 0.0, "Hpos": meta.H_upper, "Hneg": meta.H_lower}
+    for case, row in model.items():
+        args = (cfg.space, signed[case.rsplit("_", 1)[1]], meta.rho_min, 0.0, cfg.constants)
+        if row["status"] == "unsupported-regime":
+            with pytest.raises(UnsupportedRegimeError):
+                coupling_bound_model(*args)
+        else:
+            assert float(row["value"]) == coupling_bound_model(*args)
 
 
 def test_bounds_gersgorin_row(tmp_path):
