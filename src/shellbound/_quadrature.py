@@ -26,19 +26,30 @@ outer row, weighted by the orbit's total outer weight.
   centre, (n / 2) (n / 2 + 1) rows for even n (156 instead of 1152 at
   n = 24).  Every mesh gets one of the two.
 
-* Pairs: every mesh is mirror-symmetric in the coordinate planes through
-  its centre, so a plane through both centres mirrors the inner mesh onto
-  itself.  The outer rows are the orbits of the reflections in the shared
-  planes: 300 rows instead of 1152 for two collinear spheres at order 24,
-  every node for a pair in general position.
+* Sphere pairs: two spheres (meshes on a sphere-family chart with equal
+  axes, an Ellipsoid(R, R, R) among them) both revolve about their line
+  of centres.  The pair is summed in a canonical frame: each form's
+  canonical mesh, scaled, with both poles on the z axis and the centres D
+  apart, so the orbits are the outer form's u-rings, 24 rows instead of
+  1152 at order 24 whatever the direction of the line.  The user's nodes
+  serve only the checks, among them that each mesh is its form's mesh
+  moved and scaled.
+
+* Other pairs: every mesh is mirror-symmetric in the coordinate planes
+  through its centre, so a plane through both centres mirrors the inner
+  mesh onto itself.  The outer rows are the orbits of the reflections in
+  the shared planes: 300 rows instead of 1152 for an order-24 sphere
+  beside a torus or an ellipsoid on the x axis, every node for a pair in
+  general position.
 
 All reductions run over fixed _BLOCK = 16384-sample blocks whose partial
 sums are combined with math.fsum in index order, so results are bitwise
 reproducible and the kernel's scratch memory stays one block long (128 kB
 per array).  Each block costs one kernel call of fixed Python overhead, so
-a larger block means fewer calls: an order-24 collinear pair sum (345 600
-samples) makes 22 instead of 85 at 4096, and 16384 was the fastest of 4096
-to 32768 on warm order-24 pair and coupling solves (2 vCPU, numpy 2.4).
+a larger block means fewer calls: an order-24 mirror-rule pair sum of
+345 600 samples makes 22 instead of 85 at 4096 (an order-24 sphere pair,
+27 648 samples, makes 2), and 16384 was the fastest of 4096 to 32768 on
+warm order-24 pair and coupling solves (2 vCPU, numpy 2.4).
 
 Every double sum takes one path: double_sum picks the self-integral or the
 pair rule, whose cached (distances, weights) arrays go to
@@ -61,7 +72,8 @@ the form's arrays at s = 1, else a copy with distances times s and weights
 times s^4.  The form geometry lives as long as any mesh of its form: the
 meshes hold the form, the cache holds it weakly.  So equal spheres share
 one patch build, and a radius sweep builds one while the config's own
-mesh, of the same form, lives.
+mesh, of the same form, lives.  Sphere pairs take their canonical nodes,
+weights and u-rings from the same cached form geometry.
 
 Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
 take about 1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows
@@ -363,14 +375,29 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
 
 @_mesh_cache
 def _form_geometry(form: SurfaceForm):
-    """Nodes, weights and orbit-rule (d, w) of a form's canonical mesh.
+    """Nodes, weights, orbit rows, row weights and orbit-rule (d, w) of a
+    form's canonical mesh.
 
     The canonical mesh is built here, at the origin with scale 1, and never
     taken from whichever mesh asked first, so the result does not depend
     on the order in which meshes of the form ask for it.
     """
     mesh = build_surface(form.shape, form.order)
-    return (mesh.nodes, mesh.weights, *_patch_rows(mesh, *_orbit_rows(mesh)))
+    rows, row_weights = _orbit_rows(mesh)
+    return mesh.nodes, mesh.weights, rows, row_weights, *_patch_rows(mesh, rows, row_weights)
+
+
+def _check_form_mesh(mesh: SurfaceMesh, nodes: np.ndarray, weights: np.ndarray) -> None:
+    """Raise GeometryViolationError unless mesh is its form's canonical mesh
+    (nodes, weights) scaled by mesh.scale and moved to its centre: nodes
+    within 0.5e-12 times the diameter, weights within 1e-12 relative."""
+    s = mesh.scale
+    moved = mesh.chart.center + s * nodes
+    if mesh.nodes.shape != moved.shape or not (
+        np.all(np.abs(mesh.nodes - moved) <= 0.5e-12 * mesh.diameter_ambient)
+        and np.all(np.abs(mesh.weights - s * s * weights) <= 1e-12 * s * s * weights)
+    ):
+        raise GeometryViolationError("mesh is not its form's mesh moved and scaled")
 
 
 @_mesh_cache
@@ -379,17 +406,11 @@ def _diag_geometry(mesh: SurfaceMesh):
     form's, with distances times s and weights times s^4 for scale s.
 
     Raises GeometryViolationError unless the mesh is its form's canonical
-    mesh scaled by s and moved to its centre: nodes within 0.5e-12 times
-    the diameter, weights within 1e-12 relative.
+    mesh scaled by s and moved to its centre (_check_form_mesh).
     """
-    nodes, weights, d, w = _form_geometry(mesh.form)
+    nodes, weights, _, _, d, w = _form_geometry(mesh.form)
+    _check_form_mesh(mesh, nodes, weights)
     s = mesh.scale
-    moved = mesh.chart.center + s * nodes
-    if mesh.nodes.shape != moved.shape or not (
-        np.all(np.abs(mesh.nodes - moved) <= 0.5e-12 * mesh.diameter_ambient)
-        and np.all(np.abs(mesh.weights - s * s * weights) <= 1e-12 * s * s * weights)
-    ):
-        raise GeometryViolationError("mesh is not its form's mesh moved and scaled")
     if s == 1.0:
         return d, w
     return s * d, s**4 * w
@@ -403,6 +424,34 @@ def patch_weight_residual(mesh: SurfaceMesh) -> float:
     return float(np.max(np.abs(sums - mesh.area)) / mesh.area)
 
 
+def _is_sphere(mesh: SurfaceMesh) -> bool:
+    """Whether the mesh is a sphere: a sphere-family chart with equal axes,
+    which an Ellipsoid(R, R, R) has too."""
+    chart = mesh.chart
+    return isinstance(chart, _ScaledSphereChart) and bool(np.all(chart.axes == chart.axes[0]))
+
+
+def _ring_pair(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
+    """Outer and inner nodes and weights of two spheres on their line of
+    centres, the z axis.
+
+    Both forms' canonical meshes (pole on z) are scaled, and form j's is
+    moved by D along z, D the distance of the centres.  Rotation about z
+    maps the inner sphere onto itself, so every node of an outer u-ring has
+    the same inner integral: the ring's v = 0 node, which is the form's
+    orbit row, carries the ring's summed weight.  Each user mesh must be
+    its form's mesh moved and scaled.
+    """
+    nodes_i, weights_i, rows, row_weights = _form_geometry(mesh_i.form)[:4]
+    nodes_j, weights_j = _form_geometry(mesh_j.form)[:2]
+    _check_form_mesh(mesh_i, nodes_i, weights_i)
+    _check_form_mesh(mesh_j, nodes_j, weights_j)
+    s_i, s_j = mesh_i.scale, mesh_j.scale
+    inner = s_j * nodes_j
+    inner[:, 2] += math.dist(mesh_i.chart.center, mesh_j.chart.center)
+    return s_i * nodes_i[rows], s_i * s_i * row_weights, inner, s_j * s_j * weights_j
+
+
 @_mesh_cache
 def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     """Flattened (distances, weight products) between two disjoint surfaces.
@@ -410,12 +459,15 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     Raises GeometryViolationError, caching nothing, when either surface's
     nodes lie inside the other beyond a 0.5e-9 share of the larger diameter,
     or when a node of one is a node of the other (zero distance).
-    The product rule with mesh_i's nodes reduced by the orbit rule: a
-    coordinate plane through both centres mirrors each mesh onto itself, so
-    mirror images in mesh_i have the same inner sum over mesh_j.  One row
-    per orbit of the shared reflections carries the orbit's summed weight
-    and its distances to every node of mesh_j; a pair sharing no plane
-    keeps every node.  Both meshes must pass the mirror-image check.
+    Two spheres go on rings (_ring_pair): one outer row per u-ring of
+    mesh_i's form, against every node of mesh_j's, both placed on their
+    line of centres, so the user's nodes serve only the checks.  Any other
+    pair takes the product rule with mesh_i's nodes reduced by the orbit
+    rule: a coordinate plane through both centres mirrors each mesh onto
+    itself, so mirror images in mesh_i have the same inner sum over mesh_j.
+    One row per orbit of the shared reflections carries the orbit's summed
+    weight and its distances to every node of mesh_j; a pair sharing no
+    plane keeps every node.  Both meshes must pass the mirror-image check.
     """
     tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
     if np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol) or np.any(
@@ -424,16 +476,20 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
         raise GeometryViolationError(
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} overlap"
         )
-    shared = tuple(a for a in range(3) if mesh_i.chart.center[a] == mesh_j.chart.center[a])
-    rows, row_weights = _orbit_rows(mesh_i, shared)
-    _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
-    diff = mesh_i.nodes[rows, None, :] - mesh_j.nodes[None, :, :]
+    if _is_sphere(mesh_i) and _is_sphere(mesh_j):
+        outer, outer_w, inner, inner_w = _ring_pair(mesh_i, mesh_j)
+    else:
+        shared = tuple(a for a in range(3) if mesh_i.chart.center[a] == mesh_j.chart.center[a])
+        rows, outer_w = _orbit_rows(mesh_i, shared)
+        _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
+        outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
+    diff = outer[:, None, :] - inner[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if not d.min() > 0.0:  # also catches NaN
         raise GeometryViolationError(
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} share a node"
         )
-    w = row_weights[:, None] * mesh_j.weights[None, :]
+    w = outer_w[:, None] * inner_w[None, :]
     return d.reshape(-1), w.reshape(-1)
 
 

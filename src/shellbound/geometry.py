@@ -371,10 +371,11 @@ class SurfaceMesh:
         return self.nodes.shape[0]
 
 
-# Highest quadrature order.  Pair geometry grows as order^4: measured peak
-# RSS of `bounds` on two unit spheres (README) is 78 / 245 MB at orders 32 / 48
-# for collinear centres and 196 / 848 MB for centres on no shared plane, and
-# order 64 would extrapolate to about 0.7 / 2.6 GB.
+# Highest quadrature order.  The geometry of a pair that is not two spheres
+# grows as order^4: measured peak RSS of `bounds` on a unit sphere and an
+# ellipsoid with collinear centres (README) is 91 / 273 MB at orders 32 / 48,
+# and order 64 would extrapolate to about 0.8 GB.  Two spheres go on rings
+# and peak at 46 MB at order 48.
 MAX_ORDER = 48
 
 

@@ -12,6 +12,7 @@ from shellbound import (
     BoundStateResult,
     Coupling,
     CouplingSpec,
+    Ellipsoid,
     InvalidArgumentError,
     InvalidStateError,
     NoBoundStateError,
@@ -160,8 +161,10 @@ def test_assemble_phi_still_checks_a_sharing_mesh(constants, flat):
     # mesh moved gets no shared self-integral: it raises as it would alone.
     # The centres share no coordinate plane, so the pair rule checks no
     # mirror images and only the self-integral's check sees the turn.
-    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
-    b = build_surface(Sphere((3.0, 2.5, 1.5), 1.0), order=8)
+    # Ellipsoids, because a sphere pair goes on rings, which check both forms.
+    general = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
+    a = build_surface(general, order=8)
+    b = build_surface(dataclasses.replace(general, center=(3.0, 2.5, 1.5)), order=8)
     u, v = b.params[:, 0], b.params[:, 1]
     turned = dataclasses.replace(b, nodes=b.chart.evaluate(u, v + 0.1)[0])
     with pytest.raises(GeometryViolationError):
@@ -169,14 +172,14 @@ def test_assemble_phi_still_checks_a_sharing_mesh(constants, flat):
 
 
 def test_pair_integral_kernel_calls_per_block(constants, flat, sphere24, monkeypatch):
-    # an order-24 collinear pair sums 300 outer rows x 1152 nodes; the block
+    # an order-24 sphere pair sums 24 outer u-rings x 1152 nodes; the block
     # loop makes one kernel call per _BLOCK samples, and every sample once
     other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=24)
     calls = _counting(monkeypatch, "static_kernel_array")
     pair_integral(sphere24, other, flat, constants, 1.0)
-    assert sum(args[3].size for args in calls) == 345_600
-    assert len(calls) <= -(-345_600 // quad._BLOCK)
-    assert len(calls) <= 22
+    assert sum(args[3].size for args in calls) == 27_648
+    assert len(calls) <= -(-27_648 // quad._BLOCK)
+    assert len(calls) <= 2
 
 
 def test_ground_state_reuses_the_root_eigenpairs(constants, flat, sphere16, monkeypatch):

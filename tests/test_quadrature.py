@@ -389,20 +389,33 @@ def _direct_pair_integral(a, b, constants, nu):
     return direct / math.sqrt(a.area * b.area)
 
 
+def _on_z_axis(outer, inner, order):
+    """Meshes of two spheres moved onto the z axis, outer at the origin:
+    the frame in which the pair rule sums a sphere pair."""
+    D = math.dist(outer.center, inner.center)
+    return (
+        build_surface(dataclasses.replace(outer, center=(0.0, 0.0, 0.0)), order=order),
+        build_surface(dataclasses.replace(inner, center=(0.0, 0.0, D)), order=order),
+    )
+
+
 def test_offdiag_value_against_direct_product_sum(constants, flat):
-    # the off-diagonal rule is a plain product sum over both node sets
-    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
-    b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
+    # a sphere pair's rule is the plain product sum over both node sets
+    # with the pair on its line of centres, there reduced to u-rings
+    shapes = Sphere((0.0, 0.0, 0.0), 1.0), Sphere((4.0, 0.0, 0.0), 1.0)
+    a, b = (build_surface(shape, order=8) for shape in shapes)
     nu = 1.0
-    direct = _direct_pair_integral(a, b, constants, nu)
+    direct = _direct_pair_integral(*_on_z_axis(*shapes, 8), constants, nu)
     assert pair_integral(a, b, flat, constants, nu) == pytest.approx(direct, rel=1e-13)
 
 
 # A pair shares the reflections in the coordinate planes through both
 # centres, and the pair rule keeps one outer row per orbit of them: three
 # planes for the sphere in the torus hole, two for collinear centres (the
-# torus-sphere pairs among them), one for the right angle, none in general
-# position.  The torus pairs with z shared use its periodic u mirror.
+# torus-sphere pairs among them), none in general position.  The torus
+# pairs with z shared use its periodic u mirror.  Two spheres instead go on
+# rings about their line of centres, whatever their planes, and are
+# compared with the product sum over the pair placed on the z axis.
 PAIRS = {
     "sphere_in_torus_hole": (Sphere((0.0, 0.0, 0.0), 1.0), Torus((0.0, 0.0, 0.0), 2.0, 0.5)),
     "collinear_spheres": (Sphere((0.0, 0.0, 0.0), 1.0), Sphere((4.0, 0.0, 0.0), 1.0)),
@@ -423,24 +436,107 @@ def test_pair_rule_against_direct_product_sum(constants, flat, shapes):
     # rows give the full product sum up to rounding, in either order
     a, b = (build_surface(shape, order=12) for shape in shapes)
     for outer, inner in ((a, b), (b, a)):
+        reference = (outer, inner)
+        if all(isinstance(mesh.shape, Sphere) for mesh in reference):
+            reference = _on_z_axis(outer.shape, inner.shape, 12)
         for nu in (0.1, 1.0, 3.0):
-            direct = _direct_pair_integral(outer, inner, constants, nu)
+            direct = _direct_pair_integral(*reference, constants, nu)
             got = pair_integral(outer, inner, flat, constants, nu)
             assert got == pytest.approx(direct, rel=1e-13)
 
 
 def test_pair_geometry_rows(sphere24):
-    # collinear spheres share the y and z planes: 12 u-orbits (u, pi - u)
-    # times 25 v-orbits (v, -v); a pair in general position keeps every node
-    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=24)
-    d, w = quad._pair_geometry(sphere24, other)
+    # a sphere pair keeps one outer row per u-ring, 24 x 1152 samples, on a
+    # shared line or not.  A sphere beside an ellipsoid on the x axis keeps
+    # the mirror rule: they share the y and z planes, 12 u-orbits (u, pi - u)
+    # times 25 v-orbits (v, -v).  In general position they share no mirror
+    # plane and keep every node
+    for center in ((4.0, 0.0, 0.0), (3.0, 2.5, -1.5)):
+        other = build_surface(Sphere(center, 1.0), order=24)
+        d, w = quad._pair_geometry(sphere24, other)
+        assert d.size == w.size == 24 * 1152
+        assert float(np.sum(w)) == pytest.approx(sphere24.area * other.area, rel=1e-14)
+    beside = build_surface(dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0)), order=24)
+    d, w = quad._pair_geometry(sphere24, beside)
     assert d.size == w.size == 300 * 1152
-    assert float(np.sum(w)) == pytest.approx(sphere24.area * other.area, rel=1e-14)
-    apart = build_surface(Sphere((3.0, 2.5, -1.5), 1.0), order=24)
+    assert float(np.sum(w)) == pytest.approx(sphere24.area * beside.area, rel=1e-14)
+    apart = build_surface(dataclasses.replace(GENERAL, center=(3.0, 2.5, -1.5)), order=24)
     d, w = quad._pair_geometry(sphere24, apart)
     diff = sphere24.nodes[:, None, :] - apart.nodes[None, :, :]
     assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1))
     assert np.array_equal(w, (sphere24.weights[:, None] * apart.weights).reshape(-1))
+
+
+# Sphere pairs on rings: both spheres revolve about their line of centres.
+
+# the largest relative error against the closed form at nu = 1, with the
+# centres on the x axis as in the shipped configs
+RING_ERRORS = {
+    (2.0, 16): 5e-3,
+    (2.0, 24): 2.5e-3,
+    (2.1, 16): 2e-4,
+    (2.1, 24): 2e-5,
+    (2.5, 16): 1e-8,
+    (2.5, 24): 5e-12,
+    (4.0, 16): 1e-14,
+    (4.0, 24): 1e-14,
+}
+
+
+@pytest.mark.parametrize("D, order", RING_ERRORS, ids=[f"D{D}-n{n}" for D, n in RING_ERRORS])
+def test_ring_pair_against_two_sphere_closed_form(constants, flat, D, order):
+    # the contact point of a near pair sits on both poles, where the nodes
+    # in cos u cluster
+    a, b = (build_surface(Sphere((x, 0.0, 0.0), 1.0), order=order) for x in (0.0, D))
+    exact = two_sphere_pair_integral_exact(1.0, 1.0, D, 1.0, constants)
+    for outer, inner in ((a, b), (b, a)):
+        got = pair_integral(outer, inner, flat, constants, 1.0)
+        assert abs(got - exact) <= RING_ERRORS[D, order] * exact
+
+
+def test_ring_pair_of_unequal_spheres_and_orders(constants, flat):
+    # each outer ring's inner sum is its ring's integral up to the inner
+    # rule's error, whichever order each sphere has
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 0.7), order=16)
+    b = build_surface(Sphere((1.2, -1.5, 1.9), 1.3), order=24)
+    D = math.dist(a.shape.center, b.shape.center)
+    assert D == pytest.approx(2.7, rel=1e-2)
+    for nu in (0.5, 1.0, 2.0):
+        exact = two_sphere_pair_integral_exact(0.7, 1.3, D, nu, constants)
+        for outer, inner in ((a, b), (b, a)):
+            got = pair_integral(outer, inner, flat, constants, nu)
+            assert got == pytest.approx(exact, rel=2e-12)
+
+
+def test_ring_pair_does_not_depend_on_the_direction(constants, flat, sphere24):
+    # only the distance of the centres enters a sphere pair's geometry
+    values = set()
+    for center in ((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, -4.0)):
+        other = build_surface(Sphere(center, 1.0), order=24)
+        values.add(pair_integral(sphere24, other, flat, constants, 1.0))
+    assert len(values) == 1
+
+
+def test_ring_pair_rejects_a_sphere_that_is_not_its_form(sphere16):
+    # the rings are built from the forms, so each user mesh is checked
+    # against its form, as the outer and as the inner mesh
+    other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=16)
+    before = quad._pair_geometry.cache_info().currsize
+    for pair in ((_turned(other), sphere16), (sphere16, _turned(other))):
+        with pytest.raises(GeometryViolationError, match="form"):
+            quad._pair_geometry(*pair)
+    assert quad._pair_geometry.cache_info().currsize == before
+
+
+def test_equal_axis_ellipsoid_pair_goes_on_rings(sphere24):
+    # an Ellipsoid(R, R, R) has the sphere's chart, so it pairs on rings,
+    # with the sphere pair's bits
+    sphere = build_surface(Sphere((0.0, 3.0, 0.0), 1.0), order=24)
+    ellipsoid = build_surface(Ellipsoid((0.0, 3.0, 0.0), 1.0, 1.0, 1.0), order=24)
+    d, w = quad._pair_geometry(sphere24, ellipsoid)
+    assert d.size == w.size == 24 * 1152
+    want_d, want_w = quad._pair_geometry(sphere24, sphere)
+    assert np.array_equal(d, want_d) and np.array_equal(w, want_w)
 
 
 def test_pair_geometry_rejects_meshes_that_are_no_mirror_images():

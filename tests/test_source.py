@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used, every
-module-level private name is read somewhere, and no module imports scipy,
-which is a test dependency only.
+module-level private name is read somewhere, no module imports scipy,
+which is a test dependency only, and the quadrature engine names no shape
+class.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -69,6 +70,43 @@ def test_the_check_finds_a_lazy_scipy_import():
 def test_module_does_not_import_scipy(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _scipy_imports(tree) == []
+
+
+SHAPE_CLASSES = ("Sphere", "Torus", "Ellipsoid")
+
+
+def _shape_class_uses(tree: ast.Module) -> list[str]:
+    """Every import of a shape class, at any depth, and every attribute
+    access by its name (as in geometry.Sphere)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n in SHAPE_CLASSES]
+    return found
+
+
+def test_the_check_finds_a_shape_class():
+    tree = ast.parse(
+        "from .geometry import Sphere, build_surface\n"
+        "from . import geometry\n"
+        "def f(mesh):\n"
+        "    from .geometry import Ellipsoid\n"
+        "    return isinstance(mesh.shape, geometry.Torus)\n"
+    )
+    assert _shape_class_uses(tree) == ["line 1: Sphere", "line 4: Ellipsoid", "line 5: Torus"]
+
+
+def test_quadrature_names_no_shape_class():
+    # the quadrature engine tells a sphere by its mesh's chart, never by the
+    # shape class, so a new shape on an existing chart needs no change there
+    name = "_quadrature.py"
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _shape_class_uses(tree) == []
 
 
 def _loads(node: ast.AST):
