@@ -22,7 +22,6 @@ from .bounds import (
 from .errors import (
     ConfigError,
     DegeneratePerturbationError,
-    DivergentInputError,
     GeometryViolationError,
     IllConditionedError,
     InvalidArgumentError,
@@ -61,14 +60,9 @@ from .hybrid import (
 )
 from .kernels import (
     KernelBoundConstants,
-    StaticKernelQuery,
     heat_kernel,
-    heat_kernel_lower_bound,
     heat_kernel_upper_bound,
-    static_kernel,
     static_kernel_array,
-    static_kernel_d2alpha_array,
-    static_kernel_dalpha_array,
 )
 from .principal import (
     BoundStateResult,

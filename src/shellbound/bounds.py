@@ -75,6 +75,8 @@ def _check_conjugate(root_H: float, rho: float) -> None:
 
 def space_form_jacobian(K_signed: float, r: float) -> float:
     """Volume element of the exponential map in the constant-curvature model."""
+    if not math.isfinite(K_signed):
+        raise InvalidArgumentError(f"K_signed must be finite, got {K_signed}")
     if not r > 0.0:
         raise InvalidArgumentError(f"r must be positive, got {r}")
     if K_signed > 0.0:
@@ -109,7 +111,7 @@ def coupling_bound_diameter(
     mesh: SurfaceMesh, constants: PhysicalConstants, nu: float
 ) -> float:
     """Diameter-based floor on the coupling threshold of one surface."""
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise InvalidArgumentError(f"nu must be nonnegative, got {nu}")
     m, hbar = constants.mass, constants.hbar
     d = mesh.diameter_ambient
@@ -233,8 +235,12 @@ def diagonal_lower_envelope(
     [nu_star, inf) in every regime, which is what makes the monotone root
     search in gersgorin_energy_bound legitimate against this envelope.
     """
-    if not rho_star > 0.0:
-        raise InvalidArgumentError(f"rho_star must be positive, got {rho_star}")
+    if not math.isfinite(H_signed):
+        raise InvalidArgumentError(f"H_signed must be finite, got {H_signed}")
+    if not 0.0 < rho_star < math.inf:
+        raise InvalidArgumentError(
+            f"rho_star must be positive and finite, got {rho_star}"
+        )
     if not 0.0 <= nu_star <= nu:
         raise InvalidArgumentError(
             f"need 0 <= nu_star <= nu, got nu_star={nu_star}, nu={nu}"

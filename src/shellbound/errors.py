@@ -21,10 +21,6 @@ class GeometryViolationError(ShellboundError, ValueError):
     """Surfaces overlap, a point sits on a surface, or a mesh is degenerate."""
 
 
-class DivergentInputError(ShellboundError, ValueError):
-    """Kernel evaluated at a point where it diverges (e.g. nu = 0 and d = 0)."""
-
-
 class OutOfChartError(ShellboundError, ValueError):
     """Radial coordinate left the validity chart of a space form (r >= pi/sqrt(K))."""
 

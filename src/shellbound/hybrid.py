@@ -29,7 +29,7 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
-from .kernels import StaticKernelQuery, static_kernel
+from .kernels import static_kernel_array
 from .principal import (
     _NU_FLOOR,
     BoundStateResult,
@@ -120,7 +120,7 @@ def point_krein(
     constants: PhysicalConstants,
     mu: float,
     nu: float,
-    space: AmbientSpace | None = None,
+    space: AmbientSpace,
 ) -> float:
     """Subtracted point diagonal: int dt/hbar K_t(a,a)(e^{-mu^2 t/h} - e^{-nu^2 t/h}).
 
@@ -134,7 +134,7 @@ def point_krein(
         )
     m, hbar = constants.mass, constants.hbar
     pref = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
-    if space is None or space.is_flat:
+    if space.is_flat:
         return pref * (nu - mu)
     K = space.curvature_K
     kf2 = 2.0 * m / (hbar * hbar)
@@ -178,12 +178,8 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
             d = ambient_distance(
                 sys.space, p.position, sys.points[q_idx].position
             )
-            val = -static_kernel(
-                StaticKernelQuery(
-                    nu=nu, distance=d, space=sys.space, constants=sys.constants
-                )
-            )
-            A[k, n + q_idx] = A[n + q_idx, k] = val
+            val = static_kernel_array(sys.space, sys.constants, nu, np.array([d]))
+            A[k, n + q_idx] = A[n + q_idx, k] = -float(val[0])
     return PrincipalMatrix(nu=nu, entries=A)
 
 

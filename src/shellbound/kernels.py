@@ -1,5 +1,5 @@
 """Heat kernels of the model spaces, their static (Laplace-in-time) kernels,
-and two-sided heat-kernel bounds.
+and the Gaussian upper bound on the heat kernel.
 
 The static kernel is the free resolvent at energy E = -nu**2,
 
@@ -9,6 +9,9 @@ which in flat space is the Yukawa kernel (m/2*pi*hbar^2) e^{-kappa d}/d with
 kappa = sqrt(2m) nu / hbar, and in hyperbolic space of curvature -K picks up
 the factor sqrt(K) d / sinh(sqrt(K) d) and the shifted decay rate
 sqrt(K + 2 m nu^2/hbar^2).
+
+The flat heat_kernel is also the Gaussian comparison lower bound of the
+two-sided heat-kernel estimate.
 """
 
 from __future__ import annotations
@@ -18,36 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .geometry import AmbientSpace, PhysicalConstants
 
 __all__ = [
-    "StaticKernelQuery",
     "KernelBoundConstants",
     "heat_kernel",
-    "static_kernel",
     "static_kernel_array",
-    "static_kernel_dalpha_array",
-    "static_kernel_d2alpha_array",
-    "heat_kernel_lower_bound",
     "heat_kernel_upper_bound",
 ]
-
-
-@dataclass(frozen=True)
-class StaticKernelQuery:
-    """One static-kernel evaluation request at spectral parameter nu."""
-
-    nu: float
-    distance: float
-    space: AmbientSpace
-    constants: PhysicalConstants
-
-    def __post_init__(self):
-        if not (self.nu >= 0.0 and math.isfinite(self.nu)):
-            raise InvalidArgumentError(f"nu must be finite and >= 0, got {self.nu}")
-        if not (self.distance >= 0.0 and math.isfinite(self.distance)):
-            raise InvalidArgumentError(f"distance must be finite and >= 0, got {self.distance}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +63,9 @@ def heat_kernel(space: AmbientSpace, constants: PhysicalConstants, t, d):
     """
     t_arr = np.asarray(t, dtype=float)
     d_arr = np.asarray(d, dtype=float)
-    if np.any(t_arr <= 0.0):
+    if not np.all(t_arr > 0.0):
         raise InvalidArgumentError("heat kernel requires t > 0")
-    if np.any(d_arr < 0.0):
+    if not np.all(d_arr >= 0.0):
         raise InvalidArgumentError("heat kernel requires d >= 0")
     m, hbar = constants.mass, constants.hbar
     gauss = (m / (2.0 * math.pi * hbar * t_arr)) ** 1.5 * np.exp(
@@ -101,15 +83,6 @@ def heat_kernel(space: AmbientSpace, constants: PhysicalConstants, t, d):
     return out
 
 
-def static_kernel(q: StaticKernelQuery) -> float:
-    """Closed-form static kernel G_nu(distance) for the query's space."""
-    if q.nu == 0.0 and q.distance == 0.0:
-        raise DivergentInputError("static kernel diverges at nu = 0, distance = 0")
-    if q.distance == 0.0:
-        return math.inf
-    return float(static_kernel_array(q.space, q.constants, q.nu, np.asarray([q.distance]))[0])
-
-
 def static_kernel_array(
     space: AmbientSpace, constants: PhysicalConstants, nu: float, d: np.ndarray
 ) -> np.ndarray:
@@ -123,67 +96,6 @@ def static_kernel_array(
     K = space.curvature_K
     gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
     return pref * (math.sqrt(K) / np.sinh(math.sqrt(K) * d)) * np.exp(-gamma * d)
-
-
-def static_kernel_dalpha_array(
-    space: AmbientSpace, constants: PhysicalConstants, nu: float, d: np.ndarray
-) -> np.ndarray:
-    """d/d(alpha) of the static kernel at alpha = nu**2 (bounded as d -> 0)."""
-    if nu <= 0.0:
-        raise InvalidArgumentError("alpha-derivative kernels need nu > 0")
-    m, hbar = constants.mass, constants.hbar
-    d = np.asarray(d, dtype=float)
-    pref = m / (2.0 * math.pi * hbar * hbar)
-    if space.is_flat:
-        kappa = constants.kappa_factor * nu
-        # -(beta/2 nu) G with beta = sqrt(2m) d / hbar; the 1/d of G cancels.
-        return -pref * (constants.kappa_factor / (2.0 * nu)) * np.exp(-kappa * d)
-    K = space.curvature_K
-    gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
-    # d G(d) in the bounded form pref * (sqrt(K) d / sinh(sqrt(K) d)) e^{-gamma d}.
-    dG = pref * np.asarray(_x_over_sinh(math.sqrt(K) * d)) * np.exp(-gamma * d)
-    return -(m / (hbar * hbar)) / gamma * dG
-
-
-def static_kernel_d2alpha_array(
-    space: AmbientSpace, constants: PhysicalConstants, nu: float, d: np.ndarray
-) -> np.ndarray:
-    """Second alpha-derivative of the static kernel (bounded as d -> 0)."""
-    if nu <= 0.0:
-        raise InvalidArgumentError("alpha-derivative kernels need nu > 0")
-    m, hbar = constants.mass, constants.hbar
-    d = np.asarray(d, dtype=float)
-    pref = m / (2.0 * math.pi * hbar * hbar)
-    if space.is_flat:
-        kf = constants.kappa_factor
-        kappa = kf * nu
-        expf = np.exp(-kappa * d)
-        # G * beta (beta + 1/nu) / (4 nu^2); one power of d cancels the 1/d of G.
-        return pref * expf * (kf / (4.0 * nu * nu)) * (kf * d + 1.0 / nu)
-    K = space.curvature_K
-    gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
-    ratio = np.asarray(_x_over_sinh(math.sqrt(K) * d))
-    expf = np.exp(-gamma * d)
-    mh = m / (hbar * hbar)
-    # (m/hbar^2)^2 (gamma^-3 + d gamma^-2) * (d G), with d*G kept in the
-    # bounded form pref * (sqrt(K) d / sinh(sqrt(K) d)) e^{-gamma d}.
-    dG = pref * ratio * expf
-    return mh * mh * (1.0 / gamma**3 + d / gamma**2) * dG
-
-
-def heat_kernel_lower_bound(constants: PhysicalConstants, t, d):
-    """Gaussian comparison lower bound; exact for flat space."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise InvalidArgumentError("lower bound requires t > 0")
-    m, hbar = constants.mass, constants.hbar
-    d_arr = np.asarray(d, dtype=float)
-    out = (m / (2.0 * math.pi * hbar * t_arr)) ** 1.5 * np.exp(
-        -m * d_arr * d_arr / (2.0 * hbar * t_arr)
-    )
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def heat_kernel_upper_bound(
@@ -201,10 +113,12 @@ def heat_kernel_upper_bound(
     if not V_M > 0.0:
         raise InvalidArgumentError(f"V_M must be positive (or inf), got {V_M}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise InvalidArgumentError("upper bound requires t > 0")
-    m, hbar = constants.mass, constants.hbar
     d_arr = np.asarray(d, dtype=float)
+    if not np.all(t_arr > 0.0):
+        raise InvalidArgumentError("upper bound requires t > 0")
+    if not np.all(d_arr >= 0.0):
+        raise InvalidArgumentError("upper bound requires d >= 0")
+    m, hbar = constants.mass, constants.hbar
     vol_term = 0.0 if math.isinf(V_M) else kc.C1 / V_M
     out = vol_term + kc.C2 * (m / (2.0 * math.pi * hbar * t_arr)) ** 1.5 * np.exp(
         -m * d_arr * d_arr / (2.0 * kc.C3 * hbar * t_arr)

@@ -4,8 +4,9 @@ The single-surface functional E(alpha) and the multi-surface matrices K, L,
 S share one ingredient: double surface integrals of the static kernel and
 its first two derivatives with respect to the trial parameter alpha (the
 time weights 1, t, t^2 under the integral). The derivative kernels are
-closed forms, so no time quadrature happens here. The matrices take their
-integrals from _quadrature.double_sum, and the zero mode of I - K is found
+closed forms, so no time quadrature happens here, and they are the flat
+ones only: every entry point here requires flat space. The matrices take
+their integrals from _quadrature.double_sum, and the zero mode of I - K is found
 by principal._ground_state, the search the principal matrices use.
 """
 
@@ -20,11 +21,7 @@ from . import _quadrature as quad
 from .errors import IllConditionedError, InvalidArgumentError, InvalidStateError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import jacobi_eigh
-from .kernels import (
-    static_kernel_array,
-    static_kernel_d2alpha_array,
-    static_kernel_dalpha_array,
-)
+from .kernels import static_kernel_array
 from .principal import (
     CouplingSpec,
     PrincipalMatrix,
@@ -47,6 +44,24 @@ __all__ = [
 
 _ALPHA_FLOOR = 1e-16
 _ALPHA_CEIL = 1e8
+
+
+def _kernel_dalpha(constants: PhysicalConstants, nu: float, d: np.ndarray) -> np.ndarray:
+    """d/d(alpha) of the flat static kernel at alpha = nu**2 (bounded as d -> 0)."""
+    pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
+    kappa = constants.kappa_factor * nu
+    # -(beta/2 nu) G with beta = sqrt(2m) d / hbar; the 1/d of G cancels.
+    return -pref * (constants.kappa_factor / (2.0 * nu)) * np.exp(-kappa * d)
+
+
+def _kernel_d2alpha(constants: PhysicalConstants, nu: float, d: np.ndarray) -> np.ndarray:
+    """Second alpha-derivative of the flat static kernel (bounded as d -> 0)."""
+    pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
+    kf = constants.kappa_factor
+    kappa = kf * nu
+    expf = np.exp(-kappa * d)
+    # G * beta (beta + 1/nu) / (4 nu^2); one power of d cancels the 1/d of G.
+    return pref * expf * (kf / (4.0 * nu * nu)) * (kf * d + 1.0 / nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +105,7 @@ def normalization_Z(
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     nu = math.sqrt(alpha)
-    kernel = lambda d: -static_kernel_dalpha_array(space, constants, nu, d)
+    kernel = lambda d: -_kernel_dalpha(constants, nu, d)
     return quad.diag_weighted_sum(mesh, kernel)
 
 
@@ -189,10 +204,10 @@ def assemble_variational(
 
     K = _k_matrix(surfaces, lams, space, constants, alpha)
     L = _scaled_matrix(
-        surfaces, lams, lambda d: -static_kernel_dalpha_array(space, constants, nu, d)
+        surfaces, lams, lambda d: -_kernel_dalpha(constants, nu, d)
     )
     S = _scaled_matrix(
-        surfaces, lams, lambda d: static_kernel_d2alpha_array(space, constants, nu, d)
+        surfaces, lams, lambda d: _kernel_d2alpha(constants, nu, d)
     )
 
     phi_tilde = np.eye(n) - K

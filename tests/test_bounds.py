@@ -283,3 +283,27 @@ def test_space_form_jacobian():
         space_form_jacobian(1.0, 0.0)
     with pytest.raises(OutOfChartError):
         space_form_jacobian(1.0, math.pi)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, mesh: coupling_bound_diameter(mesh, c, math.nan),
+        lambda c, mesh: diagonal_lower_envelope(-1.0, math.inf, 1.0, 2.0, c),
+        lambda c, mesh: diagonal_lower_envelope(math.nan, 1.0, 1.0, 2.0, c),
+        lambda c, mesh: diagonal_lower_envelope(math.inf, 1.0, 1.0, 2.0, c),
+        lambda c, mesh: space_form_jacobian(math.nan, 1.0),
+        lambda c, mesh: space_form_jacobian(-math.inf, 1.0),
+    ],
+    ids=[
+        "diameter-nan-nu",
+        "envelope-inf-rho",
+        "envelope-nan-H",
+        "envelope-inf-H",
+        "jacobian-nan-K",
+        "jacobian-inf-K",
+    ],
+)
+def test_closed_form_bounds_reject_non_finite_input(constants, sphere16, call):
+    with pytest.raises(InvalidArgumentError):
+        call(constants, sphere16)

@@ -16,6 +16,7 @@ from shellbound import (
     PhysicalConstants,
     PointSource,
     Sphere,
+    ambient_distance,
     assemble_hybrid_phi,
     build_surface,
     flat_point,
@@ -24,8 +25,8 @@ from shellbound import (
     perturbative_shift,
     point_krein,
     solve_hybrid_ground_state,
+    static_kernel_array,
 )
-from shellbound.kernels import StaticKernelQuery, static_kernel
 from shellbound.oracles import SphereOracleInput, sphere_point_potential_exact
 
 
@@ -47,14 +48,12 @@ def test_point_krein_flat_closed_form(constants, flat):
     assert point_krein(constants, 1.0, 2.0, flat) == pytest.approx(
         1.0 / (4.0 * math.pi), abs=1e-15
     )
-    # space defaults to flat
-    assert point_krein(constants, 1.0, 2.0) == point_krein(constants, 1.0, 2.0, flat)
 
 
-def test_point_krein_against_time_integral():
+def test_point_krein_against_time_integral(flat):
     c2 = PhysicalConstants(hbar=2.0, mass=1.0)
     mu, nu = 0.4, 1.1
-    assert point_krein(c2, mu, nu) == pytest.approx(
+    assert point_krein(c2, mu, nu, flat) == pytest.approx(
         _heat_trace_oracle(c2, mu, nu, 0.0), rel=1e-8
     )
     hyp = hyperbolic_space(0.7)
@@ -63,11 +62,11 @@ def test_point_krein_against_time_integral():
     )
 
 
-def test_point_krein_validation(constants):
+def test_point_krein_validation(constants, flat):
     with pytest.raises(InvalidArgumentError):
-        point_krein(constants, 0.0, 1.0)
+        point_krein(constants, 0.0, 1.0, flat)
     with pytest.raises(InvalidArgumentError):
-        point_krein(constants, 1.0, -2.0)
+        point_krein(constants, 1.0, -2.0, flat)
 
 
 def test_phi_shell_point_coupling_entry(constants, flat, sphere16):
@@ -95,11 +94,32 @@ def test_phi_point_point_entry_is_static_kernel(constants, flat):
     )
     sys = HybridSystem((), CouplingSpec.from_lambdas(), pts, flat, constants)
     A = assemble_hybrid_phi(sys, 0.9).entries
-    g = static_kernel(
-        StaticKernelQuery(nu=0.9, distance=2.0, space=flat, constants=constants)
-    )
+    g = static_kernel_array(flat, constants, 0.9, np.array([2.0]))[0]
     assert A[0, 1] == -g
     assert A[0, 0] == point_krein(constants, 0.6, 0.9, flat)
+
+
+def test_phi_point_point_entry_hyperbolic(constants):
+    # the one package path through the hyperbolic static kernel
+    K, nu = 0.8, 0.9
+    space = hyperbolic_space(K)
+    pts = (
+        PointSource(hyperbolic_point(space, 0.0, 0.0, 0.0), 0.6),
+        PointSource(hyperbolic_point(space, 1.5, 0.5, 0.0), 0.7),
+    )
+    sys = HybridSystem((), CouplingSpec.from_lambdas(), pts, space, constants)
+    A = assemble_hybrid_phi(sys, nu).entries
+    d = ambient_distance(space, pts[0].position, pts[1].position)
+    m, hbar = constants.mass, constants.hbar
+    gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
+    closed = (
+        m / (2.0 * math.pi * hbar * hbar)
+        * math.sqrt(K) / math.sinh(math.sqrt(K) * d)
+        * math.exp(-gamma * d)
+    )
+    assert A[0, 1] == pytest.approx(-closed, rel=1e-14)
+    assert A[0, 1] == -static_kernel_array(space, constants, nu, np.array([d]))[0]
+    assert A[1, 0] == A[0, 1]
 
 
 def test_single_point_recovers_its_own_level(constants, flat):

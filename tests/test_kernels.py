@@ -8,44 +8,37 @@ import pytest
 from scipy import integrate
 
 from shellbound import (
-    DivergentInputError,
     InvalidArgumentError,
     KernelBoundConstants,
     PhysicalConstants,
-    StaticKernelQuery,
     heat_kernel,
-    heat_kernel_lower_bound,
     heat_kernel_upper_bound,
-    static_kernel,
-)
-from shellbound.kernels import (
     static_kernel_array,
-    static_kernel_d2alpha_array,
-    static_kernel_dalpha_array,
 )
 from shellbound.geometry import flat_space, hyperbolic_space
+from shellbound.variational import _kernel_d2alpha, _kernel_dalpha
 
 
-def static_kernel_numeric(q: StaticKernelQuery) -> float:
+def static_kernel_numeric(space, constants, nu: float, d: float) -> float:
     """Adaptive time-quadrature of e^{-nu^2 t/hbar} K_t(d) / hbar, the
     check of the closed-form static kernel.
 
     Truncates at t_max = 40 hbar / nu^2 (hyperbolic decay only tightens
     this); the discarded tail is below e^{-40} of the total.
     """
-    if q.nu <= 0.0:
+    if nu <= 0.0:
         raise InvalidArgumentError("numeric static kernel needs nu > 0")
-    if q.distance <= 0.0:
-        raise DivergentInputError("numeric static kernel needs distance > 0")
-    m, hbar = q.constants.mass, q.constants.hbar
-    rate = q.nu * q.nu / hbar
+    if d <= 0.0:
+        raise InvalidArgumentError("numeric static kernel needs distance > 0")
+    m, hbar = constants.mass, constants.hbar
+    rate = nu * nu / hbar
     t_max = 40.0 / rate
 
     def integrand(t):
-        return math.exp(-rate * t) * heat_kernel(q.space, q.constants, t, q.distance) / hbar
+        return math.exp(-rate * t) * heat_kernel(space, constants, t, d) / hbar
 
     # Hint the peak of t^{-3/2} e^{-a/t - b t} to the subdivision.
-    a = m * q.distance * q.distance / (2.0 * hbar)
+    a = m * d * d / (2.0 * hbar)
     t_peak = math.sqrt(a / rate) if a > 0 else None
     pts = [t_peak] if (t_peak is not None and 0.0 < t_peak < t_max) else None
     val, _err = integrate.quad(
@@ -54,9 +47,14 @@ def static_kernel_numeric(q: StaticKernelQuery) -> float:
     return val
 
 
+def _g(space, constants, nu: float, d: float) -> float:
+    """The static kernel at one distance, through the array path."""
+    return float(static_kernel_array(space, constants, nu, np.array([d]))[0])
+
+
 def test_flat_static_kernel_value(constants, flat):
     nu, d = 0.7, 1.3
-    got = static_kernel(StaticKernelQuery(nu=nu, distance=d, space=flat, constants=constants))
+    got = _g(flat, constants, nu, d)
     m, hbar = constants.mass, constants.hbar
     kappa = math.sqrt(2.0 * m) * nu / hbar
     expected = m / (2.0 * math.pi * hbar * hbar) * math.exp(-kappa * d) / d
@@ -66,7 +64,7 @@ def test_flat_static_kernel_value(constants, flat):
 def test_hyperbolic_static_kernel_value(constants):
     space = hyperbolic_space(0.8)
     nu, d = 0.7, 1.3
-    got = static_kernel(StaticKernelQuery(nu=nu, distance=d, space=space, constants=constants))
+    got = _g(space, constants, nu, d)
     m, hbar = constants.mass, constants.hbar
     K = 0.8
     gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
@@ -81,38 +79,37 @@ def test_hyperbolic_static_kernel_value(constants):
 def test_hyperbolic_kernel_flat_limit(constants, flat):
     nu, d = 0.9, 0.8
     soft = hyperbolic_space(1e-12)
-    a = static_kernel(StaticKernelQuery(nu=nu, distance=d, space=soft, constants=constants))
-    b = static_kernel(StaticKernelQuery(nu=nu, distance=d, space=flat, constants=constants))
+    a = _g(soft, constants, nu, d)
+    b = _g(flat, constants, nu, d)
     assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_static_kernel_edge_cases(constants, flat):
-    assert static_kernel(
-        StaticKernelQuery(nu=1.0, distance=0.0, space=flat, constants=constants)
-    ) == math.inf
-    with pytest.raises(DivergentInputError):
-        static_kernel(StaticKernelQuery(nu=0.0, distance=0.0, space=flat, constants=constants))
-    with pytest.raises(InvalidArgumentError):
-        StaticKernelQuery(nu=-1.0, distance=1.0, space=flat, constants=constants)
-    with pytest.raises(InvalidArgumentError):
-        StaticKernelQuery(nu=1.0, distance=-1.0, space=flat, constants=constants)
-    with pytest.raises(InvalidArgumentError):
-        StaticKernelQuery(nu=math.inf, distance=1.0, space=flat, constants=constants)
+    # the array kernel takes strictly positive distances: near contact both
+    # spaces keep the 1/d singularity, far out the flat kernel underflows to 0
+    pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
+    for space in (flat, hyperbolic_space(0.8)):
+        tiny = static_kernel_array(space, constants, 1.0, np.array([1e-300, 1e-12]))
+        assert np.all(np.isfinite(tiny))
+        assert tiny[1] * 1e-12 == pytest.approx(pref, rel=1e-9)
+    far = static_kernel_array(flat, constants, 1.0, np.array([1e3, 1e300]))
+    assert np.all(far == 0.0)
 
 
 @pytest.mark.parametrize("make_space", [lambda: flat_space(), lambda: hyperbolic_space(0.8)])
 def test_static_kernel_matches_time_quadrature(constants, make_space):
     space = make_space()
     for nu, d in [(0.7, 1.3), (1.5, 0.4), (0.2, 2.5)]:
-        q = StaticKernelQuery(nu=nu, distance=d, space=space, constants=constants)
-        assert static_kernel(q) == pytest.approx(static_kernel_numeric(q), rel=1e-8)
+        assert _g(space, constants, nu, d) == pytest.approx(
+            static_kernel_numeric(space, constants, nu, d), rel=1e-8
+        )
 
 
 def test_static_kernel_numeric_validation(constants, flat):
     with pytest.raises(InvalidArgumentError):
-        static_kernel_numeric(StaticKernelQuery(nu=0.0, distance=1.0, space=flat, constants=constants))
-    with pytest.raises(DivergentInputError):
-        static_kernel_numeric(StaticKernelQuery(nu=1.0, distance=0.0, space=flat, constants=constants))
+        static_kernel_numeric(flat, constants, 0.0, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        static_kernel_numeric(flat, constants, 1.0, 0.0)
 
 
 def _gl(n, a, b):
@@ -153,10 +150,11 @@ def test_hyperbolic_heat_kernel_semigroup(constants):
 
 
 def test_heat_kernel_validation_and_broadcast(constants, flat):
+    for t, d in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(InvalidArgumentError):
+            heat_kernel(flat, constants, t, d)
     with pytest.raises(InvalidArgumentError):
-        heat_kernel(flat, constants, 0.0, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        heat_kernel(flat, constants, 1.0, -1.0)
+        heat_kernel(flat, constants, np.array([0.1, math.nan]), 1.0)
     out = heat_kernel(flat, constants, np.array([0.1, 0.2, 0.3]), 1.0)
     assert out.shape == (3,)
     assert isinstance(heat_kernel(flat, constants, 0.1, 1.0), float)
@@ -170,19 +168,18 @@ def test_heat_kernel_bounds(constants, flat):
     for t in ts:
         flat_k = heat_kernel(flat, constants, t, ds)
         hyp_k = heat_kernel(space, constants, t, ds)
-        lower = heat_kernel_lower_bound(constants, t, ds)
         upper = heat_kernel_upper_bound(kc, math.inf, constants, t, ds)
-        # the Gaussian comparison is exact in flat space and caps H^3 from above
-        assert np.allclose(lower, flat_k, rtol=1e-15)
+        # heat_kernel(flat, ...) is the Gaussian comparison lower bound, exact
+        # in flat space; on H^3 both it and the upper bound lie above the kernel
         assert np.all(hyp_k <= upper * (1.0 + 1e-15))
         assert np.all(hyp_k <= flat_k * (1.0 + 1e-15))
         # a finite ambient volume only adds to the cap
         cap_vol = heat_kernel_upper_bound(kc, 50.0, constants, t, ds)
         assert np.all(cap_vol >= upper)
-    with pytest.raises(InvalidArgumentError):
-        heat_kernel_upper_bound(kc, 0.0, constants, 1.0, 1.0)
-    with pytest.raises(InvalidArgumentError):
-        heat_kernel_lower_bound(constants, -1.0, 1.0)
+    for V_M, t, d in ((0.0, 1.0, 1.0), (math.inf, -1.0, 1.0), (math.inf, math.nan, 1.0),
+                      (math.inf, 1.0, math.nan), (math.inf, 1.0, -1.0)):
+        with pytest.raises(InvalidArgumentError):
+            heat_kernel_upper_bound(kc, V_M, constants, t, d)
 
 
 def test_kernel_bound_constants_validation():
@@ -194,39 +191,38 @@ def test_kernel_bound_constants_validation():
         KernelBoundConstants(1.0, 1.0, math.inf)
 
 
-@pytest.mark.parametrize("make_space", [lambda: flat_space(), lambda: hyperbolic_space(0.8)])
-def test_dalpha_kernel_matches_finite_difference(constants, make_space):
-    space = make_space()
+# The alpha-derivative kernels are flat only: every variational entry point
+# requires flat space.  Non-unit constants exercise kappa_factor.
+CONSTANTS = [lambda: PhysicalConstants(), lambda: PhysicalConstants(hbar=2.0, mass=0.7)]
+
+
+@pytest.mark.parametrize("make_constants", CONSTANTS)
+def test_dalpha_kernel_matches_finite_difference(flat, make_constants):
+    constants = make_constants()
     d = np.array([0.3, 1.1, 2.4])
     alpha, h = 0.81, 1e-6
-    up = static_kernel_array(space, constants, math.sqrt(alpha + h), d)
-    dn = static_kernel_array(space, constants, math.sqrt(alpha - h), d)
+    up = static_kernel_array(flat, constants, math.sqrt(alpha + h), d)
+    dn = static_kernel_array(flat, constants, math.sqrt(alpha - h), d)
     fd = (up - dn) / (2.0 * h)
-    got = static_kernel_dalpha_array(space, constants, math.sqrt(alpha), d)
+    got = _kernel_dalpha(constants, math.sqrt(alpha), d)
     assert np.allclose(got, fd, rtol=1e-7)
 
 
-@pytest.mark.parametrize("make_space", [lambda: flat_space(), lambda: hyperbolic_space(0.8)])
-def test_d2alpha_kernel_matches_finite_difference(constants, make_space):
-    space = make_space()
+@pytest.mark.parametrize("make_constants", CONSTANTS)
+def test_d2alpha_kernel_matches_finite_difference(make_constants):
+    constants = make_constants()
     d = np.array([0.3, 1.1, 2.4])
     alpha, h = 0.81, 1e-4
-    up = static_kernel_dalpha_array(space, constants, math.sqrt(alpha + h), d)
-    dn = static_kernel_dalpha_array(space, constants, math.sqrt(alpha - h), d)
+    up = _kernel_dalpha(constants, math.sqrt(alpha + h), d)
+    dn = _kernel_dalpha(constants, math.sqrt(alpha - h), d)
     fd = (up - dn) / (2.0 * h)
-    got = static_kernel_d2alpha_array(space, constants, math.sqrt(alpha), d)
+    got = _kernel_d2alpha(constants, math.sqrt(alpha), d)
     assert np.allclose(got, fd, rtol=1e-6)
 
 
-def test_derivative_kernels_bounded_at_contact(constants, flat):
+def test_derivative_kernels_bounded_at_contact(constants):
     # the 1/d singularity cancels in both derivative kernels
-    space = hyperbolic_space(0.5)
-    for sp in (flat, space):
-        tiny = static_kernel_dalpha_array(sp, constants, 1.0, np.array([1e-14]))
-        assert math.isfinite(float(tiny[0]))
-        tiny2 = static_kernel_d2alpha_array(sp, constants, 1.0, np.array([1e-14]))
-        assert math.isfinite(float(tiny2[0]))
-    with pytest.raises(InvalidArgumentError):
-        static_kernel_dalpha_array(flat, constants, 0.0, np.array([1.0]))
-    with pytest.raises(InvalidArgumentError):
-        static_kernel_d2alpha_array(flat, constants, -1.0, np.array([1.0]))
+    tiny = _kernel_dalpha(constants, 1.0, np.array([1e-14]))
+    assert math.isfinite(float(tiny[0]))
+    tiny2 = _kernel_d2alpha(constants, 1.0, np.array([1e-14]))
+    assert math.isfinite(float(tiny2[0]))

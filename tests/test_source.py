@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every
-module-level private name is read somewhere, no module imports scipy,
+module-level private name is read somewhere, every public function or
+class is read somewhere or listed as library API, no module imports scipy,
 which is a test dependency only, and the quadrature engine names no shape
 class.
 
@@ -165,3 +166,68 @@ def test_the_check_finds_a_dead_private_name():
 def test_no_dead_private_names():
     trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
     assert _dead_private_names(trees) == []
+
+
+# Public functions and classes that no code under src/ reads, each with the
+# reason it stays.  The check fails on a name missing here and on an entry
+# that is gone or that src/ now reads, so the list cannot go stale.
+UNREAD_PUBLIC_API = {
+    "_quadrature.clear_caches": "perfbench's tests read it; ROADMAP item 3 removes it",
+    "_quadrature.patch_weight_residual": "the patch-weight check that ROADMAP item 5 calls",
+    "bounds.space_form_jacobian": "paper API: the volume element of the comparison step",
+    "bounds.deformation_lower_bound": "paper API: the deformation floor on the threshold",
+    "bounds.diagonal_lower_envelope": "paper API: the floor on a diagonal entry",
+    "bounds.offdiagonal_upper_envelope": "paper API: the cap on an off-diagonal entry",
+    "bounds.finiteness_certificate": "paper API: the split finiteness certificate",
+    "geometry.flat_space": "library API: the flat ambient space",
+    "geometry.hyperbolic_space": "library API: the hyperbolic ambient space",
+    "kernels.heat_kernel": "paper API: the heat kernel; the flat one is the Gaussian lower bound",
+    "kernels.heat_kernel_upper_bound": "paper API: the off-diagonal heat-kernel upper bound",
+    "oracles.sphere_pair_integral_exact": "test oracle",
+    "oracles.sphere_Z_exact": "test oracle",
+    "oracles.sphere_point_potential_exact": "test oracle",
+    "oracles.two_sphere_pair_integral_exact": "test oracle",
+    "principal.coupling_from_energy": "library API: the coupling that binds at an energy",
+    "principal.wavefunction": "library API: the ground-state wavefunction",
+    "variational.stationarity_check": "paper API: finite differences of the trial energy",
+}
+
+
+def _unread_public_names(trees: dict) -> list[str]:
+    """Public module-level functions and classes read nowhere outside their
+    own definition, as module.name in source order.
+
+    A re-export in __init__.py is an import, not a read, so it does not
+    count as a use.
+    """
+    uses = collections.Counter(name for tree in trees.values() for name in _loads(tree))
+    unread = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and uses[node.name] == sum(n == node.name for n in _loads(node))
+            ):
+                unread.append(f"{module.removesuffix('.py')}.{node.name}")
+    return unread
+
+
+def test_the_check_finds_a_dead_public_name():
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n    return 1\n"
+            "def unread(n):\n    return unread(n - 1)\n"
+            "class Unread:\n    pass\n"
+            "def _private():\n    return used()\n"
+        ),
+        "b.py": ast.parse("from .a import unread\nfrom . import a\nx = a._private()\n"),
+    }
+    assert _unread_public_names(trees) == ["a.unread", "a.Unread"]
+
+
+def test_no_dead_public_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
+    unread = _unread_public_names(trees)
+    assert [name for name in unread if name not in UNREAD_PUBLIC_API] == []
+    assert [name for name in UNREAD_PUBLIC_API if name not in unread] == []
