@@ -28,19 +28,16 @@ outer row, weighted by the orbit's total outer weight.
 
 * Sphere pairs: two spheres (meshes on a sphere-family chart with equal
   axes, an Ellipsoid(R, R, R) among them) both revolve about their line
-  of centres.  The pair is summed in a canonical frame: each form's
-  canonical mesh, scaled, with both poles on the z axis and the centres D
-  apart, so the orbits are the outer form's u-rings, 24 rows instead of
-  1152 at order 24 whatever the direction of the line.  The user's nodes
-  serve only the checks, among them that each mesh is its form's mesh
-  moved and scaled.
+  of centres.  The pair is summed in a canonical frame: both forms' nodes,
+  scaled, with both poles on the z axis and the centres D apart, so the
+  orbits are the outer form's u-rings, 24 rows instead of 1152 at order
+  24 whatever the direction of the line.
 
-* Other pairs: every mesh is mirror-symmetric in the coordinate planes
-  through its centre, so a plane through both centres mirrors the inner
-  mesh onto itself.  The outer rows are the orbits of the reflections in
-  the shared planes: 300 rows instead of 1152 for an order-24 sphere
-  beside a torus or an ellipsoid on the x axis, every node for a pair in
-  general position.
+* Other pairs: every form is mirror-symmetric in its coordinate planes,
+  so a plane through both centres mirrors the inner mesh onto itself.
+  The outer rows are the orbits of the reflections in the shared planes:
+  300 rows instead of 1152 for an order-24 sphere beside a torus or an
+  ellipsoid on the x axis, every node for a pair in general position.
 
 All reductions run over fixed _BLOCK = 16384-sample blocks whose partial
 sums are combined with math.fsum in index order, so results are bitwise
@@ -61,19 +58,17 @@ pair build first checks that neither surface's nodes lie inside the other
 and that no two nodes coincide; else it raises GeometryViolationError and
 caches nothing.
 
-Forms: the self-integral geometry depends on a surface's shape only up to
-translation and scale.  Every mesh carries its form (geometry.SurfaceForm:
-the shape at the origin divided by its scale s, and the order), and equal
-shapes share one interned form.  _form_geometry builds the patch rows once
-per form, from the form's own canonical mesh at the origin with s = 1, so
-the bits do not depend on which mesh asked first.  _diag_geometry checks
-that the mesh is that canonical mesh scaled by s and moved, and returns
-the form's arrays at s = 1, else a copy with distances times s and weights
-times s^4.  The form geometry lives as long as any mesh of its form: the
-meshes hold the form, the cache holds it weakly.  So equal spheres share
-one patch build, and a radius sweep builds one while the config's own
-mesh, of the same form, lives.  Sphere pairs take their canonical nodes,
-weights and u-rings from the same cached form geometry.
+Forms: every mesh is its form's node grid scaled by its scale s and moved
+to its centre, by construction: geometry.SurfaceMesh derives its nodes and
+weights from its geometry.SurfaceForm (the shape at the origin divided by
+s, with its order, chart and grid), and equal shapes share one interned
+form.  So the self-integral geometry is the form's: _form_geometry builds
+the patch rows once per form at s = 1, and _diag_geometry returns them, or
+a copy with distances times s and weights times s^4.  The form geometry
+lives as long as any mesh of its form: the meshes hold the form, the cache
+holds it weakly.  So equal spheres share one patch build, and a radius
+sweep builds one while the config's own mesh, of the same form, lives.
+Sphere pairs take their u-rings from the same cached form geometry.
 
 Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
 take about 1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows
@@ -95,7 +90,6 @@ from .geometry import (
     SurfaceMesh,
     _gauss_legendre,
     _ScaledSphereChart,
-    build_surface,
     implicit_value,
 )
 
@@ -176,81 +170,71 @@ def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> fl
     )
 
 
-def _patch_chart_groups(mesh: SurfaceMesh, rows: np.ndarray):
+def _patch_chart_groups(form: SurfaceForm, rows: np.ndarray):
     """Group the outer rows by the patch chart used for their singular patch.
 
     Returns (positions into rows, chart) pairs covering every row once.  A
-    torus keeps its mesh chart; a sphere or ellipsoid row gets the mesh
+    torus keeps its form's chart; a sphere or ellipsoid row gets the form's
     chart with its pole on the axis least aligned with the row's node.
     Alignments within _POLE_TIE of the least are ties, which go to the
     lowest axis, so a last-bit change in a node cannot switch its chart.
     """
-    chart = mesh.chart
+    chart = form.chart
     if not isinstance(chart, _ScaledSphereChart):
         return [(np.arange(rows.size), chart)]
-    q = np.abs((mesh.nodes[rows] - chart.center) / chart.axes)  # |q| = 1
+    q = np.abs(form.nodes[rows] / chart.axes)  # |q| = 1
     pole = np.argmax(q <= q.min(axis=1, keepdims=True) + _POLE_TIE, axis=1)
     groups = []
     for k in range(3):
         pos = np.nonzero(pole == k)[0]
         if pos.size:
-            groups.append((pos, _ScaledSphereChart(chart.center, chart.axes, k)))
+            groups.append((pos, _ScaledSphereChart(chart.axes, k)))
     return groups
 
 
-def _orbit_rows(mesh: SurfaceMesh, mirrors=None):
-    """Outer rows of an orbit rule and the outer weight of each.
+def _orbit_rows(form: SurfaceForm, weights: np.ndarray, mirrors=None):
+    """An orbit rule's outer rows, the first node of each orbit, and each
+    orbit's sum of weights, the form's or those of a mesh of the form."""
+    members = _orbit_members(form, mirrors)
+    return members[:, 0], np.append(weights, 0.0)[members].sum(axis=1)
 
-    The nodes form an order x 2*order grid: contiguous blocks of equal u,
-    each starting at v = 0.  A symmetry that maps this grid onto itself
-    gives every node of one orbit the same inner integral, so the orbit's
-    first node stands for it, carrying the orbit's summed weight.
+
+def _orbit_members(form: SurfaceForm, mirrors=None) -> np.ndarray:
+    """The orbits of a symmetry group of the form's node grid, as rows.
+
+    The form's nodes form an order x 2*order grid: contiguous blocks of
+    equal u, each starting at v = 0.  A symmetry that maps this grid onto
+    itself gives every node of one orbit the same inner integral.  Row r
+    lists the nodes of orbit r, first the one that stands for it; the node
+    count marks a gap.
 
     mirrors lists the coordinate axes a whose reflection x_a -> -x_a about
-    the mesh centre to use: x -> -x is v -> pi - v and y -> -y is v -> -v on
-    the uniform v nodes; z -> -z is u -> pi - u on the symmetric
-    Gauss-Legendre nodes in cos u, and u -> -u (mod 2 pi) on the periodic
-    u nodes of a torus.  Reflections are checked: the nodes of each orbit
-    must be mirror images with equal weights, else GeometryViolationError.
-    None asks for the self-integral's group: the u-rings on a surface of
-    revolution about its chart axis, all three reflections otherwise.
+    the centre to use: x -> -x is v -> pi - v and y -> -y is v -> -v on the
+    uniform v nodes; z -> -z is u -> pi - u on the symmetric Gauss-Legendre
+    nodes in cos u, and u -> -u (mod 2 pi) on the periodic u nodes of a
+    torus.  Every builder form is mirror-symmetric in the three coordinate
+    planes (tests/test_quadrature.py checks each).  None asks for the
+    self-integral's group: the u-rings on a surface of revolution about its
+    chart axis, all three reflections otherwise.
     """
-    n, n_u = mesh.n_nodes, mesh.order
-    n_v = n // n_u
-    u, v = mesh.params[:, 0], mesh.params[:, 1]
-    if not (
-        n_u * n_v == n
-        and np.array_equal(np.flatnonzero(v == 0.0), np.arange(0, n, n_v))
-        and np.all(u.reshape(n_u, n_v) == u[::n_v, None])
-    ):
-        raise GeometryViolationError("mesh nodes are not laid out in u-rings from v = 0")
+    n_u = form.order
+    n_v = 2 * n_u
     i, k = np.arange(n_u), np.arange(n_v)
-    rings = mirrors is None and mesh.chart.revolution
-    if rings:
+    if mirrors is None and form.chart.revolution:
         u_orbits = _orbits([i])
         v_orbits = _orbits([(k + s) % n_v for s in range(n_v)])
     else:
         mirrors = (0, 1, 2) if mirrors is None else mirrors
         h = n_v // 2  # v = pi
         x, y, z = (a in mirrors for a in range(3))
-        u_maps = [i, -i % n_u if mesh.chart.u_periodic else n_u - 1 - i]
+        u_maps = [i, -i % n_u if form.chart.u_periodic else n_u - 1 - i]
         # identity, y -> -y, x -> -x, and both: v, -v, pi - v, pi + v
         v_maps = [k, -k % n_v, (h - k) % n_v, (h + k) % n_v]
         u_orbits = _orbits(u_maps[: 1 + z])
         v_orbits = _orbits([m for m, use in zip(v_maps, (True, y, x, x and y)) if use])
-    # members[r] lists the nodes of orbit r, representative first; n marks a gap
     uo, vo = u_orbits[:, None, :, None], v_orbits[None, :, None, :]
-    members = np.where((uo < 0) | (vo < 0), n, uo * n_v + vo)
-    members = members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
-    rows = members[:, 0]
-    if not rings:
-        rel = np.abs(np.append(mesh.nodes - mesh.chart.center, np.full((1, 3), np.nan), axis=0))
-        w = np.append(mesh.weights, np.nan)
-        if np.any(np.abs(rel[members] - rel[rows, None]) > 0.5e-12 * mesh.diameter_ambient) or (
-            np.any(np.abs(w[members] - w[rows, None]) > 1e-12 * w[rows, None])
-        ):
-            raise GeometryViolationError("mesh nodes are not mirror images within their orbits")
-    return rows, np.append(mesh.weights, 0.0)[members].sum(axis=1)
+    members = np.where((uo < 0) | (vo < 0), n_u * n_v, uo * n_v + vo)
+    return members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
 
 
 def _orbits(images) -> np.ndarray:
@@ -266,7 +250,7 @@ def _orbits(images) -> np.ndarray:
     return np.array([o + [-1] * (width - len(o)) for o in orbits])
 
 
-def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
+def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
     """Polar-patch quadrature for one batch of nodes sharing a chart.
 
     Returns (dists, jw) of shape (B, 4*_N_PSI*_N_S): distances from each
@@ -274,12 +258,12 @@ def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
     sums equal the surface area.
     """
     B = idx.shape[0]
-    nodes = mesh.nodes[idx]
+    nodes = form.nodes[idx]
     if isinstance(chart, _ScaledSphereChart):
         uv = np.array([chart.params_of_point(x) for x in nodes])
         u0, v0 = uv[:, 0], uv[:, 1]
     else:
-        u0, v0 = mesh.params[idx, 0], mesh.params[idx, 1]
+        u0, v0 = form.params[idx, 0], form.params[idx, 1]
 
     xu, xv = chart.tangents(u0, v0)
     E = np.einsum("bi,bi->b", xu, xu)
@@ -349,7 +333,7 @@ def _build_patch_group(mesh: SurfaceMesh, idx: np.ndarray, chart):
     return d.reshape(B, -1), jw.reshape(B, -1)
 
 
-def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
+def _patch_rows(form: SurfaceForm, rows: np.ndarray, row_weights: np.ndarray):
     """Self-integral geometry (d, w) for the given outer rows.
 
     d holds the distances from each row's node to its patch points and w
@@ -357,7 +341,7 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
     row by row.  weighted_kernel_sum(w, d, kernel) is the double surface
     integral of a radial kernel (no 1/V normalization applied) whenever the
     rows carry the whole outer rule: the rows of _orbit_rows, which the
-    cached _diag_geometry uses, or every node with its own weight, which
+    cached _form_geometry uses, or every node with its own weight, which
     the tests use as the reference rule.  Rows are built _PATCH_CHUNK at a
     time; each row is independent of the others, so the chunking changes no
     bit of the result.
@@ -365,51 +349,27 @@ def _patch_rows(mesh: SurfaceMesh, rows: np.ndarray, row_weights: np.ndarray):
     M = 4 * _N_PSI * _N_S
     d = np.empty((rows.size, M))
     w = np.empty((rows.size, M))
-    for pos, chart in _patch_chart_groups(mesh, rows):
+    for pos, chart in _patch_chart_groups(form, rows):
         for k in range(0, pos.size, _PATCH_CHUNK):
             chunk = pos[k : k + _PATCH_CHUNK]
-            d[chunk], w[chunk] = _build_patch_group(mesh, rows[chunk], chart)
+            d[chunk], w[chunk] = _build_patch_group(form, rows[chunk], chart)
     w *= row_weights[:, None]
     return d.reshape(-1), w.reshape(-1)
 
 
 @_mesh_cache
 def _form_geometry(form: SurfaceForm):
-    """Nodes, weights, orbit rows, row weights and orbit-rule (d, w) of a
-    form's canonical mesh.
-
-    The canonical mesh is built here, at the origin with scale 1, and never
-    taken from whichever mesh asked first, so the result does not depend
-    on the order in which meshes of the form ask for it.
-    """
-    mesh = build_surface(form.shape, form.order)
-    rows, row_weights = _orbit_rows(mesh)
-    return mesh.nodes, mesh.weights, rows, row_weights, *_patch_rows(mesh, rows, row_weights)
-
-
-def _check_form_mesh(mesh: SurfaceMesh, nodes: np.ndarray, weights: np.ndarray) -> None:
-    """Raise GeometryViolationError unless mesh is its form's canonical mesh
-    (nodes, weights) scaled by mesh.scale and moved to its centre: nodes
-    within 0.5e-12 times the diameter, weights within 1e-12 relative."""
-    s = mesh.scale
-    moved = mesh.chart.center + s * nodes
-    if mesh.nodes.shape != moved.shape or not (
-        np.all(np.abs(mesh.nodes - moved) <= 0.5e-12 * mesh.diameter_ambient)
-        and np.all(np.abs(mesh.weights - s * s * weights) <= 1e-12 * s * s * weights)
-    ):
-        raise GeometryViolationError("mesh is not its form's mesh moved and scaled")
+    """Orbit rows, their weights and the orbit-rule (d, w) of a form: the
+    self-integral geometry at the origin with scale 1."""
+    rows, row_weights = _orbit_rows(form, form.weights)
+    return rows, row_weights, *_patch_rows(form, rows, row_weights)
 
 
 @_mesh_cache
 def _diag_geometry(mesh: SurfaceMesh):
     """Self-integral geometry of one surface under the orbit rule: its
-    form's, with distances times s and weights times s^4 for scale s.
-
-    Raises GeometryViolationError unless the mesh is its form's canonical
-    mesh scaled by s and moved to its centre (_check_form_mesh).
-    """
-    nodes, weights, _, _, d, w = _form_geometry(mesh.form)
-    _check_form_mesh(mesh, nodes, weights)
+    form's, with distances times s and weights times s^4 for scale s."""
+    d, w = _form_geometry(mesh.form)[2:]
     s = mesh.scale
     if s == 1.0:
         return d, w
@@ -418,7 +378,7 @@ def _diag_geometry(mesh: SurfaceMesh):
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
-    rows, row_weights = _orbit_rows(mesh)
+    rows, row_weights = _orbit_rows(mesh.form, mesh.weights)
     _, w = _diag_geometry(mesh)
     sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
     return float(np.max(np.abs(sums - mesh.area)) / mesh.area)
@@ -427,7 +387,7 @@ def patch_weight_residual(mesh: SurfaceMesh) -> float:
 def _is_sphere(mesh: SurfaceMesh) -> bool:
     """Whether the mesh is a sphere: a sphere-family chart with equal axes,
     which an Ellipsoid(R, R, R) has too."""
-    chart = mesh.chart
+    chart = mesh.form.chart
     return isinstance(chart, _ScaledSphereChart) and bool(np.all(chart.axes == chart.axes[0]))
 
 
@@ -435,21 +395,16 @@ def _ring_pair(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     """Outer and inner nodes and weights of two spheres on their line of
     centres, the z axis.
 
-    Both forms' canonical meshes (pole on z) are scaled, and form j's is
-    moved by D along z, D the distance of the centres.  Rotation about z
-    maps the inner sphere onto itself, so every node of an outer u-ring has
-    the same inner integral: the ring's v = 0 node, which is the form's
-    orbit row, carries the ring's summed weight.  Each user mesh must be
-    its form's mesh moved and scaled.
+    Both forms' nodes (pole on z) are scaled, and form j's are moved by D,
+    the distance of the centres, along z.  Rotation about z maps the inner
+    sphere onto itself, so each outer u-ring's v = 0 node, the form's orbit
+    row, carries the ring's summed weight.
     """
-    nodes_i, weights_i, rows, row_weights = _form_geometry(mesh_i.form)[:4]
-    nodes_j, weights_j = _form_geometry(mesh_j.form)[:2]
-    _check_form_mesh(mesh_i, nodes_i, weights_i)
-    _check_form_mesh(mesh_j, nodes_j, weights_j)
+    rows, row_weights = _form_geometry(mesh_i.form)[:2]
     s_i, s_j = mesh_i.scale, mesh_j.scale
-    inner = s_j * nodes_j
-    inner[:, 2] += math.dist(mesh_i.chart.center, mesh_j.chart.center)
-    return s_i * nodes_i[rows], s_i * s_i * row_weights, inner, s_j * s_j * weights_j
+    inner = s_j * mesh_j.form.nodes
+    inner[:, 2] += math.dist(mesh_i.shape.center, mesh_j.shape.center)
+    return s_i * mesh_i.form.nodes[rows], s_i * s_i * row_weights, inner, mesh_j.weights
 
 
 @_mesh_cache
@@ -466,8 +421,8 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     rule: a coordinate plane through both centres mirrors each mesh onto
     itself, so mirror images in mesh_i have the same inner sum over mesh_j.
     One row per orbit of the shared reflections carries the orbit's summed
-    weight and its distances to every node of mesh_j; a pair sharing no
-    plane keeps every node.  Both meshes must pass the mirror-image check.
+    weight of mesh_i and its distances to every node of mesh_j; a pair
+    sharing no plane keeps every node.
     """
     tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
     if np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol) or np.any(
@@ -479,9 +434,8 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     if _is_sphere(mesh_i) and _is_sphere(mesh_j):
         outer, outer_w, inner, inner_w = _ring_pair(mesh_i, mesh_j)
     else:
-        shared = tuple(a for a in range(3) if mesh_i.chart.center[a] == mesh_j.chart.center[a])
-        rows, outer_w = _orbit_rows(mesh_i, shared)
-        _orbit_rows(mesh_j, shared)  # raises unless the planes mirror mesh_j too
+        shared = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
+        rows, outer_w = _orbit_rows(mesh_i.form, mesh_i.weights, shared)
         outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
     diff = outer[:, None, :] - inner[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -63,7 +63,16 @@ def _expm1_over(y: float, rho: float) -> float:
     # (exp(y rho) - 1) / y, continued by its limit rho at y = 0.
     if y == 0.0:
         return rho
-    return math.expm1(y * rho) / y
+    return _growing(math.expm1, y * rho) / y
+
+
+def _growing(fn, x: float) -> float:
+    """fn(x) for math.expm1, sinh or cosh; an exponent past the float range
+    (about 710) is an unsupported regime, not an OverflowError."""
+    try:
+        return fn(x)
+    except OverflowError:
+        raise UnsupportedRegimeError(f"{fn.__name__} overflows at exponent {x}") from None
 
 
 def _check_conjugate(root_H: float, rho: float) -> None:
@@ -85,7 +94,7 @@ def space_form_jacobian(K_signed: float, r: float) -> float:
         return math.sin(root * r) / root
     if K_signed < 0.0:
         root = math.sqrt(-K_signed)
-        return math.sinh(root * r) / root
+        return _growing(math.sinh, root * r) / root
     return r
 
 
@@ -267,7 +276,7 @@ def diagonal_lower_envelope(
         hump = 1.0 - math.cos(x)
     else:
         X = x - 0.5 * math.tanh(0.5 * x)
-        hump = math.cosh(x) - 1.0
+        hump = _growing(math.cosh, x) - 1.0
     c = kf / root_H
     return (
         (m / (hbar * hbar))
@@ -403,7 +412,7 @@ def finiteness_certificate(
     m, hbar = constants.mass, constants.hbar
     alpha = math.sqrt(2.0 * m * (1.0 - dk) / (kc.C3 * hbar * hbar))
     root_L = math.sqrt(L)
-    stretch = math.sinh(root_L * rho)
+    stretch = _growing(math.sinh, root_L * rho)
 
     def tri(x: float) -> float:
         # [2 (1 - e^{-alpha x rho}) - alpha x rho e^{-alpha x rho}] / x^3

@@ -214,7 +214,7 @@ class Ellipsoid:
     c: float
 
 
-# A chart maps (u, v) -> R^3 onto one closed surface.  u is the polar-type
+# A chart maps (u, v) -> R^3 onto one closed surface centred at the origin.  u is the polar-type
 # parameter on [u_lo, u_hi] (periodic when u_periodic), v is 2*pi-periodic,
 # and every method takes broadcasting arrays.  evaluate gives the points and
 # the area element |x_u x x_v| from one pass of sin and cos.  revolution
@@ -225,8 +225,7 @@ class _TorusChart:
     u_lo, u_hi, u_periodic = 0.0, 2.0 * math.pi, True
     revolution = True
 
-    def __init__(self, center, R_major, r_minor):
-        self.center = np.asarray(center, dtype=float)
+    def __init__(self, R_major, r_minor):
         self.Rmaj = float(R_major)
         self.rmin = float(r_minor)
 
@@ -234,7 +233,7 @@ class _TorusChart:
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         ring = self.Rmaj + self.rmin * np.cos(u)
         x = np.stack([ring * np.cos(v), ring * np.sin(v), self.rmin * np.sin(u)], axis=-1)
-        return self.center + x, self.rmin * ring
+        return x, self.rmin * ring
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -257,8 +256,7 @@ class _ScaledSphereChart:
 
     u_lo, u_hi, u_periodic = 0.0, math.pi, False
 
-    def __init__(self, center, semi_axes, pole_axis: int):
-        self.center = np.asarray(center, dtype=float)
+    def __init__(self, semi_axes, pole_axis: int):
         self.axes = np.asarray(semi_axes, dtype=float)
         self.k = int(pole_axis)
         self.i = (self.k + 1) % 3
@@ -284,7 +282,7 @@ class _ScaledSphereChart:
         J = su * np.sqrt(
             c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
         )
-        return self.center + x, J
+        return x, J
 
     def tangents(self, u, v):
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
@@ -302,7 +300,7 @@ class _ScaledSphereChart:
 
     def params_of_point(self, x) -> tuple[float, float]:
         """Chart coordinates of an on-surface point."""
-        q = (np.asarray(x, dtype=float) - self.center) / self.axes
+        q = np.asarray(x, dtype=float) / self.axes
         u = math.acos(float(np.clip(q[self.k], -1.0, 1.0)))
         v = math.atan2(float(q[self.j]), float(q[self.i]))
         return u, v
@@ -310,16 +308,35 @@ class _ScaledSphereChart:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceForm:
-    """A mesh's shape up to translation and scale, with its order.
+    """A mesh's shape up to translation and scale, with its order and grid.
 
     shape is the surface moved to the origin and divided by its scale (the
     sphere radius, the torus R_major or the ellipsoid a), so that scale is
-    1.  Equal forms are one instance, interned in _FORMS, which hashes by
-    identity (eq=False) and lives as long as some mesh of that form.
+    1, and chart is its parametrization there.  The node grid is built once,
+    here: params[k] are the (u, v) chart coordinates of node k, nodes[k]
+    lies on shape and weights[k] > 0, all three read-only.  Equal forms are
+    one instance, interned in _FORMS, which hashes by identity (eq=False)
+    and lives as long as some mesh of that form.
     """
 
     shape: object
     order: int
+    chart: _ScaledSphereChart | _TorusChart = field(repr=False)
+    params: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        grid = _node_grid_periodic if self.chart.u_periodic else _node_grid_gl
+        U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(self.chart, self.order))
+        _set_read_only(self, params=np.stack([U, V], axis=-1), nodes=nodes, weights=W)
+
+
+def _set_read_only(obj, **arrays) -> None:
+    """Set each array as a read-only field of a frozen obj."""
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 _FORMS = weakref.WeakValueDictionary()  # (canonical shape, order) -> its SurfaceForm
@@ -329,35 +346,28 @@ _FORMS = weakref.WeakValueDictionary()  # (canonical shape, order) -> its Surfac
 class SurfaceMesh:
     """Product quadrature mesh on one closed surface (flat embedding).
 
-    nodes[k] lies on the surface, weights[k] > 0, sum(weights) == area.
-    params[k] are the (u, v) coordinates of node k in chart, the smooth
-    parametrization the mesh is built on.  The self-integral's singular
-    patches use that chart, or for spheres and ellipsoids the same chart
-    with its pole re-seated.  The mesh is its form's mesh (the same builder
-    on form.shape at form.order) scaled by scale and moved to its centre.
-    Treat instances as immutable: the quadrature caches geometry derived
-    from these arrays for the mesh's lifetime, so they must never be
-    modified after construction.  Instances hash by identity (eq=False),
-    which those caches key on.
+    By construction the mesh is its form's grid scaled by scale and moved
+    to the shape's centre: nodes = centre + scale * form.nodes and weights
+    = scale^2 * form.weights are derived here, read-only, and cannot be
+    passed in.  nodes[k] lies on the surface, weights[k] > 0, and the
+    weights sum to the area.  The chart and the (u, v) coordinates are the
+    form's.  Instances hash by identity (eq=False), which the quadrature's
+    caches key on.
     """
 
     shape: object
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    params: np.ndarray
     area: float
     diameter_ambient: float
     meta: SurfaceCurvatureMeta
-    chart: _ScaledSphereChart | _TorusChart = field(repr=False)
     form: SurfaceForm = field(repr=False)
     scale: float
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
-            raise InvalidArgumentError("nodes must be an (N, 3) array")
-        if np.any(self.weights <= 0.0):
-            raise GeometryViolationError("quadrature weights must be strictly positive")
+        s = self.scale
+        nodes = np.asarray(self.shape.center) + s * self.form.nodes
+        _set_read_only(self, nodes=nodes, weights=s * s * self.form.weights)
         if self.meta.H_lower > 0.0:
             # Bonnet-Myers: ambient diameter cannot exceed the intrinsic one.
             cap = math.pi / math.sqrt(self.meta.H_lower)
@@ -365,6 +375,10 @@ class SurfaceMesh:
                 raise GeometryViolationError(
                     f"H_lower={self.meta.H_lower} contradicts diameter {self.diameter_ambient}"
                 )
+
+    @property
+    def order(self) -> int:
+        return self.form.order
 
     @property
     def n_nodes(self) -> int:
@@ -467,21 +481,22 @@ def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | N
     - ellipsoid: Gaussian curvature attains its extrema at the axis
       endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes,
       which fills H_upper/H_lower in closed form.
+    Each branch builds the chart of the shape's form, at the origin with
+    scale 1; the form, interned, builds its node grid on that chart once.
     The mesh's area is closed-form for spheres and tori and the sum of the
-    weights for ellipsoids.
+    weights for ellipsoids, to rounding.
     """
     if not isinstance(shape, (Sphere, Torus, Ellipsoid)):
         raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
     order = _check_order(order)
     center = _check_center(shape.center)
-    area = None
     if isinstance(shape, Sphere):
         _check_sizes("sphere radius", shape.radius)
         R = float(shape.radius)
         shape = Sphere(center, R)
         form_shape = Sphere(_ORIGIN, 1.0)
         scale = R
-        chart = _ScaledSphereChart(center, (R, R, R), 2)
+        chart = _ScaledSphereChart((1.0, 1.0, 1.0), 2)
         diameter = 2.0 * R
         area = 4.0 * math.pi * R * R
         if meta is None:
@@ -505,7 +520,7 @@ def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | N
         form_shape = Torus(_ORIGIN, 1.0, r / R)
         scale = R
         _check_sizes("torus r_minor / R_major", form_shape.r_minor)
-        chart = _TorusChart(center, R, r)
+        chart = _TorusChart(1.0, form_shape.r_minor)
         diameter = 2.0 * (R + r)
         area = 4.0 * math.pi * math.pi * R * r
         if meta is None:
@@ -525,8 +540,11 @@ def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | N
         form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
         scale = axes[0]
         _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
-        chart = _ScaledSphereChart(center, axes, 2)
+        chart = _ScaledSphereChart((1.0, form_shape.b, form_shape.c), 2)
         diameter = 2.0 * max(axes)
+        # the weights summed at the mesh's own size, whose bits every
+        # area-matched spheroid of `sweep --param deformation_c` was built on
+        area = np.sum(_node_grid_gl(_ScaledSphereChart(axes, 2), order)[3])
         if meta is None:
             # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
             # underflows for axes that pass _check_sizes (1e-76 each)
@@ -542,19 +560,15 @@ def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | N
                 chord_arc_delta=0.75 / kap,
                 chord_arc_kappa=kap,
             )
-    grid = _node_grid_periodic if chart.u_periodic else _node_grid_gl
-    U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(chart, order))
+    form = _FORMS.get((form_shape, order))
+    if form is None:
+        form = _FORMS[form_shape, order] = SurfaceForm(form_shape, order, chart)
     return SurfaceMesh(
         shape=shape,
-        order=order,
-        nodes=np.ascontiguousarray(nodes),
-        weights=np.ascontiguousarray(W),
-        params=np.ascontiguousarray(np.stack([U, V], axis=-1)),
-        area=float(np.sum(W) if area is None else area),
+        area=float(area),
         diameter_ambient=float(diameter),
         meta=meta,
-        chart=chart,
-        form=_FORMS.setdefault((form_shape, order), SurfaceForm(form_shape, order)),
+        form=form,
         scale=scale,
     )
 

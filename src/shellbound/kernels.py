@@ -48,12 +48,13 @@ class KernelBoundConstants:
 
 
 def _x_over_sinh(x):
-    """x/sinh(x), stable at x = 0 (limit 1)."""
-    x = np.asarray(x, dtype=float)
+    """x/sinh(x) in its decaying form 2x e^{-x} / (1 - e^{-2x}), which
+    neither overflows nor divides inf by inf; 1 - x^2/6 below 1e-6.  Past
+    x = 1e3 the quotient is 0 in floats, and so it is at x = inf."""
+    x = np.minimum(np.asarray(x, dtype=float), 1e3)
     small = x < 1e-6
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, safe / np.sinh(safe))
-    return out
+    return np.where(small, 1.0 - x * x / 6.0, 2.0 * safe * np.exp(-safe) / -np.expm1(-2.0 * safe))
 
 
 def heat_kernel(space: AmbientSpace, constants: PhysicalConstants, t, d):
@@ -95,7 +96,7 @@ def static_kernel_array(
         return pref * np.exp(-kappa * d) / d
     K = space.curvature_K
     gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
-    return pref * (math.sqrt(K) / np.sinh(math.sqrt(K) * d)) * np.exp(-gamma * d)
+    return pref * (_x_over_sinh(math.sqrt(K) * d) / d) * np.exp(-gamma * d)
 
 
 def heat_kernel_upper_bound(

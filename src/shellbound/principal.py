@@ -272,8 +272,7 @@ def assemble_phi(
     Each distinct self-integral P_ii is summed once per call.  Surfaces of
     one form at one scale share their cached self-integral geometry (see
     _quadrature), so with equal areas their P_ii at one nu are bitwise
-    equal, and the first one's value serves the others.  Each sharing mesh
-    is still checked against its form.
+    equal, and the first one's value serves the others.
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
@@ -283,9 +282,7 @@ def assemble_phi(
 
     def self_integral(mesh: SurfaceMesh, at: float) -> float:
         key = (mesh.form, mesh.scale, mesh.area, at)
-        if key in selves:
-            quad._diag_geometry(mesh)  # raises unless mesh is its form's mesh
-        else:
+        if key not in selves:
             selves[key] = pair_integral(mesh, mesh, space, constants, at)
         return selves[key]
 

@@ -12,6 +12,8 @@ from shellbound import (
     NoConvergenceError,
     OutOfChartError,
     Sphere,
+    SurfaceCurvatureMeta,
+    Torus,
     UnsupportedRegimeError,
     build_surface,
     coupling_bound_diameter,
@@ -307,3 +309,29 @@ def test_space_form_jacobian():
 def test_closed_form_bounds_reject_non_finite_input(constants, sphere16, call):
     with pytest.raises(InvalidArgumentError):
         call(constants, sphere16)
+
+
+def _steep_torus():
+    """A torus whose curvature data claim a floor of -1e6 over radius 1e3."""
+    meta = SurfaceCurvatureMeta(0.4, -1e6, 1e3, 1e3, 0.5, 1.0)
+    return build_surface(Torus((0.0, 0.0, 0.0), 2.0, 0.5), order=8, meta=meta)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: coupling_bound_model(flat_space(), -1e6, 1e3, 0.0, c),
+        lambda c: space_form_jacobian(-1e6, 1e3),
+        lambda c: diagonal_lower_envelope(-1e6, 1e3, 1.0, 2.0, c),
+        lambda c: finiteness_certificate(
+            _steep_torus(), flat_space(), c, KernelBoundConstants(1.0, 1.0, 1.0),
+            math.inf, 1.0, 2.0,
+        ),
+    ],
+    ids=["model", "jacobian", "envelope", "certificate"],
+)
+def test_closed_forms_past_the_float_range_are_unsupported(constants, call):
+    # sqrt(1e6) * 1e3 sets exponents far past the ~710 where expm1, sinh
+    # and cosh overflow: an unsupported regime, not an OverflowError
+    with pytest.raises(UnsupportedRegimeError, match="exponent"):
+        call(constants)

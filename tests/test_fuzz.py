@@ -11,6 +11,7 @@ allocation.
 
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import random
 
 import pytest
 
-from shellbound.cli import main
+from shellbound.cli import load_config, main
 from test_acceptance import NATURAL_COMMANDS
 
 _NUMBERS = (math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300, 1e-300, -1e-300)
@@ -113,23 +114,34 @@ def _check_run(tmp_path, command, data, label):
     return code
 
 
-@pytest.mark.parametrize("name", sorted(NATURAL_COMMANDS))
+# Every shipped config is a base, and torus.json once more with its
+# builder's curvature data written out as curvature_meta: no shipped config
+# carries one, so only that base reaches the six fields that enter the
+# bounds' exponentials.
+@pytest.mark.parametrize("name", [*sorted(NATURAL_COMMANDS), "torus.json+meta"])
 def test_mutated_config_keeps_the_exit_contract(tmp_path, config_dir, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)  # a default output path would land here
-    base = json.loads((config_dir / name).read_text())
+    config, _, meta = name.partition("+")
+    base = json.loads((config_dir / config).read_text())
+    if meta:
+        meshes = load_config(str(config_dir / config)).surfaces
+        for surface, mesh in zip(base["surfaces"], meshes):
+            surface["curvature_meta"] = dataclasses.asdict(mesh.meta)
     rng = random.Random(name)
     for kind in _KINDS:
         for _ in range(3):
             mutated = _mutate(base, kind, rng)
             if mutated is not None:
-                _check_run(tmp_path, NATURAL_COMMANDS[name], *mutated)
+                _check_run(tmp_path, NATURAL_COMMANDS[config], *mutated)
 
 
 # Cases the fuzz found: an OverflowError escaped from mu**2 (mu is now
 # rejected unless its square is a normal float), a far surface gave an
 # infinite point separation (now math.dist), and a point or a centre at
 # 1e300 overflowed a squared distance (coordinates now need a finite
-# fourth power).
+# fourth power).  A torus whose hole has almost closed (r_minor just below
+# R_major) has a curvature floor whose bound overflowed math.expm1 (now an
+# unsupported-regime row).
 @pytest.mark.parametrize(
     "name,path,value",
     [
@@ -137,6 +149,7 @@ def test_mutated_config_keeps_the_exit_contract(tmp_path, config_dir, monkeypatc
         ("hybrid_far_point.json", ("surfaces", 0, "params", "center", 1), 1e300),
         ("hybrid_far_point.json", ("points", 0, "position", 2), 1e300),
         ("three_spheres_lambda.json", ("surfaces", 1, "params", "center", 0), -1e300),
+        ("torus.json", ("surfaces", 0, "params", "r_minor"), 1.9999998),
     ],
 )
 def test_fuzz_findings_keep_the_exit_contract(tmp_path, config_dir, capsys, name, path, value):

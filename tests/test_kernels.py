@@ -84,6 +84,17 @@ def test_hyperbolic_kernel_flat_limit(constants, flat):
     assert a == pytest.approx(b, rel=1e-9)
 
 
+@pytest.mark.parametrize("d", [1e3, math.inf])
+def test_hyperbolic_kernels_vanish_far_out(constants, d):
+    # sqrt(K) d is past where sinh overflows (about 710): both kernels are
+    # exactly 0 there, and at d = inf, without a warning (tier-1 turns
+    # warnings into errors)
+    space = hyperbolic_space(0.8)
+    assert heat_kernel(space, constants, 1.0, d) == 0.0
+    assert np.all(heat_kernel(space, constants, np.array([0.5, 2.0]), d) == 0.0)
+    assert np.all(static_kernel_array(space, constants, 0.7, np.array([d, d])) == 0.0)
+
+
 def test_static_kernel_edge_cases(constants, flat):
     # the array kernel takes strictly positive distances: near contact both
     # spaces keep the 1/d singularity, far out the flat kernel underflows to 0

@@ -156,21 +156,6 @@ def test_assemble_phi_sums_each_distinct_self_integral_once(constants, flat, mon
     assert len(calls) == 5
 
 
-def test_assemble_phi_still_checks_a_sharing_mesh(constants, flat):
-    # a mesh of the same form, scale and area whose nodes are not its form's
-    # mesh moved gets no shared self-integral: it raises as it would alone.
-    # The centres share no coordinate plane, so the pair rule checks no
-    # mirror images and only the self-integral's check sees the turn.
-    # Ellipsoids, because a sphere pair goes on rings, which check both forms.
-    general = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
-    a = build_surface(general, order=8)
-    b = build_surface(dataclasses.replace(general, center=(3.0, 2.5, 1.5)), order=8)
-    u, v = b.params[:, 0], b.params[:, 1]
-    turned = dataclasses.replace(b, nodes=b.chart.evaluate(u, v + 0.1)[0])
-    with pytest.raises(GeometryViolationError):
-        assemble_phi((a, turned), CouplingSpec.from_nu_stars(1.0, 1.0), flat, constants, 1.2)
-
-
 def test_pair_integral_kernel_calls_per_block(constants, flat, sphere24, monkeypatch):
     # an order-24 sphere pair sums 24 outer u-rings x 1152 nodes; the block
     # loop makes one kernel call per _BLOCK samples, and every sample once
