@@ -397,8 +397,6 @@ def finiteness_certificate(
             f"need nu > nu_star > 0, got nu={nu}, nu_star={nu_star}"
         )
     meta = mesh.meta
-    if meta is None:
-        raise InvalidArgumentError("mesh carries no curvature metadata")
     if not meta.H_lower < 0.0:
         raise InvalidArgumentError(
             "certificate needs a negative sectional-curvature floor, got "

@@ -344,45 +344,137 @@ _FORMS = weakref.WeakValueDictionary()  # (canonical shape, order) -> its Surfac
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Product quadrature mesh on one closed surface (flat embedding).
+    """Product quadrature mesh of a Sphere, Torus or Ellipsoid at an order.
 
-    By construction the mesh is its form's grid scaled by scale and moved
-    to the shape's centre: nodes = centre + scale * form.nodes and weights
-    = scale^2 * form.weights are derived here, read-only, and cannot be
-    passed in.  nodes[k] lies on the surface, weights[k] > 0, and the
-    weights sum to the area.  The chart and the (u, v) coordinates are the
-    form's.  Instances hash by identity (eq=False), which the quadrature's
-    caches key on.
+    A mesh is its shape, its order and curvature_meta, the user's curvature
+    data or None for the shape's own; every other field is derived here,
+    so dataclasses.replace on a mesh rebuilds it and no field can disagree
+    with the shape.  Spheres and ellipsoids get Gauss-Legendre in cos(u)
+    times uniform azimuth, tori the uniform product rule in both angles.
+    The form is the shape moved to the origin and divided by scale (the
+    sphere radius, the torus R_major or the ellipsoid a), interned with
+    its chart and node grid; nodes = centre + scale * form.nodes and
+    weights = scale^2 * form.weights, read-only.  nodes[k] lies on the
+    surface, weights[k] > 0, and area is closed-form for spheres and tori
+    and the sum of the weights for ellipsoids, to rounding.  meta is
+    curvature_meta or, when that is None, the shape's own:
+    - sphere: H = 1/R^2, rho_min = rho_max = pi*R/2;
+    - torus: the Gaussian curvature range of the torus of revolution,
+      rho_max = pi*(R + 2r) (a covering-radius bound), rho_min = pi*r/2,
+      and chord-arc constants with delta*kappa = 0.75 (safe for the worst
+      arc/chord ratio ~ pi/2 attained on equatorial half-loops);
+    - ellipsoid: Gaussian curvature attains its extrema at the axis
+      endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes,
+      which fills H_upper/H_lower in closed form.
+    Instances hash by identity (eq=False), which the quadrature's caches
+    key on.
     """
 
     shape: object
-    area: float
-    diameter_ambient: float
-    meta: SurfaceCurvatureMeta
-    form: SurfaceForm = field(repr=False)
-    scale: float
+    order: int
+    curvature_meta: SurfaceCurvatureMeta | None = None
+    form: SurfaceForm = field(init=False, repr=False)
+    scale: float = field(init=False)
+    area: float = field(init=False)
+    diameter_ambient: float = field(init=False)
+    meta: SurfaceCurvatureMeta = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.scale
-        nodes = np.asarray(self.shape.center) + s * self.form.nodes
-        _set_read_only(self, nodes=nodes, weights=s * s * self.form.weights)
-        if self.meta.H_lower > 0.0:
-            # Bonnet-Myers: ambient diameter cannot exceed the intrinsic one.
-            cap = math.pi / math.sqrt(self.meta.H_lower)
-            if self.diameter_ambient > cap * (1.0 + 1e-12):
-                raise GeometryViolationError(
-                    f"H_lower={self.meta.H_lower} contradicts diameter {self.diameter_ambient}"
+        shape, meta = self.shape, self.curvature_meta
+        if not isinstance(shape, (Sphere, Torus, Ellipsoid)):
+            raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
+        order = _check_order(self.order)
+        center = _check_center(shape.center)
+        if isinstance(shape, Sphere):
+            _check_sizes("sphere radius", shape.radius)
+            R = float(shape.radius)
+            shape = Sphere(center, R)
+            form_shape = Sphere(_ORIGIN, 1.0)
+            scale = R
+            chart = _ScaledSphereChart((1.0, 1.0, 1.0), 2)
+            diameter = 2.0 * R
+            area = 4.0 * math.pi * R * R
+            if meta is None:
+                H = 1.0 / (R * R)
+                meta = SurfaceCurvatureMeta(
+                    H_upper=H,
+                    H_lower=H,
+                    rho_min=math.pi * R / 2.0,
+                    rho_max=math.pi * R / 2.0,
+                    chord_arc_delta=0.75 * R,
+                    chord_arc_kappa=1.0 / R,
                 )
-
-    @property
-    def order(self) -> int:
-        return self.form.order
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        elif isinstance(shape, Torus):
+            _check_sizes("torus radii", shape.R_major, shape.r_minor)
+            if shape.r_minor >= shape.R_major:
+                raise GeometryViolationError(
+                    f"torus needs r_minor < R_major, got r={shape.r_minor}, R={shape.R_major}"
+                )
+            R, r = float(shape.R_major), float(shape.r_minor)
+            shape = Torus(center, R, r)
+            form_shape = Torus(_ORIGIN, 1.0, r / R)
+            scale = R
+            _check_sizes("torus r_minor / R_major", form_shape.r_minor)
+            chart = _TorusChart(1.0, form_shape.r_minor)
+            diameter = 2.0 * (R + r)
+            area = 4.0 * math.pi * math.pi * R * r
+            if meta is None:
+                kap = max(1.0 / r, 1.0 / (R - r))
+                meta = SurfaceCurvatureMeta(
+                    H_upper=1.0 / (r * (R + r)),
+                    H_lower=-1.0 / (r * (R - r)),
+                    rho_min=math.pi * r / 2.0,
+                    rho_max=math.pi * (R + 2.0 * r),
+                    chord_arc_delta=0.75 / kap,
+                    chord_arc_kappa=kap,
+                )
+        else:
+            _check_sizes("ellipsoid semi-axes", shape.a, shape.b, shape.c)
+            axes = (float(shape.a), float(shape.b), float(shape.c))
+            shape = Ellipsoid(center, *axes)
+            form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
+            scale = axes[0]
+            _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
+            chart = _ScaledSphereChart((1.0, form_shape.b, form_shape.c), 2)
+            diameter = 2.0 * max(axes)
+            # the weights summed at the mesh's own size, whose bits every
+            # area-matched spheroid of `sweep --param deformation_c` was built on
+            area = np.sum(_node_grid_gl(_ScaledSphereChart(axes, 2), order)[3])
+            if meta is None:
+                # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
+                # underflows for axes that pass _check_sizes (1e-76 each)
+                x, y, z = axes
+                curv = [k * k for k in (x / (y * z), y / (z * x), z / (x * y))]
+                H_up, H_lo = max(curv), min(curv)
+                kap = max(axes) / min(axes) ** 2
+                meta = SurfaceCurvatureMeta(
+                    H_upper=H_up,
+                    H_lower=H_lo,
+                    rho_min=(math.pi / 2.0) / math.sqrt(H_up),
+                    rho_max=(math.pi / 2.0) / math.sqrt(H_lo),
+                    chord_arc_delta=0.75 / kap,
+                    chord_arc_kappa=kap,
+                )
+        if meta.H_lower > 0.0:
+            # Bonnet-Myers: ambient diameter cannot exceed the intrinsic one.
+            cap = math.pi / math.sqrt(meta.H_lower)
+            if diameter > cap * (1.0 + 1e-12):
+                raise GeometryViolationError(
+                    f"H_lower={meta.H_lower} contradicts diameter {diameter}"
+                )
+        form = _FORMS.get((form_shape, order))
+        if form is None:
+            form = _FORMS[form_shape, order] = SurfaceForm(form_shape, order, chart)
+        derived = dict(
+            shape=shape, order=order, form=form, scale=scale, area=float(area),
+            diameter_ambient=float(diameter), meta=meta,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        nodes = np.asarray(center) + scale * form.nodes
+        _set_read_only(self, nodes=nodes, weights=scale * scale * form.weights)
 
 
 # Highest quadrature order.  The geometry of a pair that is not two spheres
@@ -468,109 +560,9 @@ _ORIGIN = (0.0, 0.0, 0.0)
 
 
 def build_surface(shape: object, order: int = 16, meta: SurfaceCurvatureMeta | None = None) -> SurfaceMesh:
-    """Quadrature mesh of a Sphere, Torus or Ellipsoid at the given order.
-
-    Spheres and ellipsoids get Gauss-Legendre in cos(u) times uniform
-    azimuth, tori the uniform product rule in both angles.  meta defaults
-    to the shape's own curvature data:
-    - sphere: H = 1/R^2, rho_min = rho_max = pi*R/2;
-    - torus: the Gaussian curvature range of the torus of revolution,
-      rho_max = pi*(R + 2r) (a covering-radius bound), rho_min = pi*r/2,
-      and chord-arc constants with delta*kappa = 0.75 (safe for the worst
-      arc/chord ratio ~ pi/2 attained on equatorial half-loops);
-    - ellipsoid: Gaussian curvature attains its extrema at the axis
-      endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes,
-      which fills H_upper/H_lower in closed form.
-    Each branch builds the chart of the shape's form, at the origin with
-    scale 1; the form, interned, builds its node grid on that chart once.
-    The mesh's area is closed-form for spheres and tori and the sum of the
-    weights for ellipsoids, to rounding.
-    """
-    if not isinstance(shape, (Sphere, Torus, Ellipsoid)):
-        raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
-    order = _check_order(order)
-    center = _check_center(shape.center)
-    if isinstance(shape, Sphere):
-        _check_sizes("sphere radius", shape.radius)
-        R = float(shape.radius)
-        shape = Sphere(center, R)
-        form_shape = Sphere(_ORIGIN, 1.0)
-        scale = R
-        chart = _ScaledSphereChart((1.0, 1.0, 1.0), 2)
-        diameter = 2.0 * R
-        area = 4.0 * math.pi * R * R
-        if meta is None:
-            H = 1.0 / (R * R)
-            meta = SurfaceCurvatureMeta(
-                H_upper=H,
-                H_lower=H,
-                rho_min=math.pi * R / 2.0,
-                rho_max=math.pi * R / 2.0,
-                chord_arc_delta=0.75 * R,
-                chord_arc_kappa=1.0 / R,
-            )
-    elif isinstance(shape, Torus):
-        _check_sizes("torus radii", shape.R_major, shape.r_minor)
-        if shape.r_minor >= shape.R_major:
-            raise GeometryViolationError(
-                f"torus needs r_minor < R_major, got r={shape.r_minor}, R={shape.R_major}"
-            )
-        R, r = float(shape.R_major), float(shape.r_minor)
-        shape = Torus(center, R, r)
-        form_shape = Torus(_ORIGIN, 1.0, r / R)
-        scale = R
-        _check_sizes("torus r_minor / R_major", form_shape.r_minor)
-        chart = _TorusChart(1.0, form_shape.r_minor)
-        diameter = 2.0 * (R + r)
-        area = 4.0 * math.pi * math.pi * R * r
-        if meta is None:
-            kap = max(1.0 / r, 1.0 / (R - r))
-            meta = SurfaceCurvatureMeta(
-                H_upper=1.0 / (r * (R + r)),
-                H_lower=-1.0 / (r * (R - r)),
-                rho_min=math.pi * r / 2.0,
-                rho_max=math.pi * (R + 2.0 * r),
-                chord_arc_delta=0.75 / kap,
-                chord_arc_kappa=kap,
-            )
-    else:
-        _check_sizes("ellipsoid semi-axes", shape.a, shape.b, shape.c)
-        axes = (float(shape.a), float(shape.b), float(shape.c))
-        shape = Ellipsoid(center, *axes)
-        form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
-        scale = axes[0]
-        _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
-        chart = _ScaledSphereChart((1.0, form_shape.b, form_shape.c), 2)
-        diameter = 2.0 * max(axes)
-        # the weights summed at the mesh's own size, whose bits every
-        # area-matched spheroid of `sweep --param deformation_c` was built on
-        area = np.sum(_node_grid_gl(_ScaledSphereChart(axes, 2), order)[3])
-        if meta is None:
-            # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
-            # underflows for axes that pass _check_sizes (1e-76 each)
-            x, y, z = axes
-            curv = [k * k for k in (x / (y * z), y / (z * x), z / (x * y))]
-            H_up, H_lo = max(curv), min(curv)
-            kap = max(axes) / min(axes) ** 2
-            meta = SurfaceCurvatureMeta(
-                H_upper=H_up,
-                H_lower=H_lo,
-                rho_min=(math.pi / 2.0) / math.sqrt(H_up),
-                rho_max=(math.pi / 2.0) / math.sqrt(H_lo),
-                chord_arc_delta=0.75 / kap,
-                chord_arc_kappa=kap,
-            )
-    form = _FORMS.get((form_shape, order))
-    if form is None:
-        form = _FORMS[form_shape, order] = SurfaceForm(form_shape, order, chart)
-    return SurfaceMesh(
-        shape=shape,
-        area=float(area),
-        diameter_ambient=float(diameter),
-        meta=meta,
-        form=form,
-        scale=scale,
-    )
+    """The SurfaceMesh of a Sphere, Torus or Ellipsoid at the given order,
+    with meta as its curvature_meta (None for the shape's own)."""
+    return SurfaceMesh(shape, order, meta)
 
 
 def implicit_value(shape: object, x: np.ndarray):

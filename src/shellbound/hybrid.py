@@ -105,16 +105,6 @@ class HybridSystem:
                         f"point sources {i} and {j} coincide"
                     )
 
-    def min_point_surface_distance(self) -> float:
-        """Smallest node distance between any point source and any shell."""
-        best = math.inf
-        for mesh in self.surfaces:
-            for p in self.points:
-                diff = mesh.nodes - p.position.as_array()
-                d = float(np.min(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
-                best = min(best, d)
-        return best
-
 
 def point_krein(
     constants: PhysicalConstants,

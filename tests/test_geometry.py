@@ -55,6 +55,27 @@ def test_a_mesh_is_its_form_moved_and_scaled(shape):
             setattr(mesh, name, getattr(mesh, name)[::-1])
     for a in (form.params, form.nodes, form.weights):
         assert not a.flags.writeable
+    # a mesh is its shape, order and curvature_meta; everything else is
+    # derived, so replace rebuilds the mesh and no field can disagree
+    for name in ("form", "scale", "area", "diameter_ambient", "meta"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(mesh, **{name: getattr(mesh, name)})
+    for new in (Sphere((1.0, 2.0, -3.0), 2.0), Torus((1.0, 2.0, -3.0), 3.0, 1.0), shape):
+        _assert_same_mesh(dataclasses.replace(mesh, shape=new), build_surface(new, mesh.order))
+    _assert_same_mesh(dataclasses.replace(mesh, order=12), build_surface(shape, order=12))
+    kept = dataclasses.replace(build_surface(shape, 8, mesh.meta), order=12)
+    assert kept.curvature_meta is kept.meta is mesh.meta
+    with pytest.raises(GeometryViolationError, match="r_minor < R_major"):
+        dataclasses.replace(mesh, shape=Torus(shape.center, 1.0, 2.0))
+
+
+def _assert_same_mesh(mesh, expected):
+    assert mesh.shape == expected.shape and mesh.order == expected.order
+    assert mesh.form is expected.form
+    for name in ("nodes", "weights"):
+        assert np.array_equal(getattr(mesh, name), getattr(expected, name))
+    for name in ("area", "scale", "diameter_ambient", "meta"):
+        assert getattr(mesh, name) == getattr(expected, name)
 
 
 def test_sphere_mesh_area_and_diameter(sphere24):

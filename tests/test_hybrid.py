@@ -205,17 +205,6 @@ def test_perturbative_shift_arity(constants, flat):
         perturbative_shift(sys)
 
 
-def test_min_point_surface_distance(constants, flat, sphere16):
-    sys = HybridSystem(
-        (sphere16,),
-        CouplingSpec.from_nu_stars(1.0),
-        (PointSource(flat_point(3.0, 0.0, 0.0), 0.8),),
-        flat,
-        constants,
-    )
-    assert sys.min_point_surface_distance() == pytest.approx(2.0, abs=0.05)
-
-
 def test_system_validation(constants, flat, sphere16):
     with pytest.raises(GeometryViolationError):
         HybridSystem(

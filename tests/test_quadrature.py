@@ -40,7 +40,7 @@ def _scaled(mesh, rows, row_weights):
 
 def _full_rule(mesh):
     """One singular-patch row per node, each with its own outer weight."""
-    return _scaled(mesh, np.arange(mesh.n_nodes), mesh.form.weights)
+    return _scaled(mesh, np.arange(len(mesh.nodes)), mesh.form.weights)
 
 
 def _orbit_rule(mesh):
@@ -158,7 +158,7 @@ def test_orbit_rows_of_revolution_meshes_are_the_rings(sphere16, torus16):
     for mesh in (sphere16, torus16, spheroid):
         ring = 2 * mesh.order
         rows, row_weights = quad._orbit_rows(mesh.form, mesh.weights)
-        assert np.array_equal(rows, np.arange(0, mesh.n_nodes, ring))
+        assert np.array_equal(rows, np.arange(0, len(mesh.nodes), ring))
         assert np.array_equal(row_weights, mesh.weights.reshape(-1, ring).sum(axis=1))
         assert float(np.sum(row_weights)) == pytest.approx(mesh.area, rel=1e-14)
 
@@ -189,13 +189,13 @@ def test_orbit_members_are_mirror_images(name, order):
         groups.append((None, ring))
     for mirrors, invariant in groups:
         members = quad._orbit_members(mesh.form, mirrors)
-        first, gap = members[:, :1], members == mesh.n_nodes
+        first, gap = members[:, :1], members == len(mesh.nodes)
         members = np.where(gap, first, members)
         drift = np.abs(invariant[members] - invariant[first])
         assert np.all(drift <= 0.5e-12 * mesh.diameter_ambient), mirrors
         w = mesh.weights
         assert np.all(np.abs(w[members] - w[first]) <= 1e-12 * w[first]), mirrors
-        assert np.array_equal(np.sort(members[~gap]), np.arange(mesh.n_nodes)), mirrors
+        assert np.array_equal(np.sort(members[~gap]), np.arange(len(mesh.nodes))), mirrors
 
 
 def test_diag_geometry_rows(sphere16, torus16):
@@ -243,7 +243,7 @@ def test_chunked_patch_rows_match_one_batch(constants, flat):
     mesh = build_surface(GENERAL, order=12)
     form = mesh.form
     for rows, row_weights in (
-        (np.arange(mesh.n_nodes), form.weights),
+        (np.arange(len(mesh.nodes)), form.weights),
         quad._orbit_rows(form, form.weights),
     ):
         groups = quad._patch_chart_groups(form, rows)

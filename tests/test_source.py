@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package is used, every
-module-level private name is read somewhere, every public function or
-class is read somewhere or listed as library API, no module imports scipy,
-which is a test dependency only, and the quadrature engine names no shape
-class.
+module-level private name is read somewhere, every public function,
+class, method or property is read somewhere or listed as library API, no
+module imports scipy, which is a test dependency only, and the quadrature
+engine names no shape class.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -168,9 +168,10 @@ def test_no_dead_private_names():
     assert _dead_private_names(trees) == []
 
 
-# Public functions and classes that no code under src/ reads, each with the
-# reason it stays.  The check fails on a name missing here and on an entry
-# that is gone or that src/ now reads, so the list cannot go stale.
+# Public functions, classes, methods and properties that no code under src/
+# reads, each with the reason it stays.  The check fails on a name missing
+# here and on an entry that is gone or that src/ now reads, so the list
+# cannot go stale.
 UNREAD_PUBLIC_API = {
     "_quadrature.clear_caches": "perfbench's tests read it; ROADMAP item 3 removes it",
     "_quadrature.patch_weight_residual": "the patch-weight check that ROADMAP item 5 calls",
@@ -187,29 +188,45 @@ UNREAD_PUBLIC_API = {
     "oracles.sphere_Z_exact": "test oracle",
     "oracles.sphere_point_potential_exact": "test oracle",
     "oracles.two_sphere_pair_integral_exact": "test oracle",
+    "principal.CouplingSpec.from_lambdas": "library API: couplings given as raw strengths",
+    "principal.CouplingSpec.from_nu_stars": "library API: couplings given as standalone nu*",
     "principal.coupling_from_energy": "library API: the coupling that binds at an energy",
     "principal.wavefunction": "library API: the ground-state wavefunction",
     "variational.stationarity_check": "paper API: finite differences of the trial energy",
 }
 
 
-def _unread_public_names(trees: dict) -> list[str]:
-    """Public module-level functions and classes read nowhere outside their
-    own definition, as module.name in source order.
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    A re-export in __init__.py is an import, not a read, so it does not
-    count as a use.
+
+def _public_defs(tree: ast.Module):
+    """(name, node) of each public module-level function and class, and
+    (Class.name, node) of each public method and property of a
+    module-level class, in source order."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _FUNCTIONS) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _unread_public_names(trees: dict) -> list[str]:
+    """Public module-level functions and classes, and public methods and
+    properties of module-level classes, read nowhere outside their own
+    definition, as module.name or module.Class.name in source order.
+
+    A method counts as read wherever an attribute of its name is, on any
+    object.  A re-export in __init__.py is an import, not a read, so it
+    does not count as a use.
     """
     uses = collections.Counter(name for tree in trees.values() for name in _loads(tree))
     unread = []
     for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and uses[node.name] == sum(n == node.name for n in _loads(node))
-            ):
-                unread.append(f"{module.removesuffix('.py')}.{node.name}")
+        for qualname, node in _public_defs(tree):
+            if uses[node.name] == sum(n == node.name for n in _loads(node)):
+                unread.append(f"{module.removesuffix('.py')}.{qualname}")
     return unread
 
 
@@ -220,10 +237,18 @@ def test_the_check_finds_a_dead_public_name():
             "def unread(n):\n    return unread(n - 1)\n"
             "class Unread:\n    pass\n"
             "def _private():\n    return used()\n"
+            "class Used:\n"
+            "    def __init__(self):\n        self.read()\n"
+            "    def read(self):\n        return 1\n"
+            "    def dead(self):\n        return self.dead()\n"
+            "    @property\n    def prop(self):\n        return 2\n"
+            "    def _hidden(self):\n        return 3\n"
         ),
-        "b.py": ast.parse("from .a import unread\nfrom . import a\nx = a._private()\n"),
+        "b.py": ast.parse("from .a import unread\nfrom . import a\nx = a._private() + a.Used()\n"),
     }
-    assert _unread_public_names(trees) == ["a.unread", "a.Unread"]
+    assert _unread_public_names(trees) == [
+        "a.unread", "a.Unread", "a.Used.dead", "a.Used.prop",
+    ]
 
 
 def test_no_dead_public_names():
