@@ -2,9 +2,10 @@
 
 The package computes spectra of Schrodinger operators with attractive
 singular interactions supported on compact surfaces, via the principal
-matrix of the interaction: ground states by bracket expansion plus
-Brent's method on its lowest eigenvalue, closed-form threshold and spectral bounds, a weighted
-variational reformulation, and hybrid systems with point sources.
+matrix of the interaction: ground states by Newton's method from the left
+on its lowest eigenvalue, with the slope from the same kernel pass,
+closed-form threshold and spectral bounds, a weighted variational
+reformulation, and hybrid systems with point sources.
 """
 
 from .bounds import (

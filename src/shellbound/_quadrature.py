@@ -50,24 +50,33 @@ warm order-24 pair and coupling solves (2 vCPU, numpy 2.4).
 
 Every double sum takes one path: double_sum picks the self-integral or the
 pair rule, whose cached (distances, weights) arrays go to
-weighted_kernel_sum.  _diag_geometry caches per mesh and _pair_geometry per
-mesh pair, for exactly as long as the meshes live: they hold them by weak
-reference, so a sweep that builds a new mesh per point frees each point's
-geometry with it, while a mesh a caller keeps gets its geometry back.  A
-pair build first checks that neither surface's nodes lie inside the other
-and that no two nodes coincide; else it raises GeometryViolationError and
-caches nothing.
+weighted_kernel_sum.  Its kernel_fn returns K(d) and d K(d) from one
+pass, and it returns the sums of w K(d) and of w d K(d), the first
+distance moment.  For the static kernel e^{-kappa_f nu d} / d, d K(d) is
+the kernel's own exponential, and the moment times -kappa_f is the
+nu-slope of the sum, which the root finder's Newton steps use: a slope
+costs one more dot per block and no cached array.  _diag_geometry caches
+per mesh and _pair_geometry per mesh pair, for exactly as long as the
+meshes live: they hold them by weak reference, so a sweep that builds a
+new mesh per point frees each point's geometry with it, while a mesh a
+caller keeps gets its geometry back.  A pair build first checks that
+neither surface's nodes lie inside the other and that no two nodes
+coincide; else it raises GeometryViolationError and caches nothing.
 
 Forms: every mesh is its form's node grid scaled by its scale s and moved
 to its centre, by construction: geometry.SurfaceMesh derives its nodes and
 weights from its geometry.SurfaceForm (the shape at the origin divided by
 s, with its order, chart and grid), and equal shapes share one interned
 form.  So the self-integral geometry is the form's: _form_geometry builds
-the patch rows once per form at s = 1, and _diag_geometry returns them, or
-a copy with distances times s and weights times s^4.  The form geometry
-lives as long as any mesh of its form: the meshes hold the form, the cache
-holds it weakly.  So equal spheres share one patch build, and a radius
-sweep builds one while the config's own mesh, of the same form, lives.
+the patch rows once per form at s = 1, and _diag_geometry returns them,
+or for s != 1 their distances times s beside the form's own weights:
+diag_weighted_sum multiplies both sums by s^4, so a scaled mesh caches one
+array.  (Scaling each block of distances on the fly instead allocates a
+block-sized temporary per kernel call, about 15% of a warm order-24 torus
+self-integral.)  The form geometry lives as long as any mesh of its form:
+the meshes hold the form, the cache holds it weakly.  So equal spheres
+share one patch build, and a radius sweep builds one while the config's
+own mesh, of the same form, lives.
 Sphere pairs take their u-rings from the same cached form geometry.
 
 Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
@@ -157,17 +166,25 @@ def _mesh_cache(fn):
     return cached
 
 
-def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> float:
-    """sum(weights * kernel_fn(dists)) with a deterministic reduction.
+def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> tuple[float, float]:
+    """(sum(weights * K), sum(weights * d K)) with a deterministic reduction,
+    where kernel_fn(d) returns the pair (K(d), d K(d)).
 
-    The array is cut into fixed _BLOCK-sample blocks; each block makes one
-    kernel_fn call and contributes one dot-product partial, and the partials
-    are combined with math.fsum in block order.
+    The arrays are cut into fixed _BLOCK-sample blocks; each block makes one
+    kernel_fn call and contributes one dot-product partial to each sum, and
+    the partials are combined with math.fsum in block order.
     """
-    return math.fsum(
-        float(np.dot(weights[o : o + _BLOCK], kernel_fn(dists[o : o + _BLOCK])))
-        for o in range(0, weights.shape[0], _BLOCK)
-    )
+    sums, firsts = [], []
+    for o in range(0, weights.shape[0], _BLOCK):
+        k, dk = kernel_fn(dists[o : o + _BLOCK])
+        w = weights[o : o + _BLOCK]
+        sums.append(float(np.dot(w, k)))
+        firsts.append(float(np.dot(w, dk)))
+        # Free the block's arrays before the next kernel call: with two
+        # blocks' arrays alive, glibc trimmed and re-faulted the heap every
+        # block, which more than doubled a warm order-24 self-integral.
+        del k, dk
+    return math.fsum(sums), math.fsum(firsts)
 
 
 def _patch_chart_groups(form: SurfaceForm, rows: np.ndarray):
@@ -367,19 +384,20 @@ def _form_geometry(form: SurfaceForm):
 
 @_mesh_cache
 def _diag_geometry(mesh: SurfaceMesh):
-    """Self-integral geometry of one surface under the orbit rule: its
-    form's, with distances times s and weights times s^4 for scale s."""
+    """Self-integral geometry (d, w) of one surface under the orbit rule:
+    its form's, with distances times s for scale s.  The weights stay the
+    form's, so they lack the factor s^4, which diag_weighted_sum applies."""
     d, w = _form_geometry(mesh.form)[2:]
     s = mesh.scale
     if s == 1.0:
         return d, w
-    return s * d, s**4 * w
+    return s * d, w
 
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
     rows, row_weights = _orbit_rows(mesh.form, mesh.weights)
-    _, w = _diag_geometry(mesh)
+    w = _diag_geometry(mesh)[1] * mesh.scale**4
     sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
     return float(np.max(np.abs(sums - mesh.area)) / mesh.area)
 
@@ -447,21 +465,33 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     return d.reshape(-1), w.reshape(-1)
 
 
-def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> float:
-    """Double integral of kernel(d) over mesh x mesh (singularity-safe)."""
+def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> tuple[float, float]:
+    """Double integrals of K(d) and d K(d) over mesh x mesh
+    (singularity-safe), kernel_fn(d) giving (K(d), d K(d)).
+
+    A mesh of scale s has its form's weights times s^4, applied to the sums.
+    """
     d, w = _diag_geometry(mesh)
-    return weighted_kernel_sum(w, d, kernel_fn)
+    total, first = weighted_kernel_sum(w, d, kernel_fn)
+    s = mesh.scale
+    if s == 1.0:
+        return total, first
+    return s**4 * total, s**4 * first
 
 
-def offdiag_weighted_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> float:
-    """Double integral of kernel(d) over two disjoint surfaces."""
+def offdiag_weighted_sum(
+    mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn
+) -> tuple[float, float]:
+    """Double integrals of K(d) and d K(d) over two disjoint surfaces,
+    kernel_fn(d) giving (K(d), d K(d))."""
     d, w = _pair_geometry(mesh_i, mesh_j)
     return weighted_kernel_sum(w, d, kernel_fn)
 
 
-def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> float:
-    """Double integral of kernel(d) over mesh_i x mesh_j: the self-integral
-    when both are the same mesh, the pair rule otherwise."""
+def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> tuple[float, float]:
+    """Double integrals of K(d) and d K(d) over mesh_i x mesh_j, kernel_fn(d)
+    giving (K(d), d K(d)): the self-integral when both are the same mesh,
+    the pair rule otherwise."""
     if mesh_i is mesh_j:
         return diag_weighted_sum(mesh_i, kernel_fn)
     return offdiag_weighted_sum(mesh_i, mesh_j, kernel_fn)

@@ -1,9 +1,12 @@
 """Closed-form coupling thresholds, spectral floors, and finiteness caps.
 
 Everything in this module is an explicit scalar formula except the
-Gersgorin root search (bracket expansion plus Brent's method), which reuses the quadrature-backed pair integrals to
-work with actual matrix entries. The closed-form envelope evaluators are
-kept alongside it so the two routes can be compared; they must never be
+Gersgorin root search, which reuses the quadrature-backed pair integrals to
+work with actual matrix entries.  Its gap is a minimum of diagonals minus a
+maximum of radii, each radius a minimum of two convex curves, so it is not
+concave in nu and takes bracket expansion plus Brent's method rather than
+the Newton search of the ground state.  The closed-form envelope evaluators
+are kept alongside it so the two routes can be compared; they must never be
 merged into one code path.
 """
 
@@ -24,7 +27,7 @@ from .kernels import KernelBoundConstants
 from .principal import (
     _NU_CEIL,
     CouplingSpec,
-    _monotone_root,
+    _bracketed_root,
     _validate_system,
     pair_integral,
 )
@@ -369,7 +372,7 @@ def gersgorin_energy_bound(
 
     # gap(max nu*) <= 0: the coupling attaining max nu* has zero diagonal.
     lo = max(stars)
-    nu_g, _ = _monotone_root(
+    nu_g, _ = _bracketed_root(
         gap, lo, gap(lo), max(2.0 * lo, 1.0), _NU_CEIL,
         NoConvergenceError(f"no disk separation found with nu up to {_NU_CEIL}"),
         tol,

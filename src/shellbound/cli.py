@@ -55,7 +55,7 @@ from .hybrid import HybridSystem, PointSource, perturbative_shift, solve_hybrid_
 from .principal import (
     Coupling,
     CouplingSpec,
-    _monotone_root,
+    _bracketed_root,
     energy_from_coupling,
     lowest_eigenvalue_flow,
     solve_ground_state,
@@ -401,7 +401,7 @@ def _fixed_area_ellipsoid(sphere: SurfaceMesh, c: float) -> SurfaceMesh:
     f_lo = f(1e-3)
     if f_lo > 0.0:
         raise error
-    t, _ = _monotone_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
+    t, _ = _bracketed_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
     return spheroid(t * scale)
 
 

@@ -3,9 +3,13 @@
 Point interactions carry no finite coupling constant; each point channel
 enters through a subtracted diagonal pinned to its standalone level -mu^2,
 and couples to the shells through the static kernel. The combined matrix
-extends the pure-shell one by the point rows and has the same monotone
-lowest-eigenvalue flow, so the ground state falls out of the identical
-bracket expansion plus Brent's method.
+extends the pure-shell one by the point rows, and its slope by their
+closed-form nu-derivatives, so the ground state falls out of the same
+Newton search from the left.  In flat space every point entry is concave in
+nu, so the lowest eigenvalue stays concave.  The hyperbolic point diagonal
+is convex in nu (its decay rate sqrt(K + 2 m nu^2 / hbar^2) is), so there
+a Newton step may pass the root, and the search goes on inside the bracket
+that step closes.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .principal import (
     CouplingSpec,
     PrincipalMatrix,
     _ground_state,
+    _surface_potential_terms,
     assemble_phi,
     pair_integral,
     surface_potential,
@@ -106,6 +111,12 @@ class HybridSystem:
                     )
 
 
+def _krein_pref(constants: PhysicalConstants) -> float:
+    """2 sqrt(pi) (m / 2 pi hbar^2)^{3/2}, the point diagonal per unit of nu."""
+    m, hbar = constants.mass, constants.hbar
+    return 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
+
+
 def point_krein(
     constants: PhysicalConstants,
     mu: float,
@@ -123,7 +134,7 @@ def point_krein(
             f"mu and nu must be positive, got mu={mu}, nu={nu}"
         )
     m, hbar = constants.mass, constants.hbar
-    pref = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
+    pref = _krein_pref(constants)
     if space.is_flat:
         return pref * (nu - mu)
     K = space.curvature_K
@@ -131,6 +142,18 @@ def point_krein(
     gamma_nu = math.sqrt(K + kf2 * nu * nu)
     gamma_mu = math.sqrt(K + kf2 * mu * mu)
     return pref * (hbar / math.sqrt(2.0 * m)) * (gamma_nu - gamma_mu)
+
+
+def _decay_rate_slope(
+    constants: PhysicalConstants, nu: float, space: AmbientSpace
+) -> float:
+    """d gamma / d nu of the kernel's decay rate gamma: kappa_f nu in flat
+    space, sqrt(K + kappa_f^2 nu^2) in hyperbolic space."""
+    kf = constants.kappa_factor
+    if space.is_flat:
+        return kf
+    kf2 = 2.0 * constants.mass / (constants.hbar * constants.hbar)
+    return kf2 * nu / math.sqrt(space.curvature_K + kf2 * nu * nu)
 
 
 def _point_level_slope(
@@ -147,37 +170,55 @@ def _point_level_slope(
 
 
 def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
-    """Principal matrix of the combined system, shells first, points after."""
+    """Principal matrix of the combined system, shells first, points after,
+    with its slope dPhi/dnu.
+
+    The point entries' slopes are closed forms: the point diagonal is
+    proportional to the decay rate gamma(nu), so its slope is the same
+    constant times gamma'(nu); the point-point entry -G_nu(d) has slope
+    d G_nu(d) gamma'(nu); the point-shell entry's slope comes from its
+    kernel pass.
+    """
     if not nu > 0.0:
         raise InvalidArgumentError(f"nu must be positive, got {nu}")
     n, m_pts = len(sys.surfaces), len(sys.points)
     size = n + m_pts
     A = np.zeros((size, size))
+    B = np.zeros((size, size))
     if n:
-        A[:n, :n] = assemble_phi(
-            sys.surfaces, sys.couplings, sys.space, sys.constants, nu
-        ).entries
+        shells = assemble_phi(sys.surfaces, sys.couplings, sys.space, sys.constants, nu)
+        A[:n, :n], B[:n, :n] = shells.entries, shells.slope
+    rate_slope = _decay_rate_slope(sys.constants, nu, sys.space)
+    # pref (nu - mu) in flat space, pref (gamma_nu - gamma_mu) / kappa_f otherwise
+    krein_slope = _krein_pref(sys.constants) * rate_slope / sys.constants.kappa_factor
     for p_idx, p in enumerate(sys.points):
         k = n + p_idx
         A[k, k] = point_krein(sys.constants, p.mu, nu, sys.space)
+        B[k, k] = krein_slope
         for i in range(n):
-            A[i, k] = A[k, i] = -surface_potential(
+            val, slope = _surface_potential_terms(
                 sys.surfaces[i], sys.space, sys.constants, nu, p.position
             )
+            A[i, k] = A[k, i] = -val
+            B[i, k] = B[k, i] = -slope
         for q_idx in range(p_idx + 1, m_pts):
             d = ambient_distance(
                 sys.space, p.position, sys.points[q_idx].position
             )
-            val = static_kernel_array(sys.space, sys.constants, nu, np.array([d]))
-            A[k, n + q_idx] = A[n + q_idx, k] = -float(val[0])
-    return PrincipalMatrix(nu=nu, entries=A)
+            val, d_val = static_kernel_array(
+                sys.space, sys.constants, nu, np.array([d]), moment=True
+            )
+            A[k, n + q_idx] = A[n + q_idx, k] = -val[0]
+            B[k, n + q_idx] = B[n + q_idx, k] = d_val[0] * rate_slope
+    return PrincipalMatrix(nu=nu, entries=A, slope=B)
 
 
 def solve_hybrid_ground_state(
     sys: HybridSystem, tol: float = 1e-10
 ) -> BoundStateResult:
     """Ground state of the combined system: the zero of omega_min, found by
-    bracket expansion plus Brent's method as for pure shells."""
+    the Newton search from the left that pure shells use, which keeps a
+    bracket where the hyperbolic point diagonal makes a step pass the root."""
     stars = [cp.nu_star for cp in sys.couplings.items if cp.nu_star is not None]
     stars.extend(p.mu for p in sys.points)
     return _ground_state(

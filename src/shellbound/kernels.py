@@ -85,18 +85,29 @@ def heat_kernel(space: AmbientSpace, constants: PhysicalConstants, t, d):
 
 
 def static_kernel_array(
-    space: AmbientSpace, constants: PhysicalConstants, nu: float, d: np.ndarray
-) -> np.ndarray:
-    """Vectorized static kernel over a strictly positive distance array."""
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+    d: np.ndarray,
+    moment: bool = False,
+):
+    """Vectorized static kernel G over a strictly positive distance array.
+
+    With moment=True, returns the pair (G, d G).  In flat space d G is the
+    kernel's exponential part, computed on the way to G, so the pair costs
+    no more array operations than G alone.
+    """
     m, hbar = constants.mass, constants.hbar
     d = np.asarray(d, dtype=float)
     pref = m / (2.0 * math.pi * hbar * hbar)
     if space.is_flat:
         kappa = constants.kappa_factor * nu
-        return pref * np.exp(-kappa * d) / d
+        dg = pref * np.exp(-kappa * d)
+        return (dg / d, dg) if moment else dg / d
     K = space.curvature_K
     gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
-    return pref * (_x_over_sinh(math.sqrt(K) * d) / d) * np.exp(-gamma * d)
+    g = pref * (_x_over_sinh(math.sqrt(K) * d) / d) * np.exp(-gamma * d)
+    return (g, d * g) if moment else g
 
 
 def heat_kernel_upper_bound(

@@ -9,10 +9,16 @@ the zeros of the lowest eigenvalue of the symmetric matrix
     Phi_ij(nu) = -P_ij(nu)   (i != j)
 
 with P_ij the kernel pair integral (V_i V_j)^{-1/2} int int G_nu.  Every
-P_ij decreases strictly in nu and the off-diagonals are nonpositive, so the
-lowest eigenvalue increases in nu and its zero is found by bracket expansion
-plus Brent's method.  The same monotone root finder serves every crossing
-search in the package; its Brent step, _brent, is an in-repo port of SciPy's
+P_ij is convex and decreasing in nu and the off-diagonals are nonpositive,
+so by Perron-Frobenius the lowest eigenvalue omega(nu) is a minimum of
+concave increasing functions v^T Phi(nu) v over v >= 0: concave and
+increasing.  Its zero is found by Newton's method from the left
+(_monotone_root), which on a concave increasing function never passes the
+root.  The slope omega' = v^T Phi'(nu) v (Hellmann-Feynman) comes from the
+eigenvector already solved for omega and from Phi' = dPhi/dnu, which the
+kernel pass sums beside Phi.  The same finder serves every crossing with a
+slope; the two without one (the Gersgorin gap in bounds and the CLI's area
+match) take bracket doubling plus _brent, an in-repo port of SciPy's
 Zeros/brentq.c that makes the same evaluations and returns the same roots,
 so importing the package does not load scipy.
 """
@@ -107,8 +113,11 @@ def _check_symmetric(name: str, A: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PrincipalMatrix:
+    """Phi at nu, with its slope dPhi/dnu where the assembly sums it."""
+
     nu: float
     entries: np.ndarray
+    slope: np.ndarray | None = None
 
     def __post_init__(self):
         _check_symmetric("principal matrix", self.entries)
@@ -127,6 +136,14 @@ class PrincipalMatrix:
         if self.n == 1:
             return float(self.entries[0, 0])
         return float(self.eigh[0][0])
+
+    def omega_slope(self) -> float:
+        """d omega_min / dnu = v^T slope v for the lowest eigenvector v
+        (Hellmann-Feynman), from the eigenpairs omega_min solves."""
+        if self.n == 1:
+            return float(self.slope[0, 0])
+        v = self.eigh[1][:, 0]
+        return float(v @ self.slope @ v)
 
 
 @dataclass(frozen=True)
@@ -147,6 +164,29 @@ def _check_flat(space: AmbientSpace) -> None:
         )
 
 
+def _pair_terms(
+    mesh_i: SurfaceMesh,
+    mesh_j: SurfaceMesh,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+) -> tuple[float, float]:
+    """P_ij(nu) and its slope dP_ij/dnu, from one kernel pass.
+
+    The flat kernel e^{-kappa_f nu d} / d has nu-derivative -kappa_f d times
+    itself, so the slope is -kappa_f times the pass's first moment, the sum
+    of w d G(d), which the kernel hands over from its own exponential.
+    """
+    _check_flat(space)
+    if not nu > 0.0:
+        raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
+    kernel = lambda d: static_kernel_array(space, constants, nu, d, moment=True)
+    total, first = quad.double_sum(mesh_i, mesh_j, kernel)
+    # on the diagonal sqrt(V * V) is V exactly
+    norm = math.sqrt(mesh_i.area * mesh_j.area)
+    return total / norm, -constants.kappa_factor * first / norm
+
+
 def pair_integral(
     mesh_i: SurfaceMesh,
     mesh_j: SurfaceMesh,
@@ -155,12 +195,7 @@ def pair_integral(
     nu: float,
 ) -> float:
     """(V_i V_j)^{-1/2} double surface integral of the static kernel."""
-    _check_flat(space)
-    if not nu > 0.0:
-        raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
-    kernel = lambda d: static_kernel_array(space, constants, nu, d)
-    # on the diagonal sqrt(V * V) is V exactly
-    return quad.double_sum(mesh_i, mesh_j, kernel) / math.sqrt(mesh_i.area * mesh_j.area)
+    return _pair_terms(mesh_i, mesh_j, space, constants, nu)[0]
 
 
 def _brent(f, a, f_a, b, f_b, xtol, rtol, error):
@@ -221,8 +256,9 @@ def _brent(f, a, f_a, b, f_b, xtol, rtol, error):
     raise error
 
 
-def _monotone_root(f, lo, f_lo, hi, ceil, error, tol):
-    """Crossing of a nondecreasing f above lo, given f_lo = f(lo) <= 0.
+def _bracketed_root(f, lo, f_lo, hi, ceil, error, tol):
+    """Crossing of a nondecreasing f above lo, given f_lo = f(lo) <= 0, for
+    crossings without a slope.
 
     Doubles hi until f(hi) > 0, moving lo up to the last nonpositive point,
     and raises error once hi passes ceil.  Brent's method (Brent 1973, ch. 4;
@@ -245,10 +281,60 @@ def _monotone_root(f, lo, f_lo, hi, ceil, error, tol):
         evals += 1
         return f(x)
 
-    # brentq's floor of four machine epsilons: the bracket cannot shrink
-    # much below one ulp of the root.
-    rtol = max(tol, 4.0 * np.finfo(float).eps)
-    return _brent(counted, lo, f_lo, hi, f_hi, tol, rtol, error), evals
+    return _brent(counted, lo, f_lo, hi, f_hi, tol, _rtol(tol), error), evals
+
+
+def _rtol(tol: float) -> float:
+    """brentq's relative tolerance: tol, floored at four machine epsilons,
+    since a bracket cannot shrink much below one ulp of the root."""
+    return max(tol, 4.0 * np.finfo(float).eps)
+
+
+def _monotone_root(f, lo, f_lo, ceil, error, tol):
+    """Crossing of an increasing f in [lo, ceil] by Newton's method from the
+    left, given f_lo = f(lo) with f_lo[0] <= 0.
+
+    f(x) returns (f(x), f'(x)).  On a concave f each Newton step from a
+    point with f <= 0 lands at or below the root, so the iterates rise to
+    it monotonically and quadratically (Ortega & Rheinboldt 1970, ch. 13).
+    A step that would reach ceil evaluates ceil instead and raises error if
+    f(ceil) <= 0.  Once some point has f > 0, which a concave f gives only
+    by rounding next to the root, the search keeps the bracket between the
+    last point with f <= 0 and the least with f > 0, steps from the latest
+    point, and bisects when a step would leave the bracket (Numerical
+    Recipes' rtsafe); a convex f, whose step from the left passes the root,
+    converges from the right this way.  Stops at the first evaluated point
+    whose step is at most (tol + rtol |x|) / 2, the bracket half-width at
+    which _brent stops, and returns (that point, number of evaluations, the
+    caller's f(lo) included).  Raises error on a NaN value or after 100
+    evaluations.
+    """
+    rtol = _rtol(tol)
+    x, (f_x, slope) = lo, f_lo
+    a, b = lo, None  # last point with f <= 0, least with f > 0
+    for evals in range(1, 101):
+        delta = (tol + rtol * abs(x)) / 2
+        step = -f_x / slope if slope > 0.0 else -math.copysign(math.inf, f_x)
+        if f_x == 0.0 or abs(step) <= delta:
+            return x, evals
+        if b is None:
+            x = min(x + step, ceil)
+        elif a < x + step < b:
+            x += step
+        elif (b - a) / 2 <= delta:
+            return x, evals
+        else:
+            x = a + (b - a) / 2
+        f_x, slope = f(x)
+        if math.isnan(f_x):
+            raise error
+        if f_x > 0.0:
+            b = x
+        elif x == ceil:
+            raise error
+        else:
+            a = x
+    raise error
 
 
 def _validate_system(surfaces, couplings: CouplingSpec) -> None:
@@ -267,36 +353,44 @@ def assemble_phi(
     constants: PhysicalConstants,
     nu: float,
 ) -> PrincipalMatrix:
-    """Principal matrix at spectral parameter nu (energy -nu**2).
+    """Principal matrix at spectral parameter nu (energy -nu**2), with its
+    slope dPhi/dnu.
 
     Each distinct self-integral P_ii is summed once per call.  Surfaces of
     one form at one scale share their cached self-integral geometry (see
     _quadrature), so with equal areas their P_ii at one nu are bitwise
-    equal, and the first one's value serves the others.
+    equal, and the first one's value serves the others.  A nu*-form
+    diagonal's P_ii(nu*) is a constant of nu, summed without its slope.
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
     n = len(surfaces)
     A = np.zeros((n, n))
+    B = np.zeros((n, n))
     selves = {}
 
-    def self_integral(mesh: SurfaceMesh, at: float) -> float:
+    def self_integral(mesh: SurfaceMesh, at: float) -> tuple[float, float]:
         key = (mesh.form, mesh.scale, mesh.area, at)
         if key not in selves:
-            selves[key] = pair_integral(mesh, mesh, space, constants, at)
+            if at == nu:
+                selves[key] = _pair_terms(mesh, mesh, space, constants, nu)
+            else:
+                selves[key] = pair_integral(mesh, mesh, space, constants, at), 0.0
         return selves[key]
 
     for i, (mesh, cp) in enumerate(zip(surfaces, couplings.items)):
-        p_nu = self_integral(mesh, nu)
+        p_nu, dp_nu = self_integral(mesh, nu)
+        B[i, i] = -dp_nu
         if cp.lam is not None:
             A[i, i] = 1.0 / cp.lam - p_nu
         else:
-            A[i, i] = self_integral(mesh, cp.nu_star) - p_nu
+            A[i, i] = self_integral(mesh, cp.nu_star)[0] - p_nu
     for i in range(n):
         for j in range(i + 1, n):
-            val = -pair_integral(surfaces[i], surfaces[j], space, constants, nu)
-            A[i, j] = A[j, i] = val
-    return PrincipalMatrix(nu=nu, entries=A)
+            p, dp = _pair_terms(surfaces[i], surfaces[j], space, constants, nu)
+            A[i, j] = A[j, i] = -p
+            B[i, j] = B[j, i] = -dp
+    return PrincipalMatrix(nu=nu, entries=A, slope=B)
 
 
 def coupling_from_energy(
@@ -325,12 +419,16 @@ def energy_from_coupling(
     if not lam > 0.0:
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
     target = 1.0 / lam
-    f = lambda nu: target - pair_integral(mesh, mesh, space, constants, nu)
+
+    def f(nu: float) -> tuple[float, float]:
+        p, dp = _pair_terms(mesh, mesh, space, constants, nu)
+        return target - p, -dp
+
     f_lo = f(_NU_FLOOR)
-    if f_lo >= 0.0:
+    if f_lo[0] >= 0.0:
         return None
     nu, _ = _monotone_root(
-        f, _NU_FLOOR, f_lo, 1.0, _NU_CEIL,
+        f, _NU_FLOOR, f_lo, _NU_CEIL,
         NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
         1e-13,
     )
@@ -358,27 +456,28 @@ def lowest_eigenvalue_flow(
 def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundStateResult:
     """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo, ceil].
 
-    phi maps nu to the principal matrix, or to any symmetric matrix family
-    whose lowest eigenvalue rises in its parameter (the variational I - K);
-    the returned weights are its unit null eigenvector at the crossing,
-    sign-fixed to a nonnegative sum (ground-state positivity).  iterations
-    counts the evaluations of omega_min made by the root finder.  The
-    matrices it evaluates are kept, so the null vector at the root needs no
-    further assembly, and its eigenpairs, solved for omega_min, are reused.
+    phi maps nu to the principal matrix with its slope, or to any symmetric
+    matrix family whose lowest eigenvalue rises concavely in its parameter
+    (the variational I - K); the returned weights are its unit null
+    eigenvector at the crossing, sign-fixed to a nonnegative sum
+    (ground-state positivity).  iterations counts the evaluations of
+    omega_min made by the root finder.  The matrices it evaluates are kept,
+    so the null vector at the root needs no further assembly, and its
+    eigenpairs, solved for omega_min, also give the slope.
     """
     seen = {}
 
-    def omega(nu: float) -> float:
-        seen[nu] = phi(nu)
-        return seen[nu].omega_min()
+    def omega(nu: float) -> tuple[float, float]:
+        pm = seen[nu] = phi(nu)
+        return pm.omega_min(), pm.omega_slope()
 
     f_lo = omega(lo)
-    if f_lo > 0.0:
+    if f_lo[0] > 0.0:
         raise NoBoundStateError(
-            f"omega_min({lo}) = {f_lo} > 0: no bound state at or below the bracket start"
+            f"omega_min({lo}) = {f_lo[0]} > 0: no bound state at or below the bracket start"
         )
     nu_sol, evals = _monotone_root(
-        omega, lo, f_lo, max(2.0 * lo, 1.0), ceil,
+        omega, lo, f_lo, ceil,
         NoBoundStateError(f"no bound state in bracket [{lo}, {ceil}]"),
         0.5e-12,
     )
@@ -405,7 +504,7 @@ def solve_ground_state(
     tol: float = 1e-10,
 ) -> BoundStateResult:
     """Ground state: the zero of the lowest-eigenvalue flow, found by
-    bracket expansion plus Brent's method.
+    Newton's method from the left with the Hellmann-Feynman slope.
 
     The returned weights are the unit null eigenvector at the crossing,
     sign-fixed to be componentwise nonnegative (ground-state positivity).
@@ -420,6 +519,27 @@ def solve_ground_state(
     )
 
 
+def _surface_potential_terms(
+    mesh: SurfaceMesh,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+    x: Point3,
+) -> tuple[float, float]:
+    """surface_potential and its nu-slope, from one kernel pass."""
+    _check_flat(space)
+    if not x.is_flat:
+        raise InvalidArgumentError("need a flat-space point")
+    diff = mesh.nodes - x.as_array()
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if np.any(d == 0.0):
+        return math.inf, -math.inf
+    kernel = lambda dd: static_kernel_array(space, constants, nu, dd, moment=True)
+    total, first = quad.weighted_kernel_sum(mesh.weights, d, kernel)
+    norm = math.sqrt(mesh.area)
+    return total / norm, -constants.kappa_factor * first / norm
+
+
 def surface_potential(
     mesh: SurfaceMesh,
     space: AmbientSpace,
@@ -428,15 +548,7 @@ def surface_potential(
     x: Point3,
 ) -> float:
     """V^{-1/2} integral of the static kernel from a point to one surface."""
-    _check_flat(space)
-    if not x.is_flat:
-        raise InvalidArgumentError("need a flat-space point")
-    diff = mesh.nodes - x.as_array()
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if np.any(d == 0.0):
-        return math.inf
-    kernel = lambda dd: static_kernel_array(space, constants, nu, dd)
-    return quad.weighted_kernel_sum(mesh.weights, d, kernel) / math.sqrt(mesh.area)
+    return _surface_potential_terms(mesh, space, constants, nu, x)[0]
 
 
 def wavefunction(

@@ -3,11 +3,14 @@
 The single-surface functional E(alpha) and the multi-surface matrices K, L,
 S share one ingredient: double surface integrals of the static kernel and
 its first two derivatives with respect to the trial parameter alpha (the
-time weights 1, t, t^2 under the integral). The derivative kernels are
-closed forms, so no time quadrature happens here, and they are the flat
-ones only: every entry point here requires flat space. The matrices take
-their integrals from _quadrature.double_sum, and the zero mode of I - K is found
-by principal._ground_state, the search the principal matrices use.
+time weights 1, t, t^2 under the integral). They are the flat ones only:
+every entry point here requires flat space. There -dG/dalpha is
+kappa_f / (2 nu) times d G(d), so the weight-t integrals (L and the norm Z)
+are the first distance moments of the weight-1 pass, from the same
+exponential; the weight-t^2 kernel is a closed form summed on its own. The
+matrices take their integrals from _quadrature.double_sum, and the zero
+mode of I - K is found by principal._ground_state, the Newton search the
+principal matrices use, with L = -dK/dalpha as its slope.
 """
 
 from __future__ import annotations
@@ -44,14 +47,6 @@ __all__ = [
 
 _ALPHA_FLOOR = 1e-16
 _ALPHA_CEIL = 1e8
-
-
-def _kernel_dalpha(constants: PhysicalConstants, nu: float, d: np.ndarray) -> np.ndarray:
-    """d/d(alpha) of the flat static kernel at alpha = nu**2 (bounded as d -> 0)."""
-    pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
-    kappa = constants.kappa_factor * nu
-    # -(beta/2 nu) G with beta = sqrt(2m) d / hbar; the 1/d of G cancels.
-    return -pref * (constants.kappa_factor / (2.0 * nu)) * np.exp(-kappa * d)
 
 
 def _kernel_d2alpha(constants: PhysicalConstants, nu: float, d: np.ndarray) -> np.ndarray:
@@ -104,9 +99,17 @@ def normalization_Z(
     _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
+    return _self_terms(mesh, space, constants, alpha)[1]
+
+
+def _self_terms(
+    mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, alpha: float
+) -> tuple[float, float]:
+    """The weight-1 and weight-t self-integrals (W, Z) at alpha, one pass."""
     nu = math.sqrt(alpha)
-    kernel = lambda d: -_kernel_dalpha(constants, nu, d)
-    return quad.diag_weighted_sum(mesh, kernel)
+    kernel = lambda d: static_kernel_array(space, constants, nu, d, moment=True)
+    W, first = quad.diag_weighted_sum(mesh, kernel)
+    return W, constants.kappa_factor / (2.0 * nu) * first
 
 
 def energy_functional(
@@ -122,9 +125,7 @@ def energy_functional(
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     if not lam > 0.0:
         raise InvalidArgumentError(f"lambda must be positive, got {lam}")
-    nu = math.sqrt(alpha)
-    W = quad.diag_weighted_sum(mesh, lambda d: static_kernel_array(space, constants, nu, d))
-    Z = normalization_Z(mesh, space, constants, alpha)
+    W, Z = _self_terms(mesh, space, constants, alpha)
     return W / Z - alpha - (lam / mesh.area) * W * W / Z
 
 
@@ -163,26 +164,30 @@ def _require_lambda_form(couplings: CouplingSpec) -> list[float]:
     return lams
 
 
-def _scaled_matrix(surfaces, lams, kernel) -> np.ndarray:
-    """M_ij = sqrt(lam_i lam_j / V_i V_j) * double integral of kernel."""
+def _scaled_matrices(surfaces, lams, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """M_ij = sqrt(lam_i lam_j / V_i V_j) times the double integral of K,
+    and F_ij the same of d K, from one pass of kernel(d) = (K, d K)."""
     n = len(surfaces)
     M = np.zeros((n, n))
+    F = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            raw = quad.double_sum(surfaces[i], surfaces[j], kernel)
+            raw, first = quad.double_sum(surfaces[i], surfaces[j], kernel)
             norm = math.sqrt(
                 lams[i] * lams[j] / (surfaces[i].area * surfaces[j].area)
             )
             M[i, j] = M[j, i] = norm * raw
-    return M
+            F[i, j] = F[j, i] = norm * first
+    return M, F
 
 
-def _k_matrix(surfaces, lams, space, constants, alpha: float) -> np.ndarray:
-    """Weight-1 matrix K at trial parameter alpha."""
-    nu = math.sqrt(alpha)
-    return _scaled_matrix(
-        surfaces, lams, lambda d: static_kernel_array(space, constants, nu, d)
+def _kl_matrices(surfaces, lams, space, constants, nu: float):
+    """Weight-1 and weight-t matrices K and L = -dK/dalpha at trial
+    parameter alpha = nu^2, from one kernel pass."""
+    K, first = _scaled_matrices(
+        surfaces, lams, lambda d: static_kernel_array(space, constants, nu, d, moment=True)
     )
+    return K, constants.kappa_factor / (2.0 * nu) * first
 
 
 def assemble_variational(
@@ -202,13 +207,13 @@ def assemble_variational(
     nu = math.sqrt(alpha)
     n = len(surfaces)
 
-    K = _k_matrix(surfaces, lams, space, constants, alpha)
-    L = _scaled_matrix(
-        surfaces, lams, lambda d: -_kernel_dalpha(constants, nu, d)
-    )
-    S = _scaled_matrix(
-        surfaces, lams, lambda d: _kernel_d2alpha(constants, nu, d)
-    )
+    K, L = _kl_matrices(surfaces, lams, space, constants, nu)
+
+    def s_kernel(d: np.ndarray):
+        k = _kernel_d2alpha(constants, nu, d)
+        return k, d * k
+
+    S = _scaled_matrices(surfaces, lams, s_kernel)[0]
 
     phi_tilde = np.eye(n) - K
     D = np.diag([math.sqrt(x) for x in lams])
@@ -245,9 +250,13 @@ def solve_variational(
 ) -> tuple[float, np.ndarray]:
     """Trial parameter alpha* where I - K(alpha) develops a zero mode.
 
-    K's entries shrink as alpha grows, so the smallest eigenvalue of
-    I - K(alpha) increases, and principal._ground_state finds its zero by
-    bracket expansion plus Brent's method in [_ALPHA_FLOOR, _ALPHA_CEIL].
+    K's entries are convex and decreasing in nu = sqrt(alpha), so the
+    smallest eigenvalue of I - K is concave and increasing in nu, and
+    principal._ground_state finds its zero by Newton's method from the left
+    in nu over [sqrt(_ALPHA_FLOOR), sqrt(_ALPHA_CEIL)], with the slope
+    -dK/dnu = 2 nu L from K's own kernel pass.  (In alpha the flow is
+    concave too, but its slope diverges like 1 / sqrt(alpha) at the floor,
+    and Newton's steps from there need about twice the evaluations.)
     Returns (alpha*, A) with A the unit zero mode, sign-fixed to
     nonnegative sum.
     """
@@ -257,10 +266,10 @@ def solve_variational(
     lams = _require_lambda_form(couplings)
     eye = np.eye(len(surfaces))
 
-    def phi(alpha: float) -> PrincipalMatrix:
-        K = _k_matrix(surfaces, lams, space, constants, alpha)
-        return PrincipalMatrix(alpha, eye - K)
+    def phi(nu: float) -> PrincipalMatrix:
+        K, L = _kl_matrices(surfaces, lams, space, constants, nu)
+        return PrincipalMatrix(nu, eye - K, slope=2.0 * nu * L)
 
     # the tolerance only sets the result's converged flag, which is dropped
-    result = _ground_state(phi, _ALPHA_FLOOR, 1e-10, _ALPHA_CEIL)
-    return result.nu_star, result.weights
+    result = _ground_state(phi, math.sqrt(_ALPHA_FLOOR), 1e-10, math.sqrt(_ALPHA_CEIL))
+    return result.nu_star**2, result.weights

@@ -248,3 +248,66 @@ def test_subcritical_shell_only_system(constants, flat, sphere16):
     )
     with pytest.raises(NoBoundStateError):
         solve_hybrid_ground_state(sys)
+
+
+def _hybrid_fd(sys, nu, h):
+    up = assemble_hybrid_phi(sys, nu + h).entries
+    dn = assemble_hybrid_phi(sys, nu - h).entries
+    return (up - dn) / (2.0 * h)
+
+
+def test_hybrid_slope_matches_central_difference_flat(flat, sphere16):
+    # point-shell, point-point and point diagonal entries, with non-unit
+    # constants so kappa_f != 1
+    constants = PhysicalConstants(hbar=1.3, mass=0.8)
+    pts = (
+        PointSource(flat_point(3.0, 0.0, 0.0), 0.6),
+        PointSource(flat_point(0.0, 2.5, 1.0), 0.9),
+    )
+    sys = HybridSystem((sphere16,), CouplingSpec.from_nu_stars(0.7), pts, flat, constants)
+    for nu in (0.95, 1.4):
+        slope = assemble_hybrid_phi(sys, nu).slope
+        assert np.allclose(slope, _hybrid_fd(sys, nu, 1e-5 * nu), rtol=1e-6, atol=0.0)
+
+
+def test_hybrid_slope_matches_central_difference_hyperbolic():
+    constants = PhysicalConstants(hbar=1.3, mass=0.8)
+    space = hyperbolic_space(0.8)
+    pts = (
+        PointSource(hyperbolic_point(space, 0.0, 0.0, 0.0), 0.6),
+        PointSource(hyperbolic_point(space, 1.5, 0.5, 0.0), 0.7),
+        PointSource(hyperbolic_point(space, -0.5, 1.0, 0.3), 0.5),
+    )
+    sys = HybridSystem((), CouplingSpec.from_lambdas(), pts, space, constants)
+    for nu in (0.75, 1.2):
+        slope = assemble_hybrid_phi(sys, nu).slope
+        assert np.allclose(slope, _hybrid_fd(sys, nu, 1e-5 * nu), rtol=1e-6, atol=0.0)
+
+
+def test_hyperbolic_point_only_search_passes_the_root_and_converges(constants, monkeypatch):
+    # the hyperbolic point diagonal is convex in nu, so a Newton step from
+    # the left passes the root; the search keeps the bracket from there and
+    # still lands on the zero of omega_min
+    from shellbound import hybrid
+
+    space = hyperbolic_space(0.8)
+    pts = (
+        PointSource(hyperbolic_point(space, 0.0, 0.0, 0.0), 0.6),
+        PointSource(hyperbolic_point(space, 1.5, 0.5, 0.0), 0.7),
+    )
+    sys = HybridSystem((), CouplingSpec.from_lambdas(), pts, space, constants)
+    omegas = []
+    inner = hybrid.assemble_hybrid_phi
+
+    def recorded(*args):
+        pm = inner(*args)
+        omegas.append(pm.omega_min())
+        return pm
+
+    monkeypatch.setattr(hybrid, "assemble_hybrid_phi", recorded)
+    gs = solve_hybrid_ground_state(sys)
+    assert max(omegas) > 0.0
+    assert gs.converged
+    assert gs.nu_star > 0.7
+    omega = lambda nu: inner(sys, nu).omega_min()
+    assert omega(gs.nu_star - 1e-11) < 0.0 < omega(gs.nu_star + 1e-11)

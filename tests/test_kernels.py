@@ -16,7 +16,7 @@ from shellbound import (
     static_kernel_array,
 )
 from shellbound.geometry import flat_space, hyperbolic_space
-from shellbound.variational import _kernel_d2alpha, _kernel_dalpha
+from shellbound.variational import _kernel_d2alpha
 
 
 def static_kernel_numeric(space, constants, nu: float, d: float) -> float:
@@ -209,31 +209,33 @@ CONSTANTS = [lambda: PhysicalConstants(), lambda: PhysicalConstants(hbar=2.0, ma
 
 @pytest.mark.parametrize("make_constants", CONSTANTS)
 def test_dalpha_kernel_matches_finite_difference(flat, make_constants):
+    # the variational weight-t kernel -dG/dalpha is kappa_f / (2 nu) times
+    # d G(d), the first distance moment of the static kernel's own pass
     constants = make_constants()
     d = np.array([0.3, 1.1, 2.4])
     alpha, h = 0.81, 1e-6
+    nu = math.sqrt(alpha)
     up = static_kernel_array(flat, constants, math.sqrt(alpha + h), d)
     dn = static_kernel_array(flat, constants, math.sqrt(alpha - h), d)
     fd = (up - dn) / (2.0 * h)
-    got = _kernel_dalpha(constants, math.sqrt(alpha), d)
+    got = -constants.kappa_factor / (2.0 * nu) * d * static_kernel_array(flat, constants, nu, d)
     assert np.allclose(got, fd, rtol=1e-7)
 
 
 @pytest.mark.parametrize("make_constants", CONSTANTS)
-def test_d2alpha_kernel_matches_finite_difference(make_constants):
+def test_d2alpha_kernel_matches_finite_difference(flat, make_constants):
     constants = make_constants()
     d = np.array([0.3, 1.1, 2.4])
     alpha, h = 0.81, 1e-4
-    up = _kernel_dalpha(constants, math.sqrt(alpha + h), d)
-    dn = _kernel_dalpha(constants, math.sqrt(alpha - h), d)
-    fd = (up - dn) / (2.0 * h)
+    up, mid, dn = (
+        static_kernel_array(flat, constants, math.sqrt(a), d) for a in (alpha + h, alpha, alpha - h)
+    )
+    fd = (up - 2.0 * mid + dn) / (h * h)
     got = _kernel_d2alpha(constants, math.sqrt(alpha), d)
     assert np.allclose(got, fd, rtol=1e-6)
 
 
 def test_derivative_kernels_bounded_at_contact(constants):
-    # the 1/d singularity cancels in both derivative kernels
-    tiny = _kernel_dalpha(constants, 1.0, np.array([1e-14]))
+    # the 1/d singularity cancels in the second alpha-derivative kernel
+    tiny = _kernel_d2alpha(constants, 1.0, np.array([1e-14]))
     assert math.isfinite(float(tiny[0]))
-    tiny2 = _kernel_d2alpha(constants, 1.0, np.array([1e-14]))
-    assert math.isfinite(float(tiny2[0]))

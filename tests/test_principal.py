@@ -19,6 +19,7 @@ from shellbound import (
     NoConvergenceError,
     PrincipalMatrix,
     Sphere,
+    Torus,
     VariationalMatrices,
     assemble_phi,
     build_surface,
@@ -38,7 +39,13 @@ from shellbound import _quadrature as quad
 from shellbound import principal
 from shellbound.cli import load_config
 from shellbound.errors import GeometryViolationError
-from shellbound.principal import _brent, _monotone_root, pair_integral, surface_potential
+from shellbound.principal import (
+    _bracketed_root,
+    _brent,
+    _monotone_root,
+    pair_integral,
+    surface_potential,
+)
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0, 2.0, 5.0])
@@ -110,9 +117,9 @@ def _counting(monkeypatch, name):
     calls = []
     inner = getattr(principal, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(principal, name, wrapper)
     return calls
@@ -143,7 +150,8 @@ def test_assemble_phi_equal_spheres_bitwise(constants, flat, radius):
 def test_assemble_phi_sums_each_distinct_self_integral_once(constants, flat, monkeypatch):
     a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
     b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
-    calls = _counting(monkeypatch, "pair_integral")
+    # every kernel pass of a pair integral, with its slope or without
+    calls = _counting(monkeypatch, "_pair_terms")
     assemble_phi((a, b), CouplingSpec.from_nu_stars(0.7, 1.1), flat, constants, 1.3)
     # P(nu) once for both, P_aa(0.7), P_bb(1.1) and the pair
     assert len(calls) == 4
@@ -309,14 +317,93 @@ def test_wavefunction_requires_convergence(constants, flat, sphere16):
 
 
 def test_monotone_root_cube_root():
+    # 1 - 2 / x^3 is concave and increasing on x > 0, with its root at the
+    # cube root of 2: Newton from the left rises to it without passing it
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 1.0 - 2.0 / x**3, 6.0 / x**4
+
     root, evals = _monotone_root(
-        lambda x: x**3 - 2.0, 0.0, -2.0, 1.0, 1e4, NoConvergenceError("unused"), 1e-15
+        f, 0.5, f(0.5), 1e4, NoConvergenceError("unused"), 1e-15
     )
+    assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-14
+    assert evals == len(points) < 15
+    assert points == sorted(points)
+    assert all(1.0 - 2.0 / x**3 <= 0.0 for x in points)
+
+
+def test_monotone_root_converges_from_the_right_on_a_convex_f():
+    # x^3 - 2 is convex: the first Newton step from the left lands past the
+    # root, and the steps from there fall to it inside the bracket
+    points = []
+
+    def f(x):
+        points.append(x)
+        return x**3 - 2.0, 3.0 * x * x
+
+    root, evals = _monotone_root(f, 0.5, f(0.5), 1e4, NoConvergenceError("unused"), 1e-12)
     assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-12
-    assert evals < 15
+    assert evals == len(points) < 15
+    # every step but the last, which rounding may put either side, is above
+    assert all(x**3 > 2.0 for x in points[1:-1])
+    assert points[1:] == sorted(points[1:], reverse=True)
+
+
+def test_monotone_root_bisects_when_a_step_leaves_the_bracket():
+    # tanh(5 (x - 3)) is flat far from its root, so steps from either end
+    # leave the bracket [0, 10] and the search bisects it
+    points = []
+
+    def f(x):
+        points.append(x)
+        return math.tanh(5.0 * (x - 3.0)), 5.0 / math.cosh(5.0 * (x - 3.0)) ** 2
+
+    root, evals = _monotone_root(f, 0.0, f(0.0), 10.0, NoConvergenceError("unused"), 1e-12)
+    assert abs(root - 3.0) <= 1e-12 * (1.0 + 3.0)
+    assert points[:4] == [0.0, 10.0, 5.0, 2.5]
+    assert evals == len(points) < 40
 
 
 def test_monotone_root_raises_callers_error_past_ceiling():
+    calls = []
+
+    def never_positive(x):
+        calls.append(x)
+        return -1.0, 1e-6
+
+    error = NoBoundStateError("no crossing below the ceiling")
+    with pytest.raises(NoBoundStateError) as info:
+        _monotone_root(never_positive, 1e-8, never_positive(1e-8), 1e4, error, 1e-12)
+    assert info.value is error
+    # The first step would pass the ceiling, so the ceiling is evaluated.
+    assert calls == [1e-8, 1e4]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_monotone_root_without_a_rising_slope_tries_the_ceiling(bad):
+    # a zero, negative or NaN slope cannot step: the ceiling bounds the bracket
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - 3.0, bad) if x < 3.0 else (x - 3.0, 1.0)
+
+    root, _ = _monotone_root(f, 1.0, f(1.0), 10.0, NoBoundStateError("unused"), 1e-12)
+    assert calls[:2] == [1.0, 10.0]
+    # bisection stops at half-width (tol + tol |x|) / 2, within one of it
+    assert abs(root - 3.0) <= 1e-12 * (1.0 + 3.0)
+
+
+def test_monotone_root_raises_callers_error_on_nan():
+    error = NoConvergenceError("nan")
+    with pytest.raises(NoConvergenceError) as info:
+        _monotone_root(lambda x: (math.nan, 1.0), 1.0, (-1.0, 1.0), 10.0, error, 1e-12)
+    assert info.value is error
+
+
+def test_bracketed_root_raises_callers_error_past_ceiling():
     calls = []
 
     def never_positive(x):
@@ -325,7 +412,7 @@ def test_monotone_root_raises_callers_error_past_ceiling():
 
     error = NoBoundStateError("no crossing below the ceiling")
     with pytest.raises(NoBoundStateError) as info:
-        _monotone_root(never_positive, 1e-8, -1.0, 1.0, 1e4, error, 1e-12)
+        _bracketed_root(never_positive, 1e-8, -1.0, 1.0, 1e4, error, 1e-12)
     assert info.value is error
     # Doubling from 1 stops at 2**13 = 8192, the last end below the ceiling.
     assert max(calls) == 8192.0
@@ -409,14 +496,134 @@ def test_lone_nu_star_channel_returns_nu_star_exactly(constants, flat, sphere16)
     result = solve_ground_state([sphere16], CouplingSpec.from_nu_stars(0.7), flat, constants)
     assert result.nu_star == 0.7
     assert result.energy == -0.7 * 0.7
-    # omega(nu*) is exactly zero, so only the two bracket ends are evaluated.
-    assert result.iterations == 2
+    # omega(nu*) is exactly zero at the first evaluation, where the search
+    # stops.
+    assert result.iterations == 1
 
 
 def test_two_spheres_solve_takes_few_evaluations(config_dir):
     cfg = load_config(str(config_dir / "two_spheres.json"))
     result = solve_ground_state(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants)
     assert result.converged
-    # Brent's method converges superlinearly; bisection to this tolerance
-    # needs about 40 evaluations.
-    assert result.iterations <= 15
+    # Newton's method from the left converges quadratically; bisection to
+    # this tolerance needs about 40 evaluations.
+    assert result.iterations <= 5
+
+
+# Slopes: every dPhi/dnu the Newton search uses against central differences
+# of its value.
+
+
+def _central(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        Sphere((0.0, 0.0, 0.0), 1.0),
+        Sphere((0.5, 0.0, 0.0), 1.3),  # scale 1.3: the sums take s^4 and s^5
+        Torus((0.0, 0.0, 0.0), 2.0, 0.5),
+        Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8),
+    ],
+    ids=["sphere", "sphere-r1.3", "torus", "ellipsoid"],
+)
+def test_self_integral_slope_matches_central_difference(constants, flat, shape):
+    mesh = build_surface(shape, order=16)
+    for nu in (0.3, 1.0, 2.5):
+        _, slope = principal._pair_terms(mesh, mesh, flat, constants, nu)
+        fd = _central(lambda x: pair_integral(mesh, mesh, flat, constants, x), nu, 1e-5 * nu)
+        assert slope < 0.0
+        assert slope == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [Sphere((2.5, 1.0, 0.0), 0.8), Torus((4.0, 0.0, 0.0), 1.5, 0.4)],
+    ids=["ring-sphere-pair", "mirror-sphere-torus"],
+)
+def test_pair_integral_slope_matches_central_difference(constants, flat, sphere16, other):
+    mesh = build_surface(other, order=16)
+    for nu in (0.3, 1.0, 2.5):
+        value, slope = principal._pair_terms(sphere16, mesh, flat, constants, nu)
+        assert value == pair_integral(sphere16, mesh, flat, constants, nu)
+        fd = _central(lambda x: pair_integral(sphere16, mesh, flat, constants, x), nu, 1e-5 * nu)
+        assert slope == pytest.approx(fd, rel=1e-6)
+
+
+def test_assemble_phi_slope_matches_central_difference(constants, flat, sphere16):
+    other = build_surface(Sphere((3.0, 0.0, 0.0), 0.9), order=16)
+    spec = CouplingSpec((Coupling(nu_star=0.8), Coupling(lam=2.0)))
+    nu, h = 1.1, 1e-5
+    slope = assemble_phi((sphere16, other), spec, flat, constants, nu).slope
+    fd = _central(lambda x: assemble_phi((sphere16, other), spec, flat, constants, x).entries, nu, h)
+    assert np.allclose(slope, fd, rtol=1e-6, atol=0.0)
+
+
+# The Newton search on the cases of ROADMAP item 10: (meshes, couplings or
+# lambda / lambda_c, the root Brent's method found before, at most this many
+# evaluations).  The roots agree within the search tolerance, 0.5e-12 for
+# ground states and 1e-13 for energy_from_coupling, relative above 1.
+def _spheres(order, *centers):
+    return [build_surface(Sphere(c, 1.0), order=order) for c in centers]
+
+
+NEWTON_PAIRS = {
+    "two_spheres D=4 n24": (24, ((0, 0, 0), (4, 0, 0)), (1.0, 1.0), 1.020116205750101, 4),
+    "touching D=2 n16": (16, ((0, 0, 0), (2, 0, 0)), (1.0, 1.0), 1.2582084376795108, 5),
+    "D=2.1 n24": (24, ((0, 0, 0), (2.1, 0, 0)), (1.0, 0.7), 1.1188719075140103, 5),
+    "three collinear n16": (
+        16, ((0, 0, 0), (4, 0, 0), (8, 0, 0)), (1.0, 1.0, 1.0), 1.0279106484655107, 5
+    ),
+}
+NEWTON_LAMBDAS = {  # lambda / lambda_c on an order-24 unit sphere
+    1.05: (0.04919347462936398, 5),
+    2.0: (0.7968121434372101, 7),
+    10.0: (4.99977294733397, 9),
+    100.0: (49.99985879688131, 13),
+}
+
+
+@pytest.mark.parametrize("case", NEWTON_PAIRS)
+def test_newton_pair_solves_match_brent_roots(constants, flat, monkeypatch, case):
+    order, centers, stars, brent_root, max_evals = NEWTON_PAIRS[case]
+    meshes = _spheres(order, *centers)
+    spec = CouplingSpec.from_nu_stars(*stars)
+    omegas = []
+    inner = principal.assemble_phi
+
+    def recorded(*args):
+        pm = inner(*args)
+        omegas.append(pm.omega_min())
+        return pm
+
+    monkeypatch.setattr(principal, "assemble_phi", recorded)
+    first = solve_ground_state(meshes, spec, flat, constants)
+    again = solve_ground_state(meshes, spec, flat, constants)
+    assert (again.nu_star, again.iterations) == (first.nu_star, first.iterations)
+    assert first.iterations == len(omegas) // 2 <= max_evals
+    assert abs(first.nu_star - brent_root) <= 0.5e-12 * max(1.0, brent_root)
+    # a concave crossing is approached from below: no evaluation has f > 0
+    assert max(omegas) <= 0.0
+    assert first.converged
+
+
+@pytest.mark.parametrize("ratio", NEWTON_LAMBDAS)
+def test_newton_lambda_solves_match_brent_roots(constants, flat, sphere24, monkeypatch, ratio):
+    brent_root, max_evals = NEWTON_LAMBDAS[ratio]
+    lam = ratio * (1.0 / pair_integral(sphere24, sphere24, flat, constants, 1e-8))
+    values = []
+    inner = principal._pair_terms
+
+    def recorded(*args):
+        out = inner(*args)
+        values.append(1.0 / lam - out[0])
+        return out
+
+    monkeypatch.setattr(principal, "_pair_terms", recorded)
+    nu = energy_from_coupling(sphere24, flat, constants, lam)
+    evals = len(values)
+    assert energy_from_coupling(sphere24, flat, constants, lam) == nu
+    assert len(values) == 2 * evals <= 2 * max_evals
+    assert abs(nu - brent_root) <= 1e-13 * max(1.0, brent_root)
+    assert max(values) <= 0.0

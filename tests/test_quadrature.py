@@ -32,7 +32,7 @@ GENERAL = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
 
 def _scaled(mesh, rows, row_weights):
     """Patch geometry of the given rows of the mesh's form, scaled by the
-    mesh's s as _diag_geometry scales it."""
+    mesh's s as diag_weighted_sum scales it."""
     s = mesh.scale
     d, w = quad._patch_rows(mesh.form, rows, row_weights)
     return s * d, s**4 * w
@@ -48,9 +48,19 @@ def _orbit_rule(mesh):
     return _scaled(mesh, *quad._orbit_rows(mesh.form, mesh.form.weights))
 
 
+def _kernel(constants, flat, nu):
+    return lambda x: static_kernel_array(flat, constants, nu, x, moment=True)
+
+
 def _self_integral(geometry, constants, flat, nu):
     d, w = geometry
-    return quad.weighted_kernel_sum(w, d, lambda x: static_kernel_array(flat, constants, nu, x))
+    return quad.weighted_kernel_sum(w, d, _kernel(constants, flat, nu))[0]
+
+
+def _diag_sum(mesh, constants, flat, nu):
+    """The mesh's self-integral as the package sums it, from the cached
+    _diag_geometry."""
+    return quad.diag_weighted_sum(mesh, _kernel(constants, flat, nu))[0]
 
 
 def test_diag_quadrature_convergence(constants, flat):
@@ -84,7 +94,7 @@ def test_full_rule_convergence(constants, flat):
 @pytest.mark.parametrize("nu", [0.1, 1.0, 3.0])
 def test_ring_rule_matches_full_rule_on_torus(constants, flat, torus16, nu):
     # every node of a torus ring has the rotated copy of one patch
-    ring = _self_integral(quad._diag_geometry(torus16), constants, flat, nu)
+    ring = _diag_sum(torus16, constants, flat, nu)
     full = _self_integral(_full_rule(torus16), constants, flat, nu)
     assert ring == pytest.approx(full, rel=1e-14)
 
@@ -94,10 +104,9 @@ def test_ring_rule_matches_full_rule_on_spheroid(constants, flat):
     # nodes of one ring are not rotated copies and the two rules differ by
     # the patch rule's own error (about 1e-9 against doubled patch orders).
     spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=24)
-    ring_geometry = quad._diag_geometry(spheroid)
     full_geometry = _full_rule(spheroid)
     for nu in (0.1, 1.0, 3.0):
-        ring = _self_integral(ring_geometry, constants, flat, nu)
+        ring = _diag_sum(spheroid, constants, flat, nu)
         full = _self_integral(full_geometry, constants, flat, nu)
         assert ring == pytest.approx(full, rel=1e-9)
 
@@ -133,10 +142,9 @@ def test_orbit_rule_matches_full_rule_on_general_ellipsoid(constants, flat):
     # at the shipped patch orders the two rules differ by the patch rule's
     # own error (measured 1.0e-11 / 1.5e-11 / 8.9e-12 at nu = 0.1 / 1 / 3)
     mesh = build_surface(GENERAL, order=24)
-    orbit_geometry = quad._diag_geometry(mesh)
     full_geometry = _full_rule(mesh)
     for nu in (0.1, 1.0, 3.0):
-        orbit = _self_integral(orbit_geometry, constants, flat, nu)
+        orbit = _diag_sum(mesh, constants, flat, nu)
         full = _self_integral(full_geometry, constants, flat, nu)
         assert orbit == pytest.approx(full, rel=1e-10)
 
@@ -251,19 +259,20 @@ def test_chunked_patch_rows_match_one_batch(constants, flat):
         want = _one_batch_per_group(form, rows, row_weights)
         for got, ref in zip(quad._patch_rows(form, rows, row_weights), want):
             assert np.array_equal(got, ref)
-    # _diag_geometry is the form's orbit rule scaled by (s, s^4), bitwise,
-    # and a direct build on the mesh's nodes, with the chart at the mesh's
-    # own size, gives its self-integral to rounding
+    # _diag_geometry is the form's orbit rule with distances times s and the
+    # form's own weights, bitwise, and a direct build on the mesh's nodes,
+    # with the chart at the mesh's own size, gives its self-integral to
+    # rounding
     s = mesh.scale
     got = quad._diag_geometry(mesh)
-    assert np.array_equal(got[0], s * want[0]) and np.array_equal(got[1], s**4 * want[1])
+    assert np.array_equal(got[0], s * want[0]) and np.array_equal(got[1], want[1])
     sized = _ScaledSphereChart((GENERAL.a, GENERAL.b, GENERAL.c), 2)
     direct = _one_batch_per_group(
         _with_nodes(form, mesh.nodes, sized), *quad._orbit_rows(form, mesh.weights)
     )
     for nu in (0.1, 1.0, 3.0):
         want = _self_integral(direct, constants, flat, nu)
-        assert _self_integral(got, constants, flat, nu) == pytest.approx(want, rel=1e-14)
+        assert _diag_sum(mesh, constants, flat, nu) == pytest.approx(want, rel=1e-14)
 
 
 def _pole_groups(form, rows):
@@ -405,8 +414,9 @@ def test_weighted_kernel_sum_matches_dot():
     rng = np.random.default_rng(3)
     w = rng.random(100_000)
     d = rng.random(100_000) + 0.1
-    got = quad.weighted_kernel_sum(w, d, lambda x: 1.0 / x)
+    got, first = quad.weighted_kernel_sum(w, d, lambda x: (1.0 / x, np.exp(-x)))
     assert got == pytest.approx(float(np.dot(w, 1.0 / d)), rel=1e-12)
+    assert first == pytest.approx(float(np.dot(w, np.exp(-d))), rel=1e-12)
 
 
 @pytest.mark.parametrize("D", [2.5, 4.0])
@@ -560,10 +570,10 @@ def test_equal_axis_ellipsoid_pair_goes_on_rings(sphere24):
     # with the sphere pair's bits
     sphere = build_surface(Sphere((0.0, 3.0, 0.0), 1.0), order=24)
     ellipsoid = build_surface(Ellipsoid((0.0, 3.0, 0.0), 1.0, 1.0, 1.0), order=24)
-    d, w = quad._pair_geometry(sphere24, ellipsoid)
-    assert d.size == w.size == 24 * 1152
-    want_d, want_w = quad._pair_geometry(sphere24, sphere)
-    assert np.array_equal(d, want_d) and np.array_equal(w, want_w)
+    got = quad._pair_geometry(sphere24, ellipsoid)
+    assert got[0].size == 24 * 1152
+    for a, b in zip(got, quad._pair_geometry(sphere24, sphere)):
+        assert np.array_equal(a, b)
 
 
 # Forms: a self-integral's geometry depends on the shape only up to
@@ -635,7 +645,7 @@ def _pair(order=8):
 def test_geometry_does_not_keep_its_mesh_alive():
     a, b = _pair()
     quad._diag_geometry(a)
-    quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
+    quad.offdiag_weighted_sum(a, b, lambda d: (1.0 / d, np.ones_like(d)))
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -688,7 +698,7 @@ def test_form_geometry_lives_as_long_as_a_mesh_of_its_form():
 def test_clear_caches_empties_both():
     a, b = _pair()
     quad._diag_geometry(a)
-    quad.offdiag_weighted_sum(a, b, lambda d: 1.0 / d)
+    quad.offdiag_weighted_sum(a, b, lambda d: (1.0 / d, np.ones_like(d)))
     assert all(n > 0 for n in _sizes())
     quad.clear_caches()
     for name in (*CACHES, "_form_geometry"):

@@ -171,3 +171,16 @@ def test_lambda_form_required(constants, flat, sphere16):
         assemble_variational(
             [sphere16], CouplingSpec.from_lambdas(2.0), flat, constants, 0.0
         )
+
+
+def test_l_matrix_is_minus_the_alpha_slope_of_k(constants, flat):
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    b = build_surface(Sphere((3.0, 0.5, 0.0), 1.2), order=16)
+    spec = CouplingSpec.from_lambdas(2.0, 1.5)
+    for alpha in (0.3, 1.4):
+        h = 1e-5 * alpha
+        up, dn = (
+            assemble_variational([a, b], spec, flat, constants, x).K for x in (alpha + h, alpha - h)
+        )
+        L = assemble_variational([a, b], spec, flat, constants, alpha).L
+        assert np.allclose(L, -(up - dn) / (2.0 * h), rtol=1e-6, atol=0.0)
