@@ -1,13 +1,14 @@
 """Closed-form coupling thresholds, spectral floors, and finiteness caps.
 
 Everything in this module is an explicit scalar formula except the
-Gersgorin root search, which reuses the quadrature-backed pair integrals to
-work with actual matrix entries.  Its gap is a minimum of diagonals minus a
-maximum of radii, each radius a minimum of two convex curves, so it is not
-concave in nu and takes bracket expansion plus Brent's method rather than
-the Newton search of the ground state.  The closed-form envelope evaluators
-are kept alongside it so the two routes can be compared; they must never be
-merged into one code path.
+Gersgorin root search, which works with the actual entries of the principal
+matrix and their nu-slopes from assemble_phi.  Its gap is a minimum of
+diagonals minus a maximum of radii, each radius a minimum of two convex
+curves, so it is increasing but not concave in nu; the Newton search of the
+ground state (_monotone_root) takes it with the slope of its active piece,
+and the search's bracket safeguard covers the non-concave stretches.  The
+closed-form envelope evaluators are kept alongside it so the two routes can
+be compared; they must never be merged into one code path.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .kernels import KernelBoundConstants
 from .principal import (
     _NU_CEIL,
     CouplingSpec,
-    _bracketed_root,
+    _monotone_root,
     _validate_system,
+    assemble_phi,
     pair_integral,
 )
 
@@ -352,28 +354,36 @@ def gersgorin_energy_bound(
     if n == 1:
         return -(stars[0] ** 2)
 
+    # P_ii(nu*), once: each diagonal P_ii(nu*) - P_ii(nu) of the principal
+    # matrix then gives back the P_ii(nu) of the Cauchy-Schwarz cap.
     base = [
         pair_integral(s, s, space, constants, ns)
         for s, ns in zip(surfaces, stars)
     ]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def gap(nu: float) -> float:
-        p_self = [pair_integral(s, s, space, constants, nu) for s in surfaces]
-        diag_min = min(b - p for b, p in zip(base, p_self))
-        radius = 0.0
+    def gap(nu: float) -> tuple[float, float]:
+        """The gap and its nu-slope, the slope of its active min/max piece."""
+        pm = assemble_phi(surfaces, couplings, space, constants, nu)
+        phi, dphi = pm.entries.tolist(), pm.slope.tolist()
+        k = min(range(n), key=lambda i: phi[i][i])
+        p = [b - phi[i][i] for i, b in enumerate(base)]
+        radius = d_radius = 0.0
         for i, j in pairs:
-            cs = math.sqrt(p_self[i] * p_self[j])
-            direct = pair_integral(
-                surfaces[i], surfaces[j], space, constants, nu
-            )
-            radius = max(radius, min(direct, cs))
-        return diag_min - (n - 1) * radius
+            r, dr = -phi[i][j], -dphi[i][j]
+            cs = math.sqrt(p[i] * p[j])
+            if cs < r:
+                # d sqrt(P_i P_j) with P_i' = -dphi[i][i]
+                r = cs
+                dr = -(dphi[i][i] * p[j] + p[i] * dphi[j][j]) / (2.0 * cs)
+            if r > radius:
+                radius, d_radius = r, dr
+        return phi[k][k] - (n - 1) * radius, dphi[k][k] - (n - 1) * d_radius
 
     # gap(max nu*) <= 0: the coupling attaining max nu* has zero diagonal.
     lo = max(stars)
-    nu_g, _ = _bracketed_root(
-        gap, lo, gap(lo), max(2.0 * lo, 1.0), _NU_CEIL,
+    nu_g, _ = _monotone_root(
+        gap, lo, gap(lo), _NU_CEIL,
         NoConvergenceError(f"no disk separation found with nu up to {_NU_CEIL}"),
         tol,
     )

@@ -24,6 +24,8 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .bounds import (
     coupling_bound_diameter,
     coupling_bound_model,
@@ -47,6 +49,7 @@ from .geometry import (
     SurfaceCurvatureMeta,
     SurfaceMesh,
     Torus,
+    _gauss_legendre,
     build_surface,
     flat_point,
     hyperbolic_point,
@@ -55,7 +58,7 @@ from .hybrid import HybridSystem, PointSource, perturbative_shift, solve_hybrid_
 from .principal import (
     Coupling,
     CouplingSpec,
-    _bracketed_root,
+    _monotone_root,
     energy_from_coupling,
     lowest_eigenvalue_flow,
     solve_ground_state,
@@ -389,20 +392,33 @@ def _fixed_area_ellipsoid(sphere: SurfaceMesh, c: float) -> SurfaceMesh:
     """Prolate/oblate mesh with polar semi-axis c, the sphere's centre and
     order, and the sphere's quadrature area."""
     target_area = sphere.area
-
-    def spheroid(a: float) -> SurfaceMesh:
-        return _grid_mesh(Ellipsoid(sphere.shape.center, a, a, c), sphere.order)
+    x, w = _gauss_legendre(sphere.order)
+    x2 = x * x
+    meshes = {}
 
     # Search in units of the area-equivalent sphere radius, so the
     # tolerance is relative.
     scale = math.sqrt(target_area / (4.0 * math.pi))
-    f = lambda t: spheroid(t * scale).area - target_area
+
+    def f(t: float) -> tuple[float, float]:
+        """Area mismatch at a = b = t * scale and its t-slope.
+
+        On the pole-2 chart the mesh sums 2 pi a sum_k w_k sqrt(q_k) over the
+        Gauss-Legendre nodes x_k = cos u, q_k = c^2 (1 - x_k^2) + a^2 x_k^2,
+        whose a-derivative is 2 pi sum_k w_k (q_k + a^2 x_k^2) / sqrt(q_k).
+        """
+        a = t * scale
+        mesh = meshes[t] = _grid_mesh(Ellipsoid(sphere.shape.center, a, a, c), sphere.order)
+        q = c * c * (1.0 - x2) + a * a * x2
+        slope = scale * 2.0 * math.pi * float(np.sum(w * (q + a * a * x2) / np.sqrt(q)))
+        return mesh.area - target_area, slope
+
     error = ConfigError(f"cannot match area {target_area} at deformation c={c}")
     f_lo = f(1e-3)
-    if f_lo > 0.0:
+    if f_lo[0] > 0.0:
         raise error
-    t, _ = _bracketed_root(f, 1e-3, f_lo, 20.0, 20.0, error, 1e-14)
-    return spheroid(t * scale)
+    t, _ = _monotone_root(f, 1e-3, f_lo, 20.0, error, 1e-14)
+    return meshes[t]
 
 
 def cmd_sweep(cfg: ExperimentConfig, args):

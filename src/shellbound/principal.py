@@ -16,11 +16,10 @@ increasing.  Its zero is found by Newton's method from the left
 (_monotone_root), which on a concave increasing function never passes the
 root.  The slope omega' = v^T Phi'(nu) v (Hellmann-Feynman) comes from the
 eigenvector already solved for omega and from Phi' = dPhi/dnu, which the
-kernel pass sums beside Phi.  The same finder serves every crossing with a
-slope; the two without one (the Gersgorin gap in bounds and the CLI's area
-match) take bracket doubling plus _brent, an in-repo port of SciPy's
-Zeros/brentq.c that makes the same evaluations and returns the same roots,
-so importing the package does not load scipy.
+kernel pass sums beside Phi.  The same finder serves every crossing in
+the package: the Gersgorin gap in bounds and the CLI's area match bring
+their own exact slopes, and its bracket safeguard covers their non-concave
+stretches.
 """
 
 from __future__ import annotations
@@ -198,98 +197,6 @@ def pair_integral(
     return _pair_terms(mesh_i, mesh_j, space, constants, nu)[0]
 
 
-def _brent(f, a, f_a, b, f_b, xtol, rtol, error):
-    """Root of f in [a, b], given f_a = f(a) and f_b = f(b) of opposite signs.
-
-    A line-for-line port of SciPy's Zeros/brentq.c (Brent 1973, ch. 4):
-    the same contrapoint swap, inverse quadratic or secant step and
-    bisection fallback, stopping once the bracket half-width is below
-    (xtol + rtol * |x|) / 2, so it evaluates f at the same points and
-    returns the same root bitwise.  Raises error when f is NaN or after
-    100 iterations without convergence.
-    """
-    xpre, fpre, xcur, fcur = a, f_a, b, f_b
-    xblk = fblk = spre = scur = 0.0
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise error
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # An underflowed den gives C an infinite or NaN step, which bisects.
-            stry = num / den if den != 0.0 else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise error
-    raise error
-
-
-def _bracketed_root(f, lo, f_lo, hi, ceil, error, tol):
-    """Crossing of a nondecreasing f above lo, given f_lo = f(lo) <= 0, for
-    crossings without a slope.
-
-    Doubles hi until f(hi) > 0, moving lo up to the last nonpositive point,
-    and raises error once hi passes ceil.  Brent's method (Brent 1973, ch. 4;
-    _brent, the in-repo port of SciPy's brentq) then refines the bracket to
-    about tol * max(1, root), reusing the end values already computed.
-    Returns (root, number of evaluations of f, the caller's f(lo) included).
-    """
-    f_hi = f(hi)
-    evals = 2
-    while f_hi <= 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > ceil:
-            raise error
-        f_hi = f(hi)
-        evals += 1
-
-    def counted(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
-    return _brent(counted, lo, f_lo, hi, f_hi, tol, _rtol(tol), error), evals
-
-
-def _rtol(tol: float) -> float:
-    """brentq's relative tolerance: tol, floored at four machine epsilons,
-    since a bracket cannot shrink much below one ulp of the root."""
-    return max(tol, 4.0 * np.finfo(float).eps)
-
-
 def _monotone_root(f, lo, f_lo, ceil, error, tol):
     """Crossing of an increasing f in [lo, ceil] by Newton's method from the
     left, given f_lo = f(lo) with f_lo[0] <= 0.
@@ -304,12 +211,12 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol):
     point, and bisects when a step would leave the bracket (Numerical
     Recipes' rtsafe); a convex f, whose step from the left passes the root,
     converges from the right this way.  Stops at the first evaluated point
-    whose step is at most (tol + rtol |x|) / 2, the bracket half-width at
-    which _brent stops, and returns (that point, number of evaluations, the
-    caller's f(lo) included).  Raises error on a NaN value or after 100
-    evaluations.
+    whose step is at most (tol + rtol |x|) / 2, with rtol = max(tol, 4 eps)
+    since no step resolves much below one ulp of the root, and returns
+    (that point, number of evaluations, the caller's f(lo) included).
+    Raises error on a NaN value or after 100 evaluations of its own.
     """
-    rtol = _rtol(tol)
+    rtol = max(tol, 4.0 * np.finfo(float).eps)
     x, (f_x, slope) = lo, f_lo
     a, b = lo, None  # last point with f <= 0, least with f > 0
     for evals in range(1, 101):

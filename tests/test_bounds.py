@@ -30,7 +30,8 @@ from shellbound import (
     solve_ground_state,
     space_form_jacobian,
 )
-from shellbound.principal import CouplingSpec, pair_integral
+from shellbound import bounds
+from shellbound.principal import CouplingSpec, PrincipalMatrix, pair_integral
 from shellbound.oracles import SphereOracleInput, sphere_pair_integral_exact
 
 MH2 = 0.5  # m / hbar^2 at default constants
@@ -248,6 +249,120 @@ def test_gersgorin_validation(constants, flat, sphere16):
         gersgorin_energy_bound([], CouplingSpec(()), flat, constants)
     with pytest.raises(InvalidArgumentError):
         gersgorin_energy_bound([sphere16], CouplingSpec.from_nu_stars(1.0, 1.0), flat, constants)
+
+
+# The disk-separation search on four systems: (order, surfaces as
+# (shape, centre, size), nu*, at most this many gap evaluations, f(lo)
+# included).
+GERSGORIN_CASES = {
+    "two spheres D=4 n24": (24, (("s", (0, 0, 0)), ("s", (4, 0, 0))), (1.0, 1.0), 4),
+    "touching n16": (16, (("s", (0, 0, 0)), ("s", (2, 0, 0))), (1.0, 1.0), 5),
+    "three n16": (
+        16, (("s", (0, 0, 0)), ("s", (4, 0, 0)), ("s", (8, 0, 0))), (1.0, 0.8, 1.2), 4
+    ),
+    "sphere torus n16": (16, (("s", (0, 0, 0)), ("t", (5, 0, 0))), (1.0, 1.0), 4),
+}
+
+
+def _gersgorin_system(case):
+    order, shapes, stars, max_evals = GERSGORIN_CASES[case]
+    build = {"s": lambda c: Sphere(c, 1.0), "t": lambda c: Torus(c, 2.0, 0.5)}
+    meshes = [build_surface(build[kind](c), order=order) for kind, c in shapes]
+    return meshes, CouplingSpec.from_nu_stars(*stars), max_evals
+
+
+def _pair_integral_gap(meshes, stars, flat, constants):
+    """The disk-separation gap summed entry by entry from pair_integral."""
+    n = len(meshes)
+    base = [pair_integral(m, m, flat, constants, ns) for m, ns in zip(meshes, stars)]
+
+    def gap(nu):
+        p = [pair_integral(m, m, flat, constants, nu) for m in meshes]
+        radius = max(
+            min(pair_integral(meshes[i], meshes[j], flat, constants, nu), math.sqrt(p[i] * p[j]))
+            for i in range(n) for j in range(i + 1, n)
+        )
+        return min(b - q for b, q in zip(base, p)) - (n - 1) * radius
+
+    return gap
+
+
+def _recorded_gap(monkeypatch):
+    """Patch bounds._monotone_root to keep the gap function it is given."""
+    gaps = []
+    inner = bounds._monotone_root
+
+    def recorded(f, *args):
+        gaps.append(f)
+        return inner(f, *args)
+
+    monkeypatch.setattr(bounds, "_monotone_root", recorded)
+    return gaps
+
+
+@pytest.mark.parametrize("case", GERSGORIN_CASES)
+def test_gersgorin_matches_brentq_on_pair_integrals(constants, flat, monkeypatch, case):
+    from scipy.optimize import brentq
+
+    meshes, spec, max_evals = _gersgorin_system(case)
+    stars = [cp.nu_star for cp in spec.items]
+    gap = _pair_integral_gap(meshes, stars, flat, constants)
+    lo = max(stars)
+    hi = max(2.0 * lo, 1.0)
+    while gap(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    nu_ref = brentq(gap, lo, hi, xtol=1e-14)
+
+    calls = []
+    inner = bounds.assemble_phi
+
+    def counted(*args):
+        calls.append(args[-1])
+        return inner(*args)
+
+    monkeypatch.setattr(bounds, "assemble_phi", counted)
+    e_star = gersgorin_energy_bound(meshes, spec, flat, constants)
+    assert len(calls) <= max_evals
+    # the search tolerance, tol (1 + nu) at tol = 1e-10
+    assert abs(math.sqrt(-e_star) - nu_ref) <= 1e-10 * (1.0 + nu_ref)
+
+
+@pytest.mark.parametrize(
+    "case, piece",
+    [("touching n16", "direct"), ("three n16", "direct"), ("touching n16", "cap")],
+)
+def test_gersgorin_gap_slope_matches_central_differences(constants, flat, monkeypatch, case, piece):
+    # Equal surfaces with equal nu* tie their diagonals with equal slopes;
+    # the sphere-torus pair would tie two slopes at nu*, a kink.
+    meshes, spec, _ = _gersgorin_system(case)
+    if piece == "cap":
+        # The cap sqrt(P_ii P_jj) lies above every direct entry of these
+        # disjoint surfaces (Cauchy-Schwarz), so off-diagonals scaled by 10
+        # stand in for a quadrature that overestimates them.
+        inner = bounds.assemble_phi
+
+        def inflated(*args):
+            pm = inner(*args)
+            scale = np.where(np.eye(pm.n, dtype=bool), 1.0, 10.0)
+            return PrincipalMatrix(pm.nu, pm.entries * scale, pm.slope * scale)
+
+        monkeypatch.setattr(bounds, "assemble_phi", inflated)
+    gaps = _recorded_gap(monkeypatch)
+    gersgorin_energy_bound(meshes, spec, flat, constants)
+    (gap,) = gaps
+    stars = [cp.nu_star for cp in spec.items]
+    for nu in (max(stars), 1.5 * max(stars)):
+        pm = bounds.assemble_phi(meshes, spec, flat, constants, nu)
+        p = [pair_integral(m, m, flat, constants, nu) for m in meshes]
+        n = len(meshes)
+        # every pair's radius, and so the largest, is the named piece
+        assert {
+            -pm.entries[i, j] < math.sqrt(p[i] * p[j])
+            for i in range(n) for j in range(i + 1, n)
+        } == {piece == "direct"}
+        h = 1e-5 * nu
+        fd = (gap(nu + h)[0] - gap(nu - h)[0]) / (2.0 * h)
+        assert gap(nu)[1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_finiteness_certificate_torus(constants, flat, torus16):

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from shellbound import geometry
+from shellbound import cli, geometry
 from shellbound.bounds import coupling_bound_model, critical_coupling_exact
 from shellbound.cli import _fmt, load_config, main
 from shellbound.errors import ConfigError, UnsupportedRegimeError
@@ -561,6 +561,46 @@ def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere3
     (at_one,) = [float(r["metric_value"]) for r in rows
                  if r["param_value"] == "1.0" and r["metric"] == "lambda_critical"]
     assert abs(at_one - sphere) <= 1e-12
+
+
+# Area-matched spheroids of the order-32 unit sphere: polar semi-axis c and
+# the equatorial semi-axis a found before the match took exact slopes.
+FIXED_AREA_A = {
+    0.5: 1.2537811790958022,
+    0.8: 1.1021900497156492,
+    1.0: 1.0,
+    1.25: 0.8808435726320039,
+    3.0: 0.4207144314239857,
+}
+
+
+@pytest.mark.parametrize("c", FIXED_AREA_A)
+def test_fixed_area_ellipsoid_slope_and_builds(monkeypatch, sphere32, c):
+    builds, searches = [], []
+    grid_mesh, monotone_root = cli._grid_mesh, cli._monotone_root
+
+    def counted(*args):
+        builds.append(args)
+        return grid_mesh(*args)
+
+    def recorded(f, *args):
+        searches.append(f)
+        return monotone_root(f, *args)
+
+    monkeypatch.setattr(cli, "_grid_mesh", counted)
+    monkeypatch.setattr(cli, "_monotone_root", recorded)
+    mesh = cli._fixed_area_ellipsoid(sphere32, c)
+    assert len(builds) <= 7
+    a = FIXED_AREA_A[c]
+    assert abs(mesh.shape.a - a) <= 1e-14 * a
+    assert (mesh.shape.a == 1.0) == (c == 1.0)  # c = 1 gives the sphere back
+    assert (mesh.shape.b, mesh.shape.c) == (mesh.shape.a, c)
+    assert abs(mesh.area - 4.0 * math.pi) <= 1e-12
+    (f,) = searches
+    for t in (0.5 * a, a, 2.0 * a):  # the area-equivalent radius is 1
+        h = 1e-5 * t
+        fd = (f(t + h)[0] - f(t - h)[0]) / (2.0 * h)
+        assert f(t)[1] == pytest.approx(fd, rel=1e-9)
 
 
 def test_variational_csv(tmp_path):

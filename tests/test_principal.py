@@ -40,8 +40,6 @@ from shellbound import principal
 from shellbound.cli import load_config
 from shellbound.errors import GeometryViolationError
 from shellbound.principal import (
-    _bracketed_root,
-    _brent,
     _monotone_root,
     pair_integral,
     surface_potential,
@@ -403,45 +401,32 @@ def test_monotone_root_raises_callers_error_on_nan():
     assert info.value is error
 
 
-def test_bracketed_root_raises_callers_error_past_ceiling():
-    calls = []
-
-    def never_positive(x):
-        calls.append(x)
-        return -1.0
-
-    error = NoBoundStateError("no crossing below the ceiling")
-    with pytest.raises(NoBoundStateError) as info:
-        _bracketed_root(never_positive, 1e-8, -1.0, 1.0, 1e4, error, 1e-12)
-    assert info.value is error
-    # Doubling from 1 stops at 2**13 = 8192, the last end below the ceiling.
-    assert max(calls) == 8192.0
-
-
 def _monotone_family(rng: random.Random, kind: int):
-    """(f, lo, hi): an increasing function and a bracket of its root."""
+    """(f, lo, hi): an increasing f(x) = (value, exact slope) and a bracket
+    of its root.  Powers below one and the logarithm are concave, powers
+    above one and the exponential convex, tanh and the cubic S-shaped."""
     if kind == 0:
         p, a = rng.choice([0.5, 1.0, 2.0, 3.0, 5.0]), rng.uniform(0.1, 50.0)
         root = a ** (1.0 / p)
-        f = lambda x: x**p - a
+        f = lambda x: (x**p - a, p * x ** (p - 1.0))
         return f, root * rng.uniform(0.0, 0.9), root * rng.uniform(1.1, 20.0)
     if kind == 1:
         c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
-        f = lambda x: math.tanh(s * (x - c))
+        f = lambda x: (math.tanh(s * (x - c)), s / math.cosh(s * (x - c)) ** 2)
         return f, c - rng.uniform(0.1, 5.0), c + rng.uniform(0.1, 5.0)
     if kind == 2:
         a = rng.uniform(0.01, 20.0)
-        f = lambda x: math.exp(x) - 1.0 - a
+        f = lambda x: (math.exp(x) - 1.0 - a, math.exp(x))
         return f, 0.0, math.log1p(a) + rng.uniform(0.1, 4.0)
     if kind == 3:
         a = rng.uniform(0.01, 100.0)
-        f = lambda x: math.log(x) - math.log(a)
+        f = lambda x: (math.log(x) - math.log(a), 1.0 / x)
         return f, a * rng.uniform(0.01, 0.9), a * rng.uniform(1.1, 30.0)
-    # near-flat cubic: the interpolation steps stall and Brent falls back;
-    # scaled by 1e-160, the extrapolation denominator underflows to zero
+    # near-flat cubic: the slope dips to e at the root, so steps from either
+    # side overshoot; scaled by 1e-160, values and slopes sit far below one
     c, e = rng.uniform(-2.0, 2.0), rng.uniform(1e-6, 1e-1)
     scale = 1.0 if kind == 4 else 1e-160
-    f = lambda x: scale * ((x - c) ** 3 + e * (x - c))
+    f = lambda x: (scale * ((x - c) ** 3 + e * (x - c)), scale * (3.0 * (x - c) ** 2 + e))
     return f, c - rng.uniform(0.1, 3.0), c + rng.uniform(0.1, 3.0)
 
 
@@ -454,42 +439,32 @@ def _recorded(f, points):
 
 
 @pytest.mark.parametrize("tol", [1e-16, 1e-13, 0.5e-12, 1e-10])
-def test_brent_matches_scipy_brentq_bitwise(tol):
+def test_monotone_root_matches_scipy_brentq(tol):
     from scipy.optimize import brentq
 
-    rtol = max(tol, 4.0 * np.finfo(float).eps)
+    eps4 = 4.0 * np.finfo(float).eps
+    rtol = max(tol, eps4)
     for seed in range(60):
         for kind in range(6):
             f, lo, hi = _monotone_family(random.Random(f"{seed}|{kind}"), kind)
-            ref_points = []
-            ref = brentq(_recorded(f, ref_points), lo, hi, xtol=tol, rtol=rtol)
-            points = [lo, hi]
-            got = _brent(_recorded(f, points), lo, f(lo), hi, f(hi), tol, rtol, RuntimeError())
-            assert got == ref, (seed, kind)
-            assert points == ref_points, (seed, kind)
+            ref = brentq(lambda x: f(x)[0], lo, hi, xtol=1e-300, rtol=eps4)
+            points = []
+            root, evals = _monotone_root(_recorded(f, points), lo, f(lo), hi, RuntimeError(), tol)
+            assert abs(root - ref) <= tol + rtol * abs(ref), (seed, kind)
+            assert evals == len(points) + 1 <= 100, (seed, kind)
 
 
-def test_brent_raises_callers_error_at_iteration_cap():
-    from scipy.optimize import brentq
-
-    # A step at 1e-250 with xtol 1e-300 needs far more than 100 halvings.
-    step = lambda x: -1.0 if x < 1e-250 else 1.0
-    ref_points = []
-    with pytest.raises(RuntimeError):
-        brentq(_recorded(step, ref_points), -1.0, 1.0, xtol=1e-300)
-    points = [-1.0, 1.0]
-    rtol = 4.0 * np.finfo(float).eps
-    error = NoConvergenceError("no convergence in 100 iterations")
+def test_monotone_root_raises_callers_error_at_iteration_cap():
+    # A step at 1e-250 with tol 1e-300 needs far more than 100 halvings;
+    # its zero slope gives no Newton step, so the search bisects.
+    step = lambda x: (-1.0 if x < 1e-250 else 1.0, 0.0)
+    points = []
+    error = NoConvergenceError("no convergence in 100 evaluations")
     with pytest.raises(NoConvergenceError) as info:
-        _brent(_recorded(step, points), -1.0, -1.0, 1.0, 1.0, 1e-300, rtol, error)
+        _monotone_root(_recorded(step, points), -1.0, step(-1.0), 1.0, error, 1e-300)
     assert info.value is error
-    assert points == ref_points
-    assert len(points) == 102
-    # brentq raises a bare ValueError on NaN; the port raises the caller's error
-    with pytest.raises(NoConvergenceError):
-        _brent(lambda x: math.nan, -1.0, -1.0, 1.0, 1.0, 1e-12, 1e-12, error)
-    with pytest.raises(NoConvergenceError):
-        _brent(lambda x: math.nan, -1.0, math.nan, 1.0, 1.0, 1e-12, 1e-12, error)
+    assert points[:4] == [1.0, 0.0, 0.5, 0.25]
+    assert len(points) == 100
 
 
 def test_lone_nu_star_channel_returns_nu_star_exactly(constants, flat, sphere16):
