@@ -337,9 +337,11 @@ def gersgorin_energy_bound(
 
     Finds the nu where min_i diag = (N-1) max_ij offdiag, where each
     off-diagonal radius is the smaller of the direct quadrature entry and
-    its Cauchy-Schwarz cap sqrt(P_ii P_jj); the cap keeps the radius finite
-    and accurate even when surfaces touch. Diagonals increase and radii
-    decrease in nu, so the crossing is unique.
+    its Cauchy-Schwarz cap sqrt(P_ii P_jj). The cap is a guard in case
+    quadrature overestimates a near-contact entry; on every accepted system
+    measured, touching spheres included, the direct entry was at most 0.46
+    of it. Diagonals increase and radii decrease in nu, so the crossing is
+    unique.
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)

@@ -17,12 +17,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+
+# CPython's built-in SHA-256, as random.py takes _sha512: hashlib maps
+# OpenSSL's libcrypto (about 3.6 MB resident) to hash one small file.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -239,7 +248,7 @@ def load_config(path: str) -> ExperimentConfig:
         points=tuple(points),
         solver=solver,
         output_path=out_path,
-        config_sha256=hashlib.sha256(raw).hexdigest(),
+        config_sha256=sha256(raw).hexdigest(),
     )
 
 
@@ -594,7 +603,7 @@ def main(argv=None) -> int:
         columns, rows, comment = _COMMANDS[args.command](cfg, args)
         # run_id digests the config, the command and the sweep's arguments
         extra = f"{args.param}|{args.grid}" if args.command == "sweep" else ""
-        digest = hashlib.sha256((cfg.config_sha256 + args.command + extra).encode())
+        digest = sha256((cfg.config_sha256 + args.command + extra).encode())
         prefix = [digest.hexdigest()[:12], args.command]
         out_path = args.out or cfg.output_path or f"shellbound_{args.command}.csv"
         _write_csv(

@@ -479,9 +479,9 @@ class SurfaceMesh:
 
 # Highest quadrature order.  The geometry of a pair that is not two spheres
 # grows as order^4: measured peak RSS of `bounds` on a unit sphere and an
-# ellipsoid with collinear centres (README) is 91 / 273 MB at orders 32 / 48,
+# ellipsoid with collinear centres (README) is 83 / 261 MB at orders 32 / 48,
 # and order 64 would extrapolate to about 0.8 GB.  Two spheres go on rings
-# and peak at 46 MB at order 48.
+# and peak at 42 MB at order 48.
 MAX_ORDER = 48
 
 
@@ -493,10 +493,48 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
+def _legendre_series(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw recursion, in numpy 2.4 ``legval``'s operation order."""
+    if len(c) == 1:
+        return c[0] + 0.0 * x
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only.
+
+    The steps are numpy's ``leggauss``: eigenvalues of the symmetric
+    companion matrix of P_n, one Newton step, weights 1/(P_{n-1} P_n')
+    from the pre-Newton slopes, symmetrised and scaled to sum to 2.  The
+    result is bitwise ``leggauss``'s; calling it would import all of
+    ``numpy.polynomial`` (about 1 MB resident) for these few lines.
+    """
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0  # P_n
+    dc = np.zeros(n)
+    dc[::-2] = 2 * k[::-2] + 1  # P_n' = sum (2k + 1) P_k over k = n-1, n-3, ...
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, dc)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 

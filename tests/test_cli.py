@@ -359,6 +359,28 @@ def test_solve_csv_structure(tmp_path, capsys):
     assert _fmt(np.float64(0.5)) == "0.5"
 
 
+@pytest.mark.parametrize(
+    "data, command, sweep",
+    [
+        (SPHERE_NU, "solve", []),
+        (SPHERE_NU, "bounds", []),
+        (SPHERE_LAM, "variational", []),
+        (SPHERE_NU, "sweep", ["--param", "nu", "--grid", "0.5,1.25"]),
+    ],
+    ids=["solve", "bounds", "variational", "sweep"],
+)
+def test_run_id_digests_config_hash_command_and_sweep_arguments(tmp_path, data, command, sweep):
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), *sweep, "--out", str(out)]) == 0
+    config_sha256 = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    extra = f"{sweep[1]}|{sweep[3]}" if sweep else ""
+    run_id = hashlib.sha256((config_sha256 + command + extra).encode()).hexdigest()[:12]
+    lines, rows = read_rows(out)
+    assert lines[0] == f"# config_sha256={config_sha256}"
+    assert rows and {row["run_id"] for row in rows} == {run_id}
+
+
 def test_output_path_from_config(tmp_path, capsys):
     out = tmp_path / "from_config.csv"
     data = {**SPHERE_NU, "output": {"path": str(out)}}

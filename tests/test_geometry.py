@@ -27,7 +27,7 @@ from shellbound import (
     implicit_value,
 )
 from shellbound._quadrature import _pair_geometry
-from shellbound.geometry import MAX_ORDER, _ScaledSphereChart
+from shellbound.geometry import MAX_ORDER, _gauss_legendre, _ScaledSphereChart
 
 
 @pytest.mark.parametrize(
@@ -76,6 +76,16 @@ def _assert_same_mesh(mesh, expected):
         assert np.array_equal(getattr(mesh, name), getattr(expected, name))
     for name in ("area", "scale", "diameter_ambient", "meta"):
         assert getattr(mesh, name) == getattr(expected, name)
+
+
+def test_gauss_legendre_is_numpy_leggauss_bitwise():
+    # the package computes leggauss's rule itself to keep numpy.polynomial
+    # out of its imports; every node and weight must stay the same bits
+    for n in range(1, 129):
+        x, w = _gauss_legendre(n)
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, nodes) and np.array_equal(w, weights), n
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_sphere_mesh_area_and_diameter(sphere24):

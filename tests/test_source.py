@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used, every
 module-level private name is read somewhere, every public function,
 class, method or property is read somewhere or listed as library API, no
-module imports scipy, which is a test dependency only, and the quadrature
-engine names no shape class.
+module imports scipy, which is a test dependency only, no CLI job loads
+hashlib or numpy.polynomial, and the quadrature engine names no shape
+class.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -11,7 +12,11 @@ import check: it imports names to re-export them.
 
 import ast
 import collections
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +76,72 @@ def test_the_check_finds_a_lazy_scipy_import():
 def test_module_does_not_import_scipy(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _scipy_imports(tree) == []
+
+
+# Modules a CLI job must not load: hashlib maps OpenSSL's libcrypto to hash
+# one config file, and numpy.polynomial is nine modules for one quadrature
+# rule.  Each costs start-up time and resident memory in every job.
+HEAVY_MODULES = ("_hashlib", "hashlib", "numpy.polynomial")
+
+FOOTPRINT_JOBS = [
+    ["solve", "--config", "single_sphere.json"],
+    ["bounds", "--config", "two_spheres.json"],
+    ["variational", "--config", "single_sphere_lambda.json"],
+    ["hybrid", "--config", "hybrid_far_point.json"],
+    ["sweep", "--config", "subcritical.json", "--param", "lambda", "--grid", "0.9,0.999,1.5,2.5"],
+]
+
+
+def test_cli_jobs_load_no_heavy_module(tmp_path):
+    configs = SRC.parent.parent / "configs"
+    jobs = [
+        [cmd, flag, str(configs / name), *rest, "--out", str(tmp_path / f"{cmd}.csv")]
+        for cmd, flag, name, *rest in FOOTPRINT_JOBS
+    ]
+    code = (
+        "import json, sys\n"
+        "from shellbound.cli import main\n"
+        f"codes = [main(job) for job in {jobs!r}]\n"
+        f"heavy = {HEAVY_MODULES!r}\n"
+        "loaded = sorted(m for m in sys.modules if m in heavy or m.startswith(heavy[-1] + '.'))\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(FOOTPRINT_JOBS)
+    assert loaded == []
+
+
+def _polynomial_uses(tree: ast.Module) -> list[int]:
+    """Lines that import numpy.polynomial or read an attribute of that name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", "") or ""]
+        else:
+            continue
+        found += [node.lineno for n in names if "polynomial" in n.split(".")]
+    return found
+
+
+def test_the_check_finds_numpy_polynomial():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy.polynomial import legendre\n"
+        "x = np.polynomial.legendre.leggauss(4)\npolynomial_order = 2\n"
+    )
+    assert _polynomial_uses(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_does_not_use_numpy_polynomial(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _polynomial_uses(tree) == []
 
 
 SHAPE_CLASSES = ("Sphere", "Torus", "Ellipsoid")
