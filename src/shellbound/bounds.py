@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
-from .kernels import KernelBoundConstants
+from .kernels import KernelBoundConstants, _decay_rate
 from .principal import (
     _NU_CEIL,
     CouplingSpec,
@@ -180,7 +180,7 @@ def coupling_bound_model(
     K = space.curvature_K
     root_K = math.sqrt(K)
     root_pi = math.sqrt(math.pi)
-    q = math.sqrt(2.0 * m * nu * nu + K * hbar * hbar) / (hbar * root_pi)
+    q = _decay_rate(space, constants, nu)[0] / root_pi
     if H == 0.0:
         if nu == 0.0:
             # Zero-energy value of this regime; note it is not the nu -> 0

@@ -5,11 +5,13 @@ enters through a subtracted diagonal pinned to its standalone level -mu^2,
 and couples to the shells through the static kernel. The combined matrix
 extends the pure-shell one by the point rows, and its slope by their
 closed-form nu-derivatives, so the ground state falls out of the same
-Newton search from the left.  In flat space every point entry is concave in
-nu, so the lowest eigenvalue stays concave.  The hyperbolic point diagonal
-is convex in nu (its decay rate sqrt(K + 2 m nu^2 / hbar^2) is), so there
-a Newton step may pass the root, and the search goes on inside the bracket
-that step closes.
+Newton search from the left.  The point diagonal is a multiple of the
+static kernel's decay rate gamma(nu) (kernels._decay_rate), and every point
+slope is a multiple of gamma'(nu).  In flat space every point entry is
+concave in nu, so the lowest eigenvalue stays concave.  Surfaces are
+flat-only, so a hyperbolic system has points alone; its point diagonal is
+convex in nu (gamma is), so there a Newton step may pass the root, and the
+search goes on inside the bracket that step closes.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
-from .kernels import static_kernel_array
+from .kernels import _decay_rate, static_kernel_array
 from .principal import (
     _NU_FLOOR,
     BoundStateResult,
     CouplingSpec,
     PrincipalMatrix,
+    _check_flat,
     _ground_state,
     _surface_potential_terms,
     assemble_phi,
@@ -93,6 +96,8 @@ class HybridSystem:
                 raise InvalidArgumentError(
                     "point source and ambient space disagree on flatness"
                 )
+        if self.surfaces:
+            _check_flat(self.space)
         for mesh in self.surfaces:
             for p in self.points:
                 val = implicit_value(mesh.shape, p.position.as_array())
@@ -111,10 +116,16 @@ class HybridSystem:
                     )
 
 
-def _krein_pref(constants: PhysicalConstants) -> float:
-    """2 sqrt(pi) (m / 2 pi hbar^2)^{3/2}, the point diagonal per unit of nu."""
+def _point_diagonal(
+    constants: PhysicalConstants, space: AmbientSpace, mu: float, nu: float
+) -> tuple[float, float]:
+    """The point diagonal c (gamma(nu) - gamma(mu)) and its nu-slope
+    c gamma'(nu), with c = 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} / kappa_f."""
     m, hbar = constants.mass, constants.hbar
-    return 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
+    c = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
+    c = c / constants.kappa_factor
+    gamma_nu, rate_slope = _decay_rate(space, constants, nu)
+    return c * (gamma_nu - _decay_rate(space, constants, mu)[0]), c * rate_slope
 
 
 def point_krein(
@@ -125,57 +136,23 @@ def point_krein(
 ) -> float:
     """Subtracted point diagonal: int dt/hbar K_t(a,a)(e^{-mu^2 t/h} - e^{-nu^2 t/h}).
 
-    Flat closed form 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} (nu - mu); the
-    hyperbolic one replaces nu, mu by hbar gamma / sqrt(2m) with gamma the
-    curvature-shifted decay rate.
+    Closed form c (gamma(nu) - gamma(mu)), gamma the static kernel's decay
+    rate: 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} (nu - mu) in flat space.
     """
     if not (mu > 0.0 and nu > 0.0):
         raise InvalidArgumentError(
             f"mu and nu must be positive, got mu={mu}, nu={nu}"
         )
-    m, hbar = constants.mass, constants.hbar
-    pref = _krein_pref(constants)
-    if space.is_flat:
-        return pref * (nu - mu)
-    K = space.curvature_K
-    kf2 = 2.0 * m / (hbar * hbar)
-    gamma_nu = math.sqrt(K + kf2 * nu * nu)
-    gamma_mu = math.sqrt(K + kf2 * mu * mu)
-    return pref * (hbar / math.sqrt(2.0 * m)) * (gamma_nu - gamma_mu)
-
-
-def _decay_rate_slope(
-    constants: PhysicalConstants, nu: float, space: AmbientSpace
-) -> float:
-    """d gamma / d nu of the kernel's decay rate gamma: kappa_f nu in flat
-    space, sqrt(K + kappa_f^2 nu^2) in hyperbolic space."""
-    kf = constants.kappa_factor
-    if space.is_flat:
-        return kf
-    kf2 = 2.0 * constants.mass / (constants.hbar * constants.hbar)
-    return kf2 * nu / math.sqrt(space.curvature_K + kf2 * nu * nu)
-
-
-def _point_level_slope(
-    constants: PhysicalConstants, mu: float, space: AmbientSpace
-) -> float:
-    """d/d(nu^2) of the point diagonal at nu = mu: the t-moment integral."""
-    m, hbar = constants.mass, constants.hbar
-    pref = math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
-    if space.is_flat:
-        return pref / mu
-    kf2 = 2.0 * m / (hbar * hbar)
-    mu_eff = math.sqrt(mu * mu + space.curvature_K / kf2)
-    return pref / mu_eff
+    return _point_diagonal(constants, space, mu, nu)[0]
 
 
 def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     """Principal matrix of the combined system, shells first, points after,
     with its slope dPhi/dnu.
 
-    The point entries' slopes are closed forms: the point diagonal is
-    proportional to the decay rate gamma(nu), so its slope is the same
-    constant times gamma'(nu); the point-point entry -G_nu(d) has slope
+    The point entries' slopes are closed forms in the decay rate's slope
+    gamma'(nu): the point diagonal c (gamma(nu) - gamma(mu)) has slope
+    c gamma'(nu), the point-point entry -G_nu(d) has slope
     d G_nu(d) gamma'(nu); the point-shell entry's slope comes from its
     kernel pass.
     """
@@ -188,13 +165,10 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     if n:
         shells = assemble_phi(sys.surfaces, sys.couplings, sys.space, sys.constants, nu)
         A[:n, :n], B[:n, :n] = shells.entries, shells.slope
-    rate_slope = _decay_rate_slope(sys.constants, nu, sys.space)
-    # pref (nu - mu) in flat space, pref (gamma_nu - gamma_mu) / kappa_f otherwise
-    krein_slope = _krein_pref(sys.constants) * rate_slope / sys.constants.kappa_factor
+    rate_slope = _decay_rate(sys.space, sys.constants, nu)[1]
     for p_idx, p in enumerate(sys.points):
         k = n + p_idx
-        A[k, k] = point_krein(sys.constants, p.mu, nu, sys.space)
-        B[k, k] = krein_slope
+        A[k, k], B[k, k] = _point_diagonal(sys.constants, sys.space, p.mu, nu)
         for i in range(n):
             val, slope = _surface_potential_terms(
                 sys.surfaces[i], sys.space, sys.constants, nu, p.position
@@ -250,5 +224,6 @@ def perturbative_shift(sys: HybridSystem) -> float:
             f"shell channel is resonant at mu={mu}: diagonal {diag}"
         )
     off = surface_potential(mesh, sys.space, sys.constants, mu, point.position)
-    slope = _point_level_slope(sys.constants, mu, sys.space)
+    # d/d(nu^2) of the point diagonal at nu = mu
+    slope = _point_diagonal(sys.constants, sys.space, mu, mu)[1] / (2.0 * mu)
     return off * off / (slope * diag)

@@ -5,13 +5,17 @@ The static kernel is the free resolvent at energy E = -nu**2,
 
     G_nu(d) = (1/hbar) * integral_0^inf dt exp(-nu**2 t/hbar) K_t(d),
 
-which in flat space is the Yukawa kernel (m/2*pi*hbar^2) e^{-kappa d}/d with
-kappa = sqrt(2m) nu / hbar, and in hyperbolic space of curvature -K picks up
-the factor sqrt(K) d / sinh(sqrt(K) d) and the shifted decay rate
-sqrt(K + 2 m nu^2/hbar^2).
+which in flat space is the Yukawa kernel (m/2*pi*hbar^2) e^{-gamma d}/d, and
+in hyperbolic space of curvature -K picks up the factor
+sqrt(K) d / sinh(sqrt(K) d).  Its decay rate is gamma(nu) = kappa_f nu in
+flat space and sqrt(K + kappa_f^2 nu^2) in hyperbolic space, with
+kappa_f^2 = 2 m / hbar^2.  Its slope gamma'(nu) is kappa_f in flat space
+and kappa_f^2 nu / gamma in hyperbolic space, and dG/dnu = -gamma'(nu) d G.
+Every other module takes gamma and gamma' from _decay_rate.
 
 The flat heat_kernel is also the Gaussian comparison lower bound of the
-two-sided heat-kernel estimate.
+two-sided heat-kernel estimate, and widened by C3 the Gaussian part of the
+upper bound.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import AmbientSpace, PhysicalConstants
+from .geometry import AmbientSpace, PhysicalConstants, flat_space
 
 __all__ = [
     "KernelBoundConstants",
@@ -55,6 +59,16 @@ def _x_over_sinh(x):
     small = x < 1e-6
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 - x * x / 6.0, 2.0 * safe * np.exp(-safe) / -np.expm1(-2.0 * safe))
+
+
+def _decay_rate(space: AmbientSpace, constants: PhysicalConstants, nu: float):
+    """(gamma, d gamma / d nu) of the static kernel's decay rate at nu."""
+    if space.is_flat:
+        kf = constants.kappa_factor
+        return kf * nu, kf
+    kf2 = 2.0 * constants.mass / (constants.hbar * constants.hbar)
+    gamma = math.sqrt(space.curvature_K + kf2 * nu * nu)
+    return gamma, kf2 * nu / gamma
 
 
 def heat_kernel(space: AmbientSpace, constants: PhysicalConstants, t, d):
@@ -105,7 +119,7 @@ def static_kernel_array(
         dg = pref * np.exp(-kappa * d)
         return (dg / d, dg) if moment else dg / d
     K = space.curvature_K
-    gamma = math.sqrt(K + 2.0 * m * nu * nu / (hbar * hbar))
+    gamma = _decay_rate(space, constants, nu)[0]
     g = pref * (_x_over_sinh(math.sqrt(K) * d) / d) * np.exp(-gamma * d)
     return (g, d * g) if moment else g
 
@@ -117,24 +131,14 @@ def heat_kernel_upper_bound(
     t,
     d,
 ):
-    """Off-diagonal upper bound C1/V_M + C2 * Gaussian with widened variance C3.
+    """Off-diagonal upper bound C1/V_M + C2 * Gaussian with widened variance
+    C3: the flat heat kernel at distance d / sqrt(C3).
 
     Pass V_M = math.inf for noncompact ambient manifolds; the volume term
     then drops out.
     """
     if not V_M > 0.0:
         raise InvalidArgumentError(f"V_M must be positive (or inf), got {V_M}")
-    t_arr = np.asarray(t, dtype=float)
-    d_arr = np.asarray(d, dtype=float)
-    if not np.all(t_arr > 0.0):
-        raise InvalidArgumentError("upper bound requires t > 0")
-    if not np.all(d_arr >= 0.0):
-        raise InvalidArgumentError("upper bound requires d >= 0")
-    m, hbar = constants.mass, constants.hbar
     vol_term = 0.0 if math.isinf(V_M) else kc.C1 / V_M
-    out = vol_term + kc.C2 * (m / (2.0 * math.pi * hbar * t_arr)) ** 1.5 * np.exp(
-        -m * d_arr * d_arr / (2.0 * kc.C3 * hbar * t_arr)
-    )
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    d_wide = np.asarray(d, dtype=float) / math.sqrt(kc.C3)
+    return vol_term + kc.C2 * heat_kernel(flat_space(), constants, t, d_wide)

@@ -7,7 +7,9 @@ time weights 1, t, t^2 under the integral). They are the flat ones only:
 every entry point here requires flat space. There -dG/dalpha is
 kappa_f / (2 nu) times d G(d), so the weight-t integrals (L and the norm Z)
 are the first distance moments of the weight-1 pass, from the same
-exponential; the weight-t^2 kernel is a closed form summed on its own. The
+exponential, and d^2G/dalpha^2 is kappa_f / (4 nu^2) times
+kappa_f d^2 G + d G / nu, so S is built from the first and second distance
+moments M_1, M_2 of one more pass of the same static kernel. The
 matrices take their integrals from _quadrature.double_sum, and the zero
 mode of I - K is found by principal._ground_state, the Newton search the
 principal matrices use, with L = -dK/dalpha as its slope.
@@ -47,16 +49,6 @@ __all__ = [
 
 _ALPHA_FLOOR = 1e-16
 _ALPHA_CEIL = 1e8
-
-
-def _kernel_d2alpha(constants: PhysicalConstants, nu: float, d: np.ndarray) -> np.ndarray:
-    """Second alpha-derivative of the flat static kernel (bounded as d -> 0)."""
-    pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
-    kf = constants.kappa_factor
-    kappa = kf * nu
-    expf = np.exp(-kappa * d)
-    # G * beta (beta + 1/nu) / (4 nu^2); one power of d cancels the 1/d of G.
-    return pref * expf * (kf / (4.0 * nu * nu)) * (kf * d + 1.0 / nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +201,13 @@ def assemble_variational(
 
     K, L = _kl_matrices(surfaces, lams, space, constants, nu)
 
-    def s_kernel(d: np.ndarray):
-        k = _kernel_d2alpha(constants, nu, d)
-        return k, d * k
+    def moments(d: np.ndarray):
+        dg = static_kernel_array(space, constants, nu, d, moment=True)[1]
+        return dg, d * dg
 
-    S = _scaled_matrices(surfaces, lams, s_kernel)[0]
+    M1, M2 = _scaled_matrices(surfaces, lams, moments)
+    kf = constants.kappa_factor
+    S = kf / (4.0 * nu * nu) * (kf * M2 + M1 / nu)
 
     phi_tilde = np.eye(n) - K
     D = np.diag([math.sqrt(x) for x in lams])

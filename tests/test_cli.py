@@ -489,6 +489,58 @@ def test_bounds_gersgorin_row(tmp_path):
     assert row["validation"] == "ok"
 
 
+def test_bounds_gersgorin_row_from_lambda_couplings(tmp_path, config_dir):
+    # lambda-form couplings reach the Gersgorin row through their standalone nu*
+    out = tmp_path / "bounds3.csv"
+    path = config_dir / "three_spheres_lambda.json"
+    assert main(["bounds", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    (row,) = [r for r in rows if r["row_kind"] == "gersgorin"]
+    assert float(row["value"]) == pytest.approx(-1.3131438605217802, rel=1e-12)
+    assert float(row["exact"]) == pytest.approx(-1.2959382917082423, rel=1e-12)
+    assert row["validation"] == "ok"
+
+
+def test_bounds_gersgorin_row_with_a_subcritical_channel(tmp_path):
+    # lambda = 0.999 is below the unit sphere's threshold 1: no nu*, no bound
+    data = {
+        "surfaces": [
+            {
+                "shape": "sphere",
+                "params": {"radius": 1.0, "center": [0.0, 0.0, 0.0]},
+                "order": 16,
+                "coupling": {"lambda": 0.999},
+            },
+            {
+                "shape": "sphere",
+                "params": {"radius": 1.0, "center": [4.0, 0.0, 0.0]},
+                "order": 16,
+                "coupling": {"lambda": 2.5},
+            },
+        ]
+    }
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(write_cfg(tmp_path, data)), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    (row,) = [r for r in rows if r["row_kind"] == "gersgorin"]
+    assert (row["value"], row["exact"], row["status"]) == ("", "", "subcritical-channel")
+    assert row["validation"] == ""
+
+
+def test_bounds_model_row_out_of_chart(tmp_path):
+    # sqrt(H) rho = 3.2 passes the conjugate point pi of the comparison sphere
+    meta = {**SPHERE_FLAT_META["surfaces"][0]["curvature_meta"]}
+    meta.update(H_upper=1.0, H_lower=1.0, rho_min=3.2, rho_max=3.2)
+    data = {"surfaces": [{**SPHERE_NU["surfaces"][0], "curvature_meta": meta}]}
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--config", str(write_cfg(tmp_path, data)), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    model = {r["case"]: r for r in rows if r["row_kind"] == "model"}
+    assert list(model) == ["model_flat_Hpos"]
+    row = model["model_flat_Hpos"]
+    assert (row["value"], row["status"], row["validation"]) == ("", "out-of-chart", "")
+
+
 def test_sweep_nu_diagnostic(tmp_path):
     cfg = write_cfg(tmp_path, SPHERE_NU)
     out = tmp_path / "sweep.csv"

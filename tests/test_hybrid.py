@@ -18,6 +18,7 @@ from shellbound import (
     Sphere,
     ambient_distance,
     assemble_hybrid_phi,
+    assemble_phi,
     build_surface,
     flat_point,
     hyperbolic_point,
@@ -26,6 +27,7 @@ from shellbound import (
     point_krein,
     solve_hybrid_ground_state,
     static_kernel_array,
+    surface_potential,
 )
 from shellbound.oracles import SphereOracleInput, sphere_point_potential_exact
 
@@ -182,6 +184,22 @@ def test_perturbative_shift_accuracy_improves_with_distance(constants, flat, sph
     assert rels[1] < 0.1
 
 
+def test_perturbative_shift_level_slope_is_the_point_diagonal_slope(flat, sphere16):
+    # hbar = 2, m = 1 puts kappa_f at 1/sqrt(2), so a misplaced kappa_f shows;
+    # the level slope is d/d(nu^2) of the point diagonal at nu = mu
+    c2 = PhysicalConstants(hbar=2.0, mass=1.0)
+    mu = 0.5
+    spec = CouplingSpec.from_lambdas(1.5)
+    point = PointSource(flat_point(6.0, 0.0, 0.0), mu)
+    sys = HybridSystem((sphere16,), spec, (point,), flat, c2)
+    h = 1e-4 * mu * mu
+    up, dn = (point_krein(c2, mu, math.sqrt(mu * mu + s), flat) for s in (h, -h))
+    slope = (up - dn) / (2.0 * h)
+    diag = assemble_phi((sphere16,), spec, flat, c2, mu).entries[0, 0]
+    off = surface_potential(sphere16, flat, c2, mu, point.position)
+    assert perturbative_shift(sys) == pytest.approx(off * off / (slope * diag), rel=1e-7)
+
+
 def test_perturbative_shift_resonant_channel(constants, flat, sphere16):
     # coupling tuned so the shell is critical exactly at the point level
     sys = HybridSystem(
@@ -236,6 +254,16 @@ def test_system_validation(constants, flat, sphere16):
             CouplingSpec.from_lambdas(),
             (PointSource(hyperbolic_point(hyp, 0.3, 0.0, 0.0), 0.5),),
             flat,
+            constants,
+        )
+    # surfaces are flat-only; the point-on-surface check never sees the
+    # hyperbolic point's four coordinates
+    with pytest.raises(InvalidArgumentError, match="flat ambient space"):
+        HybridSystem(
+            (sphere16,),
+            CouplingSpec.from_lambdas(2.0),
+            (PointSource(hyperbolic_point(hyp, 3.0, 0.0, 0.0), 0.5),),
+            hyp,
             constants,
         )
     with pytest.raises(InvalidArgumentError):

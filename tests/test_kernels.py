@@ -16,7 +16,7 @@ from shellbound import (
     static_kernel_array,
 )
 from shellbound.geometry import flat_space, hyperbolic_space
-from shellbound.variational import _kernel_d2alpha
+from shellbound.kernels import _decay_rate
 
 
 def static_kernel_numeric(space, constants, nu: float, d: float) -> float:
@@ -222,20 +222,16 @@ def test_dalpha_kernel_matches_finite_difference(flat, make_constants):
     assert np.allclose(got, fd, rtol=1e-7)
 
 
-@pytest.mark.parametrize("make_constants", CONSTANTS)
-def test_d2alpha_kernel_matches_finite_difference(flat, make_constants):
-    constants = make_constants()
-    d = np.array([0.3, 1.1, 2.4])
-    alpha, h = 0.81, 1e-4
-    up, mid, dn = (
-        static_kernel_array(flat, constants, math.sqrt(a), d) for a in (alpha + h, alpha, alpha - h)
-    )
-    fd = (up - 2.0 * mid + dn) / (h * h)
-    got = _kernel_d2alpha(constants, math.sqrt(alpha), d)
-    assert np.allclose(got, fd, rtol=1e-6)
-
-
-def test_derivative_kernels_bounded_at_contact(constants):
-    # the 1/d singularity cancels in the second alpha-derivative kernel
-    tiny = _kernel_d2alpha(constants, 1.0, np.array([1e-14]))
-    assert math.isfinite(float(tiny[0]))
+@pytest.mark.parametrize("space", [flat_space(), hyperbolic_space(0.7)], ids=["flat", "hyp"])
+def test_decay_rate_slope_matches_finite_difference(space):
+    # hbar = 2, m = 1 puts kappa_f at 1/sqrt(2), so a misplaced kappa_f shows
+    constants = PhysicalConstants(hbar=2.0, mass=1.0)
+    h = 1e-6
+    for nu in (0.2, 0.9, 2.5):
+        gamma, slope = _decay_rate(space, constants, nu)
+        up, dn = (_decay_rate(space, constants, nu + s)[0] for s in (h, -h))
+        assert slope == pytest.approx((up - dn) / (2.0 * h), rel=1e-8)
+        if space.is_flat:
+            assert gamma == pytest.approx(constants.kappa_factor * nu, rel=1e-15)
+        else:
+            assert gamma == pytest.approx(math.sqrt(0.7 + nu * nu / 2.0), rel=1e-15)

@@ -251,10 +251,9 @@ UNREAD_PUBLIC_API = {
     "bounds.diagonal_lower_envelope": "paper API: the floor on a diagonal entry",
     "bounds.offdiagonal_upper_envelope": "paper API: the cap on an off-diagonal entry",
     "bounds.finiteness_certificate": "paper API: the split finiteness certificate",
-    "geometry.flat_space": "library API: the flat ambient space",
     "geometry.hyperbolic_space": "library API: the hyperbolic ambient space",
-    "kernels.heat_kernel": "paper API: the heat kernel; the flat one is the Gaussian lower bound",
     "kernels.heat_kernel_upper_bound": "paper API: the off-diagonal heat-kernel upper bound",
+    "hybrid.point_krein": "paper API: the subtracted point diagonal",
     "oracles.sphere_pair_integral_exact": "test oracle",
     "oracles.sphere_Z_exact": "test oracle",
     "oracles.sphere_point_potential_exact": "test oracle",

@@ -9,6 +9,7 @@ from shellbound import (
     CouplingSpec,
     InvalidArgumentError,
     NoBoundStateError,
+    PhysicalConstants,
     Sphere,
     assemble_phi,
     assemble_variational,
@@ -184,3 +185,34 @@ def test_l_matrix_is_minus_the_alpha_slope_of_k(constants, flat):
         )
         L = assemble_variational([a, b], spec, flat, constants, alpha).L
         assert np.allclose(L, -(up - dn) / (2.0 * h), rtol=1e-6, atol=0.0)
+
+
+
+# The static kernel's units and a set with kappa_f != 1.
+CONSTANTS = [lambda: PhysicalConstants(), lambda: PhysicalConstants(hbar=2.0, mass=0.7)]
+
+
+@pytest.mark.parametrize("make_constants", CONSTANTS)
+def test_s_matrix_is_the_second_alpha_difference_of_k(flat, make_constants):
+    # S, built from the static kernel's distance moments, is d^2 K / dalpha^2
+    constants = make_constants()
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    b = build_surface(Sphere((3.0, 0.5, 0.0), 1.2), order=16)
+    spec = CouplingSpec.from_lambdas(2.0, 1.5)
+    for alpha in (0.3, 1.4):
+        h = 1e-3 * alpha
+        up, mid, dn = (
+            assemble_variational([a, b], spec, flat, constants, x)
+            for x in (alpha + h, alpha, alpha - h)
+        )
+        fd = (up.K - 2.0 * mid.K + dn.K) / (h * h)
+        assert np.allclose(mid.S, fd, rtol=1e-6, atol=0.0)
+
+
+def test_s_matrix_finite_for_touching_spheres(constants, flat):
+    # the 1/d singularity of G cancels in the moments that S is built from
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    b = build_surface(Sphere((2.0, 0.0, 0.0), 1.0), order=16)
+    vm = assemble_variational([a, b], CouplingSpec.from_lambdas(2.0, 2.0), flat, constants, 1.0)
+    assert np.all(np.isfinite(vm.S))
+    assert np.all(vm.S > 0.0)
