@@ -50,18 +50,19 @@ warm order-24 pair and coupling solves (2 vCPU, numpy 2.4).
 
 Every double sum takes one path: double_sum picks the self-integral or the
 pair rule, whose cached (distances, weights) arrays go to
-weighted_kernel_sum.  Its kernel_fn returns K(d) and d K(d) from one
-pass, and it returns the sums of w K(d) and of w d K(d), the first
-distance moment.  For the static kernel e^{-kappa_f nu d} / d, d K(d) is
-the kernel's own exponential, and the moment times -kappa_f is the
-nu-slope of the sum, which the root finder's Newton steps use: a slope
-costs one more dot per block and no cached array.  _diag_geometry caches
-per mesh and _pair_geometry per mesh pair, for exactly as long as the
-meshes live: they hold them by weak reference, so a sweep that builds a
-new mesh per point frees each point's geometry with it, while a mesh a
-caller keeps gets its geometry back.  A pair build first checks that
-neither surface's nodes lie inside the other and that no two nodes
-coincide; else it raises GeometryViolationError and caches nothing.
+weighted_kernel_sum.  Its kernel_fn returns arrays from one pass, such
+as K(d) and d K(d), and it returns the sum of w times each, here the
+kernel's sum and its first distance moment.  For the static kernel
+e^{-kappa_f nu d} / d, d K(d) is the kernel's own exponential, and the
+moment times -kappa_f is the nu-slope of the sum, which the root finder's
+Newton steps use: a slope costs one more dot per block and no cached
+array.  _diag_geometry caches per mesh and _pair_geometry per mesh pair,
+for exactly as long as the meshes live: they hold them by weak
+reference, so a sweep that builds a new mesh per point frees each
+point's geometry with it, while a mesh a caller keeps gets its geometry
+back.  A pair build first checks that neither surface's nodes lie inside
+the other and that no two nodes coincide; else it raises
+GeometryViolationError and caches nothing.
 
 Forms: every mesh is its form's node grid scaled by its scale s and moved
 to its centre, by construction: geometry.SurfaceMesh derives its nodes and
@@ -166,25 +167,23 @@ def _mesh_cache(fn):
     return cached
 
 
-def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> tuple[float, float]:
-    """(sum(weights * K), sum(weights * d K)) with a deterministic reduction,
-    where kernel_fn(d) returns the pair (K(d), d K(d)).
+def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> tuple[float, ...]:
+    """The sums of weights times each array kernel_fn(d) returns, such as
+    (K(d), d K(d)), with a deterministic reduction.
 
     The arrays are cut into fixed _BLOCK-sample blocks; each block makes one
     kernel_fn call and contributes one dot-product partial to each sum, and
     the partials are combined with math.fsum in block order.
     """
-    sums, firsts = [], []
+    partials = []
     for o in range(0, weights.shape[0], _BLOCK):
-        k, dk = kernel_fn(dists[o : o + _BLOCK])
-        w = weights[o : o + _BLOCK]
-        sums.append(float(np.dot(w, k)))
-        firsts.append(float(np.dot(w, dk)))
+        arrays = kernel_fn(dists[o : o + _BLOCK])
+        partials.append(tuple(map(weights[o : o + _BLOCK].dot, arrays)))
         # Free the block's arrays before the next kernel call: with two
         # blocks' arrays alive, glibc trimmed and re-faulted the heap every
         # block, which more than doubled a warm order-24 self-integral.
-        del k, dk
-    return math.fsum(sums), math.fsum(firsts)
+        del arrays
+    return tuple(map(math.fsum, zip(*partials)))
 
 
 def _patch_chart_groups(form: SurfaceForm, rows: np.ndarray):
@@ -465,33 +464,33 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     return d.reshape(-1), w.reshape(-1)
 
 
-def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> tuple[float, float]:
-    """Double integrals of K(d) and d K(d) over mesh x mesh
-    (singularity-safe), kernel_fn(d) giving (K(d), d K(d)).
+def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> tuple[float, ...]:
+    """Double integrals over mesh x mesh (singularity-safe) of each array
+    kernel_fn(d) returns, such as (K(d), d K(d)).
 
     A mesh of scale s has its form's weights times s^4, applied to the sums.
     """
     d, w = _diag_geometry(mesh)
-    total, first = weighted_kernel_sum(w, d, kernel_fn)
+    sums = weighted_kernel_sum(w, d, kernel_fn)
     s = mesh.scale
     if s == 1.0:
-        return total, first
-    return s**4 * total, s**4 * first
+        return sums
+    return tuple(s**4 * x for x in sums)
 
 
 def offdiag_weighted_sum(
     mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn
-) -> tuple[float, float]:
-    """Double integrals of K(d) and d K(d) over two disjoint surfaces,
-    kernel_fn(d) giving (K(d), d K(d))."""
+) -> tuple[float, ...]:
+    """Double integrals over two disjoint surfaces of each array kernel_fn(d)
+    returns."""
     d, w = _pair_geometry(mesh_i, mesh_j)
     return weighted_kernel_sum(w, d, kernel_fn)
 
 
-def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> tuple[float, float]:
-    """Double integrals of K(d) and d K(d) over mesh_i x mesh_j, kernel_fn(d)
-    giving (K(d), d K(d)): the self-integral when both are the same mesh,
-    the pair rule otherwise."""
+def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> tuple[float, ...]:
+    """Double integrals over mesh_i x mesh_j of each array kernel_fn(d)
+    returns: the self-integral when both are the same mesh, the pair rule
+    otherwise."""
     if mesh_i is mesh_j:
         return diag_weighted_sum(mesh_i, kernel_fn)
     return offdiag_weighted_sum(mesh_i, mesh_j, kernel_fn)

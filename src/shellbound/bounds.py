@@ -2,13 +2,15 @@
 
 Everything in this module is an explicit scalar formula except the
 Gersgorin root search, which works with the actual entries of the principal
-matrix and their nu-slopes from assemble_phi.  Its gap is a minimum of
-diagonals minus a maximum of radii, each radius a minimum of two convex
-curves, so it is increasing but not concave in nu; the Newton search of the
-ground state (_monotone_root) takes it with the slope of its active piece,
-and the search's bracket safeguard covers the non-concave stretches.  The
-closed-form envelope evaluators are kept alongside it so the two routes can
-be compared; they must never be merged into one code path.
+matrix and their nu-slopes: each P_ii(nu*) summed once, and the P_ij(nu)
+with their slopes from principal._kernel_matrices, one kernel pass per
+surface pair.  Its gap is a minimum of diagonals minus a maximum of radii,
+each radius a minimum of two convex curves, so it is increasing but not
+concave in nu; the Newton search of the ground state (_monotone_root)
+takes it with the slope of its active piece, and the search's bracket
+safeguard covers the non-concave stretches.  The closed-form envelope
+evaluators are kept alongside it so the two routes can be compared; they
+must never be merged into one code path.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from .kernels import KernelBoundConstants, _decay_rate
 from .principal import (
     _NU_CEIL,
     CouplingSpec,
+    _kernel_matrices,
+    _moment_kernel,
     _monotone_root,
     _validate_system,
-    assemble_phi,
     pair_integral,
 )
 
@@ -356,31 +359,31 @@ def gersgorin_energy_bound(
     if n == 1:
         return -(stars[0] ** 2)
 
-    # P_ii(nu*), once: each diagonal P_ii(nu*) - P_ii(nu) of the principal
-    # matrix then gives back the P_ii(nu) of the Cauchy-Schwarz cap.
+    # P_ii(nu*), once: the diagonal of the principal matrix is
+    # P_ii(nu*) - P_ii(nu), with slope kappa_f times the first moment.
     base = [
         pair_integral(s, s, space, constants, ns)
         for s, ns in zip(surfaces, stars)
     ]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kf = constants.kappa_factor
 
     def gap(nu: float) -> tuple[float, float]:
         """The gap and its nu-slope, the slope of its active min/max piece."""
-        pm = assemble_phi(surfaces, couplings, space, constants, nu)
-        phi, dphi = pm.entries.tolist(), pm.slope.tolist()
-        k = min(range(n), key=lambda i: phi[i][i])
-        p = [b - phi[i][i] for i, b in enumerate(base)]
+        P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
+        p, m = P.tolist(), first.tolist()  # dP/dnu = -kf m
+        k = min(range(n), key=lambda i: base[i] - p[i][i])
         radius = d_radius = 0.0
         for i, j in pairs:
-            r, dr = -phi[i][j], -dphi[i][j]
-            cs = math.sqrt(p[i] * p[j])
+            r, dr = p[i][j], -kf * m[i][j]
+            cs = math.sqrt(p[i][i] * p[j][j])
             if cs < r:
-                # d sqrt(P_i P_j) with P_i' = -dphi[i][i]
+                # d sqrt(P_ii P_jj) with P_ii' = -kf m_ii
                 r = cs
-                dr = -(dphi[i][i] * p[j] + p[i] * dphi[j][j]) / (2.0 * cs)
+                dr = -kf * (m[i][i] * p[j][j] + p[i][i] * m[j][j]) / (2.0 * cs)
             if r > radius:
                 radius, d_radius = r, dr
-        return phi[k][k] - (n - 1) * radius, dphi[k][k] - (n - 1) * d_radius
+        return base[k] - p[k][k] - (n - 1) * radius, kf * m[k][k] - (n - 1) * d_radius
 
     # gap(max nu*) <= 0: the coupling attaining max nu* has zero diagonal.
     lo = max(stars)

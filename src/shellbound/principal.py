@@ -112,11 +112,11 @@ def _check_symmetric(name: str, A: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PrincipalMatrix:
-    """Phi at nu, with its slope dPhi/dnu where the assembly sums it."""
+    """Phi at nu, with its slope dPhi/dnu."""
 
     nu: float
     entries: np.ndarray
-    slope: np.ndarray | None = None
+    slope: np.ndarray
 
     def __post_init__(self):
         _check_symmetric("principal matrix", self.entries)
@@ -163,6 +163,16 @@ def _check_flat(space: AmbientSpace) -> None:
         )
 
 
+def _moment_kernel(space: AmbientSpace, constants: PhysicalConstants, nu: float):
+    """kernel_fn(d) = (G(d), d G(d)) of the flat static kernel at nu > 0:
+    dG/dnu = -kappa_f d G, so -kappa_f times a sum of d G (the kernel's own
+    exponential) is the nu-slope of the sum of G."""
+    _check_flat(space)
+    if not nu > 0.0:
+        raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
+    return lambda d: static_kernel_array(space, constants, nu, d, moment=True)
+
+
 def _pair_terms(
     mesh_i: SurfaceMesh,
     mesh_j: SurfaceMesh,
@@ -170,20 +180,38 @@ def _pair_terms(
     constants: PhysicalConstants,
     nu: float,
 ) -> tuple[float, float]:
-    """P_ij(nu) and its slope dP_ij/dnu, from one kernel pass.
-
-    The flat kernel e^{-kappa_f nu d} / d has nu-derivative -kappa_f d times
-    itself, so the slope is -kappa_f times the pass's first moment, the sum
-    of w d G(d), which the kernel hands over from its own exponential.
-    """
-    _check_flat(space)
-    if not nu > 0.0:
-        raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
-    kernel = lambda d: static_kernel_array(space, constants, nu, d, moment=True)
-    total, first = quad.double_sum(mesh_i, mesh_j, kernel)
+    """P_ij(nu) and its slope dP_ij/dnu, from one kernel pass."""
+    total, first = quad.double_sum(mesh_i, mesh_j, _moment_kernel(space, constants, nu))
     # on the diagonal sqrt(V * V) is V exactly
     norm = math.sqrt(mesh_i.area * mesh_j.area)
     return total / norm, -constants.kappa_factor * first / norm
+
+
+def _kernel_matrices(surfaces, kernel_fn) -> list[np.ndarray]:
+    """One symmetric matrix per array kernel_fn(d) returns: entry (i, j) is
+    that array's double sum over surfaces i and j divided by sqrt(V_i V_j).
+
+    Each distinct self-integral is summed once.  Surfaces of one form at
+    one scale share their cached self-integral geometry (see _quadrature),
+    so with equal areas their sums are bitwise equal, and the first one's
+    serve the others.
+    """
+    n = len(surfaces)
+    mats = None
+    passes = {}
+    for i, mesh in enumerate(surfaces):
+        for j in range(i, n):
+            other = surfaces[j]
+            # a self-integral is keyed by what fixes its value, a pair by place
+            key = (mesh.form, mesh.scale, mesh.area) if j == i else (i, j)
+            if key not in passes:
+                passes[key] = quad.double_sum(mesh, other, kernel_fn)
+            if mats is None:
+                mats = [np.empty((n, n)) for _ in passes[key]]
+            norm = math.sqrt(mesh.area * other.area)
+            for M, total in zip(mats, passes[key]):
+                M[i, j] = M[j, i] = total / norm
+    return mats
 
 
 def pair_integral(
@@ -261,43 +289,27 @@ def assemble_phi(
     nu: float,
 ) -> PrincipalMatrix:
     """Principal matrix at spectral parameter nu (energy -nu**2), with its
-    slope dPhi/dnu.
+    slope dPhi/dnu = kappa_f times the first moments of the kernel pass.
 
-    Each distinct self-integral P_ii is summed once per call.  Surfaces of
-    one form at one scale share their cached self-integral geometry (see
-    _quadrature), so with equal areas their P_ii at one nu are bitwise
-    equal, and the first one's value serves the others.  A nu*-form
-    diagonal's P_ii(nu*) is a constant of nu, summed without its slope.
+    A nu*-form diagonal's P_ii(nu*) is a constant of nu, summed without its
+    slope, once per call for each distinct surface and nu*; at nu* = nu it
+    is the pass's own P_ii(nu).
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    n = len(surfaces)
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    selves = {}
-
-    def self_integral(mesh: SurfaceMesh, at: float) -> tuple[float, float]:
-        key = (mesh.form, mesh.scale, mesh.area, at)
-        if key not in selves:
-            if at == nu:
-                selves[key] = _pair_terms(mesh, mesh, space, constants, nu)
-            else:
-                selves[key] = pair_integral(mesh, mesh, space, constants, at), 0.0
-        return selves[key]
-
+    P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
+    A = -P
+    stars = {}
     for i, (mesh, cp) in enumerate(zip(surfaces, couplings.items)):
-        p_nu, dp_nu = self_integral(mesh, nu)
-        B[i, i] = -dp_nu
         if cp.lam is not None:
-            A[i, i] = 1.0 / cp.lam - p_nu
-        else:
-            A[i, i] = self_integral(mesh, cp.nu_star)[0] - p_nu
-    for i in range(n):
-        for j in range(i + 1, n):
-            p, dp = _pair_terms(surfaces[i], surfaces[j], space, constants, nu)
-            A[i, j] = A[j, i] = -p
-            B[i, j] = B[j, i] = -dp
-    return PrincipalMatrix(nu=nu, entries=A, slope=B)
+            A[i, i] += 1.0 / cp.lam
+            continue
+        key = (mesh.form, mesh.scale, mesh.area, cp.nu_star)
+        if key not in stars:
+            at = cp.nu_star
+            stars[key] = P[i, i] if at == nu else pair_integral(mesh, mesh, space, constants, at)
+        A[i, i] += stars[key]
+    return PrincipalMatrix(nu=nu, entries=A, slope=constants.kappa_factor * first)
 
 
 def coupling_from_energy(

@@ -9,10 +9,11 @@ kappa_f / (2 nu) times d G(d), so the weight-t integrals (L and the norm Z)
 are the first distance moments of the weight-1 pass, from the same
 exponential, and d^2G/dalpha^2 is kappa_f / (4 nu^2) times
 kappa_f d^2 G + d G / nu, so S is built from the first and second distance
-moments M_1, M_2 of one more pass of the same static kernel. The
-matrices take their integrals from _quadrature.double_sum, and the zero
-mode of I - K is found by principal._ground_state, the Newton search the
-principal matrices use, with L = -dK/dalpha as its slope.
+moments of that pass too: K, L and S come from one kernel pass per
+surface pair, through principal._kernel_matrices, the assembly the
+principal matrix uses.  The zero mode of I - K is found by
+principal._ground_state, the Newton search the principal matrices use,
+with L = -dK/dalpha as its slope.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quadrature as quad
 from .errors import IllConditionedError, InvalidArgumentError, InvalidStateError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import jacobi_eigh
-from .kernels import static_kernel_array
 from .principal import (
     CouplingSpec,
     PrincipalMatrix,
     _check_flat,
     _check_symmetric,
     _ground_state,
+    _kernel_matrices,
+    _moment_kernel,
+    _pair_terms,
     _validate_system,
     assemble_phi,
 )
@@ -99,9 +101,8 @@ def _self_terms(
 ) -> tuple[float, float]:
     """The weight-1 and weight-t self-integrals (W, Z) at alpha, one pass."""
     nu = math.sqrt(alpha)
-    kernel = lambda d: static_kernel_array(space, constants, nu, d, moment=True)
-    W, first = quad.diag_weighted_sum(mesh, kernel)
-    return W, constants.kappa_factor / (2.0 * nu) * first
+    p, dp = _pair_terms(mesh, mesh, space, constants, nu)
+    return p * mesh.area, -dp * mesh.area / (2.0 * nu)
 
 
 def energy_functional(
@@ -156,32 +157,6 @@ def _require_lambda_form(couplings: CouplingSpec) -> list[float]:
     return lams
 
 
-def _scaled_matrices(surfaces, lams, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """M_ij = sqrt(lam_i lam_j / V_i V_j) times the double integral of K,
-    and F_ij the same of d K, from one pass of kernel(d) = (K, d K)."""
-    n = len(surfaces)
-    M = np.zeros((n, n))
-    F = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            raw, first = quad.double_sum(surfaces[i], surfaces[j], kernel)
-            norm = math.sqrt(
-                lams[i] * lams[j] / (surfaces[i].area * surfaces[j].area)
-            )
-            M[i, j] = M[j, i] = norm * raw
-            F[i, j] = F[j, i] = norm * first
-    return M, F
-
-
-def _kl_matrices(surfaces, lams, space, constants, nu: float):
-    """Weight-1 and weight-t matrices K and L = -dK/dalpha at trial
-    parameter alpha = nu^2, from one kernel pass."""
-    K, first = _scaled_matrices(
-        surfaces, lams, lambda d: static_kernel_array(space, constants, nu, d, moment=True)
-    )
-    return K, constants.kappa_factor / (2.0 * nu) * first
-
-
 def assemble_variational(
     surfaces,
     couplings: CouplingSpec,
@@ -197,20 +172,21 @@ def assemble_variational(
     surfaces = tuple(surfaces)
     lams = _require_lambda_form(couplings)
     nu = math.sqrt(alpha)
-    n = len(surfaces)
-
-    K, L = _kl_matrices(surfaces, lams, space, constants, nu)
+    kernel = _moment_kernel(space, constants, nu)
 
     def moments(d: np.ndarray):
-        dg = static_kernel_array(space, constants, nu, d, moment=True)[1]
-        return dg, d * dg
+        g, dg = kernel(d)
+        return g, dg, d * dg
 
-    M1, M2 = _scaled_matrices(surfaces, lams, moments)
+    root = np.sqrt(lams)  # each index absorbs sqrt(lam_i)
+    scale = np.outer(root, root)
+    K, M1, M2 = (scale * M for M in _kernel_matrices(surfaces, moments))
     kf = constants.kappa_factor
+    L = kf / (2.0 * nu) * M1
     S = kf / (4.0 * nu * nu) * (kf * M2 + M1 / nu)
 
-    phi_tilde = np.eye(n) - K
-    D = np.diag([math.sqrt(x) for x in lams])
+    phi_tilde = np.eye(len(surfaces)) - K
+    D = np.diag(root)
     phi = assemble_phi(surfaces, couplings, space, constants, nu).entries
     drift = float(np.max(np.abs(phi_tilde - D @ phi @ D)))
     if drift > 1e-10:
@@ -257,12 +233,15 @@ def solve_variational(
     _check_flat(space)
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    lams = _require_lambda_form(couplings)
+    root = np.sqrt(_require_lambda_form(couplings))
+    scale = np.outer(root, root)
     eye = np.eye(len(surfaces))
+    kf = constants.kappa_factor
 
     def phi(nu: float) -> PrincipalMatrix:
-        K, L = _kl_matrices(surfaces, lams, space, constants, nu)
-        return PrincipalMatrix(nu, eye - K, slope=2.0 * nu * L)
+        P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
+        # -dK/dnu = 2 nu L, kappa_f times K's first moments
+        return PrincipalMatrix(nu, eye - scale * P, slope=kf * (scale * first))
 
     # the tolerance only sets the result's converged flag, which is dropped
     result = _ground_state(phi, math.sqrt(_ALPHA_FLOOR), 1e-10, math.sqrt(_ALPHA_CEIL))

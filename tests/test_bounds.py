@@ -30,8 +30,8 @@ from shellbound import (
     solve_ground_state,
     space_form_jacobian,
 )
-from shellbound import bounds
-from shellbound.principal import CouplingSpec, PrincipalMatrix, pair_integral
+from shellbound import bounds, principal
+from shellbound.principal import CouplingSpec, pair_integral
 from shellbound.oracles import SphereOracleInput, sphere_pair_integral_exact
 
 MH2 = 0.5  # m / hbar^2 at default constants
@@ -242,6 +242,22 @@ def test_gersgorin_touching_spheres(constants, flat):
     assert e_star <= e_gr + 1e-10
 
 
+def test_gersgorin_sums_each_nu_star_self_integral_once(constants, flat, monkeypatch):
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
+    at = []
+    for module in (bounds, principal):
+        inner = module.pair_integral
+
+        def counted(*args, inner=inner):
+            at.append(args[-1])
+            return inner(*args)
+
+        monkeypatch.setattr(module, "pair_integral", counted)
+    gersgorin_energy_bound([a, b], CouplingSpec.from_nu_stars(0.8, 1.1), flat, constants)
+    assert sorted(at) == [0.8, 1.1]
+
+
 def test_gersgorin_validation(constants, flat, sphere16):
     with pytest.raises(InvalidArgumentError):
         gersgorin_energy_bound([sphere16], CouplingSpec.from_lambdas(2.0), flat, constants)
@@ -314,13 +330,13 @@ def test_gersgorin_matches_brentq_on_pair_integrals(constants, flat, monkeypatch
     nu_ref = brentq(gap, lo, hi, xtol=1e-14)
 
     calls = []
-    inner = bounds.assemble_phi
+    inner = bounds._kernel_matrices
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(bounds, "assemble_phi", counted)
+    monkeypatch.setattr(bounds, "_kernel_matrices", counted)
     e_star = gersgorin_energy_bound(meshes, spec, flat, constants)
     assert len(calls) <= max_evals
     # the search tolerance, tol (1 + nu) at tol = 1e-10
@@ -339,25 +355,25 @@ def test_gersgorin_gap_slope_matches_central_differences(constants, flat, monkey
         # The cap sqrt(P_ii P_jj) lies above every direct entry of these
         # disjoint surfaces (Cauchy-Schwarz), so off-diagonals scaled by 10
         # stand in for a quadrature that overestimates them.
-        inner = bounds.assemble_phi
+        inner = bounds._kernel_matrices
 
         def inflated(*args):
-            pm = inner(*args)
-            scale = np.where(np.eye(pm.n, dtype=bool), 1.0, 10.0)
-            return PrincipalMatrix(pm.nu, pm.entries * scale, pm.slope * scale)
+            mats = inner(*args)
+            scale = np.where(np.eye(len(meshes), dtype=bool), 1.0, 10.0)
+            return [m * scale for m in mats]
 
-        monkeypatch.setattr(bounds, "assemble_phi", inflated)
+        monkeypatch.setattr(bounds, "_kernel_matrices", inflated)
     gaps = _recorded_gap(monkeypatch)
     gersgorin_energy_bound(meshes, spec, flat, constants)
     (gap,) = gaps
     stars = [cp.nu_star for cp in spec.items]
     for nu in (max(stars), 1.5 * max(stars)):
-        pm = bounds.assemble_phi(meshes, spec, flat, constants, nu)
+        P = bounds._kernel_matrices(meshes, bounds._moment_kernel(flat, constants, nu))[0]
         p = [pair_integral(m, m, flat, constants, nu) for m in meshes]
         n = len(meshes)
         # every pair's radius, and so the largest, is the named piece
         assert {
-            -pm.entries[i, j] < math.sqrt(p[i] * p[j])
+            P[i, j] < math.sqrt(p[i] * p[j])
             for i in range(n) for j in range(i + 1, n)
         } == {piece == "direct"}
         h = 1e-5 * nu

@@ -110,16 +110,16 @@ def test_assemble_phi_structure(constants, flat, sphere16):
         assemble_phi([], CouplingSpec(()), flat, constants, 1.0)
 
 
-def _counting(monkeypatch, name):
-    """Replace principal.<name> by a wrapper that records its calls."""
+def _counting(monkeypatch, name, module=principal):
+    """Replace module.<name> by a wrapper that records its calls."""
     calls = []
-    inner = getattr(principal, name)
+    inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(principal, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -148,8 +148,8 @@ def test_assemble_phi_equal_spheres_bitwise(constants, flat, radius):
 def test_assemble_phi_sums_each_distinct_self_integral_once(constants, flat, monkeypatch):
     a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
     b = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8)
-    # every kernel pass of a pair integral, with its slope or without
-    calls = _counting(monkeypatch, "_pair_terms")
+    # every kernel pass over a surface pair or a surface with itself
+    calls = _counting(monkeypatch, "double_sum", quad)
     assemble_phi((a, b), CouplingSpec.from_nu_stars(0.7, 1.1), flat, constants, 1.3)
     # P(nu) once for both, P_aa(0.7), P_bb(1.1) and the pair
     assert len(calls) == 4
@@ -201,7 +201,7 @@ def _with_matrix(kind: str, A: np.ndarray):
     """A PrincipalMatrix with entries A, or VariationalMatrices with A as
     one of its four symmetric matrices and the identity as the others."""
     if kind == "principal":
-        return PrincipalMatrix(nu=1.0, entries=A)
+        return PrincipalMatrix(nu=1.0, entries=A, slope=np.zeros_like(A))
     eye = np.eye(2)
     mats = {"S": eye, "L": eye, "K": eye, "Phi_tilde": eye, kind: A}
     return VariationalMatrices(alpha=1.0, D=eye, phi_residual=0.0, **mats)

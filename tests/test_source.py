@@ -2,8 +2,8 @@
 module-level private name is read somewhere, every public function,
 class, method or property is read somewhere or listed as library API, no
 module imports scipy, which is a test dependency only, no CLI job loads
-hashlib or numpy.polynomial, and the quadrature engine names no shape
-class.
+hashlib or numpy.polynomial, the quadrature engine names no shape class,
+and no module but principal imports it.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -179,6 +179,43 @@ def test_quadrature_names_no_shape_class():
     name = "_quadrature.py"
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _shape_class_uses(tree) == []
+
+
+def _quadrature_imports(tree: ast.Module) -> list[int]:
+    """Lines that import the _quadrature module or a name from it, at any
+    depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        if any("_quadrature" in n.split(".") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_check_finds_a_quadrature_import():
+    tree = ast.parse(
+        "from . import _quadrature as quad\n"
+        "from .principal import pair_integral\n"
+        "def f():\n"
+        "    from ._quadrature import double_sum\n"
+        "    import shellbound._quadrature\n"
+    )
+    assert _quadrature_imports(tree) == [1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in SRC.glob("*.py") if p.name != "principal.py")
+)
+def test_only_principal_imports_quadrature(name):
+    # principal assembles every kernel matrix and pair integral from the
+    # engine's sums; the other modules take them from principal
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _quadrature_imports(tree) == []
 
 
 def _loads(node: ast.AST):

@@ -1,5 +1,6 @@
 """Trial-state energy functional and the time-weighted matrix family."""
 
+import collections
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from shellbound import (
     solve_variational,
     stationarity_check,
 )
+from shellbound import _quadrature as quad
+from shellbound import variational
 from shellbound.jacobi import jacobi_eigh
 from shellbound.variational import normalization_Z
 
@@ -216,3 +219,29 @@ def test_s_matrix_finite_for_touching_spheres(constants, flat):
     vm = assemble_variational([a, b], CouplingSpec.from_lambdas(2.0, 2.0), flat, constants, 1.0)
     assert np.all(np.isfinite(vm.S))
     assert np.all(vm.S > 0.0)
+
+
+def test_k_l_s_take_one_pass_per_distinct_surface_pair(constants, flat, monkeypatch):
+    # equal spheres share one self-integral; K, L and S share each pass
+    meshes = [build_surface(Sphere((4.0 * k, 0.0, 0.0), 1.0), order=8) for k in range(3)]
+    passes = []  # (self-integral, inside the residual check's assemble_phi)
+    in_phi = []
+    inner_sum, inner_phi = quad.double_sum, variational.assemble_phi
+
+    def counted_sum(mesh_i, mesh_j, kernel_fn):
+        passes.append((mesh_i is mesh_j, bool(in_phi)))
+        return inner_sum(mesh_i, mesh_j, kernel_fn)
+
+    def counted_phi(*args):
+        in_phi.append(True)
+        try:
+            return inner_phi(*args)
+        finally:
+            in_phi.pop()
+
+    monkeypatch.setattr(quad, "double_sum", counted_sum)
+    monkeypatch.setattr(variational, "assemble_phi", counted_phi)
+    assemble_variational(meshes, CouplingSpec.from_lambdas(2.5, 2.5, 2.5), flat, constants, 1.2)
+    assert collections.Counter(passes) == {
+        (True, False): 1, (False, False): 3, (True, True): 1, (False, True): 3,
+    }
