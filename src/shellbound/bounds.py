@@ -44,9 +44,6 @@ class FinitenessCertificate:
 
     term_I: float
     term_II: float
-    nu: float
-    nu_star: float
-    constants_used: KernelBoundConstants
 
     def __post_init__(self):
         for name, val in (("term_I", self.term_I), ("term_II", self.term_II)):
@@ -450,13 +447,7 @@ def finiteness_certificate(
         * (stretch / (root_L * rho))
         * (_one_minus_exp_over(a, nu_star) - _one_minus_exp_over(a, nu))
     )
-    cert = FinitenessCertificate(
-        term_I=term_I,
-        term_II=term_II,
-        nu=nu,
-        nu_star=nu_star,
-        constants_used=kc,
-    )
+    cert = FinitenessCertificate(term_I=term_I, term_II=term_II)
     phi_ii = pair_integral(mesh, mesh, space, constants, nu_star) - pair_integral(
         mesh, mesh, space, constants, nu
     )

@@ -516,10 +516,8 @@ def cmd_variational(cfg: ExperimentConfig, args):
     vm = assemble_variational(
         cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, alpha_star
     )
-    columns = ["alpha_star", "E_gr", "weights", "schur_gap", "phi_tilde_residual"]
-    return columns, [[
-        alpha_star, -alpha_star, _fmt_weights(weights), schur_gap(vm), vm.phi_residual,
-    ]], None
+    columns = ["alpha_star", "E_gr", "weights", "schur_gap"]
+    return columns, [[alpha_star, -alpha_star, _fmt_weights(weights), schur_gap(vm)]], None
 
 
 def cmd_hybrid(cfg: ExperimentConfig, args):

@@ -132,15 +132,11 @@ class PrincipalMatrix:
 
     def omega_min(self) -> float:
         """Lowest eigenvalue (cyclic Jacobi)."""
-        if self.n == 1:
-            return float(self.entries[0, 0])
         return float(self.eigh[0][0])
 
     def omega_slope(self) -> float:
         """d omega_min / dnu = v^T slope v for the lowest eigenvector v
         (Hellmann-Feynman), from the eigenpairs omega_min solves."""
-        if self.n == 1:
-            return float(self.slope[0, 0])
         v = self.eigh[1][:, 0]
         return float(v @ self.slope @ v)
 
@@ -169,7 +165,7 @@ def _moment_kernel(space: AmbientSpace, constants: PhysicalConstants, nu: float)
     exponential) is the nu-slope of the sum of G."""
     _check_flat(space)
     if not nu > 0.0:
-        raise InvalidArgumentError(f"pair integral needs nu > 0, got {nu}")
+        raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
     return lambda d: static_kernel_array(space, constants, nu, d, moment=True)
 
 
@@ -372,8 +368,8 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundStateResult:
-    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo, ceil].
+def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
+    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo, _NU_CEIL].
 
     phi maps nu to the principal matrix with its slope, or to any symmetric
     matrix family whose lowest eigenvalue rises concavely in its parameter
@@ -396,8 +392,8 @@ def _ground_state(phi, lo: float, tol: float, ceil: float = _NU_CEIL) -> BoundSt
             f"omega_min({lo}) = {f_lo[0]} > 0: no bound state at or below the bracket start"
         )
     nu_sol, evals = _monotone_root(
-        omega, lo, f_lo, ceil,
-        NoBoundStateError(f"no bound state in bracket [{lo}, {ceil}]"),
+        omega, lo, f_lo, _NU_CEIL,
+        NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]"),
         0.5e-12,
     )
     w, V = seen[nu_sol].eigh
@@ -446,14 +442,13 @@ def _surface_potential_terms(
     x: Point3,
 ) -> tuple[float, float]:
     """surface_potential and its nu-slope, from one kernel pass."""
-    _check_flat(space)
+    kernel = _moment_kernel(space, constants, nu)
     if not x.is_flat:
         raise InvalidArgumentError("need a flat-space point")
     diff = mesh.nodes - x.as_array()
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     if np.any(d == 0.0):
         return math.inf, -math.inf
-    kernel = lambda dd: static_kernel_array(space, constants, nu, dd, moment=True)
     total, first = quad.weighted_kernel_sum(mesh.weights, d, kernel)
     norm = math.sqrt(mesh.area)
     return total / norm, -constants.kappa_factor * first / norm

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidArgumentError, InvalidStateError
+from .errors import IllConditionedError, InvalidArgumentError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import jacobi_eigh
 from .principal import (
+    _NU_FLOOR,
     CouplingSpec,
     PrincipalMatrix,
     _check_flat,
@@ -36,7 +37,6 @@ from .principal import (
     _moment_kernel,
     _pair_terms,
     _validate_system,
-    assemble_phi,
 )
 
 __all__ = [
@@ -49,35 +49,33 @@ __all__ = [
     "solve_variational",
 ]
 
-_ALPHA_FLOOR = 1e-16
-_ALPHA_CEIL = 1e8
-
-
 @dataclass(frozen=True, eq=False)
 class VariationalMatrices:
     """Time-weighted kernel matrices at one trial parameter alpha.
 
     K, L, S carry the time weights 1, t, t^2 and absorb sqrt(lambda_i /
-    V_i) into each index; Phi_tilde = I - K and D = diag(sqrt(lambda_i)).
-    phi_residual is max |Phi_tilde - D Phi D| against the principal matrix
-    Phi at nu = sqrt(alpha), the consistency check made at assembly.
+    V_i) into each index; D = diag(sqrt(lambda_i)).
     """
 
     alpha: float
     S: np.ndarray
     L: np.ndarray
     K: np.ndarray
-    Phi_tilde: np.ndarray
     D: np.ndarray
-    phi_residual: float
 
     def __post_init__(self):
-        for name in ("S", "L", "K", "Phi_tilde"):
+        for name in ("S", "L", "K"):
             _check_symmetric(name, getattr(self, name))
 
     @property
     def n(self) -> int:
         return self.K.shape[0]
+
+    @property
+    def Phi_tilde(self) -> np.ndarray:
+        """I - K, which is D Phi D for the principal matrix Phi at
+        nu = sqrt(alpha)."""
+        return np.eye(self.n) - self.K
 
 
 def normalization_Z(
@@ -164,7 +162,7 @@ def assemble_variational(
     constants: PhysicalConstants,
     alpha: float,
 ) -> VariationalMatrices:
-    """Build K, L, S, Phi_tilde, D at one alpha and verify Phi_tilde = D Phi D."""
+    """Build K, L, S and D at one alpha, one kernel pass per surface pair."""
     _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
@@ -184,18 +182,7 @@ def assemble_variational(
     kf = constants.kappa_factor
     L = kf / (2.0 * nu) * M1
     S = kf / (4.0 * nu * nu) * (kf * M2 + M1 / nu)
-
-    phi_tilde = np.eye(len(surfaces)) - K
-    D = np.diag(root)
-    phi = assemble_phi(surfaces, couplings, space, constants, nu).entries
-    drift = float(np.max(np.abs(phi_tilde - D @ phi @ D)))
-    if drift > 1e-10:
-        raise InvalidStateError(
-            f"scaled principal matrix deviates from I - K by {drift}"
-        )
-    return VariationalMatrices(
-        alpha=alpha, S=S, L=L, K=K, Phi_tilde=phi_tilde, D=D, phi_residual=drift
-    )
+    return VariationalMatrices(alpha=alpha, S=S, L=L, K=K, D=np.diag(root))
 
 
 def schur_gap(vm: VariationalMatrices) -> float:
@@ -223,10 +210,11 @@ def solve_variational(
     K's entries are convex and decreasing in nu = sqrt(alpha), so the
     smallest eigenvalue of I - K is concave and increasing in nu, and
     principal._ground_state finds its zero by Newton's method from the left
-    in nu over [sqrt(_ALPHA_FLOOR), sqrt(_ALPHA_CEIL)], with the slope
-    -dK/dnu = 2 nu L from K's own kernel pass.  (In alpha the flow is
-    concave too, but its slope diverges like 1 / sqrt(alpha) at the floor,
-    and Newton's steps from there need about twice the evaluations.)
+    in nu over [_NU_FLOOR, _NU_CEIL], the principal matrices' interval,
+    with the slope -dK/dnu = 2 nu L from K's own kernel pass.  (In alpha
+    the flow is concave too, but its slope diverges like 1 / sqrt(alpha)
+    at the floor, and Newton's steps from there need about twice the
+    evaluations.)
     Returns (alpha*, A) with A the unit zero mode, sign-fixed to
     nonnegative sum.
     """
@@ -244,5 +232,5 @@ def solve_variational(
         return PrincipalMatrix(nu, eye - scale * P, slope=kf * (scale * first))
 
     # the tolerance only sets the result's converged flag, which is dropped
-    result = _ground_state(phi, math.sqrt(_ALPHA_FLOOR), 1e-10, math.sqrt(_ALPHA_CEIL))
+    result = _ground_state(phi, _NU_FLOOR, 1e-10)
     return result.nu_star**2, result.weights

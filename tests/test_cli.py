@@ -682,12 +682,11 @@ def test_variational_csv(tmp_path):
     out = tmp_path / "var.csv"
     assert main(["variational", "--config", str(cfg), "--out", str(out)]) == 0
     lines, rows = read_rows(out)
-    assert lines[1] == "run_id,command,alpha_star,E_gr,weights,schur_gap,phi_tilde_residual"
+    assert lines[1] == "run_id,command,alpha_star,E_gr,weights,schur_gap"
     (row,) = rows
     assert float(row["alpha_star"]) == pytest.approx(1.0, abs=1e-9)
     assert float(row["E_gr"]) == -float(row["alpha_star"])
     assert float(row["schur_gap"]) > 0.0
-    assert float(row["phi_tilde_residual"]) < 1e-10
 
 
 def test_hybrid_csv(tmp_path):

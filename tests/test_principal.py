@@ -199,15 +199,15 @@ def test_principal_matrix_rejects_non_finite_entries(constants, flat, sphere16, 
 
 def _with_matrix(kind: str, A: np.ndarray):
     """A PrincipalMatrix with entries A, or VariationalMatrices with A as
-    one of its four symmetric matrices and the identity as the others."""
+    one of its three symmetric matrices and the identity as the others."""
     if kind == "principal":
         return PrincipalMatrix(nu=1.0, entries=A, slope=np.zeros_like(A))
     eye = np.eye(2)
-    mats = {"S": eye, "L": eye, "K": eye, "Phi_tilde": eye, kind: A}
-    return VariationalMatrices(alpha=1.0, D=eye, phi_residual=0.0, **mats)
+    mats = {"S": eye, "L": eye, "K": eye, kind: A}
+    return VariationalMatrices(alpha=1.0, D=eye, **mats)
 
 
-@pytest.mark.parametrize("kind", ["principal", "S", "L", "K", "Phi_tilde"])
+@pytest.mark.parametrize("kind", ["principal", "S", "L", "K"])
 def test_matrix_classes_check_square_finite_symmetric(kind):
     # max|A| = 2e6, so the symmetry tolerance is 2e-6
     A = 1e6 * np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -290,6 +290,13 @@ def test_surface_potential_on_node_diverges(constants, flat, sphere16):
         sphere16, flat, constants, 1.0, flat_point(node[0], node[1], node[2])
     )
     assert got == math.inf
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0])
+def test_surface_potential_needs_positive_nu(constants, flat, sphere16, nu):
+    # as pair_integral does: at nu < 0 the kernel would grow with distance
+    with pytest.raises(InvalidArgumentError, match="nu > 0"):
+        surface_potential(sphere16, flat, constants, nu, flat_point(5.0, 0.0, 0.0))
 
 
 def test_wavefunction_center_value(constants, flat, sphere24):

@@ -299,6 +299,7 @@ UNREAD_PUBLIC_API = {
     "principal.CouplingSpec.from_nu_stars": "library API: couplings given as standalone nu*",
     "principal.coupling_from_energy": "library API: the coupling that binds at an energy",
     "principal.wavefunction": "library API: the ground-state wavefunction",
+    "variational.VariationalMatrices.Phi_tilde": "paper API: Phi_tilde = I - K",
     "variational.normalization_Z": "paper API: the trial state's squared norm",
     "variational.stationarity_check": "paper API: finite differences of the trial energy",
 }

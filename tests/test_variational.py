@@ -23,7 +23,6 @@ from shellbound import (
     stationarity_check,
 )
 from shellbound import _quadrature as quad
-from shellbound import variational
 from shellbound.jacobi import jacobi_eigh
 from shellbound.variational import normalization_Z
 
@@ -145,18 +144,6 @@ def test_matrices_positive_definite_pair(constants, flat):
     assert schur_gap(vm) >= -1e-10
 
 
-def test_phi_residual_is_the_drift_against_assemble_phi(constants, flat):
-    # the CLI writes vm.phi_residual as its phi_tilde_residual column
-    small = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
-    big = build_surface(Sphere((4.0, 0.0, 0.0), 1.3), order=16)
-    spec = CouplingSpec.from_lambdas(2.0, 2.0)
-    vm = assemble_variational([small, big], spec, flat, constants, 1.3)
-    phi = assemble_phi([small, big], spec, flat, constants, math.sqrt(1.3))
-    resid = float(abs(vm.Phi_tilde - vm.D @ phi.entries @ vm.D).max())
-    assert vm.phi_residual == resid  # bitwise: the same expression on the same arrays
-    assert resid <= 1e-10
-
-
 def test_subcritical_raises_and_functional_positive(constants, flat, sphere32):
     with pytest.raises(NoBoundStateError):
         solve_variational([sphere32], CouplingSpec.from_lambdas(0.999), flat, constants)
@@ -224,24 +211,13 @@ def test_s_matrix_finite_for_touching_spheres(constants, flat):
 def test_k_l_s_take_one_pass_per_distinct_surface_pair(constants, flat, monkeypatch):
     # equal spheres share one self-integral; K, L and S share each pass
     meshes = [build_surface(Sphere((4.0 * k, 0.0, 0.0), 1.0), order=8) for k in range(3)]
-    passes = []  # (self-integral, inside the residual check's assemble_phi)
-    in_phi = []
-    inner_sum, inner_phi = quad.double_sum, variational.assemble_phi
+    passes = []  # self-integral or not, per double sum
+    inner_sum = quad.double_sum
 
     def counted_sum(mesh_i, mesh_j, kernel_fn):
-        passes.append((mesh_i is mesh_j, bool(in_phi)))
+        passes.append(mesh_i is mesh_j)
         return inner_sum(mesh_i, mesh_j, kernel_fn)
 
-    def counted_phi(*args):
-        in_phi.append(True)
-        try:
-            return inner_phi(*args)
-        finally:
-            in_phi.pop()
-
     monkeypatch.setattr(quad, "double_sum", counted_sum)
-    monkeypatch.setattr(variational, "assemble_phi", counted_phi)
     assemble_variational(meshes, CouplingSpec.from_lambdas(2.5, 2.5, 2.5), flat, constants, 1.2)
-    assert collections.Counter(passes) == {
-        (True, False): 1, (False, False): 3, (True, True): 1, (False, True): 3,
-    }
+    assert collections.Counter(passes) == {True: 1, False: 3}
