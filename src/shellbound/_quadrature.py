@@ -39,14 +39,21 @@ outer row, weighted by the orbit's total outer weight.
   300 rows instead of 1152 for an order-24 sphere beside a torus or an
   ellipsoid on the x axis, every node for a pair in general position.
 
-All reductions run over fixed _BLOCK = 16384-sample blocks whose partial
-sums are combined with math.fsum in index order, so results are bitwise
-reproducible and the kernel's scratch memory stays one block long (128 kB
-per array).  Each block costs one kernel call of fixed Python overhead, so
-a larger block means fewer calls: an order-24 mirror-rule pair sum of
-345 600 samples makes 22 instead of 85 at 4096 (an order-24 sphere pair,
-27 648 samples, makes 2), and 16384 was the fastest of 4096 to 32768 on
-warm order-24 pair and coupling solves (2 vCPU, numpy 2.4).
+All reductions run over fixed _BLOCK = 16384-sample blocks, one kernel
+call each, so the kernel's scratch memory stays one block long (128 kB per
+array).  Each block is dotted in _DOT = 8192-sample pieces, below the
+10 000 samples from which OpenBLAS splits a dot over its threads, and the
+pieces' partial sums are combined with math.fsum.  So every sum runs on
+the calling thread alone, and its bits do not depend on the BLAS thread
+count or on the machine's core count.  (With a dot over the whole block,
+a sum's last bits moved with OPENBLAS_NUM_THREADS, and the first process
+after an idle spell paid for waking the BLAS threads.)  Each kernel call
+costs fixed Python overhead, so a larger block means fewer calls: an
+order-24 mirror-rule pair sum of 345 600 samples makes 22 instead of 85
+at 4096 (an order-24 sphere pair, 27 648 samples, makes 2).  Warm
+order-24 coupling and pair solves, timed interleaved with thread-free
+dots (2 vCPU, numpy 2.4), took 25-35% longer at 4096, 1-10% longer at
+8192, and 0-5% less at 32768, which doubles the scratch arrays.
 
 Every double sum takes one path: double_sum picks the self-integral or the
 pair rule, whose cached (distances, weights) arrays go to
@@ -104,6 +111,7 @@ from .geometry import (
 )
 
 _BLOCK = 16384  # samples per kernel call; see the module docstring
+_DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
@@ -172,13 +180,18 @@ def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> tu
     (K(d), d K(d)), with a deterministic reduction.
 
     The arrays are cut into fixed _BLOCK-sample blocks; each block makes one
-    kernel_fn call and contributes one dot-product partial to each sum, and
-    the partials are combined with math.fsum in block order.
+    kernel_fn call and contributes one dot-product partial per _DOT samples
+    to each sum, and the partials are combined with math.fsum.  No dot is
+    long enough for OpenBLAS to split it over threads, so no bit of a sum
+    depends on the BLAS thread count.
     """
+    n = weights.shape[0]
     partials = []
-    for o in range(0, weights.shape[0], _BLOCK):
+    for o in range(0, n, _BLOCK):
         arrays = kernel_fn(dists[o : o + _BLOCK])
-        partials.append(tuple(map(weights[o : o + _BLOCK].dot, arrays)))
+        for h in range(0, min(_BLOCK, n - o), _DOT):
+            w = weights[o + h : o + h + _DOT]
+            partials.append(tuple(w.dot(a[h : h + _DOT]) for a in arrays))
         # Free the block's arrays before the next kernel call: with two
         # blocks' arrays alive, glibc trimmed and re-faulted the heap every
         # block, which more than doubled a warm order-24 self-integral.

@@ -43,8 +43,8 @@ from .principal import (
     PrincipalMatrix,
     _check_flat,
     _ground_state,
+    _phi_arrays,
     _surface_potential_terms,
-    assemble_phi,
     pair_integral,
     surface_potential,
 )
@@ -163,8 +163,9 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     A = np.zeros((size, size))
     B = np.zeros((size, size))
     if n:
-        shells = assemble_phi(sys.surfaces, sys.couplings, sys.space, sys.constants, nu)
-        A[:n, :n], B[:n, :n] = shells.entries, shells.slope
+        A[:n, :n], B[:n, :n] = _phi_arrays(
+            sys.surfaces, sys.couplings, sys.space, sys.constants, nu
+        )
     rate_slope = _decay_rate(sys.space, sys.constants, nu)[1]
     for p_idx, p in enumerate(sys.points):
         k = n + p_idx
@@ -217,8 +218,8 @@ def perturbative_shift(sys: HybridSystem) -> float:
     mesh, cp, point = sys.surfaces[0], sys.couplings.items[0], sys.points[0]
     mu = point.mu
     p_mu = pair_integral(mesh, mesh, sys.space, sys.constants, mu)
-    shell = assemble_phi((mesh,), CouplingSpec((cp,)), sys.space, sys.constants, mu)
-    diag = float(shell.entries[0, 0])
+    shell = _phi_arrays((mesh,), CouplingSpec((cp,)), sys.space, sys.constants, mu)[0]
+    diag = float(shell[0, 0])
     if abs(diag) <= 1e-10 * max(p_mu, abs(diag + p_mu)):
         raise DegeneratePerturbationError(
             f"shell channel is resonant at mu={mu}: diagonal {diag}"

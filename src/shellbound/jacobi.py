@@ -7,9 +7,11 @@ deterministic, and free of backend-dependent reduction orders.
 The sweeps run on rows of Python floats: for a 2 x 2 or 3 x 3 matrix
 numpy's per-call overhead dwarfs the arithmetic.  Every rotation makes the
 same floating-point operations in the same order as the column and row
-updates of the numpy implementation kept in tests/test_jacobi.py, and the
-symmetry check accepts exactly what np.allclose(A, A.T, rtol=0, atol)
-accepts.  The convergence test sums the squared off-diagonal entries left
+updates of the numpy implementation kept in tests/test_jacobi.py.  The
+input check rejects a matrix that is not square or has a NaN or infinite
+entry, and accepts exactly the finite ones np.allclose(A, A.T, rtol=0,
+atol) accepts; it is the only validation a PrincipalMatrix gets.  The
+convergence test sums the squared off-diagonal entries left
 to right, which is numpy's pairwise order below 8 terms, so for n <= 3 (at
 most 6 such terms) (w, V) are bitwise those of the numpy rotations by
 construction; the tests check the match up to n = 6.  numpy converts the
@@ -49,12 +51,14 @@ def jacobi_eigh(A: np.ndarray):
         raise InvalidArgumentError(f"need a square matrix, got shape {A.shape}")
     n = A.shape[0]
     rows = A.tolist()
-    # np.allclose(A, A.T, rtol=0, atol) entry by entry: equal, or finite and
-    # within atol (NaN is never close, an infinity only to itself)
-    atol = 1e-12 * max(1.0, max(abs(x) for row in rows for x in row))
+    entries = [x for row in rows for x in row]
+    if not all(map(math.isfinite, entries)):
+        raise InvalidArgumentError("matrix entries must be finite")
+    # np.allclose(A, A.T, rtol=0, atol) entry by entry
+    atol = 1e-12 * max(1.0, max(map(abs, entries)))
     for row, col in zip(rows, zip(*rows)):
         for x, y in zip(row, col):
-            if not (x == y or (abs(x - y) <= atol and math.isfinite(y))):
+            if abs(x - y) > atol:
                 raise InvalidArgumentError("matrix is not symmetric")
     a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     if n == 1:

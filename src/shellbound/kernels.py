@@ -109,14 +109,16 @@ def static_kernel_array(
 
     With moment=True, returns the pair (G, d G).  In flat space d G is the
     kernel's exponential part, computed on the way to G, so the pair costs
-    no more array operations than G alone.
+    no more array operations than G alone; it is built in one buffer, the
+    same floats as pref * np.exp(-kappa * d) without two temporaries.
     """
     m, hbar = constants.mass, constants.hbar
     d = np.asarray(d, dtype=float)
     pref = m / (2.0 * math.pi * hbar * hbar)
     if space.is_flat:
-        kappa = constants.kappa_factor * nu
-        dg = pref * np.exp(-kappa * d)
+        dg = np.multiply(d, -(constants.kappa_factor * nu))
+        np.exp(dg, out=dg)
+        dg *= pref
         return (dg / d, dg) if moment else dg / d
     K = space.curvature_K
     gamma = _decay_rate(space, constants, nu)[0]

@@ -20,13 +20,17 @@ kernel pass sums beside Phi.  The same finder serves every crossing in
 the package: the Gersgorin gap in bounds and the CLI's area match bring
 their own exact slopes, and its bracket safeguard covers their non-concave
 stretches.
+
+A lone surface's coupling solve (energy_from_coupling) runs the same
+Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
+instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
+increasing, with the free slope -P'/P, and fewer steps reach the root.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,37 +102,25 @@ class CouplingSpec:
         return len(self.items)
 
 
-def _check_symmetric(name: str, A: np.ndarray) -> None:
-    """Raise unless A is square, finite and symmetric to 1e-12 * max|A|."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square")
-    scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
-    if not math.isfinite(scale):  # the symmetry test below passes NaN
-        raise InvalidArgumentError(f"{name} entries must be finite")
-    scale = max(scale, 1e-300)
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-        raise InvalidArgumentError(f"{name} must be symmetric")
-
-
 @dataclass(frozen=True, eq=False)
 class PrincipalMatrix:
-    """Phi at nu, with its slope dPhi/dnu."""
+    """Phi at nu, with its slope dPhi/dnu and its eigenpairs eigh = (w, V).
+
+    Construction solves the eigenpairs with jacobi_eigh, whose input check
+    (square, finite, symmetric) is the matrix's one validation.
+    """
 
     nu: float
     entries: np.ndarray
     slope: np.ndarray
+    eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_symmetric("principal matrix", self.entries)
+        object.__setattr__(self, "eigh", jacobi_eigh(self.entries))
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @functools.cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) of jacobi_eigh(entries), solved once per matrix."""
-        return jacobi_eigh(self.entries)
 
     def omega_min(self) -> float:
         """Lowest eigenvalue (cyclic Jacobi)."""
@@ -291,6 +283,12 @@ def assemble_phi(
     slope, once per call for each distinct surface and nu*; at nu* = nu it
     is the pass's own P_ii(nu).
     """
+    return PrincipalMatrix(nu, *_phi_arrays(surfaces, couplings, space, constants, nu))
+
+
+def _phi_arrays(surfaces, couplings, space, constants, nu):
+    """(entries, slope) of assemble_phi, without the eigen solve, for a
+    caller that only takes them into a larger matrix."""
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
     P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
@@ -305,7 +303,7 @@ def assemble_phi(
             at = cp.nu_star
             stars[key] = P[i, i] if at == nu else pair_integral(mesh, mesh, space, constants, at)
         A[i, i] += stars[key]
-    return PrincipalMatrix(nu=nu, entries=A, slope=constants.kappa_factor * first)
+    return A, constants.kappa_factor * first
 
 
 def coupling_from_energy(
@@ -330,14 +328,25 @@ def energy_from_coupling(
 
     Returns None when the coupling is at or below the critical value (the
     pair integral at nu -> 0 caps 1/lambda for a bound state to form).
+
+    nu* is the root of g(nu) = -ln(lambda P(nu)), P = P_ii.  P is a positive
+    sum of decaying exponentials in nu, so it is log-convex, and g is
+    concave and increasing: Newton's method from the left (_monotone_root)
+    rises to the root, with the slope g' = -P'/P from the same kernel pass.
+    Its first step from the floor is the Jensen bound nu_0 + ln(lambda P) /
+    (kappa_f <d>), <d> the mean distance under the weights of P, which
+    lands at or past a Newton step on 1/lambda - P.  Where P underflows to
+    0, g reads +inf, a point past the root; where lambda P overflows, g
+    reads -inf and the step goes to the ceiling.
     """
     if not lam > 0.0:
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
-    target = 1.0 / lam
 
     def f(nu: float) -> tuple[float, float]:
         p, dp = _pair_terms(mesh, mesh, space, constants, nu)
-        return target - p, -dp
+        if p == 0.0:
+            return math.inf, 0.0
+        return -math.log(lam * p), -dp / p
 
     f_lo = f(_NU_FLOOR)
     if f_lo[0] >= 0.0:

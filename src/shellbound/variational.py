@@ -31,7 +31,6 @@ from .principal import (
     CouplingSpec,
     PrincipalMatrix,
     _check_flat,
-    _check_symmetric,
     _ground_state,
     _kernel_matrices,
     _moment_kernel,
@@ -48,6 +47,19 @@ __all__ = [
     "schur_gap",
     "solve_variational",
 ]
+
+
+def _check_symmetric(name: str, A: np.ndarray) -> None:
+    """Raise unless A is square, finite and symmetric to 1e-12 * max|A|."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidArgumentError(f"{name} must be square")
+    scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
+    if not math.isfinite(scale):  # the symmetry test below passes NaN
+        raise InvalidArgumentError(f"{name} entries must be finite")
+    scale = max(scale, 1e-300)
+    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
+        raise InvalidArgumentError(f"{name} must be symmetric")
+
 
 @dataclass(frozen=True, eq=False)
 class VariationalMatrices:

@@ -542,10 +542,10 @@ def test_assemble_phi_slope_matches_central_difference(constants, flat, sphere16
     assert np.allclose(slope, fd, rtol=1e-6, atol=0.0)
 
 
-# The Newton search on the cases of ROADMAP item 10: (meshes, couplings or
-# lambda / lambda_c, the root Brent's method found before, at most this many
-# evaluations).  The roots agree within the search tolerance, 0.5e-12 for
-# ground states and 1e-13 for energy_from_coupling, relative above 1.
+# The Newton search on the cases of ROADMAP item 10.  Pairs: (order,
+# centres, nu* couplings, the root Brent's method found before, at most this
+# many evaluations).  The roots agree within the search tolerance, 0.5e-12
+# for ground states and 1e-13 for energy_from_coupling, relative above 1.
 def _spheres(order, *centers):
     return [build_surface(Sphere(c, 1.0), order=order) for c in centers]
 
@@ -558,11 +558,19 @@ NEWTON_PAIRS = {
         16, ((0, 0, 0), (4, 0, 0), (8, 0, 0)), (1.0, 1.0, 1.0), 1.0279106484655107, 5
     ),
 }
-NEWTON_LAMBDAS = {  # lambda / lambda_c on an order-24 unit sphere
-    1.05: (0.04919347462936398, 5),
-    2.0: (0.7968121434372101, 7),
-    10.0: (4.99977294733397, 9),
-    100.0: (49.99985879688131, 13),
+# lambda solves on the order-24 unit sphere and on the order-24 (2, 0.5)
+# torus of warm_solves: (mesh fixture, lambda / lambda_c, the Brent root,
+# exactly this many evaluations of Newton on -ln(lambda P)).  The torus
+# roots are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
+NEWTON_LAMBDAS = {
+    "1.05": ("sphere24", 1.05, 0.04919347462936398, 4),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 6),
+    "10.0": ("sphere24", 10.0, 4.99977294733397, 7),
+    "100.0": ("sphere24", 100.0, 49.99985879688131, 9),
+    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 4),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 6),
+    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 7),
+    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 9),
 }
 
 
@@ -590,10 +598,11 @@ def test_newton_pair_solves_match_brent_roots(constants, flat, monkeypatch, case
     assert first.converged
 
 
-@pytest.mark.parametrize("ratio", NEWTON_LAMBDAS)
-def test_newton_lambda_solves_match_brent_roots(constants, flat, sphere24, monkeypatch, ratio):
-    brent_root, max_evals = NEWTON_LAMBDAS[ratio]
-    lam = ratio * (1.0 / pair_integral(sphere24, sphere24, flat, constants, 1e-8))
+@pytest.mark.parametrize("case", NEWTON_LAMBDAS)
+def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkeypatch, case):
+    fixture, ratio, brent_root, n_evals = NEWTON_LAMBDAS[case]
+    mesh = request.getfixturevalue(fixture)
+    lam = ratio * (1.0 / pair_integral(mesh, mesh, flat, constants, 1e-8))
     values = []
     inner = principal._pair_terms
 
@@ -603,9 +612,31 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, sphere24, monke
         return out
 
     monkeypatch.setattr(principal, "_pair_terms", recorded)
-    nu = energy_from_coupling(sphere24, flat, constants, lam)
-    evals = len(values)
-    assert energy_from_coupling(sphere24, flat, constants, lam) == nu
-    assert len(values) == 2 * evals <= 2 * max_evals
+    nu = energy_from_coupling(mesh, flat, constants, lam)
+    assert len(values) == n_evals
+    assert energy_from_coupling(mesh, flat, constants, lam) == nu
+    assert len(values) == 2 * n_evals
     assert abs(nu - brent_root) <= 1e-13 * max(1.0, brent_root)
     assert max(values) <= 0.0
+
+
+def test_lambda_solve_reads_an_underflowed_p_as_past_the_root(constants, flat, monkeypatch):
+    # On a radius-100 sphere P(nu) underflows to 0 well below the ceiling.
+    # lambda P at the floor overflows to inf, so the first Newton step goes
+    # to the ceiling, where P = 0 must read as -ln(lambda P) = +inf, a point
+    # past the root, and the search brackets back to it.
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
+    lam = 1e308
+    seen = []
+    inner = principal._pair_terms
+
+    def recorded(*args):
+        out = inner(*args)
+        seen.append((args[4], out[0]))
+        return out
+
+    monkeypatch.setattr(principal, "_pair_terms", recorded)
+    nu = energy_from_coupling(mesh, flat, constants, lam)
+    assert seen[1] == (principal._NU_CEIL, 0.0)
+    assert 0.0 < nu < principal._NU_CEIL
+    assert lam * pair_integral(mesh, mesh, flat, constants, nu) == pytest.approx(1.0, rel=1e-10)

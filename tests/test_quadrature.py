@@ -419,6 +419,48 @@ def test_weighted_kernel_sum_matches_dot():
     assert first == pytest.approx(float(np.dot(w, np.exp(-d))), rel=1e-12)
 
 
+_THREADS_CHILD = """
+import pathlib, sys
+import shellbound as sb
+from shellbound import _quadrature as quad
+from shellbound.cli import main
+from shellbound.principal import _moment_kernel
+
+space, constants = sb.flat_space(), sb.PhysicalConstants()
+a = sb.build_surface(sb.Sphere((0.0, 0.0, 0.0), 1.0), order=24)
+b = sb.build_surface(sb.Sphere((4.0, 0.0, 0.0), 1.0), order=24)
+d, w = quad._pair_geometry(a, b)
+for nu in (0.3, 1.0, 3.0):
+    kernel = _moment_kernel(space, constants, nu)
+    sums = quad.diag_weighted_sum(a, kernel) + quad.weighted_kernel_sum(w, d, kernel)
+    print(*(x.hex() for x in sums))
+configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+for command, name in (("bounds", "two_spheres"), ("variational", "three_spheres_lambda")):
+    csv = out / f"{name}.csv"
+    assert main([command, "--config", str(configs / f"{name}.json"), "--out", str(csv)]) == 0
+    print(csv.read_text())
+"""
+
+
+def test_sums_do_not_depend_on_the_blas_thread_count(tmp_path, config_dir):
+    # An order-24 self-integral (36 864 samples) and ring pair (27 648) and
+    # two CLI jobs, once on one BLAS thread and once on the default of one
+    # per core: a dot longer than OpenBLAS's threading threshold (10 000)
+    # adds per-thread partials, and its last bits move with their count.
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    base["PYTHONPATH"] = str(src)
+    outputs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD, str(config_dir), str(tmp_path)],
+            env={**base, **threads}, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("D", [2.5, 4.0])
 def test_offdiag_against_two_sphere_closed_form(constants, flat, sphere24, D):
     other = build_surface(Sphere((D, 0.0, 0.0), 1.0), order=24)
