@@ -55,21 +55,23 @@ order-24 coupling and pair solves, timed interleaved with thread-free
 dots (2 vCPU, numpy 2.4), took 25-35% longer at 4096, 1-10% longer at
 8192, and 0-5% less at 32768, which doubles the scratch arrays.
 
-Every double sum takes one path: double_sum picks the self-integral or the
-pair rule, whose cached (distances, weights) arrays go to
+Every double sum takes one path: double_sum picks the self-integral, the
+pair rule or the point rule (a surface against a point, one node of
+weight 1), whose cached (distances, weights) arrays go to
 weighted_kernel_sum.  Its kernel_fn returns arrays from one pass, such
 as K(d) and d K(d), and it returns the sum of w times each, here the
 kernel's sum and its first distance moment.  For the static kernel
 e^{-kappa_f nu d} / d, d K(d) is the kernel's own exponential, and the
 moment times -kappa_f is the nu-slope of the sum, which the root finder's
 Newton steps use: a slope costs one more dot per block and no cached
-array.  _diag_geometry caches per mesh and _pair_geometry per mesh pair,
-for exactly as long as the meshes live: they hold them by weak
-reference, so a sweep that builds a new mesh per point frees each
-point's geometry with it, while a mesh a caller keeps gets its geometry
-back.  A pair build first checks that neither surface's nodes lie inside
-the other and that no two nodes coincide; else it raises
-GeometryViolationError and caches nothing.
+array.  _diag_geometry caches per mesh, _pair_geometry per mesh pair and
+_point_geometry per (mesh, point), for exactly as long as they live: they
+hold them by weak reference, so a sweep that builds a new mesh per point
+frees each point's geometry with it, while a mesh a caller keeps gets its
+geometry back.  A pair build first checks that neither surface's nodes
+lie inside the other and that no two nodes coincide; else it raises
+GeometryViolationError and caches nothing.  A point build checks nothing:
+a point may sit inside a shell.
 
 Forms: every mesh is its form's node grid scaled by its scale s and moved
 to its centre, by construction: geometry.SurfaceMesh derives its nodes and
@@ -103,6 +105,7 @@ import numpy as np
 
 from .errors import GeometryViolationError
 from .geometry import (
+    Point3,
     SurfaceForm,
     SurfaceMesh,
     _gauss_legendre,
@@ -132,8 +135,9 @@ def _mesh_cache(fn):
 
     Results sit in nested weakref.WeakKeyDictionary tables, [mesh_i][mesh_j]
     for a pair, so an entry goes when any of its meshes is collected.
-    SurfaceMesh and SurfaceForm (eq=False) hash by identity.  The wrapper
-    keeps lru_cache's cache_info() and cache_clear().
+    SurfaceMesh and SurfaceForm (eq=False) hash by identity, a Point3 by its
+    coordinates.  The wrapper keeps lru_cache's cache_info() and
+    cache_clear().
     """
     depth = fn.__code__.co_argcount
     table = weakref.WeakKeyDictionary()
@@ -477,6 +481,13 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     return d.reshape(-1), w.reshape(-1)
 
 
+@_mesh_cache
+def _point_geometry(mesh: SurfaceMesh, point: Point3):
+    """(distances, weights) from a point, one node of weight 1, to a surface."""
+    diff = mesh.nodes - point.as_array()
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff)), mesh.weights
+
+
 def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> tuple[float, ...]:
     """Double integrals over mesh x mesh (singularity-safe) of each array
     kernel_fn(d) returns, such as (K(d), d K(d)).
@@ -500,10 +511,15 @@ def offdiag_weighted_sum(
     return weighted_kernel_sum(w, d, kernel_fn)
 
 
-def double_sum(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn) -> tuple[float, ...]:
+def double_sum(
+    mesh_i: SurfaceMesh, mesh_j: SurfaceMesh | Point3, kernel_fn
+) -> tuple[float, ...]:
     """Double integrals over mesh_i x mesh_j of each array kernel_fn(d)
-    returns: the self-integral when both are the same mesh, the pair rule
-    otherwise."""
+    returns: the self-integral when both are the same mesh, the point rule
+    when mesh_j is a Point3, the pair rule otherwise."""
+    if isinstance(mesh_j, Point3):
+        d, w = _point_geometry(mesh_i, mesh_j)
+        return weighted_kernel_sum(w, d, kernel_fn)
     if mesh_i is mesh_j:
         return diag_weighted_sum(mesh_i, kernel_fn)
     return offdiag_weighted_sum(mesh_i, mesh_j, kernel_fn)
@@ -513,3 +529,4 @@ def clear_caches() -> None:
     _form_geometry.cache_clear()
     _diag_geometry.cache_clear()
     _pair_geometry.cache_clear()
+    _point_geometry.cache_clear()

@@ -2,22 +2,20 @@
 
 Point interactions carry no finite coupling constant; each point channel
 enters through a subtracted diagonal pinned to its standalone level -mu^2,
-and couples to the shells through the static kernel. The combined matrix
-extends the pure-shell one by the point rows, and its slope by their
-closed-form nu-derivatives, so the ground state falls out of the same
-Newton search from the left.  The point diagonal is a multiple of the
-static kernel's decay rate gamma(nu) (kernels._decay_rate), and every point
-slope is a multiple of gamma'(nu).  In flat space every point entry is
-concave in nu, so the lowest eigenvalue stays concave.  Surfaces are
-flat-only, so a hyperbolic system has points alone; its point diagonal is
-convex in nu (gamma is), so there a Newton step may pass the root, and the
-search goes on inside the bracket that step closes.
+a multiple of gamma(nu) - gamma(mu), gamma the static kernel's decay rate.
+A point is one more channel of the principal assembly (principal._phi_arrays)
+with V = 1 and a one-node rule, so the ground state falls out of the same
+Newton search from the left; HybridSystem keeps the points' distances in
+their own space.  In flat space every point entry is concave in nu, so the
+lowest eigenvalue stays concave.  Surfaces are flat-only, so a hyperbolic
+system has points alone; its point diagonal is convex in nu (gamma is), so
+there a Newton step may pass the root, and the search goes on inside the
+bracket that step closes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
-from .kernels import _decay_rate, static_kernel_array
 from .principal import (
     _NU_FLOOR,
     BoundStateResult,
@@ -44,9 +41,7 @@ from .principal import (
     _check_flat,
     _ground_state,
     _phi_arrays,
-    _surface_potential_terms,
-    pair_integral,
-    surface_potential,
+    _point_diagonal,
 )
 
 __all__ = [
@@ -81,6 +76,7 @@ class HybridSystem:
     points: tuple[PointSource, ...]
     space: AmbientSpace
     constants: PhysicalConstants
+    _point_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -105,27 +101,14 @@ class HybridSystem:
                     raise GeometryViolationError(
                         f"point source at {p.position.coords} lies on a surface"
                     )
-        for i in range(len(self.points)):
+        dists = np.zeros((len(self.points),) * 2)
+        for i, p in enumerate(self.points):
             for j in range(i + 1, len(self.points)):
-                d = ambient_distance(
-                    self.space, self.points[i].position, self.points[j].position
-                )
+                d = ambient_distance(self.space, p.position, self.points[j].position)
                 if d == 0.0:
-                    raise GeometryViolationError(
-                        f"point sources {i} and {j} coincide"
-                    )
-
-
-def _point_diagonal(
-    constants: PhysicalConstants, space: AmbientSpace, mu: float, nu: float
-) -> tuple[float, float]:
-    """The point diagonal c (gamma(nu) - gamma(mu)) and its nu-slope
-    c gamma'(nu), with c = 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} / kappa_f."""
-    m, hbar = constants.mass, constants.hbar
-    c = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
-    c = c / constants.kappa_factor
-    gamma_nu, rate_slope = _decay_rate(space, constants, nu)
-    return c * (gamma_nu - _decay_rate(space, constants, mu)[0]), c * rate_slope
+                    raise GeometryViolationError(f"point sources {i} and {j} coincide")
+                dists[i, j] = dists[j, i] = d
+        object.__setattr__(self, "_point_distances", dists)
 
 
 def point_krein(
@@ -148,44 +131,14 @@ def point_krein(
 
 def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     """Principal matrix of the combined system, shells first, points after,
-    with its slope dPhi/dnu.
-
-    The point entries' slopes are closed forms in the decay rate's slope
-    gamma'(nu): the point diagonal c (gamma(nu) - gamma(mu)) has slope
-    c gamma'(nu), the point-point entry -G_nu(d) has slope
-    d G_nu(d) gamma'(nu); the point-shell entry's slope comes from its
-    kernel pass.
-    """
-    if not nu > 0.0:
-        raise InvalidArgumentError(f"nu must be positive, got {nu}")
-    n, m_pts = len(sys.surfaces), len(sys.points)
-    size = n + m_pts
-    A = np.zeros((size, size))
-    B = np.zeros((size, size))
-    if n:
-        A[:n, :n], B[:n, :n] = _phi_arrays(
-            sys.surfaces, sys.couplings, sys.space, sys.constants, nu
-        )
-    rate_slope = _decay_rate(sys.space, sys.constants, nu)[1]
-    for p_idx, p in enumerate(sys.points):
-        k = n + p_idx
-        A[k, k], B[k, k] = _point_diagonal(sys.constants, sys.space, p.mu, nu)
-        for i in range(n):
-            val, slope = _surface_potential_terms(
-                sys.surfaces[i], sys.space, sys.constants, nu, p.position
-            )
-            A[i, k] = A[k, i] = -val
-            B[i, k] = B[k, i] = -slope
-        for q_idx in range(p_idx + 1, m_pts):
-            d = ambient_distance(
-                sys.space, p.position, sys.points[q_idx].position
-            )
-            val, d_val = static_kernel_array(
-                sys.space, sys.constants, nu, np.array([d]), moment=True
-            )
-            A[k, n + q_idx] = A[n + q_idx, k] = -val[0]
-            B[k, n + q_idx] = B[n + q_idx, k] = d_val[0] * rate_slope
-    return PrincipalMatrix(nu=nu, entries=A, slope=B)
+    with its slope dPhi/dnu: gamma'(nu) times the first moments of the
+    kernel pass off the diagonal, c gamma'(nu) on a point's diagonal
+    c (gamma(nu) - gamma(mu))."""
+    A, slope, _ = _phi_arrays(
+        sys.surfaces, sys.couplings, sys.space, sys.constants, nu,
+        sys.points, sys._point_distances,
+    )
+    return PrincipalMatrix(nu, A, slope)
 
 
 def solve_hybrid_ground_state(
@@ -215,16 +168,17 @@ def perturbative_shift(sys: HybridSystem) -> float:
         raise InvalidArgumentError(
             "perturbative shift needs exactly one surface and one point"
         )
-    mesh, cp, point = sys.surfaces[0], sys.couplings.items[0], sys.points[0]
-    mu = point.mu
-    p_mu = pair_integral(mesh, mesh, sys.space, sys.constants, mu)
-    shell = _phi_arrays((mesh,), CouplingSpec((cp,)), sys.space, sys.constants, mu)[0]
-    diag = float(shell[0, 0])
+    mu = sys.points[0].mu
+    # P_ii(mu), the shell diagonal and the point-shell entry, one assembly
+    A, B, P = _phi_arrays(
+        sys.surfaces, sys.couplings, sys.space, sys.constants, mu,
+        sys.points, sys._point_distances,
+    )
+    diag, p_mu, off = float(A[0, 0]), float(P[0, 0]), float(P[0, 1])
     if abs(diag) <= 1e-10 * max(p_mu, abs(diag + p_mu)):
         raise DegeneratePerturbationError(
             f"shell channel is resonant at mu={mu}: diagonal {diag}"
         )
-    off = surface_potential(mesh, sys.space, sys.constants, mu, point.position)
     # d/d(nu^2) of the point diagonal at nu = mu
-    slope = _point_diagonal(sys.constants, sys.space, mu, mu)[1] / (2.0 * mu)
+    slope = float(B[1, 1]) / (2.0 * mu)
     return off * off / (slope * diag)

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh
 from .jacobi import jacobi_eigh
-from .kernels import static_kernel_array
+from .kernels import _decay_rate, static_kernel_array
 
 __all__ = [
     "Coupling",
@@ -151,14 +151,18 @@ def _check_flat(space: AmbientSpace) -> None:
         )
 
 
-def _moment_kernel(space: AmbientSpace, constants: PhysicalConstants, nu: float):
-    """kernel_fn(d) = (G(d), d G(d)) of the flat static kernel at nu > 0:
-    dG/dnu = -kappa_f d G, so -kappa_f times a sum of d G (the kernel's own
-    exponential) is the nu-slope of the sum of G."""
-    _check_flat(space)
+def _static_moments(space: AmbientSpace, constants: PhysicalConstants, nu: float):
+    """kernel_fn(d) = (G(d), d G(d)) of the static kernel at nu > 0: dG/dnu
+    = -gamma'(nu) d G, so -gamma'(nu) times a sum of d G is its nu-slope."""
     if not nu > 0.0:
         raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
     return lambda d: static_kernel_array(space, constants, nu, d, moment=True)
+
+
+def _moment_kernel(space: AmbientSpace, constants: PhysicalConstants, nu: float):
+    """_static_moments in flat space, the only one surface meshes take."""
+    _check_flat(space)
+    return _static_moments(space, constants, nu)
 
 
 def _pair_terms(
@@ -175,28 +179,39 @@ def _pair_terms(
     return total / norm, -constants.kappa_factor * first / norm
 
 
-def _kernel_matrices(surfaces, kernel_fn) -> list[np.ndarray]:
-    """One symmetric matrix per array kernel_fn(d) returns: entry (i, j) is
-    that array's double sum over surfaces i and j divided by sqrt(V_i V_j).
+def _kernel_matrices(surfaces, kernel_fn, points=(), point_distances=None):
+    """One symmetric matrix per array kernel_fn(d) returns, over the
+    channels, the surfaces and then the points (Point3): entry (i, j) is
+    that array's double sum over channels i and j divided by sqrt(V_i V_j).
+
+    A point is one node of weight 1 and V = 1, and points k and l lie
+    point_distances[k][l] apart in their space.  A point's own entry is 0,
+    and a lone point, with no entry to sum, gets None.
 
     Each distinct self-integral is summed once.  Surfaces of one form at
     one scale share their cached self-integral geometry (see _quadrature),
     so with equal areas their sums are bitwise equal, and the first one's
     serve the others.
     """
-    n = len(surfaces)
+    channels = (*surfaces, *points)
+    m, n = len(surfaces), len(channels)
+    areas = [mesh.area for mesh in surfaces] + [1.0] * len(points)
     mats = None
     passes = {}
-    for i, mesh in enumerate(surfaces):
+    for i, a in enumerate(channels):
         for j in range(i, n):
-            other = surfaces[j]
+            if i == j >= m:
+                continue
             # a self-integral is keyed by what fixes its value, a pair by place
-            key = (mesh.form, mesh.scale, mesh.area) if j == i else (i, j)
-            if key not in passes:
-                passes[key] = quad.double_sum(mesh, other, kernel_fn)
+            key = (a.form, a.scale, a.area) if j == i else (i, j)
+            if i >= m:
+                d = np.array([point_distances[i - m][j - m]])
+                passes[key] = [x[0] for x in kernel_fn(d)]
+            elif key not in passes:
+                passes[key] = quad.double_sum(a, channels[j], kernel_fn)
             if mats is None:
-                mats = [np.empty((n, n)) for _ in passes[key]]
-            norm = math.sqrt(mesh.area * other.area)
+                mats = [np.zeros((n, n)) for _ in passes[key]]
+            norm = math.sqrt(areas[i] * areas[j])
             for M, total in zip(mats, passes[key]):
                 M[i, j] = M[j, i] = total / norm
     return mats
@@ -283,16 +298,33 @@ def assemble_phi(
     slope, once per call for each distinct surface and nu*; at nu* = nu it
     is the pass's own P_ii(nu).
     """
-    return PrincipalMatrix(nu, *_phi_arrays(surfaces, couplings, space, constants, nu))
-
-
-def _phi_arrays(surfaces, couplings, space, constants, nu):
-    """(entries, slope) of assemble_phi, without the eigen solve, for a
-    caller that only takes them into a larger matrix."""
     _validate_system(surfaces, couplings)
-    surfaces = tuple(surfaces)
-    P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
-    A = -P
+    A, slope, _ = _phi_arrays(tuple(surfaces), couplings, space, constants, nu)
+    return PrincipalMatrix(nu, A, slope)
+
+
+def _point_diagonal(constants: PhysicalConstants, space: AmbientSpace, mu: float, nu: float):
+    """The point diagonal c (gamma(nu) - gamma(mu)) and its nu-slope
+    c gamma'(nu), with c = 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} / kappa_f."""
+    m, hbar = constants.mass, constants.hbar
+    c = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
+    c = c / constants.kappa_factor
+    gamma_nu, rate_slope = _decay_rate(space, constants, nu)
+    return c * (gamma_nu - _decay_rate(space, constants, mu)[0]), c * rate_slope
+
+
+def _phi_arrays(surfaces, couplings, space, constants, nu, points=(), point_distances=None):
+    """(entries, slope, P) at nu, P the kernel matrix, without the eigen
+    solve: surfaces first, then points (hybrid.PointSource) lying
+    point_distances apart.  Off the diagonal, entries are -P and slopes
+    gamma'(nu) times the first moments; a diagonal is 1/lambda_i - P_ii,
+    P_ii(nu_i*) - P_ii, or a point's c (gamma(nu) - gamma(mu)).  Points
+    alone may sit in hyperbolic space, surfaces not (_moment_kernel checks).
+    """
+    kernel = (_moment_kernel if surfaces else _static_moments)(space, constants, nu)
+    mats = _kernel_matrices(surfaces, kernel, [p.position for p in points], point_distances)
+    P, first = mats or np.zeros((2, 1, 1))  # a lone point sums nothing
+    A, B = -P, _decay_rate(space, constants, nu)[1] * first
     stars = {}
     for i, (mesh, cp) in enumerate(zip(surfaces, couplings.items)):
         if cp.lam is not None:
@@ -303,7 +335,9 @@ def _phi_arrays(surfaces, couplings, space, constants, nu):
             at = cp.nu_star
             stars[key] = P[i, i] if at == nu else pair_integral(mesh, mesh, space, constants, at)
         A[i, i] += stars[key]
-    return A, constants.kappa_factor * first
+    for k, p in enumerate(points, len(surfaces)):
+        A[k, k], B[k, k] = _point_diagonal(constants, space, p.mu, nu)
+    return A, B, P
 
 
 def coupling_from_energy(
@@ -443,26 +477,6 @@ def solve_ground_state(
     )
 
 
-def _surface_potential_terms(
-    mesh: SurfaceMesh,
-    space: AmbientSpace,
-    constants: PhysicalConstants,
-    nu: float,
-    x: Point3,
-) -> tuple[float, float]:
-    """surface_potential and its nu-slope, from one kernel pass."""
-    kernel = _moment_kernel(space, constants, nu)
-    if not x.is_flat:
-        raise InvalidArgumentError("need a flat-space point")
-    diff = mesh.nodes - x.as_array()
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if np.any(d == 0.0):
-        return math.inf, -math.inf
-    total, first = quad.weighted_kernel_sum(mesh.weights, d, kernel)
-    norm = math.sqrt(mesh.area)
-    return total / norm, -constants.kappa_factor * first / norm
-
-
 def surface_potential(
     mesh: SurfaceMesh,
     space: AmbientSpace,
@@ -470,8 +484,13 @@ def surface_potential(
     nu: float,
     x: Point3,
 ) -> float:
-    """V^{-1/2} integral of the static kernel from a point to one surface."""
-    return _surface_potential_terms(mesh, space, constants, nu, x)[0]
+    """V^{-1/2} integral of the static kernel from a point to one surface:
+    the point-surface sum of _kernel_matrices, inf for a point on a node."""
+    kernel = _moment_kernel(space, constants, nu)
+    if not x.is_flat:
+        raise InvalidArgumentError("need a flat-space point")
+    with np.errstate(divide="ignore"):  # G(0) = inf
+        return quad.double_sum(mesh, x, kernel)[0] / math.sqrt(mesh.area)
 
 
 def wavefunction(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from shellbound import _quadrature
 from shellbound import (
     CouplingSpec,
     DegeneratePerturbationError,
@@ -200,6 +201,23 @@ def test_perturbative_shift_level_slope_is_the_point_diagonal_slope(flat, sphere
     assert perturbative_shift(sys) == pytest.approx(off * off / (slope * diag), rel=1e-7)
 
 
+def test_perturbative_shift_sums_the_self_integral_once(constants, flat, sphere16, monkeypatch):
+    # P_ii(mu), the shell diagonal and the point-shell entry come from one
+    # assembly at nu = mu: one self-integral pass, then the point's sum
+    passes = []
+    inner = _quadrature.double_sum
+
+    def counted(a, b, kernel_fn):
+        passes.append("self" if a is b else "point")
+        return inner(a, b, kernel_fn)
+
+    monkeypatch.setattr(_quadrature, "double_sum", counted)
+    point = PointSource(flat_point(5.0, 0.0, 0.0), 0.5)
+    sys = HybridSystem((sphere16,), CouplingSpec.from_lambdas(1.5), (point,), flat, constants)
+    assert perturbative_shift(sys) > 0.0
+    assert passes == ["self", "point"]
+
+
 def test_perturbative_shift_resonant_channel(constants, flat, sphere16):
     # coupling tuned so the shell is critical exactly at the point level
     sys = HybridSystem(
@@ -268,6 +286,38 @@ def test_system_validation(constants, flat, sphere16):
         )
     with pytest.raises(InvalidArgumentError):
         PointSource(flat_point(0.0, 0.0, 0.0), 0.0)
+
+
+def _interior_potential_exact(constants, nu, s, R=1.0):
+    # V^{-1/2} integral of the flat static kernel over a sphere of radius R
+    # from a point s < R from its centre
+    kappa = constants.kappa_factor * nu
+    return (
+        constants.mass * math.sinh(kappa * s) * math.exp(-kappa * R)
+        / (math.sqrt(math.pi) * constants.hbar**2 * kappa * s)
+    )
+
+
+# the largest relative error of a point's potential inside an order-16 unit
+# sphere against the interior closed form, at nu = 0.8 with the point on the
+# x axis (measured: 0 at s = 0.3, 7.5e-12 at s = 0.5)
+INTERIOR_ERRORS = {0.3: 7e-16, 0.5: 2.2e-11}
+
+
+@pytest.mark.parametrize("s", INTERIOR_ERRORS)
+def test_point_inside_a_shell(constants, flat, sphere16, s):
+    # a point may sit inside a shell: its sums never meet the pair rule's
+    # overlap check, and the system solves
+    nu = 0.8
+    point = PointSource(flat_point(s, 0.0, 0.0), 0.8)
+    sys = HybridSystem((sphere16,), CouplingSpec.from_nu_stars(1.0), (point,), flat, constants)
+    exact = _interior_potential_exact(constants, nu, s)
+    got = surface_potential(sphere16, flat, constants, nu, point.position)
+    entry = -assemble_hybrid_phi(sys, nu).entries[0, 1]
+    for value in (got, entry):
+        assert abs(value - exact) <= INTERIOR_ERRORS[s] * exact
+    gs = solve_hybrid_ground_state(sys)
+    assert gs.converged and gs.energy < -1.0
 
 
 def test_subcritical_shell_only_system(constants, flat, sphere16):

@@ -285,6 +285,7 @@ def test_surface_potential_matches_oracle(constants, flat, sphere16):
 
 
 def test_surface_potential_on_node_diverges(constants, flat, sphere16):
+    # with no numpy warning: pytest turns warnings into errors
     node = sphere16.nodes[0]
     got = surface_potential(
         sphere16, flat, constants, 1.0, flat_point(node[0], node[1], node[2])

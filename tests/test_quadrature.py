@@ -15,7 +15,18 @@ import weakref
 import numpy as np
 import pytest
 
-from shellbound import Ellipsoid, GeometryViolationError, Sphere, Torus, build_surface
+from shellbound import (
+    CouplingSpec,
+    Ellipsoid,
+    GeometryViolationError,
+    HybridSystem,
+    PointSource,
+    Sphere,
+    Torus,
+    build_surface,
+    flat_point,
+    solve_hybrid_ground_state,
+)
 from shellbound import _quadrature as quad
 from shellbound.geometry import _ScaledSphereChart, _TorusChart
 from shellbound.kernels import static_kernel_array
@@ -712,6 +723,35 @@ def test_pair_entries_go_with_either_mesh(dies):
     assert _sizes() == [before[0], before[1] + 1]
     del meshes[dies]
     assert _sizes() == before
+
+
+@pytest.mark.parametrize("dies", ["mesh", "point"])
+def test_point_entries_go_with_the_mesh_or_the_point(dies):
+    points = quad._point_geometry
+    gc.collect()
+    before = points.cache_info().currsize
+    keys = {"mesh": _pair()[0], "point": flat_point(0.0, 3.0, 0.0)}
+    quad._point_geometry(keys["mesh"], keys["point"])
+    assert points.cache_info().currsize == before + 1
+    del keys[dies]
+    gc.collect()
+    assert points.cache_info().currsize == before
+
+
+def test_hybrid_solve_builds_each_point_geometry_once(constants, flat):
+    # every evaluation sums each (mesh, point) pair; only the first builds
+    meshes = _pair()
+    points = (
+        PointSource(flat_point(2.0, 3.0, 0.0), 0.6),
+        PointSource(flat_point(2.0, -3.0, 1.0), 0.7),
+    )
+    system = HybridSystem(meshes, CouplingSpec.from_nu_stars(1.0, 1.1), points, flat, constants)
+    before = quad._point_geometry.cache_info()
+    result = solve_hybrid_ground_state(system)
+    after = quad._point_geometry.cache_info()
+    assert result.converged and result.iterations > 1
+    assert after.misses - before.misses == 4
+    assert after.hits - before.hits == 4 * (result.iterations - 1)
 
 
 def test_form_geometry_lives_as_long_as_a_mesh_of_its_form():

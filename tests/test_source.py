@@ -3,7 +3,8 @@ module-level private name is read somewhere, every public function,
 class, method or property is read somewhere or listed as library API, no
 module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
-and no module but principal imports it.
+no module but principal imports it, and each kernel entry point has one
+calling module.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -216,6 +217,40 @@ def test_only_principal_imports_quadrature(name):
     # engine's sums; the other modules take them from principal
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert _quadrature_imports(tree) == []
+
+
+# Only the engine sums weights times kernel arrays, and only principal makes
+# the kernel arrays: every kernel sum, point sums included, takes one path.
+KERNEL_CALLERS = {"weighted_kernel_sum": "_quadrature.py", "static_kernel_array": "principal.py"}
+
+
+def _calls(tree: ast.Module, name: str) -> list[int]:
+    """Lines that call name, as a plain name or as an attribute, at any depth."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_the_check_finds_a_kernel_call():
+    tree = ast.parse(
+        "from . import _quadrature as quad\n"
+        "from .kernels import static_kernel_array\n"
+        "kernel = static_kernel_array\n"
+        "def f(w, d, k):\n"
+        "    return quad.weighted_kernel_sum(w, d, k), static_kernel_array(1, 2)\n"
+    )
+    assert _calls(tree, "weighted_kernel_sum") == [5]
+    assert _calls(tree, "static_kernel_array") == [5]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_each_kernel_entry_has_one_calling_module(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    found = {callee: _calls(tree, callee) for callee, owner in KERNEL_CALLERS.items() if name != owner}
+    assert found == {callee: [] for callee in found}
 
 
 def _loads(node: ast.AST):
