@@ -55,16 +55,19 @@ order-24 coupling and pair solves, timed interleaved with thread-free
 dots (2 vCPU, numpy 2.4), took 25-35% longer at 4096, 1-10% longer at
 8192, and 0-5% less at 32768, which doubles the scratch arrays.
 
-Every double sum takes one path: double_sum picks the self-integral, the
-pair rule or the point rule (a surface against a point, one node of
-weight 1), whose cached (distances, weights) arrays go to
-weighted_kernel_sum.  Its kernel_fn returns arrays from one pass, such
-as K(d) and d K(d), and it returns the sum of w times each, here the
-kernel's sum and its first distance moment.  For the static kernel
-e^{-kappa_f nu d} / d, d K(d) is the kernel's own exponential, and the
-moment times -kappa_f is the nu-slope of the sum, which the root finder's
-Newton steps use: a slope costs one more dot per block and no cached
-array.  _diag_geometry caches per mesh, _pair_geometry per mesh pair and
+Every double sum takes one path, and only this module knows how the
+static kernel G depends on nu: double_sum takes two channels (surfaces, or
+points of one node of weight 1 and V = 1), the space, the constants, nu
+and a derivative order, and returns P = (V_a V_b)^{-1/2} times the double
+integral of G with its nu-derivatives up to that order.  The
+self-integral goes to diag_weighted_sum, a pair of surfaces, a surface and
+a point, or two points to offdiag_weighted_sum, and their cached
+(distances, weights) to weighted_kernel_sum, which sums the distance
+moments M_k of w d^k G from one static_kernel_array pass (G, d G) per
+block.  As dG/dnu = -gamma' d G, and d^2G/dnu^2 = gamma'^2 d^2 G in flat
+space (gamma'' = 0), the k-th derivative is (-gamma')^k M_k / sqrt(V_a
+V_b): a slope costs one more dot per block and no cached array.
+_diag_geometry caches per mesh, _pair_geometry per mesh pair and
 _point_geometry per (mesh, point), for exactly as long as they live: they
 hold them by weak reference, so a sweep that builds a new mesh per point
 frees each point's geometry with it, while a mesh a caller keeps gets its
@@ -78,15 +81,16 @@ to its centre, by construction: geometry.SurfaceMesh derives its nodes and
 weights from its geometry.SurfaceForm (the shape at the origin divided by
 s, with its order, chart and grid), and equal shapes share one interned
 form.  So the self-integral geometry is the form's: _form_geometry builds
-the patch rows once per form at s = 1, and _diag_geometry returns them,
-or for s != 1 their distances times s beside the form's own weights:
-diag_weighted_sum multiplies both sums by s^4, so a scaled mesh caches one
-array.  (Scaling each block of distances on the fly instead allocates a
-block-sized temporary per kernel call, about 15% of a warm order-24 torus
-self-integral.)  The form geometry lives as long as any mesh of its form:
-the meshes hold the form, the cache holds it weakly.  So equal spheres
-share one patch build, and a radius sweep builds one while the config's
-own mesh, of the same form, lives.
+the patch rows once per form at s = 1, and _diag_geometry returns those
+very arrays at every scale.  In flat space G_nu(s d) = G_{s nu}(d) / s and
+the weights scale by s^4, so a self-integral at scale s is its form's at
+s nu: P(nu) = s P_form(s nu), P' = s^2 P_form'(s nu), P'' = s^3
+P_form''(s nu).  diag_weighted_sum normalizes the form's sums by the
+form's area V / s^2 before it applies the powers of s, so nothing over-
+or underflows at any size the mesh builder accepts.  The form geometry
+lives as long as any mesh of its form: the meshes hold the form, the cache
+holds it weakly.  So equal spheres share one patch build, and a radius
+sweep builds one while the config's own mesh, of the same form, lives.
 Sphere pairs take their u-rings from the same cached form geometry.
 
 Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
@@ -103,15 +107,19 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import GeometryViolationError
+from .errors import GeometryViolationError, InvalidArgumentError
 from .geometry import (
+    AmbientSpace,
+    PhysicalConstants,
     Point3,
     SurfaceForm,
     SurfaceMesh,
     _gauss_legendre,
     _ScaledSphereChart,
+    ambient_distance,
     implicit_value,
 )
+from .kernels import _decay_rate, static_kernel_array
 
 _BLOCK = 16384  # samples per kernel call; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
@@ -179,28 +187,47 @@ def _mesh_cache(fn):
     return cached
 
 
-def weighted_kernel_sum(weights: np.ndarray, dists: np.ndarray, kernel_fn) -> tuple[float, ...]:
-    """The sums of weights times each array kernel_fn(d) returns, such as
-    (K(d), d K(d)), with a deterministic reduction.
+def weighted_kernel_sum(
+    weights: np.ndarray,
+    dists: np.ndarray,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+    order: int,
+) -> tuple[float, ...]:
+    """The distance moments M_k = sum of w d^k G(d) of the static kernel G
+    at nu, k = 0 .. order (at most 2), with a deterministic reduction.
 
     The arrays are cut into fixed _BLOCK-sample blocks; each block makes one
-    kernel_fn call and contributes one dot-product partial per _DOT samples
-    to each sum, and the partials are combined with math.fsum.  No dot is
-    long enough for OpenBLAS to split it over threads, so no bit of a sum
-    depends on the BLAS thread count.
+    static_kernel_array call, which returns G and d G, and contributes one
+    dot-product partial per _DOT samples to each sum, and the partials are
+    combined with math.fsum.  No dot is long enough for OpenBLAS to split it
+    over threads, so no bit of a sum depends on the BLAS thread count.
     """
     n = weights.shape[0]
     partials = []
     for o in range(0, n, _BLOCK):
-        arrays = kernel_fn(dists[o : o + _BLOCK])
+        d = dists[o : o + _BLOCK]
+        g, dg = static_kernel_array(space, constants, nu, d, moment=True)
+        arrays = (g, dg, d * dg) if order == 2 else (g, dg)[: order + 1]
         for h in range(0, min(_BLOCK, n - o), _DOT):
             w = weights[o + h : o + h + _DOT]
             partials.append(tuple(w.dot(a[h : h + _DOT]) for a in arrays))
         # Free the block's arrays before the next kernel call: with two
         # blocks' arrays alive, glibc trimmed and re-faulted the heap every
         # block, which more than doubled a warm order-24 self-integral.
-        del arrays
+        del arrays, g, dg
     return tuple(map(math.fsum, zip(*partials)))
+
+
+def _nu_derivatives(
+    moments, space: AmbientSpace, constants: PhysicalConstants, nu: float, norm: float
+) -> tuple[float, ...]:
+    """P^(k) = (-gamma')^k M_k / norm from the distance moments M_k: dG/dnu
+    = -gamma'(nu) d G, and d^2G/dnu^2 = gamma'^2 d^2 G in flat space, where
+    gamma'' = 0."""
+    rate = -_decay_rate(space, constants, nu)[1]
+    return tuple(rate**k * (m / norm) for k, m in enumerate(moments))
 
 
 def _patch_chart_groups(form: SurfaceForm, rows: np.ndarray):
@@ -401,21 +428,17 @@ def _form_geometry(form: SurfaceForm):
 @_mesh_cache
 def _diag_geometry(mesh: SurfaceMesh):
     """Self-integral geometry (d, w) of one surface under the orbit rule:
-    its form's, with distances times s for scale s.  The weights stay the
-    form's, so they lack the factor s^4, which diag_weighted_sum applies."""
-    d, w = _form_geometry(mesh.form)[2:]
-    s = mesh.scale
-    if s == 1.0:
-        return d, w
-    return s * d, w
+    its form's arrays at every scale, to which diag_weighted_sum applies
+    the scale law."""
+    return _form_geometry(mesh.form)[2:]
 
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
-    rows, row_weights = _orbit_rows(mesh.form, mesh.weights)
-    w = _diag_geometry(mesh)[1] * mesh.scale**4
+    rows, row_weights, _, w = _form_geometry(mesh.form)
+    area = mesh.area / mesh.scale**2  # the form's
     sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
-    return float(np.max(np.abs(sums - mesh.area)) / mesh.area)
+    return float(np.max(np.abs(sums - area)) / area)
 
 
 def _is_sphere(mesh: SurfaceMesh) -> bool:
@@ -488,41 +511,57 @@ def _point_geometry(mesh: SurfaceMesh, point: Point3):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff)), mesh.weights
 
 
-def diag_weighted_sum(mesh: SurfaceMesh, kernel_fn) -> tuple[float, ...]:
-    """Double integrals over mesh x mesh (singularity-safe) of each array
-    kernel_fn(d) returns, such as (K(d), d K(d)).
-
-    A mesh of scale s has its form's weights times s^4, applied to the sums.
-    """
+def diag_weighted_sum(
+    mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, nu: float, order: int
+) -> tuple[float, ...]:
+    """P_ii and its nu-derivatives up to order over mesh x mesh
+    (singularity-safe), by the scale law: at scale s, P^(k)(nu) is
+    s^(k + 1) times the form's at s nu, normalized by the form's area."""
     d, w = _diag_geometry(mesh)
-    sums = weighted_kernel_sum(w, d, kernel_fn)
     s = mesh.scale
-    if s == 1.0:
-        return sums
-    return tuple(s**4 * x for x in sums)
+    moments = weighted_kernel_sum(w, d, space, constants, s * nu, order)
+    derivs = _nu_derivatives(moments, space, constants, s * nu, mesh.area / (s * s))
+    return tuple(s ** (k + 1) * p for k, p in enumerate(derivs))
 
 
 def offdiag_weighted_sum(
-    mesh_i: SurfaceMesh, mesh_j: SurfaceMesh, kernel_fn
+    a: SurfaceMesh | Point3,
+    b: SurfaceMesh | Point3,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+    order: int,
 ) -> tuple[float, ...]:
-    """Double integrals over two disjoint surfaces of each array kernel_fn(d)
-    returns."""
-    d, w = _pair_geometry(mesh_i, mesh_j)
-    return weighted_kernel_sum(w, d, kernel_fn)
+    """P_ab and its nu-derivatives up to order between two distinct
+    channels: two disjoint surfaces, a surface and a point, or two points
+    at their distance in space."""
+    if isinstance(a, Point3):
+        d, w = np.array([ambient_distance(space, a, b)]), np.ones(1)
+    elif isinstance(b, Point3):
+        d, w = _point_geometry(a, b)
+    else:
+        d, w = _pair_geometry(a, b)
+    norm = math.sqrt(getattr(a, "area", 1.0) * getattr(b, "area", 1.0))  # a point's V is 1
+    moments = weighted_kernel_sum(w, d, space, constants, nu, order)
+    return _nu_derivatives(moments, space, constants, nu, norm)
 
 
 def double_sum(
-    mesh_i: SurfaceMesh, mesh_j: SurfaceMesh | Point3, kernel_fn
+    a: SurfaceMesh | Point3,
+    b: SurfaceMesh | Point3,
+    space: AmbientSpace,
+    constants: PhysicalConstants,
+    nu: float,
+    order: int,
 ) -> tuple[float, ...]:
-    """Double integrals over mesh_i x mesh_j of each array kernel_fn(d)
-    returns: the self-integral when both are the same mesh, the point rule
-    when mesh_j is a Point3, the pair rule otherwise."""
-    if isinstance(mesh_j, Point3):
-        d, w = _point_geometry(mesh_i, mesh_j)
-        return weighted_kernel_sum(w, d, kernel_fn)
-    if mesh_i is mesh_j:
-        return diag_weighted_sum(mesh_i, kernel_fn)
-    return offdiag_weighted_sum(mesh_i, mesh_j, kernel_fn)
+    """(P_ab, dP_ab/dnu, ...) up to order (at most 2, and 1 outside flat
+    space) of two channels, a surface before a point: the self-integral
+    when both are the same mesh, else a pair, point or point-pair sum."""
+    if not nu > 0.0:
+        raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
+    if a is b:
+        return diag_weighted_sum(a, space, constants, nu, order)
+    return offdiag_weighted_sum(a, b, space, constants, nu, order)
 
 
 def clear_caches() -> None:

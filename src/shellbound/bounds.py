@@ -31,7 +31,6 @@ from .principal import (
     _NU_CEIL,
     CouplingSpec,
     _kernel_matrices,
-    _moment_kernel,
     _monotone_root,
     _validate_system,
     pair_integral,
@@ -357,30 +356,27 @@ def gersgorin_energy_bound(
         return -(stars[0] ** 2)
 
     # P_ii(nu*), once: the diagonal of the principal matrix is
-    # P_ii(nu*) - P_ii(nu), with slope kappa_f times the first moment.
+    # P_ii(nu*) - P_ii(nu), with slope -dP_ii/dnu.
     base = [
         pair_integral(s, s, space, constants, ns)
         for s, ns in zip(surfaces, stars)
     ]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    kf = constants.kappa_factor
 
     def gap(nu: float) -> tuple[float, float]:
         """The gap and its nu-slope, the slope of its active min/max piece."""
-        P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
-        p, m = P.tolist(), first.tolist()  # dP/dnu = -kf m
+        p, dp = _kernel_matrices(surfaces, space, constants, nu).tolist()
         k = min(range(n), key=lambda i: base[i] - p[i][i])
         radius = d_radius = 0.0
         for i, j in pairs:
-            r, dr = p[i][j], -kf * m[i][j]
+            r, dr = p[i][j], dp[i][j]
             cs = math.sqrt(p[i][i] * p[j][j])
             if cs < r:
-                # d sqrt(P_ii P_jj) with P_ii' = -kf m_ii
-                r = cs
-                dr = -kf * (m[i][i] * p[j][j] + p[i][i] * m[j][j]) / (2.0 * cs)
+                r = cs  # d sqrt(P_ii P_jj)
+                dr = (dp[i][i] * p[j][j] + p[i][i] * dp[j][j]) / (2.0 * cs)
             if r > radius:
                 radius, d_radius = r, dr
-        return base[k] - p[k][k] - (n - 1) * radius, kf * m[k][k] - (n - 1) * d_radius
+        return base[k] - p[k][k] - (n - 1) * radius, -dp[k][k] - (n - 1) * d_radius
 
     # gap(max nu*) <= 0: the coupling attaining max nu* has zero diagonal.
     lo = max(stars)

@@ -5,19 +5,17 @@ enters through a subtracted diagonal pinned to its standalone level -mu^2,
 a multiple of gamma(nu) - gamma(mu), gamma the static kernel's decay rate.
 A point is one more channel of the principal assembly (principal._phi_arrays)
 with V = 1 and a one-node rule, so the ground state falls out of the same
-Newton search from the left; HybridSystem keeps the points' distances in
-their own space.  In flat space every point entry is concave in nu, so the
-lowest eigenvalue stays concave.  Surfaces are flat-only, so a hyperbolic
-system has points alone; its point diagonal is convex in nu (gamma is), so
-there a Newton step may pass the root, and the search goes on inside the
-bracket that step closes.
+Newton search from the left; two points' entry is the kernel at their
+distance in their own space.  In flat space every point entry is concave
+in nu, so the lowest eigenvalue stays concave.  Surfaces are flat-only, so
+a hyperbolic system has points alone; its point diagonal is convex in nu
+(gamma is), so there a Newton step may pass the root, and the search goes
+on inside the bracket that step closes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import (
     DegeneratePerturbationError,
@@ -76,7 +74,6 @@ class HybridSystem:
     points: tuple[PointSource, ...]
     space: AmbientSpace
     constants: PhysicalConstants
-    _point_distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
@@ -101,14 +98,10 @@ class HybridSystem:
                     raise GeometryViolationError(
                         f"point source at {p.position.coords} lies on a surface"
                     )
-        dists = np.zeros((len(self.points),) * 2)
         for i, p in enumerate(self.points):
             for j in range(i + 1, len(self.points)):
-                d = ambient_distance(self.space, p.position, self.points[j].position)
-                if d == 0.0:
+                if ambient_distance(self.space, p.position, self.points[j].position) == 0.0:
                     raise GeometryViolationError(f"point sources {i} and {j} coincide")
-                dists[i, j] = dists[j, i] = d
-        object.__setattr__(self, "_point_distances", dists)
 
 
 def point_krein(
@@ -131,12 +124,10 @@ def point_krein(
 
 def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     """Principal matrix of the combined system, shells first, points after,
-    with its slope dPhi/dnu: gamma'(nu) times the first moments of the
-    kernel pass off the diagonal, c gamma'(nu) on a point's diagonal
-    c (gamma(nu) - gamma(mu))."""
+    with its slope dPhi/dnu: -dP/dnu from the kernel pass off the diagonal,
+    c gamma'(nu) on a point's diagonal c (gamma(nu) - gamma(mu))."""
     A, slope, _ = _phi_arrays(
-        sys.surfaces, sys.couplings, sys.space, sys.constants, nu,
-        sys.points, sys._point_distances,
+        sys.surfaces, sys.couplings, sys.space, sys.constants, nu, sys.points
     )
     return PrincipalMatrix(nu, A, slope)
 
@@ -171,8 +162,7 @@ def perturbative_shift(sys: HybridSystem) -> float:
     mu = sys.points[0].mu
     # P_ii(mu), the shell diagonal and the point-shell entry, one assembly
     A, B, P = _phi_arrays(
-        sys.surfaces, sys.couplings, sys.space, sys.constants, mu,
-        sys.points, sys._point_distances,
+        sys.surfaces, sys.couplings, sys.space, sys.constants, mu, sys.points
     )
     diag, p_mu, off = float(A[0, 0]), float(P[0, 0]), float(P[0, 1])
     if abs(diag) <= 1e-10 * max(p_mu, abs(diag + p_mu)):

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh
 from .jacobi import jacobi_eigh
-from .kernels import _decay_rate, static_kernel_array
+from .kernels import _decay_rate
 
 __all__ = [
     "Coupling",
@@ -151,69 +151,44 @@ def _check_flat(space: AmbientSpace) -> None:
         )
 
 
-def _static_moments(space: AmbientSpace, constants: PhysicalConstants, nu: float):
-    """kernel_fn(d) = (G(d), d G(d)) of the static kernel at nu > 0: dG/dnu
-    = -gamma'(nu) d G, so -gamma'(nu) times a sum of d G is its nu-slope."""
-    if not nu > 0.0:
-        raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
-    return lambda d: static_kernel_array(space, constants, nu, d, moment=True)
-
-
-def _moment_kernel(space: AmbientSpace, constants: PhysicalConstants, nu: float):
-    """_static_moments in flat space, the only one surface meshes take."""
-    _check_flat(space)
-    return _static_moments(space, constants, nu)
-
-
 def _pair_terms(
-    mesh_i: SurfaceMesh,
-    mesh_j: SurfaceMesh,
+    a: SurfaceMesh | Point3,
+    b: SurfaceMesh | Point3,
     space: AmbientSpace,
     constants: PhysicalConstants,
     nu: float,
-) -> tuple[float, float]:
-    """P_ij(nu) and its slope dP_ij/dnu, from one kernel pass."""
-    total, first = quad.double_sum(mesh_i, mesh_j, _moment_kernel(space, constants, nu))
-    # on the diagonal sqrt(V * V) is V exactly
-    norm = math.sqrt(mesh_i.area * mesh_j.area)
-    return total / norm, -constants.kappa_factor * first / norm
+    order: int = 1,
+) -> tuple[float, ...]:
+    """P_ab(nu) and its nu-derivatives up to order, from one kernel pass
+    over two channels, surfaces (flat space only) before points."""
+    if isinstance(a, SurfaceMesh):
+        _check_flat(space)
+    return quad.double_sum(a, b, space, constants, nu, order)
 
 
-def _kernel_matrices(surfaces, kernel_fn, points=(), point_distances=None):
-    """One symmetric matrix per array kernel_fn(d) returns, over the
-    channels, the surfaces and then the points (Point3): entry (i, j) is
-    that array's double sum over channels i and j divided by sqrt(V_i V_j).
-
-    A point is one node of weight 1 and V = 1, and points k and l lie
-    point_distances[k][l] apart in their space.  A point's own entry is 0,
-    and a lone point, with no entry to sum, gets None.
+def _kernel_matrices(channels, space, constants, nu, order=1):
+    """P and its nu-derivatives up to order over the channels, surfaces
+    first and then points (Point3), stacked as an (order + 1, n, n) array:
+    entry (i, j) of the k-th is d^k P_ij / dnu^k (_pair_terms), with a
+    point one node of weight 1 and V = 1.  A point's own entry is 0.
 
     Each distinct self-integral is summed once.  Surfaces of one form at
     one scale share their cached self-integral geometry (see _quadrature),
     so with equal areas their sums are bitwise equal, and the first one's
     serve the others.
     """
-    channels = (*surfaces, *points)
-    m, n = len(surfaces), len(channels)
-    areas = [mesh.area for mesh in surfaces] + [1.0] * len(points)
-    mats = None
+    n = len(channels)
+    mats = np.zeros((order + 1, n, n))
     passes = {}
     for i, a in enumerate(channels):
         for j in range(i, n):
-            if i == j >= m:
+            if i == j and isinstance(a, Point3):
                 continue
             # a self-integral is keyed by what fixes its value, a pair by place
             key = (a.form, a.scale, a.area) if j == i else (i, j)
-            if i >= m:
-                d = np.array([point_distances[i - m][j - m]])
-                passes[key] = [x[0] for x in kernel_fn(d)]
-            elif key not in passes:
-                passes[key] = quad.double_sum(a, channels[j], kernel_fn)
-            if mats is None:
-                mats = [np.zeros((n, n)) for _ in passes[key]]
-            norm = math.sqrt(areas[i] * areas[j])
-            for M, total in zip(mats, passes[key]):
-                M[i, j] = M[j, i] = total / norm
+            if key not in passes:
+                passes[key] = _pair_terms(a, channels[j], space, constants, nu, order)
+            mats[:, i, j] = mats[:, j, i] = passes[key]
     return mats
 
 
@@ -225,7 +200,7 @@ def pair_integral(
     nu: float,
 ) -> float:
     """(V_i V_j)^{-1/2} double surface integral of the static kernel."""
-    return _pair_terms(mesh_i, mesh_j, space, constants, nu)[0]
+    return _pair_terms(mesh_i, mesh_j, space, constants, nu, 0)[0]
 
 
 def _monotone_root(f, lo, f_lo, ceil, error, tol):
@@ -292,7 +267,7 @@ def assemble_phi(
     nu: float,
 ) -> PrincipalMatrix:
     """Principal matrix at spectral parameter nu (energy -nu**2), with its
-    slope dPhi/dnu = kappa_f times the first moments of the kernel pass.
+    slope dPhi/dnu, -dP/dnu from the same kernel pass off the diagonal.
 
     A nu*-form diagonal's P_ii(nu*) is a constant of nu, summed without its
     slope, once per call for each distinct surface and nu*; at nu* = nu it
@@ -313,18 +288,16 @@ def _point_diagonal(constants: PhysicalConstants, space: AmbientSpace, mu: float
     return c * (gamma_nu - _decay_rate(space, constants, mu)[0]), c * rate_slope
 
 
-def _phi_arrays(surfaces, couplings, space, constants, nu, points=(), point_distances=None):
+def _phi_arrays(surfaces, couplings, space, constants, nu, points=()):
     """(entries, slope, P) at nu, P the kernel matrix, without the eigen
-    solve: surfaces first, then points (hybrid.PointSource) lying
-    point_distances apart.  Off the diagonal, entries are -P and slopes
-    gamma'(nu) times the first moments; a diagonal is 1/lambda_i - P_ii,
-    P_ii(nu_i*) - P_ii, or a point's c (gamma(nu) - gamma(mu)).  Points
-    alone may sit in hyperbolic space, surfaces not (_moment_kernel checks).
+    solve: surfaces first, then points (hybrid.PointSource).  Off the
+    diagonal, entries are -P and slopes -dP/dnu; a diagonal is
+    1/lambda_i - P_ii, P_ii(nu_i*) - P_ii, or a point's c (gamma(nu) -
+    gamma(mu)).  Points alone may sit in hyperbolic space, surfaces not
+    (_pair_terms checks).
     """
-    kernel = (_moment_kernel if surfaces else _static_moments)(space, constants, nu)
-    mats = _kernel_matrices(surfaces, kernel, [p.position for p in points], point_distances)
-    P, first = mats or np.zeros((2, 1, 1))  # a lone point sums nothing
-    A, B = -P, _decay_rate(space, constants, nu)[1] * first
+    P, dP = _kernel_matrices((*surfaces, *(p.position for p in points)), space, constants, nu)
+    A, B = -P, -dP
     stars = {}
     for i, (mesh, cp) in enumerate(zip(surfaces, couplings.items)):
         if cp.lam is not None:
@@ -485,12 +458,11 @@ def surface_potential(
     x: Point3,
 ) -> float:
     """V^{-1/2} integral of the static kernel from a point to one surface:
-    the point-surface sum of _kernel_matrices, inf for a point on a node."""
-    kernel = _moment_kernel(space, constants, nu)
+    the point-surface entry of _kernel_matrices, inf for a point on a node."""
     if not x.is_flat:
         raise InvalidArgumentError("need a flat-space point")
     with np.errstate(divide="ignore"):  # G(0) = inf
-        return quad.double_sum(mesh, x, kernel)[0] / math.sqrt(mesh.area)
+        return _pair_terms(mesh, x, space, constants, nu, 0)[0]
 
 
 def wavefunction(

@@ -4,16 +4,14 @@ The single-surface functional E(alpha) and the multi-surface matrices K, L,
 S share one ingredient: double surface integrals of the static kernel and
 its first two derivatives with respect to the trial parameter alpha (the
 time weights 1, t, t^2 under the integral). They are the flat ones only:
-every entry point here requires flat space. There -dG/dalpha is
-kappa_f / (2 nu) times d G(d), so the weight-t integrals (L and the norm Z)
-are the first distance moments of the weight-1 pass, from the same
-exponential, and d^2G/dalpha^2 is kappa_f / (4 nu^2) times
-kappa_f d^2 G + d G / nu, so S is built from the first and second distance
-moments of that pass too: K, L and S come from one kernel pass per
-surface pair, through principal._kernel_matrices, the assembly the
-principal matrix uses.  The zero mode of I - K is found by
+every entry point here requires flat space. With nu = sqrt(alpha),
+dP/dalpha = P' / (2 nu) and d^2P/dalpha^2 = (P'' - P' / nu) / (4 nu^2), so
+the weight-t integrals (L and the norm Z) and S come from the nu-derivatives
+P' and P'' that the kernel pass returns beside P: K, L and S come from one
+kernel pass per surface pair, through principal._kernel_matrices, the
+assembly the principal matrix uses.  The zero mode of I - K is found by
 principal._ground_state, the Newton search the principal matrices use,
-with L = -dK/dalpha as its slope.
+with -dK/dnu = 2 nu L as its slope.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .principal import (
     _check_flat,
     _ground_state,
     _kernel_matrices,
-    _moment_kernel,
     _pair_terms,
     _validate_system,
 )
@@ -182,18 +179,10 @@ def assemble_variational(
     surfaces = tuple(surfaces)
     lams = _require_lambda_form(couplings)
     nu = math.sqrt(alpha)
-    kernel = _moment_kernel(space, constants, nu)
-
-    def moments(d: np.ndarray):
-        g, dg = kernel(d)
-        return g, dg, d * dg
-
     root = np.sqrt(lams)  # each index absorbs sqrt(lam_i)
-    scale = np.outer(root, root)
-    K, M1, M2 = (scale * M for M in _kernel_matrices(surfaces, moments))
-    kf = constants.kappa_factor
-    L = kf / (2.0 * nu) * M1
-    S = kf / (4.0 * nu * nu) * (kf * M2 + M1 / nu)
+    K, dK, d2K = np.outer(root, root) * _kernel_matrices(surfaces, space, constants, nu, 2)
+    L = (-0.5 / nu) * dK  # -dK/dalpha
+    S = (1.0 / (4.0 * nu * nu)) * (d2K - dK / nu)  # d^2K/dalpha^2
     return VariationalMatrices(alpha=alpha, S=S, L=L, K=K, D=np.diag(root))
 
 
@@ -236,12 +225,10 @@ def solve_variational(
     root = np.sqrt(_require_lambda_form(couplings))
     scale = np.outer(root, root)
     eye = np.eye(len(surfaces))
-    kf = constants.kappa_factor
 
     def phi(nu: float) -> PrincipalMatrix:
-        P, first = _kernel_matrices(surfaces, _moment_kernel(space, constants, nu))
-        # -dK/dnu = 2 nu L, kappa_f times K's first moments
-        return PrincipalMatrix(nu, eye - scale * P, slope=kf * (scale * first))
+        P, dP = _kernel_matrices(surfaces, space, constants, nu)
+        return PrincipalMatrix(nu, eye - scale * P, slope=-(scale * dP))
 
     # the tolerance only sets the result's converged flag, which is dropped
     result = _ground_state(phi, _NU_FLOOR, 1e-10)

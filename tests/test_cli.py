@@ -288,6 +288,32 @@ def test_tiny_ellipsoid_keeps_the_exit_contract(tmp_path, command):
                     assert math.isfinite(float(row[key])), (key, row[key])
 
 
+@pytest.mark.parametrize("radius", [1e-70, 1e70])
+@pytest.mark.parametrize(
+    "command, coupling", [("solve", {"nu_star": 1.0}), ("variational", {"lambda": 2.0})]
+)
+def test_extreme_sphere_keeps_the_exit_contract(tmp_path, command, coupling, radius):
+    # the self-integral of a sphere at scale s is its form's at s nu, so no
+    # sum over- or underflows at either end of the sizes the check accepts
+    data = {
+        "surfaces": [
+            {"shape": "sphere", "params": {"radius": radius}, "order": 8, "coupling": coupling}
+        ]
+    }
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "extreme.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert out.exists() == (code == 0)
+    if code == 0:
+        _, rows = read_rows(out)
+        assert rows
+        for row in rows:
+            for key in ("E_gr", "nu_star", "alpha_star", "residual", "schur_gap", "weights"):
+                for x in filter(None, row.get(key, "").split(";")):
+                    assert math.isfinite(float(x)), (key, row[key])
+
+
 def test_missing_and_malformed_config(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 1
     bad = tmp_path / "bad.json"

@@ -207,15 +207,53 @@ def test_perturbative_shift_sums_the_self_integral_once(constants, flat, sphere1
     passes = []
     inner = _quadrature.double_sum
 
-    def counted(a, b, kernel_fn):
+    def counted(a, b, *args):
         passes.append("self" if a is b else "point")
-        return inner(a, b, kernel_fn)
+        return inner(a, b, *args)
 
     monkeypatch.setattr(_quadrature, "double_sum", counted)
     point = PointSource(flat_point(5.0, 0.0, 0.0), 0.5)
     sys = HybridSystem((sphere16,), CouplingSpec.from_lambdas(1.5), (point,), flat, constants)
     assert perturbative_shift(sys) > 0.0
     assert passes == ["self", "point"]
+
+
+def test_point_rows_go_through_the_traced_pair_sum(constants, flat):
+    # every point-shell entry is one offdiag_weighted_sum call, the layer a
+    # trace counts, and no kernel sum bypasses the diag and offdiag sums
+    meshes = [build_surface(Sphere((4.0 * k, 0.0, 0.0), 1.0), order=8) for k in (0, 1)]
+    points = (
+        PointSource(flat_point(2.0, 3.0, 0.0), 0.6),
+        PointSource(flat_point(2.0, -3.0, 1.0), 0.7),
+    )
+    system = HybridSystem(meshes, CouplingSpec.from_nu_stars(1.0, 1.1), points, flat, constants)
+    calls = {"offdiag": [], "diag": 0, "kernel_sum": 0}
+    offdiag, diag, kernel_sum = (
+        _quadrature.offdiag_weighted_sum, _quadrature.diag_weighted_sum,
+        _quadrature.weighted_kernel_sum,
+    )
+
+    def counted_offdiag(a, b, *args):
+        calls["offdiag"].append((type(a).__name__, type(b).__name__))
+        return offdiag(a, b, *args)
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_quadrature, "offdiag_weighted_sum", counted_offdiag)
+        mp.setattr(_quadrature, "diag_weighted_sum", counted("diag", diag))
+        mp.setattr(_quadrature, "weighted_kernel_sum", counted("kernel_sum", kernel_sum))
+        assemble_hybrid_phi(system, 1.2)
+    assert sorted(calls["offdiag"]) == (
+        [("Point3", "Point3")] + [("SurfaceMesh", "Point3")] * 4 + [("SurfaceMesh", "SurfaceMesh")]
+    )
+    # nu* = 1.0 and 1.1 are two more self-integrals beside P_ii(1.2)
+    assert calls["diag"] == 3
+    assert calls["kernel_sum"] == calls["diag"] + len(calls["offdiag"])
 
 
 def test_perturbative_shift_resonant_channel(constants, flat, sphere16):

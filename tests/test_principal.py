@@ -166,7 +166,7 @@ def test_pair_integral_kernel_calls_per_block(constants, flat, sphere24, monkeyp
     # an order-24 sphere pair sums 24 outer u-rings x 1152 nodes; the block
     # loop makes one kernel call per _BLOCK samples, and every sample once
     other = build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=24)
-    calls = _counting(monkeypatch, "static_kernel_array")
+    calls = _counting(monkeypatch, "static_kernel_array", quad)
     pair_integral(sphere24, other, flat, constants, 1.0)
     assert sum(args[3].size for args in calls) == 27_648
     assert len(calls) <= -(-27_648 // quad._BLOCK)
@@ -505,7 +505,7 @@ def _central(f, x, h):
     "shape",
     [
         Sphere((0.0, 0.0, 0.0), 1.0),
-        Sphere((0.5, 0.0, 0.0), 1.3),  # scale 1.3: the sums take s^4 and s^5
+        Sphere((0.5, 0.0, 0.0), 1.3),  # scale 1.3: s^2 times its form's slope at s nu
         Torus((0.0, 0.0, 0.0), 2.0, 0.5),
         Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8),
     ],

@@ -20,11 +20,13 @@ from shellbound import (
     Ellipsoid,
     GeometryViolationError,
     HybridSystem,
+    PhysicalConstants,
     PointSource,
     Sphere,
     Torus,
     build_surface,
     flat_point,
+    flat_space,
     solve_hybrid_ground_state,
 )
 from shellbound import _quadrature as quad
@@ -42,11 +44,9 @@ GENERAL = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
 
 
 def _scaled(mesh, rows, row_weights):
-    """Patch geometry of the given rows of the mesh's form, scaled by the
-    mesh's s as diag_weighted_sum scales it."""
-    s = mesh.scale
-    d, w = quad._patch_rows(mesh.form, rows, row_weights)
-    return s * d, s**4 * w
+    """Patch geometry (d, w, s) of the given rows of the mesh's form, with
+    the mesh's scale s, which diag_weighted_sum applies by the scale law."""
+    return (*quad._patch_rows(mesh.form, rows, row_weights), mesh.scale)
 
 
 def _full_rule(mesh):
@@ -59,19 +59,18 @@ def _orbit_rule(mesh):
     return _scaled(mesh, *quad._orbit_rows(mesh.form, mesh.form.weights))
 
 
-def _kernel(constants, flat, nu):
-    return lambda x: static_kernel_array(flat, constants, nu, x, moment=True)
-
-
 def _self_integral(geometry, constants, flat, nu):
-    d, w = geometry
-    return quad.weighted_kernel_sum(w, d, _kernel(constants, flat, nu))[0]
+    """The double integral of G_nu over a geometry (d, w, s) of a form at
+    scale s: s^3 times the form's sum at s nu, since G_nu(s d) = G_{s nu}(d)
+    / s and the weights scale by s^4."""
+    d, w, s = geometry
+    return s**3 * quad.weighted_kernel_sum(w, d, flat, constants, s * nu, 0)[0]
 
 
 def _diag_sum(mesh, constants, flat, nu):
     """The mesh's self-integral as the package sums it, from the cached
-    _diag_geometry."""
-    return quad.diag_weighted_sum(mesh, _kernel(constants, flat, nu))[0]
+    _diag_geometry: P_ii times the area."""
+    return quad.diag_weighted_sum(mesh, flat, constants, nu, 0)[0] * mesh.area
 
 
 def test_diag_quadrature_convergence(constants, flat):
@@ -270,17 +269,16 @@ def test_chunked_patch_rows_match_one_batch(constants, flat):
         want = _one_batch_per_group(form, rows, row_weights)
         for got, ref in zip(quad._patch_rows(form, rows, row_weights), want):
             assert np.array_equal(got, ref)
-    # _diag_geometry is the form's orbit rule with distances times s and the
-    # form's own weights, bitwise, and a direct build on the mesh's nodes,
-    # with the chart at the mesh's own size, gives its self-integral to
-    # rounding
-    s = mesh.scale
+    # _diag_geometry is the form's orbit rule at scale s = 1.2, bitwise, and
+    # a direct build on the mesh's nodes, with the chart at the mesh's own
+    # size, gives its self-integral to rounding, as the scale law sums it
+    assert mesh.scale == 1.2
     got = quad._diag_geometry(mesh)
-    assert np.array_equal(got[0], s * want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     sized = _ScaledSphereChart((GENERAL.a, GENERAL.b, GENERAL.c), 2)
     direct = _one_batch_per_group(
         _with_nodes(form, mesh.nodes, sized), *quad._orbit_rows(form, mesh.weights)
-    )
+    ) + (1.0,)
     for nu in (0.1, 1.0, 3.0):
         want = _self_integral(direct, constants, flat, nu)
         assert _diag_sum(mesh, constants, flat, nu) == pytest.approx(want, rel=1e-14)
@@ -300,13 +298,13 @@ def test_patch_poles_survive_a_last_bit_change(constants, flat, axis):
     rows, row_weights = quad._orbit_rows(form, form.weights)
     groups = _pole_groups(form, rows)
     assert [k for _, k in groups] == [0, 1, 2]
-    want = _self_integral(quad._patch_rows(form, rows, row_weights), constants, flat, 1.0)
+    want = _self_integral((*quad._patch_rows(form, rows, row_weights), 1.0), constants, flat, 1.0)
     for direction in (-np.inf, np.inf):
         nodes = form.nodes.copy()
         nodes[:, axis] = np.nextafter(nodes[:, axis], direction)
         bumped = _with_nodes(form, nodes)
         assert _pole_groups(bumped, rows) == groups
-        got = _self_integral(quad._patch_rows(bumped, rows, row_weights), constants, flat, 1.0)
+        got = _self_integral((*quad._patch_rows(bumped, rows, row_weights), 1.0), constants, flat, 1.0)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -421,13 +419,16 @@ def test_offdiag_respects_disjointness(constants, flat, sphere16):
         pair_integral(sphere16, near, flat, constants, 1.0)
 
 
-def test_weighted_kernel_sum_matches_dot():
+def test_weighted_kernel_sum_matches_dot(constants, flat):
+    # the moments sum w d^k G over several blocks, as one dot each would
     rng = np.random.default_rng(3)
     w = rng.random(100_000)
     d = rng.random(100_000) + 0.1
-    got, first = quad.weighted_kernel_sum(w, d, lambda x: (1.0 / x, np.exp(-x)))
-    assert got == pytest.approx(float(np.dot(w, 1.0 / d)), rel=1e-12)
-    assert first == pytest.approx(float(np.dot(w, np.exp(-d))), rel=1e-12)
+    g = static_kernel_array(flat, constants, 0.7, d)
+    got = quad.weighted_kernel_sum(w, d, flat, constants, 0.7, 2)
+    for k, moment in enumerate(got):
+        assert moment == pytest.approx(float(np.dot(w, d**k * g)), rel=1e-12)
+    assert quad.weighted_kernel_sum(w, d, flat, constants, 0.7, 0) == got[:1]
 
 
 _THREADS_CHILD = """
@@ -435,15 +436,14 @@ import pathlib, sys
 import shellbound as sb
 from shellbound import _quadrature as quad
 from shellbound.cli import main
-from shellbound.principal import _moment_kernel
 
 space, constants = sb.flat_space(), sb.PhysicalConstants()
 a = sb.build_surface(sb.Sphere((0.0, 0.0, 0.0), 1.0), order=24)
 b = sb.build_surface(sb.Sphere((4.0, 0.0, 0.0), 1.0), order=24)
 d, w = quad._pair_geometry(a, b)
 for nu in (0.3, 1.0, 3.0):
-    kernel = _moment_kernel(space, constants, nu)
-    sums = quad.diag_weighted_sum(a, kernel) + quad.weighted_kernel_sum(w, d, kernel)
+    sums = (quad.diag_weighted_sum(a, space, constants, nu, 1)
+            + quad.weighted_kernel_sum(w, d, space, constants, nu, 1))
     print(*(x.hex() for x in sums))
 configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 for command, name in (("bounds", "two_spheres"), ("variational", "three_spheres_lambda")):
@@ -659,6 +659,38 @@ def test_self_integral_is_translation_invariant(constants, flat, shape):
         assert pair_integral(moved, moved, flat, constants, nu) == pytest.approx(want, rel=1e-15)
 
 
+# A scaled mesh and the unit mesh of its form, at scales 1.7, 2 and 1.2.
+SCALED = {
+    "sphere": (Sphere((0.0, 0.0, 0.0), 1.7), Sphere((0.0, 0.0, 0.0), 1.0)),
+    "torus": (Torus((0.0, 0.0, 0.0), 2.0, 0.5), Torus((0.0, 0.0, 0.0), 1.0, 0.25)),
+    "ellipsoid": (GENERAL, Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0 / 1.2, 0.8 / 1.2)),
+}
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_mesh_takes_its_forms_arrays(name):
+    # a mesh at any scale caches no array of its own for its self-integral
+    mesh = build_surface(SCALED[name][0], order=12)
+    assert mesh.scale in (1.2, 1.7, 2.0)
+    d, w = quad._diag_geometry(mesh)
+    form = quad._form_geometry(mesh.form)
+    assert d is form[2] and w is form[3]
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_self_integral_at_scale_s_is_its_forms_at_s_nu(constants, flat, name):
+    # P(nu) = s P_1(s nu), P' = s^2 P_1'(s nu) and P'' = s^3 P_1''(s nu),
+    # P_1 the self-integral of the unit mesh of the same form
+    mesh, unit = (build_surface(shape, order=12) for shape in SCALED[name])
+    assert unit.form is mesh.form and unit.scale == 1.0
+    s = mesh.scale
+    for nu in (1e-8, 0.3, 1.0, 5.0):
+        got = quad.double_sum(mesh, mesh, flat, constants, nu, 2)
+        want = quad.double_sum(unit, unit, flat, constants, s * nu, 2)
+        for k, (x, y) in enumerate(zip(got, want)):
+            assert x == pytest.approx(s ** (k + 1) * y, rel=1e-15, abs=0.0), (nu, k)
+
+
 def _radius_sweep(radii, constants, flat):
     """Self-integrals at each radius, one fresh mesh per point as in
     `sweep --param radius`, and a weak reference to the sweep's form."""
@@ -698,7 +730,7 @@ def _pair(order=8):
 def test_geometry_does_not_keep_its_mesh_alive():
     a, b = _pair()
     quad._diag_geometry(a)
-    quad.offdiag_weighted_sum(a, b, lambda d: (1.0 / d, np.ones_like(d)))
+    quad.offdiag_weighted_sum(a, b, flat_space(), PhysicalConstants(), 1.0, 0)
     ref = weakref.ref(a)
     del a
     gc.collect()
@@ -780,7 +812,7 @@ def test_form_geometry_lives_as_long_as_a_mesh_of_its_form():
 def test_clear_caches_empties_both():
     a, b = _pair()
     quad._diag_geometry(a)
-    quad.offdiag_weighted_sum(a, b, lambda d: (1.0 / d, np.ones_like(d)))
+    quad.offdiag_weighted_sum(a, b, flat_space(), PhysicalConstants(), 1.0, 0)
     assert all(n > 0 for n in _sizes())
     quad.clear_caches()
     for name in (*CACHES, "_form_geometry"):

@@ -219,9 +219,9 @@ def test_only_principal_imports_quadrature(name):
     assert _quadrature_imports(tree) == []
 
 
-# Only the engine sums weights times kernel arrays, and only principal makes
-# the kernel arrays: every kernel sum, point sums included, takes one path.
-KERNEL_CALLERS = {"weighted_kernel_sum": "_quadrature.py", "static_kernel_array": "principal.py"}
+# Only the engine sums weights times kernel arrays, and makes the kernel
+# arrays: every kernel sum, point sums included, takes one path.
+KERNEL_CALLERS = {"weighted_kernel_sum": "_quadrature.py", "static_kernel_array": "_quadrature.py"}
 
 
 def _calls(tree: ast.Module, name: str) -> list[int]:
@@ -400,3 +400,50 @@ def test_no_dead_public_names():
     unread = _unread_public_names(trees)
     assert [name for name in unread if name not in UNREAD_PUBLIC_API] == []
     assert [name for name in UNREAD_PUBLIC_API if name not in unread] == []
+
+
+# Only the quadrature engine turns a distance moment into a nu-derivative:
+# these functions take P and its nu-derivatives as the kernel sums return
+# them, so none of them reads the static kernel's decay rate or kappa_f.
+DERIVATIVE_READERS = {
+    "principal.py": ("_pair_terms", "_phi_arrays"),
+    "bounds.py": ("gersgorin_energy_bound",),
+    "variational.py": ("assemble_variational", "solve_variational"),
+}
+RATE_NAMES = ("kappa_factor", "_decay_rate")
+
+
+def _rate_reads(tree: ast.Module, functions) -> list[str]:
+    """Every name or attribute in RATE_NAMES under the named module-level
+    functions, nested functions included, as "function line n: name"."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS) and node.name in functions:
+            found += [
+                (sub.lineno, f"{node.name} line {sub.lineno}: {name}")
+                for sub in ast.walk(node)
+                for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+                if name in RATE_NAMES
+            ]
+    return [text for _, text in sorted(found)]
+
+
+def test_the_check_finds_a_rate_read():
+    tree = ast.parse(
+        "def f(constants, space, nu):\n"
+        "    def slope(x):\n"
+        "        return -constants.kappa_factor * x\n"
+        "    return slope(nu), _decay_rate(space, constants, nu)\n"
+        "def g(constants):\n"
+        "    return constants.kappa_factor\n"
+    )
+    assert _rate_reads(tree, ("f",)) == ["f line 3: kappa_factor", "f line 4: _decay_rate"]
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_READERS))
+def test_derivative_readers_take_the_sums_derivatives(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    functions = DERIVATIVE_READERS[name]
+    defined = {node.name for node in tree.body if isinstance(node, _FUNCTIONS)}
+    assert set(functions) <= defined
+    assert _rate_reads(tree, functions) == []

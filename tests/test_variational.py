@@ -214,9 +214,9 @@ def test_k_l_s_take_one_pass_per_distinct_surface_pair(constants, flat, monkeypa
     passes = []  # self-integral or not, per double sum
     inner_sum = quad.double_sum
 
-    def counted_sum(mesh_i, mesh_j, kernel_fn):
+    def counted_sum(mesh_i, mesh_j, *args):
         passes.append(mesh_i is mesh_j)
-        return inner_sum(mesh_i, mesh_j, kernel_fn)
+        return inner_sum(mesh_i, mesh_j, *args)
 
     monkeypatch.setattr(quad, "double_sum", counted_sum)
     assemble_variational(meshes, CouplingSpec.from_lambdas(2.5, 2.5, 2.5), flat, constants, 1.2)
