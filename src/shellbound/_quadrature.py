@@ -59,12 +59,13 @@ Every double sum takes one path, and only this module knows how the
 static kernel G depends on nu: double_sum takes two channels (surfaces, or
 points of one node of weight 1 and V = 1), the space, the constants, nu
 and a derivative order, and returns P = (V_a V_b)^{-1/2} times the double
-integral of G with its nu-derivatives up to that order.  The
-self-integral goes to diag_weighted_sum, a pair of surfaces, a surface and
-a point, or two points to offdiag_weighted_sum, and their cached
-(distances, weights) to weighted_kernel_sum, which sums the distance
-moments M_k of w d^k G from one static_kernel_array pass (G, d G) per
-block.  As dG/dnu = -gamma' d G, and d^2G/dnu^2 = gamma'^2 d^2 G in flat
+integral of G with its nu-derivatives up to that order.  It refuses
+nu <= 0, and a surface outside flat space, whose node distances it
+measures as Euclidean.  The self-integral goes to diag_weighted_sum, a
+pair of surfaces, a surface and a point, or two points to
+offdiag_weighted_sum, and their cached (distances, weights) to
+weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
+one static_kernel_array pass (G, d G) per block.  As dG/dnu = -gamma' d G, and d^2G/dnu^2 = gamma'^2 d^2 G in flat
 space (gamma'' = 0), the k-th derivative is (-gamma')^k M_k / sqrt(V_a
 V_b): a slope costs one more dot per block and no cached array.
 _diag_geometry caches per mesh, _pair_geometry per mesh pair and
@@ -546,6 +547,14 @@ def offdiag_weighted_sum(
     return _nu_derivatives(moments, space, constants, nu, norm)
 
 
+def _check_flat(space: AmbientSpace) -> None:
+    if not space.is_flat:
+        raise InvalidArgumentError(
+            "surface meshes are embedded in flat ambient space; hyperbolic "
+            "systems are served by the closed-form bound evaluators"
+        )
+
+
 def double_sum(
     a: SurfaceMesh | Point3,
     b: SurfaceMesh | Point3,
@@ -557,6 +566,8 @@ def double_sum(
     """(P_ab, dP_ab/dnu, ...) up to order (at most 2, and 1 outside flat
     space) of two channels, a surface before a point: the self-integral
     when both are the same mesh, else a pair, point or point-pair sum."""
+    if isinstance(a, SurfaceMesh):
+        _check_flat(space)
     if not nu > 0.0:
         raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
     if a is b:

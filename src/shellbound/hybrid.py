@@ -5,7 +5,8 @@ enters through a subtracted diagonal pinned to its standalone level -mu^2,
 a multiple of gamma(nu) - gamma(mu), gamma the static kernel's decay rate.
 A point is one more channel of the principal assembly (principal._phi_arrays)
 with V = 1 and a one-node rule, so the ground state falls out of the same
-Newton search from the left; two points' entry is the kernel at their
+zero-mode search (principal._ground_state), which starts at the highest
+standalone level, mu or nu*; two points' entry is the kernel at their
 distance in their own space.  In flat space every point entry is concave
 in nu, so the lowest eigenvalue stays concave.  Surfaces are flat-only, so
 a hyperbolic system has points alone; its point diagonal is convex in nu
@@ -32,7 +33,6 @@ from .geometry import (
     implicit_value,
 )
 from .principal import (
-    _NU_FLOOR,
     BoundStateResult,
     CouplingSpec,
     PrincipalMatrix,
@@ -140,11 +140,7 @@ def solve_hybrid_ground_state(
     bracket where the hyperbolic point diagonal makes a step pass the root."""
     stars = [cp.nu_star for cp in sys.couplings.items if cp.nu_star is not None]
     stars.extend(p.mu for p in sys.points)
-    return _ground_state(
-        lambda nu: assemble_hybrid_phi(sys, nu),
-        max(stars) if stars else _NU_FLOOR,
-        tol,
-    )
+    return _ground_state(lambda nu: assemble_hybrid_phi(sys, nu), stars, tol)
 
 
 def perturbative_shift(sys: HybridSystem) -> float:

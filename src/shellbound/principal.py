@@ -8,18 +8,22 @@ the zeros of the lowest eigenvalue of the symmetric matrix
                = P_ii(nu_i*) - P_ii(nu)           (nu* form)
     Phi_ij(nu) = -P_ij(nu)   (i != j)
 
-with P_ij the kernel pair integral (V_i V_j)^{-1/2} int int G_nu.  Every
-P_ij is convex and decreasing in nu and the off-diagonals are nonpositive,
-so by Perron-Frobenius the lowest eigenvalue omega(nu) is a minimum of
-concave increasing functions v^T Phi(nu) v over v >= 0: concave and
-increasing.  Its zero is found by Newton's method from the left
-(_monotone_root), which on a concave increasing function never passes the
-root.  The slope omega' = v^T Phi'(nu) v (Hellmann-Feynman) comes from the
-eigenvector already solved for omega and from Phi' = dPhi/dnu, which the
-kernel pass sums beside Phi.  The same finder serves every crossing in
-the package: the Gersgorin gap in bounds and the CLI's area match bring
-their own exact slopes, and its bracket safeguard covers their non-concave
-stretches.
+with P_ij the kernel pair integral (V_i V_j)^{-1/2} int int G_nu, each
+summed by _quadrature.double_sum, the one sum entry, which also refuses a
+surface outside flat space.  Every P_ij is convex and decreasing in nu and
+the off-diagonals are nonpositive, so by Perron-Frobenius the lowest
+eigenvalue omega(nu) is a minimum of concave increasing functions
+v^T Phi(nu) v over v >= 0: concave and increasing.  Its zero is found by
+Newton's method from the left (_monotone_root), which on a concave
+increasing function never passes the root.  The slope omega' =
+v^T Phi'(nu) v (Hellmann-Feynman) comes from the eigenvector already
+solved for omega and from Phi' = dPhi/dnu, which the kernel pass sums
+beside Phi.  The same finder serves every crossing in the package: the
+Gersgorin gap in bounds and the CLI's area match bring their own exact
+slopes, and its bracket safeguard covers their non-concave stretches.
+The zero-mode search around it, _ground_state, is the package's only
+one: hybrid systems call it with their points' levels as starts, and the
+variational zero mode is the lambda-form root (see variational).
 
 A lone surface's coupling solve (energy_from_coupling) runs the same
 Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
@@ -40,6 +44,7 @@ from .errors import (
     InvalidStateError,
     NoBoundStateError,
     NoConvergenceError,
+    UnsupportedRegimeError,
 )
 from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh
 from .jacobi import jacobi_eigh
@@ -143,34 +148,15 @@ class BoundStateResult:
     residual: float
 
 
-def _check_flat(space: AmbientSpace) -> None:
-    if not space.is_flat:
-        raise InvalidArgumentError(
-            "surface meshes are embedded in flat ambient space; hyperbolic "
-            "systems are served by the closed-form bound evaluators"
-        )
-
-
-def _pair_terms(
-    a: SurfaceMesh | Point3,
-    b: SurfaceMesh | Point3,
-    space: AmbientSpace,
-    constants: PhysicalConstants,
-    nu: float,
-    order: int = 1,
-) -> tuple[float, ...]:
-    """P_ab(nu) and its nu-derivatives up to order, from one kernel pass
-    over two channels, surfaces (flat space only) before points."""
-    if isinstance(a, SurfaceMesh):
-        _check_flat(space)
-    return quad.double_sum(a, b, space, constants, nu, order)
+# double_sum's flat-space check, which HybridSystem makes when it is built
+_check_flat = quad._check_flat
 
 
 def _kernel_matrices(channels, space, constants, nu, order=1):
     """P and its nu-derivatives up to order over the channels, surfaces
     first and then points (Point3), stacked as an (order + 1, n, n) array:
-    entry (i, j) of the k-th is d^k P_ij / dnu^k (_pair_terms), with a
-    point one node of weight 1 and V = 1.  A point's own entry is 0.
+    entry (i, j) of the k-th is d^k P_ij / dnu^k (quad.double_sum), with
+    a point one node of weight 1 and V = 1.  A point's own entry is 0.
 
     Each distinct self-integral is summed once.  Surfaces of one form at
     one scale share their cached self-integral geometry (see _quadrature),
@@ -187,7 +173,7 @@ def _kernel_matrices(channels, space, constants, nu, order=1):
             # a self-integral is keyed by what fixes its value, a pair by place
             key = (a.form, a.scale, a.area) if j == i else (i, j)
             if key not in passes:
-                passes[key] = _pair_terms(a, channels[j], space, constants, nu, order)
+                passes[key] = quad.double_sum(a, channels[j], space, constants, nu, order)
             mats[:, i, j] = mats[:, j, i] = passes[key]
     return mats
 
@@ -200,7 +186,7 @@ def pair_integral(
     nu: float,
 ) -> float:
     """(V_i V_j)^{-1/2} double surface integral of the static kernel."""
-    return _pair_terms(mesh_i, mesh_j, space, constants, nu, 0)[0]
+    return quad.double_sum(mesh_i, mesh_j, space, constants, nu, 0)[0]
 
 
 def _monotone_root(f, lo, f_lo, ceil, error, tol):
@@ -294,7 +280,7 @@ def _phi_arrays(surfaces, couplings, space, constants, nu, points=()):
     diagonal, entries are -P and slopes -dP/dnu; a diagonal is
     1/lambda_i - P_ii, P_ii(nu_i*) - P_ii, or a point's c (gamma(nu) -
     gamma(mu)).  Points alone may sit in hyperbolic space, surfaces not
-    (_pair_terms checks).
+    (quad.double_sum checks).
     """
     P, dP = _kernel_matrices((*surfaces, *(p.position for p in points)), space, constants, nu)
     A, B = -P, -dP
@@ -319,10 +305,14 @@ def coupling_from_energy(
     constants: PhysicalConstants,
     nu_star: float,
 ) -> float:
-    """Coupling whose standalone bound state sits at energy -nu_star**2."""
+    """Coupling whose standalone bound state sits at energy -nu_star**2,
+    1 / P(nu_star); a P that underflows to 0 is an unsupported regime."""
     if not nu_star > 0.0:
         raise InvalidArgumentError(f"nu_star must be positive, got {nu_star}")
-    return 1.0 / pair_integral(mesh, mesh, space, constants, nu_star)
+    p = pair_integral(mesh, mesh, space, constants, nu_star)
+    if p == 0.0:
+        raise UnsupportedRegimeError(f"the pair integral underflows at nu_star = {nu_star}")
+    return 1.0 / p
 
 
 def energy_from_coupling(
@@ -350,7 +340,7 @@ def energy_from_coupling(
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
 
     def f(nu: float) -> tuple[float, float]:
-        p, dp = _pair_terms(mesh, mesh, space, constants, nu)
+        p, dp = quad.double_sum(mesh, mesh, space, constants, nu, 1)
         if p == 0.0:
             return math.inf, 0.0
         return -math.log(lam * p), -dp / p
@@ -384,18 +374,21 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, lo: float, tol: float) -> BoundStateResult:
-    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo, _NU_CEIL].
+def _ground_state(phi, starts, tol: float) -> BoundStateResult:
+    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo,
+    _NU_CEIL] from lo = max(starts), or _NU_FLOOR when there are none.
 
-    phi maps nu to the principal matrix with its slope, or to any symmetric
-    matrix family whose lowest eigenvalue rises concavely in its parameter
-    (the variational I - K); the returned weights are its unit null
+    phi maps nu to the principal matrix with its slope; starts are the
+    channels' standalone levels (nu*-form couplings and points), and the
+    diagonal of the channel at the highest one is 0 there, so
+    omega_min(lo) <= 0.  The returned weights are the unit null
     eigenvector at the crossing, sign-fixed to a nonnegative sum
     (ground-state positivity).  iterations counts the evaluations of
-    omega_min made by the root finder.  The matrices it evaluates are kept,
-    so the null vector at the root needs no further assembly, and its
-    eigenpairs, solved for omega_min, also give the slope.
+    omega_min made by the root finder.  The matrices it evaluates are
+    kept, so the null vector at the root needs no further assembly, and
+    its eigenpairs, solved for omega_min, also give the slope.
     """
+    lo = max(starts, default=_NU_FLOOR)
     seen = {}
 
     def omega(nu: float) -> tuple[float, float]:
@@ -442,10 +435,9 @@ def solve_ground_state(
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
-    stars = [cp.nu_star for cp in couplings.items if cp.nu_star is not None]
     return _ground_state(
         lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
-        max(stars) if stars else _NU_FLOOR,
+        [cp.nu_star for cp in couplings.items if cp.nu_star is not None],
         tol,
     )
 
@@ -462,7 +454,7 @@ def surface_potential(
     if not x.is_flat:
         raise InvalidArgumentError("need a flat-space point")
     with np.errstate(divide="ignore"):  # G(0) = inf
-        return _pair_terms(mesh, x, space, constants, nu, 0)[0]
+        return quad.double_sum(mesh, x, space, constants, nu, 0)[0]
 
 
 def wavefunction(

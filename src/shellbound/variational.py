@@ -4,14 +4,20 @@ The single-surface functional E(alpha) and the multi-surface matrices K, L,
 S share one ingredient: double surface integrals of the static kernel and
 its first two derivatives with respect to the trial parameter alpha (the
 time weights 1, t, t^2 under the integral). They are the flat ones only:
-every entry point here requires flat space. With nu = sqrt(alpha),
+the kernel sums refuse a surface in any other space. With nu = sqrt(alpha),
 dP/dalpha = P' / (2 nu) and d^2P/dalpha^2 = (P'' - P' / nu) / (4 nu^2), so
 the weight-t integrals (L and the norm Z) and S come from the nu-derivatives
 P' and P'' that the kernel pass returns beside P: K, L and S come from one
 kernel pass per surface pair, through principal._kernel_matrices, the
-assembly the principal matrix uses.  The zero mode of I - K is found by
-principal._ground_state, the Newton search the principal matrices use,
-with -dK/dnu = 2 nu L as its slope.
+assembly the principal matrix uses.
+
+The zero mode of I - K needs no search of its own.  With D =
+diag(sqrt(lambda_i)), I - K = D Phi D for the lambda-form principal matrix
+Phi at nu = sqrt(alpha), a congruence, so by Sylvester's law of inertia
+(Horn & Johnson, Matrix Analysis, Thm 4.5.8) I - K is singular exactly
+where Phi is, and (I - K) A = 0 exactly when Phi (D A) = 0.  So alpha* is
+the square of the principal root nu* and A is D^{-1} v, normalized, for
+the principal null vector v.
 """
 
 from __future__ import annotations
@@ -25,14 +31,10 @@ from .errors import IllConditionedError, InvalidArgumentError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import jacobi_eigh
 from .principal import (
-    _NU_FLOOR,
     CouplingSpec,
-    PrincipalMatrix,
-    _check_flat,
-    _ground_state,
     _kernel_matrices,
-    _pair_terms,
     _validate_system,
+    solve_ground_state,
 )
 
 __all__ = [
@@ -97,7 +99,6 @@ def normalization_Z(
 
     Equals minus the alpha-derivative of the unnormalized pair integral.
     """
-    _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     return _self_terms(mesh, space, constants, alpha)[1]
@@ -108,7 +109,7 @@ def _self_terms(
 ) -> tuple[float, float]:
     """The weight-1 and weight-t self-integrals (W, Z) at alpha, one pass."""
     nu = math.sqrt(alpha)
-    p, dp = _pair_terms(mesh, mesh, space, constants, nu)
+    p, dp = _kernel_matrices((mesh,), space, constants, nu)[:, 0, 0].tolist()
     return p * mesh.area, -dp * mesh.area / (2.0 * nu)
 
 
@@ -120,7 +121,6 @@ def energy_functional(
     alpha: float,
 ) -> float:
     """Trial energy E(alpha) = W/Z - alpha - (lambda/V) W^2/Z."""
-    _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     if not lam > 0.0:
@@ -172,7 +172,6 @@ def assemble_variational(
     alpha: float,
 ) -> VariationalMatrices:
     """Build K, L, S and D at one alpha, one kernel pass per surface pair."""
-    _check_flat(space)
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     _validate_system(surfaces, couplings)
@@ -208,28 +207,12 @@ def solve_variational(
 ) -> tuple[float, np.ndarray]:
     """Trial parameter alpha* where I - K(alpha) develops a zero mode.
 
-    K's entries are convex and decreasing in nu = sqrt(alpha), so the
-    smallest eigenvalue of I - K is concave and increasing in nu, and
-    principal._ground_state finds its zero by Newton's method from the left
-    in nu over [_NU_FLOOR, _NU_CEIL], the principal matrices' interval,
-    with the slope -dK/dnu = 2 nu L from K's own kernel pass.  (In alpha
-    the flow is concave too, but its slope diverges like 1 / sqrt(alpha)
-    at the floor, and Newton's steps from there need about twice the
-    evaluations.)
-    Returns (alpha*, A) with A the unit zero mode, sign-fixed to
-    nonnegative sum.
+    By the congruence I - K = D Phi D (module docstring), alpha* = nu*^2
+    for the lambda-form ground state nu* of solve_ground_state, and the
+    zero mode is D^{-1} v for its null vector v.  Returns (alpha*, A) with
+    A that zero mode at unit length, componentwise nonnegative as v is.
     """
-    _check_flat(space)
-    _validate_system(surfaces, couplings)
-    surfaces = tuple(surfaces)
     root = np.sqrt(_require_lambda_form(couplings))
-    scale = np.outer(root, root)
-    eye = np.eye(len(surfaces))
-
-    def phi(nu: float) -> PrincipalMatrix:
-        P, dP = _kernel_matrices(surfaces, space, constants, nu)
-        return PrincipalMatrix(nu, eye - scale * P, slope=-(scale * dP))
-
-    # the tolerance only sets the result's converged flag, which is dropped
-    result = _ground_state(phi, _NU_FLOOR, 1e-10)
-    return result.nu_star**2, result.weights
+    result = solve_ground_state(surfaces, couplings, space, constants)
+    A = result.weights / root
+    return result.nu_star**2, A / np.linalg.norm(A)

@@ -20,14 +20,21 @@ from shellbound import (
     PrincipalMatrix,
     Sphere,
     Torus,
+    UnsupportedRegimeError,
     VariationalMatrices,
     assemble_phi,
+    assemble_variational,
     build_surface,
     coupling_from_energy,
+    critical_coupling_exact,
     energy_from_coupling,
+    energy_functional,
     flat_point,
+    gersgorin_energy_bound,
     lowest_eigenvalue_flow,
+    normalization_Z,
     solve_ground_state,
+    solve_variational,
     wavefunction,
 )
 from shellbound.oracles import (
@@ -58,6 +65,35 @@ def test_pair_integral_validation(constants, flat, hyp, sphere16):
         pair_integral(sphere16, sphere16, flat, constants, 0.0)
     with pytest.raises(InvalidArgumentError):
         pair_integral(sphere16, sphere16, hyp, constants, 1.0)
+
+
+# Every surface entry point sums through _quadrature.double_sum, which
+# refuses a surface outside flat space, so that one check serves them all.
+def _pair(mesh):
+    return (mesh, build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=8))
+
+
+LAMS, STARS = CouplingSpec.from_lambdas(2.0, 2.0), CouplingSpec.from_nu_stars(1.0, 1.0)
+SURFACE_ENTRIES = {
+    "pair_integral": lambda m, sp, c: pair_integral(m, m, sp, c, 1.0),
+    "surface_potential": lambda m, sp, c: surface_potential(m, sp, c, 1.0, flat_point(5, 0, 0)),
+    "energy_from_coupling": lambda m, sp, c: energy_from_coupling(m, sp, c, 2.0),
+    "coupling_from_energy": lambda m, sp, c: coupling_from_energy(m, sp, c, 1.0),
+    "critical_coupling_exact": lambda m, sp, c: critical_coupling_exact(m, sp, c, 1e-3),
+    "assemble_phi": lambda m, sp, c: assemble_phi(_pair(m), LAMS, sp, c, 1.0),
+    "solve_ground_state": lambda m, sp, c: solve_ground_state(_pair(m), LAMS, sp, c),
+    "gersgorin_energy_bound": lambda m, sp, c: gersgorin_energy_bound(_pair(m), STARS, sp, c),
+    "normalization_Z": lambda m, sp, c: normalization_Z(m, sp, c, 1.0),
+    "energy_functional": lambda m, sp, c: energy_functional(m, sp, c, 2.0, 1.0),
+    "assemble_variational": lambda m, sp, c: assemble_variational(_pair(m), LAMS, sp, c, 1.0),
+    "solve_variational": lambda m, sp, c: solve_variational(_pair(m), LAMS, sp, c),
+}
+
+
+@pytest.mark.parametrize("entry", SURFACE_ENTRIES)
+def test_surface_entry_points_refuse_hyperbolic_space(constants, hyp, sphere16, entry):
+    with pytest.raises(InvalidArgumentError, match="flat ambient space"):
+        SURFACE_ENTRIES[entry](sphere16, hyp, constants)
 
 
 @pytest.mark.parametrize("nu_star", [0.2, 1.0, 3.0])
@@ -514,7 +550,7 @@ def _central(f, x, h):
 def test_self_integral_slope_matches_central_difference(constants, flat, shape):
     mesh = build_surface(shape, order=16)
     for nu in (0.3, 1.0, 2.5):
-        _, slope = principal._pair_terms(mesh, mesh, flat, constants, nu)
+        _, slope = principal.quad.double_sum(mesh, mesh, flat, constants, nu, 1)
         fd = _central(lambda x: pair_integral(mesh, mesh, flat, constants, x), nu, 1e-5 * nu)
         assert slope < 0.0
         assert slope == pytest.approx(fd, rel=1e-6)
@@ -528,7 +564,7 @@ def test_self_integral_slope_matches_central_difference(constants, flat, shape):
 def test_pair_integral_slope_matches_central_difference(constants, flat, sphere16, other):
     mesh = build_surface(other, order=16)
     for nu in (0.3, 1.0, 2.5):
-        value, slope = principal._pair_terms(sphere16, mesh, flat, constants, nu)
+        value, slope = principal.quad.double_sum(sphere16, mesh, flat, constants, nu, 1)
         assert value == pair_integral(sphere16, mesh, flat, constants, nu)
         fd = _central(lambda x: pair_integral(sphere16, mesh, flat, constants, x), nu, 1e-5 * nu)
         assert slope == pytest.approx(fd, rel=1e-6)
@@ -605,14 +641,14 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
     mesh = request.getfixturevalue(fixture)
     lam = ratio * (1.0 / pair_integral(mesh, mesh, flat, constants, 1e-8))
     values = []
-    inner = principal._pair_terms
+    inner = principal.quad.double_sum
 
     def recorded(*args):
         out = inner(*args)
         values.append(1.0 / lam - out[0])
         return out
 
-    monkeypatch.setattr(principal, "_pair_terms", recorded)
+    monkeypatch.setattr(principal.quad, "double_sum", recorded)
     nu = energy_from_coupling(mesh, flat, constants, lam)
     assert len(values) == n_evals
     assert energy_from_coupling(mesh, flat, constants, lam) == nu
@@ -629,15 +665,23 @@ def test_lambda_solve_reads_an_underflowed_p_as_past_the_root(constants, flat, m
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
     lam = 1e308
     seen = []
-    inner = principal._pair_terms
+    inner = principal.quad.double_sum
 
     def recorded(*args):
         out = inner(*args)
         seen.append((args[4], out[0]))
         return out
 
-    monkeypatch.setattr(principal, "_pair_terms", recorded)
+    monkeypatch.setattr(principal.quad, "double_sum", recorded)
     nu = energy_from_coupling(mesh, flat, constants, lam)
     assert seen[1] == (principal._NU_CEIL, 0.0)
     assert 0.0 < nu < principal._NU_CEIL
     assert lam * pair_integral(mesh, mesh, flat, constants, nu) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_coupling_from_energy_refuses_an_underflowed_p(constants, flat):
+    # on the same sphere P(1e4) underflows to 0, so no finite coupling binds there
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
+    assert pair_integral(mesh, mesh, flat, constants, 1e4) == 0.0
+    with pytest.raises(UnsupportedRegimeError, match="underflows"):
+        coupling_from_energy(mesh, flat, constants, 1e4)

@@ -3,8 +3,8 @@ module-level private name is read somewhere, every public function,
 class, method or property is read somewhere or listed as library API, no
 module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
-no module but principal imports it, and each kernel entry point has one
-calling module.
+no module but principal imports it, each kernel entry point has one
+calling module, and only principal and hybrid call the zero-mode search.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -253,6 +253,28 @@ def test_each_kernel_entry_has_one_calling_module(name):
     assert found == {callee: [] for callee in found}
 
 
+# One zero-mode search: principal._ground_state serves the principal and
+# hybrid solves, and the variational zero mode is the principal root, so no
+# other module runs a search of its own.
+GROUND_STATE_CALLERS = ("principal.py", "hybrid.py")
+
+
+def test_the_check_finds_a_ground_state_call():
+    tree = ast.parse(
+        "from . import principal\n"
+        "from .principal import _ground_state\n"
+        "def solve(phi):\n"
+        "    return _ground_state(phi, [], 1e-10), principal._ground_state(phi, [1.0], 1e-10)\n"
+    )
+    assert _calls(tree, "_ground_state") == [4, 4]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_principal_and_hybrid_search_for_a_zero_mode(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert bool(_calls(tree, "_ground_state")) == (name in GROUND_STATE_CALLERS)
+
+
 def _loads(node: ast.AST):
     """Every name read under node: plain names and attribute names."""
     for sub in ast.walk(node):
@@ -406,7 +428,7 @@ def test_no_dead_public_names():
 # these functions take P and its nu-derivatives as the kernel sums return
 # them, so none of them reads the static kernel's decay rate or kappa_f.
 DERIVATIVE_READERS = {
-    "principal.py": ("_pair_terms", "_phi_arrays"),
+    "principal.py": ("_phi_arrays",),
     "bounds.py": ("gersgorin_energy_bound",),
     "variational.py": ("assemble_variational", "solve_variational"),
 }

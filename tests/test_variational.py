@@ -115,6 +115,20 @@ def test_solve_asymmetric_pair(constants, flat):
     assert np.allclose(A, gs.weights, rtol=1e-7)
 
 
+@pytest.mark.parametrize("lams", [(2.0, 2.0), (1.5, 3.0), (1.2, 8.0)])
+def test_zero_mode_is_the_principal_root_under_d(constants, flat, lams):
+    # I - K = D Phi D with D = diag(sqrt(lambda)): alpha* is nu*^2 and the
+    # zero mode is D^{-1} v / |D^{-1} v| for the principal null vector v
+    small = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    big = build_surface(Sphere((4.0, 0.0, 0.0), 1.3), order=16)
+    spec = CouplingSpec.from_lambdas(*lams)
+    alpha_star, A = solve_variational([small, big], spec, flat, constants)
+    gs = solve_ground_state([small, big], spec, flat, constants)
+    w = gs.weights / np.sqrt(lams)
+    assert alpha_star == gs.nu_star**2
+    assert np.array_equal(A, w / np.linalg.norm(w))
+
+
 def test_nu_star_matched_pair_favors_smaller_sphere(constants, flat):
     # with each channel tuned to the same standalone level, the larger
     # sphere's diagonal falls faster in alpha, so the zero mode of the
