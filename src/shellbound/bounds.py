@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
-from .kernels import KernelBoundConstants, _decay_rate
+from .kernels import KernelBoundConstants, _check_volume, _decay_rate
 from .principal import (
     _NU_CEIL,
     CouplingSpec,
@@ -312,6 +312,7 @@ def offdiagonal_upper_envelope(
         )
     if not nu > 0.0:
         raise InvalidArgumentError(f"nu must be positive, got {nu}")
+    _check_volume(V_M)
     m, hbar = constants.mass, constants.hbar
     decay = math.sqrt(2.0 * m / (kc.C3 * hbar * hbar))
     vol = 0.0
@@ -407,6 +408,7 @@ def finiteness_certificate(
         raise InvalidArgumentError(
             f"need nu > nu_star > 0, got nu={nu}, nu_star={nu_star}"
         )
+    _check_volume(V_M)
     meta = mesh.meta
     if not meta.H_lower < 0.0:
         raise InvalidArgumentError(

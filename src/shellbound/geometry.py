@@ -327,8 +327,8 @@ class SurfaceForm:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = _node_grid_periodic if self.chart.u_periodic else _node_grid_gl
-        U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid(self.chart, self.order))
+        grid = _node_grid(self.chart, self.order)
+        U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid)
         _set_read_only(self, params=np.stack([U, V], axis=-1), nodes=nodes, weights=W)
 
 
@@ -441,7 +441,7 @@ class SurfaceMesh:
             diameter = 2.0 * max(axes)
             # the weights summed at the mesh's own size, whose bits every
             # area-matched spheroid of `sweep --param deformation_c` was built on
-            area = np.sum(_node_grid_gl(_ScaledSphereChart(axes, 2), order)[3])
+            area = np.sum(_node_grid(_ScaledSphereChart(axes, 2), order)[3])
             if meta is None:
                 # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
                 # underflows for axes that pass _check_sizes (1e-76 each)
@@ -539,36 +539,27 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _node_grid_gl(chart, order: int):
-    """Gauss-Legendre in cos(u) times uniform v for polar-type charts.
+def _node_grid(chart, order: int):
+    """The (order, 2 order) grids of u, v, nodes and weights of a chart.
 
-    Returns the (order, 2 order) grids of u, v, nodes and weights.
+    v is uniform.  Polar-type charts take Gauss-Legendre in w = cos(u),
+    doubly periodic ones the uniform trapezoid in u.  dA = J(u, v) du dv
+    and du = dw / sin(u), so W = (J / s_u) w_u dv with s_u = sin(u) and
+    w_u the Gauss-Legendre weights, or s_u = 1 and w_u = 2 pi / order.
     """
-    x, w = _gauss_legendre(order)
-    u = np.arccos(x[::-1])  # ascending u
-    wu = w[::-1]
+    if chart.u_periodic:
+        u = 2.0 * math.pi * np.arange(order) / order
+        su, wu = 1.0, 2.0 * math.pi / order
+    else:
+        x, w = _gauss_legendre(order)
+        u = np.arccos(x[::-1])  # ascending u
+        su, wu = np.sin(u)[:, None], w[::-1, None]
     nv = 2 * order
     v = 2.0 * math.pi * np.arange(nv) / nv
     dv = 2.0 * math.pi / nv
     U, V = np.meshgrid(u, v, indexing="ij")
     nodes, J = chart.evaluate(U, V)
-    # dA = J(u, v) du dv and du = dw/sin(u) under w = cos(u).
-    su = np.sin(U)
-    W = (J / su) * wu[:, None] * dv
-    return U, V, nodes, W
-
-
-def _node_grid_periodic(chart, order: int):
-    """Uniform trapezoid in both angles for doubly periodic charts, on the
-    same grids as _node_grid_gl."""
-    nu_, nv = order, 2 * order
-    u = 2.0 * math.pi * np.arange(nu_) / nu_
-    v = 2.0 * math.pi * np.arange(nv) / nv
-    du = 2.0 * math.pi / nu_
-    dv = 2.0 * math.pi / nv
-    U, V = np.meshgrid(u, v, indexing="ij")
-    nodes, J = chart.evaluate(U, V)
-    W = J * du * dv
+    W = (J / su) * wu * dv
     return U, V, nodes, W
 
 

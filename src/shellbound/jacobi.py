@@ -1,21 +1,18 @@
-"""Cyclic Jacobi eigensolver for small dense symmetric matrices.
+"""Symmetric eigensolver for the small dense matrices of the package.
 
 The bound-state matrices here are tiny (one row per surface or point
-source), so a hand-rolled Jacobi sweep is plenty fast, bitwise
-deterministic, and free of backend-dependent reduction orders.
+source).  jacobi_eigh checks its input and hands the symmetrised matrix to
+LAPACK through numpy.linalg.eigh, and fixes each eigenvector's sign.  On
+one machine LAPACK is deterministic, as the BLAS dot products of the
+kernel sums already are.  The module keeps its name because the benchmark
+tracer wraps jacobi.jacobi_eigh as its eigen-solve layer.
 
-The sweeps run on rows of Python floats: for a 2 x 2 or 3 x 3 matrix
-numpy's per-call overhead dwarfs the arithmetic.  Every rotation makes the
-same floating-point operations in the same order as the column and row
-updates of the numpy implementation kept in tests/test_jacobi.py.  The
-input check rejects a matrix that is not square or has a NaN or infinite
-entry, and accepts exactly the finite ones np.allclose(A, A.T, rtol=0,
-atol) accepts; it is the only validation a PrincipalMatrix gets.  The
-convergence test sums the squared off-diagonal entries left
-to right, which is numpy's pairwise order below 8 terms, so for n <= 3 (at
-most 6 such terms) (w, V) are bitwise those of the numpy rotations by
-construction; the tests check the match up to n = 6.  numpy converts the
-input and sorts and sign-fixes the result.
+_symmetric_rows is the package's one square-finite-symmetric check: a
+PrincipalMatrix gets it through jacobi_eigh, and VariationalMatrices calls
+it on K, L and S.  It runs on Python floats, which for these sizes is
+cheaper than numpy's per-call overhead, rejects an empty or non-square
+matrix and a NaN or infinite entry, and accepts exactly the finite
+matrices with |A_ij - A_ji| <= 1e-12 max|A|.
 """
 
 from __future__ import annotations
@@ -28,73 +25,34 @@ from .errors import InvalidArgumentError, NoConvergenceError
 
 __all__ = ["jacobi_eigh"]
 
-_TOL = 1e-14  # off-diagonal norm, relative to max|A| * n, that ends the sweeps
-_MAX_SWEEPS = 60
 
-
-def _rotate_columns(rows: list, p: int, q: int, c: float, s: float) -> None:
-    for row in rows:
-        x, y = row[p], row[q]
-        row[p] = c * x - s * y
-        row[q] = s * x + c * y
+def _symmetric_rows(A, name: str = "matrix") -> list[list[float]]:
+    """Rows of 0.5 (A + A^T) as Python floats, once A passes the check."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise InvalidArgumentError(f"{name} must be a nonempty square matrix, got shape {A.shape}")
+    rows = A.tolist()
+    entries = [x for row in rows for x in row]
+    if not all(map(math.isfinite, entries)):
+        raise InvalidArgumentError(f"{name} entries must be finite")
+    atol = 1e-12 * max(max(map(abs, entries)), 1e-300)
+    pairs = [list(zip(row, col)) for row, col in zip(rows, zip(*rows))]
+    if any(abs(x - y) > atol for row in pairs for x, y in row):
+        raise InvalidArgumentError(f"{name} must be symmetric")
+    return [[0.5 * (x + y) for x, y in row] for row in pairs]
 
 
 def jacobi_eigh(A: np.ndarray):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigen-decomposition of a symmetric matrix by LAPACK.
 
     Returns (w, V) with eigenvalues ascending and V[:, k] the unit
     eigenvector for w[k], sign-fixed so each vector's largest-magnitude
     component is positive.
     """
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"need a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    rows = A.tolist()
-    entries = [x for row in rows for x in row]
-    if not all(map(math.isfinite, entries)):
-        raise InvalidArgumentError("matrix entries must be finite")
-    # np.allclose(A, A.T, rtol=0, atol) entry by entry
-    atol = 1e-12 * max(1.0, max(map(abs, entries)))
-    for row, col in zip(rows, zip(*rows)):
-        for x, y in zip(row, col):
-            if abs(x - y) > atol:
-                raise InvalidArgumentError("matrix is not symmetric")
-    a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-    if n == 1:
-        return np.array(a[0]), np.eye(1)
-
-    v = np.eye(n).tolist()
-    scale = max(max(abs(x) for row in a for x in row), 1e-300)
-    for _sweep in range(_MAX_SWEEPS):
-        off2 = 0.0  # left to right, not sum(), which compensates from Python 3.12
-        for i, row in enumerate(a):
-            for x in row[:i] + row[i + 1 :]:
-                off2 += x * x
-        if math.sqrt(off2) <= _TOL * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # Standard stable rotation: t = tan(theta) from the smaller root.
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                _rotate_columns(a, p, q, c, s)
-                a_p, a_q = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(a_p, a_q)]
-                a[q] = [s * x + c * y for x, y in zip(a_p, a_q)]
-                a[p][q] = a[q][p] = 0.0
-                _rotate_columns(v, p, q, c, s)
-    else:
-        raise NoConvergenceError(f"Jacobi sweeps did not converge in {_MAX_SWEEPS} passes")
-
-    w = np.array([a[k][k] for k in range(n)])
-    order = np.argsort(w, kind="stable")
-    V = np.array(v)[:, order]
-    flip = V[np.argmax(np.abs(V), axis=0), np.arange(n)] < 0.0
-    V[:, flip] = -V[:, flip]
-    return w[order], V
+    try:
+        w, V = np.linalg.eigh(_symmetric_rows(A))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
+    # max(key=abs) takes the first of equal magnitudes, as argmax does
+    V *= [-1.0 if max(col, key=abs) < 0.0 else 1.0 for col in V.T.tolist()]
+    return w, V

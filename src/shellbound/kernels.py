@@ -126,6 +126,13 @@ def static_kernel_array(
     return (g, d * g) if moment else g
 
 
+def _check_volume(V_M: float) -> None:
+    """Raise unless the ambient volume V_M is positive: finite, or inf for
+    a noncompact manifold.  Every bound with a C1 / V_M term checks it."""
+    if not V_M > 0.0:
+        raise InvalidArgumentError(f"V_M must be positive (or inf), got {V_M}")
+
+
 def heat_kernel_upper_bound(
     kc: KernelBoundConstants,
     V_M: float,
@@ -139,8 +146,7 @@ def heat_kernel_upper_bound(
     Pass V_M = math.inf for noncompact ambient manifolds; the volume term
     then drops out.
     """
-    if not V_M > 0.0:
-        raise InvalidArgumentError(f"V_M must be positive (or inf), got {V_M}")
+    _check_volume(V_M)
     vol_term = 0.0 if math.isinf(V_M) else kc.C1 / V_M
     d_wide = np.asarray(d, dtype=float) / math.sqrt(kc.C3)
     return vol_term + kc.C2 * heat_kernel(flat_space(), constants, t, d_wide)

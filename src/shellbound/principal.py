@@ -111,8 +111,9 @@ class CouplingSpec:
 class PrincipalMatrix:
     """Phi at nu, with its slope dPhi/dnu and its eigenpairs eigh = (w, V).
 
-    Construction solves the eigenpairs with jacobi_eigh, whose input check
-    (square, finite, symmetric) is the matrix's one validation.
+    Construction solves the eigenpairs with jacobi_eigh (LAPACK), whose
+    input check, nonempty, square, finite and symmetric to 1e-12 max|Phi|,
+    is the matrix's one validation.
     """
 
     nu: float
@@ -128,7 +129,7 @@ class PrincipalMatrix:
         return self.entries.shape[0]
 
     def omega_min(self) -> float:
-        """Lowest eigenvalue (cyclic Jacobi)."""
+        """Lowest eigenvalue, solved at construction."""
         return float(self.eigh[0][0])
 
     def omega_slope(self) -> float:

@@ -18,6 +18,12 @@ Phi at nu = sqrt(alpha), a congruence, so by Sylvester's law of inertia
 where Phi is, and (I - K) A = 0 exactly when Phi (D A) = 0.  So alpha* is
 the square of the principal root nu* and A is D^{-1} v, normalized, for
 the principal null vector v.
+
+K, L and S are symmetric by construction, and VariationalMatrices checks
+them with jacobi._symmetric_rows, the package's one square-finite-symmetric
+check.  schur_gap symmetrises S - 2 L K^{-1} L itself before its eigen
+solve: that difference can cancel, so its rounding asymmetry is not bounded
+by 1e-12 of its own largest entry.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import IllConditionedError, InvalidArgumentError
 from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
-from .jacobi import jacobi_eigh
+from .jacobi import _symmetric_rows, jacobi_eigh
 from .principal import (
     CouplingSpec,
     _kernel_matrices,
@@ -48,18 +54,6 @@ __all__ = [
 ]
 
 
-def _check_symmetric(name: str, A: np.ndarray) -> None:
-    """Raise unless A is square, finite and symmetric to 1e-12 * max|A|."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square")
-    scale = float(np.max(np.abs(A)))  # NaN or inf if any entry is
-    if not math.isfinite(scale):  # the symmetry test below passes NaN
-        raise InvalidArgumentError(f"{name} entries must be finite")
-    scale = max(scale, 1e-300)
-    if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:
-        raise InvalidArgumentError(f"{name} must be symmetric")
-
-
 @dataclass(frozen=True, eq=False)
 class VariationalMatrices:
     """Time-weighted kernel matrices at one trial parameter alpha.
@@ -76,7 +70,7 @@ class VariationalMatrices:
 
     def __post_init__(self):
         for name in ("S", "L", "K"):
-            _check_symmetric(name, getattr(self, name))
+            _symmetric_rows(getattr(self, name), name)
 
     @property
     def n(self) -> int:

@@ -25,6 +25,7 @@ from shellbound import (
     finiteness_certificate,
     flat_space,
     gersgorin_energy_bound,
+    heat_kernel_upper_bound,
     hyperbolic_space,
     offdiagonal_upper_envelope,
     solve_ground_state,
@@ -405,6 +406,23 @@ def test_finiteness_certificate_validation(constants, flat, torus16, sphere16):
     with pytest.raises(InvalidArgumentError):
         # spheres have no negative sectional floor
         finiteness_certificate(sphere16, flat, constants, kc, math.inf, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "V_M", [math.nan, -1.0, 0.0, -math.inf], ids=["nan", "negative", "zero", "-inf"]
+)
+def test_bounds_with_a_volume_term_reject_a_bad_volume(constants, flat, V_M):
+    # every evaluator with a C1 / V_M term takes V_M > 0, or inf for a
+    # noncompact manifold, and nothing else
+    kc = KernelBoundConstants(1.0, 1.0, 1.0)
+    torus = build_surface(Torus((0.0, 0.0, 0.0), 2.0, 0.5), order=8)
+    area = 4.0 * math.pi
+    with pytest.raises(InvalidArgumentError, match="V_M"):
+        heat_kernel_upper_bound(kc, V_M, constants, 1.0, 1.0)
+    with pytest.raises(InvalidArgumentError, match="V_M"):
+        offdiagonal_upper_envelope(area, area, 2.0, 1.0, constants, kc, V_M)
+    with pytest.raises(InvalidArgumentError, match="V_M"):
+        finiteness_certificate(torus, flat, constants, kc, V_M, 1.0, 2.0)
 
 
 def test_space_form_jacobian():

@@ -245,18 +245,23 @@ def _with_matrix(kind: str, A: np.ndarray):
 
 @pytest.mark.parametrize("kind", ["principal", "S", "L", "K"])
 def test_matrix_classes_check_square_finite_symmetric(kind):
-    # max|A| = 2e6, so the symmetry tolerance is 2e-6
+    # one rule for every kind: the symmetry tolerance is 1e-12 max|A|, so
+    # 2e-6 at max|A| = 2e6 and 5e-13 at max|A| = 0.5
     A = 1e6 * np.array([[2.0, 1.0], [1.0, 1.0]])
+    small = np.array([[0.5, 0.25], [0.25, 0.5]])
     for bad, match in (
         (np.zeros((2, 3)), "square"),
+        (np.zeros((0, 0)), "square"),
         (np.array([[1.0, math.nan], [math.nan, 1.0]]), "finite"),
         (np.array([[math.inf, 0.0], [0.0, 1.0]]), "finite"),
         (np.array([[1.0, -math.inf], [-math.inf, 1.0]]), "finite"),
         (A + np.array([[0.0, 0.0], [3e-6, 0.0]]), "symmetric"),
+        (small + np.array([[0.0, 0.0], [8e-13, 0.0]]), "symmetric"),
     ):
         with pytest.raises(InvalidArgumentError, match=match):
             _with_matrix(kind, bad)
     _with_matrix(kind, A + np.array([[0.0, 0.0], [1e-6, 0.0]]))
+    _with_matrix(kind, small + np.array([[0.0, 0.0], [2e-13, 0.0]]))
 
 
 def test_coupling_validation():

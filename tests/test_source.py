@@ -4,7 +4,8 @@ class, method or property is read somewhere or listed as library API, no
 module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
 no module but principal imports it, each kernel entry point has one
-calling module, and only principal and hybrid call the zero-mode search.
+calling module, only principal and hybrid call the zero-mode search, and
+only jacobi_eigh and the leggauss port call an eigensolver.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -251,6 +252,42 @@ def test_each_kernel_entry_has_one_calling_module(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     found = {callee: _calls(tree, callee) for callee, owner in KERNEL_CALLERS.items() if name != owner}
     assert found == {callee: [] for callee in found}
+
+
+# One symmetric eigensolver: jacobi_eigh hands every eigen solve to LAPACK's
+# eigh, and the leggauss port, geometry._gauss_legendre, takes its nodes
+# from eigvalsh.  Each is the one call of its routine in the package.
+EIGEN_CALLERS = {
+    "eigh": ("jacobi.py", "jacobi_eigh"),
+    "eigvalsh": ("geometry.py", "_gauss_legendre"),
+}
+
+
+def _calling_functions(tree: ast.Module, name: str) -> list:
+    """The module-level function around each call of name, None outside one."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        found += [owner] * len(_calls(node, name))
+    return found
+
+
+def test_the_check_finds_an_eigen_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "w = np.linalg.eigvalsh(np.eye(2))\n"
+        "def solve(a):\n"
+        "    return np.linalg.eigh(a), eigvalsh(a)\n"
+    )
+    assert _calling_functions(tree, "eigh") == ["solve"]
+    assert _calling_functions(tree, "eigvalsh") == [None, "solve"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_jacobi_and_the_leggauss_port_call_an_eigensolver(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    for callee, (module, function) in EIGEN_CALLERS.items():
+        assert _calling_functions(tree, callee) == ([function] if name == module else [])
 
 
 # One zero-mode search: principal._ground_state serves the principal and
