@@ -102,22 +102,20 @@ def space_form_jacobian(K_signed: float, r: float) -> float:
     return r
 
 
+# The nu that stands in for nu -> 0 in critical_coupling_exact
+_THRESHOLD_NU = 1e-4
+
+
 def critical_coupling_exact(
-    mesh: SurfaceMesh,
-    space: AmbientSpace,
-    constants: PhysicalConstants,
-    nu_floor: float,
+    mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants
 ) -> float:
     """Coupling threshold of a lone surface: the pair integral at nu -> 0.
 
-    The integrand is continuous at nu = 0 for a compact surface, so a small
-    positive floor stands in for the limit.
+    The integrand is continuous at nu = 0 for a compact surface, so the
+    pair integral at the small positive _THRESHOLD_NU stands in for the
+    limit, with a first-order bias (1e-4 relative for the unit sphere).
     """
-    if not 0.0 < nu_floor <= 1e-2:
-        raise InvalidArgumentError(
-            f"nu_floor must lie in (0, 1e-2], got {nu_floor}"
-        )
-    return pair_integral(mesh, mesh, space, constants, nu_floor)
+    return pair_integral(mesh, mesh, space, constants, _THRESHOLD_NU)
 
 
 def coupling_bound_diameter(
@@ -331,7 +329,6 @@ def gersgorin_energy_bound(
     couplings: CouplingSpec,
     space: AmbientSpace,
     constants: PhysicalConstants,
-    tol: float = 1e-10,
 ) -> float:
     """Certified floor E_* <= E_gr from disk separation of the matrix entries.
 
@@ -341,7 +338,7 @@ def gersgorin_energy_bound(
     quadrature overestimates a near-contact entry; on every accepted system
     measured, touching spheres included, the direct entry was at most 0.46
     of it. Diagonals increase and radii decrease in nu, so the crossing is
-    unique.
+    unique, and the search resolves it to 1e-10 (1 + nu).
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
@@ -384,7 +381,7 @@ def gersgorin_energy_bound(
     nu_g, _ = _monotone_root(
         gap, lo, gap(lo), _NU_CEIL,
         NoConvergenceError(f"no disk separation found with nu up to {_NU_CEIL}"),
-        tol,
+        1e-10,
     )
     return -(nu_g * nu_g)
 

@@ -78,17 +78,11 @@ __all__ = ["ExperimentConfig", "load_config", "main"]
 
 _SWEEP_PARAMS = ("nu", "separation", "lambda", "radius", "deformation_c")
 
-_TOP_KEYS = {"constants", "ambient", "surfaces", "points", "solver", "output"}
+_TOP_KEYS = {"constants", "ambient", "surfaces", "points", "output"}
 _SURFACE_KEYS = {"shape", "params", "order", "coupling", "curvature_meta"}
 _POINT_KEYS = {"position", "mu"}
 _META_KEYS = {"H_upper", "H_lower", "rho_min", "rho_max", "chord_arc_delta", "chord_arc_kappa"}
 _SHAPES = {"sphere": Sphere, "torus": Torus, "ellipsoid": Ellipsoid}
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-10
-    nu_min: float = 1e-4  # stand-in for nu -> 0 in the exact critical coupling
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,6 @@ class ExperimentConfig:
     surfaces: tuple[SurfaceMesh, ...]
     couplings: CouplingSpec
     points: tuple[PointSource, ...]
-    solver: SolverSettings
     output_path: str
     config_sha256: str = field(repr=False, default="")
 
@@ -225,15 +218,6 @@ def load_config(path: str) -> ExperimentConfig:
     if not surfaces and not points:
         raise ConfigError("config needs at least one surface or point")
 
-    sobj = _expect_dict(data.get("solver", {}), "solver")
-    _check_keys(sobj, {"tol", "nu_min"}, "solver")
-    solver = SolverSettings(
-        tol=_number(sobj, "tol", "solver", 1e-10),
-        nu_min=_number(sobj, "nu_min", "solver", 1e-4),
-    )
-    if not (solver.tol > 0.0 and 1e-6 <= solver.nu_min <= 1e-2):
-        raise ConfigError(f"solver needs tol > 0 and nu_min in [1e-6, 1e-2], got {solver}")
-
     oobj = _expect_dict(data.get("output", {}), "output")
     _check_keys(oobj, {"path"}, "output")
     out_path = oobj.get("path", "")
@@ -246,7 +230,6 @@ def load_config(path: str) -> ExperimentConfig:
         surfaces=surfaces,
         couplings=couplings,
         points=tuple(points),
-        solver=solver,
         output_path=out_path,
         config_sha256=sha256(raw).hexdigest(),
     )
@@ -289,9 +272,7 @@ def _require_surfaces(cfg: ExperimentConfig, command: str, n: int | None = None)
 
 def cmd_solve(cfg: ExperimentConfig, args):
     _require_surfaces(cfg, "solve")
-    result = solve_ground_state(
-        cfg.surfaces, cfg.couplings, cfg.space, cfg.constants, tol=cfg.solver.tol
-    )
+    result = solve_ground_state(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants)
     columns = ["E_gr", "nu_star", "weights", "residual", "converged", "iterations"]
     return columns, [[
         result.energy, result.nu_star, _fmt_weights(result.weights),
@@ -341,7 +322,7 @@ def cmd_bounds(cfg: ExperimentConfig, args):
     for idx, mesh in enumerate(cfg.surfaces):
         exact = None
         if cfg.space.is_flat:
-            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min)
+            exact = critical_coupling_exact(mesh, cfg.space, cfg.constants)
         for case_name, H in _model_cases(cfg.space, mesh.meta):
             try:
                 val = coupling_bound_model(
@@ -364,9 +345,7 @@ def cmd_bounds(cfg: ExperimentConfig, args):
             e_star = gersgorin_energy_bound(
                 cfg.surfaces, star_spec, cfg.space, cfg.constants
             )
-            e_gr = solve_ground_state(
-                cfg.surfaces, star_spec, cfg.space, cfg.constants, tol=cfg.solver.tol
-            ).energy
+            e_gr = solve_ground_state(cfg.surfaces, star_spec, cfg.space, cfg.constants).energy
             put("gersgorin", "", "all", e_star, e_gr)
     columns = ["row_kind", "case", "surface_index", "value", "exact", "status", "validation"]
     return columns, rows, None
@@ -444,7 +423,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
     def put_solve(value, surfaces, couplings):
         """E_gr and nu_star rows at one grid value; returns E_gr or None."""
         try:
-            r = solve_ground_state(surfaces, couplings, cfg.space, cfg.constants, tol=cfg.solver.tol)
+            r = solve_ground_state(surfaces, couplings, cfg.space, cfg.constants)
         except NoBoundStateError:
             put(value, "E_gr", None, "no-bound-state")
             put(value, "nu_star", None, "no-bound-state")
@@ -492,14 +471,14 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         for r in grid:
             mesh = _grid_mesh(replace(sphere.shape, radius=r), sphere.order)
             put_solve(r, (mesh,), cfg.couplings)
-            put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
+            put(r, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants))
     else:
         _require_surfaces(cfg, "sweep deformation_c", 1)
         if not isinstance(cfg.surfaces[0].shape, Sphere):
             raise ConfigError("sweep deformation_c needs a sphere surface")
         for c in grid:
             mesh = _fixed_area_ellipsoid(cfg.surfaces[0], c)
-            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants, cfg.solver.nu_min))
+            put(c, "lambda_critical", critical_coupling_exact(mesh, cfg.space, cfg.constants))
             put(c, "area", mesh.area)
 
     columns = ["param", "param_value", "metric", "metric_value", "status"]
@@ -528,7 +507,7 @@ def cmd_hybrid(cfg: ExperimentConfig, args):
         space=cfg.space,
         constants=cfg.constants,
     )
-    result = solve_hybrid_ground_state(system, tol=cfg.solver.tol)
+    result = solve_hybrid_ground_state(system)
     rows = [[
         "system", None, None, None, result.energy, result.nu_star,
         _fmt_weights(result.weights), result.residual, None, None, None,
@@ -538,7 +517,7 @@ def cmd_hybrid(cfg: ExperimentConfig, args):
         for i, point in enumerate(cfg.points):
             sub = replace(system, points=(point,))
             shift = perturbative_shift(sub)
-            exact = solve_hybrid_ground_state(sub, tol=cfg.solver.tol)
+            exact = solve_hybrid_ground_state(sub)
             exact_shift = exact.nu_star**2 - point.mu**2
             coords = point.position.as_array()[-3:]
             sep = math.dist(coords, center)

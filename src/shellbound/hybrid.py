@@ -132,15 +132,13 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
     return PrincipalMatrix(nu, A, slope)
 
 
-def solve_hybrid_ground_state(
-    sys: HybridSystem, tol: float = 1e-10
-) -> BoundStateResult:
+def solve_hybrid_ground_state(sys: HybridSystem) -> BoundStateResult:
     """Ground state of the combined system: the zero of omega_min, found by
     the Newton search from the left that pure shells use, which keeps a
     bracket where the hyperbolic point diagonal makes a step pass the root."""
     stars = [cp.nu_star for cp in sys.couplings.items if cp.nu_star is not None]
     stars.extend(p.mu for p in sys.points)
-    return _ground_state(lambda nu: assemble_hybrid_phi(sys, nu), stars, tol)
+    return _ground_state(lambda nu: assemble_hybrid_phi(sys, nu), stars)
 
 
 def perturbative_shift(sys: HybridSystem) -> float:

@@ -46,7 +46,7 @@ from .errors import (
     NoConvergenceError,
     UnsupportedRegimeError,
 )
-from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh
+from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh, _is_normal
 from .jacobi import jacobi_eigh
 from .kernels import _decay_rate
 
@@ -79,10 +79,13 @@ class Coupling:
     def __post_init__(self):
         if (self.lam is None) == (self.nu_star is None):
             raise InvalidArgumentError("give exactly one of lam or nu_star")
-        if self.lam is not None and not self.lam > 0.0:
-            raise InvalidArgumentError(f"coupling must be positive, got {self.lam}")
-        if self.nu_star is not None and not self.nu_star > 0.0:
-            raise InvalidArgumentError(f"nu_star must be positive, got {self.nu_star}")
+        lam, star = self.lam, self.nu_star
+        if lam is not None and not (lam > 0.0 and _is_normal(lam)):  # 1/lambda is an entry
+            raise InvalidArgumentError(f"coupling must be a positive normal float, got {lam}")
+        if star is not None and not (star > 0.0 and _is_normal(star * star)):  # energy -nu*^2
+            raise InvalidArgumentError(
+                f"nu_star must be positive with a normal float square, got {star}"
+            )
 
 
 @dataclass(frozen=True)
@@ -375,17 +378,22 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, starts, tol: float) -> BoundStateResult:
+def _ground_state(phi, starts) -> BoundStateResult:
     """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo,
     _NU_CEIL] from lo = max(starts), or _NU_FLOOR when there are none.
 
     phi maps nu to the principal matrix with its slope; starts are the
     channels' standalone levels (nu*-form couplings and points), and the
     diagonal of the channel at the highest one is 0 there, so
-    omega_min(lo) <= 0.  The returned weights are the unit null
-    eigenvector at the crossing, sign-fixed to a nonnegative sum
-    (ground-state positivity).  iterations counts the evaluations of
-    omega_min made by the root finder.  The matrices it evaluates are
+    omega_min(lo) <= 0; omega_min(lo) > 0 means no bound state.  Past
+    that a zero exists, since as nu grows each diagonal tends to a
+    positive value (1/lambda, P(nu*) or a point's c (gamma(nu) -
+    gamma(mu))) and each off-diagonal to 0, so a search that misses it (a
+    zero past the ceiling, a NaN, the evaluation cap) has not converged.
+    The returned weights are the unit null eigenvector at the crossing,
+    sign-fixed to a nonnegative sum (ground-state positivity); converged
+    means |omega_min| < 1e-10 there.  iterations counts the evaluations
+    of omega_min made by the root finder.  The matrices it evaluates are
     kept, so the null vector at the root needs no further assembly, and
     its eigenpairs, solved for omega_min, also give the slope.
     """
@@ -403,7 +411,7 @@ def _ground_state(phi, starts, tol: float) -> BoundStateResult:
         )
     nu_sol, evals = _monotone_root(
         omega, lo, f_lo, _NU_CEIL,
-        NoBoundStateError(f"no bound state in bracket [{lo}, {_NU_CEIL}]"),
+        NoConvergenceError(f"no zero of omega_min found in [{lo}, {_NU_CEIL}]"),
         0.5e-12,
     )
     w, V = seen[nu_sol].eigh
@@ -415,7 +423,7 @@ def _ground_state(phi, starts, tol: float) -> BoundStateResult:
         energy=-nu_sol * nu_sol,
         nu_star=nu_sol,
         weights=vec,
-        converged=bool(residual < tol),
+        converged=bool(residual < 1e-10),
         iterations=evals,
         residual=residual,
     )
@@ -426,7 +434,6 @@ def solve_ground_state(
     couplings: CouplingSpec,
     space: AmbientSpace,
     constants: PhysicalConstants,
-    tol: float = 1e-10,
 ) -> BoundStateResult:
     """Ground state: the zero of the lowest-eigenvalue flow, found by
     Newton's method from the left with the Hellmann-Feynman slope.
@@ -439,7 +446,6 @@ def solve_ground_state(
     return _ground_state(
         lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
         [cp.nu_star for cp in couplings.items if cp.nu_star is not None],
-        tol,
     )
 
 

@@ -95,7 +95,7 @@ def test_criterion_03_critical_coupling_limit(
 ):
     worst = 0.0
     for mesh, R in ((sphere32, 1.0), (sphere32_r2, 2.0)):
-        lam_c = critical_coupling_exact(mesh, flat, constants, 1e-4)
+        lam_c = critical_coupling_exact(mesh, flat, constants)
         target = 2.0 * constants.mass * R / constants.hbar**2
         worst = max(worst, abs(lam_c - target))
     report(capsys, 3, worst <= 1e-3, f"max abs dev {worst:.2e} from 2mR for R in 1,2")
@@ -105,7 +105,7 @@ def test_criterion_04_bound_hierarchy_and_model_limits(capsys, constants, flat, 
     diam = coupling_bound_diameter(sphere32, constants, 0.0)
     meta = sphere32.meta
     model = coupling_bound_model(flat, meta.H_upper, meta.rho_min, 0.0, constants)
-    exact = critical_coupling_exact(sphere32, flat, constants, 1e-4)
+    exact = critical_coupling_exact(sphere32, flat, constants)
     chain = diam <= model <= exact
 
     H, K, rho = 1.0, 1.0, 1.0

@@ -124,15 +124,14 @@ def test_model_bound_validation(constants, flat, hyp):
 
 
 def test_critical_coupling_richardson(constants, flat, sphere32):
-    # P(nu) = 2mR/hbar^2 - O(nu), so the floor error halves with the floor
-    e1 = abs(critical_coupling_exact(sphere32, flat, constants, 1e-4) - 1.0)
-    e2 = abs(critical_coupling_exact(sphere32, flat, constants, 5e-5) - 1.0)
+    # P(nu) = 2mR/hbar^2 - O(nu), so the error at a small nu halves with nu
+    e1 = abs(pair_integral(sphere32, sphere32, flat, constants, 1e-4) - 1.0)
+    e2 = abs(pair_integral(sphere32, sphere32, flat, constants, 5e-5) - 1.0)
     assert e1 < 1e-3
     assert e1 / e2 == pytest.approx(2.0, rel=1e-2)
-    with pytest.raises(InvalidArgumentError):
-        critical_coupling_exact(sphere32, flat, constants, 0.0)
-    with pytest.raises(InvalidArgumentError):
-        critical_coupling_exact(sphere32, flat, constants, 0.1)
+    # the threshold is the pair integral at nu = 1e-4, bit for bit
+    exact = critical_coupling_exact(sphere32, flat, constants)
+    assert exact == pair_integral(sphere32, sphere32, flat, constants, 1e-4)
 
 
 def test_diameter_bound(constants, flat, sphere16, torus16):
@@ -144,7 +143,7 @@ def test_diameter_bound(constants, flat, sphere16, torus16):
         coupling_bound_diameter(sphere16, constants, -1.0)
     # both shapes: the floor stays below the exact threshold
     for mesh in (sphere16, torus16):
-        exact = critical_coupling_exact(mesh, flat, constants, 1e-4)
+        exact = critical_coupling_exact(mesh, flat, constants)
         assert coupling_bound_diameter(mesh, constants, 0.0) <= exact
 
 
@@ -228,9 +227,6 @@ def test_gersgorin_bounds_ground_state(constants, flat, sphere16):
     assert e_star <= e_gr + 1e-10
     # for an identical pair the 2x2 disk bound is tight
     assert e_star == pytest.approx(e_gr, abs=1e-8)
-    # a tolerance below machine precision runs to full precision, not an error
-    tight = gersgorin_energy_bound([sphere16, other], spec, flat, constants, tol=1e-16)
-    assert tight == pytest.approx(e_star, abs=1e-9)
 
 
 def test_gersgorin_touching_spheres(constants, flat):
@@ -340,7 +336,7 @@ def test_gersgorin_matches_brentq_on_pair_integrals(constants, flat, monkeypatch
     monkeypatch.setattr(bounds, "_kernel_matrices", counted)
     e_star = gersgorin_energy_bound(meshes, spec, flat, constants)
     assert len(calls) <= max_evals
-    # the search tolerance, tol (1 + nu) at tol = 1e-10
+    # the search tolerance, 1e-10 (1 + nu)
     assert abs(math.sqrt(-e_star) - nu_ref) <= 1e-10 * (1.0 + nu_ref)
 
 

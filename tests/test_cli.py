@@ -137,6 +137,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "order": "16"}]},
         # output takes only a path: "format" is an unknown key, as "json" was
         lambda d: {**d, "output": {"format": "csv"}},
+        # no solver block: its old defaults are the package's constants
+        lambda d: {**d, "solver": {"tol": 1e-10, "nu_min": 1e-4}},
+        # a level whose energy underflows, a lambda whose inverse overflows
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "coupling": {"nu_star": 1e-200}}]},
+        lambda d: {**d, "surfaces": [{**d["surfaces"][0], "coupling": {"lambda": 1e-320}}]},
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -182,6 +187,8 @@ def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, c
         ("single_sphere.json", "radius", "1e80", 1),
         ("single_sphere.json", "deformation_c", "1e80", 1),
         ("two_spheres.json", "separation", "1e300", 1),
+        # a level past the search ceiling is no convergence, not no bound state
+        ("single_sphere_lambda.json", "lambda", "2.5,1e300", 2),
     ],
 )
 def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, code):
@@ -656,8 +663,7 @@ def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere3
         if r["metric"] == "area":
             assert abs(float(r["metric_value"]) - 4.0 * math.pi) <= 1e-12
     # at c = 1 the fixed-area ellipsoid is the unit sphere of the config
-    nu_min = load_config(config_dir / "single_sphere.json").solver.nu_min
-    sphere = critical_coupling_exact(sphere32, flat, constants, nu_min)
+    sphere = critical_coupling_exact(sphere32, flat, constants)
     (at_one,) = [float(r["metric_value"]) for r in rows
                  if r["param_value"] == "1.0" and r["metric"] == "lambda_critical"]
     assert abs(at_one - sphere) <= 1e-12

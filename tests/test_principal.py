@@ -60,6 +60,19 @@ def test_pair_integral_matches_oracle(constants, flat, sphere32, nu):
     assert abs(got - exact) / exact < 1e-6
 
 
+# A self-integral's error depends on its scale s and nu only through s nu
+# (the scale law), and the fixed radial order of the singular patch sets
+# it, not the mesh order.  It is 9e-15 at s nu = 10 and 4.9e-10 at 30, but
+# 2.8e-6 at 50 and 2.4e-3 at 100: this pins the resolved range.
+@pytest.mark.parametrize("s_nu", [10.0, 30.0])
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_self_integral_is_resolved_up_to_s_nu_30(constants, flat, R, s_nu):
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), R), order=16)
+    exact = sphere_pair_integral_exact(SphereOracleInput(R=R, nu=s_nu / R))
+    got = pair_integral(mesh, mesh, flat, constants, s_nu / R)
+    assert abs(got - exact) / exact <= 1e-9
+
+
 def test_pair_integral_validation(constants, flat, hyp, sphere16):
     with pytest.raises(InvalidArgumentError):
         pair_integral(sphere16, sphere16, flat, constants, 0.0)
@@ -79,7 +92,7 @@ SURFACE_ENTRIES = {
     "surface_potential": lambda m, sp, c: surface_potential(m, sp, c, 1.0, flat_point(5, 0, 0)),
     "energy_from_coupling": lambda m, sp, c: energy_from_coupling(m, sp, c, 2.0),
     "coupling_from_energy": lambda m, sp, c: coupling_from_energy(m, sp, c, 1.0),
-    "critical_coupling_exact": lambda m, sp, c: critical_coupling_exact(m, sp, c, 1e-3),
+    "critical_coupling_exact": lambda m, sp, c: critical_coupling_exact(m, sp, c),
     "assemble_phi": lambda m, sp, c: assemble_phi(_pair(m), LAMS, sp, c, 1.0),
     "solve_ground_state": lambda m, sp, c: solve_ground_state(_pair(m), LAMS, sp, c),
     "gersgorin_energy_bound": lambda m, sp, c: gersgorin_energy_bound(_pair(m), STARS, sp, c),
@@ -301,6 +314,34 @@ def test_solve_identical_pair_symmetric(constants, flat, sphere16):
 def test_solve_no_bound_state(constants, flat, sphere16):
     with pytest.raises(NoBoundStateError):
         solve_ground_state([sphere16], CouplingSpec.from_lambdas(0.9), flat, constants)
+
+
+def test_a_level_past_the_ceiling_is_no_convergence(constants, flat):
+    # omega_min(floor) <= 0 and the diagonal tends to 1/lambda > 0, so a
+    # zero exists; at lambda = 1e300 it lies past _NU_CEIL, where P is ~1e-4
+    sphere8 = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    with pytest.raises(NoConvergenceError, match="no zero of omega_min"):
+        solve_ground_state([sphere8], CouplingSpec.from_lambdas(1e300), flat, constants)
+    with pytest.raises(NoConvergenceError):
+        energy_from_coupling(sphere8, flat, constants, 1e300)
+
+
+@pytest.mark.parametrize(
+    "lam, nu_star",
+    [
+        (math.inf, None),
+        (1e-320, None),  # 1/lambda overflows
+        (None, math.inf),
+        (None, 1e-200),  # the energy -nu*^2 underflows to -0.0
+        (None, 1e200),  # and here overflows
+    ],
+)
+def test_coupling_rejects_values_no_solve_can_use(lam, nu_star):
+    with pytest.raises(InvalidArgumentError):
+        Coupling(lam=lam, nu_star=nu_star)
+    # the edges of the normal range stay usable
+    Coupling(lam=1e300)
+    Coupling(nu_star=1e-150)
 
 
 def test_lowest_eigenvalue_flow_monotone(constants, flat, sphere16):

@@ -4,8 +4,9 @@ class, method or property is read somewhere or listed as library API, no
 module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
 no module but principal imports it, each kernel entry point has one
-calling module, only principal and hybrid call the zero-mode search, and
-only jacobi_eigh and the leggauss port call an eigensolver.
+calling module, only principal and hybrid call the zero-mode search,
+only jacobi_eigh and the leggauss port call an eigensolver, and every
+keyword default is set by some caller in the package or listed as API.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -15,6 +16,7 @@ import check: it imports names to re-export them.
 import ast
 import collections
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -301,7 +303,7 @@ def test_the_check_finds_a_ground_state_call():
         "from . import principal\n"
         "from .principal import _ground_state\n"
         "def solve(phi):\n"
-        "    return _ground_state(phi, [], 1e-10), principal._ground_state(phi, [1.0], 1e-10)\n"
+        "    return _ground_state(phi, []), principal._ground_state(phi, [1.0])\n"
     )
     assert _calls(tree, "_ground_state") == [4, 4]
 
@@ -506,3 +508,100 @@ def test_derivative_readers_take_the_sums_derivatives(name):
     defined = {node.name for node in tree.body if isinstance(node, _FUNCTIONS)}
     assert set(functions) <= defined
     assert _rate_reads(tree, functions) == []
+
+
+# Keyword defaults that no call under src/ sets, each with the reason it
+# stays.  Any other such default is a knob with one value in use, which
+# belongs in the code as a constant.  As with UNREAD_PUBLIC_API, an entry
+# that is gone or that src/ now sets fails the check too.
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "console entry: None reads sys.argv, tests pass a list",
+    "bounds.offdiagonal_upper_envelope(V_M)": "paper API: infinite volume drops the volume term",
+    "oracles.two_sphere_pair_integral_exact(constants)": "test oracle at the default constants",
+}
+
+
+def _keyword_defaults(tree: ast.Module, module: str) -> list[tuple]:
+    """(qualified name, name, position or None, parameter) of each parameter
+    with a default, in functions and methods at any depth.  The position is
+    the one a call's positional arguments fill, self left out, and None for
+    a keyword-only parameter."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, _FUNCTIONS):
+                qual = f"{prefix}.{sub.name}"
+                a = sub.args
+                positional = a.posonlyargs + a.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                first = len(positional) - len(a.defaults)
+                found.extend(
+                    (qual, sub.name, i - (in_class and not static), arg.arg)
+                    for i, arg in enumerate(positional[first:], first)
+                )
+                found.extend(
+                    (qual, sub.name, None, arg.arg)
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                    if default is not None
+                )
+                visit(sub, qual, False)
+            else:
+                inner = f"{prefix}.{sub.name}" if isinstance(sub, ast.ClassDef) else prefix
+                visit(sub, inner, isinstance(sub, ast.ClassDef) or in_class)
+
+    visit(tree, module, False)
+    return found
+
+
+def _unset_defaults(trees: dict) -> list[str]:
+    """Each parameter with a default that no call sets, as
+    "module.function(parameter)" in source order.
+
+    Calls are matched to definitions by spelling, as a plain name or an
+    attribute.  A call sets a parameter by its keyword or its position;
+    one with *args sets every positional parameter, one with **kwargs
+    every parameter.
+    """
+    calls = collections.defaultdict(list)  # name -> [(positional count, keywords)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {k.arg for k in node.keywords}  # None for **kwargs
+                calls[name].append((math.inf if starred else len(node.args), keywords))
+    unset = []
+    for module, tree in sorted(trees.items()):
+        for qual, name, position, param in _keyword_defaults(tree, module.removesuffix(".py")):
+            if not any(
+                (position is not None and position < count) or param in keywords or None in keywords
+                for count, keywords in calls[name]
+            ):
+                unset.append(f"{qual}({param})")
+    return unset
+
+
+def test_the_check_finds_an_unset_default():
+    trees = {
+        "a.py": ast.parse(
+            "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+            "def g(x=0, y=1):\n    return x\n"
+            "def h(x=0):\n    def inner(t=1):\n        return t\n    return inner()\n"
+            "class K:\n"
+            "    def m(self, y=1, z=2):\n        return y\n"
+            "    @staticmethod\n    def s(y=1):\n        return y\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import K, f, g, h\n"
+            "f(1, 2, c=3)\ng(*[1])\nK().m(5)\nK.s(1)\nh(**{})\n"
+        ),
+    }
+    assert _unset_defaults(trees) == ["a.f(d)", "a.h.inner(t)", "a.K.m(z)"]
+
+
+def test_every_keyword_default_is_set_or_listed():
+    trees = {p.name: ast.parse(p.read_text(), filename=p.name) for p in SRC.glob("*.py")}
+    unset = _unset_defaults(trees)
+    assert [name for name in unset if name not in UNSET_DEFAULTS] == []
+    assert [name for name in UNSET_DEFAULTS if name not in unset] == []
