@@ -94,9 +94,13 @@ holds it weakly.  So equal spheres share one patch build, and a radius
 sweep builds one while the config's own mesh, of the same form, lives.
 Sphere pairs take their u-rings from the same cached form geometry.
 
-Patch rows are built _PATCH_CHUNK = 8 at a time: a batch's scratch arrays
-take about 1 MB (9 MB for 64 rows), and 8 was the fastest of 4 to 64 rows
-on spheres, tori and general ellipsoids.
+Every cached geometry is built in bounded blocks, so a build needs at
+most 1 MiB besides the arrays it keeps.  A pair's distances are taken a
+block of outer rows, about _BLOCK distances, at a time (_pair_distances),
+straight into the (rows, n) array it keeps; a block's (rows, n, 3) node
+difference takes 0.4 MiB.  Patch rows are built _PATCH_CHUNK = 4 at a
+time: a batch's scratch takes about 0.9 MiB on an order-24 general
+ellipsoid, where 8 rows, though faster, take 1.7 MiB.
 """
 
 from __future__ import annotations
@@ -122,9 +126,9 @@ from .geometry import (
 )
 from .kernels import _decay_rate, static_kernel_array
 
-_BLOCK = 16384  # samples per kernel call; see the module docstring
+_BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
-_PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
+_PATCH_CHUNK = 4  # patch rows built per batch, which caps the scratch arrays
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
@@ -465,6 +469,24 @@ def _ring_pair(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     return s_i * mesh_i.form.nodes[rows], s_i * s_i * row_weights, inner, mesh_j.weights
 
 
+def _pair_distances(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Distances (rows, n) from each outer node to every inner node.
+
+    Each block of outer rows, about _BLOCK distances, forms its (rows, n,
+    3) node differences and writes their norms into the result, so the
+    build never holds the differences of all rows, and each distance has
+    the bits it has in one difference over all rows.
+    """
+    d = np.empty((outer.shape[0], inner.shape[0]))
+    step = max(1, _BLOCK // inner.shape[0])
+    for o in range(0, outer.shape[0], step):
+        diff = outer[o : o + step, None, :] - inner[None, :, :]
+        block = d[o : o + step]
+        np.einsum("ijk,ijk->ij", diff, diff, out=block)
+        np.sqrt(block, out=block)
+    return d
+
+
 @_mesh_cache
 def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     """Flattened (distances, weight products) between two disjoint surfaces.
@@ -480,7 +502,9 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     itself, so mirror images in mesh_i have the same inner sum over mesh_j.
     One row per orbit of the shared reflections carries the orbit's summed
     weight of mesh_i and its distances to every node of mesh_j; a pair
-    sharing no plane keeps every node.
+    sharing no plane keeps every node.  The distances are built a block of
+    rows at a time (_pair_distances), so the build's peak is the arrays it
+    keeps plus one block.
     """
     tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
     if np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol) or np.any(
@@ -495,8 +519,7 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
         shared = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
         rows, outer_w = _orbit_rows(mesh_i.form, mesh_i.weights, shared)
         outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
-    diff = outer[:, None, :] - inner[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = _pair_distances(outer, inner)
     if not d.min() > 0.0:  # also catches NaN
         raise GeometryViolationError(
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} share a node"

@@ -75,9 +75,13 @@ def test_deterministic():
 
 
 def test_one_by_one():
-    w, V = jacobi_eigh(np.array([[3.5]]))
-    assert w[0] == 3.5
-    assert V[0, 0] == 1.0
+    # a 1 x 1 keeps LAPACK's bits through the check and the sign rule
+    for x in (3.5, -2.0, 0.0, -0.0, 1e-310, -1e300, 7.25e-9):
+        A = np.array([[x]])
+        w, V = jacobi_eigh(A)
+        w_np, V_np = np.linalg.eigh(A)
+        assert w.dtype == V.dtype == np.float64 and w.shape == (1,) and V.shape == (1, 1)
+        assert w.tobytes() == w_np.tobytes() and V.tobytes() == V_np.tobytes()
 
 
 def test_degenerate_spectrum():
@@ -93,6 +97,9 @@ def test_validation():
     for bad in (
         np.zeros((2, 3)),
         np.zeros((0, 0)),
+        np.zeros((1, 0)),
+        [[math.nan]],
+        [[math.inf]],
         [[1.0, 2.0], [0.0, 1.0]],
         [[1.0, math.nan], [math.nan, 1.0]],
         [[math.nan, 0.0], [0.0, 1.0]],

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -404,13 +405,22 @@ def test_check_disjoint_catches_nested_surfaces(sphere16):
 
 
 def test_rejected_pair_caches_nothing(sphere16):
-    # an overlapping pair raises on every call and leaves no cache entry
+    # an overlapping pair, and a ring pair and a mirror-rule pair that share
+    # a node, raise on every call and leave no cache entry
     near = build_surface(Sphere((1.5, 0.0, 0.0), 1.0), order=8)
+    coincident = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    general = build_surface(GENERAL, order=8)
+    twin = build_surface(GENERAL, order=8)
     before = quad._pair_geometry.cache_info().currsize
-    for _ in range(2):
-        with pytest.raises(GeometryViolationError):
-            quad._pair_geometry(sphere16, near)
-        assert quad._pair_geometry.cache_info().currsize == before
+    for pair, match in (
+        ((sphere16, near), "overlap"),
+        ((sphere16, coincident), "share a node"),
+        ((general, twin), "share a node"),
+    ):
+        for _ in range(2):
+            with pytest.raises(GeometryViolationError, match=match):
+                quad._pair_geometry(*pair)
+            assert quad._pair_geometry.cache_info().currsize == before
 
 
 def test_offdiag_respects_disjointness(constants, flat, sphere16):
@@ -566,6 +576,84 @@ def test_pair_geometry_rows(sphere24):
     diff = sphere24.nodes[:, None, :] - apart.nodes[None, :, :]
     assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1))
     assert np.array_equal(w, (sphere24.weights[:, None] * apart.weights).reshape(-1))
+
+
+def _one_shot_pair_geometry(mesh_i, mesh_j):
+    """_pair_geometry with every outer-minus-inner node difference formed
+    at once, (rows, n, 3): the reference the blocked build matches
+    bitwise."""
+    if quad._is_sphere(mesh_i) and quad._is_sphere(mesh_j):
+        outer, outer_w, inner, inner_w = quad._ring_pair(mesh_i, mesh_j)
+    else:
+        shared = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
+        rows, outer_w = quad._orbit_rows(mesh_i.form, mesh_i.weights, shared)
+        outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
+    diff = outer[:, None, :] - inner[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return d.reshape(-1), (outer_w[:, None] * inner_w[None, :]).reshape(-1)
+
+
+# a ring pair (24 rows), a collinear sphere and ellipsoid on the mirror rule
+# (300 rows) and a sphere and torus in general position (every node), each
+# at order 24: 1152 inner nodes, 14 outer rows per block
+BLOCKED_PAIRS = {
+    "ring": (Sphere((0.0, 0.0, 0.0), 1.0), Sphere((2.5, 0.0, 0.0), 1.0)),
+    "mirror": (Sphere((0.0, 0.0, 0.0), 1.0), dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0))),
+    "general_position": (Sphere((0.0, 0.0, 0.0), 1.0), Torus((3.1, 1.7, -2.2), 2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("shapes", BLOCKED_PAIRS.values(), ids=BLOCKED_PAIRS.keys())
+def test_blocked_pair_geometry_is_the_one_shot_difference(shapes):
+    # the distances are built a block of outer rows at a time, with the bits
+    # of one difference over all rows, in either order of the pair
+    a, b = (build_surface(shape, order=24) for shape in shapes)
+    for outer, inner in ((a, b), (b, a)):
+        want = _one_shot_pair_geometry(outer, inner)
+        rows = want[0].size // inner.nodes.shape[0]
+        step = quad._BLOCK // inner.nodes.shape[0]
+        assert rows > step and rows % step  # several blocks, the last one short
+        got = quad._pair_geometry(outer, inner)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def _traced(build):
+    """build()'s result, the bytes it leaves allocated and the peak of its
+    allocations above them, by tracemalloc (numpy reports its arrays)."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, current - base, peak - current
+
+
+def test_pair_build_peaks_at_the_arrays_it_keeps():
+    # an order-32 sphere beside an ellipsoid keeps 528 x 2048 distances and
+    # weights, 16.5 MiB; their whole (rows, n, 3) difference would take
+    # 24.8 MiB more, one block of it takes 0.4 MiB
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=32)
+    b = build_surface(dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0)), order=32)
+    (d, w), held, scratch = _traced(lambda: quad._pair_geometry.__wrapped__(a, b))
+    assert d.size == 528 * 2048 and held >= d.nbytes + w.nbytes
+    assert scratch <= 2**20
+
+
+def test_patch_build_scratch_stays_under_a_mebibyte():
+    # the order-24 general ellipsoid's 156 patch rows keep 3.7 MiB; a batch
+    # of _PATCH_CHUNK rows needs at most 1 MiB besides
+    form = build_surface(GENERAL, order=24).form
+    out, held, scratch = _traced(lambda: quad._form_geometry.__wrapped__(form))
+    assert out[0].size == 156 and held >= out[2].nbytes + out[3].nbytes
+    assert scratch <= 2**20
 
 
 # Sphere pairs on rings: both spheres revolve about their line of centres.

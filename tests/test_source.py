@@ -5,8 +5,10 @@ module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
 no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
-only jacobi_eigh and the leggauss port call an eigensolver, and every
-keyword default is set by some caller in the package or listed as API.
+only jacobi_eigh and the leggauss port call an eigensolver, only
+_quadrature._pair_distances forms the node differences of two point sets,
+and every keyword default is set by some caller in the package or listed
+as API.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -290,6 +292,86 @@ def test_only_jacobi_and_the_leggauss_port_call_an_eigensolver(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     for callee, (module, function) in EIGEN_CALLERS.items():
         assert _calling_functions(tree, callee) == ([function] if name == module else [])
+
+
+# One helper forms the node differences of two point sets, each outer node
+# against every inner one: _quadrature._pair_distances, which takes them a
+# block of outer rows at a time, so that no pair build holds all of them.
+PAIR_DIFFERENCE = ("_quadrature.py", "_pair_distances")
+
+
+def _new_axis(node: ast.AST) -> bool:
+    """Whether node is an array indexed with a new axis: None, or newaxis
+    bare or as an attribute (np.newaxis)."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(
+        (isinstance(i, ast.Constant) and i.value is None)
+        or "newaxis" in (getattr(i, "id", None), getattr(i, "attr", None))
+        for i in index
+    )
+
+
+def _subtract_outer(func: ast.AST) -> bool:
+    """Whether func is subtract.outer, bare or as an attribute."""
+    inner = getattr(func, "value", None)
+    return getattr(func, "attr", None) == "outer" and "subtract" in (
+        getattr(inner, "id", None), getattr(inner, "attr", None)
+    )
+
+
+def _pairwise_differences(tree: ast.Module) -> list:
+    """The module-level function around each pairwise difference: a
+    subtract.outer call, or a subtraction, by operator or by a subtract
+    call, of two operands that both gain a new axis, as in
+    a[:, None, :] - b[None, :, :]; None outside a function."""
+    found = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub):
+                operands = [sub.left, sub.right]
+            elif isinstance(sub, ast.Call) and _subtract_outer(sub.func):
+                found.append(owner)
+                continue
+            elif isinstance(sub, ast.Call) and "subtract" in (
+                getattr(sub.func, "id", None), getattr(sub.func, "attr", None)
+            ):
+                operands = sub.args[:2]
+            else:
+                continue
+            if len(operands) == 2 and all(map(_new_axis, operands)):
+                found.append(owner)
+    return found
+
+
+def test_the_check_finds_a_pairwise_difference():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import newaxis, subtract\n"
+        "d = a[:, None, :] - b[None, :, :]\n"
+        "def blocked(a, b, o, c):\n"
+        "    return np.subtract(a[o : o + 2, None], b[None], out=c), a[:, None] + b[None]\n"
+        "def one_sided(y, nodes):\n"
+        "    return y - nodes[:, None, :], y[:, None] - nodes, y[0] - nodes[1]\n"
+        "def named_axis(a, b):\n"
+        "    return a[:, np.newaxis] - b[np.newaxis], a[:, newaxis, :] - b[newaxis]\n"
+        "def outer(a, b):\n"
+        "    return np.subtract.outer(a, b), subtract.outer(a, b), np.add.outer(a, b)\n"
+        "def half_named(y, nodes):\n"
+        "    return y[:, np.newaxis] - nodes, y.outer(nodes)\n"
+    )
+    assert _pairwise_differences(tree) == [
+        None, "blocked", "named_axis", "named_axis", "outer", "outer"
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_one_helper_forms_pairwise_node_differences(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    module, function = PAIR_DIFFERENCE
+    assert _pairwise_differences(tree) == ([function] if name == module else [])
 
 
 # One zero-mode search: principal._ground_state serves the principal and
