@@ -45,9 +45,7 @@ array).  Each block is dotted in _DOT = 8192-sample pieces, below the
 10 000 samples from which OpenBLAS splits a dot over its threads, and the
 pieces' partial sums are combined with math.fsum.  So every sum runs on
 the calling thread alone, and its bits do not depend on the BLAS thread
-count or on the machine's core count.  (With a dot over the whole block,
-a sum's last bits moved with OPENBLAS_NUM_THREADS, and the first process
-after an idle spell paid for waking the BLAS threads.)  Each kernel call
+count or on the machine's core count.  Each kernel call
 costs fixed Python overhead, so a larger block means fewer calls: an
 order-24 mirror-rule pair sum of 345 600 samples makes 22 instead of 85
 at 4096 (an order-24 sphere pair, 27 648 samples, makes 2).  Warm
@@ -65,9 +63,10 @@ measures as Euclidean.  The self-integral goes to diag_weighted_sum, a
 pair of surfaces, a surface and a point, or two points to
 offdiag_weighted_sum, and their cached (distances, weights) to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
-one static_kernel_array pass (G, d G) per block.  As dG/dnu = -gamma' d G, and d^2G/dnu^2 = gamma'^2 d^2 G in flat
-space (gamma'' = 0), the k-th derivative is (-gamma')^k M_k / sqrt(V_a
-V_b): a slope costs one more dot per block and no cached array.
+one static_kernel_array pass (G, d G) per block.  As dG/dnu = -gamma' d G
+and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0), the k-th
+derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs one more dot
+per block and no cached array.
 _diag_geometry caches per mesh, _pair_geometry per mesh pair and
 _point_geometry per (mesh, point), for exactly as long as they live: they
 hold them by weak reference, so a sweep that builds a new mesh per point
@@ -95,8 +94,8 @@ sweep builds one while the config's own mesh, of the same form, lives.
 Sphere pairs take their u-rings from the same cached form geometry.
 
 Every cached geometry is built in bounded blocks, so a build needs at
-most 1 MiB besides the arrays it keeps.  A pair's distances are taken a
-block of outer rows, about _BLOCK distances, at a time (_pair_distances),
+most 1 MiB besides the arrays it keeps.  A pair's or a point's distances
+go a block of outer rows, about _BLOCK distances, at a time (_pair_distances),
 straight into the (rows, n) array it keeps; a block's (rows, n, 3) node
 difference takes 0.4 MiB.  Patch rows are built _PATCH_CHUNK = 4 at a
 time: a batch's scratch takes about 0.9 MiB on an order-24 general
@@ -348,7 +347,9 @@ def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
     dv_lo, dv_hi = -math.pi, math.pi
 
     # Quadrilateral corners around the node, CCW, in sheared coordinates
-    # (du, dv) -> (a11 du + a12 dv, a22 dv).
+    # (du, dv) -> (a11 du + a12 dv, a22 dv).  The node is strictly inside,
+    # as du_lo < 0 < du_hi (a re-seated pole keeps u0 in (0, pi)), a11 > 0
+    # and a22 > 0, so each edge's outward normal has h = <normal, C> > 0.
     corners_uv = np.empty((B, 4, 2))
     corners_uv[:, 0] = np.stack([du_lo, np.full(B, dv_lo)], axis=1)
     corners_uv[:, 1] = np.stack([du_hi, np.full(B, dv_lo)], axis=1)
@@ -362,17 +363,13 @@ def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
     g_psi, w_psi = _gl01(_N_PSI)
     g_s, w_s = _gl01(_N_S)
 
-    P = C  # edge start corners
-    Q = np.roll(C, -1, axis=1)  # edge end corners
+    Q = np.roll(C, -1, axis=1)  # edge end corners; C holds the start corners
     span = np.mod(np.roll(theta, -1, axis=1) - theta, 2.0 * math.pi)  # (B, 4)
     psi = theta[..., None] + span[..., None] * g_psi  # (B, 4, n_psi)
     e = np.stack([np.cos(psi), np.sin(psi)], axis=-1)
 
-    nrm = np.stack([P[..., 1] - Q[..., 1], Q[..., 0] - P[..., 0]], axis=-1)
-    h = np.einsum("bki,bki->bk", nrm, P)
-    flip = np.sign(h)
-    nrm = nrm * flip[..., None]
-    h = h * flip
+    nrm = np.stack([Q[..., 1] - C[..., 1], C[..., 0] - Q[..., 0]], axis=-1)
+    h = np.einsum("bki,bki->bk", nrm, C)
     denom = np.einsum("bki,bkji->bkj", nrm, e)
     rho_max = h[..., None] / denom  # (B, 4, n_psi)
 
@@ -531,8 +528,7 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
 @_mesh_cache
 def _point_geometry(mesh: SurfaceMesh, point: Point3):
     """(distances, weights) from a point, one node of weight 1, to a surface."""
-    diff = mesh.nodes - point.as_array()
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff)), mesh.weights
+    return _pair_distances(mesh.nodes, point.as_array()[None]).reshape(-1), mesh.weights
 
 
 def diag_weighted_sum(

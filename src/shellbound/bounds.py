@@ -338,7 +338,8 @@ def gersgorin_energy_bound(
     quadrature overestimates a near-contact entry; on every accepted system
     measured, touching spheres included, the direct entry was at most 0.46
     of it. Diagonals increase and radii decrease in nu, so the crossing is
-    unique, and the search resolves it to 1e-10 (1 + nu).
+    unique, and the search resolves it to 1e-10 (1 + nu). One surface's
+    gap is exactly 0 at its nu*, so the search returns -nu*^2 there.
     """
     _validate_system(surfaces, couplings)
     surfaces = tuple(surfaces)
@@ -350,8 +351,6 @@ def gersgorin_energy_bound(
             )
         stars.append(cp.nu_star)
     n = len(surfaces)
-    if n == 1:
-        return -(stars[0] ** 2)
 
     # P_ii(nu*), once: the diagonal of the principal matrix is
     # P_ii(nu*) - P_ii(nu), with slope -dP_ii/dnu.
@@ -398,8 +397,8 @@ def finiteness_certificate(
     """Closed-form cap I + II on a diagonal entry, checked against quadrature.
 
     Applies to surfaces whose curvature metadata records a negative
-    sectional floor H_lower = -L; the chord-arc product delta * kappa must
-    stay below one for the arc-length substitution to be monotone.
+    sectional floor H_lower = -L; the chord-arc product delta * kappa
+    stays below one, which keeps the arc-length substitution monotone.
     """
     if not nu > nu_star > 0.0:
         raise InvalidArgumentError(
@@ -412,9 +411,7 @@ def finiteness_certificate(
             "certificate needs a negative sectional-curvature floor, got "
             f"H_lower={meta.H_lower}"
         )
-    dk = meta.delta_kappa
-    if not dk < 1.0:
-        raise InvalidArgumentError(f"chord-arc product must be < 1, got {dk}")
+    dk = meta.delta_kappa  # in (0, 1), which SurfaceCurvatureMeta checks
     L = -meta.H_lower
     rho = meta.rho_max
     m, hbar = constants.mass, constants.hbar

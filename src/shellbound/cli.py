@@ -221,8 +221,8 @@ def load_config(path: str) -> ExperimentConfig:
     oobj = _expect_dict(data.get("output", {}), "output")
     _check_keys(oobj, {"path"}, "output")
     out_path = oobj.get("path", "")
-    if out_path and not isinstance(out_path, str):
-        raise ConfigError("output.path must be a string")
+    if "path" in oobj and not (isinstance(out_path, str) and out_path):
+        raise ConfigError(f"output.path must be a non-empty string, got {out_path!r}")
 
     return ExperimentConfig(
         constants=constants,
@@ -263,15 +263,12 @@ def _write_csv(path: str, config_sha: str, header, rows, comment) -> None:
         raise ConfigError(f"cannot write output {path}: {e}") from e
 
 
-def _require_surfaces(cfg: ExperimentConfig, command: str, n: int | None = None) -> None:
-    if not cfg.surfaces:
-        raise ConfigError(f"{command} needs at least one surface")
-    if n is not None and len(cfg.surfaces) != n:
+def _require_surfaces(cfg: ExperimentConfig, command: str, n: int) -> None:
+    if len(cfg.surfaces) != n:
         raise ConfigError(f"{command} needs exactly {n} surface(s), got {len(cfg.surfaces)}")
 
 
 def cmd_solve(cfg: ExperimentConfig, args):
-    _require_surfaces(cfg, "solve")
     result = solve_ground_state(cfg.surfaces, cfg.couplings, cfg.space, cfg.constants)
     columns = ["E_gr", "nu_star", "weights", "residual", "converged", "iterations"]
     return columns, [[
@@ -309,7 +306,6 @@ def _nu_star_spec(cfg: ExperimentConfig):
 
 
 def cmd_bounds(cfg: ExperimentConfig, args):
-    _require_surfaces(cfg, "bounds")
     rows = []
 
     def put(kind, case, idx, value, exact, status=""):
@@ -360,7 +356,7 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError("--grid must list at least one value")
     if any(not math.isfinite(v) or v <= 0.0 for v in grid):
         raise ConfigError("--grid values must be finite and positive")
-    if any(b <= a for a, b in zip(grid, grid[1:])) and len(grid) > 1:
+    if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("--grid values must be strictly increasing")
     return grid
 
@@ -414,7 +410,6 @@ def cmd_sweep(cfg: ExperimentConfig, args):
     if param not in _SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep param {param!r}; choose from {_SWEEP_PARAMS}")
     grid = _parse_grid(args.grid)
-    _require_surfaces(cfg, "sweep")
     rows = []
 
     def put(value, metric, mvalue, status=""):
@@ -486,7 +481,6 @@ def cmd_sweep(cfg: ExperimentConfig, args):
 
 
 def cmd_variational(cfg: ExperimentConfig, args):
-    _require_surfaces(cfg, "variational")
     if any(cp.lam is None for cp in cfg.couplings.items):
         raise ConfigError("variational needs every coupling in lambda form")
     alpha_star, weights = solve_variational(

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from shellbound import (
+    Ellipsoid,
+    FinitenessCertificate,
     InvalidArgumentError,
+    InvalidStateError,
     KernelBoundConstants,
     NoConvergenceError,
     OutOfChartError,
@@ -103,6 +106,19 @@ def test_model_bound_unit_sphere_value(constants, flat):
     )
 
 
+def test_flat_negative_model_is_continuous_where_b_meets_kappa(constants, flat):
+    # H = -4 gives b = sqrt(-H) / 2 = 1 = kappa at nu = 1, where the first
+    # (exp(y rho) - 1) / y term takes its y = 0 limit rho
+    rho = 0.7
+    at = coupling_bound_model(flat, -4.0, rho, 1.0, constants)
+    assert at == pytest.approx(0.5 * MH2 * (rho + 0.5 * -math.expm1(-2.0 * rho)), rel=1e-15)
+    below, above = (
+        coupling_bound_model(flat, -4.0, rho, nu, constants) for nu in (1.0 - 1e-7, 1.0 + 1e-7)
+    )
+    assert below > at > above
+    assert below - at == pytest.approx(at - above, rel=1e-6)
+
+
 def test_model_bound_domain_errors(constants, flat):
     with pytest.raises(OutOfChartError):
         coupling_bound_model(flat, 1.0, math.pi, 0.0, constants)
@@ -180,6 +196,13 @@ def test_diagonal_envelope_below_torus_diagonal(constants, flat, torus16):
         assert 0.0 < env <= diag
 
 
+def test_diagonal_envelope_needs_a_positive_nu(constants):
+    # nu = nu* = 0 passes the ordering check but not nu > 0
+    for H in (0.0, 1.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="nu must be positive"):
+            diagonal_lower_envelope(H, 0.5, 0.0, 0.0, constants)
+
+
 def test_diagonal_envelope_monotone_and_flat_regime(constants):
     vals = [diagonal_lower_envelope(0.0, 1.0, 0.5, nu, constants) for nu in (0.6, 1.0, 2.0, 5.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -212,11 +235,18 @@ def test_offdiagonal_envelope_caps_pair_integral(constants, flat):
         offdiagonal_upper_envelope(a.area, b.area, 0.0, 1.0, constants, kc)
     with pytest.raises(InvalidArgumentError):
         offdiagonal_upper_envelope(a.area, b.area, 2.0, 0.0, constants, kc)
+    with pytest.raises(InvalidArgumentError, match="areas"):
+        offdiagonal_upper_envelope(a.area, 0.0, 2.0, 1.0, constants, kc)
 
 
-def test_gersgorin_single_surface_exact(constants, flat, sphere16):
-    got = gersgorin_energy_bound([sphere16], CouplingSpec.from_nu_stars(1.3), flat, constants)
-    assert got == -(1.3**2)
+def test_gersgorin_single_surface_exact(constants, flat, sphere16, torus16):
+    # one surface has no radius and a zero gap at its own nu*: the search
+    # stops there at once and returns the surface's level bit for bit
+    ellipsoid = build_surface(Ellipsoid((0.1, 0.0, 0.0), 1.0, 1.4, 0.7), order=16)
+    for mesh in (sphere16, torus16, ellipsoid):
+        for ns in (1e-3, 0.37, 1.3, 7.0, 40.0):
+            got = gersgorin_energy_bound([mesh], CouplingSpec.from_nu_stars(ns), flat, constants)
+            assert got == -(ns**2)
 
 
 def test_gersgorin_bounds_ground_state(constants, flat, sphere16):
@@ -402,6 +432,30 @@ def test_finiteness_certificate_validation(constants, flat, torus16, sphere16):
     with pytest.raises(InvalidArgumentError):
         # spheres have no negative sectional floor
         finiteness_certificate(sphere16, flat, constants, kc, math.inf, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("term", [-1e-300, math.inf, math.nan])
+def test_finiteness_certificate_terms_are_finite_and_nonnegative(term):
+    for terms in ((term, 1.0), (1.0, term)):
+        with pytest.raises(InvalidStateError, match="finite and nonnegative"):
+            FinitenessCertificate(*terms)
+
+
+def test_finiteness_certificate_checks_itself_against_quadrature(
+    constants, flat, torus16, monkeypatch
+):
+    # an entry above the closed-form cap is a fault of the cap or of the
+    # quadrature, never a value to return
+    kc = KernelBoundConstants(1.0, 1.0, 1.0)
+    cert = finiteness_certificate(torus16, flat, constants, kc, math.inf, 1.0, 2.0)
+    inner = bounds.pair_integral
+
+    def inflated(mesh_i, mesh_j, space, c, nu):
+        return inner(mesh_i, mesh_j, space, c, nu) + (2.0 * cert.total if nu == 1.0 else 0.0)
+
+    monkeypatch.setattr(bounds, "pair_integral", inflated)
+    with pytest.raises(InvalidStateError, match="exceeds the certificate total"):
+        finiteness_certificate(torus16, flat, constants, kc, math.inf, 1.0, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         # a level whose energy underflows, a lambda whose inverse overflows
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "coupling": {"nu_star": 1e-200}}]},
         lambda d: {**d, "surfaces": [{**d["surfaces"][0], "coupling": {"lambda": 1e-320}}]},
+        # an output path that names no file is rejected, not replaced by the default
+        *(
+            lambda d, path=path: {**d, "output": {"path": path}}
+            for path in (5, 0, False, [], None, "")
+        ),
     ],
 )
 def test_config_errors_exit_one(tmp_path, mangle):
@@ -157,11 +162,13 @@ def test_config_errors_exit_one(tmp_path, mangle):
     ids=lambda command: command[0],
 )
 def test_points_need_the_hybrid_command(tmp_path, command):
-    data = {**SPHERE_LAM, "points": [{"position": [5.0, 0.0, 0.0], "mu": 0.5}]}
-    cfg = write_cfg(tmp_path, data)
-    out = tmp_path / "never.csv"
-    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
-    assert not out.exists()
+    # with or without surfaces, so every command but hybrid has a surface
+    points = [{"position": [5.0, 0.0, 0.0], "mu": 0.5}]
+    for data in ({**SPHERE_LAM, "points": points}, {"points": points}):
+        cfg = write_cfg(tmp_path, data)
+        out = tmp_path / "never.csv"
+        assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
+        assert not out.exists()
 
 
 def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, capsys):
@@ -187,6 +194,8 @@ def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, c
         ("single_sphere.json", "radius", "1e80", 1),
         ("single_sphere.json", "deformation_c", "1e80", 1),
         ("two_spheres.json", "separation", "1e300", 1),
+        # deformation_c deforms a sphere, and a torus is none
+        ("torus.json", "deformation_c", "1.0", 1),
         # a level past the search ceiling is no convergence, not no bound state
         ("single_sphere_lambda.json", "lambda", "2.5,1e300", 2),
     ],
@@ -232,6 +241,19 @@ def test_hyperbolic_point_only_hybrid_runs(tmp_path):
     out = tmp_path / "hybrid.csv"
     assert main(["hybrid", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_sweep_separation_needs_distinct_centres(tmp_path, config_dir, capsys):
+    # a larger sphere around the first: concentric shells have no direction
+    # to move along, which is a config error before any mesh is built
+    data = json.loads((config_dir / "two_spheres.json").read_text())
+    data["surfaces"][1]["params"].update(center=[0.0, 0.0, 0.0], radius=3.0)
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    args = ["sweep", "--config", str(cfg), "--param", "separation", "--grid", "4.0"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert not out.exists()
+    assert "distinct surface centers" in capsys.readouterr().err
 
 
 def test_coincident_surfaces_exit_two(tmp_path, config_dir, capsys):

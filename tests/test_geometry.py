@@ -258,6 +258,11 @@ def test_hyperbolic_distance(hyp):
         ambient_distance(hyp, origin, flat_point(1, 0, 0))
     with pytest.raises(InvalidArgumentError):
         ambient_distance(hyp, origin, Point3((1.0, 5.0, 0.0, 0.0)))
+    # q mirrored onto the lower sheet satisfies the constraint, but the
+    # model is the upper sheet alone
+    lower = Point3((-q.coords[0], *q.coords[1:]))
+    with pytest.raises(InvalidArgumentError, match="upper sheet"):
+        ambient_distance(hyp, origin, lower)
 
 
 def test_implicit_value_signs():

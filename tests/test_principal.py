@@ -31,6 +31,7 @@ from shellbound import (
     energy_functional,
     flat_point,
     gersgorin_energy_bound,
+    hyperbolic_point,
     lowest_eigenvalue_flow,
     normalization_Z,
     solve_ground_state,
@@ -382,6 +383,11 @@ def test_surface_potential_needs_positive_nu(constants, flat, sphere16, nu):
         surface_potential(sphere16, flat, constants, nu, flat_point(5.0, 0.0, 0.0))
 
 
+def test_surface_potential_needs_a_flat_point(constants, flat, hyp, sphere16):
+    with pytest.raises(InvalidArgumentError, match="flat-space point"):
+        surface_potential(sphere16, flat, constants, 1.0, hyperbolic_point(hyp, 5.0, 0.0, 0.0))
+
+
 def test_wavefunction_center_value(constants, flat, sphere24):
     # every surface point is at distance R, so psi(center) = sqrt(V) G(R) / V * V
     result = solve_ground_state([sphere24], CouplingSpec.from_nu_stars(1.0), flat, constants)
@@ -420,6 +426,21 @@ def test_monotone_root_cube_root():
     assert evals == len(points) < 15
     assert points == sorted(points)
     assert all(1.0 - 2.0 / x**3 <= 0.0 for x in points)
+
+
+def test_monotone_root_stops_when_the_bracket_collapses():
+    # a jump at 0: f(0) = -1e-4 with slope 1, f = +1 with slope 1e-6 right
+    # of it.  Each Newton step from the right leaves the bracket, so the
+    # search bisects until half the bracket is within tol and stops there
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 1.0, 1e-6
+
+    root, evals = _monotone_root(f, 0.0, (-1e-4, 1.0), 1.0, NoConvergenceError("unused"), 1e-5)
+    assert points == [1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6]
+    assert (root, evals) == (6.25e-6, 6)
 
 
 def test_monotone_root_converges_from_the_right_on_a_convex_f():

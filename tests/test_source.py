@@ -7,8 +7,8 @@ no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
 only jacobi_eigh and the leggauss port call an eigensolver, only
 _quadrature._pair_distances forms the node differences of two point sets,
-and every keyword default is set by some caller in the package or listed
-as API.
+every keyword default is set by some caller in the package or listed
+as API, and no size is compared with 1 outside a listed function.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -687,3 +687,89 @@ def test_every_keyword_default_is_set_or_listed():
     unset = _unset_defaults(trees)
     assert [name for name in unset if name not in UNSET_DEFAULTS] == []
     assert [name for name in UNSET_DEFAULTS if name not in unset] == []
+
+
+# Comparisons of a size with 1, each with the reason it stays.  Any other
+# is a size-one shortcut: a second path beside the general code for a
+# result the general code gives.  As with UNSET_DEFAULTS, an entry that is
+# gone fails the check too.
+SIZE_ONE_COMPARISONS = {
+    "cli.cmd_hybrid": "perturbation rows exist for one shell only",
+    "geometry._legendre_series": "the one-coefficient case of numpy's legval, which it ports",
+    "hybrid.perturbative_shift": "the second-order shift is defined for one shell and one point",
+}
+
+
+def _is_size(node: ast.AST, names) -> bool:
+    """Whether node is a size: len(...), x.size, x.shape[...], or one of
+    names, those its function assigns a size to."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "len"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "size"
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "attr", None) == "shape"
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _is_one(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 1
+
+
+def _size_one_comparisons(tree: ast.Module, module: str) -> list[str]:
+    """The module-level function or method around each comparison, by any
+    operator, of a size with the number 1, as "module.function" or
+    "module.Class.method", and "module" outside one."""
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body if isinstance(m, _FUNCTIONS)]
+            owners += [(f"{module}.{node.name}.{m.name}", m) for m in methods]
+        else:
+            owners.append((f"{module}.{node.name}" if isinstance(node, _FUNCTIONS) else module, node))
+    found = []
+    for owner, node in owners:
+        names = {
+            t.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Assign) and _is_size(sub.value, ())
+            for t in sub.targets
+            if isinstance(t, ast.Name)
+        }
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Compare):
+                operands = [sub.left, *sub.comparators]
+                found += [
+                    owner
+                    for a, b in zip(operands, operands[1:])
+                    if (_is_one(a) and _is_size(b, names))
+                    or (_is_one(b) and _is_size(a, names))
+                ]
+    return found
+
+
+def test_the_check_finds_a_size_one_comparison():
+    tree = ast.parse(
+        "ONE = len(x) == 1\n"
+        "def f(a, b):\n"
+        "    n = len(a)\n"
+        "    if n == 1:\n"
+        "        return a\n"
+        "    if 1 != b.size or 2 < a.shape[0] > 1:\n"
+        "        return b\n"
+        "    return n == 2, b.order == 1, len(a) == True, a.size == 1.5\n"
+        "class K:\n"
+        "    def m(self, a):\n"
+        "        def inner():\n"
+        "            return a.size <= 1.0\n"
+        "        return inner\n"
+    )
+    assert _size_one_comparisons(tree, "mod") == ["mod", "mod.f", "mod.f", "mod.f", "mod.K.m"]
+
+
+def test_no_size_one_shortcuts():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _size_one_comparisons(ast.parse(path.read_text(), filename=path.name), path.stem)
+    assert [owner for owner in found if owner not in SIZE_ONE_COMPARISONS] == []
+    assert [owner for owner in SIZE_ONE_COMPARISONS if owner not in found] == []

@@ -8,10 +8,12 @@ import pytest
 
 from shellbound import (
     CouplingSpec,
+    IllConditionedError,
     InvalidArgumentError,
     NoBoundStateError,
     PhysicalConstants,
     Sphere,
+    VariationalMatrices,
     assemble_phi,
     assemble_variational,
     build_surface,
@@ -79,6 +81,24 @@ def test_stationarity_check_step_validation(constants, flat, sphere16):
         stationarity_check(sphere16, flat, constants, 2.0, 1.0, 1e-8)
     with pytest.raises(InvalidArgumentError):
         stationarity_check(sphere16, flat, constants, 2.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_trial_energy_needs_positive_alpha_and_lambda(constants, flat, sphere16, bad):
+    with pytest.raises(InvalidArgumentError, match="alpha must be positive"):
+        energy_functional(sphere16, flat, constants, 2.0, bad)
+    with pytest.raises(InvalidArgumentError, match="lambda must be positive"):
+        energy_functional(sphere16, flat, constants, bad, 1.0)
+    with pytest.raises(InvalidArgumentError, match="alpha must be positive"):
+        stationarity_check(sphere16, flat, constants, 2.0, bad, 1e-4)
+
+
+def test_schur_gap_rejects_a_singular_k():
+    # K = [[1, 1], [1, 1]] has eigenvalues 0 and 2: K^{-1} does not exist
+    eye, ones = np.eye(2), np.ones((2, 2))
+    vm = VariationalMatrices(alpha=1.0, S=eye, L=eye, K=ones, D=eye)
+    with pytest.raises(IllConditionedError, match="numerically singular"):
+        schur_gap(vm)
 
 
 def test_solve_single_sphere(constants, flat, sphere32):
