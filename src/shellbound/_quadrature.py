@@ -16,8 +16,8 @@ Two rules cooperate here:
 
 Orbit rule, for both: a symmetry that maps the node grid onto itself, and
 the inner integral's domain onto itself, gives every outer node of one
-orbit the same inner integral.  There only the orbit's first node gets an
-outer row, weighted by the orbit's total outer weight.
+orbit the same inner integral.  There only the orbit's least node gets an
+outer row, weighted by the math.fsum of the orbit's outer weights.
 
 * Self-integrals: on a surface of revolution about its chart axis (every
   sphere and torus, and an ellipsoid with a == b) the orbits are the
@@ -85,13 +85,13 @@ the patch rows once per form at s = 1, and _diag_geometry returns those
 very arrays at every scale.  In flat space G_nu(s d) = G_{s nu}(d) / s and
 the weights scale by s^4, so a self-integral at scale s is its form's at
 s nu: P(nu) = s P_form(s nu), P' = s^2 P_form'(s nu), P'' = s^3
-P_form''(s nu).  diag_weighted_sum normalizes the form's sums by the
-form's area V / s^2 before it applies the powers of s, so nothing over-
-or underflows at any size the mesh builder accepts.  The form geometry
-lives as long as any mesh of its form: the meshes hold the form, the cache
-holds it weakly.  So equal spheres share one patch build, and a radius
-sweep builds one while the config's own mesh, of the same form, lives.
-Sphere pairs take their u-rings from the same cached form geometry.
+P_form''(s nu).  diag_weighted_sum normalizes the form's sums by
+form.area before it applies the powers of s, so nothing over- or
+underflows at any size the mesh builder accepts.  The form geometry lives
+as long as any mesh of its form: the meshes hold the form, the cache holds
+it weakly.  So equal spheres share one patch build, and a radius sweep
+builds one while the config's own mesh, of the same form, lives.  Sphere
+pairs take their u-rings from the orbit rule, building no patch rows.
 
 Every cached geometry is built in bounded blocks, so a build needs at
 most 1 MiB besides the arrays it keeps.  A pair's or a point's distances
@@ -257,20 +257,14 @@ def _patch_chart_groups(form: SurfaceForm, rows: np.ndarray):
 
 
 def _orbit_rows(form: SurfaceForm, weights: np.ndarray, mirrors=None):
-    """An orbit rule's outer rows, the first node of each orbit, and each
-    orbit's sum of weights, the form's or those of a mesh of the form."""
-    members = _orbit_members(form, mirrors)
-    return members[:, 0], np.append(weights, 0.0)[members].sum(axis=1)
-
-
-def _orbit_members(form: SurfaceForm, mirrors=None) -> np.ndarray:
-    """The orbits of a symmetry group of the form's node grid, as rows.
+    """An orbit rule's outer rows, ascending, and the math.fsum of each
+    orbit's weights, the form's or those of a mesh of the form.
 
     The form's nodes form an order x 2*order grid: contiguous blocks of
-    equal u, each starting at v = 0.  A symmetry that maps this grid onto
-    itself gives every node of one orbit the same inner integral.  Row r
-    lists the nodes of orbit r, first the one that stands for it; the node
-    count marks a gap.
+    equal u, each starting at v = 0.  A symmetry group that maps this grid
+    onto itself acts on the u and the v index separately, so the least
+    image of a node, its least u image times 2*order plus its least v
+    image, is the row that stands for its orbit.
 
     mirrors lists the coordinate axes a whose reflection x_a -> -x_a about
     the centre to use: x -> -x is v -> pi - v and y -> -y is v -> -v on the
@@ -279,14 +273,13 @@ def _orbit_members(form: SurfaceForm, mirrors=None) -> np.ndarray:
     torus.  Every builder form is mirror-symmetric in the three coordinate
     planes (tests/test_quadrature.py checks each).  None asks for the
     self-integral's group: the u-rings on a surface of revolution about its
-    chart axis, all three reflections otherwise.
+    chart axis (each v's least image is 0), all three reflections otherwise.
     """
     n_u = form.order
     n_v = 2 * n_u
     i, k = np.arange(n_u), np.arange(n_v)
     if mirrors is None and form.chart.revolution:
-        u_orbits = _orbits([i])
-        v_orbits = _orbits([(k + s) % n_v for s in range(n_v)])
+        u_least, v_least = i, np.zeros_like(k)
     else:
         mirrors = (0, 1, 2) if mirrors is None else mirrors
         h = n_v // 2  # v = pi
@@ -294,24 +287,12 @@ def _orbit_members(form: SurfaceForm, mirrors=None) -> np.ndarray:
         u_maps = [i, -i % n_u if form.chart.u_periodic else n_u - 1 - i]
         # identity, y -> -y, x -> -x, and both: v, -v, pi - v, pi + v
         v_maps = [k, -k % n_v, (h - k) % n_v, (h + k) % n_v]
-        u_orbits = _orbits(u_maps[: 1 + z])
-        v_orbits = _orbits([m for m, use in zip(v_maps, (True, y, x, x and y)) if use])
-    uo, vo = u_orbits[:, None, :, None], v_orbits[None, :, None, :]
-    members = np.where((uo < 0) | (vo < 0), n_u * n_v, uo * n_v + vo)
-    return members.reshape(u_orbits.shape[0] * v_orbits.shape[0], -1)
-
-
-def _orbits(images) -> np.ndarray:
-    """Orbits of range(m) under a group of index maps, as matrix rows.
-
-    images[g][x] is the image of x under the group's element g, identity
-    first.  Each orbit is listed once, from its least index, its members in
-    the order of images; repeats are dropped and gaps filled with -1.
-    """
-    img = np.stack(images, axis=1)
-    orbits = [list(dict.fromkeys(o)) for o in img[img.min(axis=1) == img[:, 0]].tolist()]
-    width = max(len(o) for o in orbits)
-    return np.array([o + [-1] * (width - len(o)) for o in orbits])
+        u_least = np.min(u_maps[: 1 + z], axis=0)
+        v_least = np.min([m for m, use in zip(v_maps, (True, y, x, x and y)) if use], axis=0)
+    least = (u_least[:, None] * n_v + v_least).reshape(-1)
+    rows, orbit = np.unique(least, return_inverse=True)
+    members = np.split(weights[np.argsort(orbit)], np.cumsum(np.bincount(orbit))[:-1])
+    return rows, np.array([math.fsum(m) for m in members])
 
 
 def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
@@ -438,9 +419,8 @@ def _diag_geometry(mesh: SurfaceMesh):
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
     rows, row_weights, _, w = _form_geometry(mesh.form)
-    area = mesh.area / mesh.scale**2  # the form's
     sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
-    return float(np.max(np.abs(sums - area)) / area)
+    return float(np.max(np.abs(sums - mesh.form.area)) / mesh.form.area)
 
 
 def _is_sphere(mesh: SurfaceMesh) -> bool:
@@ -459,7 +439,7 @@ def _ring_pair(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     sphere onto itself, so each outer u-ring's v = 0 node, the form's orbit
     row, carries the ring's summed weight.
     """
-    rows, row_weights = _form_geometry(mesh_i.form)[:2]
+    rows, row_weights = _orbit_rows(mesh_i.form, mesh_i.form.weights)
     s_i, s_j = mesh_i.scale, mesh_j.scale
     inner = s_j * mesh_j.form.nodes
     inner[:, 2] += math.dist(mesh_i.shape.center, mesh_j.shape.center)
@@ -540,7 +520,7 @@ def diag_weighted_sum(
     d, w = _diag_geometry(mesh)
     s = mesh.scale
     moments = weighted_kernel_sum(w, d, space, constants, s * nu, order)
-    derivs = _nu_derivatives(moments, space, constants, s * nu, mesh.area / (s * s))
+    derivs = _nu_derivatives(moments, space, constants, s * nu, mesh.form.area)
     return tuple(s ** (k + 1) * p for k, p in enumerate(derivs))
 
 

@@ -81,7 +81,6 @@ _SWEEP_PARAMS = ("nu", "separation", "lambda", "radius", "deformation_c")
 _TOP_KEYS = {"constants", "ambient", "surfaces", "points", "output"}
 _SURFACE_KEYS = {"shape", "params", "order", "coupling", "curvature_meta"}
 _POINT_KEYS = {"position", "mu"}
-_META_KEYS = {"H_upper", "H_lower", "rho_min", "rho_max", "chord_arc_delta", "chord_arc_kappa"}
 _SHAPES = {"sphere": Sphere, "torus": Torus, "ellipsoid": Ellipsoid}
 
 
@@ -160,11 +159,11 @@ def _parse_surface(obj, idx: int) -> tuple[SurfaceMesh, Coupling]:
     params["center"] = _triple(params.get("center", [0.0, 0.0, 0.0]), f"{name}.params.center")
     meta = None
     if "curvature_meta" in obj:
-        mobj = _expect_dict(obj["curvature_meta"], f"{name}.curvature_meta")
-        _check_keys(mobj, _META_KEYS, f"{name}.curvature_meta")
-        meta = SurfaceCurvatureMeta(
-            **{k: _number(mobj, k, f"{name}.curvature_meta") for k in _META_KEYS}
-        )
+        where = f"{name}.curvature_meta"
+        mobj = _expect_dict(obj["curvature_meta"], where)
+        keys = [f.name for f in fields(SurfaceCurvatureMeta)]
+        _check_keys(mobj, set(keys), where)
+        meta = SurfaceCurvatureMeta(**{k: _number(mobj, k, where) for k in keys})
     coupling = _parse_coupling(obj["coupling"], f"{name}.coupling")
     return build_surface(_SHAPES[kind](**params), obj.get("order", 16), meta), coupling
 

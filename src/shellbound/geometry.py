@@ -314,14 +314,17 @@ class SurfaceForm:
     sphere radius, the torus R_major or the ellipsoid a), so that scale is
     1, and chart is its parametrization there.  The node grid is built once,
     here: params[k] are the (u, v) chart coordinates of node k, nodes[k]
-    lies on shape and weights[k] > 0, all three read-only.  Equal forms are
-    one instance, interned in _FORMS, which hashes by identity (eq=False)
-    and lives as long as some mesh of that form.
+    lies on shape and weights[k] > 0, all three read-only.  area is given
+    in closed form (unit sphere, torus) or None, for the math.fsum of the
+    weights (ellipsoid).  Equal forms are one instance, interned in _FORMS,
+    which hashes by identity (eq=False) and lives as long as some mesh of
+    that form.
     """
 
     shape: object
     order: int
     chart: _ScaledSphereChart | _TorusChart = field(repr=False)
+    area: float | None = field(repr=False)
     params: np.ndarray = field(init=False, repr=False)
     nodes: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
@@ -330,6 +333,7 @@ class SurfaceForm:
         grid = _node_grid(self.chart, self.order)
         U, V, nodes, W = (a.reshape(-1, *a.shape[2:]) for a in grid)
         _set_read_only(self, params=np.stack([U, V], axis=-1), nodes=nodes, weights=W)
+        object.__setattr__(self, "area", math.fsum(W) if self.area is None else self.area)
 
 
 def _set_read_only(obj, **arrays) -> None:
@@ -355,9 +359,8 @@ class SurfaceMesh:
     sphere radius, the torus R_major or the ellipsoid a), interned with
     its chart and node grid; nodes = centre + scale * form.nodes and
     weights = scale^2 * form.weights, read-only.  nodes[k] lies on the
-    surface, weights[k] > 0, and area is closed-form for spheres and tori
-    and the sum of the weights for ellipsoids, to rounding.  meta is
-    curvature_meta or, when that is None, the shape's own:
+    surface, weights[k] > 0, and area = scale^2 * form.area for every
+    shape.  meta is curvature_meta or, when that is None, the shape's own:
     - sphere: H = 1/R^2, rho_min = rho_max = pi*R/2;
     - torus: the Gaussian curvature range of the torus of revolution,
       rho_max = pi*(R + 2r) (a covering-radius bound), rho_min = pi*r/2,
@@ -395,7 +398,7 @@ class SurfaceMesh:
             scale = R
             chart = _ScaledSphereChart((1.0, 1.0, 1.0), 2)
             diameter = 2.0 * R
-            area = 4.0 * math.pi * R * R
+            form_area = 4.0 * math.pi
             if meta is None:
                 H = 1.0 / (R * R)
                 meta = SurfaceCurvatureMeta(
@@ -419,7 +422,7 @@ class SurfaceMesh:
             _check_sizes("torus r_minor / R_major", form_shape.r_minor)
             chart = _TorusChart(1.0, form_shape.r_minor)
             diameter = 2.0 * (R + r)
-            area = 4.0 * math.pi * math.pi * R * r
+            form_area = 4.0 * math.pi * math.pi * form_shape.r_minor
             if meta is None:
                 kap = max(1.0 / r, 1.0 / (R - r))
                 meta = SurfaceCurvatureMeta(
@@ -439,9 +442,7 @@ class SurfaceMesh:
             _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
             chart = _ScaledSphereChart((1.0, form_shape.b, form_shape.c), 2)
             diameter = 2.0 * max(axes)
-            # the weights summed at the mesh's own size, whose bits every
-            # area-matched spheroid of `sweep --param deformation_c` was built on
-            area = np.sum(_node_grid(_ScaledSphereChart(axes, 2), order)[3])
+            form_area = None  # no elementary closed form: the weights' sum
             if meta is None:
                 # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
                 # underflows for axes that pass _check_sizes (1e-76 each)
@@ -466,9 +467,9 @@ class SurfaceMesh:
                 )
         form = _FORMS.get((form_shape, order))
         if form is None:
-            form = _FORMS[form_shape, order] = SurfaceForm(form_shape, order, chart)
+            form = _FORMS[form_shape, order] = SurfaceForm(form_shape, order, chart, form_area)
         derived = dict(
-            shape=shape, order=order, form=form, scale=scale, area=float(area),
+            shape=shape, order=order, form=form, scale=scale, area=scale**2 * form.area,
             diameter_ambient=float(diameter), meta=meta,
         )
         for name, value in derived.items():

@@ -163,8 +163,8 @@ def _kernel_matrices(channels, space, constants, nu, order=1):
     a point one node of weight 1 and V = 1.  A point's own entry is 0.
 
     Each distinct self-integral is summed once.  Surfaces of one form at
-    one scale share their cached self-integral geometry (see _quadrature),
-    so with equal areas their sums are bitwise equal, and the first one's
+    one scale share their cached self-integral geometry and area (see
+    _quadrature), so their sums are bitwise equal, and the first one's
     serve the others.
     """
     n = len(channels)
@@ -175,7 +175,7 @@ def _kernel_matrices(channels, space, constants, nu, order=1):
             if i == j and isinstance(a, Point3):
                 continue
             # a self-integral is keyed by what fixes its value, a pair by place
-            key = (a.form, a.scale, a.area) if j == i else (i, j)
+            key = (a.form, a.scale) if j == i else (i, j)
             if key not in passes:
                 passes[key] = quad.double_sum(a, channels[j], space, constants, nu, order)
             mats[:, i, j] = mats[:, j, i] = passes[key]
@@ -293,7 +293,7 @@ def _phi_arrays(surfaces, couplings, space, constants, nu, points=()):
         if cp.lam is not None:
             A[i, i] += 1.0 / cp.lam
             continue
-        key = (mesh.form, mesh.scale, mesh.area, cp.nu_star)
+        key = (mesh.form, mesh.scale, cp.nu_star)
         if key not in stars:
             at = cp.nu_star
             stars[key] = P[i, i] if at == nu else pair_integral(mesh, mesh, space, constants, at)

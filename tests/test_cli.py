@@ -483,6 +483,20 @@ SPHERE_FLAT_META = {
 }
 
 
+def test_curvature_meta_takes_exactly_its_fields(tmp_path, capsys):
+    # its keys are SurfaceCurvatureMeta's fields: an unknown key and a
+    # missing one each exit 1 and name the key
+    surface = SPHERE_FLAT_META["surfaces"][0]
+    meta = surface["curvature_meta"]
+    missing = {k: v for k, v in meta.items() if k != "rho_max"}
+    out = tmp_path / "never.csv"
+    for bad, key in (({**meta, "H_mean": 0.0}, "H_mean"), (missing, "rho_max")):
+        cfg = write_cfg(tmp_path, {"surfaces": [{**surface, "curvature_meta": bad}]})
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "config,statuses",
     [

@@ -27,7 +27,7 @@ from shellbound import (
     implicit_value,
 )
 from shellbound._quadrature import _pair_geometry
-from shellbound.geometry import MAX_ORDER, _gauss_legendre, _ScaledSphereChart
+from shellbound.geometry import MAX_ORDER, _gauss_legendre, _node_grid, _ScaledSphereChart
 
 
 @pytest.mark.parametrize(
@@ -115,6 +115,28 @@ def test_ellipsoid_area_matches_spheroid_closed_form():
     assert mesh.area == pytest.approx(exact, rel=1e-10)
     assert float(np.sum(mesh.weights)) == pytest.approx(mesh.area, rel=1e-12)
     assert mesh.diameter_ambient == 2.0 * c
+
+
+@pytest.mark.parametrize("order", range(4, MAX_ORDER + 1))
+def test_mesh_area_is_scale_squared_times_the_forms(order):
+    # one rule for every shape, within 1e-15 of per-shape references:
+    # 4 pi R^2, 4 pi^2 R r, and an ellipsoid's weights summed at its own
+    # size; the form's area is the unit sphere's or the torus's closed form,
+    # which the weights sum to, or the ellipsoid's weights' math.fsum
+    center, axes = (0.3, -0.2, 0.5), (1.2, 1.0, 0.8)
+    references = {
+        Sphere(center, 1.7): 4.0 * math.pi * 1.7 * 1.7,
+        Torus(center, 2.0, 0.5): 4.0 * math.pi * math.pi * 2.0 * 0.5,
+        Ellipsoid(center, *axes): np.sum(_node_grid(_ScaledSphereChart(axes, 2), order)[3]),
+    }
+    for shape, area in references.items():
+        mesh = build_surface(shape, order)
+        assert mesh.area == mesh.scale**2 * mesh.form.area
+        assert abs(mesh.area - area) <= 1e-15 * area
+        quadrature_area = math.fsum(mesh.form.weights)
+        assert abs(quadrature_area - mesh.form.area) <= 1e-15 * mesh.form.area
+        if isinstance(shape, Ellipsoid):
+            assert mesh.form.area == quadrature_area
 
 
 def test_sphere_default_meta():

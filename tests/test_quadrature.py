@@ -172,13 +172,13 @@ def test_orbit_rows_of_general_ellipsoid():
 
 
 def test_orbit_rows_of_revolution_meshes_are_the_rings(sphere16, torus16):
-    # the v = 0 node of each u-ring with the ring's summed weight, bitwise
+    # the v = 0 node of each u-ring with the ring's correctly rounded sum
     spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=24)
     for mesh in (sphere16, torus16, spheroid):
         ring = 2 * mesh.order
         rows, row_weights = quad._orbit_rows(mesh.form, mesh.weights)
         assert np.array_equal(rows, np.arange(0, len(mesh.nodes), ring))
-        assert np.array_equal(row_weights, mesh.weights.reshape(-1, ring).sum(axis=1))
+        assert row_weights.tolist() == list(map(math.fsum, mesh.weights.reshape(-1, ring)))
         assert float(np.sum(row_weights)) == pytest.approx(mesh.area, rel=1e-14)
 
 
@@ -194,27 +194,68 @@ FORM_SHAPES = {
 MIRROR_SETS = [m for r in range(4) for m in itertools.combinations(range(3), r)]
 
 
-@pytest.mark.parametrize("order", [8, 24])
+def _node_map(rel, transform, tol):
+    """A symmetry as a map of node indices: node k goes to the node nearest
+    transform(rel[k]), which lies within tol of it."""
+    d = quad._pair_distances(transform(rel), rel)
+    image = np.argmin(d, axis=1)
+    assert np.all(d[np.arange(len(rel)), image] <= tol)
+    return image
+
+
+def _group(generators):
+    """Every element of the group the index maps generate, as the rows of
+    a matrix, identity included."""
+    group = {tuple(range(len(generators[0])))}
+    new = list(group)
+    while new:
+        g = np.array(new.pop())
+        for h in generators:
+            e = tuple(h[g])
+            if e not in group:
+                group.add(e)
+                new.append(e)
+    return np.array(sorted(group))
+
+
+def _mirror(axis):
+    return lambda x: x * np.where(np.arange(3) == axis, -1.0, 1.0)
+
+
+def _turn(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return lambda x: np.stack([c * x[:, 0] - s * x[:, 1], s * x[:, 0] + c * x[:, 1], x[:, 2]], 1)
+
+
+@pytest.mark.parametrize("order", [4, 5, 8, 24])
 @pytest.mark.parametrize("name", FORM_SHAPES)
 def test_orbit_members_are_mirror_images(name, order):
-    # members of an orbit agree with its first node within 0.5e-12 of the
-    # diameter in |x - centre| (mirror images) or in height and distance
-    # from the axis (u-rings), with weights equal within 1e-12 relative
+    # Brute force: the symmetries act on the node positions about the
+    # centre, each generator matched to a node map within 0.5e-12 of the
+    # diameter, and their group is applied to every node.  Each orbit rule
+    # row is the least node of its orbit, every orbit has one row, members
+    # have weights equal within 1e-12 relative, and a row's weight is the
+    # math.fsum of its orbit's.  At order 5 the middle u-ring is its own
+    # mirror image in z.
     mesh = build_surface(FORM_SHAPES[name], order=order)
-    rel = np.abs(mesh.nodes - mesh.shape.center)
-    ring = np.stack([rel[:, 2], np.hypot(rel[:, 0], rel[:, 1])], axis=1)
-    groups = [(mirrors, rel) for mirrors in MIRROR_SETS]
-    if mesh.form.chart.revolution:
-        groups.append((None, ring))
-    for mirrors, invariant in groups:
-        members = quad._orbit_members(mesh.form, mirrors)
-        first, gap = members[:, :1], members == len(mesh.nodes)
-        members = np.where(gap, first, members)
-        drift = np.abs(invariant[members] - invariant[first])
-        assert np.all(drift <= 0.5e-12 * mesh.diameter_ambient), mirrors
-        w = mesh.weights
-        assert np.all(np.abs(w[members] - w[first]) <= 1e-12 * w[first]), mirrors
-        assert np.array_equal(np.sort(members[~gap]), np.arange(len(mesh.nodes))), mirrors
+    rel = mesh.nodes - mesh.shape.center
+    tol = 0.5e-12 * mesh.diameter_ambient
+    w = mesh.weights
+    turns = [_turn(2.0 * math.pi / (2 * order))] if mesh.form.chart.revolution else []
+    for mirrors in [None, *MIRROR_SETS]:
+        if mirrors is None:  # the self-integral's group
+            transforms = turns or [_mirror(a) for a in range(3)]
+        else:
+            transforms = [_mirror(a) for a in mirrors]
+        group = _group([_node_map(rel, t, tol) for t in transforms] or [np.arange(len(w))])
+        assert np.all(np.abs(w[group] - w) <= 1e-12 * w), mirrors
+        least = group.min(axis=0)  # each node's least orbit member
+        rows, row_weights = quad._orbit_rows(mesh.form, w, mirrors)
+        # the rows are the least members, so each orbit has exactly one
+        assert np.array_equal(rows, np.unique(least)), mirrors
+        assert np.array_equal(least[rows], rows), mirrors
+        for row, weight in zip(rows, row_weights):
+            assert weight == math.fsum(w[np.unique(group[:, row])]), mirrors
 
 
 def test_diag_geometry_rows(sphere16, torus16):
@@ -715,6 +756,17 @@ def test_equal_axis_ellipsoid_pair_goes_on_rings(sphere24):
     assert got[0].size == 24 * 1152
     for a, b in zip(got, quad._pair_geometry(sphere24, sphere)):
         assert np.array_equal(a, b)
+
+
+def test_sphere_pair_builds_no_patch_rows(constants, flat):
+    # the ring pair reads its outer rows from the orbit rule, so a sphere
+    # pair leaves both forms' patch geometry unbuilt
+    gc.collect()
+    misses = quad._form_geometry.cache_info().misses
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 0.9), order=11)
+    b = build_surface(Sphere((0.5, 2.0, -1.0), 0.4), order=13)
+    assert pair_integral(a, b, flat, constants, 1.0) > 0.0
+    assert quad._form_geometry.cache_info().misses == misses
 
 
 # Forms: a self-integral's geometry depends on the shape only up to
