@@ -291,8 +291,9 @@ def _orbit_rows(form: SurfaceForm, weights: np.ndarray, mirrors=None):
         v_least = np.min([m for m, use in zip(v_maps, (True, y, x, x and y)) if use], axis=0)
     least = (u_least[:, None] * n_v + v_least).reshape(-1)
     rows, orbit = np.unique(least, return_inverse=True)
-    members = np.split(weights[np.argsort(orbit)], np.cumsum(np.bincount(orbit))[:-1])
-    return rows, np.array([math.fsum(m) for m in members])
+    w = weights[np.argsort(orbit)].tolist()
+    ends = np.cumsum(np.bincount(orbit)).tolist()
+    return rows, np.array([math.fsum(w[a:b]) for a, b in zip([0, *ends], ends)])
 
 
 def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):

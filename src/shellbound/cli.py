@@ -301,7 +301,7 @@ def _nu_star_spec(cfg: ExperimentConfig):
             if ns is None:
                 return None
             stars.append(ns)
-    return CouplingSpec(tuple(Coupling(nu_star=s) for s in stars))
+    return CouplingSpec.from_nu_stars(*stars)
 
 
 def cmd_bounds(cfg: ExperimentConfig, args):
@@ -452,8 +452,7 @@ def cmd_sweep(cfg: ExperimentConfig, args):
         diagnostic = f"E_gr_nondecreasing={'pass' if ok else 'fail'}"
     elif param == "lambda":
         _require_surfaces(cfg, "sweep lambda", 1)
-        energies = [put_solve(lam, cfg.surfaces, CouplingSpec((Coupling(lam=lam),)))
-                    for lam in grid]
+        energies = [put_solve(lam, cfg.surfaces, CouplingSpec.from_lambdas(lam)) for lam in grid]
         energies = [e for e in energies if e is not None]
         ok = all(b <= a for a, b in zip(energies, energies[1:]))
         diagnostic = f"E_gr_nonincreasing={'pass' if ok else 'fail'}"

@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -176,6 +176,8 @@ class SurfaceCurvatureMeta:
     chord_arc_kappa: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise InvalidArgumentError(f"curvature data must be finite, got {self}")
         if self.H_lower > self.H_upper:
             raise InvalidArgumentError("H_lower must not exceed H_upper")
         if not (0.0 < self.rho_min <= self.rho_max):
@@ -311,14 +313,14 @@ class SurfaceForm:
     """A mesh's shape up to translation and scale, with its order and grid.
 
     shape is the surface moved to the origin and divided by its scale (the
-    sphere radius, the torus R_major or the ellipsoid a), so that scale is
-    1, and chart is its parametrization there.  The node grid is built once,
-    here: params[k] are the (u, v) chart coordinates of node k, nodes[k]
-    lies on shape and weights[k] > 0, all three read-only.  area is given
-    in closed form (unit sphere, torus) or None, for the math.fsum of the
-    weights (ellipsoid).  Equal forms are one instance, interned in _FORMS,
-    which hashes by identity (eq=False) and lives as long as some mesh of
-    that form.
+    torus R_major or the ellipsoid a; a sphere's is Ellipsoid(origin, 1,
+    1, 1)), and chart is its parametrization there.  The node grid is built
+    once, here: params[k] are the (u, v) chart coordinates of node k,
+    nodes[k] lies on shape and weights[k] > 0, all three read-only.  area
+    is the closed form (torus, and 4 pi for the unit sphere) or None, for
+    the math.fsum of the weights.  Equal forms are one instance, interned
+    in _FORMS, which hashes by identity (eq=False) and lives as long as
+    some mesh of that form.
     """
 
     shape: object
@@ -353,22 +355,24 @@ class SurfaceMesh:
     A mesh is its shape, its order and curvature_meta, the user's curvature
     data or None for the shape's own; every other field is derived here,
     so dataclasses.replace on a mesh rebuilds it and no field can disagree
-    with the shape.  Spheres and ellipsoids get Gauss-Legendre in cos(u)
-    times uniform azimuth, tori the uniform product rule in both angles.
-    The form is the shape moved to the origin and divided by scale (the
-    sphere radius, the torus R_major or the ellipsoid a), interned with
-    its chart and node grid; nodes = centre + scale * form.nodes and
-    weights = scale^2 * form.weights, read-only.  nodes[k] lies on the
-    surface, weights[k] > 0, and area = scale^2 * form.area for every
-    shape.  meta is curvature_meta or, when that is None, the shape's own:
-    - sphere: H = 1/R^2, rho_min = rho_max = pi*R/2;
+    with the shape.  A Sphere of radius R is built as the Ellipsoid of
+    semi-axes (R, R, R), keeping its Sphere shape.  Spheres and ellipsoids
+    get Gauss-Legendre in cos(u) times uniform azimuth, tori the uniform
+    product rule in both angles.  The form is the shape moved to the
+    origin and divided by scale (the torus R_major or the ellipsoid a),
+    interned with its chart and node grid; nodes = centre + scale *
+    form.nodes and weights = scale^2 * form.weights, read-only.  nodes[k]
+    lies on the surface, weights[k] > 0, and area = scale^2 * form.area
+    for every shape.  meta is curvature_meta or, when that is None, the
+    shape's own:
     - torus: the Gaussian curvature range of the torus of revolution,
       rho_max = pi*(R + 2r) (a covering-radius bound), rho_min = pi*r/2,
       and chord-arc constants with delta*kappa = 0.75 (safe for the worst
       arc/chord ratio ~ pi/2 attained on equatorial half-loops);
     - ellipsoid: Gaussian curvature attains its extrema at the axis
       endpoints, K(axis p) = p^2/(q^2 s^2) for {p,q,s} the semi-axes,
-      which fills H_upper/H_lower in closed form.
+      which fills H_upper/H_lower in closed form (a sphere's H = 1/R^2
+      and rho = pi*R/2, up to rounding).
     Instances hash by identity (eq=False), which the quadrature's caches
     key on.
     """
@@ -390,26 +394,7 @@ class SurfaceMesh:
             raise UnsupportedShapeError(f"unsupported shape {type(shape).__name__}")
         order = _check_order(self.order)
         center = _check_center(shape.center)
-        if isinstance(shape, Sphere):
-            _check_sizes("sphere radius", shape.radius)
-            R = float(shape.radius)
-            shape = Sphere(center, R)
-            form_shape = Sphere(_ORIGIN, 1.0)
-            scale = R
-            chart = _ScaledSphereChart((1.0, 1.0, 1.0), 2)
-            diameter = 2.0 * R
-            form_area = 4.0 * math.pi
-            if meta is None:
-                H = 1.0 / (R * R)
-                meta = SurfaceCurvatureMeta(
-                    H_upper=H,
-                    H_lower=H,
-                    rho_min=math.pi * R / 2.0,
-                    rho_max=math.pi * R / 2.0,
-                    chord_arc_delta=0.75 * R,
-                    chord_arc_kappa=1.0 / R,
-                )
-        elif isinstance(shape, Torus):
+        if isinstance(shape, Torus):
             _check_sizes("torus radii", shape.R_major, shape.r_minor)
             if shape.r_minor >= shape.R_major:
                 raise GeometryViolationError(
@@ -433,16 +418,19 @@ class SurfaceMesh:
                     chord_arc_delta=0.75 / kap,
                     chord_arc_kappa=kap,
                 )
-        else:
-            _check_sizes("ellipsoid semi-axes", shape.a, shape.b, shape.c)
-            axes = (float(shape.a), float(shape.b), float(shape.c))
-            shape = Ellipsoid(center, *axes)
+        else:  # a sphere is the ellipsoid of equal semi-axes (R, R, R)
+            sphere = isinstance(shape, Sphere)
+            sizes = (shape.radius,) if sphere else (shape.a, shape.b, shape.c)
+            _check_sizes("sphere radius" if sphere else "ellipsoid semi-axes", *sizes)
+            axes = tuple(map(float, sizes * 3 if sphere else sizes))
+            shape = Sphere(center, axes[0]) if sphere else Ellipsoid(center, *axes)
             form_shape = Ellipsoid(_ORIGIN, 1.0, axes[1] / axes[0], axes[2] / axes[0])
             scale = axes[0]
             _check_sizes("ellipsoid b / a and c / a", form_shape.b, form_shape.c)
             chart = _ScaledSphereChart((1.0, form_shape.b, form_shape.c), 2)
             diameter = 2.0 * max(axes)
-            form_area = None  # no elementary closed form: the weights' sum
+            # the unit sphere's closed form, else none: the weights' math.fsum
+            form_area = 4.0 * math.pi if form_shape.b == form_shape.c == 1.0 else None
             if meta is None:
                 # p^2/(q^2 s^2) as (p / (q s))^2: the (abc)^2 of p^4/(abc)^2
                 # underflows for axes that pass _check_sizes (1e-76 each)

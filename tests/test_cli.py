@@ -698,11 +698,11 @@ def test_sweep_deformation_c_rows(tmp_path, config_dir, constants, flat, sphere3
         assert r["status"] == ""
         if r["metric"] == "area":
             assert abs(float(r["metric_value"]) - 4.0 * math.pi) <= 1e-12
-    # at c = 1 the fixed-area ellipsoid is the unit sphere of the config
-    sphere = critical_coupling_exact(sphere32, flat, constants)
-    (at_one,) = [float(r["metric_value"]) for r in rows
-                 if r["param_value"] == "1.0" and r["metric"] == "lambda_critical"]
-    assert abs(at_one - sphere) <= 1e-12
+    # at c = 1 the fixed-area ellipsoid is the unit sphere of the config,
+    # bit for bit: the same form, with the sphere's closed-form area
+    at_one = {r["metric"]: float(r["metric_value"]) for r in rows if r["param_value"] == "1.0"}
+    assert at_one["lambda_critical"] == critical_coupling_exact(sphere32, flat, constants)
+    assert at_one["area"] == 4.0 * math.pi
 
 
 # Area-matched spheroids of the order-32 unit sphere: polar semi-axis c and

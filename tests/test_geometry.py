@@ -1,6 +1,7 @@
 """Meshes, curvature metadata, points and distances."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -172,6 +173,12 @@ def test_meta_validation():
         SurfaceCurvatureMeta(1.0, 1.0, 2.0, 1.0, 0.5, 1.0)  # rho_min > rho_max
     with pytest.raises(InvalidArgumentError):
         SurfaceCurvatureMeta(1.0, 1.0, 1.0, 1.0, 1.5, 1.0)  # delta*kappa >= 1
+    # every field must be finite: a NaN H passes the order check of H, and
+    # an infinite rho_max that of rho
+    fine = (1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
+    for k, bad in itertools.product(range(6), (math.nan, math.inf, -math.inf)):
+        with pytest.raises(InvalidArgumentError):
+            SurfaceCurvatureMeta(*fine[:k], bad, *fine[k + 1:])
 
 
 def test_bonnet_myers_contradiction_rejected():

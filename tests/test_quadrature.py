@@ -38,7 +38,7 @@ from shellbound.oracles import (
     sphere_pair_integral_exact,
     two_sphere_pair_integral_exact,
 )
-from shellbound.principal import pair_integral
+from shellbound.principal import pair_integral, solve_ground_state
 
 PATCH_SAMPLES = 4 * quad._N_PSI * quad._N_S
 GENERAL = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
@@ -269,17 +269,27 @@ def test_diag_geometry_rows(sphere16, torus16):
     assert d.shape == w.shape == (20 * PATCH_SAMPLES,)
 
 
-def test_equal_axis_ellipsoid_is_the_sphere_bitwise():
-    # spheres and ellipsoids share one chart, so a sphere given as an
-    # ellipsoid gets the same mesh and the same patch geometry
-    center, R = (0.3, -0.2, 0.5), 1.3
-    sphere = build_surface(Sphere(center, R), order=16)
-    ellipsoid = build_surface(Ellipsoid(center, R, R, R), order=16)
-    for name in ("nodes", "weights"):
-        assert np.array_equal(getattr(sphere, name), getattr(ellipsoid, name))
-    assert np.array_equal(sphere.form.params, ellipsoid.form.params)
-    for a, b in zip(quad._diag_geometry(sphere), quad._diag_geometry(ellipsoid)):
-        assert np.array_equal(a, b)
+def test_equal_axis_ellipsoid_is_the_sphere_bitwise(constants, flat):
+    # a sphere is the equal-axes ellipsoid: both get one interned form, so
+    # the same mesh, patch geometry, kernel sums and ground state
+    center = (0.3, -0.2, 0.5)
+    for R, order in itertools.product((1.0, 1.3), (16, 24, 32)):
+        sphere = build_surface(Sphere(center, R), order=order)
+        ellipsoid = build_surface(Ellipsoid(center, R, R, R), order=order)
+        assert sphere.form is ellipsoid.form
+        for name in ("nodes", "weights", "area"):
+            assert np.array_equal(getattr(sphere, name), getattr(ellipsoid, name))
+        for a, b in zip(quad._diag_geometry(sphere), quad._diag_geometry(ellipsoid)):
+            assert np.array_equal(a, b)
+        for nu in (1e-3, 1.0, 5.0):
+            assert pair_integral(sphere, sphere, flat, constants, nu) == pair_integral(
+                ellipsoid, ellipsoid, flat, constants, nu
+            )
+        lam = CouplingSpec.from_lambdas(3.0)
+        assert (
+            solve_ground_state((sphere,), lam, flat, constants).nu_star
+            == solve_ground_state((ellipsoid,), lam, flat, constants).nu_star
+        )
 
 
 def _one_batch_per_group(form, rows, row_weights):

@@ -473,8 +473,6 @@ UNREAD_PUBLIC_API = {
     "oracles.sphere_Z_exact": "test oracle",
     "oracles.sphere_point_potential_exact": "test oracle",
     "oracles.two_sphere_pair_integral_exact": "test oracle",
-    "principal.CouplingSpec.from_lambdas": "library API: couplings given as raw strengths",
-    "principal.CouplingSpec.from_nu_stars": "library API: couplings given as standalone nu*",
     "principal.coupling_from_energy": "library API: the coupling that binds at an energy",
     "principal.wavefunction": "library API: the ground-state wavefunction",
     "variational.VariationalMatrices.Phi_tilde": "paper API: Phi_tilde = I - K",
