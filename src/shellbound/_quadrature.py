@@ -26,18 +26,18 @@ outer row, weighted by the math.fsum of the orbit's outer weights.
   centre, (n / 2) (n / 2 + 1) rows for even n (156 instead of 1152 at
   n = 24).  Every mesh gets one of the two.
 
-* Sphere pairs: two spheres (meshes on a sphere-family chart with equal
-  axes, an Ellipsoid(R, R, R) among them) both revolve about their line
-  of centres.  The pair is summed in a canonical frame: both forms' nodes,
-  scaled, with both poles on the z axis and the centres D apart, so the
-  orbits are the outer form's u-rings, 24 rows instead of 1152 at order
-  24 whatever the direction of the line.
-
-* Other pairs: every form is mirror-symmetric in its coordinate planes,
-  so a plane through both centres mirrors the inner mesh onto itself.
-  The outer rows are the orbits of the reflections in the shared planes:
-  300 rows instead of 1152 for an order-24 sphere beside a torus or an
-  ellipsoid on the x axis, every node for a pair in general position.
+* Pairs: the frame and the group are the pair's, the rows the orbit
+  rule's over the outer mesh's weights, each against every inner node.
+  Two spheres (meshes on a sphere-family chart with equal axes, an
+  Ellipsoid(R, R, R) among them) revolve about their line of centres, so
+  they are summed with it as the z axis, both forms' nodes scaled and the
+  centres D apart, and the orbits are the outer form's u-rings: 24 rows
+  instead of 1152 at order 24 whatever the direction of the line.  Any
+  other pair keeps the user's frame, where a coordinate plane through both
+  centres mirrors each mesh onto itself (every form is mirror-symmetric in
+  its coordinate planes), and the orbits are those of the shared
+  reflections: 300 rows instead of 1152 for an order-24 sphere beside a
+  torus or an ellipsoid on the x axis, every node in general position.
 
 All reductions run over fixed _BLOCK = 16384-sample blocks, one kernel
 call each, so the kernel's scratch memory stays one block long (128 kB per
@@ -272,7 +272,8 @@ def _orbit_rows(form: SurfaceForm, weights: np.ndarray, mirrors=None):
     nodes in cos u, and u -> -u (mod 2 pi) on the periodic u nodes of a
     torus.  Every builder form is mirror-symmetric in the three coordinate
     planes (tests/test_quadrature.py checks each).  None asks for the
-    self-integral's group: the u-rings on a surface of revolution about its
+    form's own group, which the self-integral uses, and a sphere pair on
+    its line of centres: the u-rings on a surface of revolution about its
     chart axis (each v's least image is 0), all three reflections otherwise.
     """
     n_u = form.order
@@ -431,22 +432,6 @@ def _is_sphere(mesh: SurfaceMesh) -> bool:
     return isinstance(chart, _ScaledSphereChart) and bool(np.all(chart.axes == chart.axes[0]))
 
 
-def _ring_pair(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
-    """Outer and inner nodes and weights of two spheres on their line of
-    centres, the z axis.
-
-    Both forms' nodes (pole on z) are scaled, and form j's are moved by D,
-    the distance of the centres, along z.  Rotation about z maps the inner
-    sphere onto itself, so each outer u-ring's v = 0 node, the form's orbit
-    row, carries the ring's summed weight.
-    """
-    rows, row_weights = _orbit_rows(mesh_i.form, mesh_i.form.weights)
-    s_i, s_j = mesh_i.scale, mesh_j.scale
-    inner = s_j * mesh_j.form.nodes
-    inner[:, 2] += math.dist(mesh_i.shape.center, mesh_j.shape.center)
-    return s_i * mesh_i.form.nodes[rows], s_i * s_i * row_weights, inner, mesh_j.weights
-
-
 def _pair_distances(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Distances (rows, n) from each outer node to every inner node.
 
@@ -472,17 +457,16 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
     Raises GeometryViolationError, caching nothing, when either surface's
     nodes lie inside the other beyond a 0.5e-9 share of the larger diameter,
     or when a node of one is a node of the other (zero distance).
-    Two spheres go on rings (_ring_pair): one outer row per u-ring of
-    mesh_i's form, against every node of mesh_j's, both placed on their
-    line of centres, so the user's nodes serve only the checks.  Any other
-    pair takes the product rule with mesh_i's nodes reduced by the orbit
-    rule: a coordinate plane through both centres mirrors each mesh onto
-    itself, so mirror images in mesh_i have the same inner sum over mesh_j.
-    One row per orbit of the shared reflections carries the orbit's summed
-    weight of mesh_i and its distances to every node of mesh_j; a pair
-    sharing no plane keeps every node.  The distances are built a block of
-    rows at a time (_pair_distances), so the build's peak is the arrays it
-    keeps plus one block.
+    The branches pick only the frame and the group: two spheres sit on
+    their line of centres, the z axis, with the outer form's u-rings as
+    orbits (mirrors=None), so the user's nodes serve only the checks; any
+    other pair keeps the user's frame and the reflections in the
+    coordinate planes through both centres, which mirror each mesh onto
+    itself (a pair sharing no plane keeps every node).  One row per orbit
+    (_orbit_rows) carries the orbit's summed weight of mesh_i and its
+    distances to every node of mesh_j, built a block of rows at a time
+    (_pair_distances), so the build's peak is the arrays it keeps plus one
+    block.
     """
     tol = -0.5e-9 * max(mesh_i.diameter_ambient, mesh_j.diameter_ambient)
     if np.any(implicit_value(mesh_i.shape, mesh_j.nodes) < tol) or np.any(
@@ -492,17 +476,19 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} overlap"
         )
     if _is_sphere(mesh_i) and _is_sphere(mesh_j):
-        outer, outer_w, inner, inner_w = _ring_pair(mesh_i, mesh_j)
+        outer, inner = mesh_i.scale * mesh_i.form.nodes, mesh_j.scale * mesh_j.form.nodes
+        inner[:, 2] += math.dist(mesh_i.shape.center, mesh_j.shape.center)
+        mirrors = None
     else:
-        shared = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
-        rows, outer_w = _orbit_rows(mesh_i.form, mesh_i.weights, shared)
-        outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
-    d = _pair_distances(outer, inner)
+        outer, inner = mesh_i.nodes, mesh_j.nodes
+        mirrors = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
+    rows, outer_w = _orbit_rows(mesh_i.form, mesh_i.weights, mirrors)
+    d = _pair_distances(outer[rows], inner)
     if not d.min() > 0.0:  # also catches NaN
         raise GeometryViolationError(
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} share a node"
         )
-    w = outer_w[:, None] * inner_w[None, :]
+    w = outer_w[:, None] * mesh_j.weights[None, :]
     return d.reshape(-1), w.reshape(-1)
 
 

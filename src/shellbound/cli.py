@@ -92,7 +92,7 @@ class ExperimentConfig:
     couplings: CouplingSpec
     points: tuple[PointSource, ...]
     output_path: str
-    config_sha256: str = field(repr=False, default="")
+    config_sha256: str = field(repr=False)
 
 
 def _expect_dict(obj, name: str) -> dict:

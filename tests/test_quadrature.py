@@ -633,15 +633,19 @@ def _one_shot_pair_geometry(mesh_i, mesh_j):
     """_pair_geometry with every outer-minus-inner node difference formed
     at once, (rows, n, 3): the reference the blocked build matches
     bitwise."""
-    if quad._is_sphere(mesh_i) and quad._is_sphere(mesh_j):
-        outer, outer_w, inner, inner_w = quad._ring_pair(mesh_i, mesh_j)
+    if all(isinstance(mesh.shape, Sphere) for mesh in (mesh_i, mesh_j)):
+        # the line of centres is the z axis, and the u-rings the orbits
+        D = math.dist(mesh_i.shape.center, mesh_j.shape.center)
+        rows, outer_w = quad._orbit_rows(mesh_i.form, mesh_i.weights)
+        outer = mesh_i.shape.radius * mesh_i.form.nodes[rows]
+        inner = mesh_j.shape.radius * mesh_j.form.nodes + np.array([0.0, 0.0, D])
     else:
         shared = tuple(a for a in range(3) if mesh_i.shape.center[a] == mesh_j.shape.center[a])
         rows, outer_w = quad._orbit_rows(mesh_i.form, mesh_i.weights, shared)
-        outer, inner, inner_w = mesh_i.nodes[rows], mesh_j.nodes, mesh_j.weights
+        outer, inner = mesh_i.nodes[rows], mesh_j.nodes
     diff = outer[:, None, :] - inner[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return d.reshape(-1), (outer_w[:, None] * inner_w[None, :]).reshape(-1)
+    return d.reshape(-1), (outer_w[:, None] * mesh_j.weights[None, :]).reshape(-1)
 
 
 # a ring pair (24 rows), a collinear sphere and ellipsoid on the mirror rule
@@ -748,13 +752,18 @@ def test_ring_pair_of_unequal_spheres_and_orders(constants, flat):
             assert got == pytest.approx(exact, rel=2e-12)
 
 
-def test_ring_pair_does_not_depend_on_the_direction(constants, flat, sphere24):
-    # only the distance of the centres enters a sphere pair's geometry
-    values = set()
-    for center in ((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, -4.0)):
-        other = build_surface(Sphere(center, 1.0), order=24)
-        values.add(pair_integral(sphere24, other, flat, constants, 1.0))
-    assert len(values) == 1
+def test_ring_pair_does_not_depend_on_the_direction(constants, flat):
+    # only the distance of the centres enters a sphere pair's geometry,
+    # scaled into the line-of-centres frame, whichever sphere is outer
+    for R, order in itertools.product((1.0, 0.55, 1.3), (16, 24)):
+        unit = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=order)
+        others = [
+            build_surface(Sphere(center, R), order=order)
+            for center in ((4.0, 0.0, 0.0), (0.0, 4.0, 0.0), (0.0, 0.0, -4.0))
+        ]
+        for pairs in ([(o, unit) for o in others], [(unit, o) for o in others]):
+            values = {pair_integral(a, b, flat, constants, 1.0) for a, b in pairs}
+            assert len(values) == 1, (R, order)
 
 
 def test_equal_axis_ellipsoid_pair_goes_on_rings(sphere24):

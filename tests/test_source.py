@@ -7,8 +7,9 @@ no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
 only jacobi_eigh and the leggauss port call an eigensolver, only
 _quadrature._pair_distances forms the node differences of two point sets,
-every keyword default is set by some caller in the package or listed
-as API, and no size is compared with 1 outside a listed function.
+only the form and pair geometry builds pick orbit rows, every keyword
+default is set by some caller in the package or listed as API, and no
+size is compared with 1 outside a listed function.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -372,6 +373,31 @@ def test_one_helper_forms_pairwise_node_differences(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     module, function = PAIR_DIFFERENCE
     assert _pairwise_differences(tree) == ([function] if name == module else [])
+
+
+# One rule picks outer rows: the orbit rule, which the self-integral's
+# form geometry and the pair build call once each, every pair's frame and
+# group chosen before that one call.
+ORBIT_ROW_CALLERS = ("_quadrature.py", ["_form_geometry", "_pair_geometry"])
+
+
+def test_the_check_finds_an_orbit_row_call():
+    tree = ast.parse(
+        "from . import _quadrature as quad\n"
+        "rows = quad._orbit_rows(form, form.weights)\n"
+        "def _ring_pair(a, b):\n"
+        "    return _orbit_rows(a.form, a.form.weights)\n"
+        "def _pair_geometry(a, b):\n"
+        "    return _orbit_rows(a.form, a.weights, (1, 2)), orbit_rows(a)\n"
+    )
+    assert _calling_functions(tree, "_orbit_rows") == [None, "_ring_pair", "_pair_geometry"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_the_form_and_pair_builds_pick_orbit_rows(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    module, functions = ORBIT_ROW_CALLERS
+    assert _calling_functions(tree, "_orbit_rows") == (functions if name == module else [])
 
 
 # One zero-mode search: principal._ground_state serves the principal and
