@@ -58,12 +58,13 @@ static kernel G depends on nu: double_sum takes two channels (surfaces, or
 points of one node of weight 1 and V = 1), the space, the constants, nu
 and a derivative order, and returns P = (V_a V_b)^{-1/2} times the double
 integral of G with its nu-derivatives up to that order.  It refuses
-nu <= 0, and a surface outside flat space, whose node distances it
-measures as Euclidean.  The self-integral goes to diag_weighted_sum, a
-pair of surfaces, a surface and a point, or two points to
-offdiag_weighted_sum, and their cached (distances, weights) to
+nu < 0, and a surface outside flat space, whose node distances it
+measures as Euclidean.  The self-integral goes to diag_weighted_sum, the
+rest to offdiag_weighted_sum, and their cached (distances, weights) to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
-one static_kernel_array pass (G, d G) per block.  As dG/dnu = -gamma' d G
+one static_kernel_array pass (G, d G) per block.  At nu = 0, where G =
+pref / d, a surface's M_k is pref sum w d^(k-1) instead, from three sums
+each cached geometry gets once (_flat_moments).  As dG/dnu = -gamma' d G
 and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0), the k-th
 derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs one more dot
 per block and no cached array.
@@ -191,6 +192,23 @@ def _mesh_cache(fn):
     return cached
 
 
+def _blocked_dots(weights: np.ndarray, dists: np.ndarray, columns) -> tuple[float, ...]:
+    """The sums of w c(d) over the arrays c(d) that columns gives per _BLOCK
+    block of d, each dotted per _DOT samples and combined by math.fsum."""
+    n = weights.shape[0]
+    partials = []
+    for o in range(0, n, _BLOCK):
+        arrays = columns(dists[o : o + _BLOCK])
+        for h in range(0, min(_BLOCK, n - o), _DOT):
+            w = weights[o + h : o + h + _DOT]
+            partials.append(tuple(w.dot(a[h : h + _DOT]) for a in arrays))
+        # Free the block's arrays before the next kernel call: with two
+        # blocks' arrays alive, glibc trimmed and re-faulted the heap every
+        # block, which more than doubled a warm order-24 self-integral.
+        del arrays
+    return tuple(map(math.fsum, zip(*partials)))
+
+
 def weighted_kernel_sum(
     weights: np.ndarray,
     dists: np.ndarray,
@@ -199,29 +217,14 @@ def weighted_kernel_sum(
     nu: float,
     order: int,
 ) -> tuple[float, ...]:
-    """The distance moments M_k = sum of w d^k G(d) of the static kernel G
-    at nu, k = 0 .. order (at most 2), with a deterministic reduction.
+    """The distance moments M_k = sum of w d^k G(d) of the static kernel G at
+    nu, k = 0 .. order (at most 2): one static_kernel_array call per block."""
 
-    The arrays are cut into fixed _BLOCK-sample blocks; each block makes one
-    static_kernel_array call, which returns G and d G, and contributes one
-    dot-product partial per _DOT samples to each sum, and the partials are
-    combined with math.fsum.  No dot is long enough for OpenBLAS to split it
-    over threads, so no bit of a sum depends on the BLAS thread count.
-    """
-    n = weights.shape[0]
-    partials = []
-    for o in range(0, n, _BLOCK):
-        d = dists[o : o + _BLOCK]
+    def columns(d):
         g, dg = static_kernel_array(space, constants, nu, d, moment=True)
-        arrays = (g, dg, d * dg) if order == 2 else (g, dg)[: order + 1]
-        for h in range(0, min(_BLOCK, n - o), _DOT):
-            w = weights[o + h : o + h + _DOT]
-            partials.append(tuple(w.dot(a[h : h + _DOT]) for a in arrays))
-        # Free the block's arrays before the next kernel call: with two
-        # blocks' arrays alive, glibc trimmed and re-faulted the heap every
-        # block, which more than doubled a warm order-24 self-integral.
-        del arrays, g, dg
-    return tuple(map(math.fsum, zip(*partials)))
+        return (g, dg, d * dg) if order == 2 else (g, dg)[: order + 1]
+
+    return _blocked_dots(weights, dists, columns)
 
 
 def _nu_derivatives(
@@ -498,15 +501,39 @@ def _point_geometry(mesh: SurfaceMesh, point: Point3):
     return _pair_distances(mesh.nodes, point.as_array()[None]).reshape(-1), mesh.weights
 
 
+def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
+    """Cached (d, w) of a surface with itself (its form's), a surface or a point."""
+    if a is b:
+        return _diag_geometry(a)
+    return (_point_geometry if isinstance(b, Point3) else _pair_geometry)(a, b)
+
+
+@_mesh_cache
+def _flat_moments(a: SurfaceMesh, b: SurfaceMesh | Point3):
+    """(sum w / d, sum w, sum w d) over _geometry(a, b): built on first use,
+    they live as long as the geometry and hold none of it."""
+    d, w = _geometry(a, b)
+    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x))
+
+
+def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:
+    """M_k up to order of surface a with b at nu: one kernel pass, or at
+    nu = 0, where G = pref / d, pref times the cached sums of w d^(k - 1)."""
+    if nu == 0.0:
+        pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
+        return tuple(pref * m for m in _flat_moments(a, b)[: order + 1])
+    d, w = _geometry(a, b)
+    return weighted_kernel_sum(w, d, space, constants, nu, order)
+
+
 def diag_weighted_sum(
     mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, nu: float, order: int
 ) -> tuple[float, ...]:
     """P_ii and its nu-derivatives up to order over mesh x mesh
     (singularity-safe), by the scale law: at scale s, P^(k)(nu) is
     s^(k + 1) times the form's at s nu, normalized by the form's area."""
-    d, w = _diag_geometry(mesh)
     s = mesh.scale
-    moments = weighted_kernel_sum(w, d, space, constants, s * nu, order)
+    moments = _surface_moments(mesh, mesh, space, constants, s * nu, order)
     derivs = _nu_derivatives(moments, space, constants, s * nu, mesh.form.area)
     return tuple(s ** (k + 1) * p for k, p in enumerate(derivs))
 
@@ -523,13 +550,11 @@ def offdiag_weighted_sum(
     channels: two disjoint surfaces, a surface and a point, or two points
     at their distance in space."""
     if isinstance(a, Point3):
-        d, w = np.array([ambient_distance(space, a, b)]), np.ones(1)
-    elif isinstance(b, Point3):
-        d, w = _point_geometry(a, b)
+        d = np.array([ambient_distance(space, a, b)])
+        moments = weighted_kernel_sum(np.ones(1), d, space, constants, nu, order)
     else:
-        d, w = _pair_geometry(a, b)
+        moments = _surface_moments(a, b, space, constants, nu, order)
     norm = math.sqrt(getattr(a, "area", 1.0) * getattr(b, "area", 1.0))  # a point's V is 1
-    moments = weighted_kernel_sum(w, d, space, constants, nu, order)
     return _nu_derivatives(moments, space, constants, nu, norm)
 
 
@@ -554,15 +579,13 @@ def double_sum(
     when both are the same mesh, else a pair, point or point-pair sum."""
     if isinstance(a, SurfaceMesh):
         _check_flat(space)
-    if not nu > 0.0:
-        raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
+    if not nu >= 0.0:
+        raise InvalidArgumentError(f"kernel sums need nu >= 0, got {nu}")
     if a is b:
         return diag_weighted_sum(a, space, constants, nu, order)
     return offdiag_weighted_sum(a, b, space, constants, nu, order)
 
 
 def clear_caches() -> None:
-    _form_geometry.cache_clear()
-    _diag_geometry.cache_clear()
-    _pair_geometry.cache_clear()
-    _point_geometry.cache_clear()
+    for cache in (_form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _flat_moments):
+        cache.cache_clear()

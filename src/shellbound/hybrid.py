@@ -115,10 +115,6 @@ def point_krein(
     Closed form c (gamma(nu) - gamma(mu)), gamma the static kernel's decay
     rate: 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} (nu - mu) in flat space.
     """
-    if not (mu > 0.0 and nu > 0.0):
-        raise InvalidArgumentError(
-            f"mu and nu must be positive, got mu={mu}, nu={nu}"
-        )
     return _point_diagonal(constants, space, mu, nu)[0]
 
 

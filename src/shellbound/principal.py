@@ -28,7 +28,9 @@ variational zero mode is the lambda-form root (see variational).
 A lone surface's coupling solve (energy_from_coupling) runs the same
 Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
 instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
-increasing, with the free slope -P'/P, and fewer steps reach the root.
+increasing, with the free slope -P'/P, and fewer steps reach the root,
+the last unevaluated under a bound on |g''|.  Every lambda-form search
+starts at nu = 0, whose sums need no kernel pass (see _quadrature).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ __all__ = [
     "wavefunction",
 ]
 
-_NU_FLOOR = 1e-8
+_NU_FLOOR = 0.0
 _NU_CEIL = 1e4
 
 
@@ -190,10 +192,16 @@ def pair_integral(
     nu: float,
 ) -> float:
     """(V_i V_j)^{-1/2} double surface integral of the static kernel."""
+    _check_nu(nu)
     return quad.double_sum(mesh_i, mesh_j, space, constants, nu, 0)[0]
 
 
-def _monotone_root(f, lo, f_lo, ceil, error, tol):
+def _check_nu(nu: float) -> None:  # the public sums' check; the searches start at nu = 0
+    if not nu > 0.0:
+        raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
+
+
+def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None):
     """Crossing of an increasing f in [lo, ceil] by Newton's method from the
     left, given f_lo = f(lo) with f_lo[0] <= 0.
 
@@ -211,6 +219,11 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol):
     since no step resolves much below one ulp of the root, and returns
     (that point, number of evaluations, the caller's f(lo) included).
     Raises error on a NaN value or after 100 evaluations of its own.
+
+    With curvature M >= |f''| of a concave f, a step s from x with f < 0
+    leaves the root in [x + s, x + h], h the first zero of f + f't - M t^2/2
+    <= f(x + t).  Once h - s is within the stop width at x + s, x + s is
+    returned unevaluated (Ortega & Rheinboldt 1970, chs. 12-13).
     """
     rtol = max(tol, 4.0 * np.finfo(float).eps)
     x, (f_x, slope) = lo, f_lo
@@ -220,6 +233,11 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol):
         step = -f_x / slope if slope > 0.0 else -math.copysign(math.inf, f_x)
         if f_x == 0.0 or abs(step) <= delta:
             return x, evals
+        if curvature is not None and b is None and x + step < ceil:
+            disc = slope * slope + 2.0 * curvature * f_x
+            h = -2.0 * f_x / (slope + math.sqrt(disc)) if disc >= 0.0 else math.inf
+            if h - step <= (tol + rtol * abs(x + step)) / 2:
+                return x + step, evals
         if b is None:
             x = min(x + step, ceil)
         elif a < x + step < b:
@@ -271,6 +289,8 @@ def assemble_phi(
 def _point_diagonal(constants: PhysicalConstants, space: AmbientSpace, mu: float, nu: float):
     """The point diagonal c (gamma(nu) - gamma(mu)) and its nu-slope
     c gamma'(nu), with c = 2 sqrt(pi) (m / 2 pi hbar^2)^{3/2} / kappa_f."""
+    if not (mu > 0.0 and nu > 0.0):
+        raise InvalidArgumentError(f"mu and nu must be positive, got mu={mu}, nu={nu}")
     m, hbar = constants.mass, constants.hbar
     c = 2.0 * math.sqrt(math.pi) * (m / (2.0 * math.pi * hbar * hbar)) ** 1.5
     c = c / constants.kappa_factor
@@ -327,18 +347,19 @@ def energy_from_coupling(
 ) -> float | None:
     """Standalone bound-state parameter nu* for one surface, or None.
 
-    Returns None when the coupling is at or below the critical value (the
-    pair integral at nu -> 0 caps 1/lambda for a bound state to form).
+    Returns None unless lambda P(0) > 1 (a root at nu = 0 is the threshold).
 
     nu* is the root of g(nu) = -ln(lambda P(nu)), P = P_ii.  P is a positive
     sum of decaying exponentials in nu, so it is log-convex, and g is
     concave and increasing: Newton's method from the left (_monotone_root)
     rises to the root, with the slope g' = -P'/P from the same kernel pass.
-    Its first step from the floor is the Jensen bound nu_0 + ln(lambda P) /
-    (kappa_f <d>), <d> the mean distance under the weights of P, which
-    lands at or past a Newton step on 1/lambda - P.  Where P underflows to
-    0, g reads +inf, a point past the root; where lambda P overflows, g
-    reads -inf and the step goes to the ceiling.
+    Its first step from nu = 0 is the Jensen bound ln(lambda P) / (kappa_f
+    <d>), <d> the mean distance under the weights of P, which lands at or
+    past a Newton step on 1/lambda - P.  Under those weights |g''| =
+    kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4 (Popoviciu), D the mesh diameter,
+    the curvature with which _monotone_root skips the last evaluation.
+    Where P underflows to 0, g reads +inf, a point past the root; where
+    lambda P overflows, g reads -inf and the step goes to the ceiling.
     """
     if not lam > 0.0:
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
@@ -355,9 +376,9 @@ def energy_from_coupling(
     nu, _ = _monotone_root(
         f, _NU_FLOOR, f_lo, _NU_CEIL,
         NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
-        1e-13,
+        1e-13, (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4,
     )
-    return nu
+    return nu or None  # a root at nu = 0 is the threshold
 
 
 def lowest_eigenvalue_flow(
@@ -380,15 +401,15 @@ def lowest_eigenvalue_flow(
 
 def _ground_state(phi, starts) -> BoundStateResult:
     """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo,
-    _NU_CEIL] from lo = max(starts), or _NU_FLOOR when there are none.
+    _NU_CEIL] from lo = max(starts), or _NU_FLOOR = 0 when there are none.
 
     phi maps nu to the principal matrix with its slope; starts are the
     channels' standalone levels (nu*-form couplings and points), and the
-    diagonal of the channel at the highest one is 0 there, so
-    omega_min(lo) <= 0; omega_min(lo) > 0 means no bound state.  Past
-    that a zero exists, since as nu grows each diagonal tends to a
-    positive value (1/lambda, P(nu*) or a point's c (gamma(nu) -
-    gamma(mu))) and each off-diagonal to 0, so a search that misses it (a
+    diagonal of the channel at the highest one is 0 there, so omega_min(lo)
+    <= 0; omega_min(lo) > 0, or a zero at the threshold nu = 0, means no
+    bound state.  Past that a zero exists, since as nu grows each diagonal
+    tends to a positive value (1/lambda, P(nu*) or a point's c (gamma(nu)
+    - gamma(mu))) and each off-diagonal to 0, so a search that misses it (a
     zero past the ceiling, a NaN, the evaluation cap) has not converged.
     The returned weights are the unit null eigenvector at the crossing,
     sign-fixed to a nonnegative sum (ground-state positivity); converged
@@ -414,6 +435,8 @@ def _ground_state(phi, starts) -> BoundStateResult:
         NoConvergenceError(f"no zero of omega_min found in [{lo}, {_NU_CEIL}]"),
         0.5e-12,
     )
+    if nu_sol == 0.0:
+        raise NoBoundStateError("omega_min's zero is the threshold nu = 0: no bound state")
     w, V = seen[nu_sol].eigh
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
@@ -460,6 +483,7 @@ def surface_potential(
     the point-surface entry of _kernel_matrices, inf for a point on a node."""
     if not x.is_flat:
         raise InvalidArgumentError("need a flat-space point")
+    _check_nu(nu)
     with np.errstate(divide="ignore"):  # G(0) = inf
         return quad.double_sum(mesh, x, space, constants, nu, 0)[0]
 

@@ -13,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from shellbound import cli, geometry
+from shellbound import PhysicalConstants, Sphere, build_surface, cli, flat_space, geometry
+from shellbound import _quadrature as quad
 from shellbound.bounds import coupling_bound_model, critical_coupling_exact
 from shellbound.cli import _fmt, load_config, main
 from shellbound.errors import ConfigError, UnsupportedRegimeError
@@ -853,3 +854,19 @@ def test_shipped_configs_parse(config_dir):
     for name in names:
         built = load_config(str(config_dir / name))
         assert built.surfaces or built.points
+
+
+def test_variational_at_the_threshold_exits_two(tmp_path, capsys):
+    # lambda = 1 / P(0) binds nothing: the lambda-form search finds its
+    # zero at nu = 0, which is no bound state, and never reaches the
+    # variational L = -P'/(2 nu)
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16)
+    p0 = quad.double_sum(mesh, mesh, flat_space(), PhysicalConstants(), 0.0, 0)[0]
+    data = json.loads(json.dumps(SPHERE_LAM))
+    data["surfaces"][0]["order"] = 16
+    data["surfaces"][0]["coupling"]["lambda"] = 1.0 / p0
+    cfg = write_cfg(tmp_path, data)
+    out = tmp_path / "never.csv"
+    assert main(["variational", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "no bound state" in capsys.readouterr().err

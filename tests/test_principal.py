@@ -664,17 +664,18 @@ NEWTON_PAIRS = {
 }
 # lambda solves on the order-24 unit sphere and on the order-24 (2, 0.5)
 # torus of warm_solves: (mesh fixture, lambda / lambda_c, the Brent root,
-# exactly this many evaluations of Newton on -ln(lambda P)).  The torus
-# roots are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
+# exactly this many evaluations of Newton on -ln(lambda P), the one at the
+# floor nu = 0 included).  The torus roots are brentq's on P(nu) - 1 /
+# lambda (xtol 1e-15, rtol 4 eps).
 NEWTON_LAMBDAS = {
-    "1.05": ("sphere24", 1.05, 0.04919347462936398, 4),
-    "2.0": ("sphere24", 2.0, 0.7968121434372101, 6),
-    "10.0": ("sphere24", 10.0, 4.99977294733397, 7),
-    "100.0": ("sphere24", 100.0, 49.99985879688131, 9),
-    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 4),
-    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 6),
-    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 7),
-    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 9),
+    "1.05": ("sphere24", 1.05, 0.04919347462936398, 3),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 5),
+    "10.0": ("sphere24", 10.0, 4.99977294733397, 6),
+    "100.0": ("sphere24", 100.0, 49.99985879688131, 8),
+    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 3),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 5),
+    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 6),
+    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 8),
 }
 
 
@@ -707,12 +708,15 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
     fixture, ratio, brent_root, n_evals = NEWTON_LAMBDAS[case]
     mesh = request.getfixturevalue(fixture)
     lam = ratio * (1.0 / pair_integral(mesh, mesh, flat, constants, 1e-8))
-    values = []
+    values, samples = [], []
     inner = principal.quad.double_sum
+    kernel_calls = _counting(monkeypatch, "static_kernel_array", quad)
 
     def recorded(*args):
+        before = len(kernel_calls)
         out = inner(*args)
         values.append(1.0 / lam - out[0])
+        samples.append(sum(call[3].size for call in kernel_calls[before:]))
         return out
 
     monkeypatch.setattr(principal.quad, "double_sum", recorded)
@@ -721,6 +725,10 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
     assert energy_from_coupling(mesh, flat, constants, lam) == nu
     assert len(values) == 2 * n_evals
     assert abs(nu - brent_root) <= 1e-13 * max(1.0, brent_root)
+    # the floor reads the cached nu = 0 moments; every later evaluation is
+    # one kernel pass over the self-integral geometry
+    per_solve = [0] + [quad._diag_geometry(mesh)[0].size] * (n_evals - 1)
+    assert samples == 2 * per_solve
     # every iterate but a solve's last stays below the root; the last may
     # land within an ulp of 1/lambda of it, where the sign is rounding
     for solve in (values[:n_evals], values[n_evals:]):
@@ -756,3 +764,84 @@ def test_coupling_from_energy_refuses_an_underflowed_p(constants, flat):
     assert pair_integral(mesh, mesh, flat, constants, 1e4) == 0.0
     with pytest.raises(UnsupportedRegimeError, match="underflows"):
         coupling_from_energy(mesh, flat, constants, 1e4)
+
+
+# The threshold: a lone surface binds iff lambda P(0) > 1.  At lambda =
+# 1 / P(0) a root would sit at nu = 0, where variational's L = -P'/(2 nu)
+# divides by nu.  On the order-24 sphere 1/lambda equals P(0); on the
+# order-16 one it rounds 1.1e-16 below it, so omega_min(0) < 0 and the
+# search stops at nu = 0 itself.  One ulp more lambda still has its root
+# within the stop width of 0.
+@pytest.mark.parametrize("ulps", [0, 1])
+@pytest.mark.parametrize("fixture", ["sphere16", "sphere24"])
+def test_threshold_coupling_binds_nothing(constants, flat, request, fixture, ulps):
+    mesh = request.getfixturevalue(fixture)
+    lam = 1.0 / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    for _ in range(ulps):
+        lam = math.nextafter(lam, math.inf)
+    assert energy_from_coupling(mesh, flat, constants, lam) is None
+    with pytest.raises(NoBoundStateError):
+        solve_ground_state([mesh], CouplingSpec.from_lambdas(lam), flat, constants)
+
+
+def test_lambda_ground_state_makes_no_kernel_pass_at_nu_zero(constants, flat, monkeypatch):
+    meshes = _spheres(16, (0, 0, 0), (4, 0, 0))
+    kernel = _counting(monkeypatch, "static_kernel_array", quad)
+    passes = []
+    inner = principal.assemble_phi
+
+    def recorded(*args):
+        before = len(kernel)
+        pm = inner(*args)
+        passes.append((pm.nu, len(kernel) - before))
+        return pm
+
+    monkeypatch.setattr(principal, "assemble_phi", recorded)
+    result = solve_ground_state(meshes, CouplingSpec.from_lambdas(2.0, 2.5), flat, constants)
+    assert result.converged and len(passes) == result.iterations
+    assert passes[0] == (0.0, 0)
+    assert all(nu > 0.0 and calls > 0 for nu, calls in passes[1:])
+
+
+# energy_from_coupling's early stop needs |g''| = (ln P)'' <= kappa_f^2
+# D^2 / 4: (ln P)'' is kappa_f^2 times the variance of d under the
+# positive weights w G(d), and every distance of the rule lies in [0, D].
+# A second difference is (ln P)'' at some point of its stencil.
+CURVATURE_SHAPES = {
+    "sphere": Sphere((0.0, 0.0, 0.0), 1.0),
+    "torus": Torus((0.0, 0.0, 0.0), 2.0, 0.5),
+    "ellipsoid": Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.3, 1.7),
+}
+
+
+@pytest.mark.parametrize("name", CURVATURE_SHAPES)
+def test_log_p_curvature_stays_within_the_popoviciu_bound(constants, flat, name):
+    mesh = build_surface(CURVATURE_SHAPES[name], order=16)
+    bound = (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4
+    for nu in np.geomspace(0.01, 30.0, 25):
+        h = nu / 4
+        ln = [math.log(pair_integral(mesh, mesh, flat, constants, x)) for x in (nu - h, nu, nu + h)]
+        assert 0.0 <= (ln[0] - 2.0 * ln[1] + ln[2]) / (h * h) <= bound
+
+
+def _bisected_root(mesh, flat, constants, lam):
+    """The nu with lambda P(nu) = 1 by bisection on P from [0, 100],
+    halved until no float lies between the ends."""
+    lo, hi = 0.0, 100.0
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        if lam * quad.double_sum(mesh, mesh, flat, constants, mid, 0)[0] > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("ratio", [1.001, 2.0, 50.0])
+def test_ellipsoid_lambda_roots_match_bisection(constants, flat, ratio):
+    mesh = build_surface(CURVATURE_SHAPES["ellipsoid"], order=16)
+    lam = ratio / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    nu = energy_from_coupling(mesh, flat, constants, lam)
+    want = _bisected_root(mesh, flat, constants, lam)
+    # the search's own tolerance, relative above 1 and absolute below: at
+    # 1.001 the root is 7.6e-4 and the two differ by 3.7e-15
+    assert abs(nu - want) <= 1e-13 * max(1.0, want)

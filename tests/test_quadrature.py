@@ -21,6 +21,7 @@ from shellbound import (
     Ellipsoid,
     GeometryViolationError,
     HybridSystem,
+    InvalidArgumentError,
     PhysicalConstants,
     PointSource,
     Sphere,
@@ -31,7 +32,7 @@ from shellbound import (
     solve_hybrid_ground_state,
 )
 from shellbound import _quadrature as quad
-from shellbound.geometry import _ScaledSphereChart, _TorusChart
+from shellbound.geometry import Point3, _ScaledSphereChart, _TorusChart
 from shellbound.kernels import static_kernel_array
 from shellbound.oracles import (
     SphereOracleInput,
@@ -1027,3 +1028,119 @@ def test_separation_sweep_memory_does_not_grow_with_its_length(tmp_path):
     short = _sweep_peak_kb(tmp_path, ",".join(grid[:2]))
     long = _sweep_peak_kb(tmp_path, ",".join(grid))
     assert long <= 1.1 * short
+
+
+# Flat sums at nu = 0: the kernel is pref / d, so P^(k)(0) is (-kappa_f)^k
+# pref sum w d^(k - 1) / sqrt(V_a V_b), from three sums that each cached
+# geometry gets once and keeps no longer than the geometry lives.
+
+ZERO_SELF = {
+    "sphere": Sphere((0.0, 0.0, 0.0), 1.3),
+    "torus": Torus((1.0, -2.0, 0.5), 2.0, 0.5),
+    "ellipsoid": Ellipsoid((0.0, 0.0, 0.0), 1.5, 1.95, 2.55),  # (1, 1.3, 1.7) at scale 1.5
+}
+ZERO_PAIRS = {
+    "ring": BLOCKED_PAIRS["ring"],
+    "mirror": BLOCKED_PAIRS["mirror"],
+    "general_position": BLOCKED_PAIRS["general_position"],
+    "point": (Torus((0.0, 0.0, 0.0), 2.0, 0.5), flat_point(0.3, -3.1, 0.7)),
+}
+
+
+def _zero_reference(constants, d, w, norm):
+    """(P, P', P'') at nu = 0 from physical distances and weights, each sum
+    by math.fsum."""
+    pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
+    rate = -constants.kappa_factor
+    return [
+        rate**k * pref * math.fsum((w * d ** (k - 1.0)).tolist()) / norm for k in range(3)
+    ]
+
+
+def _assert_close(got, want):
+    # the blocked dots and the scale law cost a few ulps: 3.8e-16 at most
+    # over these cases, against 2e-15 allowed
+    for g, x in zip(got, want):
+        assert g == pytest.approx(x, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_self_integral_at_nu_zero_is_the_flat_moment_sum(constants, flat, name):
+    mesh = build_surface(ZERO_SELF[name], order=16)
+    assert mesh.scale != 1.0
+    d, w = quad._diag_geometry(mesh)  # the form's arrays, at scale 1
+    s = mesh.scale
+    want = _zero_reference(constants, s * d, s**4 * w, mesh.area)
+    _assert_close(quad.double_sum(mesh, mesh, flat, constants, 0.0, 2), want)
+
+
+@pytest.mark.parametrize("name", ZERO_PAIRS)
+def test_pair_at_nu_zero_is_the_flat_moment_sum(constants, flat, name):
+    a, b = ZERO_PAIRS[name]
+    a = build_surface(a, order=16)
+    if isinstance(b, Point3):  # one node of weight 1 and V = 1
+        d, w = quad._point_geometry(a, b)
+        norm = math.sqrt(a.area)
+    else:
+        b = build_surface(b, order=16)
+        d, w = quad._pair_geometry(a, b)
+        norm = math.sqrt(a.area * b.area)
+    want = _zero_reference(constants, d, w, norm)
+    _assert_close(quad.double_sum(a, b, flat, constants, 0.0, 2), want)
+
+
+@pytest.mark.parametrize("order", [16, 24, 32])
+def test_unit_sphere_p_at_nu_zero(constants, flat, order):
+    # P(0) = 2 m R / hbar^2 exactly; the patch rule leaves 1.9e-11
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=order)
+    exact = 2.0 * constants.mass / constants.hbar**2
+    assert abs(quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0] - exact) <= 2e-11
+
+
+def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
+    with pytest.raises(InvalidArgumentError, match="nu >= 0"):
+        quad.double_sum(sphere16, sphere16, flat, constants, -1e-300, 0)
+
+
+def _recorded(monkeypatch, name):
+    """The calls of quad.<name>, recorded by a wrapper."""
+    calls, inner = [], getattr(quad, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(quad, name, wrapper)
+    return calls
+
+
+def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
+    a, b = _pair()
+    point = flat_point(0.0, 3.0, 0.0)
+    kernel = _recorded(monkeypatch, "static_kernel_array")
+    dots = _recorded(monkeypatch, "_blocked_dots")
+    for other in (a, b, point):
+        first = quad.double_sum(a, other, flat, constants, 0.0, 2)
+        assert len(dots) == 1
+        assert quad.double_sum(a, other, flat, constants, 0.0, 1) == first[:2]
+        assert len(dots) == 1
+        dots.clear()
+    assert kernel == []  # no kernel pass at nu = 0
+
+
+def test_flat_moments_go_with_their_meshes(constants, flat):
+    moments = quad._flat_moments
+    gc.collect()
+    before = moments.cache_info().currsize
+    a, b = _pair()
+    ref = weakref.ref(a)
+    for other in (a, b, flat_point(0.0, 3.0, 0.0)):
+        quad.double_sum(a, other, flat, constants, 0.0, 0)
+    assert moments.cache_info().currsize == before + 3
+    del a
+    gc.collect()
+    assert ref() is None and moments.cache_info().currsize == before
+    c, d = _pair()
+    quad.double_sum(c, d, flat, constants, 0.0, 0)
+    quad.clear_caches()
+    assert moments.cache_info() == (0, 0, None, 0)

@@ -7,9 +7,10 @@ no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
 only jacobi_eigh and the leggauss port call an eigensolver, only
 _quadrature._pair_distances forms the node differences of two point sets,
-only the form and pair geometry builds pick orbit rows, every keyword
-default is set by some caller in the package or listed as API, and no
-size is compared with 1 outside a listed function.
+only the form and pair geometry builds pick orbit rows, only _quadrature
+reads a geometry's arrays or its nu = 0 moments, every keyword default
+is set by some caller in the package or listed as API, and no size is
+compared with 1 outside a listed function.
 
 No linter ships with the package's dependencies, so this parses each module
 with the standard library's ast.  __init__.py is left out of the unused
@@ -580,6 +581,16 @@ DERIVATIVE_READERS = {
 RATE_NAMES = ("kappa_factor", "_decay_rate")
 
 
+def _name_reads(node: ast.AST, names) -> list[tuple[int, str]]:
+    """(line, name) of every name or attribute in names at any depth under node."""
+    return [
+        (sub.lineno, name)
+        for sub in ast.walk(node)
+        for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+        if name in names
+    ]
+
+
 def _rate_reads(tree: ast.Module, functions) -> list[str]:
     """Every name or attribute in RATE_NAMES under the named module-level
     functions, nested functions included, as "function line n: name"."""
@@ -587,10 +598,8 @@ def _rate_reads(tree: ast.Module, functions) -> list[str]:
     for node in tree.body:
         if isinstance(node, _FUNCTIONS) and node.name in functions:
             found += [
-                (sub.lineno, f"{node.name} line {sub.lineno}: {name}")
-                for sub in ast.walk(node)
-                for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
-                if name in RATE_NAMES
+                (line, f"{node.name} line {line}: {name}")
+                for line, name in _name_reads(node, RATE_NAMES)
             ]
     return [text for _, text in sorted(found)]
 
@@ -614,6 +623,33 @@ def test_derivative_readers_take_the_sums_derivatives(name):
     defined = {node.name for node in tree.body if isinstance(node, _FUNCTIONS)}
     assert set(functions) <= defined
     assert _rate_reads(tree, functions) == []
+
+
+# Nor does any module but _quadrature form P from a geometry's arrays or
+# from the nu = 0 moments cached beside them: P(0), the threshold of a
+# lambda-form search, comes from double_sum like every other P, so no
+# caller rebuilds it from (d, w).
+GEOMETRY_NAMES = (
+    "_form_geometry", "_diag_geometry", "_pair_geometry", "_point_geometry", "_geometry",
+    "_patch_rows", "_flat_moments", "_surface_moments", "_blocked_dots", "_nu_derivatives",
+)
+
+
+def test_the_check_finds_a_geometry_read():
+    tree = ast.parse(
+        "from . import _quadrature as quad\n"
+        "from ._quadrature import _flat_moments\n"
+        "def threshold(mesh, pref):\n"
+        "    d, w = quad._diag_geometry(mesh)\n"
+        "    return pref * _flat_moments(mesh, mesh)[0], w @ (1.0 / d)\n"
+    )
+    assert _name_reads(tree, GEOMETRY_NAMES) == [(4, "_diag_geometry"), (5, "_flat_moments")]
+
+
+@pytest.mark.parametrize("name", sorted(m for m in MODULES if m != "_quadrature.py"))
+def test_only_quadrature_reads_geometry_and_its_moments(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _name_reads(tree, GEOMETRY_NAMES) == []
 
 
 # Keyword defaults that no call under src/ sets, each with the reason it
