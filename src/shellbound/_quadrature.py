@@ -63,8 +63,12 @@ measures as Euclidean.  The self-integral goes to diag_weighted_sum, the
 rest to offdiag_weighted_sum, and their cached (distances, weights) to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
 one static_kernel_array pass (G, d G) per block.  At nu = 0, where G =
-pref / d, a surface's M_k is pref sum w d^(k-1) instead, from three sums
-each cached geometry gets once (_flat_moments).  As dG/dnu = -gamma' d G
+pref / d, a surface's M_k is pref sum w d^(k-1) instead, from four sums
+each cached geometry gets once (_flat_moments): sum w / d, sum w, sum w d
+and sum w d^2.  The first three are M_0 .. M_2 at nu = 0; with the fourth
+they are the moments of order 0 .. 3 of the measure w / d, whose
+two-point Gauss rule (_two_point_rule) bounds a self-integral's P from
+below at every nu >= 0.  As dG/dnu = -gamma' d G
 and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0), the k-th
 derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs one more dot
 per block and no cached array.
@@ -510,10 +514,37 @@ def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
 
 @_mesh_cache
 def _flat_moments(a: SurfaceMesh, b: SurfaceMesh | Point3):
-    """(sum w / d, sum w, sum w d) over _geometry(a, b): built on first use,
-    they live as long as the geometry and hold none of it."""
+    """(sum w / d, sum w, sum w d, sum w d^2) over _geometry(a, b): built on
+    first use, they live as long as the geometry and hold none of it."""
     d, w = _geometry(a, b)
-    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x))
+    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x, x * x))
+
+
+def _two_point_rule(mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants):
+    """The two-point Gauss rule ((x_1, x_2), (W_1, W_2)), x_1 < x_2, of the
+    measure w / d under P_ii, in P's units at the mesh's scale, so that
+    P(nu) >= W_1 exp(-kappa_f nu x_1) + W_2 exp(-kappa_f nu x_2) for every
+    nu >= 0, with equality at nu = 0.
+
+    Its nodes are the zeros of the measure's second orthogonal polynomial,
+    t^2 - (c_3 / c_2) t - c_2 in t = x - mean, c_k the central moments from
+    the four cached nu = 0 sums; it integrates 1, x, x^2 and x^3 exactly, so
+    its error on exp(-a x) is a^4 exp(-a xi) / 4! times the integral of the
+    squared polynomial, >= 0 for a >= 0 (Golub & Meurant 2010, ch. 6).  By
+    the scale law the nodes are s times the form's and the weights s pref /
+    area_form times its sums.
+    """
+    _check_flat(space)
+    m0, m1, m2, m3 = _flat_moments(mesh, mesh)
+    mean = m1 / m0
+    c2 = m2 / m0 - mean * mean
+    r = (m3 / m0 - mean * (3.0 * m2 / m0 - 2.0 * mean * mean)) / c2  # c_3 / c_2
+    q = (r + math.copysign(math.sqrt(r * r + 4.0 * c2), r)) / 2.0
+    t1, t2 = sorted((q, -c2 / q))  # t1 < 0 < t2, t1 t2 = -c_2
+    s = mesh.scale
+    unit = s * constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar) / mesh.form.area
+    weights = (unit * m0 * t2 / (t2 - t1), unit * m0 * -t1 / (t2 - t1))
+    return (s * (mean + t1), s * (mean + t2)), weights
 
 
 def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:

@@ -30,6 +30,12 @@ Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
 instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
 increasing, with the free slope -P'/P, and fewer steps reach the root,
 the last unevaluated under a bound on |g''|.  Every lambda-form search
+starts at its channels' Gauss levels: the two-point Gauss rule of P's
+distance measure bounds P from below (_quadrature._two_point_rule), so
+the root of lambda times the rule, nu_G, found with no kernel pass
+(_gauss_level), lies at or below the channel's level and the system's
+zero.  A level that rounding puts past the zero is evaluated like any
+iterate and brackets it, and a search with no level above the floor
 starts at nu = 0, whose sums need no kernel pass (see _quadrature).
 """
 
@@ -201,9 +207,11 @@ def _check_nu(nu: float) -> None:  # the public sums' check; the searches start 
         raise InvalidArgumentError(f"kernel sums need nu > 0, got {nu}")
 
 
-def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None):
+def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None, floor=None):
     """Crossing of an increasing f in [lo, ceil] by Newton's method from the
-    left, given f_lo = f(lo) with f_lo[0] <= 0.
+    left, given f_lo = f(lo) with f_lo[0] <= 0, or with f_lo[0] > 0 and a
+    floor < lo that lies at or below the crossing without an evaluation:
+    then the search starts on the bracket [floor, lo].
 
     f(x) returns (f(x), f'(x)).  On a concave f each Newton step from a
     point with f <= 0 lands at or below the root, so the iterates rise to
@@ -227,8 +235,16 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None):
     """
     rtol = max(tol, 4.0 * np.finfo(float).eps)
     x, (f_x, slope) = lo, f_lo
-    a, b = lo, None  # last point with f <= 0, least with f > 0
+    a, b = lo if floor is None else floor, None  # last point with f <= 0, least with f > 0
     for evals in range(1, 101):
+        if math.isnan(f_x):
+            raise error
+        if f_x > 0.0:
+            b = x
+        elif x == ceil:
+            raise error
+        else:
+            a = x
         delta = (tol + rtol * abs(x)) / 2
         step = -f_x / slope if slope > 0.0 else -math.copysign(math.inf, f_x)
         if f_x == 0.0 or abs(step) <= delta:
@@ -247,14 +263,6 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None):
         else:
             x = a + (b - a) / 2
         f_x, slope = f(x)
-        if math.isnan(f_x):
-            raise error
-        if f_x > 0.0:
-            b = x
-        elif x == ceil:
-            raise error
-        else:
-            a = x
     raise error
 
 
@@ -339,6 +347,39 @@ def coupling_from_energy(
     return 1.0 / p
 
 
+def _gauss_level(
+    mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, lam: float
+) -> float:
+    """A lower bound nu_G on the standalone level of a lambda channel, from
+    no kernel pass: the root of lambda (W_1 e^{-k nu x_1} + W_2 e^{-k nu
+    x_2}) = 1, k = kappa_f, over the two-point rule that bounds P from
+    below (quad._two_point_rule).  _monotone_root finds it on -ln of the
+    model, concave and increasing like energy_from_coupling's g, read as
+    k nu x_1 - ln lambda - ln(W_1 + W_2 e^{-k nu (x_2 - x_1)}) so that
+    nothing over- or underflows.  The model adds 8 eps (1 + |ln lambda|),
+    more than the rounding of either ln(lambda P): next to the threshold,
+    where the rule's error is below rounding, nu_G then still lies below
+    the root of the computed P.  Returns the floor when the model does not bind or
+    binds within the stop width of it, and the ceiling when its root lies
+    at or past it, where the caller's search raises its own error.
+    """
+    (x1, x2), (w1, w2) = quad._two_point_rule(mesh, space, constants)
+    k, ln_lam = constants.kappa_factor, math.log(lam)
+    margin = 8.0 * math.ulp(1.0) * (1.0 + abs(ln_lam))
+
+    def f(nu: float) -> tuple[float, float]:
+        t = w2 * math.exp(-k * nu * (x2 - x1))
+        return k * nu * x1 - ln_lam - math.log(w1 + t) + margin, k * (w1 * x1 + t * x2) / (w1 + t)
+
+    f_lo = f(_NU_FLOOR)
+    if f_lo[0] >= 0.0:
+        return _NU_FLOOR
+    if f(_NU_CEIL)[0] <= 0.0:
+        return _NU_CEIL
+    error = NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}")
+    return _monotone_root(f, _NU_FLOOR, f_lo, _NU_CEIL, error, 1e-13)[0]
+
+
 def energy_from_coupling(
     mesh: SurfaceMesh,
     space: AmbientSpace,
@@ -347,38 +388,42 @@ def energy_from_coupling(
 ) -> float | None:
     """Standalone bound-state parameter nu* for one surface, or None.
 
-    Returns None unless lambda P(0) > 1 (a root at nu = 0 is the threshold).
+    Returns None unless lambda P(0) > 1 (a root within the search's stop
+    width of nu = 0 is the threshold).
 
     nu* is the root of g(nu) = -ln(lambda P(nu)), P = P_ii.  P is a positive
     sum of decaying exponentials in nu, so it is log-convex, and g is
     concave and increasing: Newton's method from the left (_monotone_root)
     rises to the root, with the slope g' = -P'/P from the same kernel pass.
-    Its first step from nu = 0 is the Jensen bound ln(lambda P) / (kappa_f
-    <d>), <d> the mean distance under the weights of P, which lands at or
-    past a Newton step on 1/lambda - P.  Under those weights |g''| =
-    kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4 (Popoviciu), D the mesh diameter,
-    the curvature with which _monotone_root skips the last evaluation.
-    Where P underflows to 0, g reads +inf, a point past the root; where
-    lambda P overflows, g reads -inf and the step goes to the ceiling.
+    After the free evaluation at nu = 0, which decides the threshold, its
+    first iterate is the Gauss level nu_G (_gauss_level), the root for the
+    two-point Gauss rule of P's distance measure, at or below the root.
+    The Newton step from nu = 0 would be the Jensen bound ln(lambda P(0)) /
+    (kappa_f <d>), the one-point rule's root, which nu_G refines by the
+    rule's second point.  Under those weights |g''| = kappa_f^2 Var(d) <=
+    kappa_f^2 D^2 / 4 (Popoviciu), D the mesh diameter, the curvature with
+    which _monotone_root skips the last evaluation.  Every iterate is at
+    or below the root, up to rounding, where P >= 1 / lambda > 0, so P
+    never underflows to 0 there; where lambda P(0) overflows, g(0) reads
+    -inf and nu_G still starts the search.
     """
     if not lam > 0.0:
         raise InvalidArgumentError(f"coupling must be positive, got {lam}")
 
     def f(nu: float) -> tuple[float, float]:
         p, dp = quad.double_sum(mesh, mesh, space, constants, nu, 1)
-        if p == 0.0:
-            return math.inf, 0.0
         return -math.log(lam * p), -dp / p
 
     f_lo = f(_NU_FLOOR)
     if f_lo[0] >= 0.0:
         return None
+    lo = _gauss_level(mesh, space, constants, lam)
     nu, _ = _monotone_root(
-        f, _NU_FLOOR, f_lo, _NU_CEIL,
+        f, lo, f(lo) if lo > _NU_FLOOR else f_lo, _NU_CEIL,
         NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
-        1e-13, (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4,
+        1e-13, (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4, _NU_FLOOR,
     )
-    return nu or None  # a root at nu = 0 is the threshold
+    return nu or None  # a root within the stop width of 0 gives a level of 0 and is the threshold
 
 
 def lowest_eigenvalue_flow(
@@ -399,43 +444,51 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, starts) -> BoundStateResult:
+def _ground_state(phi, starts, levels=()) -> BoundStateResult:
     """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo,
     _NU_CEIL] from lo = max(starts), or _NU_FLOOR = 0 when there are none.
 
     phi maps nu to the principal matrix with its slope; starts are the
     channels' standalone levels (nu*-form couplings and points), and the
     diagonal of the channel at the highest one is 0 there, so omega_min(lo)
-    <= 0; omega_min(lo) > 0, or a zero at the threshold nu = 0, means no
-    bound state.  Past that a zero exists, since as nu grows each diagonal
-    tends to a positive value (1/lambda, P(nu*) or a point's c (gamma(nu)
-    - gamma(mu))) and each off-diagonal to 0, so a search that misses it (a
-    zero past the ceiling, a NaN, the evaluation cap) has not converged.
-    The returned weights are the unit null eigenvector at the crossing,
-    sign-fixed to a nonnegative sum (ground-state positivity); converged
-    means |omega_min| < 1e-10 there.  iterations counts the evaluations
-    of omega_min made by the root finder.  The matrices it evaluates are
-    kept, so the null vector at the root needs no further assembly, and
-    its eigenpairs, solved for omega_min, also give the slope.
+    <= 0; omega_min(lo) > 0, or a zero within the stop width of the
+    threshold nu = 0, means no bound state.  Past that a zero exists, since
+    as nu grows each diagonal tends to a positive value (1/lambda, P(nu*)
+    or a point's c (gamma(nu) - gamma(mu))) and each off-diagonal to 0, so
+    a search that misses it (a zero past the ceiling, a NaN, the evaluation
+    cap) has not converged.  levels are the lambda channels' Gauss levels
+    (_gauss_level): at each, omega_min <= Phi_ii = 1/lambda_i - P_ii <= 0,
+    so lo needs no evaluation when the highest lies above it, and the
+    search starts there instead.  Rounding may put that level past the
+    zero, where omega_min > 0 brackets the zero in [lo, level] and is no
+    sign of a missing bound state.  The returned weights are the unit null
+    eigenvector at the crossing, sign-fixed to a nonnegative sum
+    (ground-state positivity); converged means |omega_min| < 1e-10 there.
+    iterations counts the evaluations of omega_min made by the root
+    finder.  The matrices it evaluates are kept, so the null vector at the
+    root needs no further assembly, and its eigenpairs, solved for
+    omega_min, also give the slope.
     """
+    tol = 0.5e-12
     lo = max(starts, default=_NU_FLOOR)
+    start = max([lo, *levels])
     seen = {}
 
     def omega(nu: float) -> tuple[float, float]:
         pm = seen[nu] = phi(nu)
         return pm.omega_min(), pm.omega_slope()
 
-    f_lo = omega(lo)
-    if f_lo[0] > 0.0:
+    f_start = omega(start)
+    if f_start[0] > 0.0 and start == lo:
         raise NoBoundStateError(
-            f"omega_min({lo}) = {f_lo[0]} > 0: no bound state at or below the bracket start"
+            f"omega_min({lo}) = {f_start[0]} > 0: no bound state at or below the bracket start"
         )
     nu_sol, evals = _monotone_root(
-        omega, lo, f_lo, _NU_CEIL,
+        omega, start, f_start, _NU_CEIL,
         NoConvergenceError(f"no zero of omega_min found in [{lo}, {_NU_CEIL}]"),
-        0.5e-12,
+        tol, None, lo,
     )
-    if nu_sol == 0.0:
+    if lo == _NU_FLOOR and nu_sol <= tol / 2:  # within the stop width of the threshold nu = 0
         raise NoBoundStateError("omega_min's zero is the threshold nu = 0: no bound state")
     w, V = seen[nu_sol].eigh
     vec = V[:, 0]
@@ -469,6 +522,11 @@ def solve_ground_state(
     return _ground_state(
         lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
         [cp.nu_star for cp in couplings.items if cp.nu_star is not None],
+        [
+            _gauss_level(mesh, space, constants, cp.lam)
+            for mesh, cp in zip(surfaces, couplings.items)
+            if cp.lam is not None
+        ],
     )
 
 

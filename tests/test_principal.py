@@ -665,17 +665,29 @@ NEWTON_PAIRS = {
 # lambda solves on the order-24 unit sphere and on the order-24 (2, 0.5)
 # torus of warm_solves: (mesh fixture, lambda / lambda_c, the Brent root,
 # exactly this many evaluations of Newton on -ln(lambda P), the one at the
-# floor nu = 0 included).  The torus roots are brentq's on P(nu) - 1 /
-# lambda (xtol 1e-15, rtol 4 eps).
+# floor nu = 0 included; the next is at the Gauss level).  The torus roots
+# are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
 NEWTON_LAMBDAS = {
-    "1.05": ("sphere24", 1.05, 0.04919347462936398, 3),
-    "2.0": ("sphere24", 2.0, 0.7968121434372101, 5),
+    "1.05": ("sphere24", 1.05, 0.04919347462936398, 2),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 4),
     "10.0": ("sphere24", 10.0, 4.99977294733397, 6),
-    "100.0": ("sphere24", 100.0, 49.99985879688131, 8),
-    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 3),
-    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 5),
+    "100.0": ("sphere24", 100.0, 49.99985879688131, 7),
+    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 2),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 4),
     "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 6),
     "torus 100.0": ("torus24", 100.0, 29.19559072375296, 8),
+}
+# lambda-form systems: (order, centres, couplings, the root before the
+# search started at the Gauss level, exactly this many evaluations of
+# omega_min, the first at the highest Gauss level).
+NEWTON_LAMBDA_SYSTEMS = {
+    "three n16 lambda 2.5": (
+        16, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (2.5, 2.5, 2.5), 1.138392854733482, 4
+    ),
+    "three n24 lambda 10": (
+        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 6
+    ),
+    "D=4 n16 lambda (2, 2.5)": (16, ((0, 0, 0), (4, 0, 0)), (2.0, 2.5), 1.1165047699304789, 4),
 }
 
 
@@ -736,11 +748,14 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
         assert solve[-1] <= 2 * math.ulp(1.0 / lam)
 
 
-def test_lambda_solve_reads_an_underflowed_p_as_past_the_root(constants, flat, monkeypatch):
-    # On a radius-100 sphere P(nu) underflows to 0 well below the ceiling.
-    # lambda P at the floor overflows to inf, so the first Newton step goes
-    # to the ceiling, where P = 0 must read as -ln(lambda P) = +inf, a point
-    # past the root, and the search brackets back to it.
+def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(
+    constants, flat, monkeypatch
+):
+    # On a radius-100 sphere P(nu) underflows to 0 well below the ceiling,
+    # and lambda P at the floor overflows to inf, so g(0) = -inf and the
+    # Newton step from nu = 0 would go to the ceiling.  The Gauss level,
+    # read without overflow, starts the search below the root instead, and
+    # no evaluation meets P = 0.
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
     lam = 1e308
     seen = []
@@ -753,8 +768,10 @@ def test_lambda_solve_reads_an_underflowed_p_as_past_the_root(constants, flat, m
 
     monkeypatch.setattr(principal.quad, "double_sum", recorded)
     nu = energy_from_coupling(mesh, flat, constants, lam)
-    assert seen[1] == (principal._NU_CEIL, 0.0)
-    assert 0.0 < nu < principal._NU_CEIL
+    assert lam * seen[0][1] == math.inf
+    assert seen[1][0] == principal._gauss_level(mesh, flat, constants, lam)
+    assert 0.0 < seen[1][0] <= nu < principal._NU_CEIL
+    assert all(p > 0.0 for _, p in seen)
     assert lam * pair_integral(mesh, mesh, flat, constants, nu) == pytest.approx(1.0, rel=1e-10)
 
 
@@ -784,8 +801,19 @@ def test_threshold_coupling_binds_nothing(constants, flat, request, fixture, ulp
         solve_ground_state([mesh], CouplingSpec.from_lambdas(lam), flat, constants)
 
 
+def test_a_zero_within_the_stop_width_of_zero_is_the_threshold(constants, flat, sphere24):
+    # At (1 + 1e-13) lambda_c the Gauss level lifts off nu = 0 and the root
+    # is 1e-13: past energy_from_coupling's stop width at 0, 0.5e-13, but
+    # within the ground-state search's, 0.25e-12, which therefore still
+    # reads it as the threshold, as its search from nu = 0 did.
+    lam = (1.0 + 1e-13) / quad.double_sum(sphere24, sphere24, flat, constants, 0.0, 0)[0]
+    assert principal._gauss_level(sphere24, flat, constants, lam) > 0.0
+    assert 0.5e-13 < energy_from_coupling(sphere24, flat, constants, lam) < 0.25e-12
+    with pytest.raises(NoBoundStateError, match="threshold"):
+        solve_ground_state([sphere24], CouplingSpec.from_lambdas(lam), flat, constants)
+
+
 def test_lambda_ground_state_makes_no_kernel_pass_at_nu_zero(constants, flat, monkeypatch):
-    meshes = _spheres(16, (0, 0, 0), (4, 0, 0))
     kernel = _counting(monkeypatch, "static_kernel_array", quad)
     passes = []
     inner = principal.assemble_phi
@@ -797,10 +825,21 @@ def test_lambda_ground_state_makes_no_kernel_pass_at_nu_zero(constants, flat, mo
         return pm
 
     monkeypatch.setattr(principal, "assemble_phi", recorded)
-    result = solve_ground_state(meshes, CouplingSpec.from_lambdas(2.0, 2.5), flat, constants)
+    # two subcritical spheres that bind only together: no Gauss level lifts
+    # off the floor, so the search starts at nu = 0, which makes no pass
+    meshes = _spheres(16, (0, 0, 0), (2.1, 0, 0))
+    result = solve_ground_state(meshes, CouplingSpec.from_lambdas(0.9, 0.9), flat, constants)
     assert result.converged and len(passes) == result.iterations
     assert passes[0] == (0.0, 0)
     assert all(nu > 0.0 and calls > 0 for nu, calls in passes[1:])
+    # where a channel binds alone, its Gauss level starts the search and
+    # the floor is never evaluated
+    passes.clear()
+    meshes = _spheres(16, (0, 0, 0), (4, 0, 0))
+    result = solve_ground_state(meshes, CouplingSpec.from_lambdas(2.0, 2.5), flat, constants)
+    assert result.converged and len(passes) == result.iterations
+    assert passes[0][0] == principal._gauss_level(meshes[1], flat, constants, 2.5)
+    assert all(nu > 0.0 and calls > 0 for nu, calls in passes)
 
 
 # energy_from_coupling's early stop needs |g''| = (ln P)'' <= kappa_f^2
@@ -845,3 +884,94 @@ def test_ellipsoid_lambda_roots_match_bisection(constants, flat, ratio):
     # the search's own tolerance, relative above 1 and absolute below: at
     # 1.001 the root is 7.6e-4 and the two differ by 3.7e-15
     assert abs(nu - want) <= 1e-13 * max(1.0, want)
+
+
+@pytest.mark.parametrize("case", NEWTON_LAMBDA_SYSTEMS)
+def test_newton_lambda_systems_start_at_the_gauss_level(constants, flat, monkeypatch, case):
+    order, centers, lams, before, n_evals = NEWTON_LAMBDA_SYSTEMS[case]
+    meshes = _spheres(order, *centers)
+    seen = []
+    inner = principal.assemble_phi
+
+    def recorded(*args):
+        pm = inner(*args)
+        seen.append((pm.nu, pm.omega_min()))
+        return pm
+
+    monkeypatch.setattr(principal, "assemble_phi", recorded)
+    result = solve_ground_state(meshes, CouplingSpec.from_lambdas(*lams), flat, constants)
+    assert result.iterations == len(seen) == n_evals
+    levels = [principal._gauss_level(m, flat, constants, lam) for m, lam in zip(meshes, lams)]
+    assert seen[0][0] == max(levels) > 0.0
+    assert abs(result.nu_star - before) <= 0.5e-12 * (1.0 + before)
+    # every evaluation but the last stays below the zero
+    assert max(omega for _, omega in seen[:-1]) <= 0.0
+    assert result.converged
+
+
+# The Gauss level against the root: lambda P(nu_G) >= 1 holds for the rule
+# in exact arithmetic, and the level's rounding margin keeps it below the
+# float root of the computed P next to the threshold, where the rule's
+# error is below rounding (there it lies 2e-9 below, relative).
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.05, 2.0, 10.0, 100.0])
+@pytest.mark.parametrize("name", CURVATURE_SHAPES)
+def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
+    mesh = build_surface(CURVATURE_SHAPES[name], order=16)
+    lam = ratio / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    level = principal._gauss_level(mesh, flat, constants, lam)
+    assert 0.0 < level <= _bisected_root(mesh, flat, constants, lam)
+
+
+def _inflate_the_rule(monkeypatch, ulps):
+    """Scale _two_point_rule's weights up by ulps units of roundoff, which
+    moves each Gauss level up by about ulps eps / (kappa_f <d>)."""
+    inner = quad._two_point_rule
+
+    def inflated(*args):
+        nodes, weights = inner(*args)
+        return nodes, tuple(w * (1.0 + ulps * math.ulp(1.0)) for w in weights)
+
+    monkeypatch.setattr(quad, "_two_point_rule", inflated)
+
+
+# The rounding guard: a level that rounding puts past the root is an
+# evaluated point with f > 0, never a left point.  Next to the threshold
+# the rule is exact to rounding, so 64 ulps more weight, past the level's
+# margin, puts it there.
+@pytest.mark.parametrize("fixture", ["sphere24", "torus24"])
+def test_a_level_past_the_root_brackets_it(constants, flat, request, monkeypatch, fixture):
+    mesh = request.getfixturevalue(fixture)
+    lam = (1.0 + 1e-6) / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    spec = CouplingSpec.from_lambdas(lam)
+    nu_before = energy_from_coupling(mesh, flat, constants, lam)
+    ground_before = solve_ground_state([mesh], spec, flat, constants).nu_star
+    _inflate_the_rule(monkeypatch, 64)
+    level = principal._gauss_level(mesh, flat, constants, lam)
+    assert lam * quad.double_sum(mesh, mesh, flat, constants, level, 0)[0] < 1.0
+    nu = energy_from_coupling(mesh, flat, constants, lam)
+    assert abs(nu - nu_before) <= 1e-13 * max(1.0, nu_before)
+    result = solve_ground_state([mesh], spec, flat, constants)
+    assert result.converged
+    assert abs(result.nu_star - ground_before) <= 0.5e-12 * (1.0 + ground_before)
+
+
+def test_a_binding_system_never_fails_on_its_level(constants, flat, monkeypatch):
+    # a level far past the zero, from weights doubled, reads omega_min > 0:
+    # the search brackets the zero in [0, level] and finds the bound state
+    meshes = _spheres(16, (0, 0, 0), (4, 0, 0))
+    spec = CouplingSpec.from_lambdas(2.0, 2.5)
+    before = solve_ground_state(meshes, spec, flat, constants).nu_star
+    _inflate_the_rule(monkeypatch, 1.0 / math.ulp(1.0))
+    first = []
+    inner = principal.assemble_phi
+
+    def recorded(*args):
+        pm = inner(*args)
+        first.append(pm.omega_min())
+        return pm
+
+    monkeypatch.setattr(principal, "assemble_phi", recorded)
+    result = solve_ground_state(meshes, spec, flat, constants)
+    assert first[0] > 0.0
+    assert result.converged
+    assert abs(result.nu_star - before) <= 0.5e-12 * (1.0 + before)

@@ -1031,7 +1031,7 @@ def test_separation_sweep_memory_does_not_grow_with_its_length(tmp_path):
 
 
 # Flat sums at nu = 0: the kernel is pref / d, so P^(k)(0) is (-kappa_f)^k
-# pref sum w d^(k - 1) / sqrt(V_a V_b), from three sums that each cached
+# pref sum w d^(k - 1) / sqrt(V_a V_b), from sums that each cached
 # geometry gets once and keeps no longer than the geometry lives.
 
 ZERO_SELF = {
@@ -1100,6 +1100,49 @@ def test_unit_sphere_p_at_nu_zero(constants, flat, order):
 def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
     with pytest.raises(InvalidArgumentError, match="nu >= 0"):
         quad.double_sum(sphere16, sphere16, flat, constants, -1e-300, 0)
+
+
+# The two-point Gauss rule of P's distance measure w / d: it integrates
+# 1, d, d^2 and d^3 exactly, so it reproduces the four nu = 0 sums, and
+# its error on exp(-kappa_f nu d) is >= 0, so it bounds P from below.
+
+
+def _rule_sums(rule, j):
+    (x1, x2), (w1, w2) = rule
+    return w1 * x1**j + w2 * x2**j
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_two_point_rule_reproduces_the_four_flat_sums(constants, flat, name):
+    mesh = build_surface(ZERO_SELF[name], order=16)
+    d, w = quad._diag_geometry(mesh)
+    s = mesh.scale
+    d, w = s * d, s**4 * w  # physical distances and weights
+    pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
+    rule = quad._two_point_rule(mesh, flat, constants)
+    assert 0.0 < rule[0][0] < rule[0][1] <= mesh.diameter_ambient
+    assert min(rule[1]) > 0.0
+    for j in range(4):  # sum W x^j = pref sum w d^(j - 1) / V
+        want = pref * math.fsum((w * d ** (j - 1.0)).tolist()) / mesh.area
+        assert _rule_sums(rule, j) == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_two_point_rule_bounds_p_from_below(constants, flat, name):
+    mesh = build_surface(ZERO_SELF[name], order=16)
+    (x1, x2), (w1, w2) = quad._two_point_rule(mesh, flat, constants)
+    k = constants.kappa_factor
+    for nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):
+        p = quad.double_sum(mesh, mesh, flat, constants, nu, 0)[0]
+        bound = w1 * math.exp(-k * nu * x1) + w2 * math.exp(-k * nu * x2)
+        # equal at nu = 0, and within rounding at 1e-8 (rel. error 1e-32)
+        assert bound <= p * (1.0 + 2e-15)
+        assert nu < 0.1 or bound < p
+
+
+def test_two_point_rule_refuses_hyperbolic_space(constants, hyp, sphere16):
+    with pytest.raises(InvalidArgumentError, match="flat"):
+        quad._two_point_rule(sphere16, hyp, constants)
 
 
 def _recorded(monkeypatch, name):
