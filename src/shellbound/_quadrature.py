@@ -63,15 +63,18 @@ measures as Euclidean.  The self-integral goes to diag_weighted_sum, the
 rest to offdiag_weighted_sum, and their cached (distances, weights) to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
 one static_kernel_array pass (G, d G) per block.  At nu = 0, where G =
-pref / d, a surface's M_k is pref sum w d^(k-1) instead, from four sums
-each cached geometry gets once (_flat_moments): sum w / d, sum w, sum w d
-and sum w d^2.  The first three are M_0 .. M_2 at nu = 0; with the fourth
-they are the moments of order 0 .. 3 of the measure w / d, whose
-two-point Gauss rule (_two_point_rule) bounds a self-integral's P from
-below at every nu >= 0.  As dG/dnu = -gamma' d G
-and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0), the k-th
-derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs one more dot
-per block and no cached array.
+pref / d, a surface's M_k is pref sum w d^(k-1) instead, from sums cached
+on first use and made with no kernel pass: sum w / d, sum w and sum w d,
+M_0 .. M_2 at nu = 0, once per pair or point geometry (_flat_moments),
+and six, sum w d^k for k = -1 .. 4, once per form for every self-integral
+of the form (_form_moments).  The six are the moments of order 0 .. 5 of
+the measure w / d, whose three-point Gauss rule (_three_point_rule)
+bounds a self-integral's P from below at every nu >= 0.  _blocked_dots
+takes each block's columns one at a time, and the powers of d past d^2
+are raised in d^2's buffer (_powers), so the sums hold at most two block
+arrays at once.  As dG/dnu = -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G
+in flat space (gamma'' = 0), the k-th derivative is (-gamma')^k M_k /
+sqrt(V_a V_b): a slope costs one more dot per block and no cached array.
 _diag_geometry caches per mesh, _pair_geometry per mesh pair and
 _point_geometry per (mesh, point), for exactly as long as they live: they
 hold them by weak reference, so a sweep that builds a new mesh per point
@@ -110,6 +113,7 @@ ellipsoid, where 8 rows, though faster, take 1.7 MiB.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from collections import namedtuple
@@ -197,20 +201,21 @@ def _mesh_cache(fn):
 
 
 def _blocked_dots(weights: np.ndarray, dists: np.ndarray, columns) -> tuple[float, ...]:
-    """The sums of w c(d) over the arrays c(d) that columns gives per _BLOCK
-    block of d, each dotted per _DOT samples and combined by math.fsum."""
-    n = weights.shape[0]
+    """The sums of w c(d) over the arrays c(d) that columns yields, one at
+    a time, per _BLOCK block of d, each dotted per _DOT samples and
+    combined by math.fsum."""
     partials = []
-    for o in range(0, n, _BLOCK):
-        arrays = columns(dists[o : o + _BLOCK])
-        for h in range(0, min(_BLOCK, n - o), _DOT):
-            w = weights[o + h : o + h + _DOT]
-            partials.append(tuple(w.dot(a[h : h + _DOT]) for a in arrays))
+    for o in range(0, weights.shape[0], _BLOCK):
+        w = weights[o : o + _BLOCK]
+        for k, a in enumerate(columns(dists[o : o + _BLOCK])):
+            if k == len(partials):
+                partials.append([])
+            partials[k] += (w[h : h + _DOT].dot(a[h : h + _DOT]) for h in range(0, w.size, _DOT))
         # Free the block's arrays before the next kernel call: with two
         # blocks' arrays alive, glibc trimmed and re-faulted the heap every
         # block, which more than doubled a warm order-24 self-integral.
-        del arrays
-    return tuple(map(math.fsum, zip(*partials)))
+        del a
+    return tuple(map(math.fsum, partials))
 
 
 def weighted_kernel_sum(
@@ -226,7 +231,9 @@ def weighted_kernel_sum(
 
     def columns(d):
         g, dg = static_kernel_array(space, constants, nu, d, moment=True)
-        return (g, dg, d * dg) if order == 2 else (g, dg)[: order + 1]
+        yield from (g, dg)[: order + 1]
+        if order == 2:
+            yield d * dg
 
     return _blocked_dots(weights, dists, columns)
 
@@ -512,47 +519,88 @@ def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
     return (_point_geometry if isinstance(b, Point3) else _pair_geometry)(a, b)
 
 
+def _powers(x: np.ndarray):
+    """x^(k - 1) for k = 0, 1, 2, ...: 1 / x, 1, x, x x, then each next
+    power raised in place in that last buffer, so a block holds at most two
+    of these arrays at a time."""
+    yield 1.0 / x
+    yield np.ones_like(x)
+    yield x
+    p = x * x
+    while True:
+        yield p
+        p *= x
+
+
 @_mesh_cache
 def _flat_moments(a: SurfaceMesh, b: SurfaceMesh | Point3):
-    """(sum w / d, sum w, sum w d, sum w d^2) over _geometry(a, b): built on
-    first use, they live as long as the geometry and hold none of it."""
+    """(sum w / d, sum w, sum w d) over the pair or point geometry
+    _geometry(a, b): built on first use, they live as long as the geometry
+    and hold none of it."""
     d, w = _geometry(a, b)
-    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x, x * x))
+    return _blocked_dots(w, d, lambda x: itertools.islice(_powers(x), 3))
 
 
-def _two_point_rule(mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants):
-    """The two-point Gauss rule ((x_1, x_2), (W_1, W_2)), x_1 < x_2, of the
-    measure w / d under P_ii, in P's units at the mesh's scale, so that
-    P(nu) >= W_1 exp(-kappa_f nu x_1) + W_2 exp(-kappa_f nu x_2) for every
-    nu >= 0, with equality at nu = 0.
+@_mesh_cache
+def _form_moments(form: SurfaceForm):
+    """The six sums of w d^k, k = -1 .. 4, over a form's self-integral
+    geometry: one pass for every mesh of the form, living as long as one
+    does."""
+    d, w = _form_geometry(form)[2:]
+    return _blocked_dots(w, d, lambda x: itertools.islice(_powers(x), 6))
 
-    Its nodes are the zeros of the measure's second orthogonal polynomial,
-    t^2 - (c_3 / c_2) t - c_2 in t = x - mean, c_k the central moments from
-    the four cached nu = 0 sums; it integrates 1, x, x^2 and x^3 exactly, so
-    its error on exp(-a x) is a^4 exp(-a xi) / 4! times the integral of the
-    squared polynomial, >= 0 for a >= 0 (Golub & Meurant 2010, ch. 6).  By
-    the scale law the nodes are s times the form's and the weights s pref /
-    area_form times its sums.
+
+def _three_point_rule(mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants):
+    """The three-point Gauss rule ((x_1, x_2, x_3), (W_1, W_2, W_3)), x_1 <
+    x_2 < x_3, of the measure w / d under P_ii, in P's units at the mesh's
+    scale, so that P(nu) >= sum_k W_k exp(-kappa_f nu x_k) for every nu >=
+    0, with equality at nu = 0.
+
+    It integrates 1, x, .., x^5 exactly, the moments that the six cached
+    nu = 0 sums give, so its error on exp(-a x) is a^6 exp(-a xi) / 6!
+    times the integral of the squared third orthogonal polynomial, >= 0 for
+    a >= 0 (Golub & Welsch 1969; Golub & Meurant 2010, ch. 6).  In t = (x -
+    mean) / sigma the measure's moments are 1, 0, 1, t_3, t_4, t_5; the
+    monic cubic t^3 + a t^2 + b t + c orthogonal to 1, t and t^2 solves
+    their 3 x 3 Hankel system, its three real roots r_i come in
+    trigonometric form, and the weight of r_k is the integral of its
+    Lagrange polynomial, (1 + r_i r_j) / ((r_k - r_i)(r_k - r_j)).  All of
+    it is plain float arithmetic: a numpy.linalg call maps more of OpenBLAS
+    into memory.  By the scale law the nodes are s times the form's and the
+    weights s pref / area_form times its sums.
     """
     _check_flat(space)
-    m0, m1, m2, m3 = _flat_moments(mesh, mesh)
-    mean = m1 / m0
-    c2 = m2 / m0 - mean * mean
-    r = (m3 / m0 - mean * (3.0 * m2 / m0 - 2.0 * mean * mean)) / c2  # c_3 / c_2
-    q = (r + math.copysign(math.sqrt(r * r + 4.0 * c2), r)) / 2.0
-    t1, t2 = sorted((q, -c2 / q))  # t1 < 0 < t2, t1 t2 = -c_2
+    sums = _form_moments(mesh.form)
+    _, m, m2, m3, m4, m5 = (x / sums[0] for x in sums)  # raw moments of the measure
+    sigma = math.sqrt(m2 - m * m)
+    # central moments over sigma^k, by the binomial expansion
+    t3 = (m3 - m * (3.0 * m2 - 2.0 * m * m)) / sigma**3
+    t4 = (m4 - m * (4.0 * m3 - m * (6.0 * m2 - 3.0 * m * m))) / sigma**4
+    t5 = (m5 - m * (5.0 * m4 - m * (10.0 * m3 - m * (10.0 * m2 - 4.0 * m * m)))) / sigma**5
+    a = (t3 * (1.0 + t4) - t5) / (t4 - t3 * t3 - 1.0)
+    b, c = -t4 - a * t3, -t3 - a
+    # t = y - a / 3 gives y^3 + p y + q, with p < 0 for three real roots
+    p, q = b - a * a / 3.0, 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    rho = 2.0 * math.sqrt(-p / 3.0)
+    theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * rho)))) / 3.0
+    r = sorted(rho * math.cos(theta - 2.0 * math.pi * k / 3.0) - a / 3.0 for k in range(3))
     s = mesh.scale
     unit = s * constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar) / mesh.form.area
-    weights = (unit * m0 * t2 / (t2 - t1), unit * m0 * -t1 / (t2 - t1))
-    return (s * (mean + t1), s * (mean + t2)), weights
+    weights = tuple(
+        unit * sums[0] * (1.0 + r[i] * r[j]) / ((r[k] - r[i]) * (r[k] - r[j]))
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    return tuple(s * (m + sigma * t) for t in r), weights
 
 
 def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:
     """M_k up to order of surface a with b at nu: one kernel pass, or at
-    nu = 0, where G = pref / d, pref times the cached sums of w d^(k - 1)."""
+    nu = 0, where G = pref / d, pref times the cached sums of w d^(k - 1),
+    a self-integral's its form's."""
     if nu == 0.0:
         pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
-        return tuple(pref * m for m in _flat_moments(a, b)[: order + 1])
+        sums = _form_moments(a.form) if a is b else _flat_moments(a, b)
+        return tuple(pref * m for m in sums[: order + 1])
     d, w = _geometry(a, b)
     return weighted_kernel_sum(w, d, space, constants, nu, order)
 
@@ -618,5 +666,8 @@ def double_sum(
 
 
 def clear_caches() -> None:
-    for cache in (_form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _flat_moments):
+    for cache in (
+        _form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _flat_moments,
+        _form_moments,
+    ):
         cache.cache_clear()

@@ -30,8 +30,8 @@ Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
 instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
 increasing, with the free slope -P'/P, and fewer steps reach the root,
 the last unevaluated under a bound on |g''|.  Every lambda-form search
-starts at its channels' Gauss levels: the two-point Gauss rule of P's
-distance measure bounds P from below (_quadrature._two_point_rule), so
+starts at its channels' Gauss levels: the three-point Gauss rule of P's
+distance measure bounds P from below (_quadrature._three_point_rule), so
 the root of lambda times the rule, nu_G, found with no kernel pass
 (_gauss_level), lies at or below the channel's level and the system's
 zero.  A level that rounding puts past the zero is evaluated like any
@@ -74,6 +74,14 @@ __all__ = [
 
 _NU_FLOOR = 0.0
 _NU_CEIL = 1e4
+# A zero this close to nu = 0 is the threshold, no bound state, for
+# energy_from_coupling and _ground_state alike: the latter's stop width there.
+_THRESHOLD_WIDTH = 0.25e-12
+
+
+def _check_lambda(lam: float) -> None:
+    if not (lam > 0.0 and _is_normal(lam)):  # 1/lambda is an entry
+        raise InvalidArgumentError(f"coupling must be a positive normal float, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,8 @@ class Coupling:
         if (self.lam is None) == (self.nu_star is None):
             raise InvalidArgumentError("give exactly one of lam or nu_star")
         lam, star = self.lam, self.nu_star
-        if lam is not None and not (lam > 0.0 and _is_normal(lam)):  # 1/lambda is an entry
-            raise InvalidArgumentError(f"coupling must be a positive normal float, got {lam}")
+        if lam is not None:
+            _check_lambda(lam)
         if star is not None and not (star > 0.0 and _is_normal(star * star)):  # energy -nu*^2
             raise InvalidArgumentError(
                 f"nu_star must be positive with a normal float square, got {star}"
@@ -351,25 +359,29 @@ def _gauss_level(
     mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, lam: float
 ) -> float:
     """A lower bound nu_G on the standalone level of a lambda channel, from
-    no kernel pass: the root of lambda (W_1 e^{-k nu x_1} + W_2 e^{-k nu
-    x_2}) = 1, k = kappa_f, over the two-point rule that bounds P from
-    below (quad._two_point_rule).  _monotone_root finds it on -ln of the
-    model, concave and increasing like energy_from_coupling's g, read as
-    k nu x_1 - ln lambda - ln(W_1 + W_2 e^{-k nu (x_2 - x_1)}) so that
-    nothing over- or underflows.  The model adds 8 eps (1 + |ln lambda|),
-    more than the rounding of either ln(lambda P): next to the threshold,
-    where the rule's error is below rounding, nu_G then still lies below
-    the root of the computed P.  Returns the floor when the model does not bind or
+    no kernel pass: the root of lambda sum_k W_k e^{-k nu x_k} = 1, k =
+    kappa_f, over the three-point rule that bounds P from below
+    (quad._three_point_rule).  _monotone_root finds it on -ln of the model,
+    concave and increasing like energy_from_coupling's g, read as k nu x_1
+    - ln lambda - ln(sum_k W_k e^{-k nu (x_k - x_1)}) so that nothing over-
+    or underflows.  The model adds 8 eps (1 + |ln lambda|), more than the
+    rounding of either ln(lambda P): next to the threshold, where the
+    rule's error is below rounding, nu_G then still lies below the root of
+    the computed P.  Returns the floor when the model does not bind or
     binds within the stop width of it, and the ceiling when its root lies
     at or past it, where the caller's search raises its own error.
     """
-    (x1, x2), (w1, w2) = quad._two_point_rule(mesh, space, constants)
+    (x1, x2, x3), (w1, w2, w3) = quad._three_point_rule(mesh, space, constants)
     k, ln_lam = constants.kappa_factor, math.log(lam)
     margin = 8.0 * math.ulp(1.0) * (1.0 + abs(ln_lam))
 
     def f(nu: float) -> tuple[float, float]:
-        t = w2 * math.exp(-k * nu * (x2 - x1))
-        return k * nu * x1 - ln_lam - math.log(w1 + t) + margin, k * (w1 * x1 + t * x2) / (w1 + t)
+        t2, t3 = w2 * math.exp(-k * nu * (x2 - x1)), w3 * math.exp(-k * nu * (x3 - x1))
+        total = w1 + t2 + t3
+        return (
+            k * nu * x1 - ln_lam - math.log(total) + margin,
+            k * (w1 * x1 + t2 * x2 + t3 * x3) / total,
+        )
 
     f_lo = f(_NU_FLOOR)
     if f_lo[0] >= 0.0:
@@ -388,8 +400,9 @@ def energy_from_coupling(
 ) -> float | None:
     """Standalone bound-state parameter nu* for one surface, or None.
 
-    Returns None unless lambda P(0) > 1 (a root within the search's stop
-    width of nu = 0 is the threshold).
+    lam must be a positive normal float, as for Coupling.  Returns None
+    unless lambda P(0) > 1, and for a root within _THRESHOLD_WIDTH of nu =
+    0, which solve_ground_state reads as the threshold too.
 
     nu* is the root of g(nu) = -ln(lambda P(nu)), P = P_ii.  P is a positive
     sum of decaying exponentials in nu, so it is log-convex, and g is
@@ -397,18 +410,17 @@ def energy_from_coupling(
     rises to the root, with the slope g' = -P'/P from the same kernel pass.
     After the free evaluation at nu = 0, which decides the threshold, its
     first iterate is the Gauss level nu_G (_gauss_level), the root for the
-    two-point Gauss rule of P's distance measure, at or below the root.
+    three-point Gauss rule of P's distance measure, at or below the root.
     The Newton step from nu = 0 would be the Jensen bound ln(lambda P(0)) /
-    (kappa_f <d>), the one-point rule's root, which nu_G refines by the
-    rule's second point.  Under those weights |g''| = kappa_f^2 Var(d) <=
-    kappa_f^2 D^2 / 4 (Popoviciu), D the mesh diameter, the curvature with
-    which _monotone_root skips the last evaluation.  Every iterate is at
+    (kappa_f <d>), the one-point rule's root, which nu_G refines by two
+    more points.  Under those weights |g''| = kappa_f^2 Var(d) <= kappa_f^2
+    D^2 / 4 (Popoviciu), D the mesh diameter, the curvature with which
+    _monotone_root skips the last evaluation.  Every iterate is at
     or below the root, up to rounding, where P >= 1 / lambda > 0, so P
     never underflows to 0 there; where lambda P(0) overflows, g(0) reads
     -inf and nu_G still starts the search.
     """
-    if not lam > 0.0:
-        raise InvalidArgumentError(f"coupling must be positive, got {lam}")
+    _check_lambda(lam)
 
     def f(nu: float) -> tuple[float, float]:
         p, dp = quad.double_sum(mesh, mesh, space, constants, nu, 1)
@@ -423,7 +435,7 @@ def energy_from_coupling(
         NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
         1e-13, (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4, _NU_FLOOR,
     )
-    return nu or None  # a root within the stop width of 0 gives a level of 0 and is the threshold
+    return nu if nu > _THRESHOLD_WIDTH else None
 
 
 def lowest_eigenvalue_flow(
@@ -451,7 +463,7 @@ def _ground_state(phi, starts, levels=()) -> BoundStateResult:
     phi maps nu to the principal matrix with its slope; starts are the
     channels' standalone levels (nu*-form couplings and points), and the
     diagonal of the channel at the highest one is 0 there, so omega_min(lo)
-    <= 0; omega_min(lo) > 0, or a zero within the stop width of the
+    <= 0; omega_min(lo) > 0, or a zero within _THRESHOLD_WIDTH of the
     threshold nu = 0, means no bound state.  Past that a zero exists, since
     as nu grows each diagonal tends to a positive value (1/lambda, P(nu*)
     or a point's c (gamma(nu) - gamma(mu))) and each off-diagonal to 0, so
@@ -488,7 +500,7 @@ def _ground_state(phi, starts, levels=()) -> BoundStateResult:
         NoConvergenceError(f"no zero of omega_min found in [{lo}, {_NU_CEIL}]"),
         tol, None, lo,
     )
-    if lo == _NU_FLOOR and nu_sol <= tol / 2:  # within the stop width of the threshold nu = 0
+    if lo == _NU_FLOOR and nu_sol <= _THRESHOLD_WIDTH:
         raise NoBoundStateError("omega_min's zero is the threshold nu = 0: no bound state")
     w, V = seen[nu_sol].eigh
     vec = V[:, 0]

@@ -669,13 +669,13 @@ NEWTON_PAIRS = {
 # are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
 NEWTON_LAMBDAS = {
     "1.05": ("sphere24", 1.05, 0.04919347462936398, 2),
-    "2.0": ("sphere24", 2.0, 0.7968121434372101, 4),
-    "10.0": ("sphere24", 10.0, 4.99977294733397, 6),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 3),
+    "10.0": ("sphere24", 10.0, 4.99977294733397, 5),
     "100.0": ("sphere24", 100.0, 49.99985879688131, 7),
     "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 2),
-    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 4),
-    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 6),
-    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 8),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 3),
+    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 5),
+    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 7),
 }
 # lambda-form systems: (order, centres, couplings, the root before the
 # search started at the Gauss level, exactly this many evaluations of
@@ -685,9 +685,9 @@ NEWTON_LAMBDA_SYSTEMS = {
         16, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (2.5, 2.5, 2.5), 1.138392854733482, 4
     ),
     "three n24 lambda 10": (
-        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 6
+        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 5
     ),
-    "D=4 n16 lambda (2, 2.5)": (16, ((0, 0, 0), (4, 0, 0)), (2.0, 2.5), 1.1165047699304789, 4),
+    "D=4 n16 lambda (2, 2.5)": (16, ((0, 0, 0), (4, 0, 0)), (2.0, 2.5), 1.1165047699304789, 3),
 }
 
 
@@ -803,14 +803,24 @@ def test_threshold_coupling_binds_nothing(constants, flat, request, fixture, ulp
 
 def test_a_zero_within_the_stop_width_of_zero_is_the_threshold(constants, flat, sphere24):
     # At (1 + 1e-13) lambda_c the Gauss level lifts off nu = 0 and the root
-    # is 1e-13: past energy_from_coupling's stop width at 0, 0.5e-13, but
-    # within the ground-state search's, 0.25e-12, which therefore still
-    # reads it as the threshold, as its search from nu = 0 did.
+    # is 1e-13: past the coupling search's own stop width at 0, 0.5e-13,
+    # but within the ground-state search's, 0.25e-12 (_THRESHOLD_WIDTH).
+    # Both read it as the threshold, so bounds' nu*-form spec and a
+    # lambda-form solve agree that the channel does not bind.
     lam = (1.0 + 1e-13) / quad.double_sum(sphere24, sphere24, flat, constants, 0.0, 0)[0]
     assert principal._gauss_level(sphere24, flat, constants, lam) > 0.0
-    assert 0.5e-13 < energy_from_coupling(sphere24, flat, constants, lam) < 0.25e-12
+    assert 0.5e-13 < _bisected_root(sphere24, flat, constants, lam) < principal._THRESHOLD_WIDTH
+    assert energy_from_coupling(sphere24, flat, constants, lam) is None
     with pytest.raises(NoBoundStateError, match="threshold"):
         solve_ground_state([sphere24], CouplingSpec.from_lambdas(lam), flat, constants)
+
+
+@pytest.mark.parametrize("lam", [math.inf, 5e-324, math.nan])
+def test_energy_from_coupling_refuses_what_coupling_refuses(constants, flat, sphere16, lam):
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        Coupling(lam=lam)
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        energy_from_coupling(sphere16, flat, constants, lam)
 
 
 def test_lambda_ground_state_makes_no_kernel_pass_at_nu_zero(constants, flat, monkeypatch):
@@ -923,15 +933,15 @@ def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
 
 
 def _inflate_the_rule(monkeypatch, ulps):
-    """Scale _two_point_rule's weights up by ulps units of roundoff, which
+    """Scale _three_point_rule's weights up by ulps units of roundoff, which
     moves each Gauss level up by about ulps eps / (kappa_f <d>)."""
-    inner = quad._two_point_rule
+    inner = quad._three_point_rule
 
     def inflated(*args):
         nodes, weights = inner(*args)
         return nodes, tuple(w * (1.0 + ulps * math.ulp(1.0)) for w in weights)
 
-    monkeypatch.setattr(quad, "_two_point_rule", inflated)
+    monkeypatch.setattr(quad, "_three_point_rule", inflated)
 
 
 # The rounding guard: a level that rounding puts past the root is an

@@ -1102,47 +1102,50 @@ def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
         quad.double_sum(sphere16, sphere16, flat, constants, -1e-300, 0)
 
 
-# The two-point Gauss rule of P's distance measure w / d: it integrates
-# 1, d, d^2 and d^3 exactly, so it reproduces the four nu = 0 sums, and
-# its error on exp(-kappa_f nu d) is >= 0, so it bounds P from below.
+# The three-point Gauss rule of P's distance measure w / d: it integrates
+# 1, d, .., d^5 exactly, so it reproduces the six nu = 0 sums, and its
+# error on exp(-kappa_f nu d) is >= 0, so it bounds P from below.
 
 
 def _rule_sums(rule, j):
-    (x1, x2), (w1, w2) = rule
-    return w1 * x1**j + w2 * x2**j
+    nodes, weights = rule
+    return math.fsum(w * x**j for x, w in zip(nodes, weights))
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_two_point_rule_reproduces_the_four_flat_sums(constants, flat, name):
+def test_three_point_rule_reproduces_the_six_flat_sums(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
     d, w = quad._diag_geometry(mesh)
     s = mesh.scale
     d, w = s * d, s**4 * w  # physical distances and weights
     pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
-    rule = quad._two_point_rule(mesh, flat, constants)
-    assert 0.0 < rule[0][0] < rule[0][1] <= mesh.diameter_ambient
+    rule = quad._three_point_rule(mesh, flat, constants)
+    # the nodes are the zeros of an orthogonal polynomial of the measure,
+    # so they lie inside its support, and a Gauss rule's weights are positive
+    assert d.min() < rule[0][0] < rule[0][1] < rule[0][2] < d.max() <= mesh.diameter_ambient
     assert min(rule[1]) > 0.0
-    for j in range(4):  # sum W x^j = pref sum w d^(j - 1) / V
+    for j in range(6):  # sum W x^j = pref sum w d^(j - 1) / V
         want = pref * math.fsum((w * d ** (j - 1.0)).tolist()) / mesh.area
-        assert _rule_sums(rule, j) == pytest.approx(want, rel=2e-15, abs=0.0)
+        # 1.3e-15 seen (the ellipsoid's fifth moment)
+        assert _rule_sums(rule, j) == pytest.approx(want, rel=4e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_two_point_rule_bounds_p_from_below(constants, flat, name):
+def test_three_point_rule_bounds_p_from_below(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
-    (x1, x2), (w1, w2) = quad._two_point_rule(mesh, flat, constants)
+    nodes, weights = quad._three_point_rule(mesh, flat, constants)
     k = constants.kappa_factor
     for nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):
         p = quad.double_sum(mesh, mesh, flat, constants, nu, 0)[0]
-        bound = w1 * math.exp(-k * nu * x1) + w2 * math.exp(-k * nu * x2)
-        # equal at nu = 0, and within rounding at 1e-8 (rel. error 1e-32)
+        bound = math.fsum(w * math.exp(-k * nu * x) for x, w in zip(nodes, weights))
+        # equal at nu = 0, and within rounding at 1e-8 (rel. error 1e-49)
         assert bound <= p * (1.0 + 2e-15)
         assert nu < 0.1 or bound < p
 
 
-def test_two_point_rule_refuses_hyperbolic_space(constants, hyp, sphere16):
+def test_three_point_rule_refuses_hyperbolic_space(constants, hyp, sphere16):
     with pytest.raises(InvalidArgumentError, match="flat"):
-        quad._two_point_rule(sphere16, hyp, constants)
+        quad._three_point_rule(sphere16, hyp, constants)
 
 
 def _recorded(monkeypatch, name):
@@ -1172,18 +1175,41 @@ def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
 
 
 def test_flat_moments_go_with_their_meshes(constants, flat):
-    moments = quad._flat_moments
+    moments, forms = quad._flat_moments, quad._form_moments
+
+    def sizes():
+        return moments.cache_info().currsize, forms.cache_info().currsize
+
     gc.collect()
-    before = moments.cache_info().currsize
-    a, b = _pair()
+    before = sizes()
+    a, b = _pair()  # two meshes of one form
     ref = weakref.ref(a)
     for other in (a, b, flat_point(0.0, 3.0, 0.0)):
         quad.double_sum(a, other, flat, constants, 0.0, 0)
-    assert moments.cache_info().currsize == before + 3
+    assert sizes() == (before[0] + 2, before[1] + 1)
     del a
     gc.collect()
-    assert ref() is None and moments.cache_info().currsize == before
+    # the pair's and the point's sums go with a, the form's live while b does
+    assert ref() is None and sizes() == (before[0], before[1] + 1)
+    del b
+    gc.collect()
+    assert sizes() == before
     c, d = _pair()
     quad.double_sum(c, d, flat, constants, 0.0, 0)
+    quad.double_sum(c, c, flat, constants, 0.0, 0)
     quad.clear_caches()
-    assert moments.cache_info() == (0, 0, None, 0)
+    assert moments.cache_info() == forms.cache_info() == (0, 0, None, 0)
+
+
+def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
+    # three equal spheres in different places, as in three_spheres_lambda
+    meshes = [build_surface(Sphere((4.0 * k, 1.0, 0.0), 1.1), order=12) for k in range(3)]
+    assert len({m.form for m in meshes}) == 1
+    dots = _recorded(monkeypatch, "_blocked_dots")
+    kernel = _recorded(monkeypatch, "static_kernel_array")
+    sums = [quad.double_sum(m, m, flat, constants, 0.0, 2) for m in meshes]
+    assert len(dots) == 1 and kernel == []
+    assert sums[0] == sums[1] == sums[2]
+    for m in meshes:
+        quad._three_point_rule(m, flat, constants)
+    assert len(dots) == 1
