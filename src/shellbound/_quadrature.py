@@ -62,19 +62,18 @@ nu < 0, and a surface outside flat space, whose node distances it
 measures as Euclidean.  The self-integral goes to diag_weighted_sum, the
 rest to offdiag_weighted_sum, and their cached (distances, weights) to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
-one static_kernel_array pass (G, d G) per block.  At nu = 0, where G =
-pref / d, a surface's M_k is pref sum w d^(k-1) instead, from sums cached
-on first use and made with no kernel pass: sum w / d, sum w and sum w d,
-M_0 .. M_2 at nu = 0, once per pair or point geometry (_flat_moments),
-and six, sum w d^k for k = -1 .. 4, once per form for every self-integral
-of the form (_form_moments).  The six are the moments of order 0 .. 5 of
-the measure w / d, whose three-point Gauss rule (_three_point_rule)
-bounds a self-integral's P from below at every nu >= 0.  _blocked_dots
-takes each block's columns one at a time, and the powers of d past d^2
-are raised in d^2's buffer (_powers), so the sums hold at most two block
-arrays at once.  As dG/dnu = -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G
-in flat space (gamma'' = 0), the k-th derivative is (-gamma')^k M_k /
-sqrt(V_a V_b): a slope costs one more dot per block and no cached array.
+one static_kernel_array pass (G, d G) per block.  A self-integral is
+summed only up to s nu = _SELF_NU_CEIL, the range its patch rule
+resolves.  At nu = 0, where G = pref / d, a surface's M_k is pref sum w
+d^(k-1) instead, with no kernel pass: a pair or point geometry caches
+sum w / d, sum w and sum w d (_flat_moments), and a form its measure w /
+d's Gauss rule (x, W) (_form_rule), whose sum W x^k is sum w d^(k-1),
+exactly for k < 2 _RULE_NODES, and which bounds P from below at every
+nu >= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
+one at a time, so a sum holds a few block arrays at most.  As dG/dnu =
+-gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0),
+the k-th derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs
+one more dot per block and no cached array.
 _diag_geometry caches per mesh, _pair_geometry per mesh pair and
 _point_geometry per (mesh, point), for exactly as long as they live: they
 hold them by weak reference, so a sweep that builds a new mesh per point
@@ -105,22 +104,21 @@ Every cached geometry is built in bounded blocks, so a build needs at
 most 1 MiB besides the arrays it keeps.  A pair's or a point's distances
 go a block of outer rows, about _BLOCK distances, at a time (_pair_distances),
 straight into the (rows, n) array it keeps; a block's (rows, n, 3) node
-difference takes 0.4 MiB.  Patch rows are built _PATCH_CHUNK = 4 at a
-time: a batch's scratch takes about 0.9 MiB on an order-24 general
-ellipsoid, where 8 rows, though faster, take 1.7 MiB.
+difference takes 0.4 MiB.  Patch rows are built _PATCH_CHUNK = 8 at a
+time, updated in place: 0.97 MiB of scratch on an order-24 general
+ellipsoid, whose rows build about 15% faster than 4 at a time.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import GeometryViolationError, InvalidArgumentError
+from .errors import GeometryViolationError, InvalidArgumentError, UnsupportedRegimeError
 from .geometry import (
     AmbientSpace,
     PhysicalConstants,
@@ -132,14 +130,21 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
+from .jacobi import jacobi_eigh
 from .kernels import _decay_rate, static_kernel_array
 
 _BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
-_PATCH_CHUNK = 4  # patch rows built per batch, which caps the scratch arrays
+_PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
+_RULE_NODES = 3  # Gauss points of a form's rule (_form_rule)
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
+# The largest s nu at which a self-integral is summed, s the mesh's scale.
+# The fixed _N_S radial points set the error, 9.4e-15 / 4.9e-10 / 2.8e-6 /
+# 2.4e-3 of the sphere's at s nu = 10 / 30 / 50 / 100: 30 is the last
+# within 1e-9, the self-integral tests' tolerance.
+_SELF_NU_CEIL = 30.0
 
 
 def _gl01(n: int):
@@ -370,17 +375,18 @@ def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
     denom = np.einsum("bki,bkji->bkj", nrm, e)
     rho_max = h[..., None] / denom  # (B, 4, n_psi)
 
-    rho = rho_max[..., None] * g_s  # (B, 4, n_psi, n_s)
-    pt_x = rho * e[..., 0:1]
-    pt_y = rho * e[..., 1:2]
-    dv = pt_y / a22[:, None, None, None]
-    du = (pt_x - a12[:, None, None, None] * dv) / a11[:, None, None, None]
-    u = u0[:, None, None, None] + du
-    v = v0[:, None, None, None] + dv
+    # (B, 4, n_psi, n_s) arrays: dv and du become v and u in place, and so
+    # does Y its node difference, so chart.evaluate holds the most of them
+    rho = rho_max[..., None] * g_s
+    v = rho * e[..., 1:2] / a22[:, None, None, None]
+    u = (rho * e[..., 0:1] - a12[:, None, None, None] * v) / a11[:, None, None, None]
+    del rho
+    u += u0[:, None, None, None]
+    v += v0[:, None, None, None]
 
     Y, J = chart.evaluate(u, v)  # (B, 4, n_psi, n_s, 3), (B, 4, n_psi, n_s)
-    diff = Y - nodes[:, None, None, None, :]
-    d = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    Y -= nodes[:, None, None, None, :]
+    d = np.sqrt(np.einsum("...i,...i->...", Y, Y))
 
     w_ang = span[..., None] * w_psi  # (B, 4, n_psi)
     jw = (
@@ -519,88 +525,66 @@ def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
     return (_point_geometry if isinstance(b, Point3) else _pair_geometry)(a, b)
 
 
-def _powers(x: np.ndarray):
-    """x^(k - 1) for k = 0, 1, 2, ...: 1 / x, 1, x, x x, then each next
-    power raised in place in that last buffer, so a block holds at most two
-    of these arrays at a time."""
-    yield 1.0 / x
-    yield np.ones_like(x)
-    yield x
-    p = x * x
-    while True:
-        yield p
-        p *= x
-
-
 @_mesh_cache
 def _flat_moments(a: SurfaceMesh, b: SurfaceMesh | Point3):
     """(sum w / d, sum w, sum w d) over the pair or point geometry
     _geometry(a, b): built on first use, they live as long as the geometry
     and hold none of it."""
     d, w = _geometry(a, b)
-    return _blocked_dots(w, d, lambda x: itertools.islice(_powers(x), 3))
+    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x))
 
 
 @_mesh_cache
-def _form_moments(form: SurfaceForm):
-    """The six sums of w d^k, k = -1 .. 4, over a form's self-integral
-    geometry: one pass for every mesh of the form, living as long as one
-    does."""
+def _form_rule(form: SurfaceForm):
+    """The _RULE_NODES-point Gauss rule (x, W), x ascending, of the measure
+    w / d over a form's self-integral geometry at scale 1.  One pass gives
+    the moments m_k of the monic Chebyshev polynomials p_k(t) on [d_min,
+    d_max], well conditioned where raw powers are not; Gautschi's modified
+    Chebyshev algorithm turns them into the measure's recurrence (alpha_k,
+    beta_k), whose Jacobi matrix's eigenpairs give the nodes and weights
+    (Gautschi 2004, sections 2.1.7 and 3.1.1; Golub & Welsch 1969)."""
     d, w = _form_geometry(form)[2:]
-    return _blocked_dots(w, d, lambda x: itertools.islice(_powers(x), 6))
+    n = 2 * _RULE_NODES
+    lo, hi = float(d.min()), float(d.max())
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    b = [0.0, 0.5] + [0.25] * (n - 2)
 
+    def columns(x):
+        t = (x - mid) / half
+        prev, cur = 0.0, 1.0 / x
+        yield cur
+        for b_k in b[: n - 1]:
+            prev, cur = cur, t * cur - b_k * prev
+            yield cur
 
-def _three_point_rule(mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants):
-    """The three-point Gauss rule ((x_1, x_2, x_3), (W_1, W_2, W_3)), x_1 <
-    x_2 < x_3, of the measure w / d under P_ii, in P's units at the mesh's
-    scale, so that P(nu) >= sum_k W_k exp(-kappa_f nu x_k) for every nu >=
-    0, with equality at nu = 0.
-
-    It integrates 1, x, .., x^5 exactly, the moments that the six cached
-    nu = 0 sums give, so its error on exp(-a x) is a^6 exp(-a xi) / 6!
-    times the integral of the squared third orthogonal polynomial, >= 0 for
-    a >= 0 (Golub & Welsch 1969; Golub & Meurant 2010, ch. 6).  In t = (x -
-    mean) / sigma the measure's moments are 1, 0, 1, t_3, t_4, t_5; the
-    monic cubic t^3 + a t^2 + b t + c orthogonal to 1, t and t^2 solves
-    their 3 x 3 Hankel system, its three real roots r_i come in
-    trigonometric form, and the weight of r_k is the integral of its
-    Lagrange polynomial, (1 + r_i r_j) / ((r_k - r_i)(r_k - r_j)).  All of
-    it is plain float arithmetic: a numpy.linalg call maps more of OpenBLAS
-    into memory.  By the scale law the nodes are s times the form's and the
-    weights s pref / area_form times its sums.
-    """
-    _check_flat(space)
-    sums = _form_moments(mesh.form)
-    _, m, m2, m3, m4, m5 = (x / sums[0] for x in sums)  # raw moments of the measure
-    sigma = math.sqrt(m2 - m * m)
-    # central moments over sigma^k, by the binomial expansion
-    t3 = (m3 - m * (3.0 * m2 - 2.0 * m * m)) / sigma**3
-    t4 = (m4 - m * (4.0 * m3 - m * (6.0 * m2 - 3.0 * m * m))) / sigma**4
-    t5 = (m5 - m * (5.0 * m4 - m * (10.0 * m3 - m * (10.0 * m2 - 4.0 * m * m)))) / sigma**5
-    a = (t3 * (1.0 + t4) - t5) / (t4 - t3 * t3 - 1.0)
-    b, c = -t4 - a * t3, -t3 - a
-    # t = y - a / 3 gives y^3 + p y + q, with p < 0 for three real roots
-    p, q = b - a * a / 3.0, 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    rho = 2.0 * math.sqrt(-p / 3.0)
-    theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * rho)))) / 3.0
-    r = sorted(rho * math.cos(theta - 2.0 * math.pi * k / 3.0) - a / 3.0 for k in range(3))
-    s = mesh.scale
-    unit = s * constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar) / mesh.form.area
-    weights = tuple(
-        unit * sums[0] * (1.0 + r[i] * r[j]) / ((r[k] - r[i]) * (r[k] - r[j]))
-        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    )
-    return tuple(s * (m + sigma * t) for t in r), weights
+    m = _blocked_dots(w, d, columns)
+    alpha, beta = [m[1] / m[0]], [m[0]]
+    sig_prev, sig = [0.0] * n, list(m)  # sigma_(k-1, l), sigma_(k, l) at k = 0
+    for k in range(1, _RULE_NODES):
+        new = [0.0] * n
+        new[k : n - k] = [
+            sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * sig_prev[l] + b[l] * sig[l - 1]
+            for l in range(k, n - k)
+        ]
+        alpha.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
+        beta.append(new[k] / sig[k - 1])
+        sig_prev, sig = sig, new
+    off = np.diag(np.sqrt(beta[1:]), 1)
+    t, V = jacobi_eigh(np.diag(alpha) + off + off.T)
+    return tuple((mid + half * t).tolist()), tuple((m[0] * V[0] ** 2).tolist())
 
 
 def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:
     """M_k up to order of surface a with b at nu: one kernel pass, or at
-    nu = 0, where G = pref / d, pref times the cached sums of w d^(k - 1),
-    a self-integral's its form's."""
+    nu = 0, where G = pref / d, pref times the sums of w d^(k - 1): a
+    pair's or point's cached ones, and for a self-integral the moments of
+    its form's rule, which integrates them exactly."""
     if nu == 0.0:
         pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
-        sums = _form_moments(a.form) if a is b else _flat_moments(a, b)
-        return tuple(pref * m for m in sums[: order + 1])
+        if a is not b:
+            return tuple(pref * m for m in _flat_moments(a, b)[: order + 1])
+        x, W = _form_rule(a.form)
+        return tuple(pref * math.fsum(w * xi**k for xi, w in zip(x, W)) for k in range(order + 1))
     d, w = _geometry(a, b)
     return weighted_kernel_sum(w, d, space, constants, nu, order)
 
@@ -612,6 +596,8 @@ def diag_weighted_sum(
     (singularity-safe), by the scale law: at scale s, P^(k)(nu) is
     s^(k + 1) times the form's at s nu, normalized by the form's area."""
     s = mesh.scale
+    if s * nu > _SELF_NU_CEIL:
+        raise UnsupportedRegimeError(f"s nu = {s * nu} > {_SELF_NU_CEIL}, the self-integral's range")
     moments = _surface_moments(mesh, mesh, space, constants, s * nu, order)
     derivs = _nu_derivatives(moments, space, constants, s * nu, mesh.form.area)
     return tuple(s ** (k + 1) * p for k, p in enumerate(derivs))
@@ -668,6 +654,6 @@ def double_sum(
 def clear_caches() -> None:
     for cache in (
         _form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _flat_moments,
-        _form_moments,
+        _form_rule,
     ):
         cache.cache_clear()

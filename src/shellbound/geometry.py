@@ -274,16 +274,21 @@ class _ScaledSphereChart:
         u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
         su, cu = np.sin(u), np.cos(u)
         sv, cv = np.sin(v), np.cos(v)
-        x = np.empty(u.shape + (3,), dtype=float)
-        # (axis * su) * cos v, in this order, which every mesh node and CSV
-        # value was built with
-        x[..., self.k] = self.axes[self.k] * cu
-        x[..., self.i] = self.axes[self.i] * su * cv
-        x[..., self.j] = self.axes[self.j] * su * sv
         a, b, c = (float(self.axes[n]) for n in (self.i, self.j, self.k))
-        J = su * np.sqrt(
-            c * c * su * su * (b * b * cv * cv + a * a * sv * sv) + a * a * b * b * cu * cu
-        )
+        # J = su sqrt(c^2 su^2 (b^2 cv^2 + a^2 sv^2) + a^2 b^2 cu^2), then x
+        # = (axis * su) * cos v etc., in place but in the order every mesh
+        # node and CSV value was built with, so few arrays live at once
+        J = b * b * cv * cv
+        J += a * a * sv * sv
+        J *= c * c * su * su
+        J += a * a * b * b * cu * cu
+        np.sqrt(J, out=J)
+        J *= su
+        x = np.empty(u.shape + (3,), dtype=float)
+        np.multiply(self.axes[self.k], cu, out=x[..., self.k])
+        for n, trig in ((self.i, cv), (self.j, sv)):
+            np.multiply(self.axes[n], su, out=x[..., n])
+            x[..., n] *= trig
         return x, J
 
     def tangents(self, u, v):

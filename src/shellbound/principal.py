@@ -30,13 +30,14 @@ Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
 instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
 increasing, with the free slope -P'/P, and fewer steps reach the root,
 the last unevaluated under a bound on |g''|.  Every lambda-form search
-starts at its channels' Gauss levels: the three-point Gauss rule of P's
-distance measure bounds P from below (_quadrature._three_point_rule), so
-the root of lambda times the rule, nu_G, found with no kernel pass
-(_gauss_level), lies at or below the channel's level and the system's
-zero.  A level that rounding puts past the zero is evaluated like any
-iterate and brackets it, and a search with no level above the floor
-starts at nu = 0, whose sums need no kernel pass (see _quadrature).
+starts at its channels' Gauss levels: the Gauss rule of P's distance
+measure, cached once per form (_quadrature._form_rule), bounds P from
+below, so the root of lambda times the rule, nu_G, found with no kernel
+pass (_gauss_level), lies at or below the channel's level and the
+system's zero.  A level that rounding puts past the zero is evaluated
+like any iterate and brackets it, and a search with no level above the
+floor starts at nu = 0, whose sums need no kernel pass (see _quadrature),
+and a root past the self-integral's range is refused by the first sum there.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .errors import (
     InvalidStateError,
     NoBoundStateError,
     NoConvergenceError,
-    UnsupportedRegimeError,
 )
 from .geometry import AmbientSpace, PhysicalConstants, Point3, SurfaceMesh, _is_normal
 from .jacobi import jacobi_eigh
@@ -346,24 +346,25 @@ def coupling_from_energy(
     nu_star: float,
 ) -> float:
     """Coupling whose standalone bound state sits at energy -nu_star**2,
-    1 / P(nu_star); a P that underflows to 0 is an unsupported regime."""
+    1 / P(nu_star), positive and finite wherever P is summed."""
     if not nu_star > 0.0:
         raise InvalidArgumentError(f"nu_star must be positive, got {nu_star}")
-    p = pair_integral(mesh, mesh, space, constants, nu_star)
-    if p == 0.0:
-        raise UnsupportedRegimeError(f"the pair integral underflows at nu_star = {nu_star}")
-    return 1.0 / p
+    return 1.0 / pair_integral(mesh, mesh, space, constants, nu_star)
 
 
 def _gauss_level(
     mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, lam: float
 ) -> float:
     """A lower bound nu_G on the standalone level of a lambda channel, from
-    no kernel pass: the root of lambda sum_k W_k e^{-k nu x_k} = 1, k =
-    kappa_f, over the three-point rule that bounds P from below
-    (quad._three_point_rule).  _monotone_root finds it on -ln of the model,
+    no kernel pass: the root of lambda sum_i W_i e^{-k nu x_i} = 1, k =
+    kappa_f, over the form's Gauss rule of P's distance measure
+    (quad._form_rule) at the mesh's scale s, nodes s x and weights s pref
+    W / area_form.  Its error on e^{-a x} is a^{2N} e^{-a xi} / (2N)! times
+    the integral of the squared N-th orthogonal polynomial, >= 0 for a >= 0
+    (Golub & Meurant 2010, ch. 6), so it bounds P from below.
+    _monotone_root finds the root on -ln of the model,
     concave and increasing like energy_from_coupling's g, read as k nu x_1
-    - ln lambda - ln(sum_k W_k e^{-k nu (x_k - x_1)}) so that nothing over-
+    - ln lambda - ln(sum_i W_i e^{-k nu (x_i - x_1)}) so that nothing over-
     or underflows.  The model adds 8 eps (1 + |ln lambda|), more than the
     rounding of either ln(lambda P): next to the threshold, where the
     rule's error is below rounding, nu_G then still lies below the root of
@@ -371,16 +372,19 @@ def _gauss_level(
     binds within the stop width of it, and the ceiling when its root lies
     at or past it, where the caller's search raises its own error.
     """
-    (x1, x2, x3), (w1, w2, w3) = quad._three_point_rule(mesh, space, constants)
+    nodes, weights = quad._form_rule(mesh.form)
+    s = mesh.scale
+    unit = s * constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar) / mesh.form.area
+    x, W = [s * xi for xi in nodes], [unit * w for w in weights]
     k, ln_lam = constants.kappa_factor, math.log(lam)
     margin = 8.0 * math.ulp(1.0) * (1.0 + abs(ln_lam))
 
     def f(nu: float) -> tuple[float, float]:
-        t2, t3 = w2 * math.exp(-k * nu * (x2 - x1)), w3 * math.exp(-k * nu * (x3 - x1))
-        total = w1 + t2 + t3
+        t = [w * math.exp(-k * nu * (xi - x[0])) for xi, w in zip(x, W)]
+        total = sum(t)
         return (
-            k * nu * x1 - ln_lam - math.log(total) + margin,
-            k * (w1 * x1 + t2 * x2 + t3 * x3) / total,
+            k * nu * x[0] - ln_lam - math.log(total) + margin,
+            k * sum(ti * xi for ti, xi in zip(t, x)) / total,
         )
 
     f_lo = f(_NU_FLOOR)
@@ -416,9 +420,9 @@ def energy_from_coupling(
     more points.  Under those weights |g''| = kappa_f^2 Var(d) <= kappa_f^2
     D^2 / 4 (Popoviciu), D the mesh diameter, the curvature with which
     _monotone_root skips the last evaluation.  Every iterate is at
-    or below the root, up to rounding, where P >= 1 / lambda > 0, so P
-    never underflows to 0 there; where lambda P(0) overflows, g(0) reads
-    -inf and nu_G still starts the search.
+    or below the root, up to rounding, where P >= 1 / lambda > 0.  Where
+    lambda P(0) overflows, g(0) reads -inf and the search starts at nu_G,
+    read without overflow, past the self-integral's range, which refuses it.
     """
     _check_lambda(lam)
 

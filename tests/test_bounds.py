@@ -244,9 +244,12 @@ def test_gersgorin_single_surface_exact(constants, flat, sphere16, torus16):
     # stops there at once and returns the surface's level bit for bit
     ellipsoid = build_surface(Ellipsoid((0.1, 0.0, 0.0), 1.0, 1.4, 0.7), order=16)
     for mesh in (sphere16, torus16, ellipsoid):
-        for ns in (1e-3, 0.37, 1.3, 7.0, 40.0):
+        for ns in (1e-3, 0.37, 1.3, 7.0, 14.0):  # s nu* = 28 on the torus
             got = gersgorin_energy_bound([mesh], CouplingSpec.from_nu_stars(ns), flat, constants)
             assert got == -(ns**2)
+    # past the self-integral's range, s nu* = 40 on the sphere, P is not summed
+    with pytest.raises(UnsupportedRegimeError, match="range"):
+        gersgorin_energy_bound([sphere16], CouplingSpec.from_nu_stars(40.0), flat, constants)
 
 
 def test_gersgorin_bounds_ground_state(constants, flat, sphere16):

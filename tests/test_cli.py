@@ -197,8 +197,11 @@ def test_variational_needs_lambda_couplings(tmp_path, config_dir, monkeypatch, c
         ("two_spheres.json", "separation", "1e300", 1),
         # deformation_c deforms a sphere, and a torus is none
         ("torus.json", "deformation_c", "1.0", 1),
-        # a level past the search ceiling is no convergence, not no bound state
+        # a level past the self-integral's range is refused, not no bound state
         ("single_sphere_lambda.json", "lambda", "2.5,1e300", 2),
+        # roots at s nu = 50, 150 and 500, where the patch rule errs by
+        # 2.8e-6 and more: these wrote 49.99986, 146.87 and 346.39
+        ("single_sphere_lambda.json", "lambda", "100,300,1000", 2),
     ],
 )
 def test_failed_sweep_leaves_no_file(tmp_path, config_dir, config, param, grid, code):

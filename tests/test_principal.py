@@ -319,8 +319,10 @@ def test_solve_no_bound_state(constants, flat, sphere16):
 
 def test_a_level_past_the_ceiling_is_no_convergence(constants, flat):
     # omega_min(floor) <= 0 and the diagonal tends to 1/lambda > 0, so a
-    # zero exists; at lambda = 1e300 it lies past _NU_CEIL, where P is ~1e-4
-    sphere8 = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=8)
+    # zero exists; at lambda = 1e300 it lies past _NU_CEIL, where P is 5e-5.
+    # On a sphere of radius 1e-3 the ceiling is s nu = 10, inside the
+    # self-integral's range, so the search reaches it.
+    sphere8 = build_surface(Sphere((0.0, 0.0, 0.0), 1e-3), order=8)
     with pytest.raises(NoConvergenceError, match="no zero of omega_min"):
         solve_ground_state([sphere8], CouplingSpec.from_lambdas(1e300), flat, constants)
     with pytest.raises(NoConvergenceError):
@@ -671,11 +673,11 @@ NEWTON_LAMBDAS = {
     "1.05": ("sphere24", 1.05, 0.04919347462936398, 2),
     "2.0": ("sphere24", 2.0, 0.7968121434372101, 3),
     "10.0": ("sphere24", 10.0, 4.99977294733397, 5),
-    "100.0": ("sphere24", 100.0, 49.99985879688131, 7),
+    "40.0": ("sphere24", 40.0, 20.00000020037925, 6),
     "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 2),
     "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 3),
     "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 5),
-    "torus 100.0": ("torus24", 100.0, 29.19559072375296, 7),
+    "torus 40.0": ("torus24", 40.0, 11.717794702731924, 7),
 }
 # lambda-form systems: (order, centres, couplings, the root before the
 # search started at the Gauss level, exactly this many evaluations of
@@ -751,36 +753,53 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
 def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(
     constants, flat, monkeypatch
 ):
-    # On a radius-100 sphere P(nu) underflows to 0 well below the ceiling,
-    # and lambda P at the floor overflows to inf, so g(0) = -inf and the
-    # Newton step from nu = 0 would go to the ceiling.  The Gauss level,
-    # read without overflow, starts the search below the root instead, and
-    # no evaluation meets P = 0.
+    # On a radius-100 sphere lambda P at the floor overflows to inf, so
+    # g(0) = -inf and the Newton step from nu = 0 would go to the ceiling.
+    # The Gauss level, read without overflow, is the next evaluation, and
+    # as the root lies far past the self-integral's range, so does the
+    # level: the solve is refused there.
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
     lam = 1e308
     seen = []
     inner = principal.quad.double_sum
 
     def recorded(*args):
-        out = inner(*args)
-        seen.append((args[4], out[0]))
-        return out
+        seen.append(args[4])
+        return inner(*args)
 
     monkeypatch.setattr(principal.quad, "double_sum", recorded)
-    nu = energy_from_coupling(mesh, flat, constants, lam)
-    assert lam * seen[0][1] == math.inf
-    assert seen[1][0] == principal._gauss_level(mesh, flat, constants, lam)
-    assert 0.0 < seen[1][0] <= nu < principal._NU_CEIL
-    assert all(p > 0.0 for _, p in seen)
-    assert lam * pair_integral(mesh, mesh, flat, constants, nu) == pytest.approx(1.0, rel=1e-10)
+    with pytest.raises(UnsupportedRegimeError, match="range"):
+        energy_from_coupling(mesh, flat, constants, lam)
+    assert lam * inner(mesh, mesh, flat, constants, seen[0], 0)[0] == math.inf
+    assert seen[1:] == [principal._gauss_level(mesh, flat, constants, lam)]
+    assert mesh.scale * seen[1] > quad._SELF_NU_CEIL
 
 
-def test_coupling_from_energy_refuses_an_underflowed_p(constants, flat):
-    # on the same sphere P(1e4) underflows to 0, so no finite coupling binds there
+def test_coupling_from_energy_refuses_a_nu_star_past_the_range(constants, flat):
+    # on the same sphere s nu* = 1e6: no self-integral is summed there
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
-    assert pair_integral(mesh, mesh, flat, constants, 1e4) == 0.0
-    with pytest.raises(UnsupportedRegimeError, match="underflows"):
+    with pytest.raises(UnsupportedRegimeError, match="range"):
         coupling_from_energy(mesh, flat, constants, 1e4)
+
+
+# The self-integral's range (ROADMAP item 22): the patch rule's error
+# depends on s nu alone and grows fast past s nu = 30 (4.9e-10 there,
+# 2.8e-6 at 50), so every sum past _SELF_NU_CEIL raises, and a solve whose
+# root lies past it is refused, where it used to return a wrong root.
+@pytest.mark.parametrize("fixture", ["sphere24", "torus24"])
+def test_a_root_past_the_self_integral_range_is_refused(constants, flat, request, fixture):
+    mesh = request.getfixturevalue(fixture)
+    top = quad._SELF_NU_CEIL / mesh.scale
+    assert quad.double_sum(mesh, mesh, flat, constants, top, 2)[0] > 0.0
+    with pytest.raises(UnsupportedRegimeError, match="range"):
+        quad.double_sum(mesh, mesh, flat, constants, math.nextafter(top, math.inf), 0)
+    # at 100 lambda_c the root is s nu = 100 on the sphere and 58.4 on the
+    # torus, where the rule's error was 2.4e-3 and 1e-4
+    lam = 100.0 / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    with pytest.raises(UnsupportedRegimeError, match="range"):
+        energy_from_coupling(mesh, flat, constants, lam)
+    with pytest.raises(UnsupportedRegimeError, match="range"):
+        solve_ground_state([mesh], CouplingSpec.from_lambdas(lam), flat, constants)
 
 
 # The threshold: a lone surface binds iff lambda P(0) > 1.  At lambda =
@@ -867,16 +886,18 @@ CURVATURE_SHAPES = {
 def test_log_p_curvature_stays_within_the_popoviciu_bound(constants, flat, name):
     mesh = build_surface(CURVATURE_SHAPES[name], order=16)
     bound = (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4
-    for nu in np.geomspace(0.01, 30.0, 25):
+    # the top of the grid, nu + h, stays inside the self-integral's range
+    for nu in np.geomspace(0.01, 0.75 * quad._SELF_NU_CEIL / mesh.scale, 25):
         h = nu / 4
         ln = [math.log(pair_integral(mesh, mesh, flat, constants, x)) for x in (nu - h, nu, nu + h)]
         assert 0.0 <= (ln[0] - 2.0 * ln[1] + ln[2]) / (h * h) <= bound
 
 
 def _bisected_root(mesh, flat, constants, lam):
-    """The nu with lambda P(nu) = 1 by bisection on P from [0, 100],
-    halved until no float lies between the ends."""
-    lo, hi = 0.0, 100.0
+    """The nu with lambda P(nu) = 1 by bisection on P over the
+    self-integral's range [0, _SELF_NU_CEIL / s], halved until no float
+    lies between the ends."""
+    lo, hi = 0.0, quad._SELF_NU_CEIL / mesh.scale
     while lo < (mid := lo + (hi - lo) / 2) < hi:
         if lam * quad.double_sum(mesh, mesh, flat, constants, mid, 0)[0] > 1.0:
             lo = mid
@@ -923,7 +944,7 @@ def test_newton_lambda_systems_start_at_the_gauss_level(constants, flat, monkeyp
 # in exact arithmetic, and the level's rounding margin keeps it below the
 # float root of the computed P next to the threshold, where the rule's
 # error is below rounding (there it lies 2e-9 below, relative).
-@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.05, 2.0, 10.0, 100.0])
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.05, 2.0, 10.0, 40.0])
 @pytest.mark.parametrize("name", CURVATURE_SHAPES)
 def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
     mesh = build_surface(CURVATURE_SHAPES[name], order=16)
@@ -933,15 +954,15 @@ def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
 
 
 def _inflate_the_rule(monkeypatch, ulps):
-    """Scale _three_point_rule's weights up by ulps units of roundoff, which
+    """Scale the form rule's weights up by ulps units of roundoff, which
     moves each Gauss level up by about ulps eps / (kappa_f <d>)."""
-    inner = quad._three_point_rule
+    inner = quad._form_rule
 
-    def inflated(*args):
-        nodes, weights = inner(*args)
+    def inflated(form):
+        nodes, weights = inner(form)
         return nodes, tuple(w * (1.0 + ulps * math.ulp(1.0)) for w in weights)
 
-    monkeypatch.setattr(quad, "_three_point_rule", inflated)
+    monkeypatch.setattr(quad, "_form_rule", inflated)
 
 
 # The rounding guard: a level that rounding puts past the root is an

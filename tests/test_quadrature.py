@@ -1102,50 +1102,85 @@ def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
         quad.double_sum(sphere16, sphere16, flat, constants, -1e-300, 0)
 
 
-# The three-point Gauss rule of P's distance measure w / d: it integrates
-# 1, d, .., d^5 exactly, so it reproduces the six nu = 0 sums, and its
-# error on exp(-kappa_f nu d) is >= 0, so it bounds P from below.
+# The form's Gauss rule of P's distance measure w / d (_form_rule): its
+# nodes are the zeros of the measure's _RULE_NODES-th orthogonal
+# polynomial, so they lie inside its support, its weights are positive,
+# and it integrates d^k, k < 2 _RULE_NODES, exactly; its error on
+# exp(-kappa_f nu d) is >= 0, so it bounds P from below.
 
 
-def _rule_sums(rule, j):
-    nodes, weights = rule
-    return math.fsum(w * x**j for x, w in zip(nodes, weights))
+def _form_sums(form, n):
+    """The sums of w d^(k - 1), k < n, over a form's self-integral
+    geometry, each by math.fsum: the moments of order k of w / d."""
+    d, w = quad._form_geometry(form)[2:]
+    return [math.fsum((w * d ** (k - 1.0)).tolist()) for k in range(n)]
+
+
+def _closed_form_rule(sums):
+    """The three-point Gauss rule of the measure whose moments of d^k are
+    sums[k], k < 6, in float arithmetic: in t = (d - mean) / sigma the
+    moments are 1, 0, 1, t_3, t_4, t_5; the monic cubic t^3 + a t^2 + b t +
+    c orthogonal to 1, t and t^2 solves their 3 x 3 Hankel system, its
+    three real roots r_i come in trigonometric form, and the weight of r_k
+    is the integral of its Lagrange polynomial, (1 + r_i r_j) / ((r_k -
+    r_i)(r_k - r_j))."""
+    _, m, m2, m3, m4, m5 = (x / sums[0] for x in sums)
+    sigma = math.sqrt(m2 - m * m)
+    t3 = (m3 - m * (3.0 * m2 - 2.0 * m * m)) / sigma**3
+    t4 = (m4 - m * (4.0 * m3 - m * (6.0 * m2 - 3.0 * m * m))) / sigma**4
+    t5 = (m5 - m * (5.0 * m4 - m * (10.0 * m3 - m * (10.0 * m2 - 4.0 * m * m)))) / sigma**5
+    a = (t3 * (1.0 + t4) - t5) / (t4 - t3 * t3 - 1.0)
+    b, c = -t4 - a * t3, -t3 - a
+    p, q = b - a * a / 3.0, 2.0 * a**3 / 27.0 - a * b / 3.0 + c  # t = y - a / 3
+    rho = 2.0 * math.sqrt(-p / 3.0)
+    theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * rho)))) / 3.0
+    r = sorted(rho * math.cos(theta - 2.0 * math.pi * k / 3.0) - a / 3.0 for k in range(3))
+    weights = [
+        sums[0] * (1.0 + r[i] * r[j]) / ((r[k] - r[i]) * (r[k] - r[j]))
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    return [m + sigma * t for t in r], weights
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_three_point_rule_reproduces_the_six_flat_sums(constants, flat, name):
-    mesh = build_surface(ZERO_SELF[name], order=16)
-    d, w = quad._diag_geometry(mesh)
-    s = mesh.scale
-    d, w = s * d, s**4 * w  # physical distances and weights
-    pref = constants.mass / (2.0 * math.pi * constants.hbar**2)
-    rule = quad._three_point_rule(mesh, flat, constants)
-    # the nodes are the zeros of an orthogonal polynomial of the measure,
-    # so they lie inside its support, and a Gauss rule's weights are positive
-    assert d.min() < rule[0][0] < rule[0][1] < rule[0][2] < d.max() <= mesh.diameter_ambient
-    assert min(rule[1]) > 0.0
-    for j in range(6):  # sum W x^j = pref sum w d^(j - 1) / V
-        want = pref * math.fsum((w * d ** (j - 1.0)).tolist()) / mesh.area
-        # 1.3e-15 seen (the ellipsoid's fifth moment)
-        assert _rule_sums(rule, j) == pytest.approx(want, rel=4e-15, abs=0.0)
+def test_form_rule_is_a_gauss_rule_of_the_distance_measure(name):
+    form = build_surface(ZERO_SELF[name], order=16).form
+    d = quad._form_geometry(form)[2]
+    nodes, weights = quad._form_rule(form)
+    assert len(nodes) == len(weights) == quad._RULE_NODES
+    ends = (float(d.min()), *nodes, float(d.max()))
+    assert all(x < y for x, y in zip(ends, ends[1:]))
+    assert min(weights) > 0.0
+    for k, want in enumerate(_form_sums(form, 2 * quad._RULE_NODES)):
+        got = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        # 7.8e-16 seen (the sphere's moment of order 2; 1.0e-15 at order 24)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [16, 24])
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_form_rule_matches_the_closed_form_three_point_rule(name, order):
+    form = build_surface(ZERO_SELF[name], order=order).form
+    want = _closed_form_rule(_form_sums(form, 6))
+    for got, ref in zip(quad._form_rule(form), want, strict=True):
+        # 3.8e-14 seen (the ellipsoid at order 16), while both rules give
+        # the six moments within 1.0e-15: the rule's conditioning
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_three_point_rule_bounds_p_from_below(constants, flat, name):
+def test_form_rule_bounds_p_from_below(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
-    nodes, weights = quad._three_point_rule(mesh, flat, constants)
-    k = constants.kappa_factor
-    for nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):
+    nodes, weights = quad._form_rule(mesh.form)
+    s, k = mesh.scale, constants.kappa_factor
+    unit = s * constants.mass / (2.0 * math.pi * constants.hbar**2) / mesh.form.area
+    for s_nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):  # the form's nu, by the scale law
+        nu = s_nu / s
         p = quad.double_sum(mesh, mesh, flat, constants, nu, 0)[0]
-        bound = math.fsum(w * math.exp(-k * nu * x) for x, w in zip(nodes, weights))
+        bound = unit * math.fsum(w * math.exp(-k * nu * s * x) for x, w in zip(nodes, weights))
         # equal at nu = 0, and within rounding at 1e-8 (rel. error 1e-49)
         assert bound <= p * (1.0 + 2e-15)
-        assert nu < 0.1 or bound < p
-
-
-def test_three_point_rule_refuses_hyperbolic_space(constants, hyp, sphere16):
-    with pytest.raises(InvalidArgumentError, match="flat"):
-        quad._three_point_rule(sphere16, hyp, constants)
+        assert s_nu < 0.1 or bound < p
 
 
 def _recorded(monkeypatch, name):
@@ -1174,8 +1209,8 @@ def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
     assert kernel == []  # no kernel pass at nu = 0
 
 
-def test_flat_moments_go_with_their_meshes(constants, flat):
-    moments, forms = quad._flat_moments, quad._form_moments
+def test_flat_moments_and_form_rules_go_with_their_meshes(constants, flat):
+    moments, forms = quad._flat_moments, quad._form_rule
 
     def sizes():
         return moments.cache_info().currsize, forms.cache_info().currsize
@@ -1189,7 +1224,7 @@ def test_flat_moments_go_with_their_meshes(constants, flat):
     assert sizes() == (before[0] + 2, before[1] + 1)
     del a
     gc.collect()
-    # the pair's and the point's sums go with a, the form's live while b does
+    # the pair's and the point's sums go with a, the form's rule lives while b does
     assert ref() is None and sizes() == (before[0], before[1] + 1)
     del b
     gc.collect()
@@ -1201,7 +1236,7 @@ def test_flat_moments_go_with_their_meshes(constants, flat):
     assert moments.cache_info() == forms.cache_info() == (0, 0, None, 0)
 
 
-def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
+def test_meshes_of_one_form_share_one_rule(constants, flat, monkeypatch):
     # three equal spheres in different places, as in three_spheres_lambda
     meshes = [build_surface(Sphere((4.0 * k, 1.0, 0.0), 1.1), order=12) for k in range(3)]
     assert len({m.form for m in meshes}) == 1
@@ -1210,6 +1245,5 @@ def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
     sums = [quad.double_sum(m, m, flat, constants, 0.0, 2) for m in meshes]
     assert len(dots) == 1 and kernel == []
     assert sums[0] == sums[1] == sums[2]
-    for m in meshes:
-        quad._three_point_rule(m, flat, constants)
+    assert quad._form_rule(meshes[0].form) is quad._form_rule(meshes[2].form)
     assert len(dots) == 1

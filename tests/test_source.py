@@ -631,7 +631,7 @@ def test_derivative_readers_take_the_sums_derivatives(name):
 # caller rebuilds it from (d, w).
 GEOMETRY_NAMES = (
     "_form_geometry", "_diag_geometry", "_pair_geometry", "_point_geometry", "_geometry",
-    "_patch_rows", "_flat_moments", "_form_moments", "_powers", "_surface_moments",
+    "_patch_rows", "_flat_moments", "_surface_moments",
     "_blocked_dots", "_nu_derivatives",
 )
 
