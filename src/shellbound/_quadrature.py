@@ -66,10 +66,10 @@ one static_kernel_array pass (G, d G) per block.  A self-integral is
 summed only up to s nu = _SELF_NU_CEIL, the range its patch rule
 resolves.  At nu = 0, where G = pref / d, a surface's M_k is pref sum w
 d^(k-1) instead, with no kernel pass: a pair or point geometry caches
-sum w / d, sum w and sum w d (_flat_moments), and a form its measure w /
-d's Gauss rule (x, W) (_form_rule), whose sum W x^k is sum w d^(k-1),
-exactly for k < 2 _RULE_NODES, and which bounds P from below at every
-nu >= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
+sum w / d, sum w and sum w d (_flat_moments), and a form the Gauss rule
+(x, W) of its measure w / d (_form_rule), whose sum W x^k is sum w
+d^(k-1), exactly for k < 2 _RULE_NODES, and which bounds P from below at
+every nu >= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
 one at a time, so a sum holds a few block arrays at most.  As dG/dnu =
 -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0),
 the k-th derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs
@@ -375,8 +375,8 @@ def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
     denom = np.einsum("bki,bkji->bkj", nrm, e)
     rho_max = h[..., None] / denom  # (B, 4, n_psi)
 
-    # (B, 4, n_psi, n_s) arrays: dv and du become v and u in place, and so
-    # does Y its node difference, so chart.evaluate holds the most of them
+    # dv and du become v and u, and Y its node difference, in place, so the
+    # most (B, 4, n_psi, n_s) arrays live at once inside chart.evaluate
     rho = rho_max[..., None] * g_s
     v = rho * e[..., 1:2] / a22[:, None, None, None]
     u = (rho * e[..., 0:1] - a12[:, None, None, None] * v) / a11[:, None, None, None]

@@ -352,9 +352,7 @@ def coupling_from_energy(
     return 1.0 / pair_integral(mesh, mesh, space, constants, nu_star)
 
 
-def _gauss_level(
-    mesh: SurfaceMesh, space: AmbientSpace, constants: PhysicalConstants, lam: float
-) -> float:
+def _gauss_level(mesh: SurfaceMesh, constants: PhysicalConstants, lam: float) -> float:
     """A lower bound nu_G on the standalone level of a lambda channel, from
     no kernel pass: the root of lambda sum_i W_i e^{-k nu x_i} = 1, k =
     kappa_f, over the form's Gauss rule of P's distance measure
@@ -362,10 +360,10 @@ def _gauss_level(
     W / area_form.  Its error on e^{-a x} is a^{2N} e^{-a xi} / (2N)! times
     the integral of the squared N-th orthogonal polynomial, >= 0 for a >= 0
     (Golub & Meurant 2010, ch. 6), so it bounds P from below.
-    _monotone_root finds the root on -ln of the model,
-    concave and increasing like energy_from_coupling's g, read as k nu x_1
-    - ln lambda - ln(sum_i W_i e^{-k nu (x_i - x_1)}) so that nothing over-
-    or underflows.  The model adds 8 eps (1 + |ln lambda|), more than the
+    _monotone_root finds the root on -ln of the model, concave and
+    increasing like energy_from_coupling's g, read as k nu x_1 - ln lambda
+    - ln(sum_i W_i e^{-k nu (x_i - x_1)}) so that nothing over- or
+    underflows.  The model adds 8 eps (1 + |ln lambda|), more than the
     rounding of either ln(lambda P): next to the threshold, where the
     rule's error is below rounding, nu_G then still lies below the root of
     the computed P.  Returns the floor when the model does not bind or
@@ -433,7 +431,7 @@ def energy_from_coupling(
     f_lo = f(_NU_FLOOR)
     if f_lo[0] >= 0.0:
         return None
-    lo = _gauss_level(mesh, space, constants, lam)
+    lo = _gauss_level(mesh, constants, lam)
     nu, _ = _monotone_root(
         f, lo, f(lo) if lo > _NU_FLOOR else f_lo, _NU_CEIL,
         NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
@@ -539,7 +537,7 @@ def solve_ground_state(
         lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
         [cp.nu_star for cp in couplings.items if cp.nu_star is not None],
         [
-            _gauss_level(mesh, space, constants, cp.lam)
+            _gauss_level(mesh, constants, cp.lam)
             for mesh, cp in zip(surfaces, couplings.items)
             if cp.lam is not None
         ],

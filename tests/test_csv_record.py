@@ -129,14 +129,14 @@ def _moves(old, new):
             for col, (x, y) in enumerate(zip(ca, cb)):
                 if x == y:
                     continue
-                cell = f"{name} row {row + 1} {header[col] if col < len(header) else col}"
+                cell = f"{name} line {row + 1} {header[col] if col < len(header) else col}"
                 nx, ny = _numbers(x), _numbers(y)
                 rel = None
                 if nx and ny and len(nx) == len(ny):
                     rel = max(abs(q - p) / abs(p) if p else math.inf for p, q in zip(nx, ny) if p != q)
                 moves.append((cell, x, y, rel))
             if len(ca) != len(cb):
-                moves.append((f"{name} row {row + 1}", a, b, None))
+                moves.append((f"{name} line {row + 1}", a, b, None))
     return moves
 
 

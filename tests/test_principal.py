@@ -771,12 +771,13 @@ def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(
     with pytest.raises(UnsupportedRegimeError, match="range"):
         energy_from_coupling(mesh, flat, constants, lam)
     assert lam * inner(mesh, mesh, flat, constants, seen[0], 0)[0] == math.inf
-    assert seen[1:] == [principal._gauss_level(mesh, flat, constants, lam)]
+    assert seen[1:] == [principal._gauss_level(mesh, constants, lam)]
     assert mesh.scale * seen[1] > quad._SELF_NU_CEIL
 
 
-def test_coupling_from_energy_refuses_a_nu_star_past_the_range(constants, flat):
-    # on the same sphere s nu* = 1e6: no self-integral is summed there
+def test_coupling_from_energy_refuses_an_underflowed_p(constants, flat):
+    # on the same sphere the patch rule's P(1e4) underflowed to 0; at s nu*
+    # = 1e6, far past the self-integral's range, no P is summed at all
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
     with pytest.raises(UnsupportedRegimeError, match="range"):
         coupling_from_energy(mesh, flat, constants, 1e4)
@@ -793,8 +794,8 @@ def test_a_root_past_the_self_integral_range_is_refused(constants, flat, request
     assert quad.double_sum(mesh, mesh, flat, constants, top, 2)[0] > 0.0
     with pytest.raises(UnsupportedRegimeError, match="range"):
         quad.double_sum(mesh, mesh, flat, constants, math.nextafter(top, math.inf), 0)
-    # at 100 lambda_c the root is s nu = 100 on the sphere and 58.4 on the
-    # torus, where the rule's error was 2.4e-3 and 1e-4
+    # at 100 lambda_c the root lies at s nu = 50 on the sphere, where the
+    # patch rule errs by 2.8e-6, and at 58.4 on the torus
     lam = 100.0 / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
     with pytest.raises(UnsupportedRegimeError, match="range"):
         energy_from_coupling(mesh, flat, constants, lam)
@@ -827,7 +828,7 @@ def test_a_zero_within_the_stop_width_of_zero_is_the_threshold(constants, flat, 
     # Both read it as the threshold, so bounds' nu*-form spec and a
     # lambda-form solve agree that the channel does not bind.
     lam = (1.0 + 1e-13) / quad.double_sum(sphere24, sphere24, flat, constants, 0.0, 0)[0]
-    assert principal._gauss_level(sphere24, flat, constants, lam) > 0.0
+    assert principal._gauss_level(sphere24, constants, lam) > 0.0
     assert 0.5e-13 < _bisected_root(sphere24, flat, constants, lam) < principal._THRESHOLD_WIDTH
     assert energy_from_coupling(sphere24, flat, constants, lam) is None
     with pytest.raises(NoBoundStateError, match="threshold"):
@@ -867,7 +868,7 @@ def test_lambda_ground_state_makes_no_kernel_pass_at_nu_zero(constants, flat, mo
     meshes = _spheres(16, (0, 0, 0), (4, 0, 0))
     result = solve_ground_state(meshes, CouplingSpec.from_lambdas(2.0, 2.5), flat, constants)
     assert result.converged and len(passes) == result.iterations
-    assert passes[0][0] == principal._gauss_level(meshes[1], flat, constants, 2.5)
+    assert passes[0][0] == principal._gauss_level(meshes[1], constants, 2.5)
     assert all(nu > 0.0 and calls > 0 for nu, calls in passes)
 
 
@@ -932,7 +933,7 @@ def test_newton_lambda_systems_start_at_the_gauss_level(constants, flat, monkeyp
     monkeypatch.setattr(principal, "assemble_phi", recorded)
     result = solve_ground_state(meshes, CouplingSpec.from_lambdas(*lams), flat, constants)
     assert result.iterations == len(seen) == n_evals
-    levels = [principal._gauss_level(m, flat, constants, lam) for m, lam in zip(meshes, lams)]
+    levels = [principal._gauss_level(m, constants, lam) for m, lam in zip(meshes, lams)]
     assert seen[0][0] == max(levels) > 0.0
     assert abs(result.nu_star - before) <= 0.5e-12 * (1.0 + before)
     # every evaluation but the last stays below the zero
@@ -949,7 +950,7 @@ def test_newton_lambda_systems_start_at_the_gauss_level(constants, flat, monkeyp
 def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
     mesh = build_surface(CURVATURE_SHAPES[name], order=16)
     lam = ratio / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
-    level = principal._gauss_level(mesh, flat, constants, lam)
+    level = principal._gauss_level(mesh, constants, lam)
     assert 0.0 < level <= _bisected_root(mesh, flat, constants, lam)
 
 
@@ -977,7 +978,7 @@ def test_a_level_past_the_root_brackets_it(constants, flat, request, monkeypatch
     nu_before = energy_from_coupling(mesh, flat, constants, lam)
     ground_before = solve_ground_state([mesh], spec, flat, constants).nu_star
     _inflate_the_rule(monkeypatch, 64)
-    level = principal._gauss_level(mesh, flat, constants, lam)
+    level = principal._gauss_level(mesh, constants, lam)
     assert lam * quad.double_sum(mesh, mesh, flat, constants, level, 0)[0] < 1.0
     nu = energy_from_coupling(mesh, flat, constants, lam)
     assert abs(nu - nu_before) <= 1e-13 * max(1.0, nu_before)

@@ -1143,7 +1143,7 @@ def _closed_form_rule(sums):
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_form_rule_is_a_gauss_rule_of_the_distance_measure(name):
+def test_three_point_rule_reproduces_the_six_flat_sums(name):
     form = build_surface(ZERO_SELF[name], order=16).form
     d = quad._form_geometry(form)[2]
     nodes, weights = quad._form_rule(form)
@@ -1151,7 +1151,7 @@ def test_form_rule_is_a_gauss_rule_of_the_distance_measure(name):
     ends = (float(d.min()), *nodes, float(d.max()))
     assert all(x < y for x, y in zip(ends, ends[1:]))
     assert min(weights) > 0.0
-    for k, want in enumerate(_form_sums(form, 2 * quad._RULE_NODES)):
+    for k, want in enumerate(_form_sums(form, 6)):
         got = math.fsum(w * x**k for x, w in zip(nodes, weights))
         # 7.8e-16 seen (the sphere's moment of order 2; 1.0e-15 at order 24)
         assert got == pytest.approx(want, rel=4e-15, abs=0.0)
@@ -1169,7 +1169,7 @@ def test_form_rule_matches_the_closed_form_three_point_rule(name, order):
 
 
 @pytest.mark.parametrize("name", ZERO_SELF)
-def test_form_rule_bounds_p_from_below(constants, flat, name):
+def test_three_point_rule_bounds_p_from_below(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
     nodes, weights = quad._form_rule(mesh.form)
     s, k = mesh.scale, constants.kappa_factor
@@ -1209,7 +1209,7 @@ def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
     assert kernel == []  # no kernel pass at nu = 0
 
 
-def test_flat_moments_and_form_rules_go_with_their_meshes(constants, flat):
+def test_flat_moments_go_with_their_meshes(constants, flat):
     moments, forms = quad._flat_moments, quad._form_rule
 
     def sizes():
@@ -1236,7 +1236,7 @@ def test_flat_moments_and_form_rules_go_with_their_meshes(constants, flat):
     assert moments.cache_info() == forms.cache_info() == (0, 0, None, 0)
 
 
-def test_meshes_of_one_form_share_one_rule(constants, flat, monkeypatch):
+def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
     # three equal spheres in different places, as in three_spheres_lambda
     meshes = [build_surface(Sphere((4.0 * k, 1.0, 0.0), 1.1), order=12) for k in range(3)]
     assert len({m.form for m in meshes}) == 1
