@@ -65,11 +65,11 @@ weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
 one static_kernel_array pass (G, d G) per block.  A self-integral is
 summed only up to s nu = _SELF_NU_CEIL, the range its patch rule
 resolves.  At nu = 0, where G = pref / d, a surface's M_k is pref sum w
-d^(k-1) instead, with no kernel pass: a pair or point geometry caches
-sum w / d, sum w and sum w d (_flat_moments), and a form the Gauss rule
-(x, W) of its measure w / d (_form_rule), whose sum W x^k is sum w
-d^(k-1), exactly for k < 2 _RULE_NODES, and which bounds P from below at
-every nu >= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
+d^(k-1) instead, with no kernel pass: every geometry, a form's
+self-integral, a pair or a surface and a point, caches the Gauss rule (x,
+W) of its measure w / d (_rule), whose sum W x^k is sum w d^(k-1),
+exactly for k < 2 _RULE_NODES, and which bounds P from below at every nu
+>= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
 one at a time, so a sum holds a few block arrays at most.  As dG/dnu =
 -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G in flat space (gamma'' = 0),
 the k-th derivative is (-gamma')^k M_k / sqrt(V_a V_b): a slope costs
@@ -130,13 +130,13 @@ from .geometry import (
     ambient_distance,
     implicit_value,
 )
-from .jacobi import jacobi_eigh
+from .jacobi import _gauss_rule
 from .kernels import _decay_rate, static_kernel_array
 
 _BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
-_RULE_NODES = 3  # Gauss points of a form's rule (_form_rule)
+_RULE_NODES = 3  # Gauss points of a geometry's rule (_rule)
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
@@ -526,34 +526,28 @@ def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
 
 
 @_mesh_cache
-def _flat_moments(a: SurfaceMesh, b: SurfaceMesh | Point3):
-    """(sum w / d, sum w, sum w d) over the pair or point geometry
-    _geometry(a, b): built on first use, they live as long as the geometry
-    and hold none of it."""
-    d, w = _geometry(a, b)
-    return _blocked_dots(w, d, lambda x: (1.0 / x, np.ones_like(x), x))
-
-
-@_mesh_cache
-def _form_rule(form: SurfaceForm):
+def _rule(a, b):
     """The _RULE_NODES-point Gauss rule (x, W), x ascending, of the measure
-    w / d over a form's self-integral geometry at scale 1.  One pass gives
-    the moments m_k of the monic Chebyshev polynomials p_k(t) on [d_min,
-    d_max], well conditioned where raw powers are not; Gautschi's modified
-    Chebyshev algorithm turns them into the measure's recurrence (alpha_k,
-    beta_k), whose Jacobi matrix's eigenpairs give the nodes and weights
-    (Gautschi 2004, sections 2.1.7 and 3.1.1; Golub & Welsch 1969)."""
-    d, w = _form_geometry(form)[2:]
+    w / d over the geometry of a with b: a form's self-integral geometry at
+    scale 1 as _rule(form, form), else _geometry(a, b) of a pair or of a
+    surface and a point.  One pass gives the moments m_k of the monic
+    Chebyshev polynomials p_k(t) on [d_min, d_max], well conditioned where
+    raw powers are not; Gautschi's modified Chebyshev algorithm turns them
+    into the measure's recurrence (alpha_k, beta_k), whose Gauss rule
+    jacobi._gauss_rule builds (Gautschi 2004, section 2.1.7).  A measure
+    of fewer points to rounding, as from a point at a sphere's centre,
+    gets a rule of that many points."""
+    d, w = _form_geometry(a)[2:] if a is b else _geometry(a, b)
     n = 2 * _RULE_NODES
     lo, hi = float(d.min()), float(d.max())
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    b = [0.0, 0.5] + [0.25] * (n - 2)
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0 or hi  # any half if all d are equal
+    cheb = [0.0, 0.5] + [0.25] * (n - 2)  # the p_k's recurrence coefficients
 
     def columns(x):
         t = (x - mid) / half
         prev, cur = 0.0, 1.0 / x
         yield cur
-        for b_k in b[: n - 1]:
+        for b_k in cheb[: n - 1]:
             prev, cur = cur, t * cur - b_k * prev
             yield cur
 
@@ -563,27 +557,30 @@ def _form_rule(form: SurfaceForm):
     for k in range(1, _RULE_NODES):
         new = [0.0] * n
         new[k : n - k] = [
-            sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * sig_prev[l] + b[l] * sig[l - 1]
+            sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * sig_prev[l] + cheb[l] * sig[l - 1]
             for l in range(k, n - k)
         ]
+        # |pi_k|^2 / m_0 = beta_1 .. beta_k reads 0.04 or more at k = 2 on
+        # every surface geometry measured, and rounding where the distances
+        # are one value to rounding (a point at a sphere's centre): there
+        # the measure has k points
+        if not new[k] > 1e-8 * m[0]:
+            break
         alpha.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])
         beta.append(new[k] / sig[k - 1])
         sig_prev, sig = sig, new
-    off = np.diag(np.sqrt(beta[1:]), 1)
-    t, V = jacobi_eigh(np.diag(alpha) + off + off.T)
-    return tuple((mid + half * t).tolist()), tuple((m[0] * V[0] ** 2).tolist())
+    t, W = _gauss_rule(alpha, beta)
+    return tuple((mid + half * t).tolist()), tuple(W.tolist())
 
 
 def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:
     """M_k up to order of surface a with b at nu: one kernel pass, or at
-    nu = 0, where G = pref / d, pref times the sums of w d^(k - 1): a
-    pair's or point's cached ones, and for a self-integral the moments of
-    its form's rule, which integrates them exactly."""
+    nu = 0, where G = pref / d, pref times the sums of w d^(k - 1), which
+    the geometry's rule (a form's for a self-integral) integrates
+    exactly."""
     if nu == 0.0:
         pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
-        if a is not b:
-            return tuple(pref * m for m in _flat_moments(a, b)[: order + 1])
-        x, W = _form_rule(a.form)
+        x, W = _rule(a.form, a.form) if a is b else _rule(a, b)
         return tuple(pref * math.fsum(w * xi**k for xi, w in zip(x, W)) for k in range(order + 1))
     d, w = _geometry(a, b)
     return weighted_kernel_sum(w, d, space, constants, nu, order)
@@ -653,7 +650,6 @@ def double_sum(
 
 def clear_caches() -> None:
     for cache in (
-        _form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _flat_moments,
-        _form_rule,
+        _form_geometry, _diag_geometry, _pair_geometry, _point_geometry, _rule,
     ):
         cache.cache_clear()

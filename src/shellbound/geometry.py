@@ -22,6 +22,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedShapeError,
 )
+from .jacobi import _gauss_rule
 
 FLAT = "flat"
 HYPERBOLIC = "hyperbolic"
@@ -487,45 +488,16 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _legendre_series(x, c):
-    """sum_k c[k] P_k(x) by Clenshaw recursion, in numpy 2.4 ``legval``'s operation order."""
-    if len(c) == 1:
-        return c[0] + 0.0 * x
-    nd = len(c)
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        tmp = c0
-        nd = nd - 1
-        c0 = c[-i] - c1 * ((nd - 1) / nd)
-        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only.
-
-    The steps are numpy's ``leggauss``: eigenvalues of the symmetric
-    companion matrix of P_n, one Newton step, weights 1/(P_{n-1} P_n')
-    from the pre-Newton slopes, symmetrised and scaled to sum to 2.  The
-    result is bitwise ``leggauss``'s; calling it would import all of
-    ``numpy.polynomial`` (about 1 MB resident) for these few lines.
+    """Gauss-Legendre nodes and weights on [-1, 1], cached read-only: the
+    Gauss rule of Legendre's recurrence, alpha_k = 0 and beta_k = k^2 /
+    (4 k^2 - 1) with beta_0 = 2, symmetrised and scaled to sum to 2.
+    numpy's ``leggauss`` would import all of ``numpy.polynomial`` (about
+    1 MB resident) for it.
     """
-    k = np.arange(n)
-    scl = 1.0 / np.sqrt(2 * k + 1)
-    off = k[1:] * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0  # P_n
-    dc = np.zeros(n)
-    dc[::-2] = 2 * k[::-2] + 1  # P_n' = sum (2k + 1) P_k over k = n-1, n-3, ...
-    dy = _legendre_series(x, c)
-    df = _legendre_series(x, dc)
-    x -= dy / df
-    fm = _legendre_series(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
+    k = np.arange(1, n)
+    x, w = _gauss_rule(np.zeros(n), [2.0, *(k * k / (4.0 * k * k - 1.0))])
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()

@@ -13,6 +13,11 @@ it on K, L and S.  It runs on Python floats, which for these sizes is
 cheaper than numpy's per-call overhead, rejects an empty or non-square
 matrix and a NaN or infinite entry, and accepts exactly the finite
 matrices with |A_ij - A_ji| <= 1e-12 max|A|.
+
+_gauss_rule is the package's one Gauss-rule builder, by Golub-Welsch on
+jacobi_eigh: geometry's Gauss-Legendre grids come from Legendre's
+recurrence, and _quadrature's rule of a geometry's distance measure from
+the recurrence that Gautschi's modified Chebyshev algorithm gives.
 """
 
 from __future__ import annotations
@@ -56,3 +61,24 @@ def jacobi_eigh(A: np.ndarray):
     # max(key=abs) takes the first of equal magnitudes, as argmax does
     V *= [-1.0 if max(col, key=abs) < 0.0 else 1.0 for col in V.T.tolist()]
     return w, V
+
+
+def _gauss_rule(alpha, beta):
+    """The len(alpha)-point Gauss rule (x, W), x ascending, of the measure
+    whose monic orthogonal polynomials satisfy p_(k+1) = (x - alpha_k) p_k
+    - beta_k p_(k-1), beta_0 being its mass (Golub & Welsch 1969).  The
+    nodes are the eigenvalues of the Jacobi matrix; the weights are the
+    Christoffel numbers beta_0 / sum_k q_k(x)^2, q_k the orthonormal
+    polynomials of the same recurrence, which keep their relative accuracy
+    where the eigenvectors' first components do not (Gautschi 2004, 3.1.1).
+    """
+    n = len(alpha)
+    b = np.sqrt([0.0, *beta[1:n]])  # b[k] = sqrt(beta_k), b[0] unused
+    off = np.diag(b[1:], 1)
+    x = jacobi_eigh(np.diag(alpha) + off + off.T)[0]
+    q_prev, q = np.zeros(n), np.ones(n)
+    total = np.ones(n)
+    for k in range(n - 1):
+        q_prev, q = q, ((x - alpha[k]) * q - b[k] * q_prev) / b[k + 1]
+        total += q * q
+    return x, beta[0] / total

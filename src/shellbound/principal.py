@@ -31,7 +31,7 @@ instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
 increasing, with the free slope -P'/P, and fewer steps reach the root,
 the last unevaluated under a bound on |g''|.  Every lambda-form search
 starts at its channels' Gauss levels: the Gauss rule of P's distance
-measure, cached once per form (_quadrature._form_rule), bounds P from
+measure, cached once per form (_quadrature._rule), bounds P from
 below, so the root of lambda times the rule, nu_G, found with no kernel
 pass (_gauss_level), lies at or below the channel's level and the
 system's zero.  A level that rounding puts past the zero is evaluated
@@ -355,9 +355,9 @@ def coupling_from_energy(
 def _gauss_level(mesh: SurfaceMesh, constants: PhysicalConstants, lam: float) -> float:
     """A lower bound nu_G on the standalone level of a lambda channel, from
     no kernel pass: the root of lambda sum_i W_i e^{-k nu x_i} = 1, k =
-    kappa_f, over the form's Gauss rule of P's distance measure
-    (quad._form_rule) at the mesh's scale s, nodes s x and weights s pref
-    W / area_form.  Its error on e^{-a x} is a^{2N} e^{-a xi} / (2N)! times
+    kappa_f, over the form's Gauss rule of P's distance measure (quad._rule
+    (form, form)) at the mesh's scale s, nodes s x and weights s pref W /
+    area_form.  Its error on e^{-a x} is a^{2N} e^{-a xi} / (2N)! times
     the integral of the squared N-th orthogonal polynomial, >= 0 for a >= 0
     (Golub & Meurant 2010, ch. 6), so it bounds P from below.
     _monotone_root finds the root on -ln of the model, concave and
@@ -370,7 +370,7 @@ def _gauss_level(mesh: SurfaceMesh, constants: PhysicalConstants, lam: float) ->
     binds within the stop width of it, and the ceiling when its root lies
     at or past it, where the caller's search raises its own error.
     """
-    nodes, weights = quad._form_rule(mesh.form)
+    nodes, weights = quad._rule(mesh.form, mesh.form)
     s = mesh.scale
     unit = s * constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar) / mesh.form.area
     x, W = [s * xi for xi in nodes], [unit * w for w in weights]

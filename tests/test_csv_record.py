@@ -11,7 +11,7 @@ cells need only agree within RELATIVE_BOUND.
 A change that moves a value rewrites the record, so the move shows in the
 diff:
 
-    PYTHONPATH=src python tests/test_csv_record.py           # table of moves
+    PYTHONPATH=src python tests/test_csv_record.py           # moves, then one line per config
     PYTHONPATH=src python tests/test_csv_record.py --write   # rewrite the record
 """
 
@@ -50,13 +50,15 @@ def _platform() -> str:
     return f"numpy {np.__version__} on {platform.machine()}"
 
 
-def _run(name: str, workdir: pathlib.Path) -> tuple[str, list[str]]:
-    """(the exit line, the CSV lines without run_id) of one config."""
+def _run(name: str, workdir: pathlib.Path, config: pathlib.Path | None = None) -> tuple[str, list[str]]:
+    """(the exit line, the CSV lines without run_id) of one shipped config,
+    or of the config file given in its place, under its natural command."""
     from shellbound.cli import main
 
     cmd = NATURAL_COMMANDS[name]
     out = workdir / f"{name}.csv"
-    argv = [cmd[0], "--config", str(ROOT / "configs" / name), *cmd[1:], "--out", str(out)]
+    config = ROOT / "configs" / name if config is None else config
+    argv = [cmd[0], "--config", str(config), *cmd[1:], "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     if not out.exists():
@@ -150,11 +152,45 @@ def test_shipped_csvs_match_their_record():
     )
 
 
+def _summary(name: str, moves) -> str:
+    """One line for a config's moves: how many cells moved and the largest
+    relative move.  A residual cell, |omega_min| at the root, is rounding,
+    so those give the largest absolute value on either side instead."""
+    rel = [r for cell, _, _, r in moves if not cell.endswith(" residual")]
+    residual = [
+        abs(x) for cell, a, b, _ in moves if cell.endswith(" residual") for x in _numbers(a) + _numbers(b)
+    ]
+    line = f"{name}: {len(moves)} cells moved"
+    if rel:
+        line += ", largest relative " + ("-" if None in rel else f"{max(rel):.1e}")
+    if residual:
+        line += f", residual cells up to {max(residual):.1e}"
+    return line
+
+
+def test_the_summary_counts_moves_and_reads_residuals_by_size():
+    moves = [
+        ("a.json line 3 E_gr", "-1.0", "-1.0000000000000004", 4e-16),
+        ("a.json line 3 residual", "1e-18", "-3e-18", 4.0),
+        ("a.json line 4 weights", "0.5;0.5", "0.5;0.5000000000000002", 4e-16),
+    ]
+    assert _summary("a.json", moves) == (
+        "a.json: 3 cells moved, largest relative 4.0e-16, residual cells up to 3.0e-18"
+    )
+    assert _summary("b.json", []) == "b.json: 0 cells moved"
+    assert _summary("c.json", [("c.json", "exit 0, 3 lines", "exit 2, 0 lines", None)]) == (
+        "c.json: 1 cells moved, largest relative -"
+    )
+
+
 def main(argv) -> int:
     runs = run_all()
     old = _parse(RECORD.read_text(encoding="utf-8"))[1] if RECORD.exists() else {}
-    for cell, a, b, rel in _moves(old, runs):
+    moves = _moves(old, runs)
+    for cell, a, b, rel in moves:
         print(f"{cell} | {a} | {b} | {'-' if rel is None else f'{rel:.1e}'}")
+    for name in NATURAL_COMMANDS:
+        print(_summary(name, [m for m in moves if m[0].partition(" ")[0] == name]))
     if "--write" in argv:
         RECORD.write_text(_format(runs), encoding="utf-8")
         print(f"wrote {RECORD}")

@@ -1102,8 +1102,8 @@ def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
         quad.double_sum(sphere16, sphere16, flat, constants, -1e-300, 0)
 
 
-# The form's Gauss rule of P's distance measure w / d (_form_rule): its
-# nodes are the zeros of the measure's _RULE_NODES-th orthogonal
+# The form's Gauss rule of P's distance measure w / d (_rule(form, form)):
+# its nodes are the zeros of the measure's _RULE_NODES-th orthogonal
 # polynomial, so they lie inside its support, its weights are positive,
 # and it integrates d^k, k < 2 _RULE_NODES, exactly; its error on
 # exp(-kappa_f nu d) is >= 0, so it bounds P from below.
@@ -1146,7 +1146,7 @@ def _closed_form_rule(sums):
 def test_three_point_rule_reproduces_the_six_flat_sums(name):
     form = build_surface(ZERO_SELF[name], order=16).form
     d = quad._form_geometry(form)[2]
-    nodes, weights = quad._form_rule(form)
+    nodes, weights = quad._rule(form, form)
     assert len(nodes) == len(weights) == quad._RULE_NODES
     ends = (float(d.min()), *nodes, float(d.max()))
     assert all(x < y for x, y in zip(ends, ends[1:]))
@@ -1162,7 +1162,7 @@ def test_three_point_rule_reproduces_the_six_flat_sums(name):
 def test_form_rule_matches_the_closed_form_three_point_rule(name, order):
     form = build_surface(ZERO_SELF[name], order=order).form
     want = _closed_form_rule(_form_sums(form, 6))
-    for got, ref in zip(quad._form_rule(form), want, strict=True):
+    for got, ref in zip(quad._rule(form, form), want, strict=True):
         # 3.8e-14 seen (the ellipsoid at order 16), while both rules give
         # the six moments within 1.0e-15: the rule's conditioning
         assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -1171,7 +1171,7 @@ def test_form_rule_matches_the_closed_form_three_point_rule(name, order):
 @pytest.mark.parametrize("name", ZERO_SELF)
 def test_three_point_rule_bounds_p_from_below(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
-    nodes, weights = quad._form_rule(mesh.form)
+    nodes, weights = quad._rule(mesh.form, mesh.form)
     s, k = mesh.scale, constants.kappa_factor
     unit = s * constants.mass / (2.0 * math.pi * constants.hbar**2) / mesh.form.area
     for s_nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):  # the form's nu, by the scale law
@@ -1195,7 +1195,7 @@ def _recorded(monkeypatch, name):
     return calls
 
 
-def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
+def test_rules_are_built_once_per_geometry(constants, flat, monkeypatch):
     a, b = _pair()
     point = flat_point(0.0, 3.0, 0.0)
     kernel = _recorded(monkeypatch, "static_kernel_array")
@@ -1209,31 +1209,108 @@ def test_flat_moments_are_built_once_per_geometry(constants, flat, monkeypatch):
     assert kernel == []  # no kernel pass at nu = 0
 
 
-def test_flat_moments_go_with_their_meshes(constants, flat):
-    moments, forms = quad._flat_moments, quad._form_rule
+def test_rules_go_with_their_meshes(constants, flat):
+    rules = quad._rule
 
-    def sizes():
-        return moments.cache_info().currsize, forms.cache_info().currsize
+    def size():
+        return rules.cache_info().currsize
 
     gc.collect()
-    before = sizes()
+    before = size()
     a, b = _pair()  # two meshes of one form
     ref = weakref.ref(a)
     for other in (a, b, flat_point(0.0, 3.0, 0.0)):
         quad.double_sum(a, other, flat, constants, 0.0, 0)
-    assert sizes() == (before[0] + 2, before[1] + 1)
+    assert size() == before + 3
     del a
     gc.collect()
-    # the pair's and the point's sums go with a, the form's rule lives while b does
-    assert ref() is None and sizes() == (before[0], before[1] + 1)
+    # the pair's and the point's rules go with a, the form's lives while b does
+    assert ref() is None and size() == before + 1
     del b
     gc.collect()
-    assert sizes() == before
+    assert size() == before
     c, d = _pair()
     quad.double_sum(c, d, flat, constants, 0.0, 0)
     quad.double_sum(c, c, flat, constants, 0.0, 0)
     quad.clear_caches()
-    assert moments.cache_info() == forms.cache_info() == (0, 0, None, 0)
+    assert rules.cache_info() == (0, 0, None, 0)
+
+
+# The rule of every other geometry kind, order 16: (a, b) builders of the
+# two ring pairs, the sphere-torus pair in its mirror planes, the
+# ellipsoid-sphere pair that shares no plane (every node in general
+# position) and a surface-point entry.
+RULE_GEOMETRIES = {
+    "ring D=2": lambda: _spheres_at((0.0, 0.0, 0.0), (2.0, 0.0, 0.0)),
+    "ring D=4": lambda: _spheres_at((0.0, 0.0, 0.0), (4.0, 0.0, 0.0)),
+    "sphere-torus mirror": lambda: (
+        build_surface(Sphere((4.0, 0.0, 0.0), 1.0), order=16),
+        build_surface(Torus((0.0, 0.0, 0.0), 2.0, 0.5), order=16),
+    ),
+    "ellipsoid-sphere no plane": lambda: (
+        build_surface(Ellipsoid((2.5, 2.5, 2.0), 1.2, 1.0, 0.8), order=16),
+        build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16),
+    ),
+    "surface-point": lambda: (
+        build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=16),
+        flat_point(0.0, 3.0, 0.0),
+    ),
+}
+
+
+def _spheres_at(*centers):
+    return tuple(build_surface(Sphere(c, 1.0), order=16) for c in centers)
+
+
+@pytest.mark.parametrize("name", RULE_GEOMETRIES)
+def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, name):
+    a, b = RULE_GEOMETRIES[name]()
+    d, w = quad._geometry(a, b)
+    nodes, weights = quad._rule(a, b)
+    assert len(nodes) == len(weights) == quad._RULE_NODES
+    assert min(weights) > 0.0
+    assert float(d.min()) <= nodes[0] and nodes[-1] <= float(d.max())
+    for k in range(6):
+        want = math.fsum((w * d ** (k - 1.0)).tolist())
+        got = math.fsum(c * x**k for x, c in zip(nodes, weights))
+        # 7.8e-16 seen (the D = 4 ring pair's moment of order 5)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), k
+    kf = constants.kappa_factor
+    unit = constants.mass / (2.0 * math.pi * constants.hbar**2)
+    unit /= math.sqrt(a.area * getattr(b, "area", 1.0))  # a point's V is 1
+    for nu in (1e-8, 0.1, 1.0, 10.0):
+        p = quad.double_sum(a, b, flat, constants, nu, 0)[0]
+        bound = unit * math.fsum(c * math.exp(-kf * nu * x) for x, c in zip(nodes, weights))
+        # within rounding at 1e-8, where the rule's error is 1e-49
+        assert bound <= p * (1.0 + 2e-15)
+        assert nu < 0.1 or bound < p
+    gc.collect()
+    size = quad._rule.cache_info().currsize
+    del a, d, w
+    gc.collect()
+    assert quad._rule.cache_info().currsize == size - 1
+
+
+# A point at a sphere's centre sees every node at one distance, to a few
+# ulp: its measure w / d has one to three distinct points, and its rule
+# has as many as the measure has to rounding, read at nu = 0 without an
+# invalid operation (warnings are errors here) and within rounding of
+# the sums.
+@pytest.mark.parametrize("order, radius", [(4, 1.3), (4, 2.0), (6, 1.3), (16, 1.0), (24, 1.0)])
+def test_a_point_at_a_spheres_centre_gets_the_rule_it_has(constants, flat, order, radius):
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), radius), order=order)
+    point = flat_point(0.0, 0.0, 0.0)
+    d, w = quad._geometry(mesh, point)
+    nodes, weights = quad._rule(mesh, point)
+    assert 1 <= len(nodes) <= min(quad._RULE_NODES, len(np.unique(d)))
+    assert min(weights) > 0.0
+    assert float(d.min()) <= nodes[0] and nodes[-1] <= float(d.max())
+    sums = quad.double_sum(mesh, point, flat, constants, 0.0, 2)
+    unit = constants.mass / (2.0 * math.pi * constants.hbar**2) / math.sqrt(mesh.area)
+    rate = constants.kappa_factor  # d^k/dnu^k e^{-kappa_f nu d} = (-kappa_f d)^k e^{..}
+    for k, got in enumerate(sums):
+        want = (-rate) ** k * unit * math.fsum((w * d ** (k - 1.0)).tolist())
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), k
 
 
 def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
@@ -1245,5 +1322,5 @@ def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
     sums = [quad.double_sum(m, m, flat, constants, 0.0, 2) for m in meshes]
     assert len(dots) == 1 and kernel == []
     assert sums[0] == sums[1] == sums[2]
-    assert quad._form_rule(meshes[0].form) is quad._form_rule(meshes[2].form)
+    assert quad._rule(meshes[0].form, meshes[0].form) is quad._rule(meshes[2].form, meshes[2].form)
     assert len(dots) == 1

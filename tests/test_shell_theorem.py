@@ -140,8 +140,10 @@ def test_pair_integral_against_the_shell_theorem(constants, flat, name, z0, orde
 
 # (shape, z of the point, order): relative error bounds of surface_potential.
 # Measured at nu = 1 at orders 16 / 24: torus 2.1e-10 / 2.2e-15 (z = 0) and
-# 2.5e-12 / 0 (z = 1); spheroid 6.6e-12 / 0 (z = 0), 1.7e-10 / 6.7e-16
-# (z = 2.6) and 7.7e-13 / 1.8e-15 (z = 3).
+# 2.5e-12 / 0 (z = 1); spheroid 6.5e-12 / 6.1e-16 (z = 0), 1.7e-10 /
+# 3.4e-15 (z = 2.6) and 7.7e-13 / 2.0e-16 (z = 3).  The order-24 spheroid
+# errors are rounding: on numpy leggauss's grids, whose weights differ
+# from these by up to 1.5e-13, they read 0 / 6.7e-16 / 1.8e-15.
 POINT_ERRORS = {
     ("torus", 0.0, 16): 6e-10,
     ("torus", 0.0, 24): 7e-15,
@@ -150,7 +152,7 @@ POINT_ERRORS = {
     ("spheroid", 0.0, 16): 2e-11,
     ("spheroid", 0.0, 24): 1e-15,
     ("spheroid", 2.6, 16): 5e-10,
-    ("spheroid", 2.6, 24): 2e-15,
+    ("spheroid", 2.6, 24): 4e-15,
     ("spheroid", 3.0, 16): 2.5e-12,
     ("spheroid", 3.0, 24): 6e-15,
 }

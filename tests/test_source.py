@@ -5,10 +5,10 @@ module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
 no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
-only jacobi_eigh and the leggauss port call an eigensolver, only
-_quadrature._pair_distances forms the node differences of two point sets,
-only the form and pair geometry builds pick orbit rows, only _quadrature
-reads a geometry's arrays or its nu = 0 moments, every keyword default
+only jacobi_eigh calls an eigensolver, only _quadrature._pair_distances
+forms the node differences of two point sets, only the form and pair
+geometry builds pick orbit rows, only _quadrature reads a geometry's
+arrays or its moments, every keyword default
 is set by some caller in the package or listed as API, and no size is
 compared with 1 outside a listed function.
 
@@ -261,12 +261,9 @@ def test_each_kernel_entry_has_one_calling_module(name):
 
 
 # One symmetric eigensolver: jacobi_eigh hands every eigen solve to LAPACK's
-# eigh, and the leggauss port, geometry._gauss_legendre, takes its nodes
-# from eigvalsh.  Each is the one call of its routine in the package.
-EIGEN_CALLERS = {
-    "eigh": ("jacobi.py", "jacobi_eigh"),
-    "eigvalsh": ("geometry.py", "_gauss_legendre"),
-}
+# eigh, the one call of an eigensolver in the package, and every Gauss rule
+# takes its nodes from it (jacobi._gauss_rule).
+EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
 
 
 def _calling_functions(tree: ast.Module, name: str) -> list:
@@ -292,8 +289,9 @@ def test_the_check_finds_an_eigen_call():
 @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
 def test_only_jacobi_and_the_leggauss_port_call_an_eigensolver(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
-    for callee, (module, function) in EIGEN_CALLERS.items():
-        assert _calling_functions(tree, callee) == ([function] if name == module else [])
+    for callee in EIGENSOLVERS:
+        want = ["jacobi_eigh"] if (name, callee) == ("jacobi.py", "eigh") else []
+        assert _calling_functions(tree, callee) == want
 
 
 # One helper forms the node differences of two point sets, each outer node
@@ -626,12 +624,13 @@ def test_derivative_readers_take_the_sums_derivatives(name):
 
 
 # Nor does any module but _quadrature form P from a geometry's arrays or
-# from the nu = 0 moments cached beside them: P(0), the threshold of a
-# lambda-form search, comes from double_sum like every other P, so no
-# caller rebuilds it from (d, w).
+# its moments: P(0), the threshold of a lambda-form search, comes from
+# double_sum like every other P, so no caller rebuilds it from (d, w).  A
+# form's Gauss rule (_rule) is read outside only for the lower bound of
+# principal._gauss_level.
 GEOMETRY_NAMES = (
     "_form_geometry", "_diag_geometry", "_pair_geometry", "_point_geometry", "_geometry",
-    "_patch_rows", "_flat_moments", "_surface_moments",
+    "_patch_rows", "_surface_moments",
     "_blocked_dots", "_nu_derivatives",
 )
 
@@ -639,12 +638,12 @@ GEOMETRY_NAMES = (
 def test_the_check_finds_a_geometry_read():
     tree = ast.parse(
         "from . import _quadrature as quad\n"
-        "from ._quadrature import _flat_moments\n"
+        "from ._quadrature import _surface_moments\n"
         "def threshold(mesh, pref):\n"
         "    d, w = quad._diag_geometry(mesh)\n"
-        "    return pref * _flat_moments(mesh, mesh)[0], w @ (1.0 / d)\n"
+        "    return _surface_moments(mesh, mesh, 0, 1, 0.0, 0)[0], w @ (1.0 / d)\n"
     )
-    assert _name_reads(tree, GEOMETRY_NAMES) == [(4, "_diag_geometry"), (5, "_flat_moments")]
+    assert _name_reads(tree, GEOMETRY_NAMES) == [(4, "_diag_geometry"), (5, "_surface_moments")]
 
 
 @pytest.mark.parametrize("name", sorted(m for m in MODULES if m != "_quadrature.py"))
@@ -756,7 +755,6 @@ def test_every_keyword_default_is_set_or_listed():
 # gone fails the check too.
 SIZE_ONE_COMPARISONS = {
     "cli.cmd_hybrid": "perturbation rows exist for one shell only",
-    "geometry._legendre_series": "the one-coefficient case of numpy's legval, which it ports",
     "hybrid.perturbative_shift": "the second-order shift is defined for one shell and one point",
 }
 
