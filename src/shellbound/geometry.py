@@ -474,8 +474,8 @@ class SurfaceMesh:
 
 # Highest quadrature order.  The geometry of a pair that is not two spheres
 # grows as order^4: measured peak RSS of `bounds` on a unit sphere and an
-# ellipsoid with collinear centres (README) is 56 / 131 MB at orders 32 / 48,
-# and order 64 would extrapolate to about 0.34 GB.  Two spheres go on rings
+# ellipsoid with collinear centres (README) is 48 / 90 MB at orders 32 / 48,
+# and order 64 would extrapolate to about 0.2 GB.  Two spheres go on rings
 # and peak at 37 MB at order 48.
 MAX_ORDER = 48
 

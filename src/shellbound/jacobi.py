@@ -15,9 +15,11 @@ matrix and a NaN or infinite entry, and accepts exactly the finite
 matrices with |A_ij - A_ji| <= 1e-12 max|A|.
 
 _gauss_rule is the package's one Gauss-rule builder, by Golub-Welsch on
-jacobi_eigh: geometry's Gauss-Legendre grids come from Legendre's
-recurrence, and _quadrature's rule of a geometry's distance measure from
-the recurrence that Gautschi's modified Chebyshev algorithm gives.
+LAPACK's eigenvalue-only solve, which past 25 rows maps less memory than
+the eigenvector solve's divide and conquer: geometry's Gauss-Legendre
+grids come from Legendre's recurrence, and _quadrature's rule of a
+geometry's distance measure from the recurrence that Gautschi's modified
+Chebyshev algorithm gives.
 """
 
 from __future__ import annotations
@@ -67,15 +69,23 @@ def _gauss_rule(alpha, beta):
     """The len(alpha)-point Gauss rule (x, W), x ascending, of the measure
     whose monic orthogonal polynomials satisfy p_(k+1) = (x - alpha_k) p_k
     - beta_k p_(k-1), beta_0 being its mass (Golub & Welsch 1969).  The
-    nodes are the eigenvalues of the Jacobi matrix; the weights are the
-    Christoffel numbers beta_0 / sum_k q_k(x)^2, q_k the orthonormal
-    polynomials of the same recurrence, which keep their relative accuracy
-    where the eigenvectors' first components do not (Gautschi 2004, 3.1.1).
+    nodes are the eigenvalues of the Jacobi matrix, from LAPACK's
+    eigenvalue-only solve, each polished by one Newton step on p_n; the
+    weights are the Christoffel numbers beta_0 / sum_k q_k(x)^2, q_k the
+    orthonormal polynomials of the same recurrence, which keep their
+    relative accuracy where the eigenvectors' first components do not
+    (Gautschi 2004, 3.1.1).
     """
     n = len(alpha)
     b = np.sqrt([0.0, *beta[1:n]])  # b[k] = sqrt(beta_k), b[0] unused
     off = np.diag(b[1:], 1)
-    x = jacobi_eigh(np.diag(alpha) + off + off.T)[0]
+    x = np.linalg.eigvalsh(np.diag(alpha) + off + off.T)
+    p_prev, p, dp_prev, dp = 0.0, 1.0, 0.0, 0.0  # p_n and p_n' by the recurrence
+    for a_k, b_k in zip(alpha, beta):
+        p_prev, p, dp_prev, dp = (
+            p, (x - a_k) * p - b_k * p_prev, dp, p + (x - a_k) * dp - b_k * dp_prev
+        )
+    x -= p / dp
     q_prev, q = np.zeros(n), np.ones(n)
     total = np.ones(n)
     for k in range(n - 1):

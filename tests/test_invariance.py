@@ -6,16 +6,22 @@ and listing a config's surfaces in reverse order, changes no physics, so
 each flat shipped config's CSV under its natural command must keep its
 values.  The transform moves the nodes of every mesh off their bits, not
 its form, so the agreement is a few ulp times each solve's conditioning.
+At the library level, a pair's P must not depend on which surface is
+outer, on a shift of both, or on which of _pair_geometry's rules, the
+mirror rule or the full product, sums a pair that both can.
 """
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import pathlib
 
 import pytest
 
+from shellbound import Ellipsoid, Sphere, Torus, build_surface
+from shellbound.principal import pair_integral
 from test_csv_record import NATURAL_COMMANDS, ROOT, _numbers, _run
 
 SHIFT = (0.3, -7.0, 2.0)
@@ -125,3 +131,60 @@ def test_the_comparison_maps_a_reversal_and_finds_a_move():
     devs = {cell: dev for cell, dev, _ in _deviations(header, a, moved)}
     assert devs["row 1 value"] == pytest.approx(2e-14, rel=1e-3)
     assert devs["row 0 residual"] == 2e-16
+
+
+# Library-level pair cases, one per pair path of _quadrature._pair_geometry,
+# each P(nu) at orders 16 and 24 against its transformed self.
+NUS = (0.1, 1.0, 3.0)
+
+
+def _moved(shape, shift):
+    return dataclasses.replace(shape, center=tuple(x + dx for x, dx in zip(shape.center, shift)))
+
+
+def _worst(pairs, constants, flat):
+    """The largest relative deviation of P(nu) over NUS between the first
+    (outer, inner) pair and each of the others."""
+    worst = 0.0
+    for nu in NUS:
+        ref = pair_integral(*pairs[0], flat, constants, nu)
+        for pair in pairs[1:]:
+            worst = max(worst, abs(pair_integral(*pair, flat, constants, nu) - ref) / ref)
+    return worst
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_ring_pair_survives_swapping_its_order(constants, flat, order):
+    # each order sums the other sphere's u-rings on the line of centres
+    # (4.9e-16 seen at order 24)
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=order)
+    b = build_surface(Sphere((2.5, 1.0, -0.5), 0.7), order=order)
+    assert _worst([(a, b), (b, a)], constants, flat) <= 2e-15
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_mirror_rule_pair_is_the_full_product_rule(constants, flat, order):
+    # a sphere on the ellipsoid's x axis shares its y and z mirror planes,
+    # so the pair sums 300 orbit rows at order 24; nudged off both planes
+    # by 1e-13, which moves P at second order only, it sums every node
+    # (4.5e-16 seen at either order)
+    ellipsoid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8), order=order)
+    on_axis, nudged = (
+        build_surface(Sphere(center, 1.0), order=order)
+        for center in ((3.0, 0.0, 0.0), (3.0, 1e-13, 1e-13))
+    )
+    assert _worst([(ellipsoid, on_axis), (ellipsoid, nudged)], constants, flat) <= 2e-15
+    assert _worst([(on_axis, ellipsoid), (nudged, ellipsoid)], constants, flat) <= 2e-15
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_torus_sphere_pair_survives_a_shift_and_a_swap(constants, flat, order):
+    # no shared plane, so every node pairs with every node, in the user's
+    # frame moved by SHIFT (1.7e-16 seen)
+    torus, sphere = Torus((0.0, 0.0, 0.0), 2.0, 0.5), Sphere((0.5, 4.0, 1.0), 1.0)
+    t, s, t_moved, s_moved = (
+        build_surface(shape, order=order)
+        for shape in (torus, sphere, _moved(torus, SHIFT), _moved(sphere, SHIFT))
+    )
+    pairs = [(t, s), (s, t), (t_moved, s_moved), (s_moved, t_moved)]
+    assert _worst(pairs, constants, flat) <= 1e-15

@@ -32,7 +32,7 @@ from shellbound import (
     solve_hybrid_ground_state,
 )
 from shellbound import _quadrature as quad
-from shellbound.geometry import Point3, _ScaledSphereChart, _TorusChart
+from shellbound.geometry import MAX_ORDER, Point3, _ScaledSphereChart, _TorusChart
 from shellbound.kernels import static_kernel_array
 from shellbound.oracles import (
     SphereOracleInput,
@@ -73,6 +73,12 @@ def _diag_sum(mesh, constants, flat, nu):
     """The mesh's self-integral as the package sums it, from the cached
     _diag_geometry: P_ii times the area."""
     return quad.diag_weighted_sum(mesh, flat, constants, nu, 0)[0] * mesh.area
+
+
+def _flat(w):
+    """A geometry's weights as one flat array: a pair's (outer_w, inner_w)
+    as the row-major outer product its sums stand for."""
+    return w if isinstance(w, np.ndarray) else np.outer(*w).reshape(-1)
 
 
 def test_diag_quadrature_convergence(constants, flat):
@@ -502,7 +508,7 @@ from shellbound.cli import main
 space, constants = sb.flat_space(), sb.PhysicalConstants()
 a = sb.build_surface(sb.Sphere((0.0, 0.0, 0.0), 1.0), order=24)
 b = sb.build_surface(sb.Sphere((4.0, 0.0, 0.0), 1.0), order=24)
-d, w = quad._pair_geometry(a, b)
+d, w = quad._geometry(a, b)
 for nu in (0.3, 1.0, 3.0):
     sums = (quad.diag_weighted_sum(a, space, constants, nu, 1)
             + quad.weighted_kernel_sum(w, d, space, constants, nu, 1))
@@ -613,27 +619,28 @@ def test_pair_geometry_rows(sphere24):
     # shared line or not.  A sphere beside an ellipsoid on the x axis keeps
     # the mirror rule: they share the y and z planes, 12 u-orbits (u, pi - u)
     # times 25 v-orbits (v, -v).  In general position they share no mirror
-    # plane and keep every node
+    # plane and keep every node.  Each keeps its rows' orbit weights and
+    # the inner mesh's own weights, whose outer product weights d
     for center in ((4.0, 0.0, 0.0), (3.0, 2.5, -1.5)):
         other = build_surface(Sphere(center, 1.0), order=24)
-        d, w = quad._pair_geometry(sphere24, other)
-        assert d.size == w.size == 24 * 1152
-        assert float(np.sum(w)) == pytest.approx(sphere24.area * other.area, rel=1e-14)
+        d, outer_w, inner_w = quad._pair_geometry(sphere24, other)
+        assert d.size == outer_w.size * inner_w.size == 24 * 1152 and inner_w is other.weights
+        assert float(np.sum(outer_w)) == pytest.approx(sphere24.area, rel=1e-14)
     beside = build_surface(dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0)), order=24)
-    d, w = quad._pair_geometry(sphere24, beside)
-    assert d.size == w.size == 300 * 1152
-    assert float(np.sum(w)) == pytest.approx(sphere24.area * beside.area, rel=1e-14)
+    d, outer_w, inner_w = quad._pair_geometry(sphere24, beside)
+    assert d.size == outer_w.size * inner_w.size == 300 * 1152 and inner_w is beside.weights
+    assert float(np.sum(outer_w)) == pytest.approx(sphere24.area, rel=1e-14)
     apart = build_surface(dataclasses.replace(GENERAL, center=(3.0, 2.5, -1.5)), order=24)
-    d, w = quad._pair_geometry(sphere24, apart)
+    d, outer_w, inner_w = quad._pair_geometry(sphere24, apart)
     diff = sphere24.nodes[:, None, :] - apart.nodes[None, :, :]
     assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1))
-    assert np.array_equal(w, (sphere24.weights[:, None] * apart.weights).reshape(-1))
+    assert np.array_equal(outer_w, sphere24.weights) and inner_w is apart.weights
 
 
 def _one_shot_pair_geometry(mesh_i, mesh_j):
     """_pair_geometry with every outer-minus-inner node difference formed
     at once, (rows, n, 3): the reference the blocked build matches
-    bitwise."""
+    bitwise, with the orbit weights and the inner mesh's weights."""
     if all(isinstance(mesh.shape, Sphere) for mesh in (mesh_i, mesh_j)):
         # the line of centres is the z axis, and the u-rings the orbits
         D = math.dist(mesh_i.shape.center, mesh_j.shape.center)
@@ -646,7 +653,7 @@ def _one_shot_pair_geometry(mesh_i, mesh_j):
         outer, inner = mesh_i.nodes[rows], mesh_j.nodes
     diff = outer[:, None, :] - inner[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return d.reshape(-1), (outer_w[:, None] * mesh_j.weights[None, :]).reshape(-1)
+    return d.reshape(-1), outer_w, mesh_j.weights
 
 
 # a ring pair (24 rows), a collinear sphere and ellipsoid on the mirror rule
@@ -666,12 +673,34 @@ def test_blocked_pair_geometry_is_the_one_shot_difference(shapes):
     a, b = (build_surface(shape, order=24) for shape in shapes)
     for outer, inner in ((a, b), (b, a)):
         want = _one_shot_pair_geometry(outer, inner)
-        rows = want[0].size // inner.nodes.shape[0]
+        rows = want[1].size
         step = quad._BLOCK // inner.nodes.shape[0]
         assert rows > step and rows % step  # several blocks, the last one short
         got = quad._pair_geometry(outer, inner)
         for x, y in zip(got, want):
             assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("shapes", BLOCKED_PAIRS.values(), ids=BLOCKED_PAIRS.keys())
+def test_pair_sums_over_the_two_weight_vectors_are_the_full_products(
+    constants, flat, monkeypatch, shapes
+):
+    # each block forms the products outer_w[row] * inner_w of its rows, the
+    # floats of the (rows, n) product array, on the same block and dot
+    # boundaries: every moment and the pair's rule keep their bits
+    a, b = (build_surface(shape, order=24) for shape in shapes)
+    for outer, inner in ((a, b), (b, a)):
+        d, w = quad._geometry(outer, inner)
+        full = np.outer(*w).reshape(-1)
+        # several blocks, the second starting inside a row
+        assert d.size > quad._BLOCK and quad._BLOCK % inner.weights.size
+        for nu in (0.3, 1.0, 3.0):
+            got = quad.weighted_kernel_sum(w, d, flat, constants, nu, 2)
+            assert got == quad.weighted_kernel_sum(full, d, flat, constants, nu, 2), nu
+        rule = quad._rule(outer, inner)
+        with monkeypatch.context() as mp:
+            mp.setattr(quad, "_geometry", lambda *meshes: (d, full))
+            assert quad._rule.__wrapped__(outer, inner) == rule
 
 
 def _traced(build):
@@ -698,9 +727,22 @@ def test_pair_build_peaks_at_the_arrays_it_keeps():
     # 24.8 MiB more, one block of it takes 0.4 MiB
     a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=32)
     b = build_surface(dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0)), order=32)
-    (d, w), held, scratch = _traced(lambda: quad._pair_geometry.__wrapped__(a, b))
-    assert d.size == 528 * 2048 and held >= d.nbytes + w.nbytes
+    (d, outer_w, _), held, scratch = _traced(lambda: quad._pair_geometry.__wrapped__(a, b))
+    assert d.size == 528 * 2048 and held >= d.nbytes + outer_w.nbytes
     assert scratch <= 2**20
+
+
+def test_pair_geometry_keeps_half_the_bytes_of_its_weight_product():
+    # an order-24 sphere beside an ellipsoid keeps 300 x 1152 distances and
+    # the 300 orbit weights, 2.64 MiB; the (rows, n) weight product it no
+    # longer keeps would take as much again, and the inner weights are the
+    # inner mesh's own array
+    a = build_surface(Sphere((0.0, 0.0, 0.0), 1.0), order=24)
+    b = build_surface(dataclasses.replace(GENERAL, center=(4.0, 0.0, 0.0)), order=24)
+    (d, outer_w, inner_w), held, _ = _traced(lambda: quad._pair_geometry.__wrapped__(a, b))
+    assert d.size == 300 * 1152 and inner_w is b.weights
+    parent = 2 * d.nbytes  # d and the (rows, n) weight product
+    assert d.nbytes + outer_w.nbytes <= held <= 0.51 * parent
 
 
 def test_patch_build_scratch_stays_under_a_mebibyte():
@@ -1083,9 +1125,9 @@ def test_pair_at_nu_zero_is_the_flat_moment_sum(constants, flat, name):
         norm = math.sqrt(a.area)
     else:
         b = build_surface(b, order=16)
-        d, w = quad._pair_geometry(a, b)
+        d, w = quad._geometry(a, b)
         norm = math.sqrt(a.area * b.area)
-    want = _zero_reference(constants, d, w, norm)
+    want = _zero_reference(constants, d, _flat(w), norm)
     _assert_close(quad.double_sum(a, b, flat, constants, 0.0, 2), want)
 
 
@@ -1266,6 +1308,7 @@ def _spheres_at(*centers):
 def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, name):
     a, b = RULE_GEOMETRIES[name]()
     d, w = quad._geometry(a, b)
+    w = _flat(w)
     nodes, weights = quad._rule(a, b)
     assert len(nodes) == len(weights) == quad._RULE_NODES
     assert min(weights) > 0.0
@@ -1289,6 +1332,26 @@ def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, n
     del a, d, w
     gc.collect()
     assert quad._rule.cache_info().currsize == size - 1
+
+
+def test_gauss_rules_take_no_eigenvectors(monkeypatch):
+    # every Gauss rule takes its nodes from an eigenvalue-only solve: the
+    # Legendre grids of every order a mesh or patch rule can use, a form's
+    # self-integral rule and every other geometry kind's, each rule built
+    # afresh while numpy.linalg.eigh raises
+    def eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    geometries = [RULE_GEOMETRIES[name]() for name in RULE_GEOMETRIES]
+    geometries.append(2 * (build_surface(GENERAL, order=16).form,))
+    legendre = quad._gauss_legendre.__wrapped__
+    for n in range(4, MAX_ORDER + 1):
+        x, w = legendre(n)
+        assert x.size == w.size == n
+    for a, b in geometries:
+        nodes, weights = quad._rule.__wrapped__(a, b)
+        assert len(nodes) == len(weights) == quad._RULE_NODES
 
 
 # A point at a sphere's centre sees every node at one distance, to a few

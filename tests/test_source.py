@@ -260,10 +260,14 @@ def test_each_kernel_entry_has_one_calling_module(name):
     assert found == {callee: [] for callee in found}
 
 
-# One symmetric eigensolver: jacobi_eigh hands every eigen solve to LAPACK's
-# eigh, the one call of an eigensolver in the package, and every Gauss rule
-# takes its nodes from it (jacobi._gauss_rule).
+# One module calls an eigensolver: jacobi_eigh hands every eigen solve to
+# LAPACK's eigh, and jacobi._gauss_rule, every Gauss rule's builder, takes
+# its nodes from LAPACK's eigvalsh, which maps no eigenvector workspace.
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
+EIGEN_CALLERS = {
+    ("jacobi.py", "eigh"): ["jacobi_eigh"],
+    ("jacobi.py", "eigvalsh"): ["_gauss_rule"],
+}
 
 
 def _calling_functions(tree: ast.Module, name: str) -> list:
@@ -290,8 +294,7 @@ def test_the_check_finds_an_eigen_call():
 def test_only_jacobi_and_the_leggauss_port_call_an_eigensolver(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     for callee in EIGENSOLVERS:
-        want = ["jacobi_eigh"] if (name, callee) == ("jacobi.py", "eigh") else []
-        assert _calling_functions(tree, callee) == want
+        assert _calling_functions(tree, callee) == EIGEN_CALLERS.get((name, callee), [])
 
 
 # One helper forms the node differences of two point sets, each outer node
