@@ -66,11 +66,12 @@ one static_kernel_array pass (G, d G) per block.  A self-integral is
 summed only up to s nu = _SELF_NU_CEIL, the range its patch rule
 resolves.  At nu = 0, where G = pref / d, a surface's M_k is pref sum w
 d^(k-1) instead, with no kernel pass: every geometry, a form's
-self-integral, a pair or a surface and a point, caches the Gauss rule (x,
-W) of its measure w / d (_rule), whose sum W x^k is sum w d^(k-1),
-exactly for k < 2 _RULE_NODES, and which bounds P from below at every nu
->= 0 (principal._gauss_level).  _blocked_dots takes a block's columns
-one at a time, so a sum holds a few block arrays at most.  A pair's
+self-integral, a pair or a surface and a point, caches the
+_RULE_NODES-point Gauss rule (x, W) of its measure w / d (_rule), whose
+sum W x^k is sum w d^(k-1), exactly for k < 2 _RULE_NODES, and which
+bounds P from below at every nu >= 0 (principal._gauss_level).
+_blocked_dots takes a block's columns one at a time, so a sum holds a
+few block arrays at most.  A pair's
 weights are the outer product of two vectors, which its geometry keeps
 in their place; each block forms its own products (_block_weights).
 As dG/dnu = -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G in flat space
@@ -138,7 +139,7 @@ from .kernels import _decay_rate, static_kernel_array
 _BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
-_RULE_NODES = 3  # Gauss points of a geometry's rule (_rule)
+_RULE_NODES = 4  # Gauss points of a geometry's rule (_rule)
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
@@ -584,10 +585,11 @@ def _rule(a, b):
             sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * sig_prev[l] + cheb[l] * sig[l - 1]
             for l in range(k, n - k)
         ]
-        # |pi_k|^2 / m_0 = beta_1 .. beta_k reads 0.04 or more at k = 2 on
-        # every surface geometry measured, and rounding where the distances
-        # are one value to rounding (a point at a sphere's centre): there
-        # the measure has k points
+        # |pi_k|^2 / m_0 = beta_1 .. beta_k reads 0.004 or more at k = 3
+        # (0.018 at k = 2) on every surface geometry measured, a (1, 1, 10)
+        # spheroid's self-integral the least, and rounding where the
+        # distances are one value to rounding (a point at a sphere's
+        # centre): there the measure has k points
         if not new[k] > 1e-8 * m[0]:
             break
         alpha.append(new[k + 1] / new[k] - sig[k] / sig[k - 1])

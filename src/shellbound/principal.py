@@ -355,11 +355,12 @@ def coupling_from_energy(
 def _gauss_level(mesh: SurfaceMesh, constants: PhysicalConstants, lam: float) -> float:
     """A lower bound nu_G on the standalone level of a lambda channel, from
     no kernel pass: the root of lambda sum_i W_i e^{-k nu x_i} = 1, k =
-    kappa_f, over the form's Gauss rule of P's distance measure (quad._rule
-    (form, form)) at the mesh's scale s, nodes s x and weights s pref W /
-    area_form.  Its error on e^{-a x} is a^{2N} e^{-a xi} / (2N)! times
-    the integral of the squared N-th orthogonal polynomial, >= 0 for a >= 0
-    (Golub & Meurant 2010, ch. 6), so it bounds P from below.
+    kappa_f, over the form's N-point Gauss rule of P's distance measure
+    (quad._rule(form, form), N = quad._RULE_NODES) at the mesh's scale s,
+    nodes s x and weights s pref W / area_form.  Its error on e^{-a x} is
+    a^{2N} e^{-a xi} / (2N)! times the integral of the squared N-th
+    orthogonal polynomial, >= 0 for a >= 0 (Golub & Meurant 2010, ch. 6),
+    so it bounds P from below.
     _monotone_root finds the root on -ln of the model, concave and
     increasing like energy_from_coupling's g, read as k nu x_1 - ln lambda
     - ln(sum_i W_i e^{-k nu (x_i - x_1)}) so that nothing over- or
@@ -412,15 +413,16 @@ def energy_from_coupling(
     rises to the root, with the slope g' = -P'/P from the same kernel pass.
     After the free evaluation at nu = 0, which decides the threshold, its
     first iterate is the Gauss level nu_G (_gauss_level), the root for the
-    three-point Gauss rule of P's distance measure, at or below the root.
-    The Newton step from nu = 0 would be the Jensen bound ln(lambda P(0)) /
-    (kappa_f <d>), the one-point rule's root, which nu_G refines by two
-    more points.  Under those weights |g''| = kappa_f^2 Var(d) <= kappa_f^2
-    D^2 / 4 (Popoviciu), D the mesh diameter, the curvature with which
-    _monotone_root skips the last evaluation.  Every iterate is at
-    or below the root, up to rounding, where P >= 1 / lambda > 0.  Where
-    lambda P(0) overflows, g(0) reads -inf and the search starts at nu_G,
-    read without overflow, past the self-integral's range, which refuses it.
+    quad._RULE_NODES-point Gauss rule of P's distance measure, at or below
+    the root.  The Newton step from nu = 0 would be the Jensen bound
+    ln(lambda P(0)) / (kappa_f <d>), the one-point rule's root, which nu_G
+    refines by the rule's other points.  Under those weights |g''| =
+    kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4 (Popoviciu), D the mesh
+    diameter, the curvature with which _monotone_root skips the last
+    evaluation.  Every iterate is at or below the root, up to rounding,
+    where P >= 1 / lambda > 0.  Where lambda P(0) overflows, g(0) reads
+    -inf and the search starts at nu_G, read without overflow, past the
+    self-integral's range, which refuses it.
     """
     _check_lambda(lam)
 

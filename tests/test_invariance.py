@@ -2,10 +2,11 @@
 
 The exact class of ROADMAP item 23 (metamorphic testing: Chen et al. 2018,
 ACM Comput. Surv. 51(1):4): moving every centre and point by one vector,
-and listing a config's surfaces in reverse order, changes no physics, so
-each flat shipped config's CSV under its natural command must keep its
-values.  The transform moves the nodes of every mesh off their bits, not
-its form, so the agreement is a few ulp times each solve's conditioning.
+listing a config's surfaces in reverse order, and reflecting one
+coordinate axis, change no physics, so each flat shipped config's CSV
+under its natural command must keep its values.  A transform moves the
+nodes of every mesh off their bits, not its form, so the agreement is a
+few ulp times each solve's conditioning.
 At the library level, a pair's P must not depend on which surface is
 outer, on a shift of both, or on which of _pair_geometry's rules, the
 mirror rule or the full product, sums a pair that both can.
@@ -94,8 +95,27 @@ def _deviations(header, rows_a, rows_b):
 @pytest.mark.parametrize("name", FLAT)
 def test_shipped_results_survive_a_shift_and_a_reversed_surface_list(tmp_path, name):
     config = json.loads((ROOT / "configs" / name).read_text())
+    _compare(tmp_path, name, config, _transformed(config), True)
+
+
+def _reflected(config: dict, axis: int) -> dict:
+    """The config with coordinate axis of every centre and point negated.
+    Every shape is mirror-symmetric in its centre's coordinate planes, so
+    each mesh is the mirror image of the original, node for node."""
+    out = copy.deepcopy(config)
+    for surface in out["surfaces"]:
+        surface["params"]["center"][axis] = -surface["params"]["center"][axis]
+    for point in out.get("points", []):
+        point["position"][axis] = -point["position"][axis]
+    return out
+
+
+def _compare(tmp_path, name, config, transformed, reversed_):
+    """Run name's shipped config and transformed under its natural command
+    and assert equal comments and headers, and every cell within its
+    bound."""
     path = tmp_path / name
-    path.write_text(json.dumps(_transformed(config)))
+    path.write_text(json.dumps(transformed))
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     status_a, lines_a = _run(name, tmp_path / "a")
@@ -103,10 +123,34 @@ def test_shipped_results_survive_a_shift_and_a_reversed_surface_list(tmp_path, n
     assert status_a == status_b
     n = len(config["surfaces"])
     comments_a, header, rows_a = _rows(lines_a, n, False)
-    comments_b, header_b, rows_b = _rows(lines_b, n, n > 1)
+    comments_b, header_b, rows_b = _rows(lines_b, n, reversed_ and n > 1)
     assert (comments_a, header) == (comments_b, header_b)
     bad = [d for d in _deviations(header, rows_a, rows_b) if not d[1] <= d[2]]
     assert bad == []
+
+
+# Reflection is in the exact class too: the distances are the original's
+# up to the rounding of each node's centre-plus-offset sum.  Every cell is
+# bitwise but hybrid_far_point's in x (9.9e-16, and its residual 1.9e-15
+# on either side); a ring pair placed at its signed x + y offset instead
+# of its distance fails three_spheres_lambda in x and y.
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["x", "y", "z"])
+@pytest.mark.parametrize("name", FLAT)
+def test_shipped_results_survive_reflecting_an_axis(tmp_path, name, axis):
+    config = json.loads((ROOT / "configs" / name).read_text())
+    _compare(tmp_path, name, config, _reflected(config, axis), False)
+
+
+def test_the_reflection_negates_one_coordinate_of_every_centre_and_point():
+    config = json.loads((ROOT / "configs" / "two_spheres.json").read_text())
+    config["points"] = [{"position": [5.0, 1.0, -2.0], "mu": 0.5}]
+    out = _reflected(config, 1)
+    assert [s["params"]["center"] for s in out["surfaces"]] == [
+        s["params"]["center"][:1] + [-s["params"]["center"][1]] + s["params"]["center"][2:]
+        for s in config["surfaces"]
+    ]
+    assert out["points"][0]["position"] == [5.0, -1.0, -2.0]
+    assert config["points"][0]["position"] == [5.0, 1.0, -2.0]  # a copy
 
 
 def test_the_transform_moves_every_centre_and_point_and_reverses_the_surfaces():

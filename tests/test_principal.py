@@ -671,13 +671,13 @@ NEWTON_PAIRS = {
 # are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
 NEWTON_LAMBDAS = {
     "1.05": ("sphere24", 1.05, 0.04919347462936398, 2),
-    "2.0": ("sphere24", 2.0, 0.7968121434372101, 3),
-    "10.0": ("sphere24", 10.0, 4.99977294733397, 5),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 2),
+    "10.0": ("sphere24", 10.0, 4.99977294733397, 4),
     "40.0": ("sphere24", 40.0, 20.00000020037925, 6),
     "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 2),
     "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 3),
     "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 5),
-    "torus 40.0": ("torus24", 40.0, 11.717794702731924, 7),
+    "torus 40.0": ("torus24", 40.0, 11.717794702731924, 6),
 }
 # lambda-form systems: (order, centres, couplings, the root before the
 # search started at the Gauss level, exactly this many evaluations of
@@ -687,7 +687,7 @@ NEWTON_LAMBDA_SYSTEMS = {
         16, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (2.5, 2.5, 2.5), 1.138392854733482, 4
     ),
     "three n24 lambda 10": (
-        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 5
+        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 4
     ),
     "D=4 n16 lambda (2, 2.5)": (16, ((0, 0, 0), (4, 0, 0)), (2.0, 2.5), 1.1165047699304789, 3),
 }
@@ -750,6 +750,31 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
     for solve in (values[:n_evals], values[n_evals:]):
         assert max(solve[:-1]) <= 0.0
         assert solve[-1] <= 2 * math.ulp(1.0 / lam)
+
+
+# Kernel passes over warm_solves-like lambda sets: 60 couplings drawn by
+# random.Random(11) from each range, with its exact number of
+# weighted_kernel_sum calls, the nu = 0 floor making none.  The counts
+# follow the start rule's length: 118 / 81 / 60 on the sphere and 132 /
+# 103 / 68 on the torus at 3 / 4 / 5 Gauss points (_RULE_NODES).
+WARM_LAMBDA_PASSES = {
+    "sphere": ("sphere24", (1.5, 3.0), 81),
+    "torus": ("torus24", (0.9, 1.8), 103),
+}
+
+
+@pytest.mark.parametrize("case", WARM_LAMBDA_PASSES)
+def test_warm_lambda_solves_make_their_counted_kernel_passes(
+    constants, flat, request, monkeypatch, case
+):
+    fixture, (lo, hi), passes = WARM_LAMBDA_PASSES[case]
+    mesh = request.getfixturevalue(fixture)
+    rng = random.Random(11)
+    lams = [rng.uniform(lo, hi) for _ in range(60)]
+    calls = _counting(monkeypatch, "weighted_kernel_sum", quad)
+    for lam in lams:
+        assert energy_from_coupling(mesh, flat, constants, lam) > 0.0
+    assert len(calls) == passes
 
 
 def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(

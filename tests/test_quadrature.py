@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -1148,7 +1149,9 @@ def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
 # its nodes are the zeros of the measure's _RULE_NODES-th orthogonal
 # polynomial, so they lie inside its support, its weights are positive,
 # and it integrates d^k, k < 2 _RULE_NODES, exactly; its error on
-# exp(-kappa_f nu d) is >= 0, so it bounds P from below.
+# exp(-kappa_f nu d) is >= 0, so it bounds P from below.  The shipped rule
+# is checked against the discrete Stieltjes procedure, and the same
+# builder at three points against the closed-form cubic.
 
 
 def _form_sums(form, n):
@@ -1184,38 +1187,58 @@ def _closed_form_rule(sums):
     return [m + sigma * t for t in r], weights
 
 
-@pytest.mark.parametrize("name", ZERO_SELF)
-def test_three_point_rule_reproduces_the_six_flat_sums(name):
-    form = build_surface(ZERO_SELF[name], order=16).form
+def _rule_at(monkeypatch, n, a, b):
+    """The n-point rule of a with b, built afresh with _RULE_NODES = n."""
+    monkeypatch.setattr(quad, "_RULE_NODES", n)
+    return quad._rule.__wrapped__(a, b)
+
+
+def _stieltjes_rule(form, n):
+    """The n-point Gauss rule of a form's measure w / d by the discrete
+    Stieltjes procedure (Gautschi 2004, section 2.2.3), independent of
+    _rule's modified moments: the monic orthogonal polynomials are
+    evaluated on every distance d, in t = (d - mid) / half, each inner
+    product a math.fsum, and the Jacobi matrix is solved with its
+    eigenvectors, whose first components give the weights."""
+    d, w = quad._form_geometry(form)[2:]
+    mid, half = (d.max() + d.min()) / 2.0, (d.max() - d.min()) / 2.0
+    t, mu = (d - mid) / half, w / d
+    prev, cur, norm_prev = np.zeros_like(t), np.ones_like(t), 1.0
+    alpha, beta = [], []
+    for _ in range(n):
+        norm = math.fsum((mu * cur * cur).tolist())
+        alpha.append(math.fsum((mu * t * cur * cur).tolist()) / norm)
+        beta.append(norm / norm_prev)
+        prev, cur, norm_prev = cur, (t - alpha[-1]) * cur - beta[-1] * prev, norm
+    jacobi = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), 1) + np.diag(np.sqrt(beta[1:]), -1)
+    x, v = np.linalg.eigh(jacobi)
+    return (mid + half * x).tolist(), (beta[0] * v[0] ** 2).tolist()
+
+
+def _assert_flat_sums(form, rule):
+    """rule's nodes lie strictly inside the form's distances, ascending,
+    its weights are positive, and it integrates d^k, k < 2 len(rule),
+    against w / d as the form's math.fsum sums do."""
+    nodes, weights = rule
     d = quad._form_geometry(form)[2]
-    nodes, weights = quad._rule(form, form)
-    assert len(nodes) == len(weights) == quad._RULE_NODES
     ends = (float(d.min()), *nodes, float(d.max()))
     assert all(x < y for x, y in zip(ends, ends[1:]))
     assert min(weights) > 0.0
-    for k, want in enumerate(_form_sums(form, 6)):
+    for k, want in enumerate(_form_sums(form, 2 * len(nodes))):
         got = math.fsum(w * x**k for x, w in zip(nodes, weights))
-        # 7.8e-16 seen (the sphere's moment of order 2; 1.0e-15 at order 24)
-        assert got == pytest.approx(want, rel=4e-15, abs=0.0)
+        # 4.5e-16 seen at three points (the torus's moment of order 5),
+        # 1.4e-15 at four (the torus's moment of order 7)
+        assert got == pytest.approx(want, rel=4e-15, abs=0.0), k
 
 
-@pytest.mark.parametrize("order", [16, 24])
-@pytest.mark.parametrize("name", ZERO_SELF)
-def test_form_rule_matches_the_closed_form_three_point_rule(name, order):
-    form = build_surface(ZERO_SELF[name], order=order).form
-    want = _closed_form_rule(_form_sums(form, 6))
-    for got, ref in zip(quad._rule(form, form), want, strict=True):
-        # 3.8e-14 seen (the ellipsoid at order 16), while both rules give
-        # the six moments within 1.0e-15: the rule's conditioning
-        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
-
-
-@pytest.mark.parametrize("name", ZERO_SELF)
-def test_three_point_rule_bounds_p_from_below(constants, flat, name):
-    mesh = build_surface(ZERO_SELF[name], order=16)
-    nodes, weights = quad._rule(mesh.form, mesh.form)
+def _assert_bounds_p(constants, flat, mesh, rule):
+    """The form's rule, scaled to mesh, bounds P from below at every
+    s nu in the self-integral's range, equal at nu = 0; returns the
+    bounds."""
+    nodes, weights = rule
     s, k = mesh.scale, constants.kappa_factor
     unit = s * constants.mass / (2.0 * math.pi * constants.hbar**2) / mesh.form.area
+    bounds = []
     for s_nu in (0.0, 1e-8, 0.1, 1.0, 10.0, 30.0):  # the form's nu, by the scale law
         nu = s_nu / s
         p = quad.double_sum(mesh, mesh, flat, constants, nu, 0)[0]
@@ -1223,6 +1246,56 @@ def test_three_point_rule_bounds_p_from_below(constants, flat, name):
         # equal at nu = 0, and within rounding at 1e-8 (rel. error 1e-49)
         assert bound <= p * (1.0 + 2e-15)
         assert s_nu < 0.1 or bound < p
+        bounds.append(bound)
+    return bounds
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_three_point_rule_reproduces_the_six_flat_sums(monkeypatch, name):
+    form = build_surface(ZERO_SELF[name], order=16).form
+    rule = _rule_at(monkeypatch, 3, form, form)
+    assert len(rule[0]) == len(rule[1]) == 3
+    _assert_flat_sums(form, rule)
+
+
+@pytest.mark.parametrize("order", [16, 24])
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_form_rule_matches_the_closed_form_three_point_rule(monkeypatch, name, order):
+    form = build_surface(ZERO_SELF[name], order=order).form
+    want = _closed_form_rule(_form_sums(form, 6))
+    for got, ref in zip(_rule_at(monkeypatch, 3, form, form), want, strict=True):
+        # 3.8e-14 seen (the ellipsoid at order 16), while both rules give
+        # the six moments within 1.0e-15: the rule's conditioning
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [16, 24])
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_form_rule_matches_the_discrete_stieltjes_rule(name, order):
+    form = build_surface(ZERO_SELF[name], order=order).form
+    rule = quad._rule(form, form)
+    assert len(rule[0]) == len(rule[1]) == quad._RULE_NODES
+    _assert_flat_sums(form, rule)
+    want = _stieltjes_rule(form, quad._RULE_NODES)
+    for got, ref in zip(rule, want, strict=True):
+        # 1.9e-15 seen (the sphere's weights at order 24)
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_three_point_rule_bounds_p_from_below(constants, flat, monkeypatch, name):
+    mesh = build_surface(ZERO_SELF[name], order=16)
+    _assert_bounds_p(constants, flat, mesh, _rule_at(monkeypatch, 3, mesh.form, mesh.form))
+
+
+@pytest.mark.parametrize("name", ZERO_SELF)
+def test_form_rule_bounds_p_from_below(constants, flat, monkeypatch, name):
+    # and at or above the three-point rule's bound at every s nu >= 0.1
+    # checked: the longer rule's error is of higher order in nu
+    mesh = build_surface(ZERO_SELF[name], order=16)
+    bounds = _assert_bounds_p(constants, flat, mesh, quad._rule(mesh.form, mesh.form))
+    three = _assert_bounds_p(constants, flat, mesh, _rule_at(monkeypatch, 3, mesh.form, mesh.form))
+    assert all(b >= c for b, c in zip(bounds[2:], three[2:]))
 
 
 def _recorded(monkeypatch, name):
@@ -1313,10 +1386,10 @@ def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, n
     assert len(nodes) == len(weights) == quad._RULE_NODES
     assert min(weights) > 0.0
     assert float(d.min()) <= nodes[0] and nodes[-1] <= float(d.max())
-    for k in range(6):
+    for k in range(2 * quad._RULE_NODES):
         want = math.fsum((w * d ** (k - 1.0)).tolist())
         got = math.fsum(c * x**k for x, c in zip(nodes, weights))
-        # 7.8e-16 seen (the D = 4 ring pair's moment of order 5)
+        # 1.2e-15 seen (the D = 2 ring pair's moment of order 7)
         assert got == pytest.approx(want, rel=4e-15, abs=0.0), k
     kf = constants.kappa_factor
     unit = constants.mass / (2.0 * math.pi * constants.hbar**2)
@@ -1355,25 +1428,40 @@ def test_gauss_rules_take_no_eigenvectors(monkeypatch):
 
 
 # A point at a sphere's centre sees every node at one distance, to a few
-# ulp: its measure w / d has one to three distinct points, and its rule
-# has as many as the measure has to rounding, read at nu = 0 without an
-# invalid operation (warnings are errors here) and within rounding of
-# the sums.
-@pytest.mark.parametrize("order, radius", [(4, 1.3), (4, 2.0), (6, 1.3), (16, 1.0), (24, 1.0)])
-def test_a_point_at_a_spheres_centre_gets_the_rule_it_has(constants, flat, order, radius):
-    mesh = build_surface(Sphere((0.0, 0.0, 0.0), radius), order=order)
-    point = flat_point(0.0, 0.0, 0.0)
+# ulp: its measure w / d has a few distinct points, and its rule has as
+# many as the measure has to rounding, up to _RULE_NODES, read at nu = 0
+# without an invalid operation and within rounding of the sums.
+def _check_centre_rule(constants, flat, mesh, point):
     d, w = quad._geometry(mesh, point)
-    nodes, weights = quad._rule(mesh, point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nodes, weights = quad._rule(mesh, point)
+        sums = quad.double_sum(mesh, point, flat, constants, 0.0, 2)
     assert 1 <= len(nodes) <= min(quad._RULE_NODES, len(np.unique(d)))
     assert min(weights) > 0.0
     assert float(d.min()) <= nodes[0] and nodes[-1] <= float(d.max())
-    sums = quad.double_sum(mesh, point, flat, constants, 0.0, 2)
     unit = constants.mass / (2.0 * math.pi * constants.hbar**2) / math.sqrt(mesh.area)
     rate = constants.kappa_factor  # d^k/dnu^k e^{-kappa_f nu d} = (-kappa_f d)^k e^{..}
     for k, got in enumerate(sums):
         want = (-rate) ** k * unit * math.fsum((w * d ** (k - 1.0)).tolist())
-        assert got == pytest.approx(want, rel=4e-15, abs=0.0), k
+        # 2.0e-15 seen (order 48, radius 0.003, at the origin, k = 0)
+        assert got == pytest.approx(want, rel=2.5e-15, abs=0.0), k
+
+
+@pytest.mark.parametrize("order, radius", [(4, 1.3), (4, 2.0), (6, 1.3), (16, 1.0), (24, 1.0)])
+def test_a_point_at_a_spheres_centre_gets_the_rule_it_has(constants, flat, order, radius):
+    mesh = build_surface(Sphere((0.0, 0.0, 0.0), radius), order=order)
+    _check_centre_rule(constants, flat, mesh, flat_point(0.0, 0.0, 0.0))
+
+
+# The same at every mesh order, ten radii and two centres: 900 rules, 3 of
+# one node, 32 of two, 352 of three and 513 of four.
+@pytest.mark.parametrize("radius", [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 1.3, 3.0, 10.0])
+@pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (0.3, -7.0, 2.0)], ids=["origin", "moved"])
+def test_points_at_sphere_centres_get_their_rules_at_every_order(constants, flat, centre, radius):
+    for order in range(4, MAX_ORDER + 1):
+        mesh = build_surface(Sphere(centre, radius), order=order)
+        _check_centre_rule(constants, flat, mesh, flat_point(*centre))
 
 
 def test_meshes_of_one_form_share_one_moment_pass(constants, flat, monkeypatch):
