@@ -5,13 +5,14 @@ enters through a subtracted diagonal pinned to its standalone level -mu^2,
 a multiple of gamma(nu) - gamma(mu), gamma the static kernel's decay rate.
 A point is one more channel of the principal assembly (principal._phi_arrays)
 with V = 1 and a one-node rule, so the ground state falls out of the same
-zero-mode search (principal._ground_state), which starts at the highest
-standalone level, mu or nu*; two points' entry is the kernel at their
-distance in their own space.  In flat space every point entry is concave
-in nu, so the lowest eigenvalue stays concave.  Surfaces are flat-only, so
-a hyperbolic system has points alone; its point diagonal is convex in nu
-(gamma is), so there a Newton step may pass the root, and the search goes
-on inside the bracket that step closes.
+zero-mode search (principal._ground_state), whose start rule
+(principal._search) reads a point's mu like a nu* coupling's level and
+starts a lambda shell at its Gauss level; two points' entry is the kernel
+at their distance in their own space.  In flat space every point entry is
+concave in nu, so the lowest eigenvalue stays concave.  Surfaces are
+flat-only, so a hyperbolic system has points alone; its point diagonal is
+convex in nu (gamma is), so there a Newton step may pass the root, and the
+search goes on inside the bracket that step closes.
 """
 
 from __future__ import annotations
@@ -130,11 +131,12 @@ def assemble_hybrid_phi(sys: HybridSystem, nu: float) -> PrincipalMatrix:
 
 def solve_hybrid_ground_state(sys: HybridSystem) -> BoundStateResult:
     """Ground state of the combined system: the zero of omega_min, found by
-    the Newton search from the left that pure shells use, which keeps a
+    the search pure shells use (principal._ground_state), which keeps a
     bracket where the hyperbolic point diagonal makes a step pass the root."""
-    stars = [cp.nu_star for cp in sys.couplings.items if cp.nu_star is not None]
-    stars.extend(p.mu for p in sys.points)
-    return _ground_state(lambda nu: assemble_hybrid_phi(sys, nu), stars)
+    return _ground_state(
+        lambda nu: assemble_hybrid_phi(sys, nu),
+        sys.surfaces, sys.couplings, sys.constants, sys.points,
+    )
 
 
 def perturbative_shift(sys: HybridSystem) -> float:

@@ -21,23 +21,22 @@ solved for omega and from Phi' = dPhi/dnu, which the kernel pass sums
 beside Phi.  The same finder serves every crossing in the package: the
 Gersgorin gap in bounds and the CLI's area match bring their own exact
 slopes, and its bracket safeguard covers their non-concave stretches.
-The zero-mode search around it, _ground_state, is the package's only
-one: hybrid systems call it with their points' levels as starts, and the
-variational zero mode is the lambda-form root (see variational).
+Every bound-state search keeps _search's start-and-threshold rule, and
+the zero-mode search, _ground_state, serves the principal, hybrid and
+variational solves (the last by the lambda-form root, see variational).
 
 A lone surface's coupling solve (energy_from_coupling) runs the same
-Newton search in a better variable: the root of g(nu) = -ln(lambda P(nu))
+search in a better variable: the root of g(nu) = -ln(lambda P(nu))
 instead of 1/lambda - P(nu).  P is log-convex, so g is concave and
 increasing, with the free slope -P'/P, and fewer steps reach the root,
-the last unevaluated under a bound on |g''|.  Every lambda-form search
-starts at its channels' Gauss levels: the Gauss rule of P's distance
-measure, cached once per form (_quadrature._rule), bounds P from
-below, so the root of lambda times the rule, nu_G, found with no kernel
-pass (_gauss_level), lies at or below the channel's level and the
-system's zero.  A level that rounding puts past the zero is evaluated
-like any iterate and brackets it, and a search with no level above the
-floor starts at nu = 0, whose sums need no kernel pass (see _quadrature),
-and a root past the self-integral's range is refused by the first sum there.
+the last unevaluated under a bound on |g''|.  Each lambda channel gives
+its search a start: the Gauss rule of P's distance measure, cached once
+per form (_quadrature._rule), bounds P from below, so the root of lambda
+times the rule, nu_G, found with no kernel pass (_gauss_level), lies at
+or below the channel's level and the system's zero.  A search with no
+start above nu = 0 begins there, whose sums need no kernel pass (see
+_quadrature), and a root past the self-integral's range is refused by
+the first sum there.
 """
 
 from __future__ import annotations
@@ -74,8 +73,8 @@ __all__ = [
 
 _NU_FLOOR = 0.0
 _NU_CEIL = 1e4
-# A zero this close to nu = 0 is the threshold, no bound state, for
-# energy_from_coupling and _ground_state alike: the latter's stop width there.
+# A zero this close to nu = 0 is the threshold, no bound state (_search):
+# the zero-mode search's stop width there.
 _THRESHOLD_WIDTH = 0.25e-12
 
 
@@ -274,6 +273,25 @@ def _monotone_root(f, lo, f_lo, ceil, error, tol, curvature=None, floor=None):
     raise error
 
 
+def _search(f, lo, levels, tol, error, curvature=None):
+    """(root, evaluations) of an increasing f by the one start-and-threshold
+    rule.  f(lo) <= 0 where a bound state exists, lo a standalone level or
+    nu = 0; levels are lower bounds on the root, costing no evaluation.  f
+    is evaluated first at the highest of lo and levels: f > 0 at lo is
+    NoBoundStateError, and f > 0 at a level, from rounding alone, brackets
+    the root in [lo, level].  _monotone_root goes on with floor lo up to
+    _NU_CEIL; a root within _THRESHOLD_WIDTH of lo = 0 is the threshold.
+    """
+    start = max([lo, *levels])
+    f_start = f(start)
+    if f_start[0] > 0.0 and start == lo:
+        raise NoBoundStateError(f"f({lo}) = {f_start[0]} > 0: no bound state at or above it")
+    root, evals = _monotone_root(f, start, f_start, _NU_CEIL, error, tol, curvature, lo)
+    if lo == _NU_FLOOR and root <= _THRESHOLD_WIDTH:
+        raise NoBoundStateError("the zero is the threshold nu = 0: no bound state")
+    return root, evals
+
+
 def _validate_system(surfaces, couplings: CouplingSpec) -> None:
     if len(surfaces) == 0:
         raise InvalidArgumentError("need at least one surface")
@@ -403,26 +421,21 @@ def energy_from_coupling(
 ) -> float | None:
     """Standalone bound-state parameter nu* for one surface, or None.
 
-    lam must be a positive normal float, as for Coupling.  Returns None
-    unless lambda P(0) > 1, and for a root within _THRESHOLD_WIDTH of nu =
-    0, which solve_ground_state reads as the threshold too.
-
-    nu* is the root of g(nu) = -ln(lambda P(nu)), P = P_ii.  P is a positive
-    sum of decaying exponentials in nu, so it is log-convex, and g is
-    concave and increasing: Newton's method from the left (_monotone_root)
-    rises to the root, with the slope g' = -P'/P from the same kernel pass.
-    After the free evaluation at nu = 0, which decides the threshold, its
-    first iterate is the Gauss level nu_G (_gauss_level), the root for the
-    quad._RULE_NODES-point Gauss rule of P's distance measure, at or below
-    the root.  The Newton step from nu = 0 would be the Jensen bound
-    ln(lambda P(0)) / (kappa_f <d>), the one-point rule's root, which nu_G
-    refines by the rule's other points.  Under those weights |g''| =
-    kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4 (Popoviciu), D the mesh
-    diameter, the curvature with which _monotone_root skips the last
-    evaluation.  Every iterate is at or below the root, up to rounding,
-    where P >= 1 / lambda > 0.  Where lambda P(0) overflows, g(0) reads
-    -inf and the search starts at nu_G, read without overflow, past the
-    self-integral's range, which refuses it.
+    lam must be a positive normal float, as for Coupling.  nu* is the root
+    of g(nu) = -ln(lambda P(nu)), P = P_ii, by _search from nu = 0 with
+    one level, the Gauss level nu_G (_gauss_level), and None where that
+    finds no bound state.  P is a positive sum of decaying exponentials in nu, so it is
+    log-convex, and g is concave and increasing: Newton's method from the
+    left rises to the root, with the slope g' = -P'/P from the same kernel
+    pass.  The rule integrates 1/d exactly, so nu_G > 0 only where lambda
+    P(0) > 1, and then nu = 0 is not read; the Newton step from there
+    would be the Jensen bound ln(lambda P(0)) / (kappa_f <d>), the
+    one-point rule's root, which nu_G refines by the rule's other points.
+    Under those weights |g''| = kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4
+    (Popoviciu), D the mesh diameter, the curvature with which
+    _monotone_root skips the last evaluation.  Where lambda P(0)
+    overflows, nu_G is read without overflow, past the self-integral's
+    range, which refuses it.
     """
     _check_lambda(lam)
 
@@ -430,16 +443,13 @@ def energy_from_coupling(
         p, dp = quad.double_sum(mesh, mesh, space, constants, nu, 1)
         return -math.log(lam * p), -dp / p
 
-    f_lo = f(_NU_FLOOR)
-    if f_lo[0] >= 0.0:
+    error = NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}")
+    level = _gauss_level(mesh, constants, lam)
+    curvature = (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4
+    try:
+        return _search(f, _NU_FLOOR, [level], 1e-13, error, curvature)[0]
+    except NoBoundStateError:
         return None
-    lo = _gauss_level(mesh, constants, lam)
-    nu, _ = _monotone_root(
-        f, lo, f(lo) if lo > _NU_FLOOR else f_lo, _NU_CEIL,
-        NoConvergenceError(f"no sign change for coupling {lam} with nu up to {_NU_CEIL}"),
-        1e-13, (constants.kappa_factor * mesh.diameter_ambient) ** 2 / 4, _NU_FLOOR,
-    )
-    return nu if nu > _THRESHOLD_WIDTH else None
 
 
 def lowest_eigenvalue_flow(
@@ -460,52 +470,33 @@ def lowest_eigenvalue_flow(
     return out
 
 
-def _ground_state(phi, starts, levels=()) -> BoundStateResult:
-    """Zero of the lowest-eigenvalue flow of phi(nu), searched in [lo,
-    _NU_CEIL] from lo = max(starts), or _NU_FLOOR = 0 when there are none.
+def _ground_state(phi, surfaces, couplings, constants, points=()) -> BoundStateResult:
+    """Zero of the lowest-eigenvalue flow of phi(nu), the principal matrix
+    with its slope over the surfaces and then the points, by _search.
 
-    phi maps nu to the principal matrix with its slope; starts are the
-    channels' standalone levels (nu*-form couplings and points), and the
-    diagonal of the channel at the highest one is 0 there, so omega_min(lo)
-    <= 0; omega_min(lo) > 0, or a zero within _THRESHOLD_WIDTH of the
-    threshold nu = 0, means no bound state.  Past that a zero exists, since
-    as nu grows each diagonal tends to a positive value (1/lambda, P(nu*)
-    or a point's c (gamma(nu) - gamma(mu))) and each off-diagonal to 0, so
-    a search that misses it (a zero past the ceiling, a NaN, the evaluation
-    cap) has not converged.  levels are the lambda channels' Gauss levels
-    (_gauss_level): at each, omega_min <= Phi_ii = 1/lambda_i - P_ii <= 0,
-    so lo needs no evaluation when the highest lies above it, and the
-    search starts there instead.  Rounding may put that level past the
-    zero, where omega_min > 0 brackets the zero in [lo, level] and is no
-    sign of a missing bound state.  The returned weights are the unit null
-    eigenvector at the crossing, sign-fixed to a nonnegative sum
-    (ground-state positivity); converged means |omega_min| < 1e-10 there.
-    iterations counts the evaluations of omega_min made by the root
-    finder.  The matrices it evaluates are kept, so the null vector at the
-    root needs no further assembly, and its eigenpairs, solved for
-    omega_min, also give the slope.
+    Its lo is the highest standalone level of a nu* coupling or a point
+    (mu), where that channel's diagonal is 0, or nu = 0; its levels are the
+    lambda channels' Gauss levels, where omega_min <= Phi_ii <= 0.  Past lo
+    a zero exists, as each diagonal tends to a positive value and each
+    off-diagonal to 0, so a search that misses it has not converged.  The weights are the unit null eigenvector at the crossing,
+    sign-fixed to a nonnegative sum (ground-state positivity), taken from
+    the kept matrices; converged means |omega_min| < 1e-10 there, and
+    iterations counts the search's evaluations.
     """
-    tol = 0.5e-12
-    lo = max(starts, default=_NU_FLOOR)
-    start = max([lo, *levels])
+    stars = [cp.nu_star for cp in couplings.items if cp.nu_star is not None]
+    lo = max(stars + [p.mu for p in points], default=_NU_FLOOR)
+    pairs = zip(surfaces, couplings.items)
+    levels = [_gauss_level(mesh, constants, cp.lam) for mesh, cp in pairs if cp.lam is not None]
     seen = {}
 
     def omega(nu: float) -> tuple[float, float]:
         pm = seen[nu] = phi(nu)
         return pm.omega_min(), pm.omega_slope()
 
-    f_start = omega(start)
-    if f_start[0] > 0.0 and start == lo:
-        raise NoBoundStateError(
-            f"omega_min({lo}) = {f_start[0]} > 0: no bound state at or below the bracket start"
-        )
-    nu_sol, evals = _monotone_root(
-        omega, start, f_start, _NU_CEIL,
+    nu_sol, evals = _search(
+        omega, lo, levels, 0.5e-12,
         NoConvergenceError(f"no zero of omega_min found in [{lo}, {_NU_CEIL}]"),
-        tol, None, lo,
     )
-    if lo == _NU_FLOOR and nu_sol <= _THRESHOLD_WIDTH:
-        raise NoBoundStateError("omega_min's zero is the threshold nu = 0: no bound state")
     w, V = seen[nu_sol].eigh
     vec = V[:, 0]
     if float(np.sum(vec)) < 0.0:
@@ -537,12 +528,7 @@ def solve_ground_state(
     surfaces = tuple(surfaces)
     return _ground_state(
         lambda nu: assemble_phi(surfaces, couplings, space, constants, nu),
-        [cp.nu_star for cp in couplings.items if cp.nu_star is not None],
-        [
-            _gauss_level(mesh, constants, cp.lam)
-            for mesh, cp in zip(surfaces, couplings.items)
-            if cp.lam is not None
-        ],
+        surfaces, couplings, constants,
     )
 
 

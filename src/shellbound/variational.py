@@ -38,6 +38,7 @@ from .geometry import AmbientSpace, PhysicalConstants, SurfaceMesh
 from .jacobi import _symmetric_rows, jacobi_eigh
 from .principal import (
     CouplingSpec,
+    _check_lambda,
     _kernel_matrices,
     _validate_system,
     solve_ground_state,
@@ -117,8 +118,7 @@ def energy_functional(
     """Trial energy E(alpha) = W/Z - alpha - (lambda/V) W^2/Z."""
     if not alpha > 0.0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
-    if not lam > 0.0:
-        raise InvalidArgumentError(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     W, Z = _self_terms(mesh, space, constants, alpha)
     return W / Z - alpha - (lam / mesh.area) * W * W / Z
 

@@ -427,3 +427,39 @@ def test_hyperbolic_point_only_search_passes_the_root_and_converges(constants, m
     assert gs.nu_star > 0.7
     omega = lambda nu: inner(sys, nu).omega_min()
     assert omega(gs.nu_star - 1e-11) < 0.0 < omega(gs.nu_star + 1e-11)
+
+
+# A lambda shell beside a point starts its search at the shell's Gauss
+# level, not at the point's level mu far below it: (lambda, the point's x,
+# the root found when the search started at mu, which took 9 and 6
+# evaluations, and exactly this many evaluations of omega_min now).
+HYBRID_LAMBDA_STARTS = {
+    "lambda 10, point at x = 10": (10.0, 10.0, 4.999772897218809, 4),
+    "lambda 2.5, point at x = 6": (2.5, 6.0, 1.115806334384211, 2),
+}
+
+
+@pytest.mark.parametrize("case", HYBRID_LAMBDA_STARTS)
+def test_a_lambda_shell_beside_a_point_starts_at_its_gauss_level(
+    constants, flat, sphere16, monkeypatch, case
+):
+    from shellbound import hybrid, principal
+
+    lam, x, before, n_evals = HYBRID_LAMBDA_STARTS[case]
+    point = PointSource(flat_point(x, 0.0, 0.0), 0.5)
+    sys = HybridSystem((sphere16,), CouplingSpec.from_lambdas(lam), (point,), flat, constants)
+    seen = []
+    inner = hybrid.assemble_hybrid_phi
+
+    def recorded(*args):
+        pm = inner(*args)
+        seen.append(pm.nu)
+        return pm
+
+    monkeypatch.setattr(hybrid, "assemble_hybrid_phi", recorded)
+    gs = solve_hybrid_ground_state(sys)
+    assert seen[0] == principal._gauss_level(sphere16, constants, lam) > point.mu
+    assert gs.iterations == len(seen) == n_evals
+    # within the search's stop width of the root found from mu
+    assert abs(gs.nu_star - before) <= 0.5e-12 * (1.0 + before)
+    assert gs.converged

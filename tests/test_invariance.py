@@ -9,12 +9,15 @@ nodes of every mesh off their bits, not its form, so the agreement is a
 few ulp times each solve's conditioning.
 At the library level, a pair's P must not depend on which surface is
 outer, on a shift of both, or on which of _pair_geometry's rules, the
-mirror rule or the full product, sums a pair that both can.
+mirror rule or the full product, sums a pair that both can.  In the
+quadrature class, an ellipsoid's P may move with the order of its axes
+only by the rule's error.
 """
 
 import copy
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -232,3 +235,19 @@ def test_torus_sphere_pair_survives_a_shift_and_a_swap(constants, flat, order):
     )
     pairs = [(t, s), (s, t), (t_moved, s_moved), (s_moved, t_moved)]
     assert _worst(pairs, constants, flat) <= 1e-15
+
+
+# The quadrature class: an ellipsoid given in another axis order is the same
+# surface, but the chart's pole moves with the axes, so the nodes differ and
+# the spread of P measures the rule's error, not rounding.  Its bound is
+# ROADMAP item 20's floor, 1e-9 relative (7.9e-10 seen at order 16, 4.9e-10
+# at order 24, both at nu = 0.1).
+@pytest.mark.parametrize("order", [16, 24])
+def test_ellipsoid_self_integral_survives_permuting_its_axes(constants, flat, order):
+    meshes = [
+        build_surface(Ellipsoid((0.0, 0.0, 0.0), *axes), order=order)
+        for axes in itertools.permutations((1.0, 1.3, 1.7))
+    ]
+    for nu in NUS:
+        values = [pair_integral(m, m, flat, constants, nu) for m in meshes]
+        assert (max(values) - min(values)) / min(values) <= 1e-9

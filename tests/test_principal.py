@@ -666,18 +666,18 @@ NEWTON_PAIRS = {
 }
 # lambda solves on the order-24 unit sphere and on the order-24 (2, 0.5)
 # torus of warm_solves: (mesh fixture, lambda / lambda_c, the Brent root,
-# exactly this many evaluations of Newton on -ln(lambda P), the one at the
-# floor nu = 0 included; the next is at the Gauss level).  The torus roots
-# are brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
+# exactly this many evaluations of Newton on -ln(lambda P), the first at
+# the Gauss level; nothing reads the floor nu = 0).  The torus roots are
+# brentq's on P(nu) - 1 / lambda (xtol 1e-15, rtol 4 eps).
 NEWTON_LAMBDAS = {
-    "1.05": ("sphere24", 1.05, 0.04919347462936398, 2),
-    "2.0": ("sphere24", 2.0, 0.7968121434372101, 2),
-    "10.0": ("sphere24", 10.0, 4.99977294733397, 4),
-    "40.0": ("sphere24", 40.0, 20.00000020037925, 6),
-    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 2),
-    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 3),
-    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 5),
-    "torus 40.0": ("torus24", 40.0, 11.717794702731924, 6),
+    "1.05": ("sphere24", 1.05, 0.04919347462936398, 1),
+    "2.0": ("sphere24", 2.0, 0.7968121434372101, 1),
+    "10.0": ("sphere24", 10.0, 4.99977294733397, 3),
+    "40.0": ("sphere24", 40.0, 20.00000020037925, 5),
+    "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 1),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 2),
+    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 4),
+    "torus 40.0": ("torus24", 40.0, 11.717794702731924, 5),
 }
 # lambda-form systems: (order, centres, couplings, the root before the
 # search started at the Gauss level, exactly this many evaluations of
@@ -741,20 +741,20 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
     assert energy_from_coupling(mesh, flat, constants, lam) == nu
     assert len(values) == 2 * n_evals
     assert abs(nu - brent_root) <= 1e-13 * max(1.0, brent_root)
-    # the floor reads the cached nu = 0 moments; every later evaluation is
-    # one kernel pass over the self-integral geometry
-    per_solve = [0] + [quad._diag_geometry(mesh)[0].size] * (n_evals - 1)
+    # every evaluation is one kernel pass over the self-integral geometry
+    per_solve = [quad._diag_geometry(mesh)[0].size] * n_evals
     assert samples == 2 * per_solve
     # every iterate but a solve's last stays below the root; the last may
     # land within an ulp of 1/lambda of it, where the sign is rounding
     for solve in (values[:n_evals], values[n_evals:]):
-        assert max(solve[:-1]) <= 0.0
+        assert all(value <= 0.0 for value in solve[:-1])
         assert solve[-1] <= 2 * math.ulp(1.0 / lam)
 
 
 # Kernel passes over warm_solves-like lambda sets: 60 couplings drawn by
 # random.Random(11) from each range, with its exact number of
-# weighted_kernel_sum calls, the nu = 0 floor making none.  The counts
+# weighted_kernel_sum calls, one per evaluation, as every coupling binds
+# and its search starts at its Gauss level.  The counts
 # follow the start rule's length: 118 / 81 / 60 on the sphere and 132 /
 # 103 / 68 on the torus at 3 / 4 / 5 Gauss points (_RULE_NODES).
 WARM_LAMBDA_PASSES = {
@@ -782,7 +782,7 @@ def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(
 ):
     # On a radius-100 sphere lambda P at the floor overflows to inf, so
     # g(0) = -inf and the Newton step from nu = 0 would go to the ceiling.
-    # The Gauss level, read without overflow, is the next evaluation, and
+    # The Gauss level, read without overflow, is the first evaluation, and
     # as the root lies far past the self-integral's range, so does the
     # level: the solve is refused there.
     mesh = build_surface(Sphere((0.0, 0.0, 0.0), 100.0), order=8)
@@ -797,9 +797,9 @@ def test_lambda_solve_starts_at_the_gauss_level_when_lambda_p_overflows(
     monkeypatch.setattr(principal.quad, "double_sum", recorded)
     with pytest.raises(UnsupportedRegimeError, match="range"):
         energy_from_coupling(mesh, flat, constants, lam)
-    assert lam * inner(mesh, mesh, flat, constants, seen[0], 0)[0] == math.inf
-    assert seen[1:] == [principal._gauss_level(mesh, constants, lam)]
-    assert mesh.scale * seen[1] > quad._SELF_NU_CEIL
+    assert lam * inner(mesh, mesh, flat, constants, 0.0, 0)[0] == math.inf
+    assert seen == [principal._gauss_level(mesh, constants, lam)]
+    assert mesh.scale * seen[0] > quad._SELF_NU_CEIL
 
 
 def test_coupling_from_energy_refuses_an_underflowed_p(constants, flat):

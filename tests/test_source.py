@@ -5,6 +5,8 @@ module imports scipy, which is a test dependency only, no CLI job loads
 hashlib or numpy.polynomial, the quadrature engine names no shape class,
 no module but principal imports it, each kernel entry point has one
 calling module, only principal and hybrid call the zero-mode search,
+only the bound-state search, the Gauss level, the Gersgorin gap and the
+CLI's area match call the root finder,
 only jacobi_eigh calls an eigensolver, only _quadrature._pair_distances
 forms the node differences of two point sets, only the form and pair
 geometry builds pick orbit rows, only _quadrature reads a geometry's
@@ -422,6 +424,34 @@ def test_the_check_finds_a_ground_state_call():
 def test_only_principal_and_hybrid_search_for_a_zero_mode(name):
     tree = ast.parse((SRC / name).read_text(), filename=name)
     assert bool(_calls(tree, "_ground_state")) == (name in GROUND_STATE_CALLERS)
+
+
+# One start-and-threshold rule: every bound-state search, a lambda solve's
+# and a zero mode's, goes through principal._search, so the root finder's
+# other callers are crossings that are no bound state: the Gauss level's
+# model, the Gersgorin gap and the CLI's area match.
+MONOTONE_ROOT_CALLERS = {
+    "principal.py": ["_search", "_gauss_level"],
+    "bounds.py": ["gersgorin_energy_bound"],
+    "cli.py": ["_fixed_area_ellipsoid"],
+}
+
+
+def test_the_check_finds_a_root_finder_call():
+    tree = ast.parse(
+        "from . import principal\n"
+        "def energy(f):\n"
+        "    def g(x):\n"
+        "        return principal._monotone_root(f, x, f(x), 1.0, None, 1e-12)\n"
+        "    return g(0.0), _monotone_root(f, 0.0, f(0.0), 1.0, None, 1e-12)\n"
+    )
+    assert _calling_functions(tree, "_monotone_root") == ["energy", "energy"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
+def test_only_the_search_and_three_crossings_call_the_root_finder(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    assert _calling_functions(tree, "_monotone_root") == MONOTONE_ROOT_CALLERS.get(name, [])
 
 
 def _loads(node: ast.AST):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shellbound import (
+    Coupling,
     CouplingSpec,
     IllConditionedError,
     InvalidArgumentError,
@@ -87,10 +88,24 @@ def test_stationarity_check_step_validation(constants, flat, sphere16):
 def test_trial_energy_needs_positive_alpha_and_lambda(constants, flat, sphere16, bad):
     with pytest.raises(InvalidArgumentError, match="alpha must be positive"):
         energy_functional(sphere16, flat, constants, 2.0, bad)
-    with pytest.raises(InvalidArgumentError, match="lambda must be positive"):
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
         energy_functional(sphere16, flat, constants, bad, 1.0)
     with pytest.raises(InvalidArgumentError, match="alpha must be positive"):
         stationarity_check(sphere16, flat, constants, 2.0, bad, 1e-4)
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        stationarity_check(sphere16, flat, constants, bad, 1.0, 1e-4)
+
+
+# lambda = inf read E = -inf, and a subnormal lambda passed too; the trial
+# energy takes the lambdas a Coupling takes
+@pytest.mark.parametrize("lam", [math.inf, 5e-324])
+def test_trial_energy_refuses_what_coupling_refuses(constants, flat, sphere16, lam):
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        Coupling(lam=lam)
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        energy_functional(sphere16, flat, constants, lam, 1.0)
+    with pytest.raises(InvalidArgumentError, match="positive normal float"):
+        stationarity_check(sphere16, flat, constants, lam, 1.0, 1e-4)
 
 
 def test_schur_gap_rejects_a_singular_k():
