@@ -285,7 +285,9 @@ def _search(f, lo, levels, tol, error, curvature=None):
     start = max([lo, *levels])
     f_start = f(start)
     if f_start[0] > 0.0 and start == lo:
-        raise NoBoundStateError(f"f({lo}) = {f_start[0]} > 0: no bound state at or above it")
+        raise NoBoundStateError(
+            f"the search function is {f_start[0]} > 0 at its floor nu = {lo}: no bound state"
+        )
     root, evals = _monotone_root(f, start, f_start, _NU_CEIL, error, tol, curvature, lo)
     if lo == _NU_FLOOR and root <= _THRESHOLD_WIDTH:
         raise NoBoundStateError("the zero is the threshold nu = 0: no bound state")
@@ -422,20 +424,20 @@ def energy_from_coupling(
     """Standalone bound-state parameter nu* for one surface, or None.
 
     lam must be a positive normal float, as for Coupling.  nu* is the root
-    of g(nu) = -ln(lambda P(nu)), P = P_ii, by _search from nu = 0 with
-    one level, the Gauss level nu_G (_gauss_level), and None where that
-    finds no bound state.  P is a positive sum of decaying exponentials in nu, so it is
-    log-convex, and g is concave and increasing: Newton's method from the
-    left rises to the root, with the slope g' = -P'/P from the same kernel
-    pass.  The rule integrates 1/d exactly, so nu_G > 0 only where lambda
-    P(0) > 1, and then nu = 0 is not read; the Newton step from there
-    would be the Jensen bound ln(lambda P(0)) / (kappa_f <d>), the
+    of g(nu) = -ln(lambda P(nu)), P = P_ii, by _search from nu = 0 with one
+    level, the Gauss level nu_G (_gauss_level), and None where that finds
+    no bound state.  P is a positive sum of decaying exponentials in nu, so
+    it is log-convex, and g is concave and increasing: Newton's method from
+    the left rises to the root, with the slope g' = -P'/P from the same
+    kernel pass.  The rule integrates 1/d exactly, so nu_G > 0 only where
+    lambda P(0) > 1, and then nu = 0 is not read; the Newton step from
+    there would be the Jensen bound ln(lambda P(0)) / (kappa_f <d>), the
     one-point rule's root, which nu_G refines by the rule's other points.
     Under those weights |g''| = kappa_f^2 Var(d) <= kappa_f^2 D^2 / 4
     (Popoviciu), D the mesh diameter, the curvature with which
-    _monotone_root skips the last evaluation.  Where lambda P(0)
-    overflows, nu_G is read without overflow, past the self-integral's
-    range, which refuses it.
+    _monotone_root skips the last evaluation.  Where lambda P(0) overflows,
+    nu_G is read without overflow, past the self-integral's range, which
+    refuses it.
     """
     _check_lambda(lam)
 
@@ -478,10 +480,10 @@ def _ground_state(phi, surfaces, couplings, constants, points=()) -> BoundStateR
     (mu), where that channel's diagonal is 0, or nu = 0; its levels are the
     lambda channels' Gauss levels, where omega_min <= Phi_ii <= 0.  Past lo
     a zero exists, as each diagonal tends to a positive value and each
-    off-diagonal to 0, so a search that misses it has not converged.  The weights are the unit null eigenvector at the crossing,
-    sign-fixed to a nonnegative sum (ground-state positivity), taken from
-    the kept matrices; converged means |omega_min| < 1e-10 there, and
-    iterations counts the search's evaluations.
+    off-diagonal to 0, so a search that misses it has not converged.  The
+    weights, from the kept matrices, are the unit null eigenvector at the
+    crossing with a nonnegative sum (ground-state positivity); converged
+    means |omega_min| < 1e-10 there, and iterations counts evaluations.
     """
     stars = [cp.nu_star for cp in couplings.items if cp.nu_star is not None]
     lo = max(stars + [p.mu for p in points], default=_NU_FLOOR)
