@@ -139,7 +139,7 @@ from .kernels import _decay_rate, static_kernel_array
 _BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
 _DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
-_RULE_NODES = 4  # Gauss points of a geometry's rule (_rule)
+_RULE_NODES = 5  # Gauss points of a geometry's rule (_rule)
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
 _N_S = 24  # Gauss-Legendre order in scaled radius
 _POLE_TIE = 1e-12  # node alignments this close pick the patch pole by axis order
@@ -585,10 +585,11 @@ def _rule(a, b):
             sig[l + 1] - alpha[k - 1] * sig[l] - beta[k - 1] * sig_prev[l] + cheb[l] * sig[l - 1]
             for l in range(k, n - k)
         ]
-        # |pi_k|^2 / m_0 = beta_1 .. beta_k reads 0.004 or more at k = 3
-        # (0.018 at k = 2) on every surface geometry measured, a (1, 1, 10)
-        # spheroid's self-integral the least, and rounding where the
-        # distances are one value to rounding (a point at a sphere's
+        # |pi_k|^2 / m_0 = beta_1 .. beta_k reads 0.00097 or more at k = 4
+        # (0.004 at k = 3) on every surface geometry measured at orders
+        # 8-32, a (1, 1, 10) spheroid's self-integral the least
+        # (tests/test_quadrature.py keeps that margin), and rounding where
+        # the distances are one value to rounding (a point at a sphere's
         # centre): there the measure has k points
         if not new[k] > 1e-8 * m[0]:
             break

@@ -434,7 +434,7 @@ def test_hyperbolic_point_only_search_passes_the_root_and_converges(constants, m
 # the root found when the search started at mu, which took 9 and 6
 # evaluations, and exactly this many evaluations of omega_min now).
 HYBRID_LAMBDA_STARTS = {
-    "lambda 10, point at x = 10": (10.0, 10.0, 4.999772897218809, 4),
+    "lambda 10, point at x = 10": (10.0, 10.0, 4.999772897218809, 3),
     "lambda 2.5, point at x = 6": (2.5, 6.0, 1.115806334384211, 2),
 }
 

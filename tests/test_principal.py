@@ -673,10 +673,10 @@ NEWTON_LAMBDAS = {
     "1.05": ("sphere24", 1.05, 0.04919347462936398, 1),
     "2.0": ("sphere24", 2.0, 0.7968121434372101, 1),
     "10.0": ("sphere24", 10.0, 4.99977294733397, 3),
-    "40.0": ("sphere24", 40.0, 20.00000020037925, 5),
+    "40.0": ("sphere24", 40.0, 20.00000020037925, 4),
     "torus 1.05": ("torus24", 1.05, 0.02694060690503696, 1),
-    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 2),
-    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 4),
+    "torus 2.0": ("torus24", 2.0, 0.4635572298363555, 1),
+    "torus 10.0": ("torus24", 10.0, 3.0837509104786234, 3),
     "torus 40.0": ("torus24", 40.0, 11.717794702731924, 5),
 }
 # lambda-form systems: (order, centres, couplings, the root before the
@@ -687,7 +687,7 @@ NEWTON_LAMBDA_SYSTEMS = {
         16, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (2.5, 2.5, 2.5), 1.138392854733482, 4
     ),
     "three n24 lambda 10": (
-        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 4
+        24, ((0, 0, 0), (4, 0, 0), (0, 4, 0)), (10.0, 10.0, 10.0), 4.999780930163439, 3
     ),
     "D=4 n16 lambda (2, 2.5)": (16, ((0, 0, 0), (4, 0, 0)), (2.0, 2.5), 1.1165047699304789, 3),
 }
@@ -758,8 +758,8 @@ def test_newton_lambda_solves_match_brent_roots(constants, flat, request, monkey
 # follow the start rule's length: 118 / 81 / 60 on the sphere and 132 /
 # 103 / 68 on the torus at 3 / 4 / 5 Gauss points (_RULE_NODES).
 WARM_LAMBDA_PASSES = {
-    "sphere": ("sphere24", (1.5, 3.0), 81),
-    "torus": ("torus24", (0.9, 1.8), 103),
+    "sphere": ("sphere24", (1.5, 3.0), 60),
+    "torus": ("torus24", (0.9, 1.8), 68),
 }
 
 
@@ -860,6 +860,23 @@ def test_a_zero_within_the_stop_width_of_zero_is_the_threshold(constants, flat, 
     assert energy_from_coupling(sphere24, flat, constants, lam) is None
     with pytest.raises(NoBoundStateError, match="threshold"):
         solve_ground_state([sphere24], CouplingSpec.from_lambdas(lam), flat, constants)
+
+
+# Just past the threshold: on the order-24 unit sphere lambda_c = 1 / P(0)
+# is about 1 + 1.9e-11, and at (1 + eps) lambda_c the root is about eps.
+# At eps = 1e-11 and 1e-10 it lies past _THRESHOLD_WIDTH, so the search
+# returns it (9.998e-12 and 9.9998e-11), within its stop width of a
+# bisection on the same P, where a width of 0.25e-9 would return None; at
+# 1e-13 it lies within the width, and the search returns None.
+@pytest.mark.parametrize("eps, binds", [(1e-13, False), (1e-11, True), (1e-10, True)])
+def test_a_root_just_past_the_threshold_width_binds(constants, flat, sphere24, eps, binds):
+    lam = (1.0 + eps) / quad.double_sum(sphere24, sphere24, flat, constants, 0.0, 0)[0]
+    nu = energy_from_coupling(sphere24, flat, constants, lam)
+    if not binds:
+        assert nu is None
+        return
+    assert nu == pytest.approx(eps, rel=1e-3)
+    assert abs(nu - _bisected_root(sphere24, flat, constants, lam)) <= 1e-13
 
 
 @pytest.mark.parametrize("lam", [math.inf, 5e-324, math.nan])
@@ -979,6 +996,28 @@ def test_gauss_level_is_at_most_the_bisected_root(constants, flat, name, ratio):
     lam = ratio / quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
     level = principal._gauss_level(mesh, constants, lam)
     assert 0.0 < level <= _bisected_root(mesh, flat, constants, lam)
+
+
+# The same against the returned root at order 24, from next to the
+# threshold, where the five-point rule equals P to rounding and the level
+# can equal the root bit for bit, up to 40 lambda_c.  Where the search reads
+# the threshold, the level lies within its width.
+LEVEL_RATIOS = [1.0 + eps for eps in (1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)]
+LEVEL_RATIOS += [1.05, 1.5, 2.0, 5.0, 10.0, 20.0, 40.0]
+
+
+@pytest.mark.parametrize("name", CURVATURE_SHAPES)
+def test_gauss_level_is_at_most_the_returned_root(constants, flat, name):
+    mesh = build_surface(CURVATURE_SHAPES[name], order=24)
+    p0 = quad.double_sum(mesh, mesh, flat, constants, 0.0, 0)[0]
+    for ratio in LEVEL_RATIOS:
+        lam = ratio / p0
+        level = principal._gauss_level(mesh, constants, lam)
+        nu = energy_from_coupling(mesh, flat, constants, lam)
+        if nu is None:
+            assert level <= principal._THRESHOLD_WIDTH, ratio
+        else:
+            assert 0.0 < level <= nu, ratio
 
 
 def _inflate_the_rule(monkeypatch, ulps):
