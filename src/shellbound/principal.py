@@ -376,21 +376,21 @@ def _gauss_level(mesh: SurfaceMesh, constants: PhysicalConstants, lam: float) ->
     """A lower bound nu_G on the standalone level of a lambda channel, from
     no kernel pass: the root of lambda sum_i W_i e^{-k nu x_i} = 1, k =
     kappa_f, over the form's N-point Gauss rule of P's distance measure
-    (quad._rule(form, form), N = quad._RULE_NODES = 5) at the mesh's
-    scale s, nodes s x and weights s pref W / area_form.  Its error on
-    e^{-a x} is a^{2N} e^{-a xi} / (2N)! times the integral of the squared
-    N-th orthogonal polynomial, >= 0 for a >= 0 (Golub & Meurant 2010,
-    ch. 6), so it bounds P from below.
+    (quad._rule(form, form), N = quad._RULE_NODES) at the mesh's scale s,
+    nodes s x and weights s pref W / area_form.  Its error on e^{-a x} is
+    a^{2N} e^{-a xi} / (2N)! times the integral of the squared N-th
+    orthogonal polynomial, >= 0 for a >= 0 (Golub & Meurant 2010, ch. 6),
+    so it bounds P from below.
     _monotone_root finds the root on -ln of the model, concave and
     increasing like energy_from_coupling's g, read as k nu x_1 - ln lambda
     - ln(sum_i W_i e^{-k nu (x_i - x_1)}) so that nothing over- or
     underflows.  The model adds 8 eps (1 + |ln lambda|), more than the
     rounding of either ln(lambda P): next to the threshold, where the
-    rule's error is below rounding (at five points up to s nu of about
-    0.2), nu_G then still lies at or below the root of the computed P,
-    which it may equal bit for bit.  Returns the floor when the model does
-    not bind or binds within the stop width of it, and the ceiling when its
-    root lies at or past it, where the caller's search raises its own error.
+    rule's error is below rounding, a range that widens with N, nu_G then
+    still lies at or below the root of the computed P, which it may equal
+    bit for bit.  Returns the floor when the model does not bind or binds
+    within the stop width of it, and the ceiling when its root lies at or
+    past it, where the caller's search raises its own error.
     """
     nodes, weights = quad._rule(mesh.form, mesh.form)
     s = mesh.scale

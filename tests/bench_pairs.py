@@ -1,9 +1,9 @@
 """Alternating parent/change benchmark pairs, summarized against BENCHMARK.json.
 
-Runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-once in each of two checkouts per seed, the parent first on even pairs
-and the change first on odd ones, so that drift in machine load falls on
-both sides alike.  Each run's last line of standard output is its JSON
+Runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`,
+T the change checkout's BENCHMARK.json run_seconds, once in each of two
+checkouts per seed, the parent first on even pairs and the change first
+on odd ones, so that drift in machine load falls on both sides alike.  Each run's last line of standard output is its JSON
 result.  For every end-to-end metric BENCHMARK.json names it prints the
 parent's and the change's medians, the parent's quartiles, how many pairs
 the change wins, and the median's relative move against the metric's
@@ -13,7 +13,7 @@ pair.  Standard library only; it changes nothing in either checkout but
 what perfbench/run.py itself writes (.perfbench_work/).
 
     python3 tests/bench_pairs.py PARENT CHANGE --workload warm_solves --seeds 5501-5510
-    python3 tests/bench_pairs.py PARENT CHANGE --workload cli_configs --seeds 1,2,3 --seconds 20
+    python3 tests/bench_pairs.py PARENT CHANGE --workload cli_configs --seeds 1,2,3
 
 Make the two checkouts with `git archive` so neither holds cached
 bytecode; the children run with PYTHONDONTWRITEBYTECODE=1, so none is
@@ -40,10 +40,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def load_bounds(checkout: pathlib.Path) -> dict[str, tuple[str, float]]:
-    """{metric: (better, bound)} of the checkout's end-to-end metrics."""
+def load_spec(checkout: pathlib.Path) -> tuple[float, dict[str, tuple[str, float]]]:
+    """The checkout's run length in seconds and {metric: (better, bound)}
+    of its end-to-end metrics."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
@@ -107,13 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", type=pathlib.Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 5501-5510 or 1,2,7")
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
-    bounds = load_bounds(args.change)
+    seconds, bounds = load_spec(args.change)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+        runs = {side: run_once(getattr(args, side), args.workload, seed, seconds)
                 for side in order}
         metrics = tuple({k: m["value"] for k, m in runs[side]["metrics"].items()}
                         for side in ("parent", "change"))

@@ -1,5 +1,7 @@
 """The summary arithmetic of tests/bench_pairs.py, on made-up runs."""
 
+import pathlib
+
 import pytest
 
 import bench_pairs
@@ -7,6 +9,9 @@ import bench_pairs
 
 def test_bench_pairs_summary_arithmetic():
     assert bench_pairs.parse_seeds("5501-5503,5510") == [5501, 5502, 5503, 5510]
+    # the run length and bounds come from the checkout's BENCHMARK.json
+    seconds, spec = bench_pairs.load_spec(pathlib.Path(__file__).resolve().parents[1])
+    assert seconds > 0 and spec["item_p50_s"][0] == "lower"
     bounds = {
         "item_p50_s": ("lower", 0.25),
         "items_per_s": ("higher", 0.25),
