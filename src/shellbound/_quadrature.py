@@ -39,19 +39,28 @@ outer row, weighted by the math.fsum of the orbit's outer weights.
   reflections: 300 rows instead of 1152 for an order-24 sphere beside a
   torus or an ellipsoid on the x axis, every node in general position.
 
-All reductions run over fixed _BLOCK = 16384-sample blocks, one kernel
-call each, so the kernel's scratch memory stays one block long (128 kB per
-array).  Each block is dotted in _DOT = 8192-sample pieces, below the
-10 000 samples from which OpenBLAS splits a dot over its threads, and the
-pieces' partial sums are combined with math.fsum.  So every sum runs on
-the calling thread alone, and its bits do not depend on the BLAS thread
-count or on the machine's core count.  Each kernel call
-costs fixed Python overhead, so a larger block means fewer calls: an
-order-24 mirror-rule pair sum of 345 600 samples makes 22 instead of 85
-at 4096 (an order-24 sphere pair, 27 648 samples, makes 2).  Warm
-order-24 coupling and pair solves, timed interleaved with thread-free
-dots (2 vCPU, numpy 2.4), took 25-35% longer at 4096, 1-10% longer at
-8192, and 0-5% less at 32768, which doubles the scratch arrays.
+Every cached geometry has one form, (d, row_w, col_w): the (rows, n)
+distances, one weight per row, and the column weights, (rows, n) patch
+weights for a self-integral or one (n,) vector that weights every row
+alike, a pair's or a point's inner mesh weights.  A point is one row of
+weight 1 (two points one (1, 1) row).  The one reduction, _blocked_dots,
+runs over blocks of _BLOCK // n whole rows (one at least), about _BLOCK
+= 16384 samples, one kernel call each, so the kernel's scratch memory
+stays about one block long (128 kB per array).  Each column array is
+dotted row by row with its column weights, and its row sums, once every
+block is in, with the row weights: two-level blocked summation (Higham
+2002, section 4.2), which forms no weight product.  No row is longer than
+2 MAX_ORDER^2 = 4608 samples, nor has a geometry more rows, below the
+10 000 samples from which OpenBLAS splits a dot over its threads
+(tests/test_quadrature.py checks it), so every sum runs on the calling
+thread alone, and its bits do not depend on the BLAS thread count or on
+the machine's core count.  Each kernel call costs fixed Python overhead,
+so a larger block means fewer calls: an order-24 mirror-rule pair sum,
+300 rows of 1152 samples, makes 22 instead of 100 at 4096 (an order-24
+sphere pair, 24 rows, makes 2).  Warm order-24 coupling and pair solves,
+timed interleaved on flat blocks with thread-free dots (2 vCPU, numpy
+2.4), took 25-35% longer at 4096, 1-10% longer at 8192, and 0-5% less at
+32768, which doubles the scratch arrays.
 
 Every double sum takes one path, and only this module knows how the
 static kernel G depends on nu: double_sum takes two channels (surfaces, or
@@ -60,7 +69,7 @@ and a derivative order, and returns P = (V_a V_b)^{-1/2} times the double
 integral of G with its nu-derivatives up to that order.  It refuses
 nu < 0, and a surface outside flat space, whose node distances it
 measures as Euclidean.  The self-integral goes to diag_weighted_sum, the
-rest to offdiag_weighted_sum, and their cached (distances, weights) to
+rest to offdiag_weighted_sum, and their cached geometry to
 weighted_kernel_sum, which sums the distance moments M_k of w d^k G from
 one static_kernel_array pass (G, d G) per block.  A self-integral is
 summed only up to s nu = _SELF_NU_CEIL, the range its patch rule
@@ -71,9 +80,7 @@ _RULE_NODES-point Gauss rule (x, W) of its measure w / d (_rule), whose
 sum W x^k is sum w d^(k-1), exactly for k < 2 _RULE_NODES, and which
 bounds P from below at every nu >= 0 (principal._gauss_level).
 _blocked_dots takes a block's columns one at a time, so a sum holds a
-few block arrays at most.  A pair's
-weights are the outer product of two vectors, which its geometry keeps
-in their place; each block forms its own products (_block_weights).
+few block arrays at most.
 As dG/dnu = -gamma' d G and d^2G/dnu^2 = gamma'^2 d^2 G in flat space
 (gamma'' = 0), the k-th derivative is (-gamma')^k M_k / sqrt(V_a V_b):
 a slope costs one more dot per block and no cached array.
@@ -137,7 +144,6 @@ from .jacobi import _gauss_rule
 from .kernels import _decay_rate, static_kernel_array
 
 _BLOCK = 16384  # samples per kernel call and per pair-distance block; see the module docstring
-_DOT = 8192  # samples per dot product, below OpenBLAS's threading threshold
 _PATCH_CHUNK = 8  # patch rows built per batch, which caps the scratch arrays
 _RULE_NODES = 5  # Gauss points of a geometry's rule (_rule)
 _N_PSI = 16  # Gauss-Legendre order in angle, per fan triangle
@@ -208,51 +214,43 @@ def _mesh_cache(fn):
     return cached
 
 
-def _block_weights(weights, o: int) -> np.ndarray:
-    """Samples o .. o + _BLOCK of weights: a flat array, or a pair's
-    (outer, inner) vectors, which stand for their row-major outer product
-    and whose block takes the products outer[row] * inner of its rows.
-    einsum forms them with a broadcast multiply's bits in 10.7 instead of
-    18 us for an order-24 block (2-vCPU Xeon, numpy 2.4)."""
-    if isinstance(weights, np.ndarray):
-        return weights[o : o + _BLOCK]
-    outer, inner = weights
-    n = inner.shape[0]
-    first = o // n
-    skip = o - first * n
-    rows = np.einsum("i,j->ij", outer[first : -(-(o + _BLOCK) // n)], inner)
-    return rows.reshape(-1)[skip : skip + _BLOCK]
-
-
-def _blocked_dots(weights, dists: np.ndarray, columns) -> tuple[float, ...]:
-    """The sums of w c(d) over the arrays c(d) that columns yields, one at
-    a time, per _BLOCK block of d, each dotted per _DOT samples and
-    combined by math.fsum; weights as _block_weights reads them."""
-    partials = []
-    for o in range(0, dists.shape[0], _BLOCK):
-        w = _block_weights(weights, o)
-        for k, a in enumerate(columns(dists[o : o + _BLOCK])):
-            if k == len(partials):
-                partials.append([])
-            partials[k] += (w[h : h + _DOT].dot(a[h : h + _DOT]) for h in range(0, w.size, _DOT))
+def _blocked_dots(geometry, columns) -> tuple[float, ...]:
+    """The sums of row_w[r] col_w[r, j] c(d[r, j]) over a geometry (d,
+    row_w, col_w), for each array c(d) that columns yields, one at a time,
+    per block of _BLOCK // n whole rows of n samples (one row at least):
+    each array dotted row by row with its column weights, a (1, n) @ (n, 1)
+    matmul per row, into its row sums, which are dotted with the row
+    weights once every block is in.  A (n,) col_w weights every row
+    alike."""
+    d, row_w, col_w = geometry
+    # col_w with d's shape, a (n,) one repeated with stride 0 as
+    # np.broadcast_to makes it, without its 5 us of Python per sum
+    col_w = np.ndarray(d.shape, col_w.dtype, col_w, 0, (0,) * (d.ndim - col_w.ndim) + col_w.strides)
+    step = max(1, _BLOCK // d.shape[1])
+    sums = []
+    for o in range(0, d.shape[0], step):
+        cw = col_w[o : o + step, :, None]
+        for k, a in enumerate(columns(d[o : o + step])):
+            if k == len(sums):
+                sums.append(np.empty((d.shape[0], 1, 1)))
+            np.matmul(a[:, None, :], cw, out=sums[k][o : o + step])
         # Free the block's arrays before the next kernel call: with two
         # blocks' arrays alive, glibc trimmed and re-faulted the heap every
         # block, which more than doubled a warm order-24 self-integral.
-        del w, a
-    return tuple(map(math.fsum, partials))
+        del a
+    return tuple(float(row_w.dot(s.reshape(-1))) for s in sums)
 
 
 def weighted_kernel_sum(
-    weights,
-    dists: np.ndarray,
+    geometry,
     space: AmbientSpace,
     constants: PhysicalConstants,
     nu: float,
     order: int,
 ) -> tuple[float, ...]:
     """The distance moments M_k = sum of w d^k G(d) of the static kernel G at
-    nu, k = 0 .. order (at most 2): one static_kernel_array call per block,
-    with weights as _block_weights reads them."""
+    nu, k = 0 .. order (at most 2), over a geometry (d, row_w, col_w): one
+    static_kernel_array call per block of _blocked_dots."""
 
     def columns(d):
         g, dg = static_kernel_array(space, constants, nu, d, moment=True)
@@ -260,7 +258,7 @@ def weighted_kernel_sum(
         if order == 2:
             yield d * dg
 
-    return _blocked_dots(weights, dists, columns)
+    return _blocked_dots(geometry, columns)
 
 
 def _nu_derivatives(
@@ -419,17 +417,17 @@ def _build_patch_group(form: SurfaceForm, idx: np.ndarray, chart):
 
 
 def _patch_rows(form: SurfaceForm, rows: np.ndarray, row_weights: np.ndarray):
-    """Self-integral geometry (d, w) for the given outer rows.
+    """Self-integral geometry (d, row_w, col_w) for the given outer rows,
+    row_w their row_weights.
 
-    d holds the distances from each row's node to its patch points and w
-    the matching patch weights times the row's outer weight, both flattened
-    row by row.  weighted_kernel_sum(w, d, kernel) is the double surface
-    integral of a radial kernel (no 1/V normalization applied) whenever the
-    rows carry the whole outer rule: the rows of _orbit_rows, which the
-    cached _form_geometry uses, or every node with its own weight, which
-    the tests use as the reference rule.  Rows are built _PATCH_CHUNK at a
-    time; each row is independent of the others, so the chunking changes no
-    bit of the result.
+    Row r of d holds the distances from its node to its patch points and
+    row r of col_w the matching patch weights.  weighted_kernel_sum over it is
+    the double surface integral of a radial kernel (no 1/V normalization
+    applied) whenever the rows carry the whole outer rule: the rows of
+    _orbit_rows, which the cached _form_geometry uses, or every node with
+    its own weight, which the tests use as the reference rule.  Rows are
+    built _PATCH_CHUNK at a time; each row is independent of the others, so
+    the chunking changes no bit of the result.
     """
     M = 4 * _N_PSI * _N_S
     d = np.empty((rows.size, M))
@@ -438,30 +436,27 @@ def _patch_rows(form: SurfaceForm, rows: np.ndarray, row_weights: np.ndarray):
         for k in range(0, pos.size, _PATCH_CHUNK):
             chunk = pos[k : k + _PATCH_CHUNK]
             d[chunk], w[chunk] = _build_patch_group(form, rows[chunk], chart)
-    w *= row_weights[:, None]
-    return d.reshape(-1), w.reshape(-1)
+    return d, row_weights, w
 
 
 @_mesh_cache
 def _form_geometry(form: SurfaceForm):
-    """Orbit rows, their weights and the orbit-rule (d, w) of a form: the
-    self-integral geometry at the origin with scale 1."""
-    rows, row_weights = _orbit_rows(form, form.weights)
-    return rows, row_weights, *_patch_rows(form, rows, row_weights)
+    """The orbit-rule (d, row_w, col_w) of a form: the self-integral
+    geometry at the origin with scale 1."""
+    return _patch_rows(form, *_orbit_rows(form, form.weights))
 
 
 @_mesh_cache
 def _diag_geometry(mesh: SurfaceMesh):
-    """Self-integral geometry (d, w) of one surface under the orbit rule:
-    its form's arrays at every scale, to which diag_weighted_sum applies
-    the scale law."""
-    return _form_geometry(mesh.form)[2:]
+    """Self-integral geometry (d, row_w, col_w) of one surface under the
+    orbit rule: its form's arrays at every scale, to which
+    diag_weighted_sum applies the scale law."""
+    return _form_geometry(mesh.form)
 
 
 def patch_weight_residual(mesh: SurfaceMesh) -> float:
     """Max relative defect of per-row patch weights against the area."""
-    rows, row_weights, _, w = _form_geometry(mesh.form)
-    sums = w.reshape(rows.size, -1).sum(axis=1) / row_weights
+    sums = _form_geometry(mesh.form)[2].sum(axis=1)
     return float(np.max(np.abs(sums - mesh.form.area)) / mesh.form.area)
 
 
@@ -492,9 +487,9 @@ def _pair_distances(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 
 @_mesh_cache
 def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
-    """(d, outer_w, inner_w) of two disjoint surfaces: the flattened
-    (rows, n) distances, the outer rows' orbit weights and mesh_j's
-    weights, whose row-major outer product weights d (_block_weights).
+    """(d, outer_w, inner_w) of two disjoint surfaces: the (rows, n)
+    distances, the outer rows' orbit weights and mesh_j's weights, which
+    weight every row.
 
     Raises GeometryViolationError, caching nothing, when either surface's
     nodes lie inside the other beyond a 0.5e-9 share of the larger diameter,
@@ -530,24 +525,24 @@ def _pair_geometry(mesh_i: SurfaceMesh, mesh_j: SurfaceMesh):
         raise GeometryViolationError(
             f"surfaces {type(mesh_i.shape).__name__} and {type(mesh_j.shape).__name__} share a node"
         )
-    return d.reshape(-1), outer_w, mesh_j.weights
+    return d, outer_w, mesh_j.weights
 
 
 @_mesh_cache
 def _point_geometry(mesh: SurfaceMesh, point: Point3):
-    """(distances, weights) from a point, one node of weight 1, to a surface."""
-    return _pair_distances(mesh.nodes, point.as_array()[None]).reshape(-1), mesh.weights
+    """(d, row_w, col_w) of a point, one row of weight 1, with a surface:
+    its (1, n) distances to the nodes and the mesh's weights."""
+    return _pair_distances(point.as_array()[None], mesh.nodes), np.ones(1), mesh.weights
 
 
 def _geometry(a: SurfaceMesh, b: SurfaceMesh | Point3):
-    """Cached (d, w) of a surface with itself (its form's), a surface or a
-    point, a pair's w being (outer_w, inner_w)."""
+    """Cached (d, row_w, col_w) of a surface with itself (its form's), a
+    surface or a point."""
     if a is b:
         return _diag_geometry(a)
     if isinstance(b, Point3):
         return _point_geometry(a, b)
-    d, outer_w, inner_w = _pair_geometry(a, b)
-    return d, (outer_w, inner_w)
+    return _pair_geometry(a, b)
 
 
 @_mesh_cache
@@ -562,7 +557,8 @@ def _rule(a, b):
     jacobi._gauss_rule builds (Gautschi 2004, section 2.1.7).  A measure
     of fewer points to rounding, as from a point at a sphere's centre,
     gets a rule of that many points."""
-    d, w = _form_geometry(a)[2:] if a is b else _geometry(a, b)
+    geometry = _form_geometry(a) if a is b else _geometry(a, b)
+    d = geometry[0]
     n = 2 * _RULE_NODES
     lo, hi = float(d.min()), float(d.max())
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0 or hi  # any half if all d are equal
@@ -576,7 +572,7 @@ def _rule(a, b):
             prev, cur = cur, t * cur - b_k * prev
             yield cur
 
-    m = _blocked_dots(w, d, columns)
+    m = _blocked_dots(geometry, columns)
     alpha, beta = [m[1] / m[0]], [m[0]]
     sig_prev, sig = [0.0] * n, list(m)  # sigma_(k-1, l), sigma_(k, l) at k = 0
     for k in range(1, _RULE_NODES):
@@ -609,8 +605,7 @@ def _surface_moments(a, b, space, constants, nu, order) -> tuple[float, ...]:
         pref = constants.mass / (2.0 * math.pi * constants.hbar * constants.hbar)
         x, W = _rule(a.form, a.form) if a is b else _rule(a, b)
         return tuple(pref * math.fsum(w * xi**k for xi, w in zip(x, W)) for k in range(order + 1))
-    d, w = _geometry(a, b)
-    return weighted_kernel_sum(w, d, space, constants, nu, order)
+    return weighted_kernel_sum(_geometry(a, b), space, constants, nu, order)
 
 
 def diag_weighted_sum(
@@ -639,8 +634,8 @@ def offdiag_weighted_sum(
     channels: two disjoint surfaces, a surface and a point, or two points
     at their distance in space."""
     if isinstance(a, Point3):
-        d = np.array([ambient_distance(space, a, b)])
-        moments = weighted_kernel_sum(np.ones(1), d, space, constants, nu, order)
+        geometry = np.array([[ambient_distance(space, a, b)]]), np.ones(1), np.ones(1)
+        moments = weighted_kernel_sum(geometry, space, constants, nu, order)
     else:
         moments = _surface_moments(a, b, space, constants, nu, order)
     norm = math.sqrt(getattr(a, "area", 1.0) * getattr(b, "area", 1.0))  # a point's V is 1

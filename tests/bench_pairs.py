@@ -68,7 +68,7 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float
     parent and change medians, the parent's quartiles, the change's wins
     (strictly better in its pair), the relative move of the medians, signed
     so that a positive move is a worsening, and whether that worsening
-    stays within the bound."""
+    stays within the bound (always, for a bound of None)."""
     out = {}
     for name, (better, bound) in bounds.items():
         parent = [p[name] for p, _ in pairs]
@@ -84,7 +84,7 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, tuple[str, float
             "pairs": len(pairs),
             "worse": worse,
             "bound": bound,
-            "within": worse <= bound,
+            "within": bound is None or worse <= bound,
         }
     return out
 
@@ -93,12 +93,14 @@ def report(summary: dict) -> str:
     lines = []
     for name, s in summary.items():
         q1, q3 = s["parent_quartiles"]
-        verdict = "within" if s["within"] else "PAST"
-        lines.append(
+        line = (
             f"{name}: {s['parent']:.6g} [{q1:.6g}, {q3:.6g}] -> {s['change']:.6g}, "
-            f"change wins {s['wins']}/{s['pairs']}, worse by {100 * s['worse']:+.2f}% "
-            f"({verdict} its {100 * s['bound']:.0f}% bound)"
+            f"change wins {s['wins']}/{s['pairs']}, worse by {100 * s['worse']:+.2f}%"
         )
+        if s["bound"] is not None:
+            verdict = "within" if s["within"] else "PAST"
+            line += f" ({verdict} its {100 * s['bound']:.0f}% bound)"
+        lines.append(line)
     return "\n".join(lines)
 
 

@@ -329,6 +329,19 @@ def test_a_level_past_the_ceiling_is_no_convergence(constants, flat):
         energy_from_coupling(sphere8, flat, constants, 1e300)
 
 
+def test_a_crossing_left_at_a_jump_is_not_converged(constants):
+    # converged means |omega_min| < 1e-10 at the returned root.  A 1 x 1
+    # phi with a nu* coupling whose omega_min jumps from -1e-8 to +1e-8 at
+    # nu = 1 collapses the bracket on the jump, with a residual of 1e-8 there.
+    def phi(nu):
+        return PrincipalMatrix(nu, np.array([[-1e-8 if nu < 1.0 else 1e-8]]), np.array([[1e-8]]))
+
+    result = principal._ground_state(phi, (None,), CouplingSpec.from_nu_stars(0.5), constants)
+    assert result.nu_star == pytest.approx(1.0, abs=1e-12)
+    assert 1e-10 < result.residual < 1e-6
+    assert not result.converged
+
+
 @pytest.mark.parametrize(
     "lam, nu_star",
     [

@@ -47,9 +47,10 @@ GENERAL = Ellipsoid((0.0, 0.0, 0.0), 1.2, 1.0, 0.8)
 
 
 def _scaled(mesh, rows, row_weights):
-    """Patch geometry (d, w, s) of the given rows of the mesh's form, with
-    the mesh's scale s, which diag_weighted_sum applies by the scale law."""
-    return (*quad._patch_rows(mesh.form, rows, row_weights), mesh.scale)
+    """Patch geometry (d, row_w, col_w) of the given rows of the mesh's
+    form, with the mesh's scale s, which diag_weighted_sum applies by the
+    scale law."""
+    return quad._patch_rows(mesh.form, rows, row_weights), mesh.scale
 
 
 def _full_rule(mesh):
@@ -62,12 +63,12 @@ def _orbit_rule(mesh):
     return _scaled(mesh, *quad._orbit_rows(mesh.form, mesh.form.weights))
 
 
-def _self_integral(geometry, constants, flat, nu):
-    """The double integral of G_nu over a geometry (d, w, s) of a form at
-    scale s: s^3 times the form's sum at s nu, since G_nu(s d) = G_{s nu}(d)
-    / s and the weights scale by s^4."""
-    d, w, s = geometry
-    return s**3 * quad.weighted_kernel_sum(w, d, flat, constants, s * nu, 0)[0]
+def _self_integral(scaled, constants, flat, nu):
+    """The double integral of G_nu over a form's geometry at scale s, given
+    as (geometry, s): s^3 times the form's sum at s nu, since G_nu(s d) =
+    G_{s nu}(d) / s and the weights scale by s^4."""
+    geometry, s = scaled
+    return s**3 * quad.weighted_kernel_sum(geometry, flat, constants, s * nu, 0)[0]
 
 
 def _diag_sum(mesh, constants, flat, nu):
@@ -76,10 +77,11 @@ def _diag_sum(mesh, constants, flat, nu):
     return quad.diag_weighted_sum(mesh, flat, constants, nu, 0)[0] * mesh.area
 
 
-def _flat(w):
-    """A geometry's weights as one flat array: a pair's (outer_w, inner_w)
-    as the row-major outer product its sums stand for."""
-    return w if isinstance(w, np.ndarray) else np.outer(*w).reshape(-1)
+def _flat(geometry):
+    """A geometry (d, row_w, col_w) as flat (d, w) arrays, w the products
+    row_w[r] col_w[r, j] its sums stand for."""
+    d, row_w, col_w = geometry
+    return d.reshape(-1), (row_w[:, None] * col_w).reshape(-1)
 
 
 def test_diag_quadrature_convergence(constants, flat):
@@ -270,11 +272,12 @@ def test_diag_geometry_rows(sphere16, torus16):
     spheroid = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.0, 1.5), order=8)
     general = build_surface(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.3, 1.5), order=8)
     for mesh in (sphere16, torus16, spheroid):
-        d, w = quad._diag_geometry(mesh)
-        assert d.shape == w.shape == (mesh.order * PATCH_SAMPLES,)
+        d, row_w, col_w = quad._diag_geometry(mesh)
+        assert d.shape == col_w.shape == (mesh.order, PATCH_SAMPLES)
+        assert row_w.shape == (mesh.order,)
     # 4 u-orbits times 5 v-orbits of the three reflections
-    d, w = quad._diag_geometry(general)
-    assert d.shape == w.shape == (20 * PATCH_SAMPLES,)
+    d, row_w, col_w = quad._diag_geometry(general)
+    assert d.shape == col_w.shape == (20, PATCH_SAMPLES) and row_w.shape == (20,)
 
 
 def test_equal_axis_ellipsoid_is_the_sphere_bitwise(constants, flat):
@@ -306,7 +309,7 @@ def _one_batch_per_group(form, rows, row_weights):
     jw = np.empty((rows.size, PATCH_SAMPLES))
     for pos, chart in quad._patch_chart_groups(form, rows):
         d[pos], jw[pos] = quad._build_patch_group(form, rows[pos], chart)
-    return d.reshape(-1), (row_weights[:, None] * jw).reshape(-1)
+    return d, row_weights, jw
 
 
 def _with_nodes(form, nodes, chart=None):
@@ -334,11 +337,11 @@ def test_chunked_patch_rows_match_one_batch(constants, flat):
     # size, gives its self-integral to rounding, as the scale law sums it
     assert mesh.scale == 1.2
     got = quad._diag_geometry(mesh)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
     sized = _ScaledSphereChart((GENERAL.a, GENERAL.b, GENERAL.c), 2)
     direct = _one_batch_per_group(
         _with_nodes(form, mesh.nodes, sized), *quad._orbit_rows(form, mesh.weights)
-    ) + (1.0,)
+    ), 1.0
     for nu in (0.1, 1.0, 3.0):
         want = _self_integral(direct, constants, flat, nu)
         assert _diag_sum(mesh, constants, flat, nu) == pytest.approx(want, rel=1e-14)
@@ -358,13 +361,13 @@ def test_patch_poles_survive_a_last_bit_change(constants, flat, axis):
     rows, row_weights = quad._orbit_rows(form, form.weights)
     groups = _pole_groups(form, rows)
     assert [k for _, k in groups] == [0, 1, 2]
-    want = _self_integral((*quad._patch_rows(form, rows, row_weights), 1.0), constants, flat, 1.0)
+    want = _self_integral((quad._patch_rows(form, rows, row_weights), 1.0), constants, flat, 1.0)
     for direction in (-np.inf, np.inf):
         nodes = form.nodes.copy()
         nodes[:, axis] = np.nextafter(nodes[:, axis], direction)
         bumped = _with_nodes(form, nodes)
         assert _pole_groups(bumped, rows) == groups
-        got = _self_integral((*quad._patch_rows(bumped, rows, row_weights), 1.0), constants, flat, 1.0)
+        got = _self_integral((quad._patch_rows(bumped, rows, row_weights), 1.0), constants, flat, 1.0)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -489,15 +492,33 @@ def test_offdiag_respects_disjointness(constants, flat, sphere16):
 
 
 def test_weighted_kernel_sum_matches_dot(constants, flat):
-    # the moments sum w d^k G over several blocks, as one dot each would
+    # the moments sum row_w col_w d^k G over several blocks of whole rows,
+    # as one dot over the weight products would
     rng = np.random.default_rng(3)
-    w = rng.random(100_000)
-    d = rng.random(100_000) + 0.1
-    g = static_kernel_array(flat, constants, 0.7, d)
-    got = quad.weighted_kernel_sum(w, d, flat, constants, 0.7, 2)
+    d = rng.random((100, 1000)) + 0.1
+    row_w, col_w = rng.random(100), rng.random((100, 1000))
+    w = (row_w[:, None] * col_w).reshape(-1)
+    g = static_kernel_array(flat, constants, 0.7, d).reshape(-1)
+    got = quad.weighted_kernel_sum((d, row_w, col_w), flat, constants, 0.7, 2)
     for k, moment in enumerate(got):
-        assert moment == pytest.approx(float(np.dot(w, d**k * g)), rel=1e-12)
-    assert quad.weighted_kernel_sum(w, d, flat, constants, 0.7, 0) == got[:1]
+        assert moment == pytest.approx(float(np.dot(w, d.reshape(-1) ** k * g)), rel=1e-12)
+    assert quad.weighted_kernel_sum((d, row_w, col_w), flat, constants, 0.7, 0) == got[:1]
+
+
+# OpenBLAS splits a dot over its threads from this many samples on, so a
+# sum's bits would depend on the thread count past it.
+OPENBLAS_DOT_THREADING = 10_000
+
+
+def test_no_dot_reaches_the_blas_threading_threshold():
+    # _blocked_dots dots each row against its column weights and the row
+    # sums against the row weights.  The longest row is a pair's or a
+    # point's inner mesh, 2 MAX_ORDER^2 nodes, or a patch row; a geometry
+    # has at most one row per node of its outer mesh.  Raising MAX_ORDER or
+    # the patch orders past the threshold fails here rather than letting
+    # the bits follow the thread count.
+    assert 2 * MAX_ORDER**2 < OPENBLAS_DOT_THREADING
+    assert PATCH_SAMPLES < OPENBLAS_DOT_THREADING
 
 
 _THREADS_CHILD = """
@@ -509,10 +530,10 @@ from shellbound.cli import main
 space, constants = sb.flat_space(), sb.PhysicalConstants()
 a = sb.build_surface(sb.Sphere((0.0, 0.0, 0.0), 1.0), order=24)
 b = sb.build_surface(sb.Sphere((4.0, 0.0, 0.0), 1.0), order=24)
-d, w = quad._geometry(a, b)
+geometry = quad._geometry(a, b)
 for nu in (0.3, 1.0, 3.0):
     sums = (quad.diag_weighted_sum(a, space, constants, nu, 1)
-            + quad.weighted_kernel_sum(w, d, space, constants, nu, 1))
+            + quad.weighted_kernel_sum(geometry, space, constants, nu, 1))
     print(*(x.hex() for x in sums))
 configs, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 for command, name in (("bounds", "two_spheres"), ("variational", "three_spheres_lambda")):
@@ -634,7 +655,7 @@ def test_pair_geometry_rows(sphere24):
     apart = build_surface(dataclasses.replace(GENERAL, center=(3.0, 2.5, -1.5)), order=24)
     d, outer_w, inner_w = quad._pair_geometry(sphere24, apart)
     diff = sphere24.nodes[:, None, :] - apart.nodes[None, :, :]
-    assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).reshape(-1))
+    assert np.array_equal(d, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
     assert np.array_equal(outer_w, sphere24.weights) and inner_w is apart.weights
 
 
@@ -653,8 +674,7 @@ def _one_shot_pair_geometry(mesh_i, mesh_j):
         rows, outer_w = quad._orbit_rows(mesh_i.form, mesh_i.weights, shared)
         outer, inner = mesh_i.nodes[rows], mesh_j.nodes
     diff = outer[:, None, :] - inner[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return d.reshape(-1), outer_w, mesh_j.weights
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), outer_w, mesh_j.weights
 
 
 # a ring pair (24 rows), a collinear sphere and ellipsoid on the mirror rule
@@ -683,25 +703,65 @@ def test_blocked_pair_geometry_is_the_one_shot_difference(shapes):
 
 
 @pytest.mark.parametrize("shapes", BLOCKED_PAIRS.values(), ids=BLOCKED_PAIRS.keys())
-def test_pair_sums_over_the_two_weight_vectors_are_the_full_products(
+def test_pair_sums_over_inner_weights_match_tiled_rows(
     constants, flat, monkeypatch, shapes
 ):
-    # each block forms the products outer_w[row] * inner_w of its rows, the
-    # floats of the (rows, n) product array, on the same block and dot
-    # boundaries: every moment and the pair's rule keep their bits
+    # a pair's one (n,) inner weight vector weights every row as its copy
+    # tiled to (rows, n) would, in the same row dots: every moment and the
+    # pair's rule keep their bits
     a, b = (build_surface(shape, order=24) for shape in shapes)
     for outer, inner in ((a, b), (b, a)):
-        d, w = quad._geometry(outer, inner)
-        full = np.outer(*w).reshape(-1)
-        # several blocks, the second starting inside a row
-        assert d.size > quad._BLOCK and quad._BLOCK % inner.weights.size
+        d, outer_w, inner_w = quad._geometry(outer, inner)
+        tiled = d, outer_w, np.tile(inner_w, (outer_w.size, 1))
+        assert d.shape[0] > quad._BLOCK // d.shape[1]  # several blocks
         for nu in (0.3, 1.0, 3.0):
-            got = quad.weighted_kernel_sum(w, d, flat, constants, nu, 2)
-            assert got == quad.weighted_kernel_sum(full, d, flat, constants, nu, 2), nu
+            got = quad.weighted_kernel_sum((d, outer_w, inner_w), flat, constants, nu, 2)
+            assert got == quad.weighted_kernel_sum(tiled, flat, constants, nu, 2), nu
         rule = quad._rule(outer, inner)
         with monkeypatch.context() as mp:
-            mp.setattr(quad, "_geometry", lambda *meshes: (d, full))
+            mp.setattr(quad, "_geometry", lambda *meshes: tiled)
             assert quad._rule.__wrapped__(outer, inner) == rule
+
+
+def _form_self(shape):
+    """(form, form) of shape at a given order: its self-integral's rule."""
+    return lambda order: 2 * (build_surface(shape, order=order).form,)
+
+
+def _pair_of(shapes):
+    return lambda order: tuple(build_surface(shape, order=order) for shape in shapes)
+
+
+# Every geometry kind at order 24: three forms' self-integrals, the three
+# pair rules and a surface with a point.
+SUM_GEOMETRIES = {
+    "sphere": _form_self(Sphere((0.0, 0.0, 0.0), 1.0)),
+    "torus": _form_self(Torus((0.0, 0.0, 0.0), 2.0, 0.5)),
+    "ellipsoid": _form_self(Ellipsoid((0.0, 0.0, 0.0), 1.0, 1.3, 1.7)),
+    "ring": _pair_of(BLOCKED_PAIRS["ring"]),
+    "mirror": _pair_of(BLOCKED_PAIRS["mirror"]),
+    "general_position": _pair_of(BLOCKED_PAIRS["general_position"]),
+    "point": lambda order: (
+        build_surface(Torus((0.0, 0.0, 0.0), 2.0, 0.5), order=order),
+        flat_point(0.3, -3.1, 0.7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SUM_GEOMETRIES)
+def test_blocked_moments_are_the_fsum_of_the_weight_products(constants, flat, name):
+    # the row dots and the row-weight dot round a moment to within a few
+    # ulp of the correctly rounded sum over the materialised products
+    # row_w[r] col_w[r, j] c(d[r, j]): 5.0e-16 seen
+    a, b = SUM_GEOMETRIES[name](24)
+    geometry = quad._form_geometry(a) if a is b else quad._geometry(a, b)
+    d, w = _flat(geometry)
+    for nu in (0.3, 1.0, 3.0):
+        g, dg = static_kernel_array(flat, constants, nu, d, moment=True)
+        want = [math.fsum((w * c).tolist()) for c in (g, dg, d * dg)]
+        got = quad.weighted_kernel_sum(geometry, flat, constants, nu, 2)
+        for k, (x, y) in enumerate(zip(got, want)):
+            assert x == pytest.approx(y, rel=1e-15, abs=0.0), (nu, k)
 
 
 def _traced(build):
@@ -751,7 +811,7 @@ def test_patch_build_scratch_stays_under_a_mebibyte():
     # of _PATCH_CHUNK rows needs at most 1 MiB besides
     form = build_surface(GENERAL, order=24).form
     out, held, scratch = _traced(lambda: quad._form_geometry.__wrapped__(form))
-    assert out[0].size == 156 and held >= out[2].nbytes + out[3].nbytes
+    assert out[1].size == 156 and held >= out[0].nbytes + out[2].nbytes
     assert scratch <= 2**20
 
 
@@ -875,9 +935,8 @@ def test_scaled_mesh_takes_its_forms_arrays(name):
     # a mesh at any scale caches no array of its own for its self-integral
     mesh = build_surface(SCALED[name][0], order=12)
     assert mesh.scale in (1.2, 1.7, 2.0)
-    d, w = quad._diag_geometry(mesh)
-    form = quad._form_geometry(mesh.form)
-    assert d is form[2] and w is form[3]
+    got, form = quad._diag_geometry(mesh), quad._form_geometry(mesh.form)
+    assert all(x is y for x, y in zip(got, form, strict=True))
 
 
 @pytest.mark.parametrize("name", SCALED)
@@ -1111,7 +1170,7 @@ def _assert_close(got, want):
 def test_self_integral_at_nu_zero_is_the_flat_moment_sum(constants, flat, name):
     mesh = build_surface(ZERO_SELF[name], order=16)
     assert mesh.scale != 1.0
-    d, w = quad._diag_geometry(mesh)  # the form's arrays, at scale 1
+    d, w = _flat(quad._diag_geometry(mesh))  # the form's arrays, at scale 1
     s = mesh.scale
     want = _zero_reference(constants, s * d, s**4 * w, mesh.area)
     _assert_close(quad.double_sum(mesh, mesh, flat, constants, 0.0, 2), want)
@@ -1122,13 +1181,13 @@ def test_pair_at_nu_zero_is_the_flat_moment_sum(constants, flat, name):
     a, b = ZERO_PAIRS[name]
     a = build_surface(a, order=16)
     if isinstance(b, Point3):  # one node of weight 1 and V = 1
-        d, w = quad._point_geometry(a, b)
+        d, w = _flat(quad._point_geometry(a, b))
         norm = math.sqrt(a.area)
     else:
         b = build_surface(b, order=16)
-        d, w = quad._geometry(a, b)
+        d, w = _flat(quad._geometry(a, b))
         norm = math.sqrt(a.area * b.area)
-    want = _zero_reference(constants, d, _flat(w), norm)
+    want = _zero_reference(constants, d, w, norm)
     _assert_close(quad.double_sum(a, b, flat, constants, 0.0, 2), want)
 
 
@@ -1157,7 +1216,7 @@ def test_double_sum_still_refuses_negative_nu(constants, flat, sphere16):
 def _form_sums(form, n):
     """The sums of w d^(k - 1), k < n, over a form's self-integral
     geometry, each by math.fsum: the moments of order k of w / d."""
-    d, w = quad._form_geometry(form)[2:]
+    d, w = _flat(quad._form_geometry(form))
     return [math.fsum((w * d ** (k - 1.0)).tolist()) for k in range(n)]
 
 
@@ -1222,7 +1281,7 @@ def _stieltjes_rule(form, n):
     """The n-point Gauss rule of a form's measure w / d from _stieltjes,
     each inner product a math.fsum, its Jacobi matrix solved with its
     eigenvectors, whose first components give the weights."""
-    mid, half, alpha, beta = _stieltjes(*quad._form_geometry(form)[2:], n)
+    mid, half, alpha, beta = _stieltjes(*_flat(quad._form_geometry(form)), n)
     jacobi = np.diag(alpha) + np.diag(np.sqrt(beta[1:]), 1) + np.diag(np.sqrt(beta[1:]), -1)
     x, v = np.linalg.eigh(jacobi)
     return (mid + half * x).tolist(), (beta[0] * v[0] ** 2).tolist()
@@ -1233,7 +1292,7 @@ def _assert_flat_sums(form, rule):
     its weights are positive, and it integrates d^k, k < 2 len(rule),
     against w / d as the form's math.fsum sums do."""
     nodes, weights = rule
-    d = quad._form_geometry(form)[2]
+    d = quad._form_geometry(form)[0]
     ends = (float(d.min()), *nodes, float(d.max()))
     assert all(x < y for x, y in zip(ends, ends[1:]))
     assert min(weights) > 0.0
@@ -1406,8 +1465,7 @@ def _spheres_at(*centers):
 @pytest.mark.parametrize("name", RULE_GEOMETRIES)
 def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, monkeypatch, name):
     a, b = RULE_GEOMETRIES[name]()
-    d, w = quad._geometry(a, b)
-    w = _flat(w)
+    d, w = _flat(quad._geometry(a, b))
     nodes, weights = quad._rule(a, b)
     four = _rule_at(monkeypatch, 4, a, b)
     assert len(nodes) == len(weights) == quad._RULE_NODES
@@ -1448,15 +1506,6 @@ def test_each_geometry_rule_bounds_p_and_goes_with_its_meshes(constants, flat, m
 STOP_MARGIN = 5e-4
 
 
-def _form_self(shape):
-    """(form, form) of shape at a given order: its self-integral's rule."""
-    return lambda order: 2 * (build_surface(shape, order=order).form,)
-
-
-def _pair_of(shapes):
-    return lambda order: tuple(build_surface(shape, order=order) for shape in shapes)
-
-
 MARGIN_GEOMETRIES = {
     "sphere": _form_self(Sphere((0.0, 0.0, 0.0), 1.0)),
     "torus": _form_self(Torus((0.0, 0.0, 0.0), 2.0, 0.5)),
@@ -1475,9 +1524,9 @@ MARGIN_GEOMETRIES = {
 def test_rule_stop_test_keeps_its_margin(name):
     for order in (8, 16, 24, 32):
         a, b = MARGIN_GEOMETRIES[name](order)
-        d, w = quad._form_geometry(a)[2:] if a is b else quad._geometry(a, b)
+        d, w = _flat(quad._form_geometry(a) if a is b else quad._geometry(a, b))
         assert len(quad._rule(a, b)[0]) == quad._RULE_NODES
-        beta = _stieltjes(d, _flat(w), quad._RULE_NODES, np.sum)[3]
+        beta = _stieltjes(d, w, quad._RULE_NODES, np.sum)[3]
         assert math.prod(beta[1:]) >= STOP_MARGIN, order
 
 
@@ -1506,7 +1555,7 @@ def test_gauss_rules_take_no_eigenvectors(monkeypatch):
 # many as the measure has to rounding, up to _RULE_NODES, read at nu = 0
 # without an invalid operation and within rounding of the sums.
 def _check_centre_rule(constants, flat, mesh, point):
-    d, w = quad._geometry(mesh, point)
+    d, w = _flat(quad._geometry(mesh, point))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         nodes, weights = quad._rule(mesh, point)
